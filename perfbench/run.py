@@ -2,17 +2,22 @@
 
     python3 perfbench/run.py --workload NAME|all --seed N --seconds S --trace 0|1
 
-Untraced (--trace 0): after a set-up and a warm-up pass, set-up and the
-timed phase alternate for S seconds.  ``wall_per_ref`` is the median over
-passes of a pass's wall time divided by the mean time of the reference
-loop (perfbench/reference.py) run just before and after it; ``setup_s`` is
-the median set-up time.  The line before the result also gives each raw
+Untraced (--trace 0): after a set-up and a warm-up pass, set-up samples
+and passes alternate for S seconds, each between two runs of the reference
+loop (perfbench/reference.py).  ``wall_per_ref`` is the median over passes
+of a pass's wall time divided by the mean time of the reference loop run
+just before and after it.  ``setup_s`` is the median set-up time divided
+the same way and multiplied by the loop's nominal time, so it reads in
+seconds on the machine the bounds were set on and does not follow the
+host's speed phases.  The line before the result also gives each raw
 timing's minimum, median, tail percentile and sample count.
 
-Traced (--trace 1): the same untraced passes give the baseline wall time,
-then wrappers are installed around plislab's public functions for one
-traced set-up and pass, which give the per-layer metrics and the tracing
-overhead.  Every pass is checked by its workload's oracle; a failed check
+Traced (--trace 1): the same untraced passes give the baseline
+``wall_per_ref``, then wrappers are installed around plislab's public
+functions for one traced set-up and pass, which give the per-layer
+metrics.  The tracing overhead is the traced pass's wall time minus the
+untraced time expected at the host speed the reference loop shows around
+it.  Every pass is checked by its workload's oracle; a failed check
 or an exception counts in ``failed``.  Everything runs in this one
 process, on one BLAS thread.
 """
@@ -33,6 +38,9 @@ SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
 
 MIN_PASSES = 5
+# A set-up sample repeats the set-up until this much time has passed, so
+# that sub-millisecond set-ups are not timed one at a time.
+SETUP_SAMPLE_S = 0.03
 
 # One BLAS thread, set before numpy is first imported.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -68,8 +76,9 @@ def peak_rss_mb() -> float:
 class Runner:
     """Times set-ups and passes, counts attempted and failed passes.
 
-    Set-up runs before every pass, so set-up times are sampled across the
-    whole run.  Each timed pass sits between two runs of the reference loop.
+    Each round times a set-up sample, then one pass, with the reference
+    loop run between them and after the pass, so every set-up sample and
+    every pass sits between two runs of the reference loop.
     """
 
     def __init__(self, workload):
@@ -77,54 +86,69 @@ class Runner:
         self.attempted = 0
         self.failed = 0
         self.setups: list[float] = []
+        self.setup_ratios: list[float] = []
         self.walls: list[float] = []
         self.refs: list[float] = []
         self.ratios: list[float] = []
         self.rates: dict[str, list[float]] = defaultdict(list)
         self.peak_rss_mb = 0.0
 
-    def setup(self) -> None:
+    def setup_sample(self) -> float:
+        """Seconds per set-up, over back-to-back set-ups filling SETUP_SAMPLE_S."""
+        count = 0
         t0 = time.perf_counter()
-        self.workload.setup()
-        self.setups.append(time.perf_counter() - t0)
+        while True:
+            self.workload.setup()
+            count += 1
+            elapsed = time.perf_counter() - t0
+            if elapsed >= SETUP_SAMPLE_S:
+                return elapsed / count
 
-    def one_pass(self, record: bool) -> None:
-        from perfbench.reference import reference_seconds
-
+    def one_pass(self):
+        """Run and check one pass; returns (wall seconds, output), or None if it failed."""
         self.attempted += 1
         try:
-            ref_before = reference_seconds() if record else 0.0
             t0 = time.perf_counter()
             out = self.workload.run()
             wall = time.perf_counter() - t0
-            ref_after = reference_seconds() if record else 0.0
             problems = self.workload.check(out)
         except Exception:
             traceback.print_exc()
             self.failed += 1
-            return
+            return None
         if problems:
             print(f"{self.workload.name}: {'; '.join(problems)}", file=sys.stderr)
             self.failed += 1
-        elif record:
-            self.walls.append(wall)
-            self.refs += [ref_before, ref_after]
-            self.ratios.append(wall / (0.5 * (ref_before + ref_after)))
-            for name, (seconds, items) in out["stages"].items():
-                self.rates[name].append(items / seconds)
+            return None
+        return wall, out
 
     def timed_passes(self, seconds: float) -> None:
-        self.setup()
-        self.one_pass(record=False)  # warm-up: caches and lazy set-up
+        from perfbench.reference import reference_seconds
+
+        self.workload.setup()
+        self.one_pass()  # warm-up: caches and lazy set-up
         # Every pass is alike, so the peak so far is the workload's.  Read it
         # before the reference loop's own arrays can raise it.
         self.peak_rss_mb = peak_rss_mb()
+        ref_before_setup = reference_seconds()
         start = time.perf_counter()
-        passes = 0
-        while passes < MIN_PASSES or time.perf_counter() - start < seconds:
-            self.setup()
-            self.one_pass(record=True)
-            passes += 1
+        rounds = 0
+        while rounds < MIN_PASSES or time.perf_counter() - start < seconds:
+            setup = self.setup_sample()
+            ref_before_pass = reference_seconds()
+            done = self.one_pass()
+            ref_after_pass = reference_seconds()
+            self.setups.append(setup)
+            self.setup_ratios.append(setup / (0.5 * (ref_before_setup + ref_before_pass)))
+            if done is not None:
+                wall, out = done
+                self.walls.append(wall)
+                self.refs += [ref_before_pass, ref_after_pass]
+                self.ratios.append(wall / (0.5 * (ref_before_pass + ref_after_pass)))
+                for name, (secs, items) in out["stages"].items():
+                    self.rates[name].append(items / secs)
+            ref_before_setup = ref_after_pass
+            rounds += 1
 
 
 def traced_episode(workload, run_id: str):
@@ -147,6 +171,7 @@ def traced_episode(workload, run_id: str):
 
 def measure(name: str, seed: int, seconds: float, traced: bool, workdir: str):
     from perfbench import stats
+    from perfbench.reference import NOMINAL_SECONDS, reference_seconds
     from perfbench.workloads import WORKLOADS
 
     workload = WORKLOADS[name](seed, workdir)
@@ -159,27 +184,32 @@ def measure(name: str, seed: int, seconds: float, traced: bool, workdir: str):
         "wall_s": stats.summarize(runner.walls),
         "ref_s": stats.summarize(runner.refs),
         "wall_per_ref": stats.summarize(runner.ratios),
-        "setup_s": stats.summarize(runner.setups),
+        "setup_raw_s": stats.summarize(runner.setups),
+        "setup_per_ref": stats.summarize(runner.setup_ratios),
     }
     timings.update((k, stats.summarize(v)) for k, v in runner.rates.items())
     report = {"workload": name, "trace": int(traced), "env": environment(seed), "timings": timings}
     if not traced:
         metrics = {
             "wall_per_ref": (timings["wall_per_ref"]["median"], "ratio"),
-            "setup_s": (timings["setup_s"]["median"], "s"),
+            "setup_s": (timings["setup_per_ref"]["median"] * NOMINAL_SECONDS, "s"),
             "peak_rss_mb": (runner.peak_rss_mb, "MB"),
         }
     else:
         run_id = f"{name}-seed{seed}-pid{os.getpid()}"
         runner.attempted += 1
+        ref_before = reference_seconds()
         tracer, out, traced_wall = traced_episode(workload, run_id)
+        ref_after = reference_seconds()
         metrics = tracer.layer_metrics()
         problems = workload.check(out) + workload.check_trace(metrics)
         report["diagnostics"] = workload.diagnostics(out)
         if problems:
             print(f"{name} (traced): {'; '.join(problems)}", file=sys.stderr)
             runner.failed += 1
-        metrics["trace.overhead_s"] = (traced_wall - timings["wall_s"]["median"], "s")
+        # the untraced pass time expected at the host's speed around the traced pass
+        untraced = timings["wall_per_ref"]["median"] * 0.5 * (ref_before + ref_after)
+        metrics["trace.overhead_s"] = (traced_wall - untraced, "s")
         timings["traced_wall_s"] = traced_wall
         spans_path = os.path.join(OUT_DIR, f"spans-{run_id}.jsonl")
         tracer.write_spans(spans_path)

@@ -62,7 +62,6 @@ LAYER_COUNTS = {
     "datasets.bytes_written": "bytes",
     "cli.files_written": "count",
     "cli.bytes_written": "bytes",
-    "trace.overhead_s": "s",
 }
 
 

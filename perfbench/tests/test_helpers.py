@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -130,3 +131,19 @@ def test_traced_run_wraps_one_pass_then_restores(monkeypatch, tmp_path):
     bench = _benchmark_json()
     assert sorted(result["metrics"]) == sorted(m["name"] for m in bench["per_layer"])
     assert os.path.isfile(os.path.join(tmp_path, os.path.basename(report["spans_file"])))
+
+
+def test_setup_sample_repeats_short_setups(monkeypatch):
+    calls = []
+
+    class Quick(_Probe):
+        def setup(self, tracer=None):
+            calls.append(time.perf_counter())
+
+    monkeypatch.setattr(run, "SETUP_SAMPLE_S", 0.005)
+    t0 = time.perf_counter()
+    per_setup = run.Runner(Quick(0, "")).setup_sample()
+    elapsed = time.perf_counter() - t0
+    assert len(calls) > 1
+    assert per_setup * len(calls) == pytest.approx(elapsed, rel=0.5)
+    assert per_setup * len(calls) >= 0.005

@@ -103,11 +103,17 @@ class Workload:
 
 
 class OodRank(Workload):
-    """CNN on glyphs with injected OOD images: non-private SGD, then PLIS ranking."""
+    """CNN on glyphs with injected OOD images: non-private SGD, then PLIS ranking.
+
+    48 subjects at the paper's 12 epochs keep training at about 82% of the
+    pass (1.40 s training, 0.31 s ranking on one core), near the paper
+    size's 80% (14.2 s and 3.6 s).  Fewer epochs would shift the pass
+    towards ranking.
+    """
 
     name = "ood-rank"
-    glyphs, ood, epochs, batch = 59, 5, 4, 64
-    sample = (0, 32, 63)  # fixed subjects for the direct-vs-expanded oracle
+    glyphs, ood, epochs, batch = 43, 5, 12, 64
+    sample = (0, 24, 47)  # fixed subjects for the direct-vs-expanded oracle
 
     def setup(self, tracer=None) -> None:
         images = datasets.make_glyph_images(self.glyphs, self.seed)
@@ -312,22 +318,27 @@ class Attack(Workload):
 class CliPrivate(Workload):
     """The in-process CLI pipeline on tabular data, private training at batch 1.
 
-    The clip threshold lies above every per-sample gradient norm, so no
-    gradient is clipped.  The clip ops still run at full cost, but
-    ``analyze-plis --compare-expanded`` exits 2 when a subject is clipped:
-    its PLIS is zero up to roundoff and the CLI compares the two routes'
-    roundoff relative to itself (seen at clip 10, where about half the
-    rows are clipped).  The learning rate is scaled down with the clip so
-    the noise, which grows with the clip, leaves the model near its start.
+    Training clips per-sample gradients at ``clip``, which about half to
+    nearly all rows exceed depending on the seed, and the model moves from
+    its initial values: the DP noise dominates its updates.  The
+    analysis (``analyze-plis --compare-expanded`` and ``rank``) runs without
+    ``--clip``, on the unclipped PLIS: ``analyze-plis --clip C
+    --compare-expanded`` exits 2 as soon as one subject's gradient is
+    clipped, because a clipped subject's PLIS is zero up to roundoff and the
+    CLI measures the two routes' difference relative to that PLIS itself.
+    Pass ``--clip`` to both commands again once that check has an absolute
+    floor.
     """
 
     name = "cli-private"
-    rows, epochs, clip = 24, 42, 1000.0
+    rows, epochs, clip, lr = 24, 42, 10.0, 1e-4
     private_steps = rows * epochs  # batch size 1
-    config_text = (
-        f"private=true\nclip={clip}\ntarget_epsilon=8.0\ntarget_delta=1e-5\n"
-        f"lr=1e-7\nepochs={epochs}\nbatch_size=1\nseed={{seed}}\n"
-    )
+
+    def config_text(self) -> str:
+        return (
+            f"private=true\nclip={self.clip}\ntarget_epsilon=8.0\ntarget_delta=1e-5\n"
+            f"lr={self.lr}\nepochs={self.epochs}\nbatch_size=1\nseed={self.seed}\n"
+        )
 
     def _path(self, name: str) -> str:
         return os.path.join(self.workdir, "out", name)
@@ -341,7 +352,7 @@ class CliPrivate(Workload):
         os.makedirs(os.path.join(self.workdir, "out"))
         self.config = os.path.join(self.workdir, "dp.cfg")
         with open(self.config, "w", encoding="utf-8") as fh:
-            fh.write(self.config_text.format(seed=self.seed))
+            fh.write(self.config_text())
         self.gen_code = self._cli(
             tracer, "gen-data", "--kind", "regression", "--out", self._path("data.csv"),
             "--n", self.rows, "--d", 16, "--informative", 9, "--seed", self.seed,
@@ -361,7 +372,7 @@ class CliPrivate(Workload):
         t1 = time.perf_counter()
         codes.append(self._cli(
             tracer, "analyze-plis", "--model", model, "--data", data, "--out", self._path("plis"),
-            "--sigma", sigma, "--clip", self.clip, "--compare-expanded",
+            "--sigma", sigma, "--compare-expanded",
         ))
         t2 = time.perf_counter()
         codes.append(self._cli(
@@ -371,7 +382,7 @@ class CliPrivate(Workload):
         t3 = time.perf_counter()
         codes.append(self._cli(
             tracer, "rank", "--model", model, "--data", data, "--out", self._path("rank.csv"),
-            "--sigma", sigma, "--clip", self.clip,
+            "--sigma", sigma,
         ))
         if tracer is not None:
             sizes = [
