@@ -53,6 +53,7 @@ from .plis import (
     jacsens_subject,
     plis_direct,
     plis_expanded,
+    plis_reports,
     privacy_loss,
     rank_subjects,
     superpixel_norm,
@@ -106,6 +107,7 @@ __all__ = [
     "per_sample_loss",
     "plis_direct",
     "plis_expanded",
+    "plis_reports",
     "privacy_loss",
     "psnr",
     "rank_subjects",

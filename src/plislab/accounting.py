@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianMechanismParams:
     """L2 sensitivity and noise standard deviation of one Gaussian mechanism."""
 
@@ -39,17 +39,32 @@ def default_alpha_grid() -> np.ndarray:
 
 @dataclass
 class AccountantState:
+    """Composed steps plus their running sum of (sensitivity/sigma)^2.
+
+    Add steps through add_step(), which keeps ratio_sq in step with steps,
+    so composing costs O(1) however many steps there are.
+    """
+
     steps: list[GaussianMechanismParams] = field(default_factory=list)
     alpha_grid: np.ndarray = field(default_factory=default_alpha_grid)
+    ratio_sq: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         grid = np.asarray(self.alpha_grid, dtype=np.float64)
         if grid.size == 0 or np.any(grid <= 1.0) or np.any(np.diff(grid) <= 0):
             raise ConfigError("alpha grid must be strictly increasing with all entries > 1")
         self.alpha_grid = grid
+        for step in self.steps:
+            self.ratio_sq += _ratio_sq(step)
 
     def add_step(self, sensitivity: float, sigma: float) -> None:
-        self.steps.append(GaussianMechanismParams(sensitivity, sigma))
+        step = GaussianMechanismParams(sensitivity, sigma)
+        self.steps.append(step)
+        self.ratio_sq += _ratio_sq(step)
+
+
+def _ratio_sq(step: GaussianMechanismParams) -> float:
+    return (step.sensitivity / step.sigma) ** 2
 
 
 def rdp_of_gaussian(params: GaussianMechanismParams, alpha: float) -> float:
@@ -76,9 +91,11 @@ def compose(state: AccountantState) -> ComposedBudget:
     """Additive RDP composition plus root-sum-square GDP composition."""
     if not state.steps:
         raise ConfigError("accountant has no steps to compose")
-    ratio_sq = sum((s.sensitivity / s.sigma) ** 2 for s in state.steps)
-    rho = 0.5 * state.alpha_grid * ratio_sq
-    return ComposedBudget(state.alpha_grid, rho, math.sqrt(ratio_sq))
+    return _budget(state.alpha_grid, state.ratio_sq)
+
+
+def _budget(alpha_grid: np.ndarray, ratio_sq: float) -> ComposedBudget:
+    return ComposedBudget(alpha_grid, 0.5 * alpha_grid * ratio_sq, math.sqrt(ratio_sq))
 
 
 @dataclass(frozen=True)
@@ -91,14 +108,21 @@ def _epsilon_curve(alpha_grid: np.ndarray, rho: np.ndarray, delta: float) -> np.
     return rho + math.log(1.0 / delta) / (alpha_grid - 1.0)
 
 
-def epsilon_from_rdp(state: AccountantState, delta: float) -> EpsilonReport:
-    """(eps, argmin alpha) from eps = min_alpha rho(alpha) + log(1/delta)/(alpha-1)."""
+def _check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    budget = compose(state)
+
+
+def _epsilon(budget: ComposedBudget, delta: float) -> EpsilonReport:
     curve = _epsilon_curve(budget.alpha_grid, budget.rho, delta)
     i = int(np.argmin(curve))
     return EpsilonReport(float(curve[i]), float(budget.alpha_grid[i]))
+
+
+def epsilon_from_rdp(state: AccountantState, delta: float) -> EpsilonReport:
+    """(eps, argmin alpha) from eps = min_alpha rho(alpha) + log(1/delta)/(alpha-1)."""
+    _check_delta(delta)
+    return _epsilon(compose(state), delta)
 
 
 def sigma_for_budget(
@@ -143,33 +167,29 @@ def sigma_for_budget(
 
 
 def write_report(state: AccountantState, delta: float, path) -> None:
-    """Cumulative accountant report as CSV, one row per composed step."""
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-    grid = state.alpha_grid
-    log_term = math.log(1.0 / delta) / (grid - 1.0)
-    cumulative = 0.0
-    mu_sq = 0.0
-    rows = []
-    for k, step in enumerate(state.steps):
-        ratio_sq = (step.sensitivity / step.sigma) ** 2
-        cumulative += ratio_sq
-        mu_sq += ratio_sq
-        curve = 0.5 * grid * cumulative + log_term
-        i = int(np.argmin(curve))
-        rows.append(
-            [
-                k,
-                repr(step.sensitivity),
-                repr(step.sigma),
-                repr(0.5 * float(grid[i]) * ratio_sq),
-                repr(float(curve[i])),
-                repr(math.sqrt(mu_sq)),
-            ]
-        )
+    """Cumulative accountant report as CSV, one row per composed step.
+
+    Each row's epsilon comes from the same running sum and composition as
+    epsilon_from_rdp() after that step.
+    """
+    _check_delta(delta)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["step", "delta_step", "sigma_step", "rho_at_argmin_alpha", "cumulative_epsilon", "mu_total"]
         )
-        writer.writerows(rows)
+        ratio_sq = 0.0
+        for k, step in enumerate(state.steps):
+            ratio_sq += _ratio_sq(step)
+            budget = _budget(state.alpha_grid, ratio_sq)
+            report = _epsilon(budget, delta)
+            writer.writerow(
+                [
+                    k,
+                    repr(step.sensitivity),
+                    repr(step.sigma),
+                    repr(0.5 * report.alpha * _ratio_sq(step)),
+                    repr(report.epsilon),
+                    repr(budget.mu_total),
+                ]
+            )

@@ -39,7 +39,15 @@ from .autodiff import (
 )
 from .dpsgd import clip_differentiable
 from .errors import AttackFailedError, ConfigError
-from .models import Conv2d, Linear, ModelSpec, ParamSet, attach_sample, per_sample_grad
+from .models import (
+    Conv2d,
+    Linear,
+    ModelSpec,
+    ParamSet,
+    attach_sample,
+    parameter_grad,
+    per_sample_grad,
+)
 
 log = logging.getLogger("plislab.attack")
 
@@ -134,9 +142,9 @@ def _objective(
     config: AttackConfig,
 ) -> tuple[float, float, np.ndarray]:
     """(objective value, match component, gradient of objective w.r.t. x)."""
-    sample = attach_sample(spec, params, x, label)
-    (g,) = backward(sample.loss, [sample.theta], create_graph=True)
-    obs = Tensor(observed)
+    sample = attach_sample(spec, params, x[None], [label])
+    g = parameter_grad(sample, create_graph=True)
+    obs = Tensor(observed[None])
     if config.match_loss == COSINE:
         denom = mul(sqrt(tsum(square(g))), float(np.linalg.norm(observed)))
         match = sub(1.0, div(dot(g, obs), denom))
@@ -146,7 +154,7 @@ def _objective(
     if config.tv_weight > 0 and x.ndim >= 2:
         objective = add(objective, mul(_smoothed_tv(sample.x), config.tv_weight))
     (gx,) = backward(objective, [sample.x])
-    return float(objective.data.reshape(())), float(match.data.reshape(())), gx.data
+    return float(objective.data.reshape(())), float(match.data.reshape(())), gx.data[0]
 
 
 def _resolve_shape(

@@ -17,11 +17,23 @@ Conventions:
     pass over nodes [0..k] only appends nodes with ids > k;
   * relu/max-with-scalar use subgradient 0 at the kink (the masks are
     piecewise constant, hence detached);
-  * a graph lives for one analysis call and is then discarded.
+  * a graph lives for one analysis call and is then discarded.  Nodes
+    keep their inputs' data arrays and node ids, never the input
+    tensors, so nothing in a graph refers back to it: a graph is freed by
+    reference counting as soon as the caller drops the last tensor on
+    it, without waiting for the cyclic garbage collector.
+
+Batch axis: matmul, transpose, im2col/col2im and conv2d work on a
+leading batch axis, one independent matrix or image per row, and tsum
+reduces per row when given axes.  With parameters tiled into leaves with
+a leading batch axis, row i of every tensor depends only on sample i, so
+one backward pass of a sum over rows returns each sample's gradient in
+its own row.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -37,18 +49,21 @@ Array = np.ndarray
 
 
 class Node:
-    """One recorded operation: kind, input node ids and a backward rule.
+    """One recorded operation: kind, inputs and a backward rule.
 
-    The rule maps the output cotangent to one cotangent per input (None
-    for inputs that are detached constants).  Rules call the public op
-    functions below, which is what makes backward re-differentiable.
+    Each input is kept as its node id (None for a detached constant) and
+    its data array.  backward() rebuilds the input tensors and calls
+    rule(grad, *inputs), which returns one cotangent per input (None
+    where none is needed).  Rules call the public op functions below,
+    which is what makes backward re-differentiable.
     """
 
-    __slots__ = ("op", "input_ids", "rule")
+    __slots__ = ("op", "input_ids", "input_data", "rule")
 
-    def __init__(self, op: str, input_ids: tuple, rule):
+    def __init__(self, op: str, input_ids: tuple, input_data: tuple, rule):
         self.op = op
         self.input_ids = input_ids
+        self.input_data = input_data
         self.rule = rule
 
 
@@ -62,7 +77,7 @@ class Graph:
     def leaf(self, data) -> "Tensor":
         """Register data as a differentiable input of this graph."""
         t = Tensor(data, graph=self, node_id=len(self.nodes))
-        self.nodes.append(Node("leaf", (), None))
+        self.nodes.append(Node("leaf", (), (), None))
         return t
 
     @contextmanager
@@ -169,7 +184,7 @@ def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tenso
         return Tensor(out_data)
     ids = tuple(t.node_id if t.graph is not None else None for t in inputs)
     t = Tensor(out_data, graph=g, node_id=len(g.nodes))
-    g.nodes.append(Node(op, ids, rule))
+    g.nodes.append(Node(op, ids, tuple(x.data for x in inputs), rule))
     return t
 
 
@@ -195,7 +210,7 @@ def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair("add", a, b)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor, b: Tensor):
         return (
             grad if a.graph is not None else None,
             grad if b.graph is not None else None,
@@ -207,7 +222,7 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair("sub", a, b)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor, b: Tensor):
         return (
             grad if a.graph is not None else None,
             mul(grad, -1.0) if b.graph is not None else None,
@@ -219,7 +234,7 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair("mul", a, b)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor, b: Tensor):
         return (
             mul(grad, b) if a.graph is not None else None,
             mul(grad, a) if b.graph is not None else None,
@@ -231,7 +246,7 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair("div", a, b)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor, b: Tensor):
         ga = div(grad, b) if a.graph is not None else None
         gb = None
         if b.graph is not None:
@@ -244,7 +259,7 @@ def div(a, b) -> Tensor:
 def square(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (mul(grad, mul(a, 2.0)),)
 
     return _record("square", a.data * a.data, (a,), rule)
@@ -253,7 +268,7 @@ def square(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (div(grad, mul(sqrt(a), 2.0)),)
 
     return _record("sqrt", np.sqrt(a.data), (a,), rule)
@@ -262,7 +277,7 @@ def sqrt(a) -> Tensor:
 def relu(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         # mask is piecewise constant: detached, subgradient 0 at the kink
         return (mul(grad, Tensor(a.data > 0.0)),)
 
@@ -274,7 +289,7 @@ def max_scalar(a, c: float) -> Tensor:
     a = _tensor(a)
     c = float(c)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         # at a == c the constant branch wins (derivative 0)
         return (mul(grad, Tensor(a.data > c)),)
 
@@ -284,7 +299,7 @@ def max_scalar(a, c: float) -> Tensor:
 def tanh(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (mul(grad, sub(1.0, square(tanh(a)))),)
 
     return _record("tanh", np.tanh(a.data), (a,), rule)
@@ -294,7 +309,7 @@ def softplus(a) -> Tensor:
     a = _tensor(a)
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         # sigmoid(a) written with in-set ops: (1 + tanh(a/2)) / 2
         sig = mul(add(tanh(mul(a, 0.5)), 1.0), 0.5)
         return (mul(grad, sig),)
@@ -311,7 +326,7 @@ def gaussian_noise_add(a, noise: Array) -> Tensor:
             f"gaussian-noise-add: noise shape {noise.shape} != tensor shape {a.shape}"
         )
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (grad,)
 
     return _record("gaussian-noise-add", a.data + noise, (a,), rule)
@@ -337,7 +352,7 @@ def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=ax if ax else None, keepdims=keepdims)
     kept = tuple(1 if i in ax else s for i, s in enumerate(a.shape))
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (broadcast(reshape(grad, kept), a.shape),)
 
     return _record("sum", out, (a,), rule)
@@ -348,7 +363,7 @@ def tmean(a) -> Tensor:
     a = _tensor(a)
     n = a.size
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (broadcast(mul(grad, 1.0 / n), a.shape),)
 
     return _record("mean", np.asarray(a.data.mean()), (a,), rule)
@@ -365,7 +380,7 @@ def broadcast(a, shape: tuple) -> Tensor:
     pad = (1,) * (len(shape) - a.data.ndim) + a.shape
     expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (reshape(tsum(grad, axes=expanded, keepdims=True) if expanded else grad, a.shape),)
 
     return _record("broadcast", np.broadcast_to(a.data, shape).copy(), (a,), rule)
@@ -374,36 +389,61 @@ def broadcast(a, shape: tuple) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _tensor(a)
     shape = tuple(int(s) for s in shape) if not isinstance(shape, int) else (shape,)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (reshape(grad, a.shape),)
 
     return _record("reshape", a.data.reshape(shape), (a,), rule)
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes (a matrix, or a batch of matrices)."""
     a = _tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected a 2-d tensor, got shape {a.shape}")
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (transpose(grad),)
 
-    return _record("transpose", a.data.T.copy(), (a,), rule)
+    return _record("transpose", np.swapaxes(a.data, -1, -2), (a,), rule)
 
 
 def tslice(a, index) -> Tensor:
-    """Basic slice/int indexing; the adjoint is embed()."""
+    """Slice/int indexing, or integer-array indexing that picks each entry
+    at most once; the adjoint is embed()."""
     a = _tensor(a)
     if not isinstance(index, tuple):
         index = (index,)
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (embed(grad, a.shape, index),)
 
     return _record("slice", np.array(a.data[index]), (a,), rule)
+
+
+def concat(parts, axis: int = -1) -> Tensor:
+    """Join tensors along one axis; the adjoint slices the cotangent apart."""
+    parts = tuple(_tensor(p) for p in parts)
+    if not parts:
+        raise ShapeError("concat: nothing to join")
+    ndim = parts[0].data.ndim
+    axis %= ndim
+    bounds = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
+    lead = (slice(None),) * axis
+
+    def rule(grad: Tensor, *parts: Tensor):
+        return tuple(
+            tslice(grad, lead + (slice(lo, hi),)) if p.graph is not None else None
+            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])
+        )
+
+    try:
+        out = np.concatenate([p.data for p in parts], axis=axis)
+    except ValueError:
+        raise ShapeError(f"concat: shapes {[p.shape for p in parts]} do not join") from None
+    return _record("concat", out, parts, rule)
 
 
 def embed(a, shape: tuple, index) -> Tensor:
@@ -414,7 +454,7 @@ def embed(a, shape: tuple, index) -> Tensor:
     out = np.zeros(shape)
     out[index] = a.data
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (tslice(grad, index),)
 
     return _record("embed", out, (a,), rule)
@@ -451,72 +491,83 @@ def _conv_geometry(c: int, h: int, w: int, k: int, pad: int):
 
 
 def im2col(a, kernel: int, pad: int = 0) -> Tensor:
-    """(C,H,W) image -> (C*k*k, out_h*out_w) patch matrix."""
+    """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) patch matrices."""
     a = _tensor(a)
-    if a.data.ndim != 3:
-        raise ShapeError(f"im2col: expected (C,H,W) input, got shape {a.shape}")
-    c, h, w = a.shape
+    if a.data.ndim != 4:
+        raise ShapeError(f"im2col: expected (B,C,H,W) input, got shape {a.shape}")
+    shape = a.shape
+    b, c, h, w = shape
     idx, _ = _conv_geometry(c, h, w, kernel, pad)
-    padded = np.pad(a.data, ((0, 0), (pad, pad), (pad, pad))) if pad else a.data
-    out = padded.reshape(-1)[idx]
+    padded = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a.data
+    # take() along an axis returns a C-contiguous result; fancy indexing of
+    # a 2-d array with [:, idx] returns a strided one that slows the gemm after it
+    out = np.take(padded.reshape(b, -1), idx, axis=1)
 
-    def rule(grad: Tensor):
-        return (col2im(grad, (c, h, w), kernel, pad),)
+    def rule(grad: Tensor, a: Tensor):
+        return (col2im(grad, shape, kernel, pad),)
 
     return _record("im2col", out, (a,), rule)
 
 
 def col2im(a, image_shape: tuple, kernel: int, pad: int = 0) -> Tensor:
-    """Exact adjoint of im2col: scatter-add patches back into an image."""
+    """Exact adjoint of im2col: scatter-add patches back into (B,C,H,W) images."""
     a = _tensor(a)
-    c, h, w = image_shape
+    b, c, h, w = image_shape
     idx, (hp, wp, oh, ow) = _conv_geometry(c, h, w, kernel, pad)
-    if a.shape != (c * kernel * kernel, oh * ow):
+    if a.shape != (b, c * kernel * kernel, oh * ow):
         raise ShapeError(
-            f"col2im: expected shape {(c * kernel * kernel, oh * ow)}, got {a.shape}"
+            f"col2im: expected shape {(b, c * kernel * kernel, oh * ow)}, got {a.shape}"
         )
-    flat = np.bincount(idx.reshape(-1), weights=a.data.reshape(-1), minlength=c * hp * wp)
-    img = flat.reshape(c, hp, wp)
+    size = c * hp * wp
+    where = idx + size * np.arange(b)[:, None, None]
+    flat = np.bincount(where.reshape(-1), weights=a.data.reshape(-1), minlength=b * size)
+    img = flat.reshape(b, c, hp, wp)
     if pad:
-        img = img[:, pad : pad + h, pad : pad + w].copy()
+        img = img[:, :, pad : pad + h, pad : pad + w].copy()
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor):
         return (im2col(grad, kernel, pad),)
 
     return _record("col2im", img, (a,), rule)
 
 
 def conv2d(x, kernel, pad: int = 0) -> Tensor:
-    """Valid cross-correlation of a (C,H,W) image with (O,C,k,k) kernels.
+    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels.
 
-    Realized as reshape(matmul(kernel-matrix, im2col(x))), so both
+    Realized as reshape(matmul(kernel-matrices, im2col(x))), so both
     backward and double backward come for free from the primitive rules.
     """
     x, kernel = _tensor(x), _tensor(kernel)
-    if kernel.data.ndim != 4 or kernel.shape[2] != kernel.shape[3]:
-        raise ShapeError(f"conv2d: expected (O,C,k,k) kernel, got shape {kernel.shape}")
-    if x.data.ndim != 3 or x.shape[0] != kernel.shape[1]:
+    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
+        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
+    if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
         raise ShapeError(
             f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
         )
-    o, c, k = kernel.shape[0], kernel.shape[1], kernel.shape[2]
-    _, (_, _, oh, ow) = _conv_geometry(c, x.shape[1], x.shape[2], k, pad)
+    b, o, c, k = kernel.shape[:4]
+    _, (_, _, oh, ow) = _conv_geometry(c, x.shape[2], x.shape[3], k, pad)
     col = im2col(x, k, pad)
-    km = reshape(kernel, (o, c * k * k))
-    return reshape(matmul(km, col), (o, oh, ow))
+    km = reshape(kernel, (b, o, c * k * k))
+    return reshape(matmul(km, col), (b, o, oh, ow))
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product, or one product per row of equal leading batch axes."""
     a, b = _tensor(a), _tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if (
+        a.data.ndim < 2
+        or a.data.ndim != b.data.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not compose")
 
-    def rule(grad: Tensor):
+    def rule(grad: Tensor, a: Tensor, b: Tensor):
         ga = matmul(grad, transpose(b)) if a.graph is not None else None
         gb = matmul(transpose(a), grad) if b.graph is not None else None
         return (ga, gb)
 
-    return _record("matmul", a.data @ b.data, (a, b), rule)
+    return _record("matmul", np.matmul(a.data, b.data), (a, b), rule)
 
 
 # --------------------------------------------------------------------------
@@ -563,7 +614,11 @@ def backward(
             node = graph.nodes[nid]
             if node.rule is None:
                 continue
-            for iid, g in zip(node.input_ids, node.rule(grad)):
+            inputs = [
+                Tensor(data) if iid is None else Tensor(data, graph, iid)
+                for iid, data in zip(node.input_ids, node.input_data)
+            ]
+            for iid, g in zip(node.input_ids, node.rule(grad, *inputs)):
                 if iid is None or g is None:
                     continue
                 cur = slots.get(iid)

@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -155,13 +154,6 @@ def _dataset_pairs(kind: str, payload):
     return [(x[i], np.array([y[i]])) for i in range(len(y))]
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -226,19 +218,9 @@ def _cmd_analyze_plis(args) -> int:
     kind, payload = _load_any_dataset(args.data)
     subjects = _subjects_for(kind, payload)
     os.makedirs(args.out, exist_ok=True)
-
-    def analyze(subject):
-        report = plis.plis_direct(spec, params, subject, sigma=args.sigma, clip=args.clip)
-        deviation = 0.0
-        if args.compare_expanded:
-            other = plis.plis_expanded(spec, params, subject, sigma=args.sigma, clip=args.clip)
-            scale = np.abs(report.plis).max() + 1e-300
-            deviation = float(np.abs(report.plis - other.plis).max() / scale)
-        return report, deviation
-
-    results = _parallel_map(analyze, subjects, args.jobs)
+    reports = plis.plis_reports(spec, params, subjects, sigma=args.sigma, clip=args.clip)
     rows = []
-    for report, _ in results:
+    for report in reports:
         rows.append(
             [
                 report.subject_id,
@@ -256,7 +238,12 @@ def _cmd_analyze_plis(args) -> int:
         _csv_text(["subject_id", "pl", "plis_norm", "mode", "sigma"], rows),
     )
     if args.compare_expanded:
-        worst = max(dev for _, dev in results)
+        others = plis.plis_reports(
+            spec, params, subjects, sigma=args.sigma, clip=args.clip, expanded=True
+        )
+        worst = max(
+            plis.deviation(a, b, s.x) for a, b, s in zip(reports, others, subjects)
+        )
         print(f"max relative deviation between direct and expanded PLIS: {worst:.3e}")
         if worst > 1e-8:
             raise PlisLabError(
@@ -271,9 +258,7 @@ def _cmd_analyze_fil(args) -> int:
     kind, payload = _load_any_dataset(args.data)
     subjects = _subjects_for(kind, payload)
     os.makedirs(args.out, exist_ok=True)
-    reports = _parallel_map(
-        lambda s: plis.fim_subject(spec, params, s, sigma=args.sigma), subjects, args.jobs
-    )
+    reports = [plis.fim_subject(spec, params, s, sigma=args.sigma) for s in subjects]
     d = reports[0].fil_per_attribute.size
     header = ["subject_id", "fil_subject"] + [f"a{j}" for j in range(d)]
     rows = [
@@ -290,9 +275,7 @@ def _cmd_analyze_jacsens(args) -> int:
     kind, payload = _load_any_dataset(args.data)
     subjects = _subjects_for(kind, payload)
     os.makedirs(args.out, exist_ok=True)
-    reports = _parallel_map(
-        lambda s: plis.jacsens_subject(spec, params, s), subjects, args.jobs
-    )
+    reports = [plis.jacsens_subject(spec, params, s) for s in subjects]
     rows = [[r.subject_id, r.spectral_norm, r.frobenius_norm] for r in reports]
     _atomic_write_text(
         os.path.join(args.out, "jacsens_report.csv"),
@@ -305,9 +288,7 @@ def _cmd_rank(args) -> int:
     spec, params = models.load_checkpoint(args.model)
     kind, payload = _load_any_dataset(args.data)
     subjects = _subjects_for(kind, payload)
-    entries = plis.rank_subjects(
-        subjects, spec, params, sigma=args.sigma, clip=args.clip, jobs=args.jobs
-    )
+    entries = plis.rank_subjects(subjects, spec, params, sigma=args.sigma, clip=args.clip)
     rows = [[e.subject_id, e.pl, e.subject_plis_norm] for e in entries]
     _atomic_write_text(args.out, _csv_text(["subject_id", "pl", "plis_norm"], rows))
     return 0
@@ -389,7 +370,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        p.add_argument("--jobs", type=int, default=1)
         if sigma_required:
             p.add_argument("--sigma", type=float, required=True)
         else:
@@ -415,7 +395,6 @@ def _build_parser() -> _Parser:
     rank.add_argument("--out", required=True)
     rank.add_argument("--sigma", type=float, default=None)
     rank.add_argument("--clip", type=float, default=None)
-    rank.add_argument("--jobs", type=int, default=1)
     rank.set_defaults(func=_cmd_rank)
 
     atk = sub.add_parser("attack", help="gradient-inversion reconstruction")

@@ -11,6 +11,11 @@ accountant sees (C, sigma*C) and the RDP closed form reduces to
 Batches are fixed contiguous slices (no Poisson subsampling): per-subject
 privacy-loss attribution is incompatible with secret subsampling, so no
 amplification is claimed or used.
+
+Batch axis: a step computes its per-sample gradients as the rows of one
+backward pass per chunk of models.chunk_size() samples, and clips each row
+on its own; no per-sample graph is built.  Each chunk's graph is freed
+before the next chunk's is built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,14 @@ from . import rng
 from .accounting import AccountantState, epsilon_from_rdp, sigma_for_budget
 from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
 from .errors import ConfigError, TrainingDivergedError
-from .models import ModelSpec, ParamSet, init_params, per_sample_loss_and_grad
+from .models import (
+    ModelSpec,
+    ParamSet,
+    chunk_size,
+    chunks,
+    init_params,
+    per_sample_loss_and_grad,
+)
 
 log = logging.getLogger("plislab.dpsgd")
 
@@ -61,14 +73,15 @@ class DpSgdConfig:
 
 
 def clip_differentiable(g: Tensor, clip: float) -> Tensor:
-    """g * C / max(C, ||g||_2), built from graph ops so it stays differentiable.
+    """g * C / max(C, ||g||_2) along the last axis, built from graph ops so it
+    stays differentiable.  A (B, p) tensor is clipped row by row.
 
     ||g|| = 0 is safe in the forward pass: max(C, 0) = C and g comes back
     unchanged.
     """
     if not clip > 0:
         raise ConfigError(f"clip threshold must be positive, got {clip}")
-    norm = sqrt(tsum(square(g)))
+    norm = sqrt(tsum(square(g), axes=-1, keepdims=True))
     factor = div(clip, max_scalar(norm, clip))
     return mul(g, broadcast(factor, g.shape))
 
@@ -105,20 +118,24 @@ def dp_sgd_step(
     total = np.zeros(params.count)
     losses = []
     max_norm = 0.0
-    for x, y in batch:
-        loss, g = per_sample_loss_and_grad(spec, params, x, y)
+    for part in chunks(batch, chunk_size(params)):
+        loss, g = per_sample_loss_and_grad(
+            spec, params, np.stack([x for x, _ in part]), [y for _, y in part]
+        )
         losses.append(loss)
         if config.private:
             g = clip_differentiable(Tensor(g), config.clip).data
-            max_norm = max(max_norm, float(np.linalg.norm(g)))
-        total += g
+            max_norm = max(max_norm, float(np.linalg.norm(g, axis=1).max()))
+        total += g.sum(axis=0)
     noise = None
     if config.private and config.sigma > 0:
         noise = noise_seq.draw(step_index, params.count)
         total = total + noise * (config.sigma * config.clip)
     update = total / len(batch)
     new_flat = params.flat - config.learning_rate * update
-    return StepResult(params.with_flat(new_flat), noise, float(np.mean(losses)), max_norm)
+    return StepResult(
+        params.with_flat(new_flat), noise, float(np.mean(np.concatenate(losses))), max_norm
+    )
 
 
 @dataclass

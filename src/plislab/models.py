@@ -1,9 +1,22 @@
 """Small supervised models (linear, MLP, CNN) and per-sample losses.
 
-Parameters live in one flat vector; layers slice their blocks out of it
-on the graph, so the gradient with respect to all parameters comes back
-as a single flat tensor.  Inputs are always registered as graph leaves,
-since every analysis in this package differentiates with respect to them.
+Parameters live in one flat vector, laid out block by block; the
+gradient with respect to all parameters comes back as a single flat
+tensor.  Inputs are always registered as graph leaves, since every
+analysis in this package differentiates with respect to them.
+
+Batch axis: attach_sample() is the one graph builder.  It takes B samples
+stacked on a leading axis and tiles each parameter block into a (B, ...)
+leaf, so sample i's loss depends only on row i of the parameters and of
+the inputs.  The gradient of the summed loss then holds each sample's
+parameter gradient in its own row (parameter_grad() joins the blocks into
+(B, p) rows), and a second backward pass of any per-row quantity built
+from those rows returns each sample's input gradient in its row of X.
+One sample is a batch of one.  Callers build graphs over at most
+chunk_size(params) samples at a time.
+
+Graph lifetime: a graph is freed by reference counting once the caller
+drops the AttachedSample and every tensor on its graph.
 """
 
 from __future__ import annotations
@@ -13,23 +26,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import autodiff, rng
 from .autodiff import (
     Graph,
     Tensor,
     add,
     broadcast,
+    concat,
     conv2d,
+    div,
     matmul,
-    mul,
     relu,
     reshape,
     softplus,
     square,
     sub,
     tanh,
-    tmean,
     tslice,
+    tsum,
 )
 from .errors import ConfigError, DataFormatError, ShapeError
 
@@ -37,6 +51,23 @@ MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
 _INIT_STREAM = 1 << 40  # keep layer-init draws disjoint from other uses of a seed
+
+# Parameter-gradient entries per graph.  A graph's memory grows with
+# samples x parameters: a PLIS chunk of the CLI's CNN (19,682 parameters)
+# peaks near 5 MB per sample, so 2^17 entries give it chunks of 6 samples
+# (about 30 MB); a 16-parameter linear model gets chunks of 8192, so its
+# per-op Python overhead is paid once per batch, not once per sample.
+CHUNK_ENTRIES = 1 << 17
+
+
+def chunk_size(params: ParamSet) -> int:
+    """Samples per graph for this model."""
+    return max(1, CHUNK_ENTRIES // max(1, params.count))
+
+
+def chunks(items, size: int) -> list:
+    """Consecutive slices of at most size items."""
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 @dataclass(frozen=True)
@@ -209,29 +240,22 @@ def output_shape(spec: ModelSpec, input_shape: tuple[int, ...]) -> tuple[int, ..
     return shape
 
 
-def _block_tensor(theta: Tensor, block: ParamBlock) -> Tensor:
-    sl = tslice(theta, (slice(block.offset, block.offset + block.size),))
-    return reshape(sl, block.shape)
-
-
-def forward(spec: ModelSpec, theta: Tensor, layout: tuple[ParamBlock, ...], x: Tensor) -> Tensor:
-    """Model output for a single sample; x and theta may be graph leaves."""
-    blocks = {b.name: b for b in layout}
+def forward(spec: ModelSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
+    """Model outputs (B, ...) for inputs x (B, ...) under per-row parameter
+    blocks params[name] (B, *block shape)."""
+    n = x.shape[0]
     h = x
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Linear):
-            w = _block_tensor(theta, blocks[f"{idx}.weight"])
-            z = matmul(w, reshape(h, (layer.in_dim, 1)))
+            z = matmul(params[f"{idx}.weight"], reshape(h, (n, layer.in_dim, 1)))
+            h = reshape(z, (n, layer.out_dim))
             if layer.bias:
-                b = _block_tensor(theta, blocks[f"{idx}.bias"])
-                z = add(z, reshape(b, (layer.out_dim, 1)))
-            h = reshape(z, (layer.out_dim,))
+                h = add(h, params[f"{idx}.bias"])
         elif isinstance(layer, Conv2d):
-            k = _block_tensor(theta, blocks[f"{idx}.weight"])
-            h = conv2d(h, k)
+            h = conv2d(h, params[f"{idx}.weight"])
             if layer.bias:
-                b = _block_tensor(theta, blocks[f"{idx}.bias"])
-                h = add(h, broadcast(reshape(b, (layer.out_ch, 1, 1)), h.shape))
+                b = reshape(params[f"{idx}.bias"], (n, layer.out_ch, 1, 1))
+                h = add(h, broadcast(b, h.shape))
         elif isinstance(layer, Relu):
             h = relu(h)
         elif isinstance(layer, Tanh):
@@ -239,92 +263,102 @@ def forward(spec: ModelSpec, theta: Tensor, layout: tuple[ParamBlock, ...], x: T
         elif isinstance(layer, Softplus):
             h = softplus(h)
         elif isinstance(layer, Flatten):
-            h = reshape(h, (h.size,))
+            h = reshape(h, (n, h.size // n))
     return h
 
 
-def _loss_tensor(spec: ModelSpec, prediction: Tensor, y) -> Tensor:
+def _loss_tensor(spec: ModelSpec, prediction: Tensor, ys) -> Tensor:
+    """Per-sample losses (B,) for predictions (B, ...) and B targets."""
+    n = prediction.shape[0]
+    k = prediction.size // n
     if spec.loss == MSE:
-        target = np.asarray(y, dtype=np.float64).reshape(prediction.shape)
-        return tmean(square(sub(prediction, Tensor(target))))
+        target = np.asarray(ys, dtype=np.float64).reshape(prediction.shape)
+        per_row = tuple(range(1, prediction.data.ndim))
+        return div(tsum(square(sub(prediction, Tensor(target))), axes=per_row), float(k))
     # cross-entropy as log-sum-exp minus the selected logit, where
     # log-sum-exp is folded pairwise through softplus for stability:
     # lse(a, b) = a + softplus(b - a)
-    label = int(y)
-    k = prediction.size
-    if not 0 <= label < k:
-        raise ShapeError(f"label {label} out of range for {k} logits")
-    acc = tslice(prediction, (0,))
+    labels = np.asarray(ys).reshape(-1).astype(np.int64)
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
+    acc = tslice(prediction, (slice(None), 0))
     for i in range(1, k):
-        zi = tslice(prediction, (i,))
+        zi = tslice(prediction, (slice(None), i))
         acc = add(acc, softplus(sub(zi, acc)))
-    return sub(acc, tslice(prediction, (label,)))
+    return sub(acc, tslice(prediction, (np.arange(n), labels)))
 
 
 @dataclass
 class AttachedSample:
-    """A per-sample loss with its graph and the two differentiable leaves."""
+    """A batch's losses on one graph, with its differentiable leaves.
+
+    params holds one (B, *block shape) leaf per parameter block, in layout
+    order, and x is the (B, ...) input leaf; losses holds the B per-sample
+    losses and loss their sum.
+    """
 
     graph: Graph
-    theta: Tensor
+    params: list[Tensor]
     x: Tensor
     prediction: Tensor
+    losses: Tensor
     loss: Tensor
 
 
-def attach_sample(spec: ModelSpec, params: ParamSet, x, y) -> AttachedSample:
-    """Build the loss graph for one sample, with x and theta as leaves."""
-    x = np.asarray(x, dtype=np.float64)
-    out_shape = output_shape(spec, x.shape)
+def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
+    """Build the loss graph for B samples stacked in xs (B, ...) with targets ys (B, ...)."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim < 2 or not xs.shape[0]:
+        raise ShapeError(f"expected a non-empty batch of inputs, got shape {xs.shape}")
+    out_shape = output_shape(spec, xs.shape[1:])
     if spec.loss == CROSS_ENTROPY and (len(out_shape) != 1 or out_shape[0] < 2):
         raise ShapeError(f"cross-entropy needs >=2 logits, model emits {out_shape}")
+    n = xs.shape[0]
+    if len(ys) != n:
+        raise ShapeError(f"{n} inputs but {len(ys)} targets")
     graph = Graph()
-    theta = graph.leaf(params.flat)
-    x_leaf = graph.leaf(x)
-    pred = forward(spec, theta, params.layout, x_leaf)
-    loss = _loss_tensor(spec, pred, y)
-    return AttachedSample(graph, theta, x_leaf, pred, loss)
+    blocks = [
+        graph.leaf(np.broadcast_to(params.flat[b.offset : b.offset + b.size].reshape(b.shape),
+                                   (n,) + b.shape))
+        for b in params.layout
+    ]
+    x_leaf = graph.leaf(xs)
+    pred = forward(spec, {b.name: t for b, t in zip(params.layout, blocks)}, x_leaf)
+    losses = _loss_tensor(spec, pred, ys)
+    return AttachedSample(graph, blocks, x_leaf, pred, losses, tsum(losses))
 
 
-def per_sample_loss(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
-    """Scalar loss tensor, attached to the graph through theta and x."""
-    return attach_sample(spec, params, x, y).loss
+def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor:
+    """(B, p) per-sample parameter gradients of sample.loss, one backward pass.
 
-
-def per_sample_grad(
-    spec: ModelSpec, params: ParamSet, x, y, create_graph: bool = False
-) -> Tensor:
-    """Flat parameter gradient for one sample; re-differentiable if asked."""
-    from .autodiff import backward
-
-    sample = attach_sample(spec, params, x, y)
-    return backward(sample.loss, [sample.theta], create_graph=create_graph)[0]
+    Each block's gradient is computed at its own size and the blocks are
+    joined once; slicing one flat (B, p) leaf instead would cost a (B, p)
+    array per block on the way back.
+    """
+    # looked up on the module at call time, so a wrapper installed on
+    # autodiff.backward also sees these passes
+    grads = autodiff.backward(sample.loss, sample.params, create_graph=create_graph)
+    n = sample.x.shape[0]
+    return concat([reshape(g, (n, g.size // n)) for g in grads], axis=1)
 
 
 def per_sample_loss_and_grad(
-    spec: ModelSpec, params: ParamSet, x, y
-) -> tuple[float, np.ndarray]:
-    """Detached (loss value, flat gradient) pair, for training loops."""
-    from .autodiff import backward
-
-    sample = attach_sample(spec, params, x, y)
-    g = backward(sample.loss, [sample.theta])[0]
-    return float(sample.loss.data.reshape(())), g.data
+    spec: ModelSpec, params: ParamSet, xs, ys
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detached per-sample losses (B,) and parameter gradients (B, p) from one backward pass."""
+    sample = attach_sample(spec, params, xs, ys)
+    return sample.losses.data, parameter_grad(sample).data
 
 
-def batch_mean_loss(spec: ModelSpec, params: ParamSet, xs, ys) -> tuple[Graph, Tensor, Tensor]:
-    """Mean loss over a batch on one graph; returns (graph, theta, loss)."""
-    graph = Graph()
-    theta = graph.leaf(params.flat)
-    total = None
-    for x, y in zip(xs, ys):
-        x_leaf = graph.leaf(np.asarray(x, dtype=np.float64))
-        pred = forward(spec, theta, params.layout, x_leaf)
-        loss = _loss_tensor(spec, pred, y)
-        total = loss if total is None else add(total, loss)
-    if total is None:
-        raise ConfigError("batch_mean_loss: empty batch")
-    return graph, theta, mul(total, 1.0 / len(xs))
+def per_sample_loss(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
+    """One sample's scalar loss tensor, attached to its graph's parameter and input leaves."""
+    return attach_sample(spec, params, [x], [y]).loss
+
+
+def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
+    """One sample's detached flat parameter gradient."""
+    return Tensor(per_sample_loss_and_grad(spec, params, [x], [y])[1][0])
 
 
 # --------------------------------------------------------------------------

@@ -12,20 +12,34 @@ is computed by two independent routes that must agree:
 The full input Jacobian J = dg/dx needed for the FIM and JacSens is only
 materialized for desk-scale models (dimension guard), which is exactly
 the cost contrast the PLIS route avoids.
+
+Batch axis: subjects are analysed models.chunk_size() at a time on one graph.
+Subject i's privacy loss depends only on its own rows of the tiled
+parameters and of X, so one backward pass of the summed privacy losses
+to X returns every subject's PLIS in its own row: two backward passes
+per chunk, not per subject.  The input Jacobian replicates one subject
+across the batch instead, one replica per Jacobian column.  Every graph
+is dropped when the call returns.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .autodiff import Tensor, backward, mul, reshape, tslice, tsum, square
 from .dpsgd import clip_differentiable
 from .errors import ConfigError, DimensionGuardError
-from .models import AttachedSample, ModelSpec, ParamSet, attach_sample
+from .models import (
+    ModelSpec,
+    ParamSet,
+    attach_sample,
+    chunk_size,
+    chunks,
+    parameter_grad,
+    per_sample_loss_and_grad,
+)
 
 MODE_PRIVATE = "private"
 MODE_NON_PRIVATE = "non-private"
@@ -33,9 +47,6 @@ MODE_NON_PRIVATE = "non-private"
 # largest dimension of any materialized Jacobian/FIM factor (J is p x d,
 # the FIM is d x d; both dims must stay desk-scale)
 DIMENSION_GUARD = 4096
-
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -81,15 +92,8 @@ def _check_sigma(sigma: float | None) -> None:
         raise ConfigError(f"sigma must be positive when given, got {sigma}")
 
 
-def _attached_gradient(
-    spec: ModelSpec, params: ParamSet, subject: SubjectRecord, clip: float | None
-) -> tuple[AttachedSample, Tensor]:
-    """Per-sample parameter gradient as a graph tensor (clipped if configured)."""
-    sample = attach_sample(spec, params, subject.x, subject.y)
-    (g,) = backward(sample.loss, [sample.theta], create_graph=True)
-    if clip is not None:
-        g = clip_differentiable(g, clip)
-    return sample, g
+def _stack(subjects) -> tuple[np.ndarray, list]:
+    return np.stack([s.x for s in subjects]), [s.y for s in subjects]
 
 
 def privacy_loss(
@@ -101,12 +105,49 @@ def privacy_loss(
 ) -> float:
     """||g||^2 / sigma^2 (gradient signal alone when sigma is None)."""
     _check_sigma(sigma)
-    sample = attach_sample(spec, params, subject.x, subject.y)
-    g = backward(sample.loss, [sample.theta])[0].data
+    g = per_sample_loss_and_grad(spec, params, *_stack([subject]))[1]
     if clip is not None:
         g = clip_differentiable(Tensor(g), clip).data
-    value = float(g @ g)
+    value = float(g[0] @ g[0])
     return value / (sigma * sigma) if sigma is not None else value
+
+
+def plis_reports(
+    spec: ModelSpec,
+    params: ParamSet,
+    subjects,
+    sigma: float | None = None,
+    clip: float | None = None,
+    expanded: bool = False,
+) -> list[PlisReport]:
+    """PLIS of every subject, in order, by the direct or the expanded route.
+
+    Each chunk of models.chunk_size() subjects shares one graph.  The direct
+    route backpropagates sum_i ||g_i||^2 / sigma^2 to X; the expanded one
+    backpropagates sum_i <g_i, c_i> with each row c_i = g_i detached and
+    scales by 2 / sigma^2.
+    """
+    _check_sigma(sigma)
+    scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
+    reports = []
+    for part in chunks(list(subjects), chunk_size(params)):
+        sample = attach_sample(spec, params, *_stack(part))
+        g = parameter_grad(sample, create_graph=True)
+        if clip is not None:
+            g = clip_differentiable(g, clip)
+        if expanded:
+            cotangent = Tensor(g.data.copy())  # detached: the constant left factor
+            (gx,) = backward(tsum(mul(g, cotangent)), [sample.x])
+            pl = scale * np.square(g.data).sum(axis=1)
+            plis = 2.0 * scale * gx.data
+        else:
+            pl_rows = tsum(square(g), axes=1)
+            if sigma is not None:
+                pl_rows = mul(pl_rows, scale)
+            (gx,) = backward(tsum(pl_rows), [sample.x])
+            pl, plis = pl_rows.data, gx.data
+        reports.extend(_report(s, float(v), m, sigma) for s, v, m in zip(part, pl, plis))
+    return reports
 
 
 def plis_direct(
@@ -117,13 +158,7 @@ def plis_direct(
     clip: float | None = None,
 ) -> PlisReport:
     """PLIS by double backpropagation of the privacy loss to the input."""
-    _check_sigma(sigma)
-    sample, g = _attached_gradient(spec, params, subject, clip)
-    pl = tsum(square(g))
-    if sigma is not None:
-        pl = mul(pl, 1.0 / (sigma * sigma))
-    (gx,) = backward(pl, [sample.x])
-    return _report(subject, float(pl.data.reshape(())), gx.data, sigma)
+    return plis_reports(spec, params, [subject], sigma, clip)[0]
 
 
 def plis_expanded(
@@ -134,15 +169,7 @@ def plis_expanded(
     clip: float | None = None,
 ) -> PlisReport:
     """PLIS via the vector-Jacobian expansion with the left factor detached."""
-    _check_sigma(sigma)
-    sample, g = _attached_gradient(spec, params, subject, clip)
-    cotangent = Tensor(g.data.copy())  # detached: the constant left factor
-    (gx,) = backward(tsum(mul(g, cotangent)), [sample.x])
-    scale = 2.0 / (sigma * sigma) if sigma is not None else 2.0
-    pl = float(g.data @ g.data)
-    if sigma is not None:
-        pl /= sigma * sigma
-    return _report(subject, pl, scale * gx.data, sigma)
+    return plis_reports(spec, params, [subject], sigma, clip, expanded=True)[0]
 
 
 def _report(subject: SubjectRecord, pl: float, plis: np.ndarray, sigma: float | None) -> PlisReport:
@@ -154,6 +181,19 @@ def _report(subject: SubjectRecord, pl: float, plis: np.ndarray, sigma: float | 
         mode=MODE_NON_PRIVATE if sigma is None else MODE_PRIVATE,
         sigma=sigma,
     )
+
+
+def deviation(reference: PlisReport, other: PlisReport, x) -> float:
+    """Largest |reference - other| PLIS entry over max(max |reference|, PL / max |x|).
+
+    PL / max |x| is an absolute floor of the size dPL/dx takes where PL
+    varies with x.  A subject whose clipped gradient is saturated has a
+    PL that is flat in x and a PLIS that is zero up to roundoff; measured
+    against itself, that roundoff would read as disagreement.
+    """
+    floor = reference.pl / (float(np.abs(x).max()) or 1.0)
+    scale = max(float(np.abs(reference.plis).max()), floor, 1e-300)
+    return float(np.abs(reference.plis - other.plis).max() / scale)
 
 
 # --------------------------------------------------------------------------
@@ -171,48 +211,36 @@ def _guard(p: int, d: int, what: str) -> None:
 
 
 def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -> np.ndarray:
-    """J = d(grad_theta loss)/dx, materialized column by column (p x d).
+    """J = d(grad_theta loss)/dx, materialized as a p x d matrix.
 
-    Column j is recovered with one backward pass per input coordinate:
-    with s = <g, w> for a dual leaf w, d/dw [ds/dx_j] is exactly J[:, j].
+    The subject is replicated once per input coordinate, models.chunk_size()
+    replicas per graph.  With g_b the parameter gradient of replica b and
+    W a dual leaf with rows w_b, s = sum_b <g_b, w_b> gives
+    gx = ds/dX with gx[b] = J^T w_b, and one backward pass of
+    sum_b gx[b, j_b] to W returns row b = J[:, j_b], where j_b is the
+    column assigned to replica b: three backward passes per chunk.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
     _guard(p, d, "input_jacobian")
-    sample = attach_sample(spec, params, subject.x, subject.y)
-    (g,) = backward(sample.loss, [sample.theta], create_graph=True)
-    w = sample.graph.leaf(np.ones(p))
-    s = tsum(mul(g, w))
-    (gx,) = backward(s, [sample.x], create_graph=True)
-    gx_flat = reshape(gx, (d,))
-    jac = np.empty((p, d))
-    for j in range(d):
-        entry = tslice(gx_flat, (j,))
-        jac[:, j] = backward(entry, [w])[0].data
-    return jac
+    jac_t = np.empty((d, p))
+    for cols in chunks(np.arange(d), chunk_size(params)):
+        n = cols.size
+        xs = np.broadcast_to(subject.x, (n,) + subject.x.shape)
+        sample = attach_sample(spec, params, xs, [subject.y] * n)
+        g = parameter_grad(sample, create_graph=True)
+        w = sample.graph.leaf(np.ones((n, p)))
+        (gx,) = backward(tsum(mul(g, w)), [sample.x], create_graph=True)
+        picked = tslice(reshape(gx, (n, d)), (np.arange(n), cols))
+        jac_t[cols] = backward(tsum(picked), [w])[0].data
+    return jac_t.T
 
 
 def spectral_norm_sq(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of M^T M by power iteration (desk-scale sizes)."""
-    gram = matrix.T @ matrix
-    n = gram.shape[0]
-    v = rng.gaussians(0x5EED, n, n)
-    norm = np.linalg.norm(v)
-    if norm == 0.0 or n == 0:
+    """Largest eigenvalue of M^T M, exact up to rounding: eigvalsh of the Gram matrix."""
+    if not matrix.size:
         return 0.0
-    v /= norm
-    lam = 0.0
-    for _ in range(_POWER_MAX_ITER):
-        w = gram @ v
-        wn = np.linalg.norm(w)
-        if wn == 0.0:
-            return 0.0
-        v = w / wn
-        new_lam = float(v @ (gram @ v))
-        if abs(new_lam - lam) <= _POWER_TOL * max(1.0, abs(new_lam)):
-            return new_lam
-        lam = new_lam
-    return lam
+    return max(0.0, float(np.linalg.eigvalsh(matrix.T @ matrix)[-1]))
 
 
 def fim_subject(
@@ -273,20 +301,13 @@ def rank_subjects(
     params: ParamSet,
     sigma: float | None = None,
     clip: float | None = None,
-    jobs: int = 1,
 ) -> list[RankEntry]:
-    """Subjects ordered by descending PLIS norm (ties broken by id)."""
+    """Subjects ordered by descending direct-route PLIS norm (ties broken by id)."""
     subjects = list(dataset)
     if not subjects:
         raise ConfigError("rank_subjects: empty dataset")
-
-    def one(subject: SubjectRecord) -> RankEntry:
-        report = plis_direct(spec, params, subject, sigma=sigma, clip=clip)
-        return RankEntry(subject.id, report.pl, report.subject_plis_norm)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, subjects))
-    else:
-        entries = [one(s) for s in subjects]
+    entries = [
+        RankEntry(r.subject_id, r.pl, r.subject_plis_norm)
+        for r in plis_reports(spec, params, subjects, sigma=sigma, clip=clip)
+    ]
     return sorted(entries, key=lambda e: (-e.subject_plis_norm, e.subject_id))

@@ -171,3 +171,25 @@ def test_report_csv(tmp_path):
     assert float(rows[-1]["cumulative_epsilon"]) == pytest.approx(eps_direct, rel=1e-12)
     eps_col = [float(r["cumulative_epsilon"]) for r in rows]
     assert all(a <= b for a, b in zip(eps_col, eps_col[1:]))
+
+
+def test_running_sum_is_bit_identical_to_resumming_every_step(tmp_path):
+    # the oracle re-composes all steps from scratch, as the accountant once did
+    rng = np.random.default_rng(22)
+    steps = [GM(rng.uniform(0.1, 2.0), rng.uniform(0.5, 5.0)) for _ in range(40)]
+    grid = acct.default_alpha_grid()
+    state = acct.AccountantState()
+    expected = []
+    for k, step in enumerate(steps, start=1):
+        state.add_step(step.sensitivity, step.sigma)
+        ratio_sq = sum((s.sensitivity / s.sigma) ** 2 for s in steps[:k])
+        curve = 0.5 * grid * ratio_sq + math.log(1.0 / 1e-5) / (grid - 1.0)
+        expected.append(float(curve.min()))
+        assert acct.epsilon_from_rdp(state, 1e-5).epsilon == expected[-1]
+        assert acct.compose(state).mu_total == math.sqrt(ratio_sq)
+    rebuilt = acct.AccountantState(steps=list(steps))
+    assert acct.compose(rebuilt).rho.tolist() == acct.compose(state).rho.tolist()
+    path = tmp_path / "acct.csv"
+    acct.write_report(state, 1e-5, path)
+    with open(path) as fh:
+        assert [float(r["cumulative_epsilon"]) for r in csv.DictReader(fh)] == expected

@@ -32,7 +32,7 @@ def test_matmul_identity():
 def test_conv2d_ones_against_direct_summation():
     image = np.ones((1, 5, 5))
     kernel = np.ones((1, 1, 3, 3))
-    out = ad.conv2d(ad.Tensor(image), ad.Tensor(kernel)).data
+    out = ad.conv2d(ad.Tensor(image[None]), ad.Tensor(kernel[None])).data[0]
     # oracle: direct summation over every valid window
     expected = np.zeros((1, 3, 3))
     for i in range(3):
@@ -43,16 +43,21 @@ def test_conv2d_ones_against_direct_summation():
 
 
 def test_conv2d_random_against_direct_summation():
+    # a batch of two images, each with its own kernels
     rng = np.random.default_rng(3)
-    image = rng.normal(size=(2, 6, 5))
-    kernel = rng.normal(size=(3, 2, 3, 3))
+    image = rng.normal(size=(2, 2, 6, 5))
+    kernel = rng.normal(size=(2, 3, 2, 3, 3))
     out = ad.conv2d(ad.Tensor(image), ad.Tensor(kernel)).data
-    expected = np.zeros((3, 4, 3))
-    for o in range(3):
-        for i in range(4):
-            for j in range(3):
-                expected[o, i, j] = (image[:, i : i + 3, j : j + 3] * kernel[o]).sum()
+    expected = np.zeros((2, 3, 4, 3))
+    for b in range(2):
+        for o in range(3):
+            for i in range(4):
+                for j in range(3):
+                    window = image[b, :, i : i + 3, j : j + 3]
+                    expected[b, o, i, j] = (window * kernel[b, o]).sum()
     np.testing.assert_allclose(out, expected, rtol=1e-12)
+    # the gemm after im2col runs several times slower on a strided patch matrix
+    assert ad.im2col(ad.Tensor(image), 3).data.flags.c_contiguous
 
 
 def test_dx_x_squared_at_3():
@@ -161,11 +166,26 @@ def test_structural_op_gradients_match_finite_differences():
 
     assert ad.finite_diff_check(through_matmul, rng.normal(size=(2, 4))) < 1e-5
 
+    stacked = rng.normal(size=(3, 4, 2))
+
+    def through_batched_matmul(t):
+        return ad.tsum(ad.square(ad.matmul(ad.transpose(t), ad.Tensor(stacked))))
+
+    assert ad.finite_diff_check(through_batched_matmul, rng.normal(size=(3, 4, 5))) < 1e-5
+
+    fixed = rng.normal(size=(2, 3))
+
+    def through_concat(t):
+        joined = ad.concat([t, ad.Tensor(fixed), ad.square(t)], axis=1)
+        return ad.tsum(ad.square(ad.mul(joined, joined)))
+
+    assert ad.finite_diff_check(through_concat, rng.normal(size=(2, 2))) < 1e-5
+
 
 def test_conv_ops_gradients_match_finite_differences():
     rng = np.random.default_rng(12)
-    kernel = rng.normal(size=(2, 1, 3, 3))
-    x = rng.normal(size=(1, 6, 6))
+    kernel = rng.normal(size=(2, 2, 1, 3, 3))
+    x = rng.normal(size=(2, 1, 6, 6))
 
     def conv_in_x(t):
         return ad.tsum(ad.square(ad.conv2d(t, ad.Tensor(kernel), pad=1)))
@@ -276,6 +296,8 @@ def test_shape_mismatch_errors_name_op_and_shapes():
         ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
     with pytest.raises(ShapeError, match="matmul"):
         ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="concat"):
+        ad.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))], axis=1)
     g = ad.Graph()
     attached = g.leaf(1.5)
     with pytest.raises(ShapeError, match="broadcast"):

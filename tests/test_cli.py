@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from plislab import cli, datasets, models
+from plislab import cli, datasets, models, plis
 
 
 def run(*argv):
@@ -133,6 +133,46 @@ class TestAnalyzeAndRank:
         assert (out / "plis_img00000.csv").exists()
         assert (out / "plis_img00000.pgm").exists()
 
+    @pytest.fixture()
+    def tabular_setup(self, tmp_path):
+        data = tmp_path / "reg.csv"
+        assert run("gen-data", "--kind", "regression", "--out", str(data), "--n", "8",
+                   "--d", "4", "--informative", "1", "--seed", "4") == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.1\nepochs = 2\nbatch_size = 8\nseed = 2\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model),
+                   "--arch", "mlp") == 0
+        return tmp_path, data, model
+
+    def test_compare_expanded_passes_when_every_subject_is_clipped(self, tabular_setup):
+        # a saturated clip leaves PLIS at roundoff; the check's floor must absorb it
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "plis"
+        assert run("analyze-plis", "--model", str(model), "--data", str(data), "--sigma", "3.0",
+                   "--clip", "1e-3", "--out", str(out), "--compare-expanded") == 0
+        rows = (out / "plis_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8
+        assert all(float(r.split(",")[1]) == pytest.approx(1e-6 / 9.0, rel=1e-12) for r in rows)
+
+    @pytest.mark.parametrize("clip", [None, "1e-3"])
+    def test_compare_expanded_fails_on_a_corrupted_route(self, tabular_setup, monkeypatch, clip):
+        tmp_path, data, model = tabular_setup
+        honest = plis.plis_reports
+
+        def corrupted(*args, expanded=False, **kwargs):
+            reports = honest(*args, expanded=expanded, **kwargs)
+            if expanded:  # off by 1e-6 of the check's scale in the first entry
+                for r in reports:
+                    r.plis = r.plis.copy()
+                    r.plis[0] += 1e-6 * max(np.abs(r.plis).max(), r.pl)
+            return reports
+
+        monkeypatch.setattr(plis, "plis_reports", corrupted)
+        argv = ["analyze-plis", "--model", str(model), "--data", str(data), "--sigma", "3.0",
+                "--out", str(tmp_path / "plis"), "--compare-expanded"]
+        assert run(*argv, *(["--clip", clip] if clip else [])) == 2
+
     def test_rank_matches_library_ordering(self, image_setup):
         tmp_path, data, model = image_setup
         out = tmp_path / "ranked.csv"
@@ -141,13 +181,6 @@ class TestAnalyzeAndRank:
         norms = [float(r.split(",")[2]) for r in rows]
         assert norms == sorted(norms, reverse=True)
         assert len(rows) == 14
-
-    def test_jobs_flag_gives_identical_output(self, image_setup):
-        tmp_path, data, model = image_setup
-        a, b = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        run("rank", "--model", str(model), "--data", str(data), "--out", str(a))
-        run("rank", "--model", str(model), "--data", str(data), "--out", str(b), "--jobs", "4")
-        assert a.read_bytes() == b.read_bytes()
 
     def test_fil_and_jacsens_on_tabular(self, tmp_path):
         data = tmp_path / "reg.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plislab import models
-from plislab.autodiff import backward, finite_diff_check, Graph, Tensor, tsum, square
+from plislab.autodiff import backward, finite_diff_check, Graph, mul, reshape, tsum, square
 from plislab.errors import DataFormatError, ShapeError
 
 LINEAR_NO_BIAS = models.ModelSpec((models.Linear(2, 1, bias=False),), models.MSE)
@@ -75,8 +75,8 @@ class TestPerSampleLoss:
         spec = models.ModelSpec((models.Linear(3, 2),), models.MSE)
         params = models.init_params(spec, 5)
         x = np.array([0.3, -0.2, 0.9])
-        sample = models.attach_sample(spec, params, x, np.zeros(2))
-        y = sample.prediction.data
+        sample = models.attach_sample(spec, params, x[None], [np.zeros(2)])
+        y = sample.prediction.data[0]
         loss = models.per_sample_loss(spec, params, x, y)
         assert loss.item() == 0.0
 
@@ -140,12 +140,12 @@ class TestPerSampleGrad:
 
     def test_create_graph_gradient_is_redifferentiable(self):
         spec, params = _linear_params([1.0, 2.0])
-        sample = models.attach_sample(spec, params, [1.0, 1.0], 0.0)
-        (g,) = backward(sample.loss, [sample.theta], create_graph=True)
+        sample = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0])
+        g = models.parameter_grad(sample, create_graph=True)
         norm_sq = tsum(square(g))
         (gx,) = backward(norm_sq, [sample.x])
         # d/dx 4 r^2 ||x||^2 = 8 r w ||x||^2 + 8 r^2 x, r = 3
-        np.testing.assert_allclose(gx.data, [120.0, 168.0], rtol=1e-12)
+        np.testing.assert_allclose(gx.data, [[120.0, 168.0]], rtol=1e-12)
 
 
 def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
@@ -156,12 +156,15 @@ def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(6, 3))
     ys = rng.normal(size=(6, 2))
-    graph, theta, loss = models.batch_mean_loss(spec, params, xs, ys)
-    (gb,) = backward(loss, [theta])
+    # one graph for the batch: the shared parameters' gradient of the mean
+    # loss is the sum of the tiled parameter rows' gradients
+    sample = models.attach_sample(spec, params, xs, ys)
+    grads = backward(mul(sample.loss, 1.0 / len(xs)), sample.params)
+    gb = np.concatenate([g.data.reshape(len(xs), -1).sum(axis=0) for g in grads])
     per = np.mean(
         [models.per_sample_grad(spec, params, x, y).data for x, y in zip(xs, ys)], axis=0
     )
-    rel = np.abs(gb.data - per) / (np.abs(per) + 1e-15)
+    rel = np.abs(gb - per) / (np.abs(per) + 1e-15)
     assert rel.max() < 1e-10
 
 
@@ -175,9 +178,12 @@ def test_input_is_registered_as_differentiable_leaf():
     def loss_of_x(t):
         if t.graph is None:
             t = Graph().leaf(t.data)
-        theta = t.graph.leaf(params.flat)
-        pred = models.forward(spec, theta, params.layout, t)
-        return models._loss_tensor(spec, pred, np.array([0.2]))
+        blocks = {
+            b.name: t.graph.leaf(params.flat[b.offset : b.offset + b.size].reshape((1,) + b.shape))
+            for b in params.layout
+        }
+        pred = models.forward(spec, blocks, reshape(t, (1, 2)))
+        return tsum(models._loss_tensor(spec, pred, [np.array([0.2])]))
 
     assert finite_diff_check(loss_of_x, x) < 1e-5
 

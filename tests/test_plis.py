@@ -356,11 +356,17 @@ class TestPowerIteration:
         for n, m in [(3, 5), (8, 8), (12, 4)]:
             mat = rng.normal(size=(n, m))
             lam = plis.spectral_norm_sq(mat)
-            top = np.linalg.eigvalsh(mat.T @ mat).max()
-            assert lam == pytest.approx(top, rel=1e-8)
+            top = np.linalg.svd(mat, compute_uv=False)[0] ** 2
+            assert lam == pytest.approx(top, rel=1e-12)
 
     def test_zero_matrix(self):
         assert plis.spectral_norm_sq(np.zeros((4, 3))) == 0.0
+
+    def test_near_tie_at_the_top(self):
+        # an iteration that stops once successive estimates agree to 1e-10 can
+        # stop anywhere between two eigenvalues this close
+        mat = np.diag([3.0, 3.0 - 1e-9, 1.0])
+        assert plis.spectral_norm_sq(mat) == pytest.approx(9.0, rel=1e-14)
 
 
 class TestSuperpixelNorm:
@@ -432,10 +438,3 @@ class TestRankSubjects:
         ]
         ranked = plis.rank_subjects(subjects, spec, params)
         assert [e.subject_id for e in ranked] == ["c", "a", "b"]
-
-    def test_parallel_jobs_match_serial(self):
-        rng = np.random.default_rng(17)
-        spec, params, subjects = self._dataset(rng, n=8)
-        serial = plis.rank_subjects(subjects, spec, params, sigma=0.9)
-        parallel = plis.rank_subjects(subjects, spec, params, sigma=0.9, jobs=4)
-        assert serial == parallel
