@@ -29,6 +29,16 @@ reduces per row when given axes.  With parameters tiled into leaves with
 a leading batch axis, row i of every tensor depends only on sample i, so
 one backward pass of a sum over rows returns each sample's gradient in
 its own row.
+
+A backward pass does only the work its wrt list needs.  One forward
+sweep over the ids from the lowest wrt node to the output marks the
+nodes that depend on a wrt tensor; the reverse loop visits only those,
+stops at the lowest wrt id, and asks each rule for cotangents of its
+needed inputs only (so a pass to X never computes parameter cotangents,
+and a pass to the parameters never scatters back into X).  Inputs are
+still handed to the rules attached, so create-graph results stay
+differentiable in every leaf.  A node's cotangent is dropped as soon as
+its rule has run; only the wrt tensors' cotangents live to the end.
 """
 
 from __future__ import annotations
@@ -53,9 +63,12 @@ class Node:
 
     Each input is kept as its node id (None for a detached constant) and
     its data array.  backward() rebuilds the input tensors and calls
-    rule(grad, *inputs), which returns one cotangent per input (None
-    where none is needed).  Rules call the public op functions below,
-    which is what makes backward re-differentiable.
+    rule(grad, need, *inputs), where need[i] says whether input i needs
+    a cotangent; the rule returns one cotangent per input, None where
+    need[i] is false.  backward() calls a rule only when some input
+    needs a cotangent, so single-input rules ignore need.  Rules call
+    the public op functions below, which is what makes backward
+    re-differentiable.
     """
 
     __slots__ = ("op", "input_ids", "input_data", "rule")
@@ -210,11 +223,8 @@ def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair("add", a, b)
 
-    def rule(grad: Tensor, a: Tensor, b: Tensor):
-        return (
-            grad if a.graph is not None else None,
-            grad if b.graph is not None else None,
-        )
+    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+        return (grad if need[0] else None, grad if need[1] else None)
 
     return _record("add", a.data + b.data, (a, b), rule)
 
@@ -222,11 +232,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair("sub", a, b)
 
-    def rule(grad: Tensor, a: Tensor, b: Tensor):
-        return (
-            grad if a.graph is not None else None,
-            mul(grad, -1.0) if b.graph is not None else None,
-        )
+    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+        return (grad if need[0] else None, mul(grad, -1.0) if need[1] else None)
 
     return _record("sub", a.data - b.data, (a, b), rule)
 
@@ -234,11 +241,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair("mul", a, b)
 
-    def rule(grad: Tensor, a: Tensor, b: Tensor):
-        return (
-            mul(grad, b) if a.graph is not None else None,
-            mul(grad, a) if b.graph is not None else None,
-        )
+    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+        return (mul(grad, b) if need[0] else None, mul(grad, a) if need[1] else None)
 
     return _record("mul", a.data * b.data, (a, b), rule)
 
@@ -246,11 +250,9 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair("div", a, b)
 
-    def rule(grad: Tensor, a: Tensor, b: Tensor):
-        ga = div(grad, b) if a.graph is not None else None
-        gb = None
-        if b.graph is not None:
-            gb = mul(div(mul(grad, a), square(b)), -1.0)
+    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+        ga = div(grad, b) if need[0] else None
+        gb = mul(div(mul(grad, a), square(b)), -1.0) if need[1] else None
         return (ga, gb)
 
     return _record("div", a.data / b.data, (a, b), rule)
@@ -259,7 +261,7 @@ def div(a, b) -> Tensor:
 def square(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (mul(grad, mul(a, 2.0)),)
 
     return _record("square", a.data * a.data, (a,), rule)
@@ -268,7 +270,7 @@ def square(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (div(grad, mul(sqrt(a), 2.0)),)
 
     return _record("sqrt", np.sqrt(a.data), (a,), rule)
@@ -277,7 +279,7 @@ def sqrt(a) -> Tensor:
 def relu(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         # mask is piecewise constant: detached, subgradient 0 at the kink
         return (mul(grad, Tensor(a.data > 0.0)),)
 
@@ -289,7 +291,7 @@ def max_scalar(a, c: float) -> Tensor:
     a = _tensor(a)
     c = float(c)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         # at a == c the constant branch wins (derivative 0)
         return (mul(grad, Tensor(a.data > c)),)
 
@@ -299,7 +301,7 @@ def max_scalar(a, c: float) -> Tensor:
 def tanh(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (mul(grad, sub(1.0, square(tanh(a)))),)
 
     return _record("tanh", np.tanh(a.data), (a,), rule)
@@ -309,7 +311,7 @@ def softplus(a) -> Tensor:
     a = _tensor(a)
     out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         # sigmoid(a) written with in-set ops: (1 + tanh(a/2)) / 2
         sig = mul(add(tanh(mul(a, 0.5)), 1.0), 0.5)
         return (mul(grad, sig),)
@@ -326,7 +328,7 @@ def gaussian_noise_add(a, noise: Array) -> Tensor:
             f"gaussian-noise-add: noise shape {noise.shape} != tensor shape {a.shape}"
         )
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (grad,)
 
     return _record("gaussian-noise-add", a.data + noise, (a,), rule)
@@ -352,7 +354,7 @@ def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=ax if ax else None, keepdims=keepdims)
     kept = tuple(1 if i in ax else s for i, s in enumerate(a.shape))
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (broadcast(reshape(grad, kept), a.shape),)
 
     return _record("sum", out, (a,), rule)
@@ -363,7 +365,7 @@ def tmean(a) -> Tensor:
     a = _tensor(a)
     n = a.size
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (broadcast(mul(grad, 1.0 / n), a.shape),)
 
     return _record("mean", np.asarray(a.data.mean()), (a,), rule)
@@ -380,7 +382,7 @@ def broadcast(a, shape: tuple) -> Tensor:
     pad = (1,) * (len(shape) - a.data.ndim) + a.shape
     expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (reshape(tsum(grad, axes=expanded, keepdims=True) if expanded else grad, a.shape),)
 
     return _record("broadcast", np.broadcast_to(a.data, shape).copy(), (a,), rule)
@@ -392,7 +394,7 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (reshape(grad, a.shape),)
 
     return _record("reshape", a.data.reshape(shape), (a,), rule)
@@ -404,7 +406,7 @@ def transpose(a) -> Tensor:
     if a.data.ndim < 2:
         raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (transpose(grad),)
 
     return _record("transpose", np.swapaxes(a.data, -1, -2), (a,), rule)
@@ -417,7 +419,7 @@ def tslice(a, index) -> Tensor:
     if not isinstance(index, tuple):
         index = (index,)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (embed(grad, a.shape, index),)
 
     return _record("slice", np.array(a.data[index]), (a,), rule)
@@ -433,10 +435,10 @@ def concat(parts, axis: int = -1) -> Tensor:
     bounds = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
     lead = (slice(None),) * axis
 
-    def rule(grad: Tensor, *parts: Tensor):
+    def rule(grad: Tensor, need, *parts: Tensor):
         return tuple(
-            tslice(grad, lead + (slice(lo, hi),)) if p.graph is not None else None
-            for p, lo, hi in zip(parts, bounds[:-1], bounds[1:])
+            tslice(grad, lead + (slice(lo, hi),)) if n else None
+            for n, lo, hi in zip(need, bounds[:-1], bounds[1:])
         )
 
     try:
@@ -454,7 +456,7 @@ def embed(a, shape: tuple, index) -> Tensor:
     out = np.zeros(shape)
     out[index] = a.data
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (tslice(grad, index),)
 
     return _record("embed", out, (a,), rule)
@@ -503,7 +505,7 @@ def im2col(a, kernel: int, pad: int = 0) -> Tensor:
     # a 2-d array with [:, idx] returns a strided one that slows the gemm after it
     out = np.take(padded.reshape(b, -1), idx, axis=1)
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (col2im(grad, shape, kernel, pad),)
 
     return _record("im2col", out, (a,), rule)
@@ -513,19 +515,22 @@ def col2im(a, image_shape: tuple, kernel: int, pad: int = 0) -> Tensor:
     """Exact adjoint of im2col: scatter-add patches back into (B,C,H,W) images."""
     a = _tensor(a)
     b, c, h, w = image_shape
-    idx, (hp, wp, oh, ow) = _conv_geometry(c, h, w, kernel, pad)
+    _, (hp, wp, oh, ow) = _conv_geometry(c, h, w, kernel, pad)
     if a.shape != (b, c * kernel * kernel, oh * ow):
         raise ShapeError(
             f"col2im: expected shape {(b, c * kernel * kernel, oh * ow)}, got {a.shape}"
         )
-    size = c * hp * wp
-    where = idx + size * np.arange(b)[:, None, None]
-    flat = np.bincount(where.reshape(-1), weights=a.data.reshape(-1), minlength=b * size)
-    img = flat.reshape(b, c, hp, wp)
+    # one strided add per kernel offset, in the (ki, kj) order im2col
+    # lays patches out in, so every pixel sums its patches in that order
+    patches = a.data.reshape(b, c, kernel, kernel, oh, ow)
+    img = np.zeros((b, c, hp, wp))
+    for ki in range(kernel):
+        for kj in range(kernel):
+            img[:, :, ki : ki + oh, kj : kj + ow] += patches[:, :, ki, kj]
     if pad:
         img = img[:, :, pad : pad + h, pad : pad + w].copy()
 
-    def rule(grad: Tensor, a: Tensor):
+    def rule(grad: Tensor, need, a: Tensor):
         return (im2col(grad, kernel, pad),)
 
     return _record("col2im", img, (a,), rule)
@@ -562,12 +567,19 @@ def matmul(a, b) -> Tensor:
     ):
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not compose")
 
-    def rule(grad: Tensor, a: Tensor, b: Tensor):
-        ga = matmul(grad, transpose(b)) if a.graph is not None else None
-        gb = matmul(transpose(a), grad) if b.graph is not None else None
+    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+        ga = matmul(grad, transpose(b)) if need[0] else None
+        gb = matmul(transpose(a), grad) if need[1] else None
         return (ga, gb)
 
-    return _record("matmul", np.matmul(a.data, b.data), (a, b), rule)
+    if a.shape[-1] == 1:
+        # an outer product, where numpy's stacked matmul leaves BLAS for a
+        # slow loop; + 0.0 gives zero entries BLAS's sign (-0.0 -> +0.0)
+        out = a.data * b.data
+        out += 0.0
+    else:
+        out = np.matmul(a.data, b.data)
+    return _record("matmul", out, (a, b), rule)
 
 
 # --------------------------------------------------------------------------
@@ -587,6 +599,14 @@ def backward(
     be differentiated again; with False, recording is paused and plain
     constants come back (same values either way).  Non-scalar outputs
     need an explicit seed cotangent.
+
+    The pass visits only nodes between the lowest wrt id and the output
+    that depend on a wrt tensor, and computes cotangents only for those
+    nodes.  Each is freed once its rule has run, except the wrt tensors'
+    own, which are returned.  A wrt tensor may be any node, the output
+    included; one the output does not depend on gets zeros.  Values are
+    bit-identical to a pass over every node: pruned contributions never
+    reach a needed node, and the rest accumulate in the same order.
     """
     graph = output.graph
     if graph is None:
@@ -603,23 +623,44 @@ def backward(
     elif seed.data.shape != output.data.shape:
         raise ShapeError(f"backward: seed shape {seed.shape} != output shape {output.shape}")
 
-    slots: dict[int, Tensor] = {output.node_id: seed}
+    nodes = graph.nodes
     start = output.node_id
+    keep = {t.node_id for t in wrt}
+    low = min(keep, default=start + 1)
+    # needed[i]: node i depends on a wrt tensor.  Inputs have lower ids
+    # than their node, so one ascending sweep from the lowest wrt id
+    # settles every node the pass can reach.
+    needed = bytearray(start + 1)
+    for nid in keep:
+        if nid <= start:
+            needed[nid] = 1
+    for nid in range(low + 1, start + 1):
+        if not needed[nid]:
+            for iid in nodes[nid].input_ids:
+                if iid is not None and needed[iid]:
+                    needed[nid] = 1
+                    break
+
+    slots: dict[int, Tensor] = {start: seed}
 
     def run():
-        for nid in range(start, -1, -1):
-            grad = slots.get(nid)
+        for nid in range(start, low - 1, -1):
+            if not needed[nid]:
+                continue
+            # a cotangent is dropped once propagated; wrt tensors keep theirs
+            grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
             if grad is None:
                 continue
-            node = graph.nodes[nid]
-            if node.rule is None:
+            node = nodes[nid]
+            need = tuple(iid is not None and needed[iid] == 1 for iid in node.input_ids)
+            if not any(need):  # a leaf, or a wrt node whose inputs reach no wrt tensor
                 continue
             inputs = [
                 Tensor(data) if iid is None else Tensor(data, graph, iid)
                 for iid, data in zip(node.input_ids, node.input_data)
             ]
-            for iid, g in zip(node.input_ids, node.rule(grad, *inputs)):
-                if iid is None or g is None:
+            for iid, g in zip(node.input_ids, node.rule(grad, need, *inputs)):
+                if g is None:
                     continue
                 cur = slots.get(iid)
                 slots[iid] = g if cur is None else add(cur, g)

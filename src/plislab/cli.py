@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import accounting, attack as attack_mod, datasets, dpsgd, models, plis
-from .errors import PlisLabError
+from .errors import ConfigError, PlisLabError
 from .imagemetrics import psnr, ssim
 
 log = logging.getLogger("plislab.cli")
@@ -168,7 +168,12 @@ def _cmd_gen_data(args) -> int:
         datasets.write_plds(ds, tmp)
         log.info("wrote %d images (%d OOD) to %s", ds.n, int(ds.ood_flags.sum()), args.out)
     else:
-        informative = {int(tok) for tok in args.informative.split(",") if tok.strip() != ""}
+        try:
+            informative = {int(tok) for tok in args.informative.split(",") if tok.strip() != ""}
+        except ValueError:
+            raise ConfigError(
+                f"--informative expects comma-separated column indices, got {args.informative!r}"
+            ) from None
         ds = datasets.make_regression(args.n, args.d, informative, args.noise_sd, args.seed)
         datasets.save_regression_csv(ds, tmp)
         log.info("wrote %d rows x %d features to %s", ds.n, ds.d, args.out)

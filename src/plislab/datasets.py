@@ -82,7 +82,10 @@ def load_regression_csv(path) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if header is None or header[-1] != "y":
             raise DataFormatError(f"{path}: expected a header row ending in 'y'")
-        rows = [[float(v) for v in row] for row in reader if row]
+        try:
+            rows = [[float(v) for v in row] for row in reader if row]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != len(header):
         raise DataFormatError(f"{path}: ragged or empty CSV body")

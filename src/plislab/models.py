@@ -21,6 +21,7 @@ drops the AttachedSample and every tensor on its graph.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -76,6 +77,10 @@ class Linear:
     out_dim: int
     bias: bool = True
 
+    def __post_init__(self):
+        if self.in_dim < 1 or self.out_dim < 1:
+            raise ConfigError(f"linear({self.in_dim},{self.out_dim}): sizes must be positive")
+
 
 @dataclass(frozen=True)
 class Conv2d:
@@ -83,6 +88,12 @@ class Conv2d:
     out_ch: int
     kernel: int
     bias: bool = True
+
+    def __post_init__(self):
+        if self.in_ch < 1 or self.out_ch < 1 or self.kernel < 1:
+            raise ConfigError(
+                f"conv2d({self.in_ch},{self.out_ch},{self.kernel}): sizes must be positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,7 +139,7 @@ class ParamBlock:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
 
 @dataclass
@@ -413,7 +424,7 @@ def spec_from_text(text: str) -> ModelSpec:
                 layers.append(Flatten())
             else:
                 raise DataFormatError(f"unknown layer kind {kind!r}")
-        except (IndexError, ValueError):
+        except (IndexError, ValueError, ConfigError):
             raise DataFormatError(f"malformed layer descriptor {part!r}") from None
     return ModelSpec(tuple(layers), loss)
 
@@ -441,7 +452,11 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamSet]:
     (spec_len,) = struct.unpack_from("<I", blob, 8)
     if len(blob) < 12 + spec_len:
         raise DataFormatError(f"checkpoint truncated at byte {len(blob)}")
-    spec = spec_from_text(blob[12 : 12 + spec_len].decode("utf-8"))
+    try:
+        spec_text = blob[12 : 12 + spec_len].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"checkpoint spec is not UTF-8 at byte {12 + exc.start}") from None
+    spec = spec_from_text(spec_text)
     layout = layout_for(spec)
     expected = sum(b.size for b in layout) * 8
     payload = blob[12 + spec_len :]

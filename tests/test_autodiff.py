@@ -6,6 +6,8 @@ against finite differences of that norm.  Kink ops (relu, max-with-
 scalar) are sampled away from their kinks.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,142 @@ def test_create_graph_backward_appends_nodes_above_segment():
     for nid, node in enumerate(g.nodes):
         for iid in node.input_ids:
             assert iid is None or iid < nid
+
+
+# --------------------------------------------------------------------------
+# what a backward pass visits, computes and keeps
+# --------------------------------------------------------------------------
+
+
+def test_backward_wrt_non_leaf_tensor():
+    g = ad.Graph()
+    x = g.leaf([0.5, -1.0])
+    h = ad.square(x)
+    out = ad.tsum(ad.tanh(h))
+    dh = 1.0 - np.tanh(h.data) ** 2
+    (gh,) = ad.backward(out, [h])
+    np.testing.assert_allclose(gh.data, dh)
+    gh, gx = ad.backward(out, [h, x])
+    np.testing.assert_allclose(gh.data, dh)
+    np.testing.assert_allclose(gx.data, dh * 2.0 * x.data)
+
+
+def test_backward_wrt_the_output_returns_the_seed():
+    g = ad.Graph()
+    x = g.leaf([1.0, 2.0])
+    out = ad.tsum(ad.square(x))
+    (g_out,) = ad.backward(out, [out])
+    np.testing.assert_array_equal(g_out.data, 1.0)
+    vec = ad.square(x)
+    g_vec, gx = ad.backward(vec, [vec, x], seed=ad.Tensor([3.0, -1.0]))
+    np.testing.assert_array_equal(g_vec.data, [3.0, -1.0])
+    np.testing.assert_allclose(gx.data, [6.0, -4.0])
+
+
+def test_backward_when_output_does_not_depend_on_wrt():
+    g = ad.Graph()
+    x = g.leaf([1.0, 2.0])
+    late = g.leaf([[3.0]])
+    out = ad.tsum(ad.square(x))
+    unrelated = ad.tanh(x)
+    for create_graph in (False, True):
+        grads = ad.backward(out, [unrelated, late], create_graph=create_graph)
+        np.testing.assert_array_equal(grads[0].data, [0.0, 0.0])
+        np.testing.assert_array_equal(grads[1].data, [[0.0]])
+
+
+def test_backward_with_a_tensor_listed_twice():
+    g = ad.Graph()
+    x = g.leaf([1.0, -3.0])
+    w = g.leaf([2.0, 0.5])
+    out = ad.tsum(ad.mul(ad.square(x), w))
+    a, b, c = ad.backward(out, [x, w, x])
+    np.testing.assert_array_equal(a.data, 2.0 * x.data * w.data)
+    np.testing.assert_array_equal(c.data, a.data)
+    np.testing.assert_array_equal(b.data, x.data**2)
+
+
+def test_create_graph_result_stays_differentiable_outside_wrt():
+    rng = np.random.default_rng(41)
+    g = ad.Graph()
+    w = g.leaf(rng.normal(size=(3, 2)))
+    x = g.leaf(rng.normal(size=(2, 1)))
+    out = ad.tsum(ad.tanh(ad.matmul(w, x)))
+    (gw,) = ad.backward(out, [w], create_graph=True)
+    # d/dx of sum_ij (dL/dW)_ij^2, with x outside the first pass's wrt
+    (gx,) = ad.backward(ad.tsum(ad.square(gw)), [x])
+
+    def norm_sq(xv):
+        t = ad.Graph().leaf(w.data)
+        o = ad.tsum(ad.tanh(ad.matmul(t, ad.Tensor(xv))))
+        return float(np.sum(ad.backward(o, [t])[0].data ** 2))
+
+    h = 1e-6
+    fd = np.zeros(2)
+    for j in range(2):
+        e = np.zeros((2, 1))
+        e[j] = h
+        fd[j] = (norm_sq(x.data + e) - norm_sq(x.data - e)) / (2 * h)
+    np.testing.assert_allclose(gx.data.ravel(), fd, rtol=1e-6)
+
+
+def test_create_graph_pass_appends_only_what_wrt_needs():
+    rng = np.random.default_rng(42)
+    kernel, image = rng.normal(size=(1, 2, 1, 3, 3)), rng.normal(size=(1, 1, 6, 6))
+
+    def appended(with_x):
+        g = ad.Graph()
+        k = g.leaf(kernel)
+        x = g.leaf(image)
+        out = ad.tsum(ad.square(ad.relu(ad.conv2d(x, k))))
+        before = len(g.nodes)
+        ad.backward(out, [k, x] if with_x else [k], create_graph=True)
+        return len(g.nodes) - before, any(n.op == "col2im" for n in g.nodes)
+
+    (n_params, col2im_params), (n_both, col2im_both) = appended(False), appended(True)
+    assert n_params < n_both
+    assert not col2im_params and col2im_both
+
+
+def test_backward_frees_cotangents_once_propagated():
+    g = ad.Graph()
+    x = g.leaf(np.linspace(-1.0, 1.0, 1 << 17))  # 1 MB
+    y = x
+    for _ in range(32):
+        y = ad.mul(ad.tanh(y), 0.5)
+    out = ad.tsum(y)
+    assert len(g.nodes) == 66
+    tracemalloc.start()
+    try:
+        (gx,) = ad.backward(out, [x])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gx.shape == x.shape
+    assert peak < 8 * (1 << 20)
+
+
+def test_col2im_matches_bincount_scatter_bitwise():
+    """The strided adds sum each pixel's patches in im2col's (ki, kj) order."""
+    rng = np.random.default_rng(43)
+    for b, c, h, w, k, pad in [(2, 3, 6, 5, 3, 1), (1, 1, 4, 4, 2, 0), (3, 2, 5, 7, 3, 0)]:
+        oh, ow = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+        cols = rng.normal(size=(b, c * k * k, oh * ow))
+        cols[rng.random(cols.shape) < 0.2] = -0.0
+        idx, (hp, wp, _, _) = ad._conv_geometry(c, h, w, k, pad)
+        where = idx + c * hp * wp * np.arange(b)[:, None, None]
+        ref = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * hp * wp)
+        ref = ref.reshape(b, c, hp, wp)[:, :, pad : pad + h, pad : pad + w]
+        got = ad.col2im(ad.Tensor(cols), (b, c, h, w), k, pad).data
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()
+
+
+def test_matmul_with_inner_dimension_one_matches_blas_bitwise():
+    rng = np.random.default_rng(44)
+    for sa, sb in [((6, 2, 1), (6, 1, 50)), ((3, 1), (1, 4)), ((4, 1, 1), (4, 1, 1))]:
+        a, b = rng.normal(size=sa), rng.normal(size=sb)
+        a[rng.random(sa) < 0.3] = 0.0
+        b[rng.random(sb) < 0.3] = -0.0
+        got = ad.matmul(ad.Tensor(a), ad.Tensor(b)).data
+        assert got.tobytes() == np.matmul(a, b).tobytes()
+        assert not np.signbit(got[got == 0.0]).any()

@@ -192,3 +192,22 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.booleans())
+def test_input_gradient_is_bitwise_equal_with_or_without_parameters_in_wrt(problem, create_graph):
+    """Pruning the parameter cotangents changes no bit of the input gradient,
+    first-order (of the loss) or second-order (of the squared gradient norm)."""
+    spec, params, subjects, _ = problem
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+
+    def input_grads(with_params):
+        sample = models.attach_sample(spec, params, xs, ys)
+        wrt = [sample.x] + (sample.params if with_params else [])
+        (first, *_) = backward(sample.loss, wrt, create_graph=create_graph)
+        g = models.parameter_grad(sample, create_graph=True)
+        (second, *_) = backward(tsum(mul(g, g)), wrt, create_graph=create_graph)
+        return first.data.tobytes(), second.data.tobytes()
+
+    assert input_grads(False) == input_grads(True)

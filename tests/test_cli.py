@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -45,6 +46,55 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+
+
+def _checkpoint_with_spec(path, spec_bytes: bytes, payload: bytes = b""):
+    path.write_bytes(b"PLCK" + struct.pack("<II", 1, len(spec_bytes)) + spec_bytes + payload)
+    return path
+
+
+class TestMalformedInput:
+    """Malformed input ends as an error message and exit code 2, never a traceback."""
+
+    def _assert_runtime_error(self, capsys, *argv, match):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and match in err
+
+    def test_non_integer_informative_column(self, tmp_path, capsys):
+        self._assert_runtime_error(
+            capsys, "gen-data", "--kind", "regression", "--out", str(tmp_path / "r.csv"),
+            "--n", "5", "--informative", "a", match="--informative",
+        )
+
+    def test_non_numeric_csv_cell(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("x0,x1,y\n0.5,1.0,2.0\n0.1,abc,1.0\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\n")
+        self._assert_runtime_error(
+            capsys, "train", "--config", str(cfg), "--data", str(data),
+            "--out", str(tmp_path / "m.plck"), match="line 3",
+        )
+
+    def test_non_utf8_checkpoint_spec(self, tmp_path, capsys):
+        model = _checkpoint_with_spec(tmp_path / "m.plck", b"linear:\xff:1:0|mse")
+        self._assert_runtime_error(
+            capsys, "rank", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "r.csv"), match="UTF-8",
+        )
+
+    @pytest.mark.parametrize("layer", ["linear:-3:1:0", "linear:-3:-1:0", "conv2d:1:0:3:1"])
+    def test_non_positive_layer_size(self, tmp_path, capsys, layer):
+        # linear(-3,-1) would count 3 parameters, which the 24-byte payload matches
+        model = _checkpoint_with_spec(
+            tmp_path / "m.plck", f"{layer}|mse".encode(), struct.pack("<3d", 1.0, 2.0, 3.0)
+        )
+        self._assert_runtime_error(
+            capsys, "rank", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "r.csv"), match="malformed layer descriptor",
+        )
 
 
 class TestGenData:
