@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from plislab import datasets, dpsgd, models
+from plislab import datasets, dpsgd, models, rng
 
 ds = datasets.make_regression(500, 16, {9}, noise_sd=0.1, seed=123)
 spec = models.ModelSpec((models.Linear(16, 1, bias=False),), models.MSE)
@@ -23,8 +23,7 @@ print("with noise w:", np.array2string(trace2.params.flat, precision=3))
 print("with noise loss:", trace2.per_epoch_loss[-1])
 
 # raw noise draw scale check
-seq = dpsgd.NoiseSequence(7)
-draws = np.stack([seq.draw(t, 16) for t in range(50)])
+draws = np.stack([rng.gaussians(7, dpsgd._NOISE_STREAM + t, 16) for t in range(50)])
 print("noise draw mean/std:", draws.mean(), draws.std())
 walk = 0.05 * 132.36 / 500 * draws.sum(axis=0)
 print("pure random-walk std over 50 steps:", walk.std())

@@ -28,7 +28,6 @@ from .autodiff import (
     add,
     backward,
     div,
-    dot,
     mul,
     sqrt,
     square,
@@ -147,7 +146,7 @@ def _objective(
     obs = Tensor(observed[None])
     if config.match_loss == COSINE:
         denom = mul(sqrt(tsum(square(g))), float(np.linalg.norm(observed)))
-        match = sub(1.0, div(dot(g, obs), denom))
+        match = sub(1.0, div(tsum(mul(g, obs)), denom))
     else:
         match = tsum(square(sub(g, obs)))
     objective = match

@@ -126,9 +126,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
@@ -137,37 +134,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = "" if self.graph is None else f", node={self.node_id}"
         return f"Tensor(shape={self.shape}{tag})"
-
-    # operator sugar; all arithmetic routes through the op functions
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 # --------------------------------------------------------------------------
@@ -317,21 +283,6 @@ def softplus(a) -> Tensor:
         return (mul(grad, sig),)
 
     return _record("softplus", out, (a,), rule)
-
-
-def gaussian_noise_add(a, noise: Array) -> Tensor:
-    """Add a fixed noise array that is constant with respect to the graph."""
-    a = _tensor(a)
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != a.shape:
-        raise ShapeError(
-            f"gaussian-noise-add: noise shape {noise.shape} != tensor shape {a.shape}"
-        )
-
-    def rule(grad: Tensor, need, a: Tensor):
-        return (grad,)
-
-    return _record("gaussian-noise-add", a.data + noise, (a,), rule)
 
 
 # --------------------------------------------------------------------------
@@ -706,8 +657,3 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> floa
         num_flat[j] = (hi - lo) / (2.0 * h)
     rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-12)
     return float(rel.max()) if rel.size else 0.0
-
-
-def dot(a, b) -> Tensor:
-    """Inner product of two same-shaped tensors (sum of elementwise product)."""
-    return tsum(mul(a, b))

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 runtime error.  Every file is
 written atomically (temp + rename) and CSV floats use shortest
 round-trip repr, so identical flags and seeds give byte-identical
-outputs.  PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
+outputs.  An --out directory is created only when a file is written into
+it, so a run that fails before writing leaves none behind.
+PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import numpy as np
 
 from . import accounting, attack as attack_mod, datasets, dpsgd, models, plis
-from .errors import ConfigError, PlisLabError
+from .errors import ConfigError, DataFormatError, PlisLabError
 from .imagemetrics import psnr, ssim
 
 log = logging.getLogger("plislab.cli")
@@ -88,29 +90,40 @@ def read_heatmap_csv(path: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _load_any_dataset(path: str):
-    """(kind, payload): the PLDS magic selects images, anything else is CSV."""
+def _load_subjects(path: str):
+    """(data, subjects): the PLDS magic selects an ImageDataset, anything else
+    is an (x, y) CSV; a file without rows is a DataFormatError."""
     with open(path, "rb") as fh:
         head = fh.read(4)
     if head == datasets.PLDS_MAGIC:
-        return "images", datasets.load_images(path)
-    x, y = datasets.load_regression_csv(path)
-    return "tabular", (x, y)
+        data = datasets.load_images(path)
+        subjects = datasets.image_subjects(data)
+    else:
+        data = datasets.load_regression_csv(path)
+        subjects = datasets.tabular_subjects(*data)
+    if not subjects:
+        raise DataFormatError(f"{path}: the dataset has no rows")
+    return data, subjects
 
 
-def _subjects_for(kind: str, payload):
-    if kind == "images":
-        return datasets.image_subjects(payload)
-    x, y = payload
-    return datasets.tabular_subjects(x, y)
+def _load_analysis(args):
+    """(spec, params, data, subjects) from the --model checkpoint and the --data file."""
+    spec, params = models.load_checkpoint(args.model)
+    return (spec, params) + _load_subjects(args.data)
 
 
-def _build_spec(arch: str, kind: str, payload) -> models.ModelSpec:
+def _in_dir(directory: str, name: str) -> str:
+    """The path of name in directory, creating the directory on first use."""
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, name)
+
+
+def _build_spec(arch: str, data) -> models.ModelSpec:
+    images = isinstance(data, datasets.ImageDataset)
     if arch == "auto":
-        arch = "cnn" if kind == "images" else "linear"
-    if kind == "images":
-        ds = payload
-        h, w = ds.images.shape[1:]
+        arch = "cnn" if images else "linear"
+    if images:
+        h, w = data.images.shape[1:]
         if arch == "cnn":
             flat = 16 * (h - 4) * (w - 4)
             return models.ModelSpec(
@@ -120,7 +133,7 @@ def _build_spec(arch: str, kind: str, payload) -> models.ModelSpec:
                     models.Conv2d(8, 16, 3),
                     models.Relu(),
                     models.Flatten(),
-                    models.Linear(flat, ds.classes),
+                    models.Linear(flat, data.classes),
                 ),
                 models.CROSS_ENTROPY,
             )
@@ -130,13 +143,12 @@ def _build_spec(arch: str, kind: str, payload) -> models.ModelSpec:
                     models.Flatten(),
                     models.Linear(h * w, 32),
                     models.Relu(),
-                    models.Linear(32, ds.classes),
+                    models.Linear(32, data.classes),
                 ),
                 models.CROSS_ENTROPY,
             )
         raise PlisLabError(f"architecture {arch!r} does not apply to image data")
-    x, _ = payload
-    d = x.shape[1]
+    d = data[0].shape[1]
     if arch == "linear":
         return models.ModelSpec((models.Linear(d, 1, bias=False),), models.MSE)
     if arch == "mlp":
@@ -144,14 +156,6 @@ def _build_spec(arch: str, kind: str, payload) -> models.ModelSpec:
             (models.Linear(d, 16), models.Tanh(), models.Linear(16, 1)), models.MSE
         )
     raise PlisLabError(f"architecture {arch!r} does not apply to tabular data")
-
-
-def _dataset_pairs(kind: str, payload):
-    if kind == "images":
-        ds = payload
-        return [(ds.images[i][None, :, :], int(ds.labels[i])) for i in range(ds.n)]
-    x, y = payload
-    return [(x[i], np.array([y[i]])) for i in range(len(y))]
 
 
 # --------------------------------------------------------------------------
@@ -183,10 +187,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = dpsgd.load_config(args.config)
-    kind, payload = _load_any_dataset(args.data)
-    spec = _build_spec(args.arch, kind, payload)
-    pairs = _dataset_pairs(kind, payload)
-    trace = dpsgd.train(spec, pairs, config)
+    data, subjects = _load_subjects(args.data)
+    spec = _build_spec(args.arch, data)
+    trace = dpsgd.train(spec, [(s.x, s.y) for s in subjects], config)
     tmp = args.out + ".tmp.train"
     models.save_checkpoint(tmp, spec, trace.params)
     os.replace(tmp, args.out)
@@ -208,21 +211,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _heatmap_matrix(plis_values: np.ndarray) -> np.ndarray:
-    if plis_values.ndim == 3 and plis_values.shape[0] == 1:
-        return plis_values[0]
-    if plis_values.ndim == 1:
-        return plis_values[None, :]
-    if plis_values.ndim == 2:
-        return plis_values
-    raise PlisLabError(f"cannot render heatmap for PLIS shape {plis_values.shape}")
-
-
 def _cmd_analyze_plis(args) -> int:
-    spec, params = models.load_checkpoint(args.model)
-    kind, payload = _load_any_dataset(args.data)
-    subjects = _subjects_for(kind, payload)
-    os.makedirs(args.out, exist_ok=True)
+    spec, params, _, subjects = _load_analysis(args)
     reports = plis.plis_reports(spec, params, subjects, sigma=args.sigma, clip=args.clip)
     rows = []
     for report in reports:
@@ -235,11 +225,9 @@ def _cmd_analyze_plis(args) -> int:
                 "" if report.sigma is None else repr(float(report.sigma)),
             ]
         )
-        emit_heatmap(
-            _heatmap_matrix(report.plis), os.path.join(args.out, f"plis_{report.subject_id}")
-        )
+        emit_heatmap(plis.as_plane(report.plis), _in_dir(args.out, f"plis_{report.subject_id}"))
     _atomic_write_text(
-        os.path.join(args.out, "plis_report.csv"),
+        _in_dir(args.out, "plis_report.csv"),
         _csv_text(["subject_id", "pl", "plis_norm", "mode", "sigma"], rows),
     )
     if args.compare_expanded:
@@ -259,10 +247,7 @@ def _cmd_analyze_plis(args) -> int:
 
 
 def _cmd_analyze_fil(args) -> int:
-    spec, params = models.load_checkpoint(args.model)
-    kind, payload = _load_any_dataset(args.data)
-    subjects = _subjects_for(kind, payload)
-    os.makedirs(args.out, exist_ok=True)
+    spec, params, _, subjects = _load_analysis(args)
     reports = [plis.fim_subject(spec, params, s, sigma=args.sigma) for s in subjects]
     d = reports[0].fil_per_attribute.size
     header = ["subject_id", "fil_subject"] + [f"a{j}" for j in range(d)]
@@ -270,29 +255,24 @@ def _cmd_analyze_fil(args) -> int:
         [r.subject_id, r.fil_subject] + [float(v) for v in r.fil_per_attribute]
         for r in reports
     ]
-    _atomic_write_text(os.path.join(args.out, "fil_report.csv"), _csv_text(header, rows))
+    _atomic_write_text(_in_dir(args.out, "fil_report.csv"), _csv_text(header, rows))
     log.info("FIL for %d subjects into %s", len(subjects), args.out)
     return 0
 
 
 def _cmd_analyze_jacsens(args) -> int:
-    spec, params = models.load_checkpoint(args.model)
-    kind, payload = _load_any_dataset(args.data)
-    subjects = _subjects_for(kind, payload)
-    os.makedirs(args.out, exist_ok=True)
+    spec, params, _, subjects = _load_analysis(args)
     reports = [plis.jacsens_subject(spec, params, s) for s in subjects]
     rows = [[r.subject_id, r.spectral_norm, r.frobenius_norm] for r in reports]
     _atomic_write_text(
-        os.path.join(args.out, "jacsens_report.csv"),
+        _in_dir(args.out, "jacsens_report.csv"),
         _csv_text(["subject_id", "spectral_norm", "frobenius_norm"], rows),
     )
     return 0
 
 
 def _cmd_rank(args) -> int:
-    spec, params = models.load_checkpoint(args.model)
-    kind, payload = _load_any_dataset(args.data)
-    subjects = _subjects_for(kind, payload)
+    spec, params, _, subjects = _load_analysis(args)
     entries = plis.rank_subjects(subjects, spec, params, sigma=args.sigma, clip=args.clip)
     rows = [[e.subject_id, e.pl, e.subject_plis_norm] for e in entries]
     _atomic_write_text(args.out, _csv_text(["subject_id", "pl", "plis_norm"], rows))
@@ -300,12 +280,10 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    spec, params = models.load_checkpoint(args.model)
-    kind, payload = _load_any_dataset(args.data)
-    subjects = {s.id: s for s in _subjects_for(kind, payload)}
-    if args.subject not in subjects:
+    spec, params, data, subjects = _load_analysis(args)
+    subject = next((s for s in subjects if s.id == args.subject), None)
+    if subject is None:
         raise PlisLabError(f"subject {args.subject!r} not present in {args.data}")
-    subject = subjects[args.subject]
     dp = None
     if args.dp_sigma is not None or args.dp_clip is not None:
         if args.dp_clip is None or args.dp_sigma is None:
@@ -324,18 +302,17 @@ def _cmd_attack(args) -> int:
     result = attack_mod.reconstruct(
         spec, params, observed, subject.y, config, input_shape=subject.x.shape
     )
-    os.makedirs(args.out, exist_ok=True)
-    emit_heatmap(_heatmap_matrix(result.reconstruction), os.path.join(args.out, "reconstruction"))
+    recon = plis.as_plane(result.reconstruction)
+    emit_heatmap(recon, _in_dir(args.out, "reconstruction"))
     trace = result.traces[result.best_restart]
     _atomic_write_text(
-        os.path.join(args.out, "trace.csv"),
+        _in_dir(args.out, "trace.csv"),
         _csv_text(["iteration", "match_loss"], [[i, v] for i, v in enumerate(trace)]),
     )
-    if kind == "images":
+    if isinstance(data, datasets.ImageDataset):
         original = subject.x[0]
-        recon = _heatmap_matrix(result.reconstruction)
         rows = [[ssim(original, recon), psnr(original, recon)]]
-        _atomic_write_text(os.path.join(args.out, "metrics.csv"), _csv_text(["ssim", "psnr"], rows))
+        _atomic_write_text(_in_dir(args.out, "metrics.csv"), _csv_text(["ssim", "psnr"], rows))
     log.info("attack finished: best restart %d, match loss %.4g", result.best_restart, result.match_loss)
     return 0
 

@@ -49,6 +49,8 @@ def make_regression(
     n: int, d: int, informative, noise_sd: float, seed: int
 ) -> TabularDataset:
     """Standardized Gaussian design; y depends only on the informative columns."""
+    if n < 2:
+        raise ConfigError(f"make_regression: standardizing columns needs n >= 2 rows, got {n}")
     informative = sorted(set(int(i) for i in informative))
     if not informative:
         raise ConfigError("make_regression: informative set must be nonempty")
@@ -139,6 +141,8 @@ def make_glyph_images(
     n: int, seed: int, height: int = 28, width: int = 28, classes: int = 2
 ) -> ImageDataset:
     """Balanced cross/ring glyphs with jitter and pixel noise."""
+    if n < 1:
+        raise ConfigError(f"make_glyph_images: n must be >= 1, got {n}")
     if classes != 2:
         raise ConfigError("the glyph generator renders exactly 2 classes")
     images = np.zeros((n, height, width))

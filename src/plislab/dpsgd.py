@@ -86,16 +86,6 @@ def clip_differentiable(g: Tensor, clip: float) -> Tensor:
     return mul(g, broadcast(factor, g.shape))
 
 
-class NoiseSequence:
-    """Deterministic per-step Gaussian draws keyed by (seed, step index)."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-
-    def draw(self, step: int, n: int) -> np.ndarray:
-        return rng.gaussians(self.seed, _NOISE_STREAM + step, n)
-
-
 @dataclass
 class StepResult:
     params: ParamSet
@@ -109,10 +99,12 @@ def dp_sgd_step(
     params: ParamSet,
     batch: list[tuple[np.ndarray, object]],
     config: DpSgdConfig,
-    noise_seq: NoiseSequence,
     step_index: int = 0,
 ) -> StepResult:
-    """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|."""
+    """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
+
+    The noise is the standard-normal draw keyed by (config.seed, step_index).
+    """
     if not batch:
         raise ConfigError("dp_sgd_step: empty batch")
     total = np.zeros(params.count)
@@ -129,7 +121,7 @@ def dp_sgd_step(
         total += g.sum(axis=0)
     noise = None
     if config.private and config.sigma > 0:
-        noise = noise_seq.draw(step_index, params.count)
+        noise = rng.gaussians(config.seed, _NOISE_STREAM + step_index, params.count)
         total = total + noise * (config.sigma * config.clip)
     update = total / len(batch)
     new_flat = params.flat - config.learning_rate * update
@@ -177,7 +169,6 @@ def train(
     run_config = replace(config, sigma=sigma) if sigma != config.sigma else config
 
     accountant = AccountantState() if config.private else None
-    noise_seq = NoiseSequence(config.seed)
     per_epoch: list[float] = []
     step_records: list[tuple[int, float, float]] = []
     max_clipped = 0.0
@@ -186,7 +177,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in range(start, min(start + config.batch_size, len(dataset)))]
-            result = dp_sgd_step(spec, params, batch, run_config, noise_seq, step)
+            result = dp_sgd_step(spec, params, batch, run_config, step)
             if not math.isfinite(result.mean_loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}")
             params = result.params

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -187,10 +187,6 @@ def layout_for(spec: ModelSpec) -> tuple[ParamBlock, ...]:
     return tuple(blocks)
 
 
-def param_count(spec: ModelSpec) -> int:
-    return sum(b.size for b in layout_for(spec))
-
-
 def init_params(spec: ModelSpec, seed: int) -> ParamSet:
     """Uniform [-a, a] weights with a = sqrt(6/(fan_in+fan_out)); zero biases."""
     layout = layout_for(spec)
@@ -207,20 +203,6 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
         block = next(b for b in layout if b.name == f"{idx}.weight")
         u = rng.uniforms(seed, _INIT_STREAM + idx, block.size)
         flat[block.offset : block.offset + block.size] = (2.0 * u - 1.0) * a
-    return ParamSet(flat, layout)
-
-
-def unflatten(params: ParamSet) -> dict[str, np.ndarray]:
-    return {
-        b.name: params.flat[b.offset : b.offset + b.size].reshape(b.shape).copy()
-        for b in params.layout
-    }
-
-
-def flatten(blocks: dict[str, np.ndarray], layout: tuple[ParamBlock, ...]) -> ParamSet:
-    flat = np.zeros(sum(b.size for b in layout))
-    for b in layout:
-        flat[b.offset : b.offset + b.size] = np.asarray(blocks[b.name]).reshape(-1)
     return ParamSet(flat, layout)
 
 
@@ -380,22 +362,34 @@ CHECKPOINT_MAGIC = b"PLCK"
 CHECKPOINT_VERSION = 1
 
 
+# tag of each layer class in the spec text; a layer's descriptor is its tag
+# followed by every dataclass field as an integer, in declaration order
+_LAYER_TAGS = {
+    "linear": Linear,
+    "conv2d": Conv2d,
+    "relu": Relu,
+    "tanh": Tanh,
+    "softplus": Softplus,
+    "flatten": Flatten,
+}
+
+
 def spec_to_text(spec: ModelSpec) -> str:
-    parts = []
-    for layer in spec.layers:
-        if isinstance(layer, Linear):
-            parts.append(f"linear:{layer.in_dim}:{layer.out_dim}:{int(layer.bias)}")
-        elif isinstance(layer, Conv2d):
-            parts.append(f"conv2d:{layer.in_ch}:{layer.out_ch}:{layer.kernel}:{int(layer.bias)}")
-        elif isinstance(layer, Relu):
-            parts.append("relu")
-        elif isinstance(layer, Tanh):
-            parts.append("tanh")
-        elif isinstance(layer, Softplus):
-            parts.append("softplus")
-        elif isinstance(layer, Flatten):
-            parts.append("flatten")
+    tags = {cls: tag for tag, cls in _LAYER_TAGS.items()}
+    parts = [
+        ":".join([tags[type(layer)]] + [str(int(getattr(layer, f.name))) for f in fields(layer)])
+        for layer in spec.layers
+    ]
     return ";".join(parts) + "|" + spec.loss
+
+
+def _field_value(name: str, text: str) -> int | bool:
+    value = int(text)
+    if name != "bias":
+        return value
+    if value not in (0, 1):
+        raise ValueError(f"bias must be 0 or 1, got {value}")
+    return bool(value)
 
 
 def spec_from_text(text: str) -> ModelSpec:
@@ -405,26 +399,14 @@ def spec_from_text(text: str) -> ModelSpec:
         raise DataFormatError(f"model spec text lacks a loss section: {text!r}") from None
     layers: list[Layer] = []
     for part in layers_text.split(";"):
-        fields = part.split(":")
-        kind = fields[0]
+        tag, *values = part.split(":")
+        cls = _LAYER_TAGS.get(tag)
+        if cls is None:
+            raise DataFormatError(f"unknown layer kind {tag!r}")
         try:
-            if kind == "linear":
-                layers.append(Linear(int(fields[1]), int(fields[2]), bool(int(fields[3]))))
-            elif kind == "conv2d":
-                layers.append(
-                    Conv2d(int(fields[1]), int(fields[2]), int(fields[3]), bool(int(fields[4])))
-                )
-            elif kind == "relu":
-                layers.append(Relu())
-            elif kind == "tanh":
-                layers.append(Tanh())
-            elif kind == "softplus":
-                layers.append(Softplus())
-            elif kind == "flatten":
-                layers.append(Flatten())
-            else:
-                raise DataFormatError(f"unknown layer kind {kind!r}")
-        except (IndexError, ValueError, ConfigError):
+            args = [_field_value(f.name, v) for f, v in zip(fields(cls), values, strict=True)]
+            layers.append(cls(*args))
+        except (ValueError, ConfigError):
             raise DataFormatError(f"malformed layer descriptor {part!r}") from None
     return ModelSpec(tuple(layers), loss)
 

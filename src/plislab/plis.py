@@ -269,18 +269,21 @@ def jacsens_subject(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -
 # --------------------------------------------------------------------------
 
 
-def superpixel_norm(report: PlisReport, region: tuple[int, int, int, int]) -> float:
-    """L2 norm of the PLIS over a (row, col, height, width) rectangle.
+def as_plane(values: np.ndarray) -> np.ndarray:
+    """The 2-d view of a subject-shaped array: a vector as one row, a
+    (1, h, w) image as its (h, w) plane; a matrix is returned as it is."""
+    if values.ndim == 1:
+        return values[None, :]
+    if values.ndim == 3 and values.shape[0] == 1:
+        return values[0]
+    if values.ndim != 2:
+        raise ConfigError(f"no 2-d view of an array of shape {values.shape}")
+    return values
 
-    One-dimensional PLIS vectors are treated as a single-row matrix.
-    """
-    matrix = report.plis
-    if matrix.ndim == 1:
-        matrix = matrix[None, :]
-    elif matrix.ndim == 3 and matrix.shape[0] == 1:
-        matrix = matrix[0]
-    if matrix.ndim != 2:
-        raise ConfigError(f"superpixel_norm expects a 2-d PLIS, got shape {report.plis.shape}")
+
+def superpixel_norm(report: PlisReport, region: tuple[int, int, int, int]) -> float:
+    """L2 norm of the PLIS over a (row, col, height, width) rectangle of its as_plane() view."""
+    matrix = as_plane(report.plis)
     r0, c0, h, w = (int(v) for v in region)
     rows, cols = matrix.shape
     if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:

@@ -200,16 +200,6 @@ def test_conv_ops_gradients_match_finite_differences():
     assert ad.finite_diff_check(conv_in_kernel, kernel) < 1e-5
 
 
-def test_gaussian_noise_add_is_constant_wrt_graph():
-    rng = np.random.default_rng(13)
-    noise = rng.normal(size=(3,))
-    g = ad.Graph()
-    x = g.leaf([1.0, 2.0, 3.0])
-    out = ad.tsum(ad.square(ad.gaussian_noise_add(x, noise)))
-    (grad,) = ad.backward(out, [x])
-    np.testing.assert_allclose(grad.data, 2.0 * (x.data + noise))
-
-
 def second_order_cases():
     rng = np.random.default_rng(21)
     cases = []

@@ -103,9 +103,7 @@ def test_dp_sgd_step_clipped_sum_matches_per_sample(problem, clip_quantile):
         learning_rate=0.5, epochs=1, batch_size=len(subjects), private=True, clip=clip, sigma=0.7
     )
     with chunked(params, size):
-        result = dpsgd.dp_sgd_step(
-            spec, params, [(s.x, s.y) for s in subjects], config, dpsgd.NoiseSequence(3)
-        )
+        result = dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
     update = (np.sum(clipped, axis=0) + result.noise * (0.7 * clip)) / len(subjects)
     assert_close(result.params.flat, params.flat - 0.5 * update)
     assert_close(result.max_clipped_norm, max(np.linalg.norm(g) for g in clipped))
@@ -179,8 +177,7 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         # alive, with its nodes, for as long as the caller holds the sample
         assert refs[-1]() is sample.graph and sample.graph.nodes
         del sample, g
-        dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config,
-                          dpsgd.NoiseSequence(0))
+        dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
         plis.plis_reports(spec, params, subjects, sigma=1.0, clip=1.0)
         plis.plis_expanded(spec, params, subjects[0])
         plis.privacy_loss(spec, params, subjects[0])

@@ -96,6 +96,51 @@ class TestMalformedInput:
             "--out", str(tmp_path / "r.csv"), match="malformed layer descriptor",
         )
 
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            "linear:3:1:1:9",  # an extra field
+            "linear:3:1:7",  # a bias that is neither 0 nor 1
+            "relu:5",  # a field on a layer without parameters
+            "linear:3:1",  # a missing field
+        ],
+    )
+    def test_descriptor_field_count_and_bias_are_strict(self, tmp_path, capsys, layer):
+        model = _checkpoint_with_spec(
+            tmp_path / "m.plck", f"{layer}|mse".encode(), struct.pack("<3d", 1.0, 2.0, 3.0)
+        )
+        self._assert_runtime_error(
+            capsys, "rank", "--model", str(model), "--data", str(tmp_path / "d.csv"),
+            "--out", str(tmp_path / "r.csv"), match="malformed layer descriptor",
+        )
+
+    @pytest.mark.parametrize("kind, n", [("images", -3), ("regression", -3),
+                                         ("regression", 1), ("images", 0), ("regression", 0)])
+    def test_gen_data_row_count_too_small(self, tmp_path, capsys, kind, n):
+        out = tmp_path / "d.out"
+        self._assert_runtime_error(
+            capsys, "gen-data", "--kind", kind, "--out", str(out), "--n", str(n), match=f"got {n}",
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze-plis", "analyze-fil", "analyze-jacsens",
+                                         "rank", "attack"])
+    def test_empty_dataset_file(self, tmp_path, capsys, command):
+        data = tmp_path / "empty.plds"
+        empty = datasets.ImageDataset(
+            np.zeros((0, 6, 6)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), 2
+        )
+        datasets.write_plds(empty, data)
+        spec = models.ModelSpec((models.Flatten(), models.Linear(36, 2)), models.CROSS_ENTROPY)
+        model = tmp_path / "m.plck"
+        models.save_checkpoint(model, spec, models.init_params(spec, 0))
+        extra = {"analyze-fil": ["--sigma", "1.0"], "attack": ["--subject", "img00000"]}
+        self._assert_runtime_error(
+            capsys, command, "--model", str(model), "--data", str(data),
+            "--out", str(tmp_path / "out"), *extra.get(command, []), match="no rows",
+        )
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenData:
     def test_images_deterministic(self, tmp_path):
@@ -249,6 +294,15 @@ class TestAnalyzeAndRank:
         assert run("analyze-jacsens", "--model", str(model), "--data", str(data),
                    "--out", str(jac_dir)) == 0
         assert (jac_dir / "jacsens_report.csv").exists()
+
+
+    @pytest.mark.parametrize("command, sigma", [("analyze-fil", "-1"), ("analyze-plis", "0")])
+    def test_failed_analysis_leaves_no_out_directory(self, tabular_setup, command, sigma):
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--sigma", sigma, "--out", str(out)) == 2
+        assert not out.exists()
 
 
 class TestAttackCommand:

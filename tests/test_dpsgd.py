@@ -97,10 +97,9 @@ class TestDpSgdStep:
             learning_rate=0.05, epochs=1, batch_size=8, private=True, clip=1e9, sigma=1e-300
         )
         plain_cfg = dpsgd.DpSgdConfig(learning_rate=0.05, epochs=1, batch_size=8)
-        noise = dpsgd.NoiseSequence(0)
         # clip huge and sigma -> 0: same update as the non-private path
-        a = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, private_cfg, noise).params.flat
-        b = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, plain_cfg, noise).params.flat
+        a = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, private_cfg).params.flat
+        b = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, plain_cfg).params.flat
         np.testing.assert_allclose(a, b, atol=1e-290)
 
     def test_clipped_norms_never_exceed_threshold(self):
@@ -109,7 +108,7 @@ class TestDpSgdStep:
         cfg = dpsgd.DpSgdConfig(
             learning_rate=0.05, epochs=1, batch_size=10, private=True, clip=0.2, sigma=1.0
         )
-        result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, data[:10], cfg, dpsgd.NoiseSequence(3))
+        result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, data[:10], cfg)
         assert result.max_clipped_norm <= 0.2 + 1e-9
 
     def test_fixed_seed_trajectory_is_bit_identical(self):
@@ -127,7 +126,7 @@ class TestDpSgdStep:
         params = models.init_params(LINEAR_SPEC, 1)
         cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)
         with pytest.raises(ConfigError):
-            dpsgd.dp_sgd_step(LINEAR_SPEC, params, [], cfg, dpsgd.NoiseSequence(0))
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, [], cfg)
 
 
 class TestTrain:
