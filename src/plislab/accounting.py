@@ -32,9 +32,11 @@ class GaussianMechanismParams:
             raise ConfigError(f"sensitivity must be nonnegative, got {self.sensitivity}")
 
 
-def default_alpha_grid() -> np.ndarray:
-    """Half-integer orders 1.5 .. 128 plus 256 and 512; dense near 1 where optima sit."""
-    return np.concatenate([1.0 + np.arange(1, 255) / 2.0, [256.0, 512.0]])
+# Renyi orders of every RDP curve: half-integers 1.5 .. 128 plus 256 and
+# 512, dense near 1 where the optima sit.  Read-only, since every budget
+# shares it.
+ALPHA_GRID = np.concatenate([1.0 + np.arange(1, 255) / 2.0, [256.0, 512.0]])
+ALPHA_GRID.flags.writeable = False
 
 
 @dataclass
@@ -46,14 +48,9 @@ class AccountantState:
     """
 
     steps: list[GaussianMechanismParams] = field(default_factory=list)
-    alpha_grid: np.ndarray = field(default_factory=default_alpha_grid)
     ratio_sq: float = field(default=0.0, init=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.alpha_grid, dtype=np.float64)
-        if grid.size == 0 or np.any(grid <= 1.0) or np.any(np.diff(grid) <= 0):
-            raise ConfigError("alpha grid must be strictly increasing with all entries > 1")
-        self.alpha_grid = grid
         for step in self.steps:
             self.ratio_sq += _ratio_sq(step)
 
@@ -91,11 +88,11 @@ def compose(state: AccountantState) -> ComposedBudget:
     """Additive RDP composition plus root-sum-square GDP composition."""
     if not state.steps:
         raise ConfigError("accountant has no steps to compose")
-    return _budget(state.alpha_grid, state.ratio_sq)
+    return _budget(state.ratio_sq)
 
 
-def _budget(alpha_grid: np.ndarray, ratio_sq: float) -> ComposedBudget:
-    return ComposedBudget(alpha_grid, 0.5 * alpha_grid * ratio_sq, math.sqrt(ratio_sq))
+def _budget(ratio_sq: float) -> ComposedBudget:
+    return ComposedBudget(ALPHA_GRID, 0.5 * ALPHA_GRID * ratio_sq, math.sqrt(ratio_sq))
 
 
 @dataclass(frozen=True)
@@ -104,8 +101,8 @@ class EpsilonReport:
     alpha: float  # grid order achieving the minimum
 
 
-def _epsilon_curve(alpha_grid: np.ndarray, rho: np.ndarray, delta: float) -> np.ndarray:
-    return rho + math.log(1.0 / delta) / (alpha_grid - 1.0)
+def _epsilon_curve(rho: np.ndarray, delta: float) -> np.ndarray:
+    return rho + math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
 
 
 def _check_delta(delta: float) -> None:
@@ -114,7 +111,7 @@ def _check_delta(delta: float) -> None:
 
 
 def _epsilon(budget: ComposedBudget, delta: float) -> EpsilonReport:
-    curve = _epsilon_curve(budget.alpha_grid, budget.rho, delta)
+    curve = _epsilon_curve(budget.rho, delta)
     i = int(np.argmin(curve))
     return EpsilonReport(float(curve[i]), float(budget.alpha_grid[i]))
 
@@ -125,13 +122,7 @@ def epsilon_from_rdp(state: AccountantState, delta: float) -> EpsilonReport:
     return _epsilon(compose(state), delta)
 
 
-def sigma_for_budget(
-    epsilon: float,
-    delta: float,
-    steps: int,
-    clip: float,
-    alpha_grid: np.ndarray | None = None,
-) -> float:
+def sigma_for_budget(epsilon: float, delta: float, steps: int, clip: float) -> float:
     """Smallest noise multiplier (on a bisection grid) meeting the budget.
 
     Returns m such that `steps` Gaussian mechanisms with sensitivity
@@ -144,11 +135,10 @@ def sigma_for_budget(
         raise ConfigError(f"step count must be >= 1, got {steps}")
     if not clip > 0:
         raise ConfigError(f"clip must be positive, got {clip}")
-    grid = default_alpha_grid() if alpha_grid is None else np.asarray(alpha_grid)
 
     def eps_at(mult: float) -> float:
-        rho = 0.5 * grid * steps / (mult * mult)
-        return float(np.min(_epsilon_curve(grid, rho, delta)))
+        rho = 0.5 * ALPHA_GRID * steps / (mult * mult)
+        return float(np.min(_epsilon_curve(rho, delta)))
 
     lo, hi = 1e-4, 1e8
     if eps_at(hi) > epsilon:
@@ -181,7 +171,7 @@ def write_report(state: AccountantState, delta: float, path) -> None:
         ratio_sq = 0.0
         for k, step in enumerate(state.steps):
             ratio_sq += _ratio_sq(step)
-            budget = _budget(state.alpha_grid, ratio_sq)
+            budget = _budget(ratio_sq)
             report = _epsilon(budget, delta)
             writer.writerow(
                 [

@@ -156,11 +156,7 @@ def _objective(
     return float(objective.data.reshape(())), float(match.data.reshape(())), gx.data[0]
 
 
-def _resolve_shape(
-    spec: ModelSpec, input_shape: tuple[int, ...] | None, init: np.ndarray | None
-) -> tuple[int, ...]:
-    if init is not None:
-        return np.asarray(init).shape
+def _resolve_shape(spec: ModelSpec, input_shape: tuple[int, ...] | None) -> tuple[int, ...]:
     if input_shape is not None:
         return tuple(int(s) for s in input_shape)
     first = spec.layers[0]
@@ -179,13 +175,9 @@ def _run_restart(
     config: AttackConfig,
     restart: int,
     shape: tuple[int, ...],
-    init: np.ndarray | None,
 ) -> tuple[np.ndarray, float, list[float]] | None:
-    if init is not None:
-        x = np.asarray(init, dtype=np.float64).copy()
-    else:
-        draw = rng.gaussians(config.seed, _ATTACK_STREAM + restart, int(np.prod(shape)))
-        x = np.clip(draw.reshape(shape) * 0.2 + 0.5, 0.0, 1.0)
+    draw = rng.gaussians(config.seed, _ATTACK_STREAM + restart, int(np.prod(shape)))
+    x = np.clip(draw.reshape(shape) * 0.2 + 0.5, 0.0, 1.0)
     m = np.zeros_like(x)
     v = np.zeros_like(x)
     trace: list[float] = []
@@ -224,26 +216,24 @@ def reconstruct(
     label,
     config: AttackConfig,
     input_shape: tuple[int, ...] | None = None,
-    init: np.ndarray | None = None,
 ) -> AttackResult:
     """Recover an input whose gradient matches the observed one.
 
-    Runs config.restarts independently seeded restarts (or a single run
-    from `init` when given) and returns the one with the lowest final
-    match loss.  Restarts that go non-finite are discarded; it is an
-    error if all of them do.
+    Runs config.restarts independently seeded restarts and returns the
+    one with the lowest final match loss.  Restarts that go non-finite
+    are discarded; it is an error if all of them do.
     """
     observed = np.asarray(observed, dtype=np.float64)
     if observed.shape != (params.count,):
         raise ConfigError(
             f"observed gradient has shape {observed.shape}, expected ({params.count},)"
         )
-    shape = _resolve_shape(spec, input_shape, init)
+    shape = _resolve_shape(spec, input_shape)
     best: tuple[np.ndarray, float, list[float]] | None = None
     best_restart = -1
     traces: list[list[float]] = []
     for restart in range(config.restarts):
-        outcome = _run_restart(spec, params, observed, label, config, restart, shape, init)
+        outcome = _run_restart(spec, params, observed, label, config, restart, shape)
         if outcome is None:
             traces.append([])
             continue

@@ -35,16 +35,17 @@ sweep over the ids from the lowest wrt node to the output marks the
 nodes that depend on a wrt tensor; the reverse loop visits only those,
 stops at the lowest wrt id, and asks each rule for cotangents of its
 needed inputs only (so a pass to X never computes parameter cotangents,
-and a pass to the parameters never scatters back into X).  Inputs are
-still handed to the rules attached, so create-graph results stay
-differentiable in every leaf.  A node's cotangent is dropped as soon as
-its rule has run; only the wrt tensors' cotangents live to the end.
+and a pass to the parameters never scatters back into X).  A
+create-graph pass hands the rules their inputs attached, so its results
+stay differentiable in every leaf.  Any other pass hands them detached
+inputs: the ops the rules call then record nothing and return plain
+constants with the same values.  A node's cotangent is dropped as soon
+as its rule has run; only the wrt tensors' cotangents live to the end.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -85,23 +86,12 @@ class Graph:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self._recording = True
 
     def leaf(self, data) -> "Tensor":
         """Register data as a differentiable input of this graph."""
         t = Tensor(data, graph=self, node_id=len(self.nodes))
         self.nodes.append(Node("leaf", (), (), None))
         return t
-
-    @contextmanager
-    def paused(self):
-        """Temporarily stop recording (used for create_graph=False passes)."""
-        prev = self._recording
-        self._recording = False
-        try:
-            yield
-        finally:
-            self._recording = prev
 
 
 class Tensor:
@@ -159,7 +149,7 @@ def _graph_of(inputs: tuple[Tensor, ...]) -> Graph | None:
 
 def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tensor:
     g = _graph_of(inputs)
-    if g is None or not g._recording:
+    if g is None:
         return Tensor(out_data)
     ids = tuple(t.node_id if t.graph is not None else None for t in inputs)
     t = Tensor(out_data, graph=g, node_id=len(g.nodes))
@@ -376,24 +366,21 @@ def tslice(a, index) -> Tensor:
     return _record("slice", np.array(a.data[index]), (a,), rule)
 
 
-def concat(parts, axis: int = -1) -> Tensor:
-    """Join tensors along one axis; the adjoint slices the cotangent apart."""
+def concat(parts) -> Tensor:
+    """Join tensors along the last axis; the adjoint slices the cotangent apart."""
     parts = tuple(_tensor(p) for p in parts)
     if not parts:
         raise ShapeError("concat: nothing to join")
-    ndim = parts[0].data.ndim
-    axis %= ndim
-    bounds = np.cumsum([0] + [p.shape[axis] for p in parts]).tolist()
-    lead = (slice(None),) * axis
+    bounds = np.cumsum([0] + [p.shape[-1] for p in parts]).tolist()
 
     def rule(grad: Tensor, need, *parts: Tensor):
         return tuple(
-            tslice(grad, lead + (slice(lo, hi),)) if n else None
+            tslice(grad, (..., slice(lo, hi))) if n else None
             for n, lo, hi in zip(need, bounds[:-1], bounds[1:])
         )
 
     try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
+        out = np.concatenate([p.data for p in parts], axis=-1)
     except ValueError:
         raise ShapeError(f"concat: shapes {[p.shape for p in parts]} do not join") from None
     return _record("concat", out, parts, rule)
@@ -420,53 +407,51 @@ def embed(a, shape: tuple, index) -> Tensor:
 _CONV_INDEX_CACHE: dict[tuple, tuple[Array, tuple]] = {}
 
 
-def _conv_geometry(c: int, h: int, w: int, k: int, pad: int):
-    """Gather indices into the zero-padded image for k x k patches."""
-    key = (c, h, w, k, pad)
+def _conv_geometry(c: int, h: int, w: int, k: int):
+    """Gather indices into the flattened image for k x k patches."""
+    key = (c, h, w, k)
     hit = _CONV_INDEX_CACHE.get(key)
     if hit is not None:
         return hit
-    hp, wp = h + 2 * pad, w + 2 * pad
-    oh, ow = hp - k + 1, wp - k + 1
+    oh, ow = h - k + 1, w - k + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"im2col: kernel {k} too large for image {h}x{w} with pad {pad}")
+        raise ShapeError(f"im2col: kernel {k} too large for image {h}x{w}")
     offs = (
-        np.arange(c)[:, None, None] * (hp * wp)
-        + np.arange(k)[None, :, None] * wp
+        np.arange(c)[:, None, None] * (h * w)
+        + np.arange(k)[None, :, None] * w
         + np.arange(k)[None, None, :]
     ).reshape(-1)
     ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    pos = (ii * wp + jj).reshape(-1)
+    pos = (ii * w + jj).reshape(-1)
     idx = offs[:, None] + pos[None, :]
-    result = (idx, (hp, wp, oh, ow))
+    result = (idx, (oh, ow))
     _CONV_INDEX_CACHE[key] = result
     return result
 
 
-def im2col(a, kernel: int, pad: int = 0) -> Tensor:
-    """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) patch matrices."""
+def im2col(a, kernel: int) -> Tensor:
+    """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices."""
     a = _tensor(a)
     if a.data.ndim != 4:
         raise ShapeError(f"im2col: expected (B,C,H,W) input, got shape {a.shape}")
     shape = a.shape
     b, c, h, w = shape
-    idx, _ = _conv_geometry(c, h, w, kernel, pad)
-    padded = np.pad(a.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a.data
+    idx, _ = _conv_geometry(c, h, w, kernel)
     # take() along an axis returns a C-contiguous result; fancy indexing of
     # a 2-d array with [:, idx] returns a strided one that slows the gemm after it
-    out = np.take(padded.reshape(b, -1), idx, axis=1)
+    out = np.take(a.data.reshape(b, -1), idx, axis=1)
 
     def rule(grad: Tensor, need, a: Tensor):
-        return (col2im(grad, shape, kernel, pad),)
+        return (col2im(grad, shape, kernel),)
 
     return _record("im2col", out, (a,), rule)
 
 
-def col2im(a, image_shape: tuple, kernel: int, pad: int = 0) -> Tensor:
+def col2im(a, image_shape: tuple, kernel: int) -> Tensor:
     """Exact adjoint of im2col: scatter-add patches back into (B,C,H,W) images."""
     a = _tensor(a)
     b, c, h, w = image_shape
-    _, (hp, wp, oh, ow) = _conv_geometry(c, h, w, kernel, pad)
+    _, (oh, ow) = _conv_geometry(c, h, w, kernel)
     if a.shape != (b, c * kernel * kernel, oh * ow):
         raise ShapeError(
             f"col2im: expected shape {(b, c * kernel * kernel, oh * ow)}, got {a.shape}"
@@ -474,20 +459,18 @@ def col2im(a, image_shape: tuple, kernel: int, pad: int = 0) -> Tensor:
     # one strided add per kernel offset, in the (ki, kj) order im2col
     # lays patches out in, so every pixel sums its patches in that order
     patches = a.data.reshape(b, c, kernel, kernel, oh, ow)
-    img = np.zeros((b, c, hp, wp))
+    img = np.zeros((b, c, h, w))
     for ki in range(kernel):
         for kj in range(kernel):
             img[:, :, ki : ki + oh, kj : kj + ow] += patches[:, :, ki, kj]
-    if pad:
-        img = img[:, :, pad : pad + h, pad : pad + w].copy()
 
     def rule(grad: Tensor, need, a: Tensor):
-        return (im2col(grad, kernel, pad),)
+        return (im2col(grad, kernel),)
 
     return _record("col2im", img, (a,), rule)
 
 
-def conv2d(x, kernel, pad: int = 0) -> Tensor:
+def conv2d(x, kernel) -> Tensor:
     """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels.
 
     Realized as reshape(matmul(kernel-matrices, im2col(x))), so both
@@ -501,8 +484,8 @@ def conv2d(x, kernel, pad: int = 0) -> Tensor:
             f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
         )
     b, o, c, k = kernel.shape[:4]
-    _, (_, _, oh, ow) = _conv_geometry(c, x.shape[2], x.shape[3], k, pad)
-    col = im2col(x, k, pad)
+    _, (oh, ow) = _conv_geometry(c, x.shape[2], x.shape[3], k)
+    col = im2col(x, k)
     km = reshape(kernel, (b, o, c * k * k))
     return reshape(matmul(km, col), (b, o, oh, ow))
 
@@ -538,18 +521,13 @@ def matmul(a, b) -> Tensor:
 # --------------------------------------------------------------------------
 
 
-def backward(
-    output: Tensor,
-    wrt: Sequence[Tensor],
-    create_graph: bool = False,
-    seed: Tensor | None = None,
-) -> list[Tensor]:
-    """Gradients of output with respect to each tensor in wrt.
+def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
+    """Gradients of the scalar output with respect to each tensor in wrt.
 
     With create_graph=True the returned gradients are graph nodes and can
-    be differentiated again; with False, recording is paused and plain
-    constants come back (same values either way).  Non-scalar outputs
-    need an explicit seed cotangent.
+    be differentiated again; with False the rules get detached inputs, so
+    they record nothing and plain constants come back (same values either
+    way).  A non-scalar output is a GraphError.
 
     The pass visits only nodes between the lowest wrt id and the output
     that depend on a wrt tensor, and computes cotangents only for those
@@ -565,14 +543,8 @@ def backward(
     for t in wrt:
         if t.graph is not graph:
             raise GraphError("backward: wrt tensor is not on the output's graph")
-    if seed is None:
-        if output.size != 1:
-            raise GraphError(
-                f"backward: output has shape {output.shape}; supply a seed cotangent"
-            )
-        seed = Tensor(np.ones_like(output.data))
-    elif seed.data.shape != output.data.shape:
-        raise ShapeError(f"backward: seed shape {seed.shape} != output shape {output.shape}")
+    if output.size != 1:
+        raise GraphError(f"backward: output has shape {output.shape}; it must be a scalar")
 
     nodes = graph.nodes
     start = output.node_id
@@ -592,35 +564,27 @@ def backward(
                     needed[nid] = 1
                     break
 
-    slots: dict[int, Tensor] = {start: seed}
-
-    def run():
-        for nid in range(start, low - 1, -1):
-            if not needed[nid]:
+    slots: dict[int, Tensor] = {start: Tensor(np.ones_like(output.data))}
+    for nid in range(start, low - 1, -1):
+        if not needed[nid]:
+            continue
+        # a cotangent is dropped once propagated; wrt tensors keep theirs
+        grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
+        if grad is None:
+            continue
+        node = nodes[nid]
+        need = tuple(iid is not None and needed[iid] == 1 for iid in node.input_ids)
+        if not any(need):  # a leaf, or a wrt node whose inputs reach no wrt tensor
+            continue
+        inputs = [
+            Tensor(data, graph, iid) if create_graph and iid is not None else Tensor(data)
+            for iid, data in zip(node.input_ids, node.input_data)
+        ]
+        for iid, g in zip(node.input_ids, node.rule(grad, need, *inputs)):
+            if g is None:
                 continue
-            # a cotangent is dropped once propagated; wrt tensors keep theirs
-            grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
-            if grad is None:
-                continue
-            node = nodes[nid]
-            need = tuple(iid is not None and needed[iid] == 1 for iid in node.input_ids)
-            if not any(need):  # a leaf, or a wrt node whose inputs reach no wrt tensor
-                continue
-            inputs = [
-                Tensor(data) if iid is None else Tensor(data, graph, iid)
-                for iid, data in zip(node.input_ids, node.input_data)
-            ]
-            for iid, g in zip(node.input_ids, node.rule(grad, need, *inputs)):
-                if g is None:
-                    continue
-                cur = slots.get(iid)
-                slots[iid] = g if cur is None else add(cur, g)
-
-    if create_graph:
-        run()
-    else:
-        with graph.paused():
-            run()
+            cur = slots.get(iid)
+            slots[iid] = g if cur is None else add(cur, g)
 
     out = []
     for t in wrt:

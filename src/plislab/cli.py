@@ -1,10 +1,12 @@
 """Command-line surface: training runs, analyses, attacks and reports.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.  Every file is
-written atomically (temp + rename) and CSV floats use shortest
-round-trip repr, so identical flags and seeds give byte-identical
-outputs.  An --out directory is created only when a file is written into
-it, so a run that fails before writing leaves none behind.
+written atomically: into PATH.tmp.<pid> beside it, then renamed over
+PATH.  If the write or the rename fails, the temp file is deleted and
+PATH keeps whatever it held before.  CSV floats use shortest round-trip
+repr, so identical flags and seeds give byte-identical outputs.  An
+--out directory is created only when a file is written into it, so a
+run that fails before writing leaves none behind.
 PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
 """
 
@@ -15,6 +17,7 @@ import logging
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -39,15 +42,23 @@ class _Parser(argparse.ArgumentParser):
 # --------------------------------------------------------------------------
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, write) -> None:
+    """write(tmp) into a temp file beside path, then rename it over path.
+
+    The temp file is deleted if the write or the rename fails.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(text.encode("utf-8")))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -75,7 +86,7 @@ def emit_heatmap(matrix, base_path: str) -> None:
     else:
         pixels = np.floor(255.0 * (matrix - lo) / (hi - lo) + 0.5).astype(np.uint8)
     header = f"P5\n{w} {h}\n255\n".encode("ascii")
-    _atomic_write_bytes(base_path + ".pgm", header + pixels.tobytes())
+    _atomic_write(base_path + ".pgm", lambda tmp: Path(tmp).write_bytes(header + pixels.tobytes()))
 
 
 def read_heatmap_csv(path: str) -> np.ndarray:
@@ -164,12 +175,11 @@ def _build_spec(arch: str, data) -> models.ModelSpec:
 
 
 def _cmd_gen_data(args) -> int:
-    tmp = f"{args.out}.tmp.{os.getpid()}"
     if args.kind == "images":
         ds = datasets.make_glyph_images(args.n, args.seed, args.height, args.width)
         if args.ood:
             ds = datasets.inject_ood(ds, args.ood, args.seed)
-        datasets.write_plds(ds, tmp)
+        _atomic_write(args.out, lambda tmp: datasets.write_plds(ds, tmp))
         log.info("wrote %d images (%d OOD) to %s", ds.n, int(ds.ood_flags.sum()), args.out)
     else:
         try:
@@ -179,9 +189,8 @@ def _cmd_gen_data(args) -> int:
                 f"--informative expects comma-separated column indices, got {args.informative!r}"
             ) from None
         ds = datasets.make_regression(args.n, args.d, informative, args.noise_sd, args.seed)
-        datasets.save_regression_csv(ds, tmp)
+        _atomic_write(args.out, lambda tmp: datasets.save_regression_csv(ds, tmp))
         log.info("wrote %d rows x %d features to %s", ds.n, ds.d, args.out)
-    os.replace(tmp, args.out)
     return 0
 
 
@@ -190,9 +199,7 @@ def _cmd_train(args) -> int:
     data, subjects = _load_subjects(args.data)
     spec = _build_spec(args.arch, data)
     trace = dpsgd.train(spec, [(s.x, s.y) for s in subjects], config)
-    tmp = args.out + ".tmp.train"
-    models.save_checkpoint(tmp, spec, trace.params)
-    os.replace(tmp, args.out)
+    _atomic_write(args.out, lambda tmp: models.save_checkpoint(tmp, spec, trace.params))
     log.info(
         "trained %d epochs, final loss %.6g%s",
         config.epochs,
@@ -205,9 +212,10 @@ def _cmd_train(args) -> int:
     if args.accountant_out:
         if trace.accountant is None:
             raise PlisLabError("--accountant-out needs a private training run")
-        tmp = args.accountant_out + ".tmp.acct"
-        accounting.write_report(trace.accountant, config.target_delta, tmp)
-        os.replace(tmp, args.accountant_out)
+        _atomic_write(
+            args.accountant_out,
+            lambda tmp: accounting.write_report(trace.accountant, config.target_delta, tmp),
+        )
     return 0
 
 

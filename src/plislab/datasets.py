@@ -10,9 +10,9 @@ downloaded; the binary image format is bit-exact for round trips.
 from __future__ import annotations
 
 import csv
-import io
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,8 @@ def make_regression(
     """Standardized Gaussian design; y depends only on the informative columns."""
     if n < 2:
         raise ConfigError(f"make_regression: standardizing columns needs n >= 2 rows, got {n}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ConfigError(f"make_regression: noise_sd must be finite and >= 0, got {noise_sd}")
     informative = sorted(set(int(i) for i in informative))
     if not informative:
         raise ConfigError("make_regression: informative set must be nonempty")
@@ -137,16 +139,14 @@ def _render_ring(canvas: np.ndarray, u: np.ndarray, intensity: float) -> None:
     canvas[np.abs(dist - radius) <= 1.2] = intensity
 
 
-def make_glyph_images(
-    n: int, seed: int, height: int = 28, width: int = 28, classes: int = 2
-) -> ImageDataset:
-    """Balanced cross/ring glyphs with jitter and pixel noise."""
+def make_glyph_images(n: int, seed: int, height: int = 28, width: int = 28) -> ImageDataset:
+    """Balanced cross/ring glyphs (labels 0 and 1) with jitter and pixel noise."""
     if n < 1:
         raise ConfigError(f"make_glyph_images: n must be >= 1, got {n}")
-    if classes != 2:
-        raise ConfigError("the glyph generator renders exactly 2 classes")
+    if height < 1 or width < 1:
+        raise ConfigError(f"make_glyph_images: image size must be >= 1x1, got {height}x{width}")
     images = np.zeros((n, height, width))
-    labels = np.arange(n) % classes
+    labels = np.arange(n) % 2
     for i in range(n):
         u = rng.uniforms(seed, _DATA_STREAM + 10 + i, 8)
         intensity = 0.7 + 0.3 * u[4]
@@ -157,7 +157,7 @@ def make_glyph_images(
             _render_ring(canvas, u, intensity)
         noise = 0.05 * rng.gaussians(seed, _DATA_STREAM + 10 + i, height * width)
         images[i] = np.clip(canvas + noise.reshape(height, width), 0.0, 1.0)
-    return ImageDataset(images, labels.astype(np.int64), np.zeros(n, dtype=bool), classes)
+    return ImageDataset(images, labels.astype(np.int64), np.zeros(n, dtype=bool), 2)
 
 
 def make_ood_image(seed: int, index: int, height: int, width: int) -> np.ndarray:
@@ -201,16 +201,20 @@ def inject_ood(dataset: ImageDataset, count: int, seed: int) -> ImageDataset:
 # --------------------------------------------------------------------------
 
 
+def _plds_record(h: int, w: int) -> np.dtype:
+    """One packed PLDS record: the image, then its label and OOD byte."""
+    return np.dtype([("image", "<f8", (h, w)), ("label", "<u4"), ("ood", "u1")])
+
+
 def write_plds(dataset: ImageDataset, path) -> None:
     n, h, w = dataset.images.shape
-    buf = io.BytesIO()
-    buf.write(PLDS_MAGIC)
-    buf.write(struct.pack("<IIIII", PLDS_VERSION, n, h, w, dataset.classes))
-    for i in range(n):
-        buf.write(dataset.images[i].astype("<f8", copy=False).tobytes())
-        buf.write(struct.pack("<IB", int(dataset.labels[i]), int(dataset.ood_flags[i])))
+    records = np.empty(n, dtype=_plds_record(h, w))
+    records["image"] = dataset.images
+    records["label"] = dataset.labels
+    records["ood"] = dataset.ood_flags
     with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+        fh.write(PLDS_MAGIC + struct.pack("<IIIII", PLDS_VERSION, n, h, w, dataset.classes))
+        fh.write(records.tobytes())
 
 
 def load_images(path) -> ImageDataset:
@@ -223,24 +227,20 @@ def load_images(path) -> ImageDataset:
     version, n, h, w, classes = struct.unpack_from("<IIIII", blob, 4)
     if version != PLDS_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    record = h * w * 8 + 5
-    expected = 24 + n * record
+    # checked before the record dtype is built: a corrupt header can name
+    # an image too large for a numpy dtype
+    expected = 24 + n * (h * w * 8 + 5)
     if len(blob) != expected:
         raise DataFormatError(
             f"{path}: expected {expected} bytes, found {len(blob)} (truncation at byte {len(blob)})"
         )
-    images = np.empty((n, h, w))
-    labels = np.empty(n, dtype=np.int64)
-    flags = np.empty(n, dtype=bool)
-    offset = 24
-    for i in range(n):
-        images[i] = np.frombuffer(blob, dtype="<f8", count=h * w, offset=offset).reshape(h, w)
-        offset += h * w * 8
-        label, flag = struct.unpack_from("<IB", blob, offset)
-        offset += 5
-        labels[i] = label
-        flags[i] = bool(flag)
-    return ImageDataset(images, labels, flags, classes)
+    records = np.frombuffer(blob, dtype=_plds_record(h, w), count=n, offset=24)
+    return ImageDataset(
+        records["image"].astype(np.float64, order="C"),
+        records["label"].astype(np.int64),
+        records["ood"] != 0,
+        classes,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -138,7 +138,6 @@ class TrainTrace:
     step_records: list[tuple[int, float, float]] = field(default_factory=list)
     final_epsilon: float | None = None
     sigma_used: float = 0.0
-    max_clipped_norm: float = 0.0
 
 
 def step_count(n_samples: int, config: DpSgdConfig) -> int:
@@ -171,7 +170,6 @@ def train(
     accountant = AccountantState() if config.private else None
     per_epoch: list[float] = []
     step_records: list[tuple[int, float, float]] = []
-    max_clipped = 0.0
     step = 0
     for epoch in range(config.epochs):
         epoch_losses = []
@@ -181,7 +179,6 @@ def train(
             if not math.isfinite(result.mean_loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}")
             params = result.params
-            max_clipped = max(max_clipped, result.max_clipped_norm)
             eps_now = 0.0
             if accountant is not None:
                 accountant.add_step(run_config.clip, sigma * run_config.clip)
@@ -201,7 +198,6 @@ def train(
         step_records=step_records,
         final_epsilon=final_epsilon,
         sigma_used=sigma if config.private else 0.0,
-        max_clipped_norm=max_clipped,
     )
 
 

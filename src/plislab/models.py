@@ -333,7 +333,7 @@ def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor
     # autodiff.backward also sees these passes
     grads = autodiff.backward(sample.loss, sample.params, create_graph=create_graph)
     n = sample.x.shape[0]
-    return concat([reshape(g, (n, g.size // n)) for g in grads], axis=1)
+    return concat([reshape(g, (n, g.size // n)) for g in grads])
 
 
 def per_sample_loss_and_grad(

@@ -88,13 +88,12 @@ class TestEpsilonFromRdp:
     def test_zero_loss_degenerate(self):
         state = acct.AccountantState(steps=[GM(0.0, 1.0)])
         report = acct.epsilon_from_rdp(state, 1e-5)
-        alpha_max = state.alpha_grid[-1]
+        alpha_max = acct.ALPHA_GRID[-1]
         assert report.epsilon == pytest.approx(math.log(1e5) / (alpha_max - 1.0))
         assert report.alpha == alpha_max
 
     def test_against_dense_grid_brute_force(self):
-        grid = np.concatenate([1.0 + np.arange(1, 255) / 2.0, [256.0, 512.0]])
-        state = acct.AccountantState(steps=[GM(1.0, 10.0)], alpha_grid=grid)
+        state = acct.AccountantState(steps=[GM(1.0, 10.0)])
         report = acct.epsilon_from_rdp(state, 1e-5)
         # oracle: brute force over a far denser alpha grid
         dense = np.linspace(1.0001, 512.0, 2_000_001)
@@ -157,6 +156,14 @@ class TestSigmaForBudget:
             acct.sigma_for_budget(1e-4, 1e-40, 1, clip=1.0)
 
 
+def test_alpha_grid_is_fixed_and_read_only():
+    grid = acct.ALPHA_GRID
+    assert grid[:2].tolist() == [1.5, 2.0] and grid[-3:].tolist() == [128.0, 256.0, 512.0]
+    assert np.all(np.diff(grid) > 0)
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+
+
 def test_report_csv(tmp_path):
     state = acct.AccountantState()
     for _ in range(5):
@@ -177,7 +184,7 @@ def test_running_sum_is_bit_identical_to_resumming_every_step(tmp_path):
     # the oracle re-composes all steps from scratch, as the accountant once did
     rng = np.random.default_rng(22)
     steps = [GM(rng.uniform(0.1, 2.0), rng.uniform(0.5, 5.0)) for _ in range(40)]
-    grid = acct.default_alpha_grid()
+    grid = acct.ALPHA_GRID
     state = acct.AccountantState()
     expected = []
     for k, step in enumerate(steps, start=1):

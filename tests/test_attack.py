@@ -64,8 +64,9 @@ class TestReconstruct:
         x0 = np.array([0.5, 0.25, 0.75])
         observed = models.per_sample_grad(spec, params, x0, 0.0).data
         config = attack.AttackConfig(iterations=1, restarts=1, seed=0, tv_weight=0.0)
-        result = attack.reconstruct(spec, params, observed, 0.0, config, init=x0)
-        assert result.traces[0][0] == pytest.approx(0.0, abs=1e-12)
+        objective, match, _ = attack._objective(spec, params, x0, 0.0, observed, config)
+        assert objective == pytest.approx(0.0, abs=1e-12)
+        assert match == objective
 
     def test_deterministic_given_seed(self):
         spec, params = _linear([0.8, -0.6])

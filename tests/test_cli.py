@@ -123,6 +123,24 @@ class TestMalformedInput:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("height, width", [(-2, 8), (0, 8), (8, 0)])
+    def test_gen_data_image_size_too_small(self, tmp_path, capsys, height, width):
+        out = tmp_path / "d.plds"
+        self._assert_runtime_error(
+            capsys, "gen-data", "--kind", "images", "--out", str(out), "--n", "4",
+            "--height", str(height), "--width", str(width), match=f"got {height}x{width}",
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise_sd", ["nan", "inf", "-0.5"])
+    def test_gen_data_noise_sd_not_finite_or_negative(self, tmp_path, capsys, noise_sd):
+        out = tmp_path / "r.csv"
+        self._assert_runtime_error(
+            capsys, "gen-data", "--kind", "regression", "--out", str(out), "--n", "5",
+            "--noise-sd", noise_sd, match="noise_sd",
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["analyze-plis", "analyze-fil", "analyze-jacsens",
                                          "rank", "attack"])
     def test_empty_dataset_file(self, tmp_path, capsys, command):
@@ -140,6 +158,56 @@ class TestMalformedInput:
             "--out", str(tmp_path / "out"), *extra.get(command, []), match="no rows",
         )
         assert not (tmp_path / "out").exists()
+
+
+class TestAtomicWrites:
+    """A write or rename that fails exits 2 and leaves no temp file behind."""
+
+    def _regression_data(self, tmp_path):
+        data = tmp_path / "reg.csv"
+        assert run("gen-data", "--kind", "regression", "--out", str(data), "--n", "10",
+                   "--d", "3", "--informative", "0", "--seed", "5") == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.1\nepochs = 1\nbatch_size = 10\nprivate = true\n"
+                       "clip = 1.0\nsigma = 2.0\n")
+        return data, cfg
+
+    @pytest.mark.parametrize("kind", ["images", "regression"])
+    def test_gen_data_onto_a_directory(self, tmp_path, kind):
+        target = tmp_path / "D"
+        target.mkdir()
+        assert run("gen-data", "--kind", kind, "--out", str(target), "--n", "4",
+                   "--height", "8", "--width", "8") == 2
+        assert target.is_dir() and not list(tmp_path.glob("*.tmp.*"))
+
+    def test_train_out_onto_a_directory(self, tmp_path):
+        data, cfg = self._regression_data(tmp_path)
+        target = tmp_path / "D"
+        target.mkdir()
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(target)) == 2
+        assert target.is_dir() and not list(tmp_path.glob("*.tmp.*"))
+
+    def test_train_accountant_out_onto_a_directory(self, tmp_path):
+        data, cfg = self._regression_data(tmp_path)
+        target = tmp_path / "D"
+        target.mkdir()
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "m.plck"), "--accountant-out", str(target)) == 2
+        assert target.is_dir() and not list(tmp_path.glob("*.tmp.*"))
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"before")
+
+        def write_then_fail(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_write(str(path), write_then_fail)
+        assert path.read_bytes() == b"before"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestGenData:
