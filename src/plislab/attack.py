@@ -70,6 +70,12 @@ class DpRelease:
     sigma: float
     seed: int
 
+    def __post_init__(self):
+        if not 0 < self.clip < math.inf:
+            raise ConfigError(f"DP clip must be finite and positive, got {self.clip}")
+        if not 0 <= self.sigma < math.inf:
+            raise ConfigError(f"DP noise multiplier must be finite and >= 0, got {self.sigma}")
+
 
 @dataclass(frozen=True)
 class AttackConfig:

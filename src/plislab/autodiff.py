@@ -23,12 +23,22 @@ Conventions:
     reference counting as soon as the caller drops the last tensor on
     it, without waiting for the cyclic garbage collector.
 
-Batch axis: matmul, transpose, im2col/col2im and conv2d work on a
-leading batch axis, one independent matrix or image per row, and tsum
-reduces per row when given axes.  With parameters tiled into leaves with
-a leading batch axis, row i of every tensor depends only on sample i, so
-one backward pass of a sum over rows returns each sample's gradient in
-its own row.
+Layer ops: a model layer records one node, not a chain of small ones.
+conv2d, linear, bias_add and cross_entropy are primitives with their own
+rules.  The rules of conv2d and linear call the op's two adjoints (input
+and weight), which are ops themselves, and each adjoint's rule calls the
+other two members of its family; cross_entropy's rule calls softmax.
+conv2d's rule reuses the patch matrix its forward pass gathered.  So a
+create-graph pass over a layer records a few layer ops, and what it
+records is differentiable again.  Per-node Python, not arithmetic, is
+what a double backward through these small models spends its time on.
+
+Batch axis: the layer ops work on a leading batch axis, one independent
+image, weight matrix, bias or logit row per sample, and tsum reduces per
+row when given axes.  With parameters tiled into leaves with a leading
+batch axis, row i of every tensor depends only on sample i, so one
+backward pass of a sum over rows returns each sample's gradient in its
+own row.
 
 A backward pass does only the work its wrt list needs.  One forward
 sweep over the ids from the lowest wrt node to the output marks the
@@ -68,7 +78,7 @@ class Node:
     a cotangent; the rule returns one cotangent per input, None where
     need[i] is false.  backward() calls a rule only when some input
     needs a cotangent, so single-input rules ignore need.  Rules call
-    the public op functions below, which is what makes backward
+    the op functions below, which is what makes backward
     re-differentiable.
     """
 
@@ -341,18 +351,6 @@ def reshape(a, shape) -> Tensor:
     return _record("reshape", a.data.reshape(shape), (a,), rule)
 
 
-def transpose(a) -> Tensor:
-    """Swap the last two axes (a matrix, or a batch of matrices)."""
-    a = _tensor(a)
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
-
-    def rule(grad: Tensor, need, a: Tensor):
-        return (transpose(grad),)
-
-    return _record("transpose", np.swapaxes(a.data, -1, -2), (a,), rule)
-
-
 def tslice(a, index) -> Tensor:
     """Slice/int indexing, or integer-array indexing that picks each entry
     at most once; the adjoint is embed()."""
@@ -401,8 +399,74 @@ def embed(a, shape: tuple, index) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# convolution (im2col/col2im primitive pair; conv2d is their composition)
+# layer ops, one node each (see the module docstring).  conv2d and
+# linear each form a closed triple with their input and weight adjoints.
 # --------------------------------------------------------------------------
+
+
+def bias_add(h, b) -> Tensor:
+    """h + b for per-row biases b (B, O), spread over any axes of h past (B, O)."""
+    h, b = _tensor(h), _tensor(b)
+    if b.data.ndim != 2 or h.shape[:2] != b.shape:
+        raise ShapeError(f"bias_add: bias shape {b.shape} does not lead input shape {h.shape}")
+    spread = tuple(range(2, h.data.ndim))
+
+    def rule(grad: Tensor, need, h: Tensor, b: Tensor):
+        gb = (tsum(grad, axes=spread) if spread else grad) if need[1] else None
+        return (grad if need[0] else None, gb)
+
+    out = h.data + b.data.reshape(b.shape + (1,) * len(spread))
+    return _record("bias-add", out, (h, b), rule)
+
+
+def linear(w, h) -> Tensor:
+    """Per-row W h: (B, O, I) weights and (B, I) inputs give (B, O)."""
+    w, h = _tensor(w), _tensor(h)
+    if w.data.ndim != 3 or h.shape != (w.shape[0], w.shape[2]):
+        raise ShapeError(f"linear: weights {w.shape} and inputs {h.shape} do not compose")
+
+    def rule(grad: Tensor, need, w: Tensor, h: Tensor):
+        gw = linear_weight_adjoint(grad, h) if need[0] else None
+        gh = linear_input_adjoint(w, grad) if need[1] else None
+        return (gw, gh)
+
+    return _record("linear", np.matmul(w.data, h.data[..., None])[..., 0], (w, h), rule)
+
+
+def linear_input_adjoint(w, g) -> Tensor:
+    """Per-row W^T g: (B, O, I) weights and (B, O) cotangents give (B, I)."""
+    w, g = _tensor(w), _tensor(g)
+    if w.data.ndim != 3 or g.shape != w.shape[:2]:
+        raise ShapeError(
+            f"linear_input_adjoint: weights {w.shape} and cotangents {g.shape} do not compose"
+        )
+
+    def rule(grad: Tensor, need, w: Tensor, g: Tensor):
+        gw = linear_weight_adjoint(g, grad) if need[0] else None
+        gg = linear(w, grad) if need[1] else None
+        return (gw, gg)
+
+    out = np.matmul(np.swapaxes(w.data, -1, -2), g.data[..., None])[..., 0]
+    return _record("linear-input-adjoint", out, (w, g), rule)
+
+
+def linear_weight_adjoint(g, h) -> Tensor:
+    """Per-row outer product g h^T: (B, O) and (B, I) give (B, O, I)."""
+    g, h = _tensor(g), _tensor(h)
+    if g.data.ndim != 2 or h.data.ndim != 2 or g.shape[0] != h.shape[0]:
+        raise ShapeError(f"linear_weight_adjoint: shapes {g.shape} and {h.shape} do not compose")
+
+    def rule(grad: Tensor, need, g: Tensor, h: Tensor):
+        gg = linear(grad, h) if need[0] else None
+        gh = linear_input_adjoint(grad, g) if need[1] else None
+        return (gg, gh)
+
+    # numpy's stacked matmul runs a slow loop for an inner dimension of 1;
+    # + 0.0 gives zero entries the sign BLAS gives them (-0.0 -> +0.0)
+    out = g.data[:, :, None] * h.data[:, None, :]
+    out += 0.0
+    return _record("linear-weight-adjoint", out, (g, h), rule)
+
 
 _CONV_INDEX_CACHE: dict[tuple, tuple[Array, tuple]] = {}
 
@@ -415,7 +479,7 @@ def _conv_geometry(c: int, h: int, w: int, k: int):
         return hit
     oh, ow = h - k + 1, w - k + 1
     if oh <= 0 or ow <= 0:
-        raise ShapeError(f"im2col: kernel {k} too large for image {h}x{w}")
+        raise ShapeError(f"conv2d: kernel {k} too large for image {h}x{w}")
     offs = (
         np.arange(c)[:, None, None] * (h * w)
         + np.arange(k)[None, :, None] * w
@@ -429,91 +493,154 @@ def _conv_geometry(c: int, h: int, w: int, k: int):
     return result
 
 
-def im2col(a, kernel: int) -> Tensor:
+def _im2col(images: Array, k: int) -> Array:
     """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices."""
-    a = _tensor(a)
-    if a.data.ndim != 4:
-        raise ShapeError(f"im2col: expected (B,C,H,W) input, got shape {a.shape}")
-    shape = a.shape
-    b, c, h, w = shape
-    idx, _ = _conv_geometry(c, h, w, kernel)
+    b, c, h, w = images.shape
+    idx, _ = _conv_geometry(c, h, w, k)
     # take() along an axis returns a C-contiguous result; fancy indexing of
     # a 2-d array with [:, idx] returns a strided one that slows the gemm after it
-    out = np.take(a.data.reshape(b, -1), idx, axis=1)
-
-    def rule(grad: Tensor, need, a: Tensor):
-        return (col2im(grad, shape, kernel),)
-
-    return _record("im2col", out, (a,), rule)
+    return np.take(images.reshape(b, -1), idx, axis=1)
 
 
-def col2im(a, image_shape: tuple, kernel: int) -> Tensor:
-    """Exact adjoint of im2col: scatter-add patches back into (B,C,H,W) images."""
-    a = _tensor(a)
+def _col2im(cols: Array, image_shape: tuple, k: int) -> Array:
+    """Adjoint of _im2col: scatter-add patch matrices back into (B,C,H,W) images."""
     b, c, h, w = image_shape
-    _, (oh, ow) = _conv_geometry(c, h, w, kernel)
-    if a.shape != (b, c * kernel * kernel, oh * ow):
-        raise ShapeError(
-            f"col2im: expected shape {(b, c * kernel * kernel, oh * ow)}, got {a.shape}"
-        )
-    # one strided add per kernel offset, in the (ki, kj) order im2col
+    oh, ow = h - k + 1, w - k + 1
+    # one strided add per kernel offset, in the (ki, kj) order _im2col
     # lays patches out in, so every pixel sums its patches in that order
-    patches = a.data.reshape(b, c, kernel, kernel, oh, ow)
+    patches = cols.reshape(b, c, k, k, oh, ow)
     img = np.zeros((b, c, h, w))
-    for ki in range(kernel):
-        for kj in range(kernel):
+    for ki in range(k):
+        for kj in range(k):
             img[:, :, ki : ki + oh, kj : kj + ow] += patches[:, :, ki, kj]
+    return img
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (im2col(grad, kernel),)
 
-    return _record("col2im", img, (a,), rule)
+def _kernel_size(op: str, kernel: Tensor) -> int:
+    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
+        raise ShapeError(f"{op}: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
+    return kernel.shape[3]
 
 
 def conv2d(x, kernel) -> Tensor:
-    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels.
-
-    Realized as reshape(matmul(kernel-matrices, im2col(x))), so both
-    backward and double backward come for free from the primitive rules.
-    """
+    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels."""
     x, kernel = _tensor(x), _tensor(kernel)
-    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
-        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
+    k = _kernel_size("conv2d", kernel)
     if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
         raise ShapeError(
             f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
         )
-    b, o, c, k = kernel.shape[:4]
-    _, (oh, ow) = _conv_geometry(c, x.shape[2], x.shape[3], k)
-    col = im2col(x, k)
-    km = reshape(kernel, (b, o, c * k * k))
-    return reshape(matmul(km, col), (b, o, oh, ow))
+    return _conv2d(x, kernel, _im2col(x.data, k))
 
 
-def matmul(a, b) -> Tensor:
-    """Matrix product, or one product per row of equal leading batch axes."""
-    a, b = _tensor(a), _tensor(b)
-    if (
-        a.data.ndim < 2
-        or a.data.ndim != b.data.ndim
-        or a.shape[:-2] != b.shape[:-2]
-        or a.shape[-1] != b.shape[-2]
-    ):
-        raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not compose")
+def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
+    """conv2d on the already gathered patch matrices cols of x."""
+    b, o, _, k = kernel.shape[:4]
+    oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
 
-    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
-        ga = matmul(grad, transpose(b)) if need[0] else None
-        gb = matmul(transpose(a), grad) if need[1] else None
-        return (ga, gb)
+    def rule(grad: Tensor, need, x: Tensor, kernel: Tensor):
+        gx = conv2d_input_adjoint(grad, kernel) if need[0] else None
+        gk = _conv2d_kernel_adjoint(x, grad, cols) if need[1] else None
+        return (gx, gk)
 
-    if a.shape[-1] == 1:
-        # an outer product, where numpy's stacked matmul leaves BLAS for a
-        # slow loop; + 0.0 gives zero entries BLAS's sign (-0.0 -> +0.0)
-        out = a.data * b.data
-        out += 0.0
-    else:
-        out = np.matmul(a.data, b.data)
-    return _record("matmul", out, (a, b), rule)
+    out = np.matmul(kernel.data.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
+    return _record("conv2d", out, (x, kernel), rule)
+
+
+def conv2d_input_adjoint(g, kernel) -> Tensor:
+    """Gradient of <g, conv2d(x, kernel)> in x: (B,C,oh+k-1,ow+k-1) from (B,O,oh,ow) g."""
+    g, kernel = _tensor(g), _tensor(kernel)
+    k = _kernel_size("conv2d_input_adjoint", kernel)
+    if g.data.ndim != 4 or g.shape[:2] != kernel.shape[:2]:
+        raise ShapeError(
+            f"conv2d_input_adjoint: cotangent shape {g.shape} incompatible with"
+            f" kernel shape {kernel.shape}"
+        )
+    b, o, c = kernel.shape[:3]
+    oh, ow = g.shape[2:]
+
+    def rule(grad: Tensor, need, g: Tensor, kernel: Tensor):
+        cols = _im2col(grad.data, k)
+        gg = _conv2d(grad, kernel, cols) if need[0] else None
+        gk = _conv2d_kernel_adjoint(grad, g, cols) if need[1] else None
+        return (gg, gk)
+
+    cols = np.matmul(np.swapaxes(kernel.data.reshape(b, o, -1), -1, -2), g.data.reshape(b, o, -1))
+    out = _col2im(cols, (b, c, oh + k - 1, ow + k - 1), k)
+    return _record("conv2d-input-adjoint", out, (g, kernel), rule)
+
+
+def conv2d_kernel_adjoint(x, g) -> Tensor:
+    """Gradient of <g, conv2d(x, K)> in K: (B,O,C,k,k) from (B,C,H,W) x and (B,O,oh,ow) g."""
+    x, g = _tensor(x), _tensor(g)
+    if x.data.ndim != 4 or g.data.ndim != 4 or x.shape[0] != g.shape[0]:
+        raise ShapeError(f"conv2d_kernel_adjoint: shapes {x.shape} and {g.shape} do not compose")
+    k = x.shape[2] - g.shape[2] + 1
+    if k < 1 or x.shape[3] - g.shape[3] + 1 != k:
+        raise ShapeError(f"conv2d_kernel_adjoint: no square kernel maps {x.shape} to {g.shape}")
+    return _conv2d_kernel_adjoint(x, g, _im2col(x.data, k))
+
+
+def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
+    """conv2d_kernel_adjoint on the already gathered patch matrices cols of x."""
+    b, o, oh, ow = g.shape
+    c, k = x.shape[1], x.shape[2] - oh + 1
+
+    def rule(grad: Tensor, need, x: Tensor, g: Tensor):
+        gx = conv2d_input_adjoint(g, grad) if need[0] else None
+        gg = _conv2d(x, grad, cols) if need[1] else None
+        return (gx, gg)
+
+    out = np.matmul(g.data.reshape(b, o, -1), np.swapaxes(cols, -1, -2)).reshape(b, o, c, k, k)
+    return _record("conv2d-kernel-adjoint", out, (x, g), rule)
+
+
+# --------------------------------------------------------------------------
+# softmax and cross-entropy
+# --------------------------------------------------------------------------
+
+
+def softmax(z) -> Tensor:
+    """Softmax along the last axis."""
+    z = _tensor(z)
+    e = np.exp(z.data - z.data.max(axis=-1, keepdims=True))
+
+    def rule(grad: Tensor, need, z: Tensor):
+        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>)
+        s = softmax(z)
+        dot = tsum(mul(s, grad), axes=-1, keepdims=True)
+        return (mul(s, sub(grad, broadcast(dot, s.shape))),)
+
+    return _record("softmax", e / e.sum(axis=-1, keepdims=True), (z,), rule)
+
+
+def cross_entropy(z, labels) -> Tensor:
+    """Per-row log-sum-exp(z) - z[label] for (B, k) logits and B integer labels."""
+    z = _tensor(z)
+    if z.data.ndim != 2:
+        raise ShapeError(f"cross_entropy: expected (B, k) logits, got shape {z.shape}")
+    n, k = z.shape
+    labels = np.asarray(labels).reshape(-1).astype(np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy: {labels.size} labels for {n} rows of logits")
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
+    rows = np.arange(n)
+    onehot = np.zeros((n, k))
+    onehot[rows, labels] = 1.0
+
+    def rule(grad: Tensor, need, z: Tensor):
+        scale = broadcast(reshape(grad, (n, 1)), (n, k))
+        return (mul(sub(softmax(z), Tensor(onehot)), scale),)
+
+    # log-sum-exp as top + log1p(sum of the other terms), so a dominant
+    # logit's loss keeps its digits instead of rounding to 0 in log(1 + tiny)
+    top = z.data.argmax(axis=-1)
+    e = np.exp(z.data - z.data[rows, top][:, None])
+    e[rows, top] = 0.0
+    out = (z.data[rows, top] - z.data[rows, labels]) + np.log1p(e.sum(axis=-1))
+    return _record("cross-entropy", out, (z,), rule)
 
 
 # --------------------------------------------------------------------------

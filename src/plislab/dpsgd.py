@@ -64,8 +64,10 @@ class DpSgdConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.private:
-            if self.clip is None or not self.clip > 0:
-                raise ConfigError("private training needs a positive clip threshold")
+            if self.clip is None or not 0 < self.clip < math.inf:
+                raise ConfigError(
+                    f"private training needs a finite positive clip threshold, got {self.clip}"
+                )
             if not self.sigma > 0 and self.target_epsilon is None:
                 raise ConfigError("private training needs sigma > 0 or a target epsilon")
         if not 0.0 < self.target_delta < 1.0:
@@ -77,10 +79,10 @@ def clip_differentiable(g: Tensor, clip: float) -> Tensor:
     stays differentiable.  A (B, p) tensor is clipped row by row.
 
     ||g|| = 0 is safe in the forward pass: max(C, 0) = C and g comes back
-    unchanged.
+    unchanged.  C must be finite: C / max(C, ||g||) is inf / inf at C = inf.
     """
-    if not clip > 0:
-        raise ConfigError(f"clip threshold must be positive, got {clip}")
+    if not 0 < clip < math.inf:
+        raise ConfigError(f"clip threshold must be finite and positive, got {clip}")
     norm = sqrt(tsum(square(g), axes=-1, keepdims=True))
     factor = div(clip, max_scalar(norm, clip))
     return mul(g, broadcast(factor, g.shape))

@@ -31,19 +31,18 @@ from . import autodiff, rng
 from .autodiff import (
     Graph,
     Tensor,
-    add,
-    broadcast,
+    bias_add,
     concat,
     conv2d,
+    cross_entropy,
     div,
-    matmul,
+    linear,
     relu,
     reshape,
     softplus,
     square,
     sub,
     tanh,
-    tslice,
     tsum,
 )
 from .errors import ConfigError, DataFormatError, ShapeError
@@ -239,16 +238,11 @@ def forward(spec: ModelSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     n = x.shape[0]
     h = x
     for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, Linear):
-            z = matmul(params[f"{idx}.weight"], reshape(h, (n, layer.in_dim, 1)))
-            h = reshape(z, (n, layer.out_dim))
+        if isinstance(layer, (Linear, Conv2d)):
+            w = params[f"{idx}.weight"]
+            h = linear(w, h) if isinstance(layer, Linear) else conv2d(h, w)
             if layer.bias:
-                h = add(h, params[f"{idx}.bias"])
-        elif isinstance(layer, Conv2d):
-            h = conv2d(h, params[f"{idx}.weight"])
-            if layer.bias:
-                b = reshape(params[f"{idx}.bias"], (n, layer.out_ch, 1, 1))
-                h = add(h, broadcast(b, h.shape))
+                h = bias_add(h, params[f"{idx}.bias"])
         elif isinstance(layer, Relu):
             h = relu(h)
         elif isinstance(layer, Tanh):
@@ -268,18 +262,9 @@ def _loss_tensor(spec: ModelSpec, prediction: Tensor, ys) -> Tensor:
         target = np.asarray(ys, dtype=np.float64).reshape(prediction.shape)
         per_row = tuple(range(1, prediction.data.ndim))
         return div(tsum(square(sub(prediction, Tensor(target))), axes=per_row), float(k))
-    # cross-entropy as log-sum-exp minus the selected logit, where
-    # log-sum-exp is folded pairwise through softplus for stability:
-    # lse(a, b) = a + softplus(b - a)
-    labels = np.asarray(ys).reshape(-1).astype(np.int64)
-    bad = labels[(labels < 0) | (labels >= k)]
-    if bad.size:
-        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
-    acc = tslice(prediction, (slice(None), 0))
-    for i in range(1, k):
-        zi = tslice(prediction, (slice(None), i))
-        acc = add(acc, softplus(sub(zi, acc)))
-    return sub(acc, tslice(prediction, (np.arange(n), labels)))
+    # log-sum-exp minus the selected logit as one node, whatever k is; its
+    # rule goes through softmax, so the loss is differentiable to any order
+    return cross_entropy(prediction, ys)
 
 
 @dataclass

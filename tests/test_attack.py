@@ -131,3 +131,9 @@ class TestReconstruct:
             attack.AttackConfig(match_loss="psnr")
         with pytest.raises(ConfigError):
             attack.AttackConfig(tv_weight=-0.1)
+
+    @pytest.mark.parametrize("clip, sigma", [(0.0, 1.0), (np.inf, 1.0), (np.nan, 1.0),
+                                             (1.0, -1.0), (1.0, np.inf), (1.0, np.nan)])
+    def test_dp_release_validation(self, clip, sigma):
+        with pytest.raises(ConfigError):
+            attack.DpRelease(clip, sigma, 0)

@@ -25,10 +25,10 @@ def test_add_componentwise():
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
 
-def test_matmul_identity():
-    eye = ad.Tensor(np.eye(2))
-    m = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal(ad.matmul(eye, m).data, m.data)
+def test_linear_identity():
+    eye = ad.Tensor(np.stack([np.eye(2)] * 2))
+    h = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
+    np.testing.assert_array_equal(ad.linear(eye, h).data, h.data)
 
 
 def test_conv2d_ones_against_direct_summation():
@@ -58,8 +58,8 @@ def test_conv2d_random_against_direct_summation():
                     window = image[b, :, i : i + 3, j : j + 3]
                     expected[b, o, i, j] = (window * kernel[b, o]).sum()
     np.testing.assert_allclose(out, expected, rtol=1e-12)
-    # the gemm after im2col runs several times slower on a strided patch matrix
-    assert ad.im2col(ad.Tensor(image), 3).data.flags.c_contiguous
+    # the gemm after _im2col runs several times slower on a strided patch matrix
+    assert ad._im2col(image, 3).flags.c_contiguous
 
 
 def test_dx_x_squared_at_3():
@@ -161,20 +161,6 @@ def test_structural_op_gradients_match_finite_differences():
 
     assert ad.finite_diff_check(through_slices, x) < 1e-5
 
-    m = rng.normal(size=(3, 4))
-
-    def through_matmul(t):
-        return ad.tsum(ad.square(ad.matmul(t, ad.transpose(ad.Tensor(m)))))
-
-    assert ad.finite_diff_check(through_matmul, rng.normal(size=(2, 4))) < 1e-5
-
-    stacked = rng.normal(size=(3, 4, 2))
-
-    def through_batched_matmul(t):
-        return ad.tsum(ad.square(ad.matmul(ad.transpose(t), ad.Tensor(stacked))))
-
-    assert ad.finite_diff_check(through_batched_matmul, rng.normal(size=(3, 4, 5))) < 1e-5
-
     fixed = rng.normal(size=(2, 3))
 
     def through_concat(t):
@@ -214,13 +200,13 @@ def second_order_cases():
 
     cases.append(("tanh-softplus", smooth, _away_from_zero(rng, (4,))))
 
-    w = rng.normal(size=(2, 3))
+    w = rng.normal(size=(1, 2, 3))
 
     def quadratic_form(t):
-        y = ad.matmul(ad.Tensor(w), ad.reshape(t, (3, 1)))
+        y = ad.linear(ad.Tensor(w), ad.reshape(t, (1, 3)))
         return ad.tsum(ad.square(y))
 
-    cases.append(("matmul-square", quadratic_form, rng.normal(size=(3,))))
+    cases.append(("linear-square", quadratic_form, rng.normal(size=(3,))))
     return cases
 
 
@@ -290,8 +276,8 @@ def test_backward_rejects_foreign_and_nonscalar():
 def test_shape_mismatch_errors_name_op_and_shapes():
     with pytest.raises(ShapeError, match="add"):
         ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
-    with pytest.raises(ShapeError, match="matmul"):
-        ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+    with pytest.raises(ShapeError, match="linear"):
+        ad.linear(ad.Tensor(np.ones((1, 2, 3))), ad.Tensor(np.ones((1, 2))))
     with pytest.raises(ShapeError, match="concat"):
         ad.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))])
     g = ad.Graph()
@@ -368,23 +354,23 @@ def test_backward_with_a_tensor_listed_twice():
 def test_create_graph_result_stays_differentiable_outside_wrt():
     rng = np.random.default_rng(41)
     g = ad.Graph()
-    w = g.leaf(rng.normal(size=(3, 2)))
-    x = g.leaf(rng.normal(size=(2, 1)))
-    out = ad.tsum(ad.tanh(ad.matmul(w, x)))
+    w = g.leaf(rng.normal(size=(1, 3, 2)))
+    x = g.leaf(rng.normal(size=(1, 2)))
+    out = ad.tsum(ad.tanh(ad.linear(w, x)))
     (gw,) = ad.backward(out, [w], create_graph=True)
     # d/dx of sum_ij (dL/dW)_ij^2, with x outside the first pass's wrt
     (gx,) = ad.backward(ad.tsum(ad.square(gw)), [x])
 
     def norm_sq(xv):
         t = ad.Graph().leaf(w.data)
-        o = ad.tsum(ad.tanh(ad.matmul(t, ad.Tensor(xv))))
+        o = ad.tsum(ad.tanh(ad.linear(t, ad.Tensor(xv))))
         return float(np.sum(ad.backward(o, [t])[0].data ** 2))
 
     h = 1e-6
     fd = np.zeros(2)
     for j in range(2):
-        e = np.zeros((2, 1))
-        e[j] = h
+        e = np.zeros((1, 2))
+        e[0, j] = h
         fd[j] = (norm_sq(x.data + e) - norm_sq(x.data - e)) / (2 * h)
     np.testing.assert_allclose(gx.data.ravel(), fd, rtol=1e-6)
 
@@ -400,11 +386,11 @@ def test_create_graph_pass_appends_only_what_wrt_needs():
         out = ad.tsum(ad.square(ad.relu(ad.conv2d(x, k))))
         before = len(g.nodes)
         ad.backward(out, [k, x] if with_x else [k], create_graph=True)
-        return len(g.nodes) - before, any(n.op == "col2im" for n in g.nodes)
+        return len(g.nodes) - before, any(n.op == "conv2d-input-adjoint" for n in g.nodes)
 
-    (n_params, col2im_params), (n_both, col2im_both) = appended(False), appended(True)
+    (n_params, scatter_params), (n_both, scatter_both) = appended(False), appended(True)
     assert n_params < n_both
-    assert not col2im_params and col2im_both
+    assert not scatter_params and scatter_both
 
 
 def test_backward_frees_cotangents_once_propagated():
@@ -426,7 +412,7 @@ def test_backward_frees_cotangents_once_propagated():
 
 
 def test_col2im_matches_bincount_scatter_bitwise():
-    """The strided adds sum each pixel's patches in im2col's (ki, kj) order."""
+    """The strided adds sum each pixel's patches in _im2col's (ki, kj) order."""
     rng = np.random.default_rng(43)
     for b, c, h, w, k in [(2, 3, 6, 5, 3), (1, 1, 4, 4, 2), (3, 2, 5, 7, 3)]:
         oh, ow = h - k + 1, w - k + 1
@@ -435,16 +421,143 @@ def test_col2im_matches_bincount_scatter_bitwise():
         idx, _ = ad._conv_geometry(c, h, w, k)
         where = idx + c * h * w * np.arange(b)[:, None, None]
         ref = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * h * w)
-        got = ad.col2im(ad.Tensor(cols), (b, c, h, w), k).data
+        got = ad._col2im(cols, (b, c, h, w), k)
         assert got.tobytes() == ref.tobytes()
 
 
-def test_matmul_with_inner_dimension_one_matches_blas_bitwise():
+def test_linear_weight_adjoint_matches_blas_bitwise():
+    """g h^T is a matmul with inner dimension 1, computed as a product."""
     rng = np.random.default_rng(44)
-    for sa, sb in [((6, 2, 1), (6, 1, 50)), ((3, 1), (1, 4)), ((4, 1, 1), (4, 1, 1))]:
+    for sa, sb in [((6, 2), (6, 50)), ((1, 3), (1, 4)), ((4, 1), (4, 1))]:
         a, b = rng.normal(size=sa), rng.normal(size=sb)
         a[rng.random(sa) < 0.3] = 0.0
         b[rng.random(sb) < 0.3] = -0.0
-        got = ad.matmul(ad.Tensor(a), ad.Tensor(b)).data
-        assert got.tobytes() == np.matmul(a, b).tobytes()
+        got = ad.linear_weight_adjoint(ad.Tensor(a), ad.Tensor(b)).data
+        assert got.tobytes() == np.matmul(a[:, :, None], b[:, None, :]).tobytes()
         assert not np.signbit(got[got == 0.0]).any()
+
+
+# --------------------------------------------------------------------------
+# layer ops: one node each, with rules closed over their op family
+# --------------------------------------------------------------------------
+
+
+def _layer_op_cases():
+    """name -> (op, inputs): every layer op on small random inputs."""
+    rng = np.random.default_rng(50)
+    x, k, g = rng.normal(size=(2, 2, 5, 4)), rng.normal(size=(2, 3, 2, 2, 2)), rng.normal(size=(2, 3, 4, 3))
+    w, h, gl = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
+    labels = [1, 0, 2]
+    return {
+        "conv2d": (ad.conv2d, [x, k]),
+        "conv2d-input-adjoint": (ad.conv2d_input_adjoint, [g, k]),
+        "conv2d-kernel-adjoint": (ad.conv2d_kernel_adjoint, [x, g]),
+        "linear": (ad.linear, [w, h]),
+        "linear-input-adjoint": (ad.linear_input_adjoint, [w, gl]),
+        "linear-weight-adjoint": (ad.linear_weight_adjoint, [gl, h]),
+        "bias-add-dense": (ad.bias_add, [gl, rng.normal(size=(2, 3))]),
+        "bias-add-image": (ad.bias_add, [g, rng.normal(size=(2, 3))]),
+        "softmax": (ad.softmax, [rng.normal(size=(3, 4))]),
+        "cross-entropy": (lambda z: ad.cross_entropy(z, labels), [2.0 * rng.normal(size=(3, 4))]),
+    }
+
+
+LAYER_OP_CASES = _layer_op_cases()
+
+
+def _with_input(inputs, i, t):
+    """The op's inputs with input i replaced by t, the others as leaves on t's graph."""
+    return [t if j == i else t.graph.leaf(v) for j, v in enumerate(inputs)]
+
+
+def _weighted_square_sum(out):
+    # a fixed nonlinear readout, so no symmetry of the op can hide a wrong rule
+    weights = np.linspace(0.5, 1.5, out.size).reshape(out.shape)
+    return ad.tsum(ad.mul(ad.square(out), ad.Tensor(weights)))
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_OP_CASES))
+def test_layer_op_gradients_match_finite_differences(name):
+    op, inputs = LAYER_OP_CASES[name]
+    for i in range(len(inputs)):
+
+        def f(t):
+            if t.graph is None:
+                t = ad.Graph().leaf(t.data)
+            return _weighted_square_sum(op(*_with_input(inputs, i, t)))
+
+        assert ad.finite_diff_check(f, inputs[i]) < 1e-5, f"input {i}"
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_OP_CASES))
+def test_layer_op_second_order_matches_finite_differences(name):
+    """Finite differences of the squared create-graph gradient in every input,
+    differentiated in each input: the rules' own rules are right."""
+    op, inputs = LAYER_OP_CASES[name]
+    for i in range(len(inputs)):
+
+        def grad_norm_sq(t):
+            if t.graph is None:
+                t = ad.Graph().leaf(t.data)
+            leaves = _with_input(inputs, i, t)
+            grads = ad.backward(_weighted_square_sum(op(*leaves)), leaves, create_graph=True)
+            total = ad.tsum(ad.square(grads[0]))
+            for gr in grads[1:]:
+                total = ad.add(total, ad.tsum(ad.square(gr)))
+            return total
+
+        assert ad.finite_diff_check(grad_norm_sq, inputs[i]) < 1e-4, f"input {i}"
+
+
+def test_conv_triple_is_closed_to_third_order():
+    """A third derivative through conv2d matches finite differences of a second
+    derivative, and every node the three passes record is a conv-family op or
+    one of the elementwise ops the test itself applies."""
+    rng = np.random.default_rng(51)
+    x0, k0 = rng.normal(size=(1, 2, 4, 4)), rng.normal(size=(1, 2, 2, 2, 2))
+
+    def second(xv, kv, create_graph):
+        g = ad.Graph()
+        x, k = g.leaf(xv), g.leaf(kv)
+        out = ad.tsum(ad.square(ad.square(ad.conv2d(x, k))))
+        (gk,) = ad.backward(out, [k], create_graph=True)
+        (gx,) = ad.backward(ad.tsum(ad.square(gk)), [x], create_graph=True)
+        return g, x, k, ad.tsum(ad.mul(gx, ad.Tensor(np.linspace(-1.0, 1.0, gx.size).reshape(gx.shape))))
+
+    g, x, k, s = second(x0, k0, True)
+    third_x, third_k = ad.backward(s, [x, k], create_graph=True)
+    layer_ops = {n.op for n in g.nodes} - {"leaf", "add", "mul", "square", "sum", "broadcast", "reshape"}
+    assert layer_ops == {"conv2d", "conv2d-input-adjoint", "conv2d-kernel-adjoint"}
+
+    h = 1e-5
+    for analytic, base, which in ((third_x, x0, 0), (third_k, k0, 1)):
+        numeric = np.zeros_like(base)
+        for j in range(base.size):
+            e = np.zeros(base.size)
+            e[j] = h
+            e = e.reshape(base.shape)
+            args = [x0, k0]
+            args[which] = base + e
+            hi = second(*args, False)[3].item()
+            args[which] = base - e
+            lo = second(*args, False)[3].item()
+            numeric.reshape(-1)[j] = (hi - lo) / (2 * h)
+        np.testing.assert_allclose(analytic.data, numeric, rtol=1e-5, atol=1e-6 * np.abs(numeric).max())
+
+
+def test_cross_entropy_against_log_sum_exp():
+    z = np.array([[1.0, -2.0, 0.5], [40.0, 0.0, -3.0], [-700.0, 700.0, 0.0]])
+    labels = [2, 0, 0]
+    got = ad.cross_entropy(ad.Tensor(z), labels).data
+    np.testing.assert_allclose(got[0], np.log(np.exp(z[0]).sum()) - 0.5, rtol=1e-15)
+    # a dominant logit keeps the loss's digits: log1p(e^-40 + e^-43), not 0
+    np.testing.assert_allclose(got[1], np.log1p(np.exp(-40.0) + np.exp(-43.0)), rtol=1e-15)
+    assert got[2] == 1400.0
+    s = ad.softmax(ad.Tensor(z)).data
+    np.testing.assert_allclose(s.sum(axis=1), 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize("labels, bad", [([0, 3], 3), ([-1, 0], -1)])
+def test_cross_entropy_rejects_out_of_range_labels(labels, bad):
+    with pytest.raises(ShapeError, match=f"label {bad} out of range for 3 logits"):
+        ad.cross_entropy(ad.Tensor(np.zeros((2, 3))), labels)

@@ -3,7 +3,8 @@
 Every batched route must reproduce its per-sample counterpart within
 1e-12 relative (to the largest entry of the per-sample result), on random
 small linear, MLP and CNN specs, for a batch of one and for batches whose
-last chunk is ragged.  The per-sample counterparts build one graph per
+last chunk is ragged.  On the same specs, batched direct-route PLIS must
+match central finite differences of the privacy loss.  The per-sample counterparts build one graph per
 sample; the input Jacobian's oracle is the column-by-column loop with one
 backward pass per input coordinate.
 """
@@ -13,7 +14,7 @@ import gc
 import weakref
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
 from plislab.autodiff import Tensor, backward, mul, reshape, tslice, tsum
@@ -127,6 +128,48 @@ def test_plis_routes_match_per_sample(problem, sigma, clipped, expanded):
         # a saturated clipped subject's PLIS is roundoff: compare against the floor
         assert plis.deviation(want, got, s.x) <= REL
         assert got.mode == want.mode
+
+
+def _near_a_kink(spec, params, subjects, clip):
+    """True when a relu input lies within 1e-5 of 0, or a gradient norm
+    within 1e-4 relative of the clip: a finite-difference step of 1e-6
+    could cross the kink there, where the PL jumps or bends."""
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+    sample = models.attach_sample(spec, params, xs, ys)
+    relu_inputs = [node.input_data[0] for node in sample.graph.nodes if node.op == "relu"]
+    if any(np.abs(z).min() < 1e-5 for z in relu_inputs):
+        return True
+    norms = np.linalg.norm(models.parameter_grad(sample).data, axis=1)
+    return clip is not None and bool(np.any(np.abs(norms - clip) < 1e-4 * clip))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.sampled_from([None, 0.7]), st.booleans())
+def test_direct_plis_matches_finite_differences_of_privacy_loss(problem, sigma, clipped):
+    spec, params, subjects, size = problem
+    clip = None
+    if clipped:
+        norms = [np.linalg.norm(g) for g in _per_sample_grads(spec, params, subjects)]
+        clip = float(np.median(norms)) + 1e-3
+    assume(not _near_a_kink(spec, params, subjects, clip))
+    with chunked(params, size):
+        reports = plis.plis_reports(spec, params, subjects, sigma, clip)
+    h = 1e-6
+    for report, s in zip(reports, subjects):
+        numeric = np.zeros(s.x.size)
+        for j in range(s.x.size):
+            step = np.zeros(s.x.size)
+            step[j] = h
+            step = step.reshape(s.x.shape)
+            hi, lo = (
+                plis.privacy_loss(spec, params, plis.SubjectRecord(s.id, s.x + d, s.y), sigma, clip)
+                for d in (step, -step)
+            )
+            numeric[j] = (hi - lo) / (2 * h)
+        # central differences carry roundoff of about eps * PL / h; measure
+        # against the floor plis.deviation uses, PL / max |x|
+        scale = max(np.abs(numeric).max(), report.pl / np.abs(s.x).max(), 1e-300)
+        assert np.abs(report.plis.reshape(-1) - numeric).max() <= 1e-5 * scale
 
 
 def _jacobian_by_columns(spec, params, subject):

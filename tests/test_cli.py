@@ -282,6 +282,19 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "m.plck"),
                    "--accountant-out", str(tmp_path / "a.csv")) == 2
 
+    def test_private_config_with_infinite_clip_is_rejected(self, tmp_path, capsys):
+        # C / max(C, ||g||) is inf / inf at C = inf: the checkpoint would be all NaN
+        data = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--out", str(data), "--n", "10",
+            "--d", "3", "--informative", "0", "--seed", "5")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.1\nepochs = 1\nbatch_size = 10\nprivate = true\n"
+                       "clip = inf\nsigma = 1.0\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model)) == 2
+        assert "finite positive clip" in capsys.readouterr().err
+        assert not model.exists()
+
 
 class TestAnalyzeAndRank:
     def test_plis_outputs_and_compare_expanded(self, image_setup, capsys):
@@ -372,6 +385,15 @@ class TestAnalyzeAndRank:
                    "--sigma", sigma, "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["rank", "analyze-plis"])
+    def test_infinite_clip_is_rejected(self, tabular_setup, capsys, command):
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--clip", "inf", "--out", str(out)) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAttackCommand:
     def test_attack_writes_artifacts(self, image_setup):
@@ -398,6 +420,15 @@ class TestAttackCommand:
         assert run("attack", "--model", str(model), "--data", str(data),
                    "--subject", "img00001", "--out", str(tmp_path / "x"),
                    "--iterations", "1", "--dp-sigma", "1.0") == 2
+
+    def test_negative_dp_sigma_is_rejected(self, image_setup, capsys):
+        tmp_path, data, model = image_setup
+        out = tmp_path / "x"
+        assert run("attack", "--model", str(model), "--data", str(data),
+                   "--subject", "img00001", "--out", str(out), "--iterations", "1",
+                   "--dp-clip", "1", "--dp-sigma", "-1") == 2
+        assert "noise multiplier" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_full_pipeline_byte_identical_across_runs(tmp_path):

@@ -9,7 +9,7 @@ from plislab.autodiff import (
     Tensor,
     backward,
     finite_diff_check,
-    matmul,
+    linear,
     reshape,
     square,
     tsum,
@@ -58,7 +58,7 @@ class TestClipDifferentiable:
         def clipped_norm_sq(t):
             if t.graph is None:
                 t = Graph().leaf(t.data)
-            g = reshape(matmul(Tensor(a), reshape(t, (3, 1))), (4,))
+            g = reshape(linear(Tensor(a[None]), reshape(t, (1, 3))), (4,))
             return tsum(square(dpsgd.clip_differentiable(g, 1.0)))
 
         x = scale * rng.normal(size=3)
@@ -86,6 +86,12 @@ class TestClipDifferentiable:
     def test_nonpositive_clip_rejected(self):
         with pytest.raises(ConfigError):
             dpsgd.clip_differentiable(Tensor([1.0]), 0.0)
+
+    @pytest.mark.parametrize("clip", [np.inf, np.nan])
+    def test_nonfinite_clip_rejected(self, clip):
+        # at C = inf, C / max(C, ||g||) is inf / inf = NaN
+        with pytest.raises(ConfigError, match="finite"):
+            dpsgd.clip_differentiable(Tensor([1.0]), clip)
 
 
 class TestDpSgdStep:
@@ -194,6 +200,11 @@ class TestConfigFile:
     def test_private_without_clip_rejected(self):
         with pytest.raises(ConfigError):
             dpsgd.parse_config_text("private = true\nsigma = 1.0")
+
+    @pytest.mark.parametrize("clip", ["inf", "nan", "0"])
+    def test_private_with_nonfinite_or_zero_clip_rejected(self, clip):
+        with pytest.raises(ConfigError, match="finite positive clip"):
+            dpsgd.parse_config_text(f"private = true\nsigma = 1.0\nclip = {clip}")
 
     def test_bad_boolean_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from plislab import models
+from plislab import cli, datasets, models
 from plislab.autodiff import backward, finite_diff_check, Graph, mul, reshape, tsum, square
 from plislab.errors import DataFormatError, ShapeError
 
@@ -175,6 +175,22 @@ def test_input_is_registered_as_differentiable_leaf():
         return tsum(models._loss_tensor(spec, pred, [np.array([0.2])]))
 
     assert finite_diff_check(loss_of_x, x) < 1e-5
+
+
+def test_cli_cnn_records_one_node_per_layer_op():
+    """Tape-size guard on the CLI's CNN at 28x28: 7 leaves plus one node per
+    conv, bias, relu, flatten, linear, loss and sum, and at most 20 nodes
+    for the create-graph parameter gradient that PLIS and the attack
+    differentiate again."""
+    data = datasets.make_glyph_images(2, 0)
+    spec = cli._build_spec("cnn", data)
+    params = models.init_params(spec, 0)
+    subject = datasets.image_subjects(data)[0]
+    sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
+    forward = len(sample.graph.nodes)
+    models.parameter_grad(sample, create_graph=True)
+    assert forward <= 18
+    assert len(sample.graph.nodes) - forward <= 20
 
 
 class TestCheckpoint:
