@@ -8,6 +8,12 @@ repr, so identical flags and seeds give byte-identical outputs.  An
 --out directory is created only when a file is written into it, so a
 run that fails before writing leaves none behind.
 PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
+
+`plislab experiment dp-regression|ood-rank` runs one of the paper's two
+experiments over its fixed seed list (plislab.experiments) and prints one
+row per seed, then a verdict line, on stdout.  It takes no flags: the
+seeds, sizes and gates are constants of that module.  It exits 0 when the
+gate holds and 2 when it does not.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     def cell(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
+        if isinstance(v, float):  # numpy scalars too: repr(np.float64(x)) names the type
+            return repr(float(v))
         return str(v)
 
     lines = [",".join(header)]
@@ -136,18 +142,7 @@ def _build_spec(arch: str, data) -> models.ModelSpec:
     if images:
         h, w = data.images.shape[1:]
         if arch == "cnn":
-            flat = 16 * (h - 4) * (w - 4)
-            return models.ModelSpec(
-                (
-                    models.Conv2d(1, 8, 3),
-                    models.Relu(),
-                    models.Conv2d(8, 16, 3),
-                    models.Relu(),
-                    models.Flatten(),
-                    models.Linear(flat, data.classes),
-                ),
-                models.CROSS_ENTROPY,
-            )
+            return models.cnn_spec(h, w, data.classes)
         if arch == "mlp":
             return models.ModelSpec(
                 (
@@ -281,10 +276,16 @@ def _cmd_analyze_jacsens(args) -> int:
 
 def _cmd_rank(args) -> int:
     spec, params, _, subjects = _load_analysis(args)
-    entries = plis.rank_subjects(subjects, spec, params, sigma=args.sigma, clip=args.clip)
-    rows = [[e.subject_id, e.pl, e.subject_plis_norm] for e in entries]
+    ranked = plis.rank_subjects(subjects, spec, params, sigma=args.sigma, clip=args.clip)
+    rows = [[r.subject_id, r.pl, r.subject_plis_norm] for r in ranked]
     _atomic_write_text(args.out, _csv_text(["subject_id", "pl", "plis_norm"], rows))
     return 0
+
+
+def _cmd_experiment(args) -> int:
+    from . import experiments  # imported here: the sweeps are not part of the library surface
+
+    return 0 if experiments.SWEEPS[args.name]() else 2
 
 
 def _cmd_attack(args) -> int:
@@ -380,10 +381,7 @@ def _build_parser() -> _Parser:
     aj.set_defaults(func=_cmd_analyze_jacsens)
 
     rank = sub.add_parser("rank", help="subjects ordered by PLIS norm")
-    rank.add_argument("--model", required=True)
-    rank.add_argument("--data", required=True)
-    rank.add_argument("--out", required=True)
-    rank.add_argument("--sigma", type=float, default=None)
+    analysis_args(rank)
     rank.add_argument("--clip", type=float, default=None)
     rank.set_defaults(func=_cmd_rank)
 
@@ -403,6 +401,10 @@ def _build_parser() -> _Parser:
     atk.add_argument("--dp-sigma", type=float, default=None)
     atk.add_argument("--dp-seed", type=int, default=0)
     atk.set_defaults(func=_cmd_attack)
+
+    exp = sub.add_parser("experiment", help="a paper experiment over its fixed seed list")
+    exp.add_argument("name", choices=["dp-regression", "ood-rank"])
+    exp.set_defaults(func=_cmd_experiment)
 
     return parser
 

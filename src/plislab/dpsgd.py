@@ -70,6 +70,10 @@ class DpSgdConfig:
                 )
             if not self.sigma > 0 and self.target_epsilon is None:
                 raise ConfigError("private training needs sigma > 0 or a target epsilon")
+            # an infinite sigma noises every update to +-inf, yet the loss
+            # checked before each update stays finite
+            if not math.isfinite(self.sigma):
+                raise ConfigError(f"private training needs a finite sigma, got {self.sigma}")
         if not 0.0 < self.target_delta < 1.0:
             raise ConfigError(f"target delta must lie in (0, 1), got {self.target_delta}")
 

@@ -24,6 +24,7 @@ is dropped when the call returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,9 @@ class JacSensReport:
 
 
 def _check_sigma(sigma: float | None) -> None:
-    if sigma is not None and not sigma > 0:
-        raise ConfigError(f"sigma must be positive when given, got {sigma}")
+    # an infinite sigma would report PL = PLIS = 0 for every subject
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive when given, got {sigma}")
 
 
 def _stack(subjects) -> tuple[np.ndarray, list]:
@@ -247,8 +249,8 @@ def fim_subject(
     spec: ModelSpec, params: ParamSet, subject: SubjectRecord, sigma: float
 ) -> FimReport:
     """Per-subject Fisher information sub-matrix J^T J / sigma^2."""
-    if not sigma > 0:
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
     jac = input_jacobian(spec, params, subject)
     fim = (jac.T @ jac) / (sigma * sigma)
     fil = np.sqrt(spectral_norm_sq(jac)) / sigma
@@ -291,26 +293,16 @@ def superpixel_norm(report: PlisReport, region: tuple[int, int, int, int]) -> fl
     return float(np.linalg.norm(matrix[r0 : r0 + h, c0 : c0 + w]))
 
 
-@dataclass(frozen=True)
-class RankEntry:
-    subject_id: str
-    pl: float
-    subject_plis_norm: float
-
-
 def rank_subjects(
     dataset,
     spec: ModelSpec,
     params: ParamSet,
     sigma: float | None = None,
     clip: float | None = None,
-) -> list[RankEntry]:
-    """Subjects ordered by descending direct-route PLIS norm (ties broken by id)."""
+) -> list[PlisReport]:
+    """Direct-route PLIS reports by descending PLIS norm (ties broken by id)."""
     subjects = list(dataset)
     if not subjects:
         raise ConfigError("rank_subjects: empty dataset")
-    entries = [
-        RankEntry(r.subject_id, r.pl, r.subject_plis_norm)
-        for r in plis_reports(spec, params, subjects, sigma=sigma, clip=clip)
-    ]
-    return sorted(entries, key=lambda e: (-e.subject_plis_norm, e.subject_id))
+    reports = plis_reports(spec, params, subjects, sigma=sigma, clip=clip)
+    return sorted(reports, key=lambda r: (-r.subject_plis_norm, r.subject_id))

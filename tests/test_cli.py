@@ -296,6 +296,21 @@ class TestTrainCommand:
         assert not model.exists()
 
 
+    def test_private_config_with_infinite_sigma_is_rejected(self, tmp_path, capsys):
+        # inf noise makes every parameter +-inf after one step, while the loss
+        # checked before that step is still finite
+        data = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--out", str(data), "--n", "10",
+            "--d", "3", "--informative", "0", "--seed", "5")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.1\nepochs = 1\nbatch_size = 10\nprivate = true\n"
+                       "clip = 1.0\nsigma = inf\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model)) == 2
+        assert "finite sigma" in capsys.readouterr().err
+        assert not model.exists()
+
+
 class TestAnalyzeAndRank:
     def test_plis_outputs_and_compare_expanded(self, image_setup, capsys):
         tmp_path, data, model = image_setup
@@ -376,6 +391,30 @@ class TestAnalyzeAndRank:
                    "--out", str(jac_dir)) == 0
         assert (jac_dir / "jacsens_report.csv").exists()
 
+    def test_fil_and_jacsens_cells_are_plain_floats(self, tabular_setup):
+        # a numpy scalar's repr names its type: np.float64(3.46...) is no CSV number
+        tmp_path, data, model = tabular_setup
+        assert run("analyze-fil", "--model", str(model), "--data", str(data),
+                   "--sigma", "1.5", "--out", str(tmp_path / "fil")) == 0
+        assert run("analyze-jacsens", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "jac")) == 0
+        for report in (tmp_path / "fil" / "fil_report.csv", tmp_path / "jac" / "jacsens_report.csv"):
+            rows = [line.split(",") for line in report.read_text().splitlines()[1:]]
+            assert len(rows) == 8
+            for row in rows:
+                assert row[0].startswith("row")
+                for cell in row[1:]:
+                    float(cell)
+
+    @pytest.mark.parametrize("command", ["rank", "analyze-plis", "analyze-fil"])
+    def test_infinite_sigma_is_rejected(self, tabular_setup, capsys, command):
+        # at sigma = inf every PL, PLIS and FIL would read 0
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--sigma", "inf", "--out", str(out)) == 2
+        assert "finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, sigma", [("analyze-fil", "-1"), ("analyze-plis", "0")])
     def test_failed_analysis_leaves_no_out_directory(self, tabular_setup, command, sigma):

@@ -183,7 +183,8 @@ def test_cli_cnn_records_one_node_per_layer_op():
     for the create-graph parameter gradient that PLIS and the attack
     differentiate again."""
     data = datasets.make_glyph_images(2, 0)
-    spec = cli._build_spec("cnn", data)
+    spec = models.cnn_spec(28, 28, 2)
+    assert cli._build_spec("cnn", data) == spec
     params = models.init_params(spec, 0)
     subject = datasets.image_subjects(data)[0]
     sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
