@@ -24,14 +24,20 @@ Conventions:
     it, without waiting for the cyclic garbage collector.
 
 Layer ops: a model layer records one node, not a chain of small ones.
-conv2d, linear, bias_add and cross_entropy are primitives with their own
-rules.  The rules of conv2d and linear call the op's two adjoints (input
-and weight), which are ops themselves, and each adjoint's rule calls the
-other two members of its family; cross_entropy's rule calls softmax.
-conv2d's rule reuses the patch matrix its forward pass gathered.  So a
-create-graph pass over a layer records a few layer ops, and what it
-records is differentiable again.  Per-node Python, not arithmetic, is
-what a double backward through these small models spends its time on.
+conv2d, linear, bias_add, cross_entropy, mse and clip_rows are primitives
+with their own rules.  The rules of conv2d and linear call the op's two
+adjoints (input and weight), which are ops themselves, and each adjoint's
+rule calls the other two members of its family; cross_entropy's rule
+calls softmax.  conv2d's rule reuses the patch matrix its forward pass
+gathered.  mse (the per-row mean squared error) and clip_rows (the DP-SGD
+clip) each stand for a chain of elementwise ops; their rules are built
+from that chain's ops in the chain's order, so their values and
+gradients are the chain's bit for bit.  concat flattens each (B, ...)
+part past the batch axis as it joins them, so per-block gradients become
+(B, p) rows in one node.  So a create-graph pass over a layer records a
+few layer ops, and what it records is differentiable again.  Per-node Python, not arithmetic, is
+what a double backward through these small models, and a batch-1 DP-SGD
+step, spend their time on.
 
 Batch axis: the layer ops work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
@@ -325,18 +331,19 @@ def tmean(a) -> Tensor:
 def broadcast(a, shape: tuple) -> Tensor:
     shape = tuple(int(s) for s in shape)
     a = _tensor(a)
-    try:
-        if np.broadcast_shapes(a.shape, shape) != shape:
-            raise ValueError
-    except ValueError:
-        raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}") from None
     pad = (1,) * (len(shape) - a.data.ndim) + a.shape
+    if len(pad) != len(shape) or any(
+        so < 0 or (sa != 1 and sa != so) for sa, so in zip(pad, shape)
+    ):
+        raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}")
     expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
 
     def rule(grad: Tensor, need, a: Tensor):
         return (reshape(tsum(grad, axes=expanded, keepdims=True) if expanded else grad, a.shape),)
 
-    return _record("broadcast", np.broadcast_to(a.data, shape).copy(), (a,), rule)
+    out = np.empty(shape)
+    out[...] = a.data
+    return _record("broadcast", out, (a,), rule)
 
 
 def reshape(a, shape) -> Tensor:
@@ -365,23 +372,27 @@ def tslice(a, index) -> Tensor:
 
 
 def concat(parts) -> Tensor:
-    """Join tensors along the last axis; the adjoint slices the cotangent apart."""
+    """Join (B, ...) tensors into one (B, q) tensor, each part flattened past
+    the batch axis; the adjoint slices the cotangent apart and restores each
+    part's shape."""
     parts = tuple(_tensor(p) for p in parts)
     if not parts:
         raise ShapeError("concat: nothing to join")
-    bounds = np.cumsum([0] + [p.shape[-1] for p in parts]).tolist()
+    lead = parts[0].shape[:1]
+    if lead in ((), (0,)) or any(p.shape[:1] != lead for p in parts):
+        raise ShapeError(
+            f"concat: shapes {[p.shape for p in parts]} do not share a non-empty batch axis"
+        )
+    rows = [p.data.reshape(lead[0], -1) for p in parts]
+    bounds = np.cumsum([0] + [r.shape[1] for r in rows]).tolist()
 
     def rule(grad: Tensor, need, *parts: Tensor):
         return tuple(
-            tslice(grad, (..., slice(lo, hi))) if n else None
-            for n, lo, hi in zip(need, bounds[:-1], bounds[1:])
+            reshape(tslice(grad, (slice(None), slice(lo, hi))), p.shape) if nd else None
+            for nd, p, lo, hi in zip(need, parts, bounds[:-1], bounds[1:])
         )
 
-    try:
-        out = np.concatenate([p.data for p in parts], axis=-1)
-    except ValueError:
-        raise ShapeError(f"concat: shapes {[p.shape for p in parts]} do not join") from None
-    return _record("concat", out, parts, rule)
+    return _record("concat", np.concatenate(rows, axis=1), parts, rule)
 
 
 def embed(a, shape: tuple, index) -> Tensor:
@@ -596,7 +607,7 @@ def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# softmax and cross-entropy
+# losses and the clip
 # --------------------------------------------------------------------------
 
 
@@ -641,6 +652,61 @@ def cross_entropy(z, labels) -> Tensor:
     e[rows, top] = 0.0
     out = (z.data[rows, top] - z.data[rows, labels]) + np.log1p(e.sum(axis=-1))
     return _record("cross-entropy", out, (z,), rule)
+
+
+def mse(pred, target) -> Tensor:
+    """Per-row mean of (pred - target)^2 over the axes past the batch axis:
+    (B, ...) predictions and same-shape constant targets give (B,)."""
+    pred = _tensor(pred)
+    target = Tensor(target)
+    if pred.data.ndim < 2 or target.shape != pred.shape:
+        raise ShapeError(f"mse: predictions {pred.shape} and targets {target.shape} do not match")
+    per_row = tuple(range(1, pred.data.ndim))
+    k = float(pred.size // pred.shape[0])
+    kept = pred.shape[:1] + (1,) * len(per_row)
+
+    def rule(grad: Tensor, need, pred: Tensor):
+        # the rules of the chain sub, square, sum over the row, div by k
+        scale = broadcast(reshape(div(grad, k), kept), pred.shape)
+        return (mul(scale, mul(sub(pred, target), 2.0)),)
+
+    residual = pred.data - target.data
+    return _record("mse", (residual * residual).sum(axis=per_row) / k, (pred,), rule)
+
+
+def clip_rows(g, clip: float) -> Tensor:
+    """g * C / max(C, ||g||_2) along the last axis: a (B, p) tensor is clipped
+    row by row.  C must be finite and positive.
+
+    One node for the chain square, sum, sqrt, max-with-scalar, div,
+    broadcast, mul.  The rule replays the chain's ops and then its rules,
+    last op first, so the value and the gradient are the chain's bit for
+    bit, and the rule is differentiable to any order.  Higher derivatives
+    match the chain's up to the order in which cotangents are summed.
+    """
+    g = _tensor(g)
+    c = float(clip)
+
+    def rule(grad: Tensor, need, g: Tensor):
+        # the chain's forward ops ...
+        sq = square(g)
+        s = tsum(sq, axes=-1, keepdims=True)
+        n = sqrt(s)
+        m = max_scalar(n, c)
+        f = div(c, m)
+        fb = broadcast(f, g.shape)
+        # ... and their rules, from mul back to square
+        g_out = mul(grad, fb)
+        gf = mul(grad, g)
+        gf = reshape(tsum(gf, axes=-1, keepdims=True) if g.shape[-1] != 1 else gf, f.shape)
+        gm = mul(div(mul(gf, c), square(m)), -1.0)
+        gn = mul(gm, Tensor(n.data > c))
+        gs = div(gn, mul(sqrt(s), 2.0))
+        gsq = broadcast(reshape(gs, s.shape), sq.shape)
+        return (add(g_out, mul(gsq, mul(g, 2.0))),)
+
+    norm = np.sqrt((g.data * g.data).sum(axis=-1, keepdims=True))
+    return _record("clip-rows", g.data * (c / np.maximum(norm, c)), (g,), rule)
 
 
 # --------------------------------------------------------------------------

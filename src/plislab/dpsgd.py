@@ -1,8 +1,8 @@
 """Per-sample-clipped, noised gradient descent with a differentiable clip.
 
-The clip is g * C / max(C, ||g||), written entirely with graph ops so
-that privacy-loss analyses can differentiate through it; the kink at
-||g|| = C takes the no-clip branch derivative.  Noise is N(0, (sigma*C)^2)
+The clip is g * C / max(C, ||g||), one graph op whose rule is built from
+graph ops, so that privacy-loss analyses can differentiate through it; the
+kink at ||g|| = C takes the no-clip branch derivative.  Noise is N(0, (sigma*C)^2)
 per coordinate on the *sum* of clipped gradients, i.e. each step is a
 Gaussian mechanism with sensitivity C and noise multiplier sigma, so the
 accountant sees (C, sigma*C) and the RDP closed form reduces to
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .accounting import AccountantState, epsilon_from_rdp, sigma_for_budget
-from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
+from .autodiff import Tensor, clip_rows
 from .errors import ConfigError, TrainingDivergedError
 from .models import (
     ModelSpec,
@@ -79,17 +79,16 @@ class DpSgdConfig:
 
 
 def clip_differentiable(g: Tensor, clip: float) -> Tensor:
-    """g * C / max(C, ||g||_2) along the last axis, built from graph ops so it
-    stays differentiable.  A (B, p) tensor is clipped row by row.
+    """g * C / max(C, ||g||_2) along the last axis as one graph node
+    (autodiff.clip_rows), differentiable to any order.  A (B, p) tensor is
+    clipped row by row.
 
     ||g|| = 0 is safe in the forward pass: max(C, 0) = C and g comes back
     unchanged.  C must be finite: C / max(C, ||g||) is inf / inf at C = inf.
     """
     if not 0 < clip < math.inf:
         raise ConfigError(f"clip threshold must be finite and positive, got {clip}")
-    norm = sqrt(tsum(square(g), axes=-1, keepdims=True))
-    factor = div(clip, max_scalar(norm, clip))
-    return mul(g, broadcast(factor, g.shape))
+    return clip_rows(g, clip)
 
 
 @dataclass

@@ -8,10 +8,13 @@ analysis in this package differentiates with respect to them.
 Batch axis: attach_sample() is the one graph builder.  It takes B samples
 stacked on a leading axis and tiles each parameter block into a (B, ...)
 leaf, so sample i's loss depends only on row i of the parameters and of
-the inputs.  The gradient of the summed loss then holds each sample's
-parameter gradient in its own row (parameter_grad() joins the blocks into
-(B, p) rows), and a second backward pass of any per-row quantity built
-from those rows returns each sample's input gradient in its row of X.
+the inputs.  The tiles are read-only views with batch stride 0, so no
+parameter is copied per sample.  The gradient of the summed loss then
+holds each sample's parameter gradient in its own row (parameter_grad()
+joins the blocks into (B, p) rows with one concat node, which flattens
+each block past the batch axis), and a second backward pass of any
+per-row quantity built from those rows returns each sample's input
+gradient in its row of X.
 One sample is a batch of one.  Callers build graphs over at most
 chunk_size(params) samples at a time.
 
@@ -35,13 +38,11 @@ from .autodiff import (
     concat,
     conv2d,
     cross_entropy,
-    div,
     linear,
+    mse,
     relu,
     reshape,
     softplus,
-    square,
-    sub,
     tanh,
     tsum,
 )
@@ -273,12 +274,8 @@ def forward(spec: ModelSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
 
 def _loss_tensor(spec: ModelSpec, prediction: Tensor, ys) -> Tensor:
     """Per-sample losses (B,) for predictions (B, ...) and B targets."""
-    n = prediction.shape[0]
-    k = prediction.size // n
     if spec.loss == MSE:
-        target = np.asarray(ys, dtype=np.float64).reshape(prediction.shape)
-        per_row = tuple(range(1, prediction.data.ndim))
-        return div(tsum(square(sub(prediction, Tensor(target))), axes=per_row), float(k))
+        return mse(prediction, np.asarray(ys, dtype=np.float64).reshape(prediction.shape))
     # log-sum-exp minus the selected logit as one node, whatever k is; its
     # rule goes through softmax, so the loss is differentiable to any order
     return cross_entropy(prediction, ys)
@@ -301,6 +298,16 @@ class AttachedSample:
     loss: Tensor
 
 
+def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
+    """A read-only (n, *block.shape) view of block's entries of the contiguous
+    flat, every row the same entries (batch stride 0)."""
+    size = flat.itemsize
+    strides = [size * math.prod(block.shape[i + 1 :]) for i in range(len(block.shape))]
+    view = np.ndarray((n, *block.shape), flat.dtype, flat, block.offset * size, (0, *strides))
+    view.flags.writeable = False
+    return view
+
+
 def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     """Build the loss graph for B samples stacked in xs (B, ...) with targets ys (B, ...)."""
     xs = np.asarray(xs, dtype=np.float64)
@@ -313,11 +320,8 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     if len(ys) != n:
         raise ShapeError(f"{n} inputs but {len(ys)} targets")
     graph = Graph()
-    blocks = [
-        graph.leaf(np.broadcast_to(params.flat[b.offset : b.offset + b.size].reshape(b.shape),
-                                   (n,) + b.shape))
-        for b in params.layout
-    ]
+    flat = np.ascontiguousarray(params.flat)
+    blocks = [graph.leaf(_tiled(flat, b, n)) for b in params.layout]
     x_leaf = graph.leaf(xs)
     pred = forward(spec, {b.name: t for b, t in zip(params.layout, blocks)}, x_leaf)
     losses = _loss_tensor(spec, pred, ys)
@@ -327,15 +331,13 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
 def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor:
     """(B, p) per-sample parameter gradients of sample.loss, one backward pass.
 
-    Each block's gradient is computed at its own size and the blocks are
-    joined once; slicing one flat (B, p) leaf instead would cost a (B, p)
-    array per block on the way back.
+    Each block's gradient is computed at its own size and concat flattens
+    and joins the blocks in one node; slicing one flat (B, p) leaf instead
+    would cost a (B, p) array per block on the way back.
     """
     # looked up on the module at call time, so a wrapper installed on
     # autodiff.backward also sees these passes
-    grads = autodiff.backward(sample.loss, sample.params, create_graph=create_graph)
-    n = sample.x.shape[0]
-    return concat([reshape(g, (n, g.size // n)) for g in grads])
+    return concat(autodiff.backward(sample.loss, sample.params, create_graph=create_graph))
 
 
 def per_sample_loss_and_grad(

@@ -27,36 +27,53 @@ def _stream_base(seed: int, stream: int) -> int:
     return _mix(_mix(seed * _GOLDEN) ^ (stream & _MASK))
 
 
+# uint64 constants, made once: numpy scalar construction is a measurable
+# share of a small draw
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_U_M2 = np.uint64(0x94D049BB133111EB)
+_U_11, _U_27, _U_30, _U_31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
+
 def _finalize(z: np.ndarray) -> np.ndarray:
-    # vectorized SplitMix64 finalizer; uint64 arithmetic wraps mod 2**64
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """Vectorized SplitMix64 finalizer, in place; uint64 arithmetic wraps mod 2**64."""
+    z ^= z >> _U_30
+    z *= _U_M1
+    z ^= z >> _U_27
+    z *= _U_M2
+    z ^= z >> _U_31
+    return z
 
 
 def _raw(seed: int, stream: int, n: int) -> np.ndarray:
-    base = _stream_base(seed, stream)
-    ctr = np.uint64(base) + np.arange(n, dtype=np.uint64) * np.uint64(_GOLDEN)
+    ctr = np.arange(n, dtype=np.uint64)
+    ctr *= _U_GOLDEN
+    ctr += np.uint64(_stream_base(seed, stream))
     return _finalize(ctr)
 
 
 def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
     """n doubles uniform on [0, 1)."""
-    return (_raw(seed, stream, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return (_raw(seed, stream, n) >> _U_11).astype(np.float64) * 2.0**-53
 
 
 def gaussians(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard normal doubles via the Box-Muller transform."""
     m = (n + 1) // 2
     z = _raw(seed, stream, 2 * m)
+    z >>= _U_11
+    u = z.astype(np.float64)
+    u1, theta = u[:m], u[m:]
     # u1 in (0, 1] so log(u1) is finite
-    u1 = ((z[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (z[m:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
+    u1 += 1.0
+    u1 *= 2.0**-53
+    r = np.log(u1)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0**-53
+    theta *= 2.0 * np.pi
     out = np.empty(2 * m)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
+    np.multiply(r, np.cos(theta), out=out[0::2])
+    np.sin(theta, out=theta)
+    np.multiply(r, theta, out=out[1::2])
     return out[:n]

@@ -437,6 +437,60 @@ def test_linear_weight_adjoint_matches_blas_bitwise():
         assert not np.signbit(got[got == 0.0]).any()
 
 
+def _clip_chain(g, c):
+    """The clip as seven graph ops, the reference clip_rows must reproduce."""
+    norm = ad.sqrt(ad.tsum(ad.square(g), axes=-1, keepdims=True))
+    return ad.mul(g, ad.broadcast(ad.div(c, ad.max_scalar(norm, c)), g.shape))
+
+
+def test_clip_rows_matches_op_chain_bitwise():
+    """Value, gradient, create-graph gradient and its squared norm are the
+    chain's to the bit; the derivative of that norm, whose cotangents the
+    chain sums in a different order, within roundoff."""
+    rng = np.random.default_rng(45)
+    g0 = rng.normal(size=(5, 4)) * np.array([[0.1], [0.5], [1.0], [2.0], [4.0]])
+
+    def passes(clip_fn, x0, c):
+        graph = ad.Graph()
+        x = graph.leaf(x0)
+        weights = ad.Tensor(np.linspace(0.5, 1.5, x0.size).reshape(x0.shape))
+        out = ad.tsum(ad.mul(ad.square(clip_fn(ad.tanh(x), c)), weights))
+        (plain,) = ad.backward(out, [x])
+        (cg,) = ad.backward(out, [x], create_graph=True)
+        norm_sq = ad.tsum(ad.square(cg))
+        (second,) = ad.backward(norm_sq, [x])
+        exact = [clip_fn(ad.Tensor(x0), c).data, plain.data, cg.data, norm_sq.data]
+        return [a.tobytes() for a in exact], second.data
+
+    for c in (0.3, 1.0, 5.0):
+        for x0 in (g0, g0[:, :1], g0[0]):
+            chain_exact, chain_second = passes(_clip_chain, x0, c)
+            fused_exact, fused_second = passes(ad.clip_rows, x0, c)
+            assert fused_exact == chain_exact
+            scale = np.abs(chain_second).max()
+            assert np.abs(fused_second - chain_second).max() <= 1e-13 * scale
+
+
+def test_concat_flattens_parts_past_the_batch_axis():
+    rng = np.random.default_rng(46)
+    shapes = [(2, 3, 2), (2,), (2, 1), (2, 2, 1, 2)]
+    values = [rng.normal(size=s) for s in shapes]
+    graph = ad.Graph()
+    parts = [graph.leaf(v) for v in values]
+    joined = ad.concat(parts)
+    assert joined.shape == (2, 6 + 1 + 1 + 4)
+    assert joined.data.tobytes() == np.concatenate([v.reshape(2, -1) for v in values], axis=1).tobytes()
+    weights = np.arange(joined.size, dtype=float).reshape(joined.shape)
+    grads = ad.backward(ad.tsum(ad.mul(joined, ad.Tensor(weights))), parts)
+    bounds = np.cumsum([0, 6, 1, 1, 4])
+    for gr, v, lo, hi in zip(grads, values, bounds[:-1], bounds[1:]):
+        assert gr.shape == v.shape
+        np.testing.assert_array_equal(gr.data, weights[:, lo:hi].reshape(v.shape))
+    for bad in ([np.ones((2, 3)), np.ones((3, 3))], [np.ones((2, 2)), np.ones(3)], [np.ones(()), np.ones(2)]):
+        with pytest.raises(ShapeError, match="concat: shapes .* do not share a non-empty batch axis"):
+            ad.concat([ad.Tensor(b) for b in bad])
+
+
 # --------------------------------------------------------------------------
 # layer ops: one node each, with rules closed over their op family
 # --------------------------------------------------------------------------
@@ -448,6 +502,9 @@ def _layer_op_cases():
     x, k, g = rng.normal(size=(2, 2, 5, 4)), rng.normal(size=(2, 3, 2, 2, 2)), rng.normal(size=(2, 3, 4, 3))
     w, h, gl = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 4)), rng.normal(size=(2, 3))
     labels = [1, 0, 2]
+    target = rng.normal(size=(3, 2, 2))
+    clip_input = rng.normal(size=(3, 4)) * np.array([[1.5], [0.2], [3.0]])
+    assert (np.abs(np.linalg.norm(clip_input, axis=1) - 1.0) > 0.1).all()
     return {
         "conv2d": (ad.conv2d, [x, k]),
         "conv2d-input-adjoint": (ad.conv2d_input_adjoint, [g, k]),
@@ -459,6 +516,9 @@ def _layer_op_cases():
         "bias-add-image": (ad.bias_add, [g, rng.normal(size=(2, 3))]),
         "softmax": (ad.softmax, [rng.normal(size=(3, 4))]),
         "cross-entropy": (lambda z: ad.cross_entropy(z, labels), [2.0 * rng.normal(size=(3, 4))]),
+        "mse": (lambda p: ad.mse(p, target), [rng.normal(size=(3, 2, 2))]),
+        # rows 0 and 2 above the clip, row 1 below it, none near the kink
+        "clip-rows": (lambda g: ad.clip_rows(g, 1.0), [clip_input]),
     }
 
 

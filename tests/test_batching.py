@@ -4,9 +4,11 @@ Every batched route must reproduce its per-sample counterpart within
 1e-12 relative (to the largest entry of the per-sample result), on random
 small linear, MLP and CNN specs, for a batch of one and for batches whose
 last chunk is ragged.  On the same specs, batched direct-route PLIS must
-match central finite differences of the privacy loss.  The per-sample counterparts build one graph per
-sample; the input Jacobian's oracle is the column-by-column loop with one
-backward pass per input coordinate.
+match central finite differences of the privacy loss, the clip must bound
+every per-sample gradient and leave those below the threshold alone, and
+the FIM must equal J^T J / sigma^2.  The per-sample counterparts build one
+graph per sample; the input Jacobian's oracle is the column-by-column loop
+with one backward pass per input coordinate.
 """
 
 import contextlib
@@ -191,6 +193,38 @@ def test_input_jacobian_matches_column_loop(problem, replicas):
     with chunked(params, replicas):
         jac = plis.input_jacobian(spec, params, subject)
     assert_close(jac, _jacobian_by_columns(spec, params, subject))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.floats(0.3, 3.0))
+def test_clip_bounds_every_row_and_keeps_rows_below_the_threshold(problem, clip_quantile):
+    """||clip(g_i)|| <= C (1 + 1e-12) for every per-sample gradient, and a
+    row whose norm is at most C comes back unchanged, to the bit."""
+    spec, params, subjects, _ = problem
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+    grads = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+    norms = np.linalg.norm(grads, axis=1)
+    clip = clip_quantile * float(np.median(norms)) + 1e-3
+    clipped = dpsgd.clip_differentiable(Tensor(grads), clip).data
+    assert (np.linalg.norm(clipped, axis=1) <= clip * (1 + 1e-12)).all()
+    below = norms <= clip
+    assert clipped[below].tobytes() == grads[below].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.floats(0.1, 10.0))
+def test_fim_matches_jacobian_gram_matrix(problem, sigma):
+    """fim_subject against J^T J / sigma^2 with J from the column loop: the
+    FIM, its per-attribute diagonal root and the FIL (sqrt of the largest
+    eigenvalue of the FIM)."""
+    spec, params, subjects, _ = problem
+    subject = subjects[0]
+    jac = _jacobian_by_columns(spec, params, subject)
+    fim = jac.T @ jac / sigma**2
+    report = plis.fim_subject(spec, params, subject, sigma)
+    assert_close(report.fim, fim)
+    assert_close(report.fil_per_attribute, np.sqrt(np.clip(np.diag(fim), 0.0, None)))
+    assert_close(report.fil_subject, np.sqrt(max(np.linalg.eigvalsh(fim)[-1], 0.0)))
 
 
 def test_graphs_are_freed_by_reference_counting(monkeypatch):

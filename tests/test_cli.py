@@ -2,6 +2,9 @@
 
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +49,23 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    @pytest.mark.parametrize("module", ["plislab", "plislab.cli"])
+    def test_python_dash_m_runs_the_cli(self, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def python_m(*argv):
+            return subprocess.run([sys.executable, "-m", module, *argv],
+                                  capture_output=True, text=True, env=env, timeout=120)
+
+        helped = python_m("--help")
+        assert helped.returncode == 0
+        assert helped.stdout.startswith("usage: plislab")
+        assert "analyze-plis" in helped.stdout
+        bad = python_m("frobnicate")
+        assert bad.returncode != 0
+        assert "invalid choice: 'frobnicate'" in bad.stderr
 
 
 

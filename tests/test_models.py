@@ -194,6 +194,36 @@ def test_cli_cnn_records_one_node_per_layer_op():
     assert len(sample.graph.nodes) - forward <= 20
 
 
+@pytest.mark.parametrize("arch, forward_max, gradient_max", [("mlp", 12, 11), ("linear", 5, 5)])
+def test_cli_tabular_models_record_one_node_per_layer_op(arch, forward_max, gradient_max):
+    """Tape-size guard on the CLI's tabular models at 16 features: one node
+    per leaf, layer op, loss and sum (the MSE loss is one node), and for the
+    MLP at most 11 nodes for the create-graph parameter gradient, which
+    joins its blocks in one concat node."""
+    data = datasets.make_regression(4, 16, (9,), 0.1, 0)
+    spec = cli._build_spec(arch, (data.X, data.y))
+    params = models.init_params(spec, 0)
+    subject = datasets.tabular_subjects(data.X, data.y)[0]
+    sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
+    forward = len(sample.graph.nodes)
+    models.parameter_grad(sample, create_graph=True)
+    assert forward <= forward_max
+    assert len(sample.graph.nodes) - forward <= gradient_max
+
+
+def test_attach_sample_tiles_parameters_as_read_only_views():
+    spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
+    params = models.init_params(spec, 4)
+    sample = models.attach_sample(spec, params, np.ones((5, 3)), [np.zeros(1)] * 5)
+    for block, leaf in zip(params.layout, sample.params):
+        expected = params.flat[block.offset : block.offset + block.size].reshape(block.shape)
+        assert leaf.shape == (5,) + block.shape
+        assert leaf.data.strides[0] == 0 and not leaf.data.flags.writeable
+        assert np.shares_memory(leaf.data, params.flat)
+        for row in leaf.data:
+            np.testing.assert_array_equal(row, expected)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = models.ModelSpec(
