@@ -3,15 +3,27 @@
 The attacker observes one subject's (possibly clipped and noised)
 parameter gradient and optimizes a dummy input so that its gradient
 matches the observation, under a smoothed total-variation prior.  The
-match objective contains a gradient, so each attack iteration uses the
-same double backpropagation machinery as PLIS.  The threat model is the
-strong one: architecture, parameters and label are known.
+threat model is the strong one: architecture, parameters and label are
+known.
+
+Each iteration takes one vector-Jacobian product of the parameter
+gradient, as the expanded PLIS route does.  The tape holds only the
+model: its forward pass and the create-graph parameter gradient g.  The
+match loss and its cotangent c = d(match)/dg, and the prior and its
+gradient t in x, are closed forms in numpy, so one backward pass of
+<g, c> + <x, t> to x returns the objective's gradient.  The numpy code
+does the arithmetic of the tape ops that would compute the same match and
+prior, and of their rules, in the order a backward pass applies them, so
+the values and the gradient equal that tape route's bit for bit (the tests
+keep it as the reference).
 
 Updates are Adam, implemented from its published update equations
 (exponential first/second moment estimates with bias correction); the
 monotone mode swaps Adam for plain descent with backtracking line
 search, which guarantees a non-increasing objective trace and is the
-configuration the property tests use.
+configuration the property tests use.  A backtracking candidate needs
+only the objective's value: one per-sample gradient, no create-graph
+pass and no backward pass to x.
 """
 
 from __future__ import annotations
@@ -23,19 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .autodiff import (
-    Tensor,
-    add,
-    backward,
-    div,
-    mul,
-    sqrt,
-    square,
-    sub,
-    tmean,
-    tslice,
-    tsum,
-)
+from .autodiff import Tensor, add, backward, mul, tsum
 from .dpsgd import clip_differentiable
 from .errors import AttackFailedError, ConfigError
 from .models import (
@@ -123,19 +123,79 @@ def observe_gradient(
     return g
 
 
-def _smoothed_tv(x: Tensor) -> Tensor:
-    """Anisotropic total variation with |d| ~ sqrt(d^2 + eps) smoothing."""
-    nd = x.data.ndim
-    lead = (slice(None),) * (nd - 2)
-    down = sub(
-        tslice(x, lead + (slice(1, None), slice(None))),
-        tslice(x, lead + (slice(0, -1), slice(None))),
-    )
-    right = sub(
-        tslice(x, lead + (slice(None), slice(1, None))),
-        tslice(x, lead + (slice(None), slice(0, -1))),
-    )
-    return add(tmean(sqrt(add(square(down), _TV_SMOOTH))), tmean(sqrt(add(square(right), _TV_SMOOTH))))
+def _match(g: np.ndarray, observed: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
+    """The match loss of a (1, p) gradient row g against observed (p,), and
+    its gradient in g.
+
+    Cosine: 1 - <g, o> / (sqrt(sum g^2) |o|); L2: sum (g - o)^2.  The
+    arithmetic is that of the tape ops for the same expression and then of
+    their rules, last op first, so both equal the tape route's bit for bit.
+    """
+    obs = observed[None]
+    if loss == L2:
+        diff = g - obs
+        value = (diff * diff).sum()
+        diff *= 2.0
+        return value, diff
+    # work holds the temporaries: a fresh (1, p) array per op would be
+    # memory the allocator hands back and faults in again on each call
+    work = g * g
+    s = work.sum()
+    norm_obs = float(np.linalg.norm(observed))
+    denom = np.sqrt(s) * norm_obs
+    dot = np.multiply(g, obs, out=work).sum()
+    # the rules of sub(1, .), div, sum and mul(g, o), mul(., |o|), sqrt, sum
+    # and square; products and sums commute exactly, so c is built in place
+    dot_bar = -1.0 / denom
+    s_bar = dot / (denom * denom) * norm_obs / (np.sqrt(s) * 2.0)
+    c = g * 2.0
+    c *= s_bar
+    c += np.multiply(obs, dot_bar, out=work)
+    return 1.0 - dot / denom, c
+
+
+def _embed(values: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
+    out = np.zeros(shape)
+    out[index] = values
+    return out
+
+
+def _smoothed_tv(x: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+    """Anisotropic total variation of x (..., h, w) with |d| ~ sqrt(d^2 + eps)
+    smoothing, and the gradient of weight * TV in x.
+
+    The arithmetic is that of the tape ops for the same expression (slices,
+    sub, square, add, sqrt, mean) and then of their rules, last op first,
+    so both equal the tape route's bit for bit: the four slices'
+    cotangents are embedded and summed in the order that route's backward
+    pass sums them at x.
+    """
+    lead = (slice(None),) * (x.ndim - 2)
+    down_hi, down_lo = lead + (slice(1, None), slice(None)), lead + (slice(0, -1), slice(None))
+    right_hi, right_lo = lead + (slice(None), slice(1, None)), lead + (slice(None), slice(0, -1))
+    down = x[down_hi] - x[down_lo]
+    right = x[right_hi] - x[right_lo]
+    abs_down = np.sqrt(down * down + _TV_SMOOTH)
+    abs_right = np.sqrt(right * right + _TV_SMOOTH)
+    down_bar = weight * (1.0 / down.size) / (abs_down * 2.0) * (down * 2.0)
+    right_bar = weight * (1.0 / right.size) / (abs_right * 2.0) * (right * 2.0)
+    grad = _embed(-right_bar, x.shape, right_lo) + _embed(right_bar, x.shape, right_hi)
+    grad = grad + _embed(-down_bar, x.shape, down_lo)
+    grad = grad + _embed(down_bar, x.shape, down_hi)
+    return abs_down.mean() + abs_right.mean(), grad
+
+
+def _terms(
+    g: np.ndarray, x: np.ndarray, observed: np.ndarray, config: AttackConfig
+) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    """(objective, match, c, t) for the (1, p) gradient row g of the batched
+    input x (1, ...): c is the match's gradient in g, and t the weighted
+    prior's gradient in x, None when the prior is off."""
+    match, c = _match(g, observed, config.match_loss)
+    if not (config.tv_weight > 0 and x.ndim >= 3):
+        return match, match, c, None
+    tv, t = _smoothed_tv(x, config.tv_weight)
+    return match + tv * config.tv_weight, match, c, t
 
 
 def _objective(
@@ -146,20 +206,35 @@ def _objective(
     observed: np.ndarray,
     config: AttackConfig,
 ) -> tuple[float, float, np.ndarray]:
-    """(objective value, match component, gradient of objective w.r.t. x)."""
+    """(objective value, match component, gradient of objective w.r.t. x).
+
+    One vector-Jacobian product of the create-graph parameter gradient g:
+    the backward pass of <g, c> + <x, t> to x, with the closed-form
+    cotangent c = d(match)/dg and prior gradient t from _terms.  Both terms
+    sit above the model's nodes, so t is the first cotangent x receives and
+    the model's contributions are added to it in the tape route's order.
+    """
     sample = attach_sample(spec, params, x[None], [label])
     g = parameter_grad(sample, create_graph=True)
-    obs = Tensor(observed[None])
-    if config.match_loss == COSINE:
-        denom = mul(sqrt(tsum(square(g))), float(np.linalg.norm(observed)))
-        match = sub(1.0, div(tsum(mul(g, obs)), denom))
-    else:
-        match = tsum(square(sub(g, obs)))
-    objective = match
-    if config.tv_weight > 0 and x.ndim >= 2:
-        objective = add(objective, mul(_smoothed_tv(sample.x), config.tv_weight))
-    (gx,) = backward(objective, [sample.x])
-    return float(objective.data.reshape(())), float(match.data.reshape(())), gx.data[0]
+    objective, match, c, t = _terms(g.data, sample.x.data, observed, config)
+    out = tsum(mul(g, Tensor(c)))
+    if t is not None:
+        out = add(out, tsum(mul(sample.x, Tensor(t))))
+    (gx,) = backward(out, [sample.x])
+    return float(objective), float(match), gx.data[0]
+
+
+def _objective_value(
+    spec: ModelSpec,
+    params: ParamSet,
+    x: np.ndarray,
+    label,
+    observed: np.ndarray,
+    config: AttackConfig,
+) -> float:
+    """_objective's value alone, from one per-sample gradient."""
+    g = per_sample_grad(spec, params, x, label).data[None]
+    return float(_terms(g, x[None], observed, config)[0])
 
 
 def _resolve_shape(spec: ModelSpec, input_shape: tuple[int, ...] | None) -> tuple[int, ...]:
@@ -200,7 +275,7 @@ def _run_restart(
             moved = x
             for _ in range(30):
                 candidate = np.clip(x - step * gx, 0.0, 1.0)
-                cand_obj, _, _ = _objective(spec, params, candidate, label, observed, config)
+                cand_obj = _objective_value(spec, params, candidate, label, observed, config)
                 if math.isfinite(cand_obj) and cand_obj <= obj:
                     moved = candidate
                     break

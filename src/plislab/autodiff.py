@@ -681,8 +681,10 @@ def clip_rows(g, clip: float) -> Tensor:
     One node for the chain square, sum, sqrt, max-with-scalar, div,
     broadcast, mul.  The rule replays the chain's ops and then its rules,
     last op first, so the value and the gradient are the chain's bit for
-    bit, and the rule is differentiable to any order.  Higher derivatives
-    match the chain's up to the order in which cotangents are summed.
+    bit, and the rule is differentiable to any order.  The one exception
+    is a row of zeros: the chain's gradient there is 0/0 = NaN, the rule's
+    is the identity's.  Higher derivatives match the chain's up to the
+    order in which cotangents are summed.
     """
     g = _tensor(g)
     c = float(clip)
@@ -701,7 +703,10 @@ def clip_rows(g, clip: float) -> Tensor:
         gf = reshape(tsum(gf, axes=-1, keepdims=True) if g.shape[-1] != 1 else gf, f.shape)
         gm = mul(div(mul(gf, c), square(m)), -1.0)
         gn = mul(gm, Tensor(n.data > c))
-        gs = div(gn, mul(sqrt(s), 2.0))
+        # the sqrt rule divides by 2 sqrt(s); m = max(sqrt(s), C) is the same
+        # number wherever the mask passes gn, and it is never 0, so a zero
+        # row (masked, gn = 0) gets the identity's rule instead of 0/0
+        gs = div(gn, mul(m, 2.0))
         gsq = broadcast(reshape(gs, s.shape), sq.shape)
         return (add(g_out, mul(gsq, mul(g, 2.0))),)
 

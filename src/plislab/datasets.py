@@ -81,14 +81,15 @@ def save_regression_csv(dataset: TabularDataset, path) -> None:
 
 
 def load_regression_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "y":
-            raise DataFormatError(f"{path}: expected a header row ending in 'y'")
+        # a UnicodeDecodeError is a ValueError; csv.Error is an oversized field
         try:
+            header = next(reader, None)
+            if not header or header[-1] != "y":
+                raise DataFormatError(f"{path}: expected a header row ending in 'y'")
             rows = [[float(v) for v in row] for row in reader if row]
-        except ValueError as exc:
+        except (ValueError, csv.Error) as exc:
             raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != len(header):
@@ -227,14 +228,17 @@ def load_images(path) -> ImageDataset:
     version, n, h, w, classes = struct.unpack_from("<IIIII", blob, 4)
     if version != PLDS_VERSION:
         raise DataFormatError(f"{path}: unsupported version {version}")
-    # checked before the record dtype is built: a corrupt header can name
-    # an image too large for a numpy dtype
-    expected = 24 + n * (h * w * 8 + 5)
+    # a corrupt header can name an image too large for a numpy dtype
+    try:
+        record = _plds_record(h, w)
+    except ValueError:
+        raise DataFormatError(f"{path}: a {h}x{w} image is too large") from None
+    expected = 24 + n * record.itemsize
     if len(blob) != expected:
         raise DataFormatError(
             f"{path}: expected {expected} bytes, found {len(blob)} (truncation at byte {len(blob)})"
         )
-    records = np.frombuffer(blob, dtype=_plds_record(h, w), count=n, offset=24)
+    records = np.frombuffer(blob, dtype=record, count=n, offset=24)
     return ImageDataset(
         records["image"].astype(np.float64, order="C"),
         records["label"].astype(np.int64),

@@ -1,9 +1,25 @@
-"""Observed-gradient semantics and reconstruction behavior."""
+"""Observed-gradient semantics, reconstruction behavior and the attack
+objective's oracles: central finite differences, and the tape route that
+recorded the match and the prior as op chains, kept here as the reference
+the closed forms must reproduce bit for bit."""
 
 import numpy as np
 import pytest
 
 from plislab import attack, models
+from plislab.autodiff import (
+    Tensor,
+    add,
+    backward,
+    div,
+    mul,
+    sqrt,
+    square,
+    sub,
+    tmean,
+    tslice,
+    tsum,
+)
 from plislab.errors import ConfigError
 from plislab.plis import SubjectRecord
 
@@ -12,6 +28,72 @@ def _linear(w):
     w = np.asarray(w, dtype=float)
     spec = models.ModelSpec((models.Linear(len(w), 1, bias=False),), models.MSE)
     return spec, models.ParamSet(w, models.layout_for(spec))
+
+
+def _tape_smoothed_tv(x):
+    """The smoothed TV prior as a chain of graph ops."""
+    lead = (slice(None),) * (x.data.ndim - 2)
+    down = sub(
+        tslice(x, lead + (slice(1, None), slice(None))),
+        tslice(x, lead + (slice(0, -1), slice(None))),
+    )
+    right = sub(
+        tslice(x, lead + (slice(None), slice(1, None))),
+        tslice(x, lead + (slice(None), slice(0, -1))),
+    )
+    eps = attack._TV_SMOOTH
+    return add(tmean(sqrt(add(square(down), eps))), tmean(sqrt(add(square(right), eps))))
+
+
+def _tape_objective(spec, params, x, label, observed, config):
+    """The attack objective with the match and the prior recorded on the
+    tape, differentiated to x by one backward pass over the whole graph."""
+    sample = models.attach_sample(spec, params, x[None], [label])
+    g = models.parameter_grad(sample, create_graph=True)
+    obs = Tensor(observed[None])
+    if config.match_loss == attack.COSINE:
+        denom = mul(sqrt(tsum(square(g))), float(np.linalg.norm(observed)))
+        match = sub(1.0, div(tsum(mul(g, obs)), denom))
+    else:
+        match = tsum(square(sub(g, obs)))
+    objective = match
+    if config.tv_weight > 0 and x.ndim >= 2:
+        objective = add(objective, mul(_tape_smoothed_tv(sample.x), config.tv_weight))
+    (gx,) = backward(objective, [sample.x])
+    return float(objective.data.reshape(())), float(match.data.reshape(())), gx.data[0]
+
+
+def _image_linear():
+    """A bias-free linear model on flattened 1x4x5 images, so the prior applies."""
+    spec = models.ModelSpec((models.Flatten(), models.Linear(20, 1, bias=False)), models.MSE)
+    return spec, models.init_params(spec, 4), (1, 4, 5)
+
+
+def _small_cnn():
+    spec = models.ModelSpec(
+        (models.Conv2d(1, 2, 3), models.Tanh(), models.Flatten(), models.Linear(12, 3)),
+        models.CROSS_ENTROPY,
+    )
+    return spec, models.init_params(spec, 6), (1, 4, 5)
+
+
+def _attack_case(make, seed):
+    """(spec, params, x, label, observed): observed from a different input
+    than x, so the match is far from its minimum."""
+    spec, params, shape = make()
+    rng = np.random.default_rng(seed)
+    label = 0.3 if spec.loss == models.MSE else 1
+    x_true, x = rng.uniform(0.1, 0.9, size=(2, *shape))
+    observed = models.per_sample_grad(spec, params, x_true, label).data
+    return spec, params, x, label, observed
+
+
+OBJECTIVE_CASES = [
+    (make, loss, tv)
+    for make in (_image_linear, _small_cnn)
+    for loss in (attack.COSINE, attack.L2)
+    for tv in (0.0, 0.05)
+]
 
 
 class TestObserveGradient:
@@ -137,3 +219,63 @@ class TestReconstruct:
     def test_dp_release_validation(self, clip, sigma):
         with pytest.raises(ConfigError):
             attack.DpRelease(clip, sigma, 0)
+
+
+class TestObjective:
+    @pytest.mark.parametrize("make, loss, tv", OBJECTIVE_CASES)
+    def test_gradient_matches_central_differences(self, make, loss, tv):
+        spec, params, x, label, observed = _attack_case(make, 11)
+        config = attack.AttackConfig(tv_weight=tv, match_loss=loss)
+        _, _, gx = attack._objective(spec, params, x, label, observed, config)
+        h = 1e-6
+        numeric = np.zeros_like(x)
+        for j in range(x.size):
+            step = np.zeros(x.size)
+            step[j] = h
+            hi = attack._objective(spec, params, x + step.reshape(x.shape), label, observed, config)
+            lo = attack._objective(spec, params, x - step.reshape(x.shape), label, observed, config)
+            numeric.flat[j] = (hi[0] - lo[0]) / (2 * h)
+        assert np.abs(gx - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+    @pytest.mark.parametrize("make, loss, tv", OBJECTIVE_CASES)
+    def test_bit_identical_to_the_tape_route(self, make, loss, tv):
+        spec, params, x, label, observed = _attack_case(make, 12)
+        config = attack.AttackConfig(tv_weight=tv, match_loss=loss)
+        obj, match, gx = attack._objective(spec, params, x, label, observed, config)
+        ref_obj, ref_match, ref_gx = _tape_objective(spec, params, x, label, observed, config)
+        assert (obj, match) == (ref_obj, ref_match)
+        assert gx.tobytes() == ref_gx.tobytes()
+        assert attack._objective_value(spec, params, x, label, observed, config) == ref_obj
+
+    @pytest.mark.parametrize("loss, monotone", [(attack.COSINE, False), (attack.L2, False),
+                                                (attack.COSINE, True), (attack.L2, True)])
+    def test_reconstruct_bit_identical_to_the_tape_route(self, monkeypatch, loss, monotone):
+        spec, params, x, label, observed = _attack_case(_small_cnn, 13)
+        config = attack.AttackConfig(iterations=12, restarts=2, seed=5, tv_weight=0.05,
+                                     match_loss=loss, monotone=monotone)
+        new = attack.reconstruct(spec, params, observed, label, config, input_shape=x.shape)
+        monkeypatch.setattr(attack, "_objective", _tape_objective)
+        monkeypatch.setattr(attack, "_objective_value",
+                            lambda *args: _tape_objective(*args)[0])
+        old = attack.reconstruct(spec, params, observed, label, config, input_shape=x.shape)
+        assert new.traces == old.traces and all(len(t) == 12 for t in new.traces)
+        assert new.reconstruction.tobytes() == old.reconstruction.tobytes()
+        assert (new.match_loss, new.best_restart) == (old.match_loss, old.best_restart)
+
+    def test_objective_tape_holds_only_the_model(self, monkeypatch):
+        """The attack workload's CNN: 32 nodes of forward and create-graph
+        passes, then <g, c> + <x, t> in 5 (57 when the match and the prior
+        were chains on the tape)."""
+        spec = models.cnn_spec(28, 28, 2)
+        params = models.init_params(spec, 0)
+        x = np.full((1, 28, 28), 0.5)
+        observed = np.linspace(-1.0, 1.0, params.count)
+        sizes = []
+
+        def counting_backward(out, wrt, **kwargs):
+            sizes.append(len(out.graph.nodes))
+            return backward(out, wrt, **kwargs)
+
+        monkeypatch.setattr(attack, "backward", counting_backward)
+        attack._objective(spec, params, x, 1, observed, attack.AttackConfig())
+        assert sizes and sizes[-1] <= 37

@@ -384,6 +384,21 @@ class TestAnalyzeAndRank:
                 "--out", str(tmp_path / "plis"), "--compare-expanded"]
         assert run(*argv, *(["--clip", clip] if clip else [])) == 2
 
+    def test_rank_under_a_clip_is_finite_for_an_exactly_fit_row(self, tmp_path):
+        # row 1 has a zero parameter gradient: the clip's rule must not divide 0 by 0
+        spec = models.ModelSpec((models.Linear(2, 1, bias=False),), models.MSE)
+        model = tmp_path / "m.plck"
+        models.save_checkpoint(model, spec, models.ParamSet(np.array([1.0, 2.0]),
+                                                             models.layout_for(spec)))
+        data = tmp_path / "rows.csv"
+        data.write_text("x0,x1,y\n1,1,3\n1,0,0\n")
+        out = tmp_path / "ranked.csv"
+        assert run("rank", "--model", str(model), "--data", str(data), "--sigma", "1",
+                   "--clip", "1", "--out", str(out)) == 0
+        rows = dict(r.split(",", 1) for r in out.read_text().splitlines()[1:])
+        assert rows["row00000"] == "0.0,0.0"
+        assert all(np.isfinite(float(v)) for r in rows.values() for v in r.split(","))
+
     def test_rank_matches_library_ordering(self, image_setup):
         tmp_path, data, model = image_setup
         out = tmp_path / "ranked.csv"

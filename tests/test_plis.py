@@ -123,6 +123,15 @@ class TestPlisDirect:
         np.testing.assert_array_equal(report.plis, np.zeros(2))
         assert report.mode == plis.MODE_NON_PRIVATE
 
+    @pytest.mark.parametrize("expanded", [False, True])
+    def test_zero_gradient_subject_under_a_clip_gives_zero_matrix(self, expanded):
+        # ||g|| = 0 <= C: the clip is the identity there, and so is its rule
+        spec, params = _linear([1.0, 2.0])
+        (report,) = plis.plis_reports(spec, params, [_subject([1.0, 1.0], 3.0)],
+                                      sigma=1.0, clip=1.0, expanded=expanded)
+        assert report.pl == 0.0
+        np.testing.assert_array_equal(report.plis, np.zeros(2))
+
     def test_closed_form_on_random_linear_cases(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
