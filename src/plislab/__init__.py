@@ -19,6 +19,7 @@ from .attack import AttackConfig, AttackResult, DpRelease, observe_gradient, rec
 from .autodiff import Graph, Tensor, backward, finite_diff_check
 from .datasets import (
     ImageDataset,
+    SubjectRecord,
     TabularDataset,
     inject_ood,
     load_images,
@@ -48,7 +49,6 @@ from .plis import (
     FimReport,
     JacSensReport,
     PlisReport,
-    SubjectRecord,
     fim_subject,
     jacsens_subject,
     plis_direct,

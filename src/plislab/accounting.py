@@ -122,19 +122,18 @@ def epsilon_from_rdp(state: AccountantState, delta: float) -> EpsilonReport:
     return _epsilon(compose(state), delta)
 
 
-def sigma_for_budget(epsilon: float, delta: float, steps: int, clip: float) -> float:
+def sigma_for_budget(epsilon: float, delta: float, steps: int) -> float:
     """Smallest noise multiplier (on a bisection grid) meeting the budget.
 
-    Returns m such that `steps` Gaussian mechanisms with sensitivity
-    `clip` and noise deviation m*clip compose to eps <= epsilon at the
-    given delta, while 0.99*m does not.
+    Returns m such that `steps` Gaussian mechanisms, each with noise
+    deviation m times its sensitivity, compose to eps <= epsilon at the
+    given delta, while 0.99*m does not.  A step's RDP depends only on
+    that ratio, so m is the same for every clip threshold.
     """
     if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if steps < 1:
         raise ConfigError(f"step count must be >= 1, got {steps}")
-    if not clip > 0:
-        raise ConfigError(f"clip must be positive, got {clip}")
 
     def eps_at(mult: float) -> float:
         rho = 0.5 * ALPHA_GRID * steps / (mult * mult)

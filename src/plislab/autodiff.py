@@ -29,13 +29,17 @@ with their own rules.  The rules of conv2d and linear call the op's two
 adjoints (input and weight), which are ops themselves, and each adjoint's
 rule calls the other two members of its family; cross_entropy's rule
 calls softmax.  conv2d's rule reuses the patch matrix its forward pass
-gathered.  mse (the per-row mean squared error) and clip_rows (the DP-SGD
-clip) each stand for a chain of elementwise ops; their rules are built
-from that chain's ops in the chain's order, so their values and
-gradients are the chain's bit for bit.  concat flattens each (B, ...)
-part past the batch axis as it joins them, so per-block gradients become
-(B, p) rows in one node.  So a create-graph pass over a layer records a
-few layer ops, and what it records is differentiable again.  Per-node Python, not arithmetic, is
+gathered.  Patches are laid out by slicing alone: _im2col copies a
+strided (B, C, k, k, oh, ow) view of the image, and its adjoint _col2im
+adds each (ki, kj) slice of the patches back onto the same window of the
+image, so no index table holds the layout.  mse (the per-row mean
+squared error) and clip_rows (the DP-SGD clip) each stand for a chain of
+elementwise ops; their rules are built from that chain's ops in the
+chain's order, so their values and gradients are the chain's bit for
+bit.  concat flattens each (B, ...) part past the batch axis as it joins
+them, so per-block gradients become (B, p) rows in one node.  So a
+create-graph pass over a layer records a few layer ops, and what it
+records is differentiable again.  Per-node Python, not arithmetic, is
 what a double backward through these small models, and a batch-1 DP-SGD
 step, spend their time on.
 
@@ -479,46 +483,27 @@ def linear_weight_adjoint(g, h) -> Tensor:
     return _record("linear-weight-adjoint", out, (g, h), rule)
 
 
-_CONV_INDEX_CACHE: dict[tuple, tuple[Array, tuple]] = {}
-
-
-def _conv_geometry(c: int, h: int, w: int, k: int):
-    """Gather indices into the flattened image for k x k patches."""
-    key = (c, h, w, k)
-    hit = _CONV_INDEX_CACHE.get(key)
-    if hit is not None:
-        return hit
-    oh, ow = h - k + 1, w - k + 1
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv2d: kernel {k} too large for image {h}x{w}")
-    offs = (
-        np.arange(c)[:, None, None] * (h * w)
-        + np.arange(k)[None, :, None] * w
-        + np.arange(k)[None, None, :]
-    ).reshape(-1)
-    ii, jj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
-    pos = (ii * w + jj).reshape(-1)
-    idx = offs[:, None] + pos[None, :]
-    result = (idx, (oh, ow))
-    _CONV_INDEX_CACHE[key] = result
-    return result
-
-
 def _im2col(images: Array, k: int) -> Array:
-    """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices."""
+    """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices.
+
+    A strided (B, C, k, k, oh, ow) view of the image, the patch axes
+    first; the reshape copies it into one C-contiguous matrix, which the
+    gemm after it needs (it runs several times slower on a strided one).
+    """
+    images = np.ascontiguousarray(images)
     b, c, h, w = images.shape
-    idx, _ = _conv_geometry(c, h, w, k)
-    # take() along an axis returns a C-contiguous result; fancy indexing of
-    # a 2-d array with [:, idx] returns a strided one that slows the gemm after it
-    return np.take(images.reshape(b, -1), idx, axis=1)
+    oh, ow = h - k + 1, w - k + 1
+    sb, sc, sh, sw = images.strides
+    view = np.ndarray((b, c, k, k, oh, ow), images.dtype, images, 0, (sb, sc, sh, sw, sh, sw))
+    return view.reshape(b, c * k * k, oh * ow)
 
 
 def _col2im(cols: Array, image_shape: tuple, k: int) -> Array:
     """Adjoint of _im2col: scatter-add patch matrices back into (B,C,H,W) images."""
     b, c, h, w = image_shape
     oh, ow = h - k + 1, w - k + 1
-    # one strided add per kernel offset, in the (ki, kj) order _im2col
-    # lays patches out in, so every pixel sums its patches in that order
+    # the same (c, ki, kj) slicing as _im2col's view, one strided add per
+    # kernel offset, so every pixel sums its patches in (ki, kj) order
     patches = cols.reshape(b, c, k, k, oh, ow)
     img = np.zeros((b, c, h, w))
     for ki in range(k):
@@ -541,6 +526,8 @@ def conv2d(x, kernel) -> Tensor:
         raise ShapeError(
             f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
         )
+    if k > min(x.shape[2:]):
+        raise ShapeError(f"conv2d: kernel {k} too large for image {x.shape[2]}x{x.shape[3]}")
     return _conv2d(x, kernel, _im2col(x.data, k))
 
 

@@ -19,6 +19,7 @@ gate holds and 2 when it does not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -299,15 +300,10 @@ def _cmd_attack(args) -> int:
             raise PlisLabError("--dp-clip and --dp-sigma must be given together")
         dp = attack_mod.DpRelease(args.dp_clip, args.dp_sigma, args.dp_seed)
     observed = attack_mod.observe_gradient(spec, params, subject, dp=dp)
-    config = attack_mod.AttackConfig(
-        iterations=args.iterations,
-        learning_rate=args.lr,
-        restarts=args.restarts,
-        seed=args.seed,
-        tv_weight=args.tv,
-        match_loss=args.match,
-        monotone=args.monotone,
-    )
+    # the parser sets only the options given; the rest take AttackConfig's defaults
+    given = vars(args)
+    fields = [f.name for f in dataclasses.fields(attack_mod.AttackConfig) if f.name in given]
+    config = attack_mod.AttackConfig(**{name: given[name] for name in fields})
     result = attack_mod.reconstruct(
         spec, params, observed, subject.y, config, input_shape=subject.x.shape
     )
@@ -357,23 +353,21 @@ def _build_parser() -> _Parser:
     train.add_argument("--accountant-out", default=None, help="accountant CSV report")
     train.set_defaults(func=_cmd_train)
 
-    def analysis_args(p, sigma_required=False):
+    def analysis_args(p):
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
         p.add_argument("--out", required=True)
-        if sigma_required:
-            p.add_argument("--sigma", type=float, required=True)
-        else:
-            p.add_argument("--sigma", type=float, default=None)
 
     ap = sub.add_parser("analyze-plis", help="per-subject PLIS reports and heatmaps")
     analysis_args(ap)
+    ap.add_argument("--sigma", type=float, default=None)
     ap.add_argument("--clip", type=float, default=None, help="DP-mode clipped-gradient PLIS")
     ap.add_argument("--compare-expanded", action="store_true")
     ap.set_defaults(func=_cmd_analyze_plis)
 
     af = sub.add_parser("analyze-fil", help="per-subject Fisher information loss")
-    analysis_args(af, sigma_required=True)
+    analysis_args(af)
+    af.add_argument("--sigma", type=float, required=True)
     af.set_defaults(func=_cmd_analyze_fil)
 
     aj = sub.add_parser("analyze-jacsens", help="per-subject gradient Jacobian norms")
@@ -382,20 +376,24 @@ def _build_parser() -> _Parser:
 
     rank = sub.add_parser("rank", help="subjects ordered by PLIS norm")
     analysis_args(rank)
+    rank.add_argument("--sigma", type=float, default=None)
     rank.add_argument("--clip", type=float, default=None)
     rank.set_defaults(func=_cmd_rank)
 
-    atk = sub.add_parser("attack", help="gradient-inversion reconstruction")
+    # each option's dest is an AttackConfig field; an option not given is left unset
+    atk = sub.add_parser(
+        "attack", help="gradient-inversion reconstruction", argument_default=argparse.SUPPRESS
+    )
     atk.add_argument("--model", required=True)
     atk.add_argument("--data", required=True)
     atk.add_argument("--subject", required=True)
     atk.add_argument("--out", required=True)
-    atk.add_argument("--iterations", type=int, default=300)
-    atk.add_argument("--lr", type=float, default=0.1)
-    atk.add_argument("--restarts", type=int, default=2)
-    atk.add_argument("--seed", type=int, default=0)
-    atk.add_argument("--tv", type=float, default=1e-3)
-    atk.add_argument("--match", choices=["cosine", "l2"], default="cosine")
+    atk.add_argument("--iterations", type=int)
+    atk.add_argument("--lr", dest="learning_rate", type=float)
+    atk.add_argument("--restarts", type=int)
+    atk.add_argument("--seed", type=int)
+    atk.add_argument("--tv", dest="tv_weight", type=float)
+    atk.add_argument("--match", dest="match_loss", choices=["cosine", "l2"])
     atk.add_argument("--monotone", action="store_true")
     atk.add_argument("--dp-clip", type=float, default=None)
     atk.add_argument("--dp-sigma", type=float, default=None)

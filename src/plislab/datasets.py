@@ -10,6 +10,7 @@ downloaded; the binary image format is bit-exact for round trips.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -18,7 +19,6 @@ import numpy as np
 
 from . import rng
 from .errors import ConfigError, DataFormatError
-from .plis import SubjectRecord
 
 _DATA_STREAM = 5 << 40
 _OOD_STREAM = 6 << 40
@@ -26,6 +26,18 @@ _LABEL_STREAM = 7 << 40
 
 PLDS_MAGIC = b"PLDS"
 PLDS_VERSION = 1
+
+
+@dataclass(frozen=True)
+class SubjectRecord:
+    """One subject's input/label pair, identified for attribution."""
+
+    id: str
+    x: np.ndarray
+    y: object
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -81,16 +93,23 @@ def save_regression_csv(dataset: TabularDataset, path) -> None:
 
 
 def load_regression_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # a UnicodeDecodeError is a ValueError; csv.Error is an oversized field
-        try:
-            header = next(reader, None)
-            if not header or header[-1] != "y":
-                raise DataFormatError(f"{path}: expected a header row ending in 'y'")
-            rows = [[float(v) for v in row] for row in reader if row]
-        except (ValueError, csv.Error) as exc:
-            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # decoded whole, not in chunks, so a bad byte's line is counted in the file
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{path}: line {line}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # csv.Error is an oversized field
+    try:
+        header = next(reader, None)
+        if not header or header[-1] != "y":
+            raise DataFormatError(f"{path}: expected a header row ending in 'y'")
+        rows = [[float(v) for v in row] for row in reader if row]
+    except (ValueError, csv.Error) as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     data = np.asarray(rows, dtype=np.float64)
     if data.ndim != 2 or data.shape[1] != len(header):
         raise DataFormatError(f"{path}: ragged or empty CSV body")

@@ -165,9 +165,7 @@ def train(
     total_steps = step_count(len(dataset), config)
     sigma = config.sigma
     if config.private and not sigma > 0:
-        sigma = sigma_for_budget(
-            config.target_epsilon, config.target_delta, max(total_steps, 1), config.clip
-        )
+        sigma = sigma_for_budget(config.target_epsilon, config.target_delta, max(total_steps, 1))
         log.info("derived noise multiplier %.6g for (%g, %g) over %d steps",
                  sigma, config.target_epsilon, config.target_delta, total_steps)
     run_config = replace(config, sigma=sigma) if sigma != config.sigma else config
@@ -210,19 +208,6 @@ def train(
 # config files: flat key=value lines, '#' comments
 # --------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "clip",
-    "sigma",
-    "lr",
-    "epochs",
-    "batch_size",
-    "seed",
-    "private",
-    "target_epsilon",
-    "target_delta",
-}
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "1", "yes"):
@@ -230,6 +215,22 @@ def _parse_bool(value: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise ConfigError(f"expected a boolean, got {value!r}")
+
+
+# key -> (DpSgdConfig field, parser); a key not given takes the field's default
+_CONFIG_KEYS = {
+    "lr": ("learning_rate", float),
+    "epochs": ("epochs", int),
+    "batch_size": ("batch_size", int),
+    "seed": ("seed", int),
+    "private": ("private", _parse_bool),
+    "clip": ("clip", float),
+    "sigma": ("sigma", float),
+    "target_epsilon": ("target_epsilon", float),
+    "target_delta": ("target_delta", float),
+}
+# DpSgdConfig requires these three, so a config file may leave them out
+_REQUIRED_DEFAULTS = {"learning_rate": 0.1, "epochs": 1, "batch_size": 32}
 
 
 def parse_config_text(text: str) -> DpSgdConfig:
@@ -246,20 +247,14 @@ def parse_config_text(text: str) -> DpSgdConfig:
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
+    kwargs = dict(_REQUIRED_DEFAULTS)
     try:
-        return DpSgdConfig(
-            learning_rate=float(values.get("lr", "0.1")),
-            epochs=int(values.get("epochs", "1")),
-            batch_size=int(values.get("batch_size", "32")),
-            seed=int(values.get("seed", "0")),
-            private=_parse_bool(values.get("private", "false")),
-            clip=float(values["clip"]) if "clip" in values else None,
-            sigma=float(values.get("sigma", "0")),
-            target_epsilon=float(values["target_epsilon"]) if "target_epsilon" in values else None,
-            target_delta=float(values.get("target_delta", "1e-5")),
-        )
+        for key, (name, parse) in _CONFIG_KEYS.items():
+            if key in values:
+                kwargs[name] = parse(values[key])
     except ValueError as exc:
         raise ConfigError(f"config value error: {exc}") from None
+    return DpSgdConfig(**kwargs)
 
 
 def load_config(path) -> DpSgdConfig:

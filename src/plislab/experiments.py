@@ -9,15 +9,14 @@ on the package's batched paths (dpsgd.train, plis.plis_reports,
 plis.fim_subject, plis.rank_subjects).
 
 DP linear regression: PLIS singles out the informative attribute the way
-FIL does.  The setting is the one the DP-regression prototypes
-(scratch_c4c.py to scratch_c4e.py, since deleted) converged on:
+FIL does.  The setting is the one the earlier DP-regression prototypes
+converged on:
 
   * data: make_regression with n = 500, d = 16, informative column {9},
-    noise_sd 0.1 (all prototypes);
+    noise_sd 0.1;
   * training: a linear model without bias, full batch, 200 epochs,
-    lr 0.2, clip 0.5, from zero parameters through train(initial=)
-    (the defaults of scratch_c4c/c4e's case()), private to a target
-    (epsilon, delta) = (0.2, 1e-3) (all prototypes);
+    lr 0.2, clip 0.5, from zero parameters through train(initial=),
+    private to a target (epsilon, delta) = (0.2, 1e-3);
   * PLIS (direct route) and FIL at the noise deviation sigma_used * clip;
   * seeds 0..9, with data seed = train seed = s;
   * a seed passes when column 9's mean |PLIS| and its mean FIL each
@@ -26,7 +25,7 @@ FIL does.  The setting is the one the DP-regression prototypes
   * gate: at least 8 of the 10 seeds pass.
 
 CNN out-of-distribution ranking: the injected OOD images land in the top
-decile by PLIS norm.  The setting is scratch_c7.py's run_seed (deleted):
+decile by PLIS norm.  The setting is the earlier CNN prototype's:
 
   * data and model: 512 glyphs (seed s) plus 5 OOD images (inject seed
     s + 1000), models.cnn_spec at 28x28 with 2 classes;
@@ -149,7 +148,7 @@ def dp_regression(seed: int) -> DpRegressionRun:
 class OodRankRun:
     final_loss: float  # mean training loss of the last epoch
     params: models.ParamSet
-    subjects: list[plis.SubjectRecord]
+    subjects: list[datasets.SubjectRecord]
     ood_ids: list[str]
     ranked: list[plis.PlisReport]
 

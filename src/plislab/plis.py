@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, backward, mul, reshape, tslice, tsum, square
+from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable
 from .errors import ConfigError, DimensionGuardError
 from .models import (
@@ -48,18 +49,6 @@ MODE_NON_PRIVATE = "non-private"
 # largest dimension of any materialized Jacobian/FIM factor (J is p x d,
 # the FIM is d x d; both dims must stay desk-scale)
 DIMENSION_GUARD = 4096
-
-
-@dataclass(frozen=True)
-class SubjectRecord:
-    """One subject's input/label pair, identified for attribution."""
-
-    id: str
-    x: np.ndarray
-    y: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=np.float64))
 
 
 @dataclass

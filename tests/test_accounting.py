@@ -130,30 +130,25 @@ class TestSigmaForBudget:
 
     def test_roundtrip_tightness(self):
         for eps, delta, steps in [(1.0, 1e-5, 100), (0.2, 1e-3, 50), (5.0, 1e-6, 10)]:
-            m = acct.sigma_for_budget(eps, delta, steps, clip=1.0)
+            m = acct.sigma_for_budget(eps, delta, steps)
             assert self._eps(m, steps, delta) <= eps
             assert self._eps(0.99 * m, steps, delta) > eps
 
-    def test_clip_does_not_change_multiplier(self):
-        a = acct.sigma_for_budget(1.0, 1e-5, 64, clip=1.0)
-        b = acct.sigma_for_budget(1.0, 1e-5, 64, clip=7.3)
-        assert a == pytest.approx(b, rel=1e-9)
-
     def test_zero_steps_invalid(self):
         with pytest.raises(ConfigError):
-            acct.sigma_for_budget(1.0, 1e-5, 0, clip=1.0)
+            acct.sigma_for_budget(1.0, 1e-5, 0)
 
     def test_doubling_steps_never_decreases_sigma(self):
         prev = 0.0
         for steps in (1, 2, 4, 8, 16, 32, 64, 128):
-            m = acct.sigma_for_budget(0.5, 1e-5, steps, clip=1.0)
+            m = acct.sigma_for_budget(0.5, 1e-5, steps)
             assert m >= prev - 1e-9
             prev = m
 
     def test_unattainable_budget_errors(self):
         # below the residual log(1/delta)/(alpha_max - 1) floor
         with pytest.raises(BudgetError):
-            acct.sigma_for_budget(1e-4, 1e-40, 1, clip=1.0)
+            acct.sigma_for_budget(1e-4, 1e-40, 1)
 
 
 def test_alpha_grid_is_fixed_and_read_only():

@@ -20,7 +20,7 @@ from plislab.autodiff import (
     tslice,
     tsum,
 )
-from plislab.errors import ConfigError
+from plislab.errors import AttackFailedError, ConfigError
 from plislab.plis import SubjectRecord
 
 
@@ -188,6 +188,21 @@ class TestReconstruct:
         b = attack.reconstruct(spec, params, observed * 37.5, 0.0, config)
         np.testing.assert_allclose(a.reconstruction, b.reconstruction, rtol=1e-9)
         np.testing.assert_allclose(a.traces[0], b.traces[0], rtol=1e-9, atol=1e-12)
+
+    def test_all_nan_observed_gradient_discards_every_restart(self, monkeypatch):
+        spec, params = _linear([0.8, -0.6])
+        outcomes = []
+        run_restart = attack._run_restart
+
+        def recording(*args):
+            outcomes.append(run_restart(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(attack, "_run_restart", recording)
+        config = attack.AttackConfig(iterations=5, restarts=3)
+        with pytest.raises(AttackFailedError, match="every attack restart"):
+            attack.reconstruct(spec, params, np.full(2, np.nan), 0.0, config)
+        assert outcomes == [None, None, None]
 
     def test_observed_shape_validated(self):
         spec, params = _linear([1.0, 2.0])

@@ -411,6 +411,40 @@ def test_backward_frees_cotangents_once_propagated():
     assert peak < 8 * (1 << 20)
 
 
+def _patch_indices(c, h, w, k):
+    """(C*k*k, oh*ow) indices into a flattened (C,H,W) image, patch rows in
+    (c, ki, kj) order and output pixels in row-major order."""
+    oh, ow = h - k + 1, w - k + 1
+    offs = (
+        np.arange(c)[:, None, None] * (h * w)
+        + np.arange(k)[None, :, None] * w
+        + np.arange(k)[None, None, :]
+    ).reshape(-1)
+    pos = (np.arange(oh)[:, None] * w + np.arange(ow)[None, :]).reshape(-1)
+    return offs[:, None] + pos[None, :]
+
+
+def test_im2col_matches_gather_bitwise():
+    """The strided view lays patches out as an explicit index gather does."""
+    rng = np.random.default_rng(42)
+    shapes = [(1, 1, 28, 28), (1, 8, 26, 26), (6, 1, 28, 28), (6, 8, 26, 26), (2, 3, 6, 5)]
+    for b, c, h, w in shapes:
+        base = rng.normal(size=(2 * b, c, w, h))
+        # a C-contiguous image, a strided one and a transposed one
+        for images in (base[:b].transpose(0, 1, 3, 2).copy(), base[::2].transpose(0, 1, 3, 2)):
+            for k in (1, 3) if h > 5 else (2, 3):
+                ref = np.take(images.reshape(b, -1), _patch_indices(c, h, w, k), axis=1)
+                got = ad._im2col(images, k)
+                assert got.flags.c_contiguous
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_conv2d_kernel_too_large_is_shape_error():
+    for shape in [(1, 1, 2, 5), (1, 1, 5, 2)]:
+        with pytest.raises(ShapeError, match="kernel 3 too large for image"):
+            ad.conv2d(np.zeros(shape), np.zeros((1, 2, 1, 3, 3)))
+
+
 def test_col2im_matches_bincount_scatter_bitwise():
     """The strided adds sum each pixel's patches in _im2col's (ki, kj) order."""
     rng = np.random.default_rng(43)
@@ -418,7 +452,7 @@ def test_col2im_matches_bincount_scatter_bitwise():
         oh, ow = h - k + 1, w - k + 1
         cols = rng.normal(size=(b, c * k * k, oh * ow))
         cols[rng.random(cols.shape) < 0.2] = -0.0
-        idx, _ = ad._conv_geometry(c, h, w, k)
+        idx = _patch_indices(c, h, w, k)
         where = idx + c * h * w * np.arange(b)[:, None, None]
         ref = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * h * w)
         got = ad._col2im(cols, (b, c, h, w), k)

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plislab import cli, datasets, models, plis
+from plislab import attack as attack_mod, cli, datasets, models, plis
+from plislab.errors import PlisLabError
 
 
 def run(*argv):
@@ -330,6 +331,36 @@ class TestTrainCommand:
         assert "finite sigma" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("arch, kind", [("cnn", "regression"), ("linear", "images")])
+    def test_architecture_for_the_other_data_kind_is_rejected(self, tmp_path, capsys, arch, kind):
+        data = tmp_path / "d.bin"
+        assert run("gen-data", "--kind", kind, "--out", str(data), "--n", "4",
+                   "--d", "3", "--informative", "0", "--height", "6", "--width", "6") == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("epochs = 1\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model),
+                   "--arch", arch) == 2
+        assert "does not apply" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_image_mlp_trains_and_its_plis_routes_agree(self, tmp_path, capsys):
+        data = tmp_path / "tiny.plds"
+        assert run("gen-data", "--kind", "images", "--out", str(data), "--n", "6",
+                   "--seed", "1", "--height", "8", "--width", "8", "--ood", "1") == 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.05\nepochs = 2\nbatch_size = 4\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model),
+                   "--arch", "mlp") == 0
+        spec, _ = models.load_checkpoint(model)
+        assert isinstance(spec.layers[0], models.Flatten) and spec.loss == models.CROSS_ENTROPY
+        out = tmp_path / "plis"
+        assert run("analyze-plis", "--model", str(model), "--data", str(data),
+                   "--out", str(out), "--compare-expanded") == 0
+        assert "max relative deviation" in capsys.readouterr().out
+        assert len((out / "plis_report.csv").read_text().splitlines()) == 8
+
 
 class TestAnalyzeAndRank:
     def test_plis_outputs_and_compare_expanded(self, image_setup, capsys):
@@ -441,6 +472,14 @@ class TestAnalyzeAndRank:
                 for cell in row[1:]:
                     float(cell)
 
+    def test_jacsens_takes_no_sigma(self, tabular_setup, capsys):
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run("analyze-jacsens", "--model", str(model), "--data", str(data),
+                   "--sigma", "1", "--out", str(out)) == 1
+        assert "unrecognized arguments: --sigma" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rank", "analyze-plis", "analyze-fil"])
     def test_infinite_sigma_is_rejected(self, tabular_setup, capsys, command):
         # at sigma = inf every PL, PLIS and FIL would read 0
@@ -482,6 +521,29 @@ class TestAttackCommand:
         assert trace[0] == "iteration,match_loss" and len(trace) == 11
         metrics = (out / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "ssim,psnr"
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], attack_mod.AttackConfig()),
+            (["--iterations", "7", "--lr", "0.5", "--restarts", "3", "--seed", "4", "--tv", "0",
+              "--match", "l2", "--monotone"],
+             attack_mod.AttackConfig(7, 0.5, 3, 4, 0.0, attack_mod.L2, True)),
+        ],
+        ids=["no-optional-flags", "every-flag"],
+    )
+    def test_flags_build_the_attack_config(self, image_setup, monkeypatch, flags, expected):
+        tmp_path, data, model = image_setup
+        seen = []
+
+        def stop(spec, params, observed, label, config, input_shape=None):
+            seen.append(config)
+            raise PlisLabError("stopped before the attack runs")
+
+        monkeypatch.setattr(attack_mod, "reconstruct", stop)
+        assert run("attack", "--model", str(model), "--data", str(data),
+                   "--subject", "img00001", "--out", str(tmp_path / "x"), *flags) == 2
+        assert [repr(c) for c in seen] == [repr(expected)]
 
     def test_unknown_subject_is_runtime_error(self, image_setup):
         tmp_path, data, model = image_setup

@@ -189,6 +189,16 @@ class TestConfigFile:
             private=True, clip=1.5, sigma=0.8, target_epsilon=1.0, target_delta=1e-5,
         )
 
+    @pytest.mark.parametrize("text", ["", "# nothing set\n\n"])
+    def test_keys_not_given_take_the_config_defaults(self, text):
+        cfg = dpsgd.parse_config_text(text)
+        expected = dpsgd.DpSgdConfig(
+            learning_rate=0.1, epochs=1, batch_size=32, seed=0,
+            private=False, clip=None, sigma=0.0, target_epsilon=None, target_delta=1e-5,
+        )
+        # repr tells 0 from 0.0, which == does not
+        assert repr(cfg) == repr(expected)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             dpsgd.parse_config_text("momentum = 0.9")

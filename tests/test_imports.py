@@ -73,6 +73,34 @@ def experiments_on_import(source: str) -> list[str]:
     return sorted(n for n in names if "experiments" in n.split("."))
 
 
+def package_imports(source: str) -> set[str]:
+    """The plislab modules source imports anywhere in it, by module name."""
+    names = set()
+    for name in imported_names(ast.walk(ast.parse(source))):
+        if name.startswith("."):
+            names.add(name.lstrip(".").split(".")[0])
+        elif name.startswith("plislab."):
+            names.add(name.split(".")[1])
+    return names
+
+
+def test_checker_finds_package_imports():
+    source = (
+        "import numpy as np\n"
+        "from . import rng\n"
+        "from .errors import ConfigError\n"
+        "def f():\n"
+        "    from plislab.plis import SubjectRecord\n"
+    )
+    assert package_imports(source) == {"rng", "errors", "plis"}
+
+
+def test_datasets_imports_only_rng_and_errors():
+    # the data layer does not load the tape, DP-SGD or the accountant
+    source = (PACKAGE / "datasets.py").read_text(encoding="utf-8")
+    assert package_imports(source) <= {"rng", "errors"}
+
+
 def test_checker_finds_an_unused_name():
     source = (
         "from __future__ import annotations\n"

@@ -146,8 +146,10 @@ def test_load_regression_csv_raises_only_plislab_errors(scratch):
         (b"x0,\xe3y\n1,2\n", "can't decode byte 0xe3"),
         (b"\n1,2\n", "header row ending in 'y'"),
         (b"x0,y\n" + b"1" * 200_000 + b",1\n", "field larger than field limit"),
+        # past the first 8 KB the file was decoded in chunks and the line miscounted
+        (b"x0,y\n" + b"1,2\n" * 5000 + b"1,\xff\n", "line 5002: .* can't decode byte 0xff"),
     ],
-    ids=["non-utf8-header", "blank-first-line", "oversized-field"],
+    ids=["non-utf8-header", "blank-first-line", "oversized-field", "non-utf8-past-8k"],
 )
 def test_load_regression_csv_refuses_what_fuzzing_found(scratch, blob, message):
     scratch.write_bytes(blob)
