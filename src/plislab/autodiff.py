@@ -487,8 +487,9 @@ def _im2col(images: Array, k: int) -> Array:
     """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices.
 
     A strided (B, C, k, k, oh, ow) view of the image, the patch axes
-    first; the reshape copies it into one C-contiguous matrix, which the
-    gemm after it needs (it runs several times slower on a strided one).
+    first; the reshape makes it one C-contiguous matrix (a copy unless
+    k = 1), which the gemm after it needs: it runs several times slower
+    on a strided one.
     """
     images = np.ascontiguousarray(images)
     b, c, h, w = images.shape

@@ -110,9 +110,10 @@ def load_regression_csv(path) -> tuple[np.ndarray, np.ndarray]:
         rows = [[float(v) for v in row] for row in reader if row]
     except (ValueError, csv.Error) as exc:
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    data = np.asarray(rows, dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != len(header):
+    # numpy refuses ragged rows with a ValueError, so they are checked first
+    if not rows or any(len(row) != len(header) for row in rows):
         raise DataFormatError(f"{path}: ragged or empty CSV body")
+    data = np.asarray(rows, dtype=np.float64)
     return data[:, :-1], data[:, -1]
 
 

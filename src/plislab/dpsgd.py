@@ -229,7 +229,7 @@ _CONFIG_KEYS = {
     "target_epsilon": ("target_epsilon", float),
     "target_delta": ("target_delta", float),
 }
-# DpSgdConfig requires these three, so a config file may leave them out
+# DpSgdConfig has no default for these three; a config file may leave them out
 _REQUIRED_DEFAULTS = {"learning_rate": 0.1, "epochs": 1, "batch_size": 32}
 
 

@@ -31,8 +31,8 @@ def _images(shape):
     )
 
 
-def case(id, call, error, message):
-    return pytest.param(call, error, message, id=id)
+def case(name, call, error, message):
+    return pytest.param(call, error, message, id=name)
 
 
 CASES = [

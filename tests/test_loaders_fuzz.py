@@ -148,8 +148,11 @@ def test_load_regression_csv_raises_only_plislab_errors(scratch):
         (b"x0,y\n" + b"1" * 200_000 + b",1\n", "field larger than field limit"),
         # past the first 8 KB the file was decoded in chunks and the line miscounted
         (b"x0,y\n" + b"1,2\n" * 5000 + b"1,\xff\n", "line 5002: .* can't decode byte 0xff"),
+        (b"x0,y\n0\r0,0", "ragged or empty CSV body"),
+        (b"x0,y\n1,2\n3\n", "ragged or empty CSV body"),
     ],
-    ids=["non-utf8-header", "blank-first-line", "oversized-field", "non-utf8-past-8k"],
+    ids=["non-utf8-header", "blank-first-line", "oversized-field", "non-utf8-past-8k",
+         "ragged-short-row-first", "ragged-short-row-last"],
 )
 def test_load_regression_csv_refuses_what_fuzzing_found(scratch, blob, message):
     scratch.write_bytes(blob)
