@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .autodiff import Tensor, add, backward, mul, tsum
-from .dpsgd import clip_differentiable
+from .dpsgd import check_clip, clip_differentiable
 from .errors import AttackFailedError, ConfigError
 from .models import (
     Conv2d,
@@ -68,11 +68,10 @@ class DpRelease:
 
     clip: float
     sigma: float
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.clip < math.inf:
-            raise ConfigError(f"DP clip must be finite and positive, got {self.clip}")
+        check_clip(self.clip)
         if not 0 <= self.sigma < math.inf:
             raise ConfigError(f"DP noise multiplier must be finite and >= 0, got {self.sigma}")
 

@@ -662,6 +662,12 @@ def mse(pred, target) -> Tensor:
     return _record("mse", (residual * residual).sum(axis=per_row) / k, (pred,), rule)
 
 
+def clip_factor(g: np.ndarray, clip: float) -> np.ndarray:
+    """C / max(C, ||g||_2) per row, last axis kept: clip_rows' value is g times it."""
+    norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+    return clip / np.maximum(norm, clip)
+
+
 def clip_rows(g, clip: float) -> Tensor:
     """g * C / max(C, ||g||_2) along the last axis: a (B, p) tensor is clipped
     row by row.  C must be finite and positive.
@@ -698,8 +704,7 @@ def clip_rows(g, clip: float) -> Tensor:
         gsq = broadcast(reshape(gs, s.shape), sq.shape)
         return (add(g_out, mul(gsq, mul(g, 2.0))),)
 
-    norm = np.sqrt((g.data * g.data).sum(axis=-1, keepdims=True))
-    return _record("clip-rows", g.data * (c / np.maximum(norm, c)), (g,), rule)
+    return _record("clip-rows", g.data * clip_factor(g.data, c), (g,), rule)
 
 
 # --------------------------------------------------------------------------

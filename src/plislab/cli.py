@@ -7,6 +7,8 @@ PATH keeps whatever it held before.  CSV floats use shortest round-trip
 repr, so identical flags and seeds give byte-identical outputs.  An
 --out directory is created only when a file is written into it, so a
 run that fails before writing leaves none behind.
+attack's DP flags go together: --dp-clip and --dp-sigma, with or without
+--dp-seed, or none of them; anything else is a usage error (exit 1).
 PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
 
 `plislab experiment dp-regression|ood-rank` runs one of the paper's two
@@ -290,18 +292,17 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    # options not given are unset, so they take DpRelease's and AttackConfig's defaults
+    given = vars(args)
+    dp_flags = {k.removeprefix("dp_"): v for k, v in given.items() if k.startswith("dp_")}
+    if dp_flags and not {"clip", "sigma"} <= dp_flags.keys():
+        raise _UsageError("attack: --dp-clip and --dp-sigma go together, --dp-seed with them")
+    dp = attack_mod.DpRelease(**dp_flags) if dp_flags else None
     spec, params, data, subjects = _load_analysis(args)
     subject = next((s for s in subjects if s.id == args.subject), None)
     if subject is None:
         raise PlisLabError(f"subject {args.subject!r} not present in {args.data}")
-    dp = None
-    if args.dp_sigma is not None or args.dp_clip is not None:
-        if args.dp_clip is None or args.dp_sigma is None:
-            raise PlisLabError("--dp-clip and --dp-sigma must be given together")
-        dp = attack_mod.DpRelease(args.dp_clip, args.dp_sigma, args.dp_seed)
     observed = attack_mod.observe_gradient(spec, params, subject, dp=dp)
-    # the parser sets only the options given; the rest take AttackConfig's defaults
-    given = vars(args)
     fields = [f.name for f in dataclasses.fields(attack_mod.AttackConfig) if f.name in given]
     config = attack_mod.AttackConfig(**{name: given[name] for name in fields})
     result = attack_mod.reconstruct(
@@ -380,7 +381,7 @@ def _build_parser() -> _Parser:
     rank.add_argument("--clip", type=float, default=None)
     rank.set_defaults(func=_cmd_rank)
 
-    # each option's dest is an AttackConfig field; an option not given is left unset
+    # dests are AttackConfig fields, or DpRelease fields after dp_; options not given stay unset
     atk = sub.add_parser(
         "attack", help="gradient-inversion reconstruction", argument_default=argparse.SUPPRESS
     )
@@ -395,9 +396,9 @@ def _build_parser() -> _Parser:
     atk.add_argument("--tv", dest="tv_weight", type=float)
     atk.add_argument("--match", dest="match_loss", choices=["cosine", "l2"])
     atk.add_argument("--monotone", action="store_true")
-    atk.add_argument("--dp-clip", type=float, default=None)
-    atk.add_argument("--dp-sigma", type=float, default=None)
-    atk.add_argument("--dp-seed", type=int, default=0)
+    atk.add_argument("--dp-clip", type=float)
+    atk.add_argument("--dp-sigma", type=float)
+    atk.add_argument("--dp-seed", type=int)
     atk.set_defaults(func=_cmd_attack)
 
     exp = sub.add_parser("experiment", help="a paper experiment over its fixed seed list")
@@ -431,6 +432,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except _UsageError as exc:  # flags that are wrong only in combination
+        print(str(exc), file=sys.stderr)
+        return 1
     except (PlisLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,9 @@
 """Per-sample-clipped, noised gradient descent with a differentiable clip.
 
-The clip is g * C / max(C, ||g||), one graph op whose rule is built from
-graph ops, so that privacy-loss analyses can differentiate through it; the
-kink at ||g|| = C takes the no-clip branch derivative.  Noise is N(0, (sigma*C)^2)
+The clip is g * C / max(C, ||g||) per row.  A step scales its rows in place by
+autodiff.clip_factor; PLIS takes the differentiable route, clip_rows, one graph
+op with that value whose rule, built from graph ops, takes the no-clip branch
+derivative at ||g|| = C.  Noise is N(0, (sigma*C)^2)
 per coordinate on the *sum* of clipped gradients, i.e. each step is a
 Gaussian mechanism with sensitivity C and noise multiplier sigma, so the
 accountant sees (C, sigma*C) and the RDP closed form reduces to
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .accounting import AccountantState, epsilon_from_rdp, sigma_for_budget
-from .autodiff import Tensor, clip_rows
+from .autodiff import Tensor, clip_factor, clip_rows
 from .errors import ConfigError, TrainingDivergedError
 from .models import (
     ModelSpec,
@@ -44,8 +45,18 @@ log = logging.getLogger("plislab.dpsgd")
 _NOISE_STREAM = 2 << 40  # disjoint from parameter-init streams
 
 
+def check_clip(clip) -> None:
+    # C / max(C, ||g||) is inf / inf at C = inf
+    if clip is None or not 0 < clip < math.inf:
+        raise ConfigError(f"clipping needs a finite positive clip threshold, got {clip}")
+
+
 @dataclass(frozen=True)
 class DpSgdConfig:
+    """Every run reads learning_rate, epochs, batch_size and seed.  Private training
+    also reads clip and one of sigma > 0 and target_epsilon (train then derives
+    sigma), never both; non-private training takes none of these three."""
+
     learning_rate: float
     epochs: int
     batch_size: int
@@ -64,16 +75,17 @@ class DpSgdConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.private:
-            if self.clip is None or not 0 < self.clip < math.inf:
-                raise ConfigError(
-                    f"private training needs a finite positive clip threshold, got {self.clip}"
-                )
+            check_clip(self.clip)
+            if self.target_epsilon is not None and self.sigma != 0:
+                raise ConfigError("private training takes sigma or a target epsilon, not both")
             if not self.sigma > 0 and self.target_epsilon is None:
                 raise ConfigError("private training needs sigma > 0 or a target epsilon")
             # an infinite sigma noises every update to +-inf, yet the loss
             # checked before each update stays finite
             if not math.isfinite(self.sigma):
                 raise ConfigError(f"private training needs a finite sigma, got {self.sigma}")
+        elif self.clip is not None or self.sigma != 0 or self.target_epsilon is not None:
+            raise ConfigError("non-private training takes no clip, sigma or target epsilon")
         if not 0.0 < self.target_delta < 1.0:
             raise ConfigError(f"target delta must lie in (0, 1), got {self.target_delta}")
 
@@ -84,10 +96,9 @@ def clip_differentiable(g: Tensor, clip: float) -> Tensor:
     clipped row by row.
 
     ||g|| = 0 is safe in the forward pass: max(C, 0) = C and g comes back
-    unchanged.  C must be finite: C / max(C, ||g||) is inf / inf at C = inf.
+    unchanged.
     """
-    if not 0 < clip < math.inf:
-        raise ConfigError(f"clip threshold must be finite and positive, got {clip}")
+    check_clip(clip)
     return clip_rows(g, clip)
 
 
@@ -96,7 +107,6 @@ class StepResult:
     params: ParamSet
     noise: np.ndarray | None  # the raw standard-normal draw, before scaling
     mean_loss: float
-    max_clipped_norm: float
 
 
 def dp_sgd_step(
@@ -114,25 +124,21 @@ def dp_sgd_step(
         raise ConfigError("dp_sgd_step: empty batch")
     total = np.zeros(params.count)
     losses = []
-    max_norm = 0.0
     for part in chunks(batch, chunk_size(params)):
         loss, g = per_sample_loss_and_grad(
             spec, params, np.stack([x for x, _ in part]), [y for _, y in part]
         )
         losses.append(loss)
         if config.private:
-            g = clip_differentiable(Tensor(g), config.clip).data
-            max_norm = max(max_norm, float(np.linalg.norm(g, axis=1).max()))
+            g *= clip_factor(g, config.clip)
         total += g.sum(axis=0)
     noise = None
-    if config.private and config.sigma > 0:
+    if config.sigma > 0:  # only a private config has one
         noise = rng.gaussians(config.seed, _NOISE_STREAM + step_index, params.count)
         total = total + noise * (config.sigma * config.clip)
     update = total / len(batch)
     new_flat = params.flat - config.learning_rate * update
-    return StepResult(
-        params.with_flat(new_flat), noise, float(np.mean(np.concatenate(losses))), max_norm
-    )
+    return StepResult(params.with_flat(new_flat), noise, float(np.mean(np.concatenate(losses))))
 
 
 @dataclass
@@ -163,12 +169,13 @@ def train(
         raise ConfigError("train: empty dataset")
     params = init_params(spec, config.seed) if initial is None else initial
     total_steps = step_count(len(dataset), config)
-    sigma = config.sigma
-    if config.private and not sigma > 0:
+    sigma, run_config = config.sigma, config
+    if config.target_epsilon is not None:
         sigma = sigma_for_budget(config.target_epsilon, config.target_delta, max(total_steps, 1))
         log.info("derived noise multiplier %.6g for (%g, %g) over %d steps",
                  sigma, config.target_epsilon, config.target_delta, total_steps)
-    run_config = replace(config, sigma=sigma) if sigma != config.sigma else config
+        # DpSgdConfig refuses a sigma next to a target, so the target goes
+        run_config = replace(config, sigma=sigma, target_epsilon=None)
 
     accountant = AccountantState() if config.private else None
     per_epoch: list[float] = []
@@ -200,7 +207,7 @@ def train(
         accountant=accountant,
         step_records=step_records,
         final_epsilon=final_epsilon,
-        sigma_used=sigma if config.private else 0.0,
+        sigma_used=sigma,
     )
 
 

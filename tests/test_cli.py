@@ -317,6 +317,18 @@ class TestTrainCommand:
         assert not model.exists()
 
 
+    def test_nonprivate_config_with_a_clip_is_rejected(self, tmp_path, capsys):
+        # non-private training reads no clip, so the setting would be ignored
+        data = tmp_path / "reg.csv"
+        run("gen-data", "--kind", "regression", "--out", str(data), "--n", "10",
+            "--d", "3", "--informative", "0", "--seed", "5")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 0.1\nepochs = 1\nbatch_size = 10\nclip = 1.0\n")
+        model = tmp_path / "m.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model)) == 2
+        assert "non-private training takes no clip" in capsys.readouterr().err
+        assert not model.exists()
+
     def test_private_config_with_infinite_sigma_is_rejected(self, tmp_path, capsys):
         # inf noise makes every parameter +-inf after one step, while the loss
         # checked before that step is still finite
@@ -504,7 +516,7 @@ class TestAnalyzeAndRank:
         out = tmp_path / "never"
         assert run(command, "--model", str(model), "--data", str(data),
                    "--clip", "inf", "--out", str(out)) == 2
-        assert "finite and positive" in capsys.readouterr().err
+        assert "finite positive clip" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -555,7 +567,38 @@ class TestAttackCommand:
         tmp_path, data, model = image_setup
         assert run("attack", "--model", str(model), "--data", str(data),
                    "--subject", "img00001", "--out", str(tmp_path / "x"),
-                   "--iterations", "1", "--dp-sigma", "1.0") == 2
+                   "--iterations", "1", "--dp-sigma", "1.0") == 1
+
+    def test_dp_seed_alone_is_a_usage_error(self, image_setup, capsys):
+        tmp_path, data, model = image_setup
+        out = tmp_path / "x"
+        assert run("attack", "--model", str(model), "--data", str(data),
+                   "--subject", "img00001", "--out", str(out), "--iterations", "1",
+                   "--dp-seed", "5") == 1
+        assert "--dp-seed with them" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--dp-clip", "2", "--dp-sigma", "0.5"], attack_mod.DpRelease(2.0, 0.5, 0)),
+            (["--dp-clip", "2", "--dp-sigma", "0.5", "--dp-seed", "5"],
+             attack_mod.DpRelease(2.0, 0.5, 5)),
+        ],
+        ids=["default-seed", "given-seed"],
+    )
+    def test_dp_flags_build_the_release(self, image_setup, monkeypatch, flags, expected):
+        tmp_path, data, model = image_setup
+        seen = []
+
+        def stop(spec, params, subject, dp=None):
+            seen.append(dp)
+            raise PlisLabError("stopped before the release")
+
+        monkeypatch.setattr(attack_mod, "observe_gradient", stop)
+        assert run("attack", "--model", str(model), "--data", str(data),
+                   "--subject", "img00001", "--out", str(tmp_path / "x"), *flags) == 2
+        assert seen == [expected]
 
     def test_negative_dp_sigma_is_rejected(self, image_setup, capsys):
         tmp_path, data, model = image_setup

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from plislab import dpsgd, models
+from plislab import datasets, dpsgd, models
 from plislab.autodiff import (
     Graph,
     Tensor,
     backward,
+    clip_factor,
+    clip_rows,
     finite_diff_check,
     linear,
     reshape,
@@ -26,6 +28,41 @@ def _linear_dataset(n=40, d=3, seed=0, noise=0.0):
 
 
 LINEAR_SPEC = models.ModelSpec((models.Linear(3, 1, bias=False),), models.MSE)
+
+
+def _step_through_tape_clip(spec, params, batch, cfg, noise):
+    """A private step's new parameters with each chunk's rows clipped by
+    clip_differentiable, and the clipped rows."""
+    total = np.zeros(params.count)
+    rows = []
+    for part in models.chunks(batch, models.chunk_size(params)):
+        xs, ys = np.stack([x for x, _ in part]), [y for _, y in part]
+        g = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+        rows.append(dpsgd.clip_differentiable(Tensor(g), cfg.clip).data)
+        total += rows[-1].sum(axis=0)
+    total = total + noise * (cfg.sigma * cfg.clip)
+    return params.flat - cfg.learning_rate * (total / len(batch)), np.concatenate(rows)
+
+
+class TestClipFactor:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    @pytest.mark.parametrize("clip_ratio", [1.0, 2.5])
+    def test_in_place_scaling_equals_clip_rows_bit_for_bit(self, scale, clip_ratio):
+        rng = np.random.default_rng(8)
+        clip = clip_ratio * scale  # C = 1 only at scale 1 and ratio 1
+        # row norms from 0.05 C to 20 C, a zero row and a row of norm C exactly
+        g = rng.normal(size=(12, 7))
+        g *= np.geomspace(0.05, 20.0, 12)[:, None] / np.linalg.norm(g, axis=1, keepdims=True)
+        g *= clip
+        g[3] = 0.0
+        g[4] = 0.0
+        g[4, 2] = clip
+        norms = np.linalg.norm(g, axis=1)
+        assert (norms > clip).any() and (norms[norms != 0] < clip).any()
+        assert norms[4] == clip
+        expected = clip_rows(Tensor(g), clip).data
+        g *= clip_factor(g, clip)
+        assert g.tobytes() == expected.tobytes()
 
 
 class TestClipDifferentiable:
@@ -115,7 +152,28 @@ class TestDpSgdStep:
             learning_rate=0.05, epochs=1, batch_size=10, private=True, clip=0.2, sigma=1.0
         )
         result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, data[:10], cfg)
-        assert result.max_clipped_norm <= 0.2 + 1e-9
+        expected, rows = _step_through_tape_clip(LINEAR_SPEC, params, data[:10], cfg, result.noise)
+        assert result.params.flat.tobytes() == expected.tobytes()
+        norms = np.linalg.norm(rows, axis=1)
+        assert norms.max() <= 0.2 + 1e-9
+        assert np.isclose(norms, 0.2, rtol=1e-12).sum() >= 1  # some rows were clipped
+
+    def test_cnn_step_over_two_chunks_matches_the_tape_clip(self):
+        images = datasets.make_glyph_images(9, 4, 28, 28)
+        spec = models.cnn_spec(28, 28, images.classes)
+        params = models.init_params(spec, 2)
+        assert 1 < 9 / models.chunk_size(params) <= 2
+        batch = [(s.x, s.y) for s in datasets.image_subjects(images)]
+        grads = models.per_sample_loss_and_grad(
+            spec, params, np.stack([x for x, _ in batch]), [y for _, y in batch]
+        )[1]
+        clip = float(np.median(np.linalg.norm(grads, axis=1)))  # rows above and below C
+        cfg = dpsgd.DpSgdConfig(
+            learning_rate=0.1, epochs=1, batch_size=9, seed=5, private=True, clip=clip, sigma=0.3
+        )
+        result = dpsgd.dp_sgd_step(spec, params, batch, cfg, step_index=3)
+        expected, _ = _step_through_tape_clip(spec, params, batch, cfg, result.noise)
+        assert result.params.flat.tobytes() == expected.tobytes()
 
     def test_fixed_seed_trajectory_is_bit_identical(self):
         data = _linear_dataset()
@@ -174,7 +232,6 @@ class TestConfigFile:
         text = """
         # training configuration
         clip = 1.5
-        sigma = 0.8
         lr = 0.05      # step size
         epochs = 12
         batch_size = 64
@@ -186,7 +243,7 @@ class TestConfigFile:
         cfg = dpsgd.parse_config_text(text)
         assert cfg == dpsgd.DpSgdConfig(
             learning_rate=0.05, epochs=12, batch_size=64, seed=3,
-            private=True, clip=1.5, sigma=0.8, target_epsilon=1.0, target_delta=1e-5,
+            private=True, clip=1.5, target_epsilon=1.0, target_delta=1e-5,
         )
 
     @pytest.mark.parametrize("text", ["", "# nothing set\n\n"])

@@ -40,6 +40,13 @@ CASES = [
     case("dpsgd-zero-batch-size", _dp(batch_size=0), ConfigError, "batch size must be >= 1"),
     case("dpsgd-private-without-noise-or-budget", _dp(private=True, clip=1.0), ConfigError,
          "sigma > 0 or a target epsilon"),
+    case("dpsgd-private-sigma-and-target",
+         _dp(private=True, clip=1.0, sigma=0.5, target_epsilon=1.0), ConfigError,
+         "sigma or a target epsilon, not both"),
+    case("dpsgd-nonprivate-clip", _dp(clip=1.0), ConfigError, "non-private training takes no"),
+    case("dpsgd-nonprivate-sigma", _dp(sigma=5.0), ConfigError, "non-private training takes no"),
+    case("dpsgd-nonprivate-target-epsilon", _dp(target_epsilon=0.01), ConfigError,
+         "non-private training takes no"),
     case("train-empty-dataset", lambda: dpsgd.train(_LINEAR, [], dpsgd.DpSgdConfig(0.1, 1, 1)),
          ConfigError, "empty dataset"),
     case("attack-zero-restarts", lambda: attack.AttackConfig(restarts=0), ConfigError,
