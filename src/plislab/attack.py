@@ -122,9 +122,11 @@ def observe_gradient(
     return g
 
 
-def _match(g: np.ndarray, observed: np.ndarray, loss: str) -> tuple[float, np.ndarray]:
+def _match(
+    g: np.ndarray, observed: np.ndarray, loss: str, gradient: bool = True
+) -> tuple[float, np.ndarray | None]:
     """The match loss of a (1, p) gradient row g against observed (p,), and
-    its gradient in g.
+    its gradient in g (None when gradient is False).
 
     Cosine: 1 - <g, o> / (sqrt(sum g^2) |o|); L2: sum (g - o)^2.  The
     arithmetic is that of the tape ops for the same expression and then of
@@ -134,6 +136,8 @@ def _match(g: np.ndarray, observed: np.ndarray, loss: str) -> tuple[float, np.nd
     if loss == L2:
         diff = g - obs
         value = (diff * diff).sum()
+        if not gradient:
+            return value, None
         diff *= 2.0
         return value, diff
     # work holds the temporaries: a fresh (1, p) array per op would be
@@ -143,6 +147,8 @@ def _match(g: np.ndarray, observed: np.ndarray, loss: str) -> tuple[float, np.nd
     norm_obs = float(np.linalg.norm(observed))
     denom = np.sqrt(s) * norm_obs
     dot = np.multiply(g, obs, out=work).sum()
+    if not gradient:
+        return 1.0 - dot / denom, None
     # the rules of sub(1, .), div, sum and mul(g, o), mul(., |o|), sqrt, sum
     # and square; products and sums commute exactly, so c is built in place
     dot_bar = -1.0 / denom
@@ -159,9 +165,12 @@ def _embed(values: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
     return out
 
 
-def _smoothed_tv(x: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
+def _smoothed_tv(
+    x: np.ndarray, weight: float, gradient: bool = True
+) -> tuple[float, np.ndarray | None]:
     """Anisotropic total variation of x (..., h, w) with |d| ~ sqrt(d^2 + eps)
-    smoothing, and the gradient of weight * TV in x.
+    smoothing, and the gradient of weight * TV in x (None when gradient is
+    False).
 
     The arithmetic is that of the tape ops for the same expression (slices,
     sub, square, add, sqrt, mean) and then of their rules, last op first,
@@ -176,6 +185,8 @@ def _smoothed_tv(x: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
     right = x[right_hi] - x[right_lo]
     abs_down = np.sqrt(down * down + _TV_SMOOTH)
     abs_right = np.sqrt(right * right + _TV_SMOOTH)
+    if not gradient:
+        return abs_down.mean() + abs_right.mean(), None
     down_bar = weight * (1.0 / down.size) / (abs_down * 2.0) * (down * 2.0)
     right_bar = weight * (1.0 / right.size) / (abs_right * 2.0) * (right * 2.0)
     grad = _embed(-right_bar, x.shape, right_lo) + _embed(right_bar, x.shape, right_hi)
@@ -185,15 +196,18 @@ def _smoothed_tv(x: np.ndarray, weight: float) -> tuple[float, np.ndarray]:
 
 
 def _terms(
-    g: np.ndarray, x: np.ndarray, observed: np.ndarray, config: AttackConfig
-) -> tuple[float, float, np.ndarray, np.ndarray | None]:
+    g: np.ndarray, x: np.ndarray, observed: np.ndarray, config: AttackConfig,
+    gradient: bool = True,
+) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
     """(objective, match, c, t) for the (1, p) gradient row g of the batched
     input x (1, ...): c is the match's gradient in g, and t the weighted
-    prior's gradient in x, None when the prior is off."""
-    match, c = _match(g, observed, config.match_loss)
+    prior's gradient in x, None when the prior is off.  With gradient False
+    c and t are None and the values are computed alone, by the same
+    arithmetic."""
+    match, c = _match(g, observed, config.match_loss, gradient)
     if not (config.tv_weight > 0 and x.ndim >= 3):
         return match, match, c, None
-    tv, t = _smoothed_tv(x, config.tv_weight)
+    tv, t = _smoothed_tv(x, config.tv_weight, gradient)
     return match + tv * config.tv_weight, match, c, t
 
 
@@ -233,7 +247,7 @@ def _objective_value(
 ) -> float:
     """_objective's value alone, from one per-sample gradient."""
     g = per_sample_grad(spec, params, x, label).data[None]
-    return float(_terms(g, x[None], observed, config)[0])
+    return float(_terms(g, x[None], observed, config, gradient=False)[0])
 
 
 def _resolve_shape(spec: ModelSpec, input_shape: tuple[int, ...] | None) -> tuple[int, ...]:

@@ -119,9 +119,14 @@ def dp_sgd_step(
     """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
 
     The noise is the standard-normal draw keyed by (config.seed, step_index).
+    A private config must carry its sigma: only train derives one from a
+    target epsilon.
     """
     if not batch:
         raise ConfigError("dp_sgd_step: empty batch")
+    if config.private and not config.sigma > 0:
+        raise ConfigError("dp_sgd_step: a private step needs sigma > 0; "
+                          "train derives it from the target epsilon")
     total = np.zeros(params.count)
     losses = []
     for part in chunks(batch, chunk_size(params)):
@@ -133,7 +138,7 @@ def dp_sgd_step(
             g *= clip_factor(g, config.clip)
         total += g.sum(axis=0)
     noise = None
-    if config.sigma > 0:  # only a private config has one
+    if config.private:
         noise = rng.gaussians(config.seed, _NOISE_STREAM + step_index, params.count)
         total = total + noise * (config.sigma * config.clip)
     update = total / len(batch)

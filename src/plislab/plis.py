@@ -18,8 +18,11 @@ Subject i's privacy loss depends only on its own rows of the tiled
 parameters and of X, so one backward pass of the summed privacy losses
 to X returns every subject's PLIS in its own row: two backward passes
 per chunk, not per subject.  The input Jacobian replicates one subject
-across the batch instead, one replica per Jacobian column.  Every graph
-is dropped when the call returns.
+across the batch instead, one replica per Jacobian column, and also takes
+two backward passes per chunk: the input gradient with create_graph, then
+its picked entries to the parameters (d/dtheta dL/dx_j = J[:, j], since
+mixed second partials are symmetric).  Every graph is dropped when the
+call returns.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, reshape, tslice, tsum, square
+from .autodiff import Tensor, backward, concat, mul, reshape, tslice, tsum, square
 from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable
 from .errors import ConfigError, DimensionGuardError
@@ -205,11 +208,12 @@ def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) ->
     """J = d(grad_theta loss)/dx, materialized as a p x d matrix.
 
     The subject is replicated once per input coordinate, models.chunk_size()
-    replicas per graph.  With g_b the parameter gradient of replica b and
-    W a dual leaf with rows w_b, s = sum_b <g_b, w_b> gives
-    gx = ds/dX with gx[b] = J^T w_b, and one backward pass of
-    sum_b gx[b, j_b] to W returns row b = J[:, j_b], where j_b is the
-    column assigned to replica b: three backward passes per chunk.
+    replicas per graph, replica b assigned column j_b.  Mixed second
+    partials are symmetric, so J[:, j] = d/dtheta (dL/dx_j): one
+    create-graph pass gives gx = dL/dX, and one plain pass of
+    sum_b gx[b, j_b] to the per-replica parameter leaves returns row
+    b = J[:, j_b].  Two backward passes per chunk; relu masks are detached
+    constants on either order of differentiation, so it is the same J.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
@@ -219,11 +223,9 @@ def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) ->
         n = cols.size
         xs = np.broadcast_to(subject.x, (n,) + subject.x.shape)
         sample = attach_sample(spec, params, xs, [subject.y] * n)
-        g = parameter_grad(sample, create_graph=True)
-        w = sample.graph.leaf(np.ones((n, p)))
-        (gx,) = backward(tsum(mul(g, w)), [sample.x], create_graph=True)
+        (gx,) = backward(sample.loss, [sample.x], create_graph=True)
         picked = tslice(reshape(gx, (n, d)), (np.arange(n), cols))
-        jac_t[cols] = backward(tsum(picked), [w])[0].data
+        jac_t[cols] = concat(backward(tsum(picked), sample.params)).data
     return jac_t.T
 
 

@@ -262,6 +262,18 @@ class TestObjective:
         assert gx.tobytes() == ref_gx.tobytes()
         assert attack._objective_value(spec, params, x, label, observed, config) == ref_obj
 
+    @pytest.mark.parametrize("make, loss, tv", OBJECTIVE_CASES)
+    def test_value_alone_equals_the_terms_value_bit_for_bit(self, make, loss, tv):
+        """The line search's value path skips c and t and keeps every bit."""
+        spec, params, x, label, observed = _attack_case(make, 14)
+        config = attack.AttackConfig(tv_weight=tv, match_loss=loss)
+        g = models.per_sample_grad(spec, params, x, label).data[None]
+        full = attack._terms(g, x[None], observed, config)
+        alone = attack._terms(g, x[None], observed, config, gradient=False)
+        assert alone[2] is None and alone[3] is None
+        assert (alone[0], alone[1]) == (full[0], full[1])
+        assert attack._objective_value(spec, params, x, label, observed, config) == full[0]
+
     @pytest.mark.parametrize("loss, monotone", [(attack.COSINE, False), (attack.L2, False),
                                                 (attack.COSINE, True), (attack.L2, True)])
     def test_reconstruct_bit_identical_to_the_tape_route(self, monkeypatch, loss, monotone):

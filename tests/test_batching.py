@@ -7,8 +7,9 @@ last chunk is ragged.  On the same specs, batched direct-route PLIS must
 match central finite differences of the privacy loss, the clip must bound
 every per-sample gradient and leave those below the threshold alone, and
 the FIM must equal J^T J / sigma^2.  The per-sample counterparts build one
-graph per sample; the input Jacobian's oracle is the column-by-column loop
-with one backward pass per input coordinate.
+graph per sample; the input Jacobian's oracles are the column-by-column loop
+with one backward pass per input coordinate (the double-backward route
+through a dual leaf) and central differences of the per-sample gradient.
 """
 
 import contextlib
@@ -16,6 +17,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
@@ -197,6 +199,78 @@ def _jacobian_by_columns(spec, params, subject):
 def test_input_jacobian_matches_column_loop(problem, replicas):
     spec, params, subjects, _ = problem
     subject = subjects[0]
+    with chunked(params, replicas):
+        jac = plis.input_jacobian(spec, params, subject)
+    assert_close(jac, _jacobian_by_columns(spec, params, subject))
+
+
+def _small_cnn(seed):
+    spec = models.ModelSpec(
+        (models.Conv2d(1, 2, 3), models.Relu(), models.Flatten(), models.Linear(2 * 4 * 4, 2)),
+        models.CROSS_ENTROPY,
+    )
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(1, 6, 6))
+    return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, 1)
+
+
+def _tabular_mlp(act, seed):
+    """The CLI's tabular MLP shape, Linear(4, 16), act, Linear(16, 1), on one subject."""
+    spec = models.ModelSpec((models.Linear(4, 16), act, models.Linear(16, 1)), models.MSE)
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=4), rng.normal(size=1)
+    return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, y)
+
+
+def _central_difference_jacobian(spec, params, subject, h):
+    """J[:, j] ~ (g(x + h e_j) - g(x - h e_j)) / 2h from the per-sample gradient g."""
+    x = subject.x
+    columns = []
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = h
+        step = step.reshape(x.shape)
+        plus = models.per_sample_grad(spec, params, x + step, subject.y).data
+        minus = models.per_sample_grad(spec, params, x - step, subject.y).data
+        columns.append((plus - minus) / (2.0 * h))
+    return np.stack(columns, axis=1)
+
+
+def _conv_margin(spec, params, x):
+    """Smallest |pre-activation| of the first (conv) layer over the largest
+    |kernel entry|: a step in x shorter than this crosses no relu kink."""
+    blocks = {b.name: Tensor(params.flat[b.offset : b.offset + b.size].reshape((1, *b.shape)))
+              for b in params.layout if b.name.startswith("0.")}
+    conv = models.ModelSpec(spec.layers[:1], models.MSE)
+    pre = models.forward(conv, blocks, Tensor(x[None])).data
+    return np.abs(pre).min() / np.abs(blocks["0.weight"].data).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _small_cnn(3),
+    lambda: _tabular_mlp(models.Tanh(), 5),
+    lambda: _tabular_mlp(models.Softplus(), 6),
+], ids=["cnn", "tanh-mlp", "softplus-mlp"])
+def test_input_jacobian_matches_central_differences(make):
+    spec, params, subject = make()
+    h = 1e-5
+    if isinstance(spec.layers[1], models.Relu):
+        # the stencil stays on one side of every relu kink
+        assert _conv_margin(spec, params, subject.x) > 10 * h
+    assert subject.x.size > 3  # two chunks at least
+    with chunked(params, 3):
+        jac = plis.input_jacobian(spec, params, subject)
+    oracle = _central_difference_jacobian(spec, params, subject, h)
+    assert np.abs(jac - oracle).max() <= 1e-8 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _small_cnn(7),
+    lambda: _tabular_mlp(models.Tanh(), 8),
+], ids=["cnn", "cli-mlp"])
+@pytest.mark.parametrize("replicas", [1, 3])
+def test_input_jacobian_matches_column_loop_over_chunks(make, replicas):
+    spec, params, subject = make()
+    assert subject.x.size > replicas
     with chunked(params, replicas):
         jac = plis.input_jacobian(spec, params, subject)
     assert_close(jac, _jacobian_by_columns(spec, params, subject))

@@ -484,6 +484,31 @@ class TestAnalyzeAndRank:
                 for cell in row[1:]:
                     float(cell)
 
+    @pytest.fixture()
+    def small_image_setup(self, tmp_path):
+        data = tmp_path / "small.plds"
+        assert run("gen-data", "--kind", "images", "--out", str(data), "--n", "4",
+                   "--seed", "2", "--height", "8", "--width", "8", "--ood", "1") == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("lr = 0.05\nepochs = 1\nbatch_size = 5\nseed = 3\n")
+        model = tmp_path / "model.plck"
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model)) == 0
+        return tmp_path, data, model
+
+    @pytest.mark.parametrize("setup", ["tabular_setup", "small_image_setup"])
+    def test_fil_and_jacsens_byte_identical_across_runs(self, request, setup):
+        tmp_path, data, model = request.getfixturevalue(setup)
+        written = []
+        for run_dir in ("run1", "run2"):
+            fil, jac = tmp_path / run_dir / "fil", tmp_path / run_dir / "jac"
+            assert run("analyze-fil", "--model", str(model), "--data", str(data),
+                       "--sigma", "1.5", "--out", str(fil)) == 0
+            assert run("analyze-jacsens", "--model", str(model), "--data", str(data),
+                       "--out", str(jac)) == 0
+            written.append([(fil / "fil_report.csv").read_bytes(),
+                            (jac / "jacsens_report.csv").read_bytes()])
+        assert written[0] == written[1]
+
     def test_jacsens_takes_no_sigma(self, tabular_setup, capsys):
         tmp_path, data, model = tabular_setup
         out = tmp_path / "never"

@@ -47,6 +47,11 @@ CASES = [
     case("dpsgd-nonprivate-sigma", _dp(sigma=5.0), ConfigError, "non-private training takes no"),
     case("dpsgd-nonprivate-target-epsilon", _dp(target_epsilon=0.01), ConfigError,
          "non-private training takes no"),
+    case("dpsgd-step-target-without-sigma",
+         lambda: dpsgd.dp_sgd_step(
+             _LINEAR, models.init_params(_LINEAR, 0), [(np.zeros(3), np.zeros(1))],
+             dpsgd.DpSgdConfig(0.1, 1, 4, private=True, clip=1.0, target_epsilon=1.0)),
+         ConfigError, "a private step needs sigma > 0"),
     case("train-empty-dataset", lambda: dpsgd.train(_LINEAR, [], dpsgd.DpSgdConfig(0.1, 1, 1)),
          ConfigError, "empty dataset"),
     case("attack-zero-restarts", lambda: attack.AttackConfig(restarts=0), ConfigError,
