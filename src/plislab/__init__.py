@@ -42,7 +42,6 @@ from .models import (
     init_params,
     load_checkpoint,
     per_sample_grad,
-    per_sample_loss,
     save_checkpoint,
 )
 from .plis import (
@@ -104,7 +103,6 @@ __all__ = [
     "make_regression",
     "observe_gradient",
     "per_sample_grad",
-    "per_sample_loss",
     "plis_direct",
     "plis_expanded",
     "plis_reports",

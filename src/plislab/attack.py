@@ -38,15 +38,7 @@ from . import rng
 from .autodiff import Tensor, add, backward, mul, tsum
 from .dpsgd import check_clip, clip_differentiable
 from .errors import AttackFailedError, ConfigError
-from .models import (
-    Conv2d,
-    Linear,
-    ModelSpec,
-    ParamSet,
-    attach_sample,
-    parameter_grad,
-    per_sample_grad,
-)
+from .models import ModelSpec, ParamSet, attach_sample, parameter_grad, per_sample_grad
 
 log = logging.getLogger("plislab.attack")
 
@@ -250,17 +242,6 @@ def _objective_value(
     return float(_terms(g, x[None], observed, config, gradient=False)[0])
 
 
-def _resolve_shape(spec: ModelSpec, input_shape: tuple[int, ...] | None) -> tuple[int, ...]:
-    if input_shape is not None:
-        return tuple(int(s) for s in input_shape)
-    first = spec.layers[0]
-    if isinstance(first, Linear):
-        return (first.in_dim,)
-    if isinstance(first, Conv2d):
-        raise ConfigError("reconstruct() needs input_shape for convolutional models")
-    raise ConfigError("cannot infer the attack input shape from this model")
-
-
 def _run_restart(
     spec: ModelSpec,
     params: ParamSet,
@@ -309,9 +290,10 @@ def reconstruct(
     observed: np.ndarray,
     label,
     config: AttackConfig,
-    input_shape: tuple[int, ...] | None = None,
+    input_shape: tuple[int, ...],
 ) -> AttackResult:
-    """Recover an input whose gradient matches the observed one.
+    """Recover an input of input_shape (a subject's x.shape) whose gradient
+    matches the observed one.
 
     Runs config.restarts independently seeded restarts and returns the
     one with the lowest final match loss.  Restarts that go non-finite
@@ -322,12 +304,11 @@ def reconstruct(
         raise ConfigError(
             f"observed gradient has shape {observed.shape}, expected ({params.count},)"
         )
-    shape = _resolve_shape(spec, input_shape)
     best: tuple[np.ndarray, float, list[float]] | None = None
     best_restart = -1
     traces: list[list[float]] = []
     for restart in range(config.restarts):
-        outcome = _run_restart(spec, params, observed, label, config, restart, shape)
+        outcome = _run_restart(spec, params, observed, label, config, restart, input_shape)
         if outcome is None:
             traces.append([])
             continue

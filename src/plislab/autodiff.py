@@ -26,8 +26,9 @@ Conventions:
 Layer ops: a model layer records one node, not a chain of small ones.
 conv2d, linear, bias_add, cross_entropy, mse and clip_rows are primitives
 with their own rules.  The rules of conv2d and linear call the op's two
-adjoints (input and weight), which are ops themselves, and each adjoint's
-rule calls the other two members of its family; cross_entropy's rule
+adjoints (input and weight), private rule workers that record a node each
+and check no shapes, since only rules call them; each adjoint's rule
+calls the other two members of its family, and cross_entropy's rule
 calls softmax.  conv2d's rule reuses the patch matrix its forward pass
 gathered.  Patches are laid out by slicing alone: _im2col copies a
 strided (B, C, k, k, oh, ow) view of the image, and its adjoint _col2im
@@ -362,12 +363,10 @@ def reshape(a, shape) -> Tensor:
     return _record("reshape", a.data.reshape(shape), (a,), rule)
 
 
-def tslice(a, index) -> Tensor:
+def tslice(a, index: tuple) -> Tensor:
     """Slice/int indexing, or integer-array indexing that picks each entry
-    at most once; the adjoint is embed()."""
+    at most once, by a tuple index; the adjoint is embed()."""
     a = _tensor(a)
-    if not isinstance(index, tuple):
-        index = (index,)
 
     def rule(grad: Tensor, need, a: Tensor):
         return (embed(grad, a.shape, index),)
@@ -399,11 +398,9 @@ def concat(parts) -> Tensor:
     return _record("concat", np.concatenate(rows, axis=1), parts, rule)
 
 
-def embed(a, shape: tuple, index) -> Tensor:
-    """Place a into a zero tensor of the given shape at the given index."""
+def embed(a, shape: tuple, index: tuple) -> Tensor:
+    """Place a into a zero tensor of the given shape at the given tuple index."""
     a = _tensor(a)
-    if not isinstance(index, tuple):
-        index = (index,)
     out = np.zeros(shape)
     out[index] = a.data
 
@@ -441,23 +438,18 @@ def linear(w, h) -> Tensor:
         raise ShapeError(f"linear: weights {w.shape} and inputs {h.shape} do not compose")
 
     def rule(grad: Tensor, need, w: Tensor, h: Tensor):
-        gw = linear_weight_adjoint(grad, h) if need[0] else None
-        gh = linear_input_adjoint(w, grad) if need[1] else None
+        gw = _linear_weight_adjoint(grad, h) if need[0] else None
+        gh = _linear_input_adjoint(w, grad) if need[1] else None
         return (gw, gh)
 
     return _record("linear", np.matmul(w.data, h.data[..., None])[..., 0], (w, h), rule)
 
 
-def linear_input_adjoint(w, g) -> Tensor:
+def _linear_input_adjoint(w: Tensor, g: Tensor) -> Tensor:
     """Per-row W^T g: (B, O, I) weights and (B, O) cotangents give (B, I)."""
-    w, g = _tensor(w), _tensor(g)
-    if w.data.ndim != 3 or g.shape != w.shape[:2]:
-        raise ShapeError(
-            f"linear_input_adjoint: weights {w.shape} and cotangents {g.shape} do not compose"
-        )
 
     def rule(grad: Tensor, need, w: Tensor, g: Tensor):
-        gw = linear_weight_adjoint(g, grad) if need[0] else None
+        gw = _linear_weight_adjoint(g, grad) if need[0] else None
         gg = linear(w, grad) if need[1] else None
         return (gw, gg)
 
@@ -465,15 +457,12 @@ def linear_input_adjoint(w, g) -> Tensor:
     return _record("linear-input-adjoint", out, (w, g), rule)
 
 
-def linear_weight_adjoint(g, h) -> Tensor:
+def _linear_weight_adjoint(g: Tensor, h: Tensor) -> Tensor:
     """Per-row outer product g h^T: (B, O) and (B, I) give (B, O, I)."""
-    g, h = _tensor(g), _tensor(h)
-    if g.data.ndim != 2 or h.data.ndim != 2 or g.shape[0] != h.shape[0]:
-        raise ShapeError(f"linear_weight_adjoint: shapes {g.shape} and {h.shape} do not compose")
 
     def rule(grad: Tensor, need, g: Tensor, h: Tensor):
         gg = linear(grad, h) if need[0] else None
-        gh = linear_input_adjoint(grad, g) if need[1] else None
+        gh = _linear_input_adjoint(grad, g) if need[1] else None
         return (gg, gh)
 
     # numpy's stacked matmul runs a slow loop for an inner dimension of 1;
@@ -513,16 +502,12 @@ def _col2im(cols: Array, image_shape: tuple, k: int) -> Array:
     return img
 
 
-def _kernel_size(op: str, kernel: Tensor) -> int:
-    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
-        raise ShapeError(f"{op}: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
-    return kernel.shape[3]
-
-
 def conv2d(x, kernel) -> Tensor:
     """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels."""
     x, kernel = _tensor(x), _tensor(kernel)
-    k = _kernel_size("conv2d", kernel)
+    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
+        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
+    k = kernel.shape[3]
     if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
         raise ShapeError(
             f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
@@ -538,7 +523,7 @@ def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
     oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
 
     def rule(grad: Tensor, need, x: Tensor, kernel: Tensor):
-        gx = conv2d_input_adjoint(grad, kernel) if need[0] else None
+        gx = _conv2d_input_adjoint(grad, kernel) if need[0] else None
         gk = _conv2d_kernel_adjoint(x, grad, cols) if need[1] else None
         return (gx, gk)
 
@@ -546,16 +531,9 @@ def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
     return _record("conv2d", out, (x, kernel), rule)
 
 
-def conv2d_input_adjoint(g, kernel) -> Tensor:
+def _conv2d_input_adjoint(g: Tensor, kernel: Tensor) -> Tensor:
     """Gradient of <g, conv2d(x, kernel)> in x: (B,C,oh+k-1,ow+k-1) from (B,O,oh,ow) g."""
-    g, kernel = _tensor(g), _tensor(kernel)
-    k = _kernel_size("conv2d_input_adjoint", kernel)
-    if g.data.ndim != 4 or g.shape[:2] != kernel.shape[:2]:
-        raise ShapeError(
-            f"conv2d_input_adjoint: cotangent shape {g.shape} incompatible with"
-            f" kernel shape {kernel.shape}"
-        )
-    b, o, c = kernel.shape[:3]
+    b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
 
     def rule(grad: Tensor, need, g: Tensor, kernel: Tensor):
@@ -569,24 +547,14 @@ def conv2d_input_adjoint(g, kernel) -> Tensor:
     return _record("conv2d-input-adjoint", out, (g, kernel), rule)
 
 
-def conv2d_kernel_adjoint(x, g) -> Tensor:
-    """Gradient of <g, conv2d(x, K)> in K: (B,O,C,k,k) from (B,C,H,W) x and (B,O,oh,ow) g."""
-    x, g = _tensor(x), _tensor(g)
-    if x.data.ndim != 4 or g.data.ndim != 4 or x.shape[0] != g.shape[0]:
-        raise ShapeError(f"conv2d_kernel_adjoint: shapes {x.shape} and {g.shape} do not compose")
-    k = x.shape[2] - g.shape[2] + 1
-    if k < 1 or x.shape[3] - g.shape[3] + 1 != k:
-        raise ShapeError(f"conv2d_kernel_adjoint: no square kernel maps {x.shape} to {g.shape}")
-    return _conv2d_kernel_adjoint(x, g, _im2col(x.data, k))
-
-
 def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
-    """conv2d_kernel_adjoint on the already gathered patch matrices cols of x."""
+    """Gradient of <g, conv2d(x, K)> in K, (B,O,C,k,k) from (B,C,H,W) x and
+    (B,O,oh,ow) g, on the already gathered patch matrices cols of x."""
     b, o, oh, ow = g.shape
     c, k = x.shape[1], x.shape[2] - oh + 1
 
     def rule(grad: Tensor, need, x: Tensor, g: Tensor):
-        gx = conv2d_input_adjoint(g, grad) if need[0] else None
+        gx = _conv2d_input_adjoint(g, grad) if need[0] else None
         gg = _conv2d(x, grad, cols) if need[1] else None
         return (gx, gg)
 

@@ -9,6 +9,9 @@ repr, so identical flags and seeds give byte-identical outputs.  An
 run that fails before writing leaves none behind.
 attack's DP flags go together: --dp-clip and --dp-sigma, with or without
 --dp-seed, or none of them; anything else is a usage error (exit 1).
+gen-data's --height, --width and --ood apply to --kind images only, and
+--d, --informative and --noise-sd to regression only; a flag of the other
+kind is a usage error.
 PLIS_LOG={quiet|info|debug} controls diagnostics on stderr.
 
 `plislab experiment dp-regression|ood-rank` runs one of the paper's two
@@ -72,6 +75,8 @@ def _atomic_write_text(path: str, text: str) -> None:
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
     def cell(v) -> str:
+        if v is None:
+            return ""
         if isinstance(v, float):  # numpy scalars too: repr(np.float64(x)) names the type
             return repr(float(v))
         return str(v)
@@ -172,21 +177,33 @@ def _build_spec(arch: str, data) -> models.ModelSpec:
 # --------------------------------------------------------------------------
 
 
+# the options one --kind reads; not given, they are unset
+_KIND_FLAGS = {"images": ("height", "width", "ood"), "regression": ("d", "informative", "noise_sd")}
+
+
 def _cmd_gen_data(args) -> int:
+    given = vars(args)
+    stray = [k for kind, keys in _KIND_FLAGS.items() if kind != args.kind for k in keys if k in given]
+    if stray:
+        flag = "--" + stray[0].replace("_", "-")
+        raise _UsageError(f"gen-data: {flag} does not apply to --kind {args.kind}")
     if args.kind == "images":
-        ds = datasets.make_glyph_images(args.n, args.seed, args.height, args.width)
-        if args.ood:
-            ds = datasets.inject_ood(ds, args.ood, args.seed)
+        sizes = {k: given[k] for k in ("height", "width") if k in given}
+        ds = datasets.make_glyph_images(args.n, args.seed, **sizes)
+        if given.get("ood"):
+            ds = datasets.inject_ood(ds, given["ood"], args.seed)
         _atomic_write(args.out, lambda tmp: datasets.write_plds(ds, tmp))
         log.info("wrote %d images (%d OOD) to %s", ds.n, int(ds.ood_flags.sum()), args.out)
     else:
+        text = given.get("informative", "9")
         try:
-            informative = {int(tok) for tok in args.informative.split(",") if tok.strip() != ""}
+            informative = {int(tok) for tok in text.split(",") if tok.strip() != ""}
         except ValueError:
             raise ConfigError(
-                f"--informative expects comma-separated column indices, got {args.informative!r}"
+                f"--informative expects comma-separated column indices, got {text!r}"
             ) from None
-        ds = datasets.make_regression(args.n, args.d, informative, args.noise_sd, args.seed)
+        d, noise_sd = given.get("d", 16), given.get("noise_sd", 0.1)
+        ds = datasets.make_regression(args.n, d, informative, noise_sd, args.seed)
         _atomic_write(args.out, lambda tmp: datasets.save_regression_csv(ds, tmp))
         log.info("wrote %d rows x %d features to %s", ds.n, ds.d, args.out)
     return 0
@@ -194,6 +211,8 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_train(args) -> int:
     config = dpsgd.load_config(args.config)
+    if args.accountant_out and not config.private:
+        raise PlisLabError("--accountant-out needs a private training run")
     data, subjects = _load_subjects(args.data)
     spec = _build_spec(args.arch, data)
     trace = dpsgd.train(spec, [(s.x, s.y) for s in subjects], config)
@@ -208,8 +227,6 @@ def _cmd_train(args) -> int:
         rows = [[step, loss, eps] for step, loss, eps in trace.step_records]
         _atomic_write_text(args.trace_out, _csv_text(["step", "loss", "epsilon_so_far"], rows))
     if args.accountant_out:
-        if trace.accountant is None:
-            raise PlisLabError("--accountant-out needs a private training run")
         _atomic_write(
             args.accountant_out,
             lambda tmp: accounting.write_report(trace.accountant, config.target_delta, tmp),
@@ -223,13 +240,7 @@ def _cmd_analyze_plis(args) -> int:
     rows = []
     for report in reports:
         rows.append(
-            [
-                report.subject_id,
-                report.pl,
-                report.subject_plis_norm,
-                report.mode,
-                "" if report.sigma is None else repr(float(report.sigma)),
-            ]
+            [report.subject_id, report.pl, report.subject_plis_norm, report.mode, report.sigma]
         )
         emit_heatmap(plis.as_plane(report.plis), _in_dir(args.out, f"plis_{report.subject_id}"))
     _atomic_write_text(
@@ -332,17 +343,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="plislab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # dests of the kind-specific options are the keys of _KIND_FLAGS
     gen = sub.add_parser("gen-data", help="generate a dataset file")
     gen.add_argument("--kind", choices=["images", "regression"], required=True)
     gen.add_argument("--out", required=True)
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--height", type=int, default=28)
-    gen.add_argument("--width", type=int, default=28)
-    gen.add_argument("--ood", type=int, default=0, help="OOD samples to inject (images)")
-    gen.add_argument("--d", type=int, default=16, help="feature count (regression)")
-    gen.add_argument("--informative", default="9", help="comma list of informative columns")
-    gen.add_argument("--noise-sd", type=float, default=0.1)
+    unset = argparse.SUPPRESS
+    gen.add_argument("--height", type=int, default=unset)
+    gen.add_argument("--width", type=int, default=unset)
+    gen.add_argument("--ood", type=int, default=unset, help="OOD samples to inject (images)")
+    gen.add_argument("--d", type=int, default=unset, help="feature count (regression)")
+    gen.add_argument("--informative", default=unset, help="comma list of informative columns")
+    gen.add_argument("--noise-sd", type=float, default=unset)
     gen.set_defaults(func=_cmd_gen_data)
 
     train = sub.add_parser("train", help="train a model from a config file")

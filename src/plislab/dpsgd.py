@@ -53,13 +53,14 @@ def check_clip(clip) -> None:
 
 @dataclass(frozen=True)
 class DpSgdConfig:
-    """Every run reads learning_rate, epochs, batch_size and seed.  Private training
-    also reads clip and one of sigma > 0 and target_epsilon (train then derives
-    sigma), never both; non-private training takes none of these three."""
+    """Every run reads learning_rate, epochs, batch_size and seed; a config file
+    key left out takes its field's default.  Private training also reads clip and
+    one of sigma > 0 and target_epsilon (train then derives sigma), never both;
+    non-private training takes none of these three."""
 
-    learning_rate: float
-    epochs: int
-    batch_size: int
+    learning_rate: float = 0.1
+    epochs: int = 1
+    batch_size: int = 32
     seed: int = 0
     private: bool = False
     clip: float | None = None
@@ -156,10 +157,6 @@ class TrainTrace:
     sigma_used: float = 0.0
 
 
-def step_count(n_samples: int, config: DpSgdConfig) -> int:
-    return config.epochs * math.ceil(n_samples / config.batch_size)
-
-
 def train(
     spec: ModelSpec, dataset, config: DpSgdConfig, initial: ParamSet | None = None
 ) -> TrainTrace:
@@ -173,7 +170,7 @@ def train(
     if not len(dataset):
         raise ConfigError("train: empty dataset")
     params = init_params(spec, config.seed) if initial is None else initial
-    total_steps = step_count(len(dataset), config)
+    total_steps = config.epochs * math.ceil(len(dataset) / config.batch_size)
     sigma, run_config = config.sigma, config
     if config.target_epsilon is not None:
         sigma = sigma_for_budget(config.target_epsilon, config.target_delta, max(total_steps, 1))
@@ -241,8 +238,6 @@ _CONFIG_KEYS = {
     "target_epsilon": ("target_epsilon", float),
     "target_delta": ("target_delta", float),
 }
-# DpSgdConfig has no default for these three; a config file may leave them out
-_REQUIRED_DEFAULTS = {"learning_rate": 0.1, "epochs": 1, "batch_size": 32}
 
 
 def parse_config_text(text: str) -> DpSgdConfig:
@@ -259,7 +254,7 @@ def parse_config_text(text: str) -> DpSgdConfig:
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
         values[key] = value
-    kwargs = dict(_REQUIRED_DEFAULTS)
+    kwargs = {}
     try:
         for key, (name, parse) in _CONFIG_KEYS.items():
             if key in values:

@@ -35,14 +35,6 @@ class GrayImage:
             raise PlisLabError("GrayImage pixels must lie in [0, 1]")
         object.__setattr__(self, "pixels", arr)
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 def _pixels(image) -> np.ndarray:
     if isinstance(image, GrayImage):

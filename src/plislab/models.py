@@ -348,11 +348,6 @@ def per_sample_loss_and_grad(
     return sample.losses.data, parameter_grad(sample).data
 
 
-def per_sample_loss(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
-    """One sample's scalar loss tensor, attached to its graph's parameter and input leaves."""
-    return attach_sample(spec, params, [x], [y]).loss
-
-
 def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
     """One sample's detached flat parameter gradient."""
     return Tensor(per_sample_loss_and_grad(spec, params, [x], [y])[1][0])

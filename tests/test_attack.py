@@ -135,7 +135,7 @@ class TestReconstruct:
         config = attack.AttackConfig(
             iterations=400, learning_rate=0.05, restarts=2, seed=3, tv_weight=0.0
         )
-        result = attack.reconstruct(spec, params, observed, 0.0, config)
+        result = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(4,))
         cos = result.reconstruction @ x_true / (
             np.linalg.norm(result.reconstruction) * np.linalg.norm(x_true)
         )
@@ -155,8 +155,8 @@ class TestReconstruct:
         subject = SubjectRecord("s", [0.4, 0.9], 0.0)
         observed = attack.observe_gradient(spec, params, subject)
         config = attack.AttackConfig(iterations=50, restarts=2, seed=7, tv_weight=0.0)
-        a = attack.reconstruct(spec, params, observed, 0.0, config)
-        b = attack.reconstruct(spec, params, observed, 0.0, config)
+        a = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(2,))
+        b = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(2,))
         np.testing.assert_array_equal(a.reconstruction, b.reconstruction)
         assert a.traces == b.traces
         assert a.best_restart == b.best_restart
@@ -179,13 +179,32 @@ class TestReconstruct:
         trace = result.traces[result.best_restart]
         assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
+    def test_monotone_line_search_backtracks(self, monkeypatch):
+        # a first step of 5.0 overshoots, so the search halves it before moving
+        spec, params = _linear([0.8, -0.6, 0.4, 0.2])
+        subject = SubjectRecord("s", [0.9, 0.2, 0.7, 0.4], 0.0)
+        observed = attack.observe_gradient(spec, params, subject)
+        config = attack.AttackConfig(
+            iterations=20, learning_rate=5.0, restarts=1, seed=3, tv_weight=0.0, monotone=True
+        )
+        calls = []
+        value = attack._objective_value
+        monkeypatch.setattr(attack, "_objective_value", lambda *a: calls.append(a) or value(*a))
+        a = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(4,))
+        assert len(calls) > config.iterations
+        trace = a.traces[0]
+        assert len(trace) == 20 and all(x >= y for x, y in zip(trace, trace[1:]))
+        b = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(4,))
+        assert a.traces == b.traces
+        assert a.reconstruction.tobytes() == b.reconstruction.tobytes()
+
     def test_cosine_match_invariant_to_observed_rescaling(self):
         spec, params = _linear([0.8, -0.6])
         subject = SubjectRecord("s", [0.4, 0.9], 0.0)
         observed = attack.observe_gradient(spec, params, subject)
         config = attack.AttackConfig(iterations=30, restarts=1, seed=4, tv_weight=0.0)
-        a = attack.reconstruct(spec, params, observed, 0.0, config)
-        b = attack.reconstruct(spec, params, observed * 37.5, 0.0, config)
+        a = attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(2,))
+        b = attack.reconstruct(spec, params, observed * 37.5, 0.0, config, input_shape=(2,))
         np.testing.assert_allclose(a.reconstruction, b.reconstruction, rtol=1e-9)
         np.testing.assert_allclose(a.traces[0], b.traces[0], rtol=1e-9, atol=1e-12)
 
@@ -201,25 +220,14 @@ class TestReconstruct:
         monkeypatch.setattr(attack, "_run_restart", recording)
         config = attack.AttackConfig(iterations=5, restarts=3)
         with pytest.raises(AttackFailedError, match="every attack restart"):
-            attack.reconstruct(spec, params, np.full(2, np.nan), 0.0, config)
+            attack.reconstruct(spec, params, np.full(2, np.nan), 0.0, config, input_shape=(2,))
         assert outcomes == [None, None, None]
 
     def test_observed_shape_validated(self):
         spec, params = _linear([1.0, 2.0])
         config = attack.AttackConfig(iterations=1)
         with pytest.raises(ConfigError):
-            attack.reconstruct(spec, params, np.zeros(5), 0.0, config)
-
-    def test_conv_model_requires_explicit_shape(self):
-        spec = models.ModelSpec(
-            (models.Conv2d(1, 2, 3), models.Flatten(), models.Linear(72, 2)),
-            models.CROSS_ENTROPY,
-        )
-        params = models.init_params(spec, 1)
-        with pytest.raises(ConfigError, match="input_shape"):
-            attack.reconstruct(
-                spec, params, np.zeros(params.count), 1, attack.AttackConfig(iterations=1)
-            )
+            attack.reconstruct(spec, params, np.zeros(5), 0.0, config, input_shape=(2,))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -466,7 +466,7 @@ def test_linear_weight_adjoint_matches_blas_bitwise():
         a, b = rng.normal(size=sa), rng.normal(size=sb)
         a[rng.random(sa) < 0.3] = 0.0
         b[rng.random(sb) < 0.3] = -0.0
-        got = ad.linear_weight_adjoint(ad.Tensor(a), ad.Tensor(b)).data
+        got = ad._linear_weight_adjoint(ad.Tensor(a), ad.Tensor(b)).data
         assert got.tobytes() == np.matmul(a[:, :, None], b[:, None, :]).tobytes()
         assert not np.signbit(got[got == 0.0]).any()
 
@@ -541,11 +541,13 @@ def _layer_op_cases():
     assert (np.abs(np.linalg.norm(clip_input, axis=1) - 1.0) > 0.1).all()
     return {
         "conv2d": (ad.conv2d, [x, k]),
-        "conv2d-input-adjoint": (ad.conv2d_input_adjoint, [g, k]),
-        "conv2d-kernel-adjoint": (ad.conv2d_kernel_adjoint, [x, g]),
+        "conv2d-input-adjoint": (ad._conv2d_input_adjoint, [g, k]),
+        "conv2d-kernel-adjoint": (
+            lambda x, g: ad._conv2d_kernel_adjoint(x, g, ad._im2col(x.data, 2)), [x, g]
+        ),
         "linear": (ad.linear, [w, h]),
-        "linear-input-adjoint": (ad.linear_input_adjoint, [w, gl]),
-        "linear-weight-adjoint": (ad.linear_weight_adjoint, [gl, h]),
+        "linear-input-adjoint": (ad._linear_input_adjoint, [w, gl]),
+        "linear-weight-adjoint": (ad._linear_weight_adjoint, [gl, h]),
         "bias-add-dense": (ad.bias_add, [gl, rng.normal(size=(2, 3))]),
         "bias-add-image": (ad.bias_add, [g, rng.normal(size=(2, 3))]),
         "softmax": (ad.softmax, [rng.normal(size=(3, 4))]),

@@ -92,7 +92,7 @@ def test_losses_and_gradients_match_per_sample(problem):
     xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
     losses, grads = models.per_sample_loss_and_grad(spec, params, xs, ys)
     for i, s in enumerate(subjects):
-        assert_close(losses[i], models.per_sample_loss(spec, params, s.x, s.y).item())
+        assert_close(losses[i], models.attach_sample(spec, params, [s.x], [s.y]).loss.item())
     assert_close(grads, np.stack(_per_sample_grads(spec, params, subjects)))
 
 

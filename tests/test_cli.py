@@ -39,6 +39,16 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self):
         assert run("gen-data", "--kind", "images", "--out", "x", "--n", "4", "--bogus", "1") == 1
 
+    @pytest.mark.parametrize("kind, flag", [
+        ("regression", "--height"), ("regression", "--width"), ("regression", "--ood"),
+        ("images", "--d"), ("images", "--informative"), ("images", "--noise-sd"),
+    ])
+    def test_gen_data_flag_of_the_other_kind_is_usage_error(self, tmp_path, capsys, kind, flag):
+        out = tmp_path / "d.out"
+        assert run("gen-data", "--kind", kind, "--out", str(out), "--n", "4", flag, "3") == 1
+        assert f"{flag} does not apply to --kind {kind}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_rejected(self):
         assert run("frobnicate") == 1
 
@@ -197,8 +207,8 @@ class TestAtomicWrites:
     def test_gen_data_onto_a_directory(self, tmp_path, kind):
         target = tmp_path / "D"
         target.mkdir()
-        assert run("gen-data", "--kind", kind, "--out", str(target), "--n", "4",
-                   "--height", "8", "--width", "8") == 2
+        sizes = ["--height", "8", "--width", "8"] if kind == "images" else []
+        assert run("gen-data", "--kind", kind, "--out", str(target), "--n", "4", *sizes) == 2
         assert target.is_dir() and not list(tmp_path.glob("*.tmp.*"))
 
     def test_train_out_onto_a_directory(self, tmp_path):
@@ -299,9 +309,11 @@ class TestTrainCommand:
             "--d", "3", "--informative", "0", "--seed", "5")
         cfg = tmp_path / "c.cfg"
         cfg.write_text("lr = 0.1\nepochs = 1\nbatch_size = 10\n")
-        assert run("train", "--config", str(cfg), "--data", str(data),
-                   "--out", str(tmp_path / "m.plck"),
-                   "--accountant-out", str(tmp_path / "a.csv")) == 2
+        outs = [tmp_path / name for name in ("m.plck", "tr.csv", "a.csv")]
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(outs[0]),
+                   "--trace-out", str(outs[1]), "--accountant-out", str(outs[2])) == 2
+        # refused before training, so nothing is written
+        assert not any(p.exists() for p in outs)
 
     def test_private_config_with_infinite_clip_is_rejected(self, tmp_path, capsys):
         # C / max(C, ||g||) is inf / inf at C = inf: the checkpoint would be all NaN
@@ -346,8 +358,9 @@ class TestTrainCommand:
     @pytest.mark.parametrize("arch, kind", [("cnn", "regression"), ("linear", "images")])
     def test_architecture_for_the_other_data_kind_is_rejected(self, tmp_path, capsys, arch, kind):
         data = tmp_path / "d.bin"
-        assert run("gen-data", "--kind", kind, "--out", str(data), "--n", "4",
-                   "--d", "3", "--informative", "0", "--height", "6", "--width", "6") == 0
+        shape = {"regression": ["--d", "3", "--informative", "0"],
+                 "images": ["--height", "6", "--width", "6"]}[kind]
+        assert run("gen-data", "--kind", kind, "--out", str(data), "--n", "4", *shape) == 0
         cfg = tmp_path / "c.cfg"
         cfg.write_text("epochs = 1\n")
         model = tmp_path / "m.plck"

@@ -57,7 +57,7 @@ class TestParamSetLayout:
 class TestPerSampleLoss:
     def test_linear_mse_closed_form(self):
         spec, params = _linear_params([1.0, 2.0])
-        loss = models.per_sample_loss(spec, params, [1.0, 1.0], 0.0)
+        loss = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0]).loss
         assert loss.item() == pytest.approx(9.0, abs=1e-12)
 
     def test_exact_fit_gives_zero(self):
@@ -66,20 +66,20 @@ class TestPerSampleLoss:
         x = np.array([0.3, -0.2, 0.9])
         sample = models.attach_sample(spec, params, x[None], [np.zeros(2)])
         y = sample.prediction.data[0]
-        loss = models.per_sample_loss(spec, params, x, y)
+        loss = models.attach_sample(spec, params, [x], [y]).loss
         assert loss.item() == 0.0
 
     def test_cross_entropy_uniform_logits_is_ln_k(self):
         spec = models.ModelSpec((models.Linear(4, 10, bias=False),), models.CROSS_ENTROPY)
         layout = models.layout_for(spec)
         params = models.ParamSet(np.zeros(40), layout)
-        loss = models.per_sample_loss(spec, params, np.ones(4), 3)
+        loss = models.attach_sample(spec, params, [np.ones(4)], [3]).loss
         assert loss.item() == pytest.approx(np.log(10.0), rel=1e-12)
 
     def test_shape_mismatch_raises(self):
         spec, params = _linear_params([1.0, 2.0])
         with pytest.raises(ShapeError):
-            models.per_sample_loss(spec, params, [1.0, 1.0, 1.0], 0.0)
+            models.attach_sample(spec, params, [[1.0, 1.0, 1.0]], [0.0]).loss
 
 
 class TestPerSampleGrad:
@@ -104,7 +104,7 @@ class TestPerSampleGrad:
 
         def loss_of_theta(theta):
             trial = params.with_flat(theta)
-            return float(models.per_sample_loss(spec, trial, x, y).data.reshape(()))
+            return float(models.attach_sample(spec, trial, [x], [y]).loss.data.reshape(()))
 
         h = 1e-5
         fd = np.zeros_like(g)
