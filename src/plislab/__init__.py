@@ -9,10 +9,7 @@ gradient-inversion reconstruction risk.
 from .accounting import (
     AccountantState,
     GaussianMechanismParams,
-    compose,
     epsilon_from_rdp,
-    gdp_of_gaussian,
-    rdp_of_gaussian,
     sigma_for_budget,
 )
 from .attack import AttackConfig, AttackResult, DpRelease, observe_gradient, reconstruct
@@ -88,12 +85,10 @@ __all__ = [
     "TrainTrace",
     "backward",
     "clip_differentiable",
-    "compose",
     "dp_sgd_step",
     "epsilon_from_rdp",
     "fim_subject",
     "finite_diff_check",
-    "gdp_of_gaussian",
     "inject_ood",
     "init_params",
     "jacsens_subject",
@@ -109,7 +104,6 @@ __all__ = [
     "privacy_loss",
     "psnr",
     "rank_subjects",
-    "rdp_of_gaussian",
     "reconstruct",
     "save_checkpoint",
     "sigma_for_budget",

@@ -1,10 +1,10 @@
-"""RDP and GDP accounting for the Gaussian mechanism.
+"""RDP accounting for composed Gaussian mechanisms.
 
-Closed forms for a single mechanism: Renyi divergence (alpha/2) * D^2/s^2
-and GDP parameter mu = D/s for sensitivity D and noise deviation s.
-Composition is additive in the RDP curve and root-sum-square in mu.  No
-subsampling amplification anywhere: each step is accounted as a
-full-batch (disclosed-batch) Gaussian mechanism.
+A step with sensitivity D and noise deviation s has Renyi divergence
+(alpha/2) * (D/s)^2 at every order, so steps compose by adding (D/s)^2.
+AccountantState keeps that one running sum, and _epsilon alone maps a sum
+to (eps, argmin alpha) on ALPHA_GRID.  No subsampling amplification: each
+step is accounted as a full-batch (disclosed-batch) Gaussian mechanism.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class GaussianMechanismParams:
 
 
 # Renyi orders of every RDP curve: half-integers 1.5 .. 128 plus 256 and
-# 512, dense near 1 where the optima sit.  Read-only, since every budget
+# 512, dense near 1 where the optima sit.  Read-only, since every curve
 # shares it.
 ALPHA_GRID = np.concatenate([1.0 + np.arange(1, 255) / 2.0, [256.0, 512.0]])
 ALPHA_GRID.flags.writeable = False
@@ -64,37 +64,6 @@ def _ratio_sq(step: GaussianMechanismParams) -> float:
     return (step.sensitivity / step.sigma) ** 2
 
 
-def rdp_of_gaussian(params: GaussianMechanismParams, alpha: float) -> float:
-    """rho(alpha) = (alpha/2) * (sensitivity/sigma)^2."""
-    if alpha < 1.0:
-        raise ConfigError(f"Renyi order must be >= 1, got {alpha}")
-    ratio = params.sensitivity / params.sigma
-    return 0.5 * alpha * ratio * ratio
-
-
-def gdp_of_gaussian(params: GaussianMechanismParams) -> float:
-    """mu = sensitivity / sigma."""
-    return params.sensitivity / params.sigma
-
-
-@dataclass(frozen=True)
-class ComposedBudget:
-    alpha_grid: np.ndarray
-    rho: np.ndarray  # composed RDP curve, one value per grid order
-    mu_total: float
-
-
-def compose(state: AccountantState) -> ComposedBudget:
-    """Additive RDP composition plus root-sum-square GDP composition."""
-    if not state.steps:
-        raise ConfigError("accountant has no steps to compose")
-    return _budget(state.ratio_sq)
-
-
-def _budget(ratio_sq: float) -> ComposedBudget:
-    return ComposedBudget(ALPHA_GRID, 0.5 * ALPHA_GRID * ratio_sq, math.sqrt(ratio_sq))
-
-
 @dataclass(frozen=True)
 class EpsilonReport:
     epsilon: float
@@ -105,21 +74,24 @@ def _epsilon_curve(rho: np.ndarray, delta: float) -> np.ndarray:
     return rho + math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
 
 
-def _check_delta(delta: float) -> None:
+def check_delta(delta: float) -> None:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must lie in (0, 1), got {delta}")
 
 
-def _epsilon(budget: ComposedBudget, delta: float) -> EpsilonReport:
-    curve = _epsilon_curve(budget.rho, delta)
+def _epsilon(ratio_sq: float, delta: float) -> EpsilonReport:
+    """(eps, argmin alpha) of the composed curve rho(alpha) = (alpha/2) * ratio_sq."""
+    curve = _epsilon_curve(0.5 * ALPHA_GRID * ratio_sq, delta)
     i = int(np.argmin(curve))
-    return EpsilonReport(float(curve[i]), float(budget.alpha_grid[i]))
+    return EpsilonReport(float(curve[i]), float(ALPHA_GRID[i]))
 
 
 def epsilon_from_rdp(state: AccountantState, delta: float) -> EpsilonReport:
     """(eps, argmin alpha) from eps = min_alpha rho(alpha) + log(1/delta)/(alpha-1)."""
-    _check_delta(delta)
-    return _epsilon(compose(state), delta)
+    check_delta(delta)
+    if not state.steps:
+        raise ConfigError("accountant has no steps to compose")
+    return _epsilon(state.ratio_sq, delta)
 
 
 def sigma_for_budget(epsilon: float, delta: float, steps: int) -> float:
@@ -158,10 +130,12 @@ def sigma_for_budget(epsilon: float, delta: float, steps: int) -> float:
 def write_report(state: AccountantState, delta: float, path) -> None:
     """Cumulative accountant report as CSV, one row per composed step.
 
-    Each row's epsilon comes from the same running sum and composition as
-    epsilon_from_rdp() after that step.
+    Columns: step k; delta_step and sigma_step, the step's D and s;
+    rho_at_argmin_alpha, the step's own (alpha/2) * (D/s)^2 at the alpha
+    minimising the composed eps after step k; cumulative_epsilon, that eps
+    (epsilon_from_rdp() after step k); mu_total, sqrt(sum of (D/s)^2).
     """
-    _check_delta(delta)
+    check_delta(delta)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -170,8 +144,7 @@ def write_report(state: AccountantState, delta: float, path) -> None:
         ratio_sq = 0.0
         for k, step in enumerate(state.steps):
             ratio_sq += _ratio_sq(step)
-            budget = _budget(ratio_sq)
-            report = _epsilon(budget, delta)
+            report = _epsilon(ratio_sq, delta)
             writer.writerow(
                 [
                     k,
@@ -179,6 +152,6 @@ def write_report(state: AccountantState, delta: float, path) -> None:
                     repr(step.sigma),
                     repr(0.5 * report.alpha * _ratio_sq(step)),
                     repr(report.epsilon),
-                    repr(budget.mu_total),
+                    repr(math.sqrt(ratio_sq)),
                 ]
             )

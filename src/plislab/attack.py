@@ -42,9 +42,6 @@ from .models import ModelSpec, ParamSet, attach_sample, parameter_grad, per_samp
 
 log = logging.getLogger("plislab.attack")
 
-_ATTACK_STREAM = 3 << 40
-_OBSERVE_STREAM = 4 << 40
-
 COSINE = "cosine"
 L2 = "l2"
 
@@ -109,7 +106,7 @@ def observe_gradient(
         return g
     g = clip_differentiable(Tensor(g), dp.clip).data
     if dp.sigma > 0:
-        noise = rng.gaussians(dp.seed, _OBSERVE_STREAM, g.size)
+        noise = rng.gaussians(dp.seed, rng.OBSERVE_STREAM, g.size)
         g = g + noise * (dp.sigma * dp.clip)
     return g
 
@@ -251,7 +248,7 @@ def _run_restart(
     restart: int,
     shape: tuple[int, ...],
 ) -> tuple[np.ndarray, float, list[float]] | None:
-    draw = rng.gaussians(config.seed, _ATTACK_STREAM + restart, int(np.prod(shape)))
+    draw = rng.gaussians(config.seed, rng.ATTACK_STREAM + restart, int(np.prod(shape)))
     x = np.clip(draw.reshape(shape) * 0.2 + 0.5, 0.0, 1.0)
     m = np.zeros_like(x)
     v = np.zeros_like(x)

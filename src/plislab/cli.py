@@ -103,13 +103,6 @@ def emit_heatmap(matrix, base_path: str) -> None:
     _atomic_write(base_path + ".pgm", lambda tmp: Path(tmp).write_bytes(header + pixels.tobytes()))
 
 
-def read_heatmap_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return np.asarray(
-            [[float(v) for v in line.split(",")] for line in fh.read().splitlines() if line]
-        )
-
-
 # --------------------------------------------------------------------------
 # shared loading
 # --------------------------------------------------------------------------

@@ -20,10 +20,6 @@ import numpy as np
 from . import rng
 from .errors import ConfigError, DataFormatError
 
-_DATA_STREAM = 5 << 40
-_OOD_STREAM = 6 << 40
-_LABEL_STREAM = 7 << 40
-
 PLDS_MAGIC = b"PLDS"
 PLDS_VERSION = 1
 
@@ -70,14 +66,14 @@ def make_regression(
         raise ConfigError("make_regression: informative set must be nonempty")
     if informative[0] < 0 or informative[-1] >= d:
         raise ConfigError(f"informative indices {informative} outside 0..{d - 1}")
-    x = rng.gaussians(seed, _DATA_STREAM, n * d).reshape(n, d)
+    x = rng.gaussians(seed, rng.DATA_STREAM, n * d).reshape(n, d)
     x = (x - x.mean(axis=0)) / x.std(axis=0)
     # coefficients bounded away from zero so informative columns are
     # unambiguously informative relative to unit-variance features
-    magnitude = 1.0 + 2.0 * rng.uniforms(seed, _DATA_STREAM + 1, len(informative))
-    sign = np.where(rng.uniforms(seed, _DATA_STREAM + 2, len(informative)) < 0.5, -1.0, 1.0)
+    magnitude = 1.0 + 2.0 * rng.uniforms(seed, rng.DATA_STREAM + 1, len(informative))
+    sign = np.where(rng.uniforms(seed, rng.DATA_STREAM + 2, len(informative)) < 0.5, -1.0, 1.0)
     w_star = magnitude * sign
-    noise = noise_sd * rng.gaussians(seed, _DATA_STREAM + 3, n)
+    noise = noise_sd * rng.gaussians(seed, rng.DATA_STREAM + 3, n)
     y = x[:, informative] @ w_star + noise
     mask = np.zeros(d, dtype=bool)
     mask[informative] = True
@@ -114,6 +110,16 @@ def load_regression_csv(path) -> tuple[np.ndarray, np.ndarray]:
     if not rows or any(len(row) != len(header) for row in rows):
         raise DataFormatError(f"{path}: ragged or empty CSV body")
     data = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = divmod(int(np.argmin(finite)), data.shape[1])
+        # blank lines are skipped and a quoted cell can span lines, so a second
+        # reader counts the row's line; its first row is the header
+        reader = csv.reader(io.StringIO(text, newline=""))
+        lines = [reader.line_num for cells in reader if cells]
+        raise DataFormatError(
+            f"{path}: line {lines[row + 1]}: {header[col]} is not finite: {float(data[row, col])}"
+        )
     return data[:, :-1], data[:, -1]
 
 
@@ -169,14 +175,14 @@ def make_glyph_images(n: int, seed: int, height: int = 28, width: int = 28) -> I
     images = np.zeros((n, height, width))
     labels = np.arange(n) % 2
     for i in range(n):
-        u = rng.uniforms(seed, _DATA_STREAM + 10 + i, 8)
+        u = rng.uniforms(seed, rng.DATA_STREAM + 10 + i, 8)
         intensity = 0.7 + 0.3 * u[4]
         canvas = np.zeros((height, width))
         if labels[i] == 0:
             _render_cross(canvas, u, intensity)
         else:
             _render_ring(canvas, u, intensity)
-        noise = 0.05 * rng.gaussians(seed, _DATA_STREAM + 10 + i, height * width)
+        noise = 0.05 * rng.gaussians(seed, rng.DATA_STREAM + 10 + i, height * width)
         images[i] = np.clip(canvas + noise.reshape(height, width), 0.0, 1.0)
     return ImageDataset(images, labels.astype(np.int64), np.zeros(n, dtype=bool), 2)
 
@@ -189,7 +195,7 @@ def make_ood_image(seed: int, index: int, height: int, width: int) -> np.ndarray
     while differing from everything in-distribution, the way several
     records lifted from one foreign dataset do.
     """
-    u = rng.uniforms(seed, _OOD_STREAM + index, 4)
+    u = rng.uniforms(seed, rng.OOD_STREAM + index, 4)
     cy = height * 0.5 + 0.25 * (2.0 * u[0] - 1.0)
     cx = width * 0.5 + 0.25 * (2.0 * u[1] - 1.0)
     wavelength = 5.95 + 0.1 * u[2]
@@ -208,7 +214,7 @@ def inject_ood(dataset: ImageDataset, count: int, seed: int) -> ImageDataset:
         return dataset
     h, w = dataset.images.shape[1:]
     extra = np.stack([make_ood_image(seed, i, h, w) for i in range(count)])
-    labels = (rng.uniforms(seed, _LABEL_STREAM, count) * dataset.classes).astype(np.int64)
+    labels = (rng.uniforms(seed, rng.LABEL_STREAM, count) * dataset.classes).astype(np.int64)
     return ImageDataset(
         np.concatenate([dataset.images, extra]),
         np.concatenate([dataset.labels, labels]),
@@ -259,6 +265,11 @@ def load_images(path) -> ImageDataset:
             f"{path}: expected {expected} bytes, found {len(blob)} (truncation at byte {len(blob)})"
         )
     records = np.frombuffer(blob, dtype=record, count=n, offset=24)
+    # NaN fails both comparisons
+    in_range = (records["image"] >= 0.0) & (records["image"] <= 1.0)
+    if not in_range.all():
+        i = int(np.argmin(in_range)) // (h * w)
+        raise DataFormatError(f"{path}: image {i} has a pixel that is NaN or outside [0, 1]")
     return ImageDataset(
         records["image"].astype(np.float64, order="C"),
         records["label"].astype(np.int64),

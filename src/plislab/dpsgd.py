@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng
-from .accounting import AccountantState, epsilon_from_rdp, sigma_for_budget
+from .accounting import AccountantState, check_delta, epsilon_from_rdp, sigma_for_budget
 from .autodiff import Tensor, clip_factor, clip_rows
 from .errors import ConfigError, TrainingDivergedError
 from .models import (
@@ -41,8 +41,6 @@ from .models import (
 )
 
 log = logging.getLogger("plislab.dpsgd")
-
-_NOISE_STREAM = 2 << 40  # disjoint from parameter-init streams
 
 
 def check_clip(clip) -> None:
@@ -87,8 +85,7 @@ class DpSgdConfig:
                 raise ConfigError(f"private training needs a finite sigma, got {self.sigma}")
         elif self.clip is not None or self.sigma != 0 or self.target_epsilon is not None:
             raise ConfigError("non-private training takes no clip, sigma or target epsilon")
-        if not 0.0 < self.target_delta < 1.0:
-            raise ConfigError(f"target delta must lie in (0, 1), got {self.target_delta}")
+        check_delta(self.target_delta)
 
 
 def clip_differentiable(g: Tensor, clip: float) -> Tensor:
@@ -140,7 +137,7 @@ def dp_sgd_step(
         total += g.sum(axis=0)
     noise = None
     if config.private:
-        noise = rng.gaussians(config.seed, _NOISE_STREAM + step_index, params.count)
+        noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
         total = total + noise * (config.sigma * config.clip)
     update = total / len(batch)
     new_flat = params.flat - config.learning_rate * update
@@ -171,13 +168,13 @@ def train(
         raise ConfigError("train: empty dataset")
     params = init_params(spec, config.seed) if initial is None else initial
     total_steps = config.epochs * math.ceil(len(dataset) / config.batch_size)
-    sigma, run_config = config.sigma, config
+    run_config = config
     if config.target_epsilon is not None:
-        sigma = sigma_for_budget(config.target_epsilon, config.target_delta, max(total_steps, 1))
-        log.info("derived noise multiplier %.6g for (%g, %g) over %d steps",
-                 sigma, config.target_epsilon, config.target_delta, total_steps)
         # DpSgdConfig refuses a sigma next to a target, so the target goes
-        run_config = replace(config, sigma=sigma, target_epsilon=None)
+        run_config = replace(config, target_epsilon=None, sigma=sigma_for_budget(
+            config.target_epsilon, config.target_delta, max(total_steps, 1)))
+        log.info("derived noise multiplier %.6g for (%g, %g) over %d steps",
+                 run_config.sigma, config.target_epsilon, config.target_delta, total_steps)
 
     accountant = AccountantState() if config.private else None
     per_epoch: list[float] = []
@@ -193,7 +190,7 @@ def train(
             params = result.params
             eps_now = 0.0
             if accountant is not None:
-                accountant.add_step(run_config.clip, sigma * run_config.clip)
+                accountant.add_step(run_config.clip, run_config.sigma * run_config.clip)
                 eps_now = epsilon_from_rdp(accountant, config.target_delta).epsilon
             epoch_losses.append(result.mean_loss)
             step_records.append((step, result.mean_loss, eps_now))
@@ -209,7 +206,7 @@ def train(
         accountant=accountant,
         step_records=step_records,
         final_epsilon=final_epsilon,
-        sigma_used=sigma,
+        sigma_used=run_config.sigma,
     )
 
 

@@ -51,8 +51,6 @@ from .errors import ConfigError, DataFormatError, ShapeError
 MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
-_INIT_STREAM = 1 << 40  # keep layer-init draws disjoint from other uses of a seed
-
 # Parameter-gradient entries per graph.  A graph's memory grows with
 # samples x parameters: a PLIS chunk of the CLI's CNN (19,682 parameters)
 # peaks near 5 MB per sample, so 2^17 entries give it chunks of 6 samples
@@ -218,7 +216,7 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
             continue
         a = np.sqrt(6.0 / (fan_in + fan_out))
         block = next(b for b in layout if b.name == f"{idx}.weight")
-        u = rng.uniforms(seed, _INIT_STREAM + idx, block.size)
+        u = rng.uniforms(seed, rng.INIT_STREAM + idx, block.size)
         flat[block.offset : block.offset + block.size] = (2.0 * u - 1.0) * a
     return ParamSet(flat, layout)
 
@@ -447,4 +445,8 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamSet]:
             f"{12 + spec_len}, expected {expected}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataFormatError(f"checkpoint parameter {i} is not finite: {float(flat[i])}")
     return spec, ParamSet(flat, layout)

@@ -11,6 +11,17 @@ from __future__ import annotations
 
 import numpy as np
 
+# Stream bases, one per use of a seed.  A use adds its own index (layer,
+# step, restart, image) to its base, so bases sit 1 << 40 apart and never
+# meet.  The next free base is 8 << 40.
+INIT_STREAM = 1 << 40  # models: parameter init, one stream per layer block
+NOISE_STREAM = 2 << 40  # dpsgd: the noise of each step
+ATTACK_STREAM = 3 << 40  # attack: the start of each restart
+OBSERVE_STREAM = 4 << 40  # attack: the noise of a DP gradient release
+DATA_STREAM = 5 << 40  # datasets: regression data and glyph images
+OOD_STREAM = 6 << 40  # datasets: each OOD image
+LABEL_STREAM = 7 << 40  # datasets: the labels of OOD images
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 

@@ -1,4 +1,4 @@
-"""Accountant closed forms, composition and the budget inverter."""
+"""The accountant: closed forms through its reports, composition and the budget inverter."""
 
 import csv
 import math
@@ -12,76 +12,97 @@ from plislab.errors import BudgetError, ConfigError
 GM = acct.GaussianMechanismParams
 
 
+def _rows(tmp_path, steps, delta=1e-5):
+    """write_report's rows, as floats, for a state of (sensitivity, sigma) steps."""
+    path = tmp_path / "acct.csv"
+    acct.write_report(acct.AccountantState(steps=[GM(d, s) for d, s in steps]), delta, path)
+    with open(path) as fh:
+        return [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+
+
+def _grid_alpha(ratio_sq, delta):
+    """Oracle: the grid order minimising (alpha/2) * ratio_sq + log(1/delta)/(alpha-1)."""
+    grid = acct.ALPHA_GRID
+    return grid[np.argmin(0.5 * grid * ratio_sq + math.log(1.0 / delta) / (grid - 1.0))]
+
+
+# eps(alpha) = (alpha/2) r + L/(alpha-1) has its minimum at alpha = 1 + sqrt(2L/r),
+# so L = r (alpha-1)^2 / 2 puts the argmin on a chosen grid order
 class TestRdpClosedForm:
-    def test_unit_example(self):
-        assert acct.rdp_of_gaussian(GM(1.0, 1.0), 2.0) == pytest.approx(1.0)
+    def test_unit_example(self, tmp_path):
+        (row,) = _rows(tmp_path, [(1.0, 1.0)], delta=math.exp(-0.5))
+        assert row["rho_at_argmin_alpha"] == 1.0  # (2/2) * 1^2 at alpha = 2
+        assert row["cumulative_epsilon"] == pytest.approx(1.5, rel=1e-15)
 
-    def test_zero_sensitivity_is_zero_for_all_alpha(self):
-        for alpha in (1.0, 2.0, 17.5, 512.0):
-            assert acct.rdp_of_gaussian(GM(0.0, 3.0), alpha) == 0.0
+    def test_zero_sensitivity_is_zero_for_all_alpha(self, tmp_path):
+        for sigma in (0.5, 2.0, 8.0, 32.0):  # moves the composed argmin alpha
+            first, zero = _rows(tmp_path, [(1.0, sigma), (0.0, 3.0)])
+            assert zero["rho_at_argmin_alpha"] == 0.0
+            assert zero["cumulative_epsilon"] == first["cumulative_epsilon"]
+            assert zero["mu_total"] == first["mu_total"]
 
-    def test_delta2_sigma4_alpha8(self):
-        assert acct.rdp_of_gaussian(GM(2.0, 4.0), 8.0) == pytest.approx(1.0)
+    def test_delta2_sigma4_alpha8(self, tmp_path):
+        (row,) = _rows(tmp_path, [(2.0, 4.0)], delta=math.exp(-6.125))
+        assert row["rho_at_argmin_alpha"] == 1.0  # (8/2) * (2/4)^2
+        assert row["cumulative_epsilon"] == pytest.approx(1.0 + 6.125 / 7.0, rel=1e-15)
 
-    def test_linear_in_alpha_and_ratio(self):
+    def test_linear_in_alpha_and_ratio(self, tmp_path):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            d, s, a = rng.uniform(0.1, 5), rng.uniform(0.1, 5), rng.uniform(1, 64)
-            rho = acct.rdp_of_gaussian(GM(d, s), a)
-            assert rho == pytest.approx(0.5 * a * d * d / (s * s), rel=1e-15)
-            assert acct.rdp_of_gaussian(GM(d, s), 2 * a) == pytest.approx(2 * rho, rel=1e-15)
-
-    def test_alpha_below_one_rejected(self):
-        with pytest.raises(ConfigError):
-            acct.rdp_of_gaussian(GM(1.0, 1.0), 0.5)
+        steps = [(rng.uniform(0.1, 5), rng.uniform(0.1, 5)) for _ in range(50)]
+        ratio_sq = 0.0
+        for (d, s), row in zip(steps, _rows(tmp_path, steps)):
+            ratio_sq += (d / s) ** 2
+            alpha = _grid_alpha(ratio_sq, 1e-5)
+            assert row["rho_at_argmin_alpha"] == pytest.approx(0.5 * alpha * d * d / (s * s),
+                                                               rel=1e-15)
 
 
 class TestGdp:
-    def test_examples(self):
-        assert acct.gdp_of_gaussian(GM(1.0, 2.0)) == pytest.approx(0.5)
-        assert acct.gdp_of_gaussian(GM(0.0, 2.0)) == 0.0
-        assert acct.gdp_of_gaussian(GM(3.7, 3.7)) == pytest.approx(1.0)
+    def test_examples(self, tmp_path):
+        for step, mu in [((1.0, 2.0), 0.5), ((0.0, 2.0), 0.0), ((3.7, 3.7), 1.0)]:
+            assert _rows(tmp_path, [step])[0]["mu_total"] == pytest.approx(mu)
 
-    def test_mu_times_sigma_is_sensitivity(self):
+    def test_mu_times_sigma_is_sensitivity(self, tmp_path):
         rng = np.random.default_rng(2)
         for _ in range(20):
             d, s = rng.uniform(0, 4), rng.uniform(0.1, 4)
-            assert acct.gdp_of_gaussian(GM(d, s)) * s == pytest.approx(d, abs=1e-12)
+            assert _rows(tmp_path, [(d, s)])[0]["mu_total"] * s == pytest.approx(d, abs=1e-12)
 
 
 class TestCompose:
-    def test_four_identical_steps_mu(self):
-        state = acct.AccountantState()
-        for _ in range(4):
-            state.add_step(1.0, 2.0)
-        assert acct.compose(state).mu_total == pytest.approx(1.0)
+    def test_four_identical_steps_mu(self, tmp_path):
+        assert _rows(tmp_path, [(1.0, 2.0)] * 4)[-1]["mu_total"] == 1.0
 
-    def test_single_step_equals_single_values(self):
-        state = acct.AccountantState(steps=[GM(1.5, 3.0)])
-        budget = acct.compose(state)
-        for alpha, rho in zip(budget.alpha_grid, budget.rho):
-            assert rho == pytest.approx(acct.rdp_of_gaussian(GM(1.5, 3.0), alpha), rel=1e-15)
-        assert budget.mu_total == pytest.approx(0.5)
+    def test_single_step_equals_single_values(self, tmp_path):
+        (row,) = _rows(tmp_path, [(1.5, 3.0)])
+        grid = acct.ALPHA_GRID
+        closed = np.min(0.5 * grid * 0.25 + math.log(1e5) / (grid - 1.0))
+        assert row["cumulative_epsilon"] == pytest.approx(closed, rel=1e-15)
+        assert row["rho_at_argmin_alpha"] == 0.5 * _grid_alpha(0.25, 1e-5) * 0.25
+        assert row["mu_total"] == 0.5
 
     def test_two_steps_additive(self):
+        # two (1, 1) steps compose to rho(alpha) = alpha, whose argmin at delta = 1/e is 2
         state = acct.AccountantState(steps=[GM(1.0, 1.0), GM(1.0, 1.0)])
-        budget = acct.compose(state)
-        i = int(np.searchsorted(budget.alpha_grid, 2.0))
-        assert budget.alpha_grid[i] == 2.0
-        assert budget.rho[i] == pytest.approx(2.0)
+        report = acct.epsilon_from_rdp(state, math.exp(-1.0))
+        assert report.alpha == 2.0
+        assert report.epsilon == pytest.approx(2.0 + 1.0, rel=1e-15)
 
-    def test_permutation_invariant(self):
+    def test_permutation_invariant(self, tmp_path):
         rng = np.random.default_rng(3)
         steps = [GM(rng.uniform(0.1, 2), rng.uniform(0.5, 5)) for _ in range(8)]
-        a = acct.compose(acct.AccountantState(steps=list(steps)))
-        order = rng.permutation(8)
-        b = acct.compose(acct.AccountantState(steps=[steps[i] for i in order]))
-        np.testing.assert_allclose(a.rho, b.rho, rtol=1e-15)
-        assert a.mu_total == pytest.approx(b.mu_total, rel=1e-15)
+        shuffled = [steps[i] for i in rng.permutation(8)]
+        a = acct.epsilon_from_rdp(acct.AccountantState(steps=list(steps)), 1e-5)
+        b = acct.epsilon_from_rdp(acct.AccountantState(steps=shuffled), 1e-5)
+        assert a.epsilon == pytest.approx(b.epsilon, rel=1e-15)
+        assert a.alpha == b.alpha
+        mu_a, mu_b = (_rows(tmp_path, [(g.sensitivity, g.sigma) for g in order])[-1]["mu_total"]
+                      for order in (steps, shuffled))
+        assert mu_a == pytest.approx(mu_b, rel=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            acct.compose(acct.AccountantState())
+        with pytest.raises(ConfigError, match="no steps"):
+            acct.epsilon_from_rdp(acct.AccountantState(), 1e-5)
 
 
 class TestEpsilonFromRdp:
@@ -181,17 +202,20 @@ def test_running_sum_is_bit_identical_to_resumming_every_step(tmp_path):
     steps = [GM(rng.uniform(0.1, 2.0), rng.uniform(0.5, 5.0)) for _ in range(40)]
     grid = acct.ALPHA_GRID
     state = acct.AccountantState()
-    expected = []
+    expected, expected_mu = [], []
     for k, step in enumerate(steps, start=1):
         state.add_step(step.sensitivity, step.sigma)
         ratio_sq = sum((s.sensitivity / s.sigma) ** 2 for s in steps[:k])
         curve = 0.5 * grid * ratio_sq + math.log(1.0 / 1e-5) / (grid - 1.0)
         expected.append(float(curve.min()))
+        expected_mu.append(math.sqrt(ratio_sq))
         assert acct.epsilon_from_rdp(state, 1e-5).epsilon == expected[-1]
-        assert acct.compose(state).mu_total == math.sqrt(ratio_sq)
     rebuilt = acct.AccountantState(steps=list(steps))
-    assert acct.compose(rebuilt).rho.tolist() == acct.compose(state).rho.tolist()
+    assert rebuilt.ratio_sq == state.ratio_sq
+    assert acct.epsilon_from_rdp(rebuilt, 1e-5) == acct.epsilon_from_rdp(state, 1e-5)
     path = tmp_path / "acct.csv"
     acct.write_report(state, 1e-5, path)
     with open(path) as fh:
-        assert [float(r["cumulative_epsilon"]) for r in csv.DictReader(fh)] == expected
+        rows = list(csv.DictReader(fh))
+    assert [float(r["cumulative_epsilon"]) for r in rows] == expected
+    assert [float(r["mu_total"]) for r in rows] == expected_mu

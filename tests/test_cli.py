@@ -92,6 +92,7 @@ class TestMalformedInput:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and match in err
+        assert "Traceback" not in err
 
     def test_non_integer_informative_column(self, tmp_path, capsys):
         self._assert_runtime_error(
@@ -108,6 +109,22 @@ class TestMalformedInput:
             capsys, "train", "--config", str(cfg), "--data", str(data),
             "--out", str(tmp_path / "m.plck"), match="line 3",
         )
+
+    def test_nan_checkpoint_parameter(self, tmp_path, capsys):
+        data = tmp_path / "reg.csv"
+        assert run("gen-data", "--kind", "regression", "--out", str(data), "--n", "6",
+                   "--d", "3", "--informative", "1", "--seed", "2") == 0
+        spec = models.ModelSpec((models.Linear(3, 1),), models.MSE)
+        flat = np.ones(4)
+        flat[2] = np.nan
+        model = tmp_path / "m.plck"
+        models.save_checkpoint(model, spec, models.ParamSet(flat, models.layout_for(spec)))
+        out = tmp_path / "fil"
+        self._assert_runtime_error(
+            capsys, "analyze-fil", "--model", str(model), "--data", str(data),
+            "--out", str(out), "--sigma", "1.0", match="checkpoint parameter 2 is not finite: nan",
+        )
+        assert not out.exists()
 
     def test_non_utf8_checkpoint_spec(self, tmp_path, capsys):
         model = _checkpoint_with_spec(tmp_path / "m.plck", b"linear:\xff:1:0|mse")
@@ -277,7 +294,7 @@ class TestEmitHeatmap:
         matrix = rng.normal(size=(4, 5))
         base = str(tmp_path / "vals")
         cli.emit_heatmap(matrix, base)
-        back = cli.read_heatmap_csv(str(tmp_path / "vals.csv"))
+        back = np.loadtxt(tmp_path / "vals.csv", delimiter=",", ndmin=2)
         np.testing.assert_array_equal(back, matrix)
 
 

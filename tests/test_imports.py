@@ -101,6 +101,15 @@ def test_datasets_imports_only_rng_and_errors():
     assert package_imports(source) <= {"rng", "errors"}
 
 
+def test_all_lists_exactly_what_the_package_imports():
+    import plislab
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [alias.asname or alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(plislab.__all__) == sorted(imported)
+
+
 def test_checker_finds_an_unused_name():
     source = (
         "from __future__ import annotations\n"

@@ -121,6 +121,43 @@ def test_load_images_refuses_an_image_too_large_for_a_record(scratch, n, h, w):
         datasets.load_images(scratch)
 
 
+def _plds_pixels(*pixels: float) -> bytes:
+    """A PLDS file of 1x1 images, one per pixel value."""
+    body = b"".join(struct.pack("<dIB", v, 0, 0) for v in pixels)
+    return _plds_blob((1, len(pixels), 1, 1, 2), body)
+
+
+NAN, INF = float("nan"), float("inf")
+OUT_OF_RANGE = "has a pixel that is NaN or outside"
+
+
+@pytest.mark.parametrize(
+    "load, blob, message",
+    [
+        (models.load_checkpoint,
+         _checkpoint_blob("linear:2:1:0|mse", struct.pack("<2d", 1.0, NAN)),
+         "checkpoint parameter 1 is not finite: nan"),
+        (models.load_checkpoint,
+         _checkpoint_blob("linear:2:1:0|mse", struct.pack("<2d", -INF, 1.0)),
+         "checkpoint parameter 0 is not finite: -inf"),
+        (datasets.load_images, _plds_pixels(0.5, NAN), rf"image 1 {OUT_OF_RANGE} \[0, 1\]"),
+        (datasets.load_images, _plds_pixels(7.0, 0.5), f"image 0 {OUT_OF_RANGE}"),
+        (datasets.load_images, _plds_pixels(1.0, 0.0, -0.25), f"image 2 {OUT_OF_RANGE}"),
+    ],
+    ids=["nan-parameter", "minus-inf-parameter", "nan-pixel", "pixel-above-one",
+         "pixel-below-zero"],
+)
+def test_binary_loaders_refuse_numbers_out_of_range(scratch, load, blob, message):
+    scratch.write_bytes(blob)
+    with pytest.raises(DataFormatError, match=message):
+        load(scratch)
+
+
+def test_pixels_at_the_ends_of_the_range_load(scratch):
+    scratch.write_bytes(_plds_pixels(0.0, 1.0))
+    assert datasets.load_images(scratch).images.ravel().tolist() == [0.0, 1.0]
+
+
 CSV_ALPHABET = list('xy0123456789.,-+e\n\r"\' naif\x00\té')
 
 
@@ -150,9 +187,14 @@ def test_load_regression_csv_raises_only_plislab_errors(scratch):
         (b"x0,y\n" + b"1,2\n" * 5000 + b"1,\xff\n", "line 5002: .* can't decode byte 0xff"),
         (b"x0,y\n0\r0,0", "ragged or empty CSV body"),
         (b"x0,y\n1,2\n3\n", "ragged or empty CSV body"),
+        (b"x0,y\n1,2\nnan,1\n", "line 3: x0 is not finite: nan"),
+        # blank lines are skipped and a quoted cell spans lines, yet the line is the file's
+        (b"x0,y\n1,2\n\n3,inf\n", "line 4: y is not finite: inf"),
+        (b'x0,y\n"\n1",2\n-inf,1\n', "line 4: x0 is not finite: -inf"),
     ],
     ids=["non-utf8-header", "blank-first-line", "oversized-field", "non-utf8-past-8k",
-         "ragged-short-row-first", "ragged-short-row-last"],
+         "ragged-short-row-first", "ragged-short-row-last", "nan-cell",
+         "inf-cell-after-a-blank-line", "minus-inf-cell-after-a-quoted-newline"],
 )
 def test_load_regression_csv_refuses_what_fuzzing_found(scratch, blob, message):
     scratch.write_bytes(blob)

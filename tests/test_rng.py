@@ -2,6 +2,8 @@
 the same bits for every (seed, stream, n)."""
 
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,3 +55,17 @@ def test_odd_n_drops_the_last_sine_of_the_final_pair():
 
 def test_uniform_draws_are_prefixes_of_longer_ones():
     assert rng.uniforms(5, 9, 17).tobytes() == rng.uniforms(5, 9, 300)[:17].tobytes()
+
+
+def test_stream_bases_are_distinct_multiples_of_2_to_the_40():
+    bases = {name: value for name, value in vars(rng).items() if name.endswith("_STREAM")}
+    assert len(bases) == 7
+    assert all(value > 0 and value % (1 << 40) == 0 for value in bases.values())
+    assert len(set(bases.values())) == len(bases)
+
+
+def test_no_module_but_rng_writes_a_stream_base():
+    package = Path(__file__).resolve().parents[1] / "src" / "plislab"
+    writers = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "rng.py" and re.search(r"<<\s*40", path.read_text(encoding="utf-8"))]
+    assert writers == []
