@@ -82,8 +82,15 @@ class AttackConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.match_loss not in (COSINE, L2):
             raise ConfigError(f"unknown match loss {self.match_loss!r}")
-        if self.tv_weight < 0:
-            raise ConfigError("total-variation weight must be nonnegative")
+        # NaN would compare false and drop the prior; inf would make it the whole objective
+        if not 0 <= self.tv_weight < math.inf:
+            raise ConfigError(
+                f"total-variation weight must be finite and >= 0, got {self.tv_weight}"
+            )
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"attack learning rate must be finite and positive, got {self.learning_rate}"
+            )
 
 
 @dataclass

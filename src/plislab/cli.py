@@ -302,13 +302,13 @@ def _cmd_attack(args) -> int:
     if dp_flags and not {"clip", "sigma"} <= dp_flags.keys():
         raise _UsageError("attack: --dp-clip and --dp-sigma go together, --dp-seed with them")
     dp = attack_mod.DpRelease(**dp_flags) if dp_flags else None
+    fields = [f.name for f in dataclasses.fields(attack_mod.AttackConfig) if f.name in given]
+    config = attack_mod.AttackConfig(**{name: given[name] for name in fields})
     spec, params, data, subjects = _load_analysis(args)
     subject = next((s for s in subjects if s.id == args.subject), None)
     if subject is None:
         raise PlisLabError(f"subject {args.subject!r} not present in {args.data}")
     observed = attack_mod.observe_gradient(spec, params, subject, dp=dp)
-    fields = [f.name for f in dataclasses.fields(attack_mod.AttackConfig) if f.name in given]
-    config = attack_mod.AttackConfig(**{name: given[name] for name in fields})
     result = attack_mod.reconstruct(
         spec, params, observed, subject.y, config, input_shape=subject.x.shape
     )

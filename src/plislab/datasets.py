@@ -41,7 +41,6 @@ class TabularDataset:
     X: np.ndarray  # (n, d), columns standardized
     y: np.ndarray  # (n,)
     informative_mask: np.ndarray  # (d,) bool
-    seed: int
     w_star: np.ndarray  # true coefficients on the informative columns
 
     @property
@@ -77,7 +76,7 @@ def make_regression(
     y = x[:, informative] @ w_star + noise
     mask = np.zeros(d, dtype=bool)
     mask[informative] = True
-    return TabularDataset(x, y, mask, seed, w_star)
+    return TabularDataset(x, y, mask, w_star)
 
 
 def save_regression_csv(dataset: TabularDataset, path) -> None:

@@ -67,8 +67,11 @@ class DpSgdConfig:
     target_delta: float = 1e-5
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        # an infinite rate sends every parameter the gradient moves to +-inf
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -162,7 +165,8 @@ def train(
     dataset: sequence of (x, y) pairs.  Parameters start from `initial`
     when given, else from init_params(spec, config.seed).  With
     private=False the accountant is never touched.  A non-finite batch
-    loss aborts with the step index.
+    loss, or a non-finite parameter after an update, aborts with the step
+    index.
     """
     if not len(dataset):
         raise ConfigError("train: empty dataset")
@@ -188,6 +192,10 @@ def train(
             if not math.isfinite(result.mean_loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}")
             params = result.params
+            # the loss above is taken before the update, so an update that
+            # overflows at the last step would reach the checkpoint unseen
+            if not np.isfinite(params.flat).all():
+                raise TrainingDivergedError(f"non-finite parameters after step {step}")
             eps_now = 0.0
             if accountant is not None:
                 accountant.add_step(run_config.clip, run_config.sigma * run_config.clip)

@@ -30,7 +30,7 @@ class DimensionGuardError(PlisLabError):
 
 
 class TrainingDivergedError(PlisLabError):
-    """Training loss became non-finite."""
+    """Training loss or parameters became non-finite."""
 
 
 class AttackFailedError(PlisLabError):

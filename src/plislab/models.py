@@ -408,7 +408,15 @@ def spec_from_text(text: str) -> ModelSpec:
     return ModelSpec(tuple(layers), loss)
 
 
+def _check_finite(flat: np.ndarray) -> None:
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise DataFormatError(f"checkpoint parameter {i} is not finite: {float(flat[i])}")
+
+
 def save_checkpoint(path, spec: ModelSpec, params: ParamSet) -> None:
+    _check_finite(params.flat)
     spec_bytes = spec_to_text(spec).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -445,8 +453,5 @@ def load_checkpoint(path) -> tuple[ModelSpec, ParamSet]:
             f"{12 + spec_len}, expected {expected}"
         )
     flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    finite = np.isfinite(flat)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise DataFormatError(f"checkpoint parameter {i} is not finite: {float(flat[i])}")
+    _check_finite(flat)
     return spec, ParamSet(flat, layout)

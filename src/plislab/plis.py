@@ -36,15 +36,7 @@ from .autodiff import Tensor, backward, concat, mul, reshape, tslice, tsum, squa
 from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable
 from .errors import ConfigError, DimensionGuardError
-from .models import (
-    ModelSpec,
-    ParamSet,
-    attach_sample,
-    chunk_size,
-    chunks,
-    parameter_grad,
-    per_sample_loss_and_grad,
-)
+from .models import ModelSpec, ParamSet, attach_sample, chunk_size, chunks, parameter_grad
 
 MODE_PRIVATE = "private"
 MODE_NON_PRIVATE = "non-private"
@@ -86,26 +78,6 @@ def _check_sigma(sigma: float | None) -> None:
         raise ConfigError(f"sigma must be finite and positive when given, got {sigma}")
 
 
-def _stack(subjects) -> tuple[np.ndarray, list]:
-    return np.stack([s.x for s in subjects]), [s.y for s in subjects]
-
-
-def privacy_loss(
-    spec: ModelSpec,
-    params: ParamSet,
-    subject: SubjectRecord,
-    sigma: float | None = None,
-    clip: float | None = None,
-) -> float:
-    """||g||^2 / sigma^2 (gradient signal alone when sigma is None)."""
-    _check_sigma(sigma)
-    g = per_sample_loss_and_grad(spec, params, *_stack([subject]))[1]
-    if clip is not None:
-        g = clip_differentiable(Tensor(g), clip).data
-    value = float(g[0] @ g[0])
-    return value / (sigma * sigma) if sigma is not None else value
-
-
 def plis_reports(
     spec: ModelSpec,
     params: ParamSet,
@@ -125,7 +97,7 @@ def plis_reports(
     scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
     reports = []
     for part in chunks(list(subjects), chunk_size(params)):
-        sample = attach_sample(spec, params, *_stack(part))
+        sample = attach_sample(spec, params, np.stack([s.x for s in part]), [s.y for s in part])
         g = parameter_grad(sample, create_graph=True)
         if clip is not None:
             g = clip_differentiable(g, clip)
@@ -272,16 +244,6 @@ def as_plane(values: np.ndarray) -> np.ndarray:
     if values.ndim != 2:
         raise ConfigError(f"no 2-d view of an array of shape {values.shape}")
     return values
-
-
-def superpixel_norm(report: PlisReport, region: tuple[int, int, int, int]) -> float:
-    """L2 norm of the PLIS over a (row, col, height, width) rectangle of its as_plane() view."""
-    matrix = as_plane(report.plis)
-    r0, c0, h, w = (int(v) for v in region)
-    rows, cols = matrix.shape
-    if h < 1 or w < 1 or r0 < 0 or c0 < 0 or r0 + h > rows or c0 + w > cols:
-        raise ConfigError(f"region {region} out of bounds for PLIS shape {matrix.shape}")
-    return float(np.linalg.norm(matrix[r0 : r0 + h, c0 : c0 + w]))
 
 
 def rank_subjects(

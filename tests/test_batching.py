@@ -154,6 +154,12 @@ def _near_a_kink(spec, params, subjects, clip):
     return clip is not None and bool(np.any(np.abs(norms - clip) < 1e-4 * clip))
 
 
+def _pl(spec, params, xs, y, sigma, clip):
+    """PL at each input of xs with label y: values of plis_reports' forward pass."""
+    subjects = [plis.SubjectRecord(f"x{i}", x, y) for i, x in enumerate(xs)]
+    return np.array([r.pl for r in plis.plis_reports(spec, params, subjects, sigma, clip)])
+
+
 @settings(max_examples=30, deadline=None)
 @given(problems(), st.sampled_from([None, 0.7]), st.booleans())
 def test_direct_plis_matches_finite_differences_of_privacy_loss(problem, sigma, clipped):
@@ -167,16 +173,10 @@ def test_direct_plis_matches_finite_differences_of_privacy_loss(problem, sigma, 
         reports = plis.plis_reports(spec, params, subjects, sigma, clip)
     h = 1e-6
     for report, s in zip(reports, subjects):
-        numeric = np.zeros(s.x.size)
-        for j in range(s.x.size):
-            step = np.zeros(s.x.size)
-            step[j] = h
-            step = step.reshape(s.x.shape)
-            hi, lo = (
-                plis.privacy_loss(spec, params, plis.SubjectRecord(s.id, s.x + d, s.y), sigma, clip)
-                for d in (step, -step)
-            )
-            numeric[j] = (hi - lo) / (2 * h)
+        steps = h * np.eye(s.x.size).reshape((s.x.size,) + s.x.shape)
+        hi, lo = (_pl(spec, params, [s.x + d for d in sign * steps], s.y, sigma, clip)
+                  for sign in (1, -1))
+        numeric = (hi - lo) / (2 * h)
         # central differences carry roundoff of about eps * PL / h; measure
         # against the floor plis.deviation uses, PL / max |x|
         scale = max(np.abs(numeric).max(), report.pl / np.abs(s.x).max(), 1e-300)
@@ -338,7 +338,6 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
         plis.plis_reports(spec, params, subjects, sigma=1.0, clip=1.0)
         plis.plis_expanded(spec, params, subjects[0])
-        plis.privacy_loss(spec, params, subjects[0])
         plis.input_jacobian(spec, params, subjects[0])
         attack.reconstruct(spec, params, np.ones(params.count), 0,
                            attack.AttackConfig(iterations=2, restarts=1),

@@ -114,11 +114,10 @@ class TestMalformedInput:
         data = tmp_path / "reg.csv"
         assert run("gen-data", "--kind", "regression", "--out", str(data), "--n", "6",
                    "--d", "3", "--informative", "1", "--seed", "2") == 0
-        spec = models.ModelSpec((models.Linear(3, 1),), models.MSE)
-        flat = np.ones(4)
-        flat[2] = np.nan
-        model = tmp_path / "m.plck"
-        models.save_checkpoint(model, spec, models.ParamSet(flat, models.layout_for(spec)))
+        # save_checkpoint refuses NaN, so the file is written byte by byte
+        model = _checkpoint_with_spec(
+            tmp_path / "m.plck", b"linear:3:1:1|mse", struct.pack("<4d", 1.0, 1.0, np.nan, 1.0)
+        )
         out = tmp_path / "fil"
         self._assert_runtime_error(
             capsys, "analyze-fil", "--model", str(model), "--data", str(data),
@@ -319,6 +318,26 @@ class TestTrainCommand:
         assert lines[0] == "step,loss,epsilon_so_far"
         assert len(lines) == 4
         assert acct.read_text().splitlines()[0].startswith("step,")
+
+    def test_update_that_overflows_is_refused_before_the_checkpoint(self, tmp_path):
+        # the step's loss is finite; only its update overflows, at the last step.
+        # A separate process, so numpy's overflow warning is not a pytest error
+        data = tmp_path / "big.csv"
+        data.write_text("x0,x1,y\n" + "".join(f"{i / 60!r},1.0,100.0\n" for i in range(60)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("lr = 1e308\nepochs = 1\nbatch_size = 60\n")
+        model = tmp_path / "m.plck"
+        result = subprocess.run(
+            [sys.executable, "-m", "plislab", "train", "--config", str(cfg), "--data", str(data),
+             "--out", str(model), "--arch", "linear"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert result.returncode == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: non-finite parameters after step 0"]
+        assert "Traceback" not in result.stderr
+        assert not model.exists()
 
     def test_accountant_out_rejected_for_nonprivate(self, tmp_path):
         data = tmp_path / "reg.csv"
@@ -611,6 +630,24 @@ class TestAttackCommand:
         assert run("attack", "--model", str(model), "--data", str(data),
                    "--subject", "img00001", "--out", str(tmp_path / "x"), *flags) == 2
         assert [repr(c) for c in seen] == [repr(expected)]
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tv", "nan", "total-variation weight must be finite and >= 0, got nan"),
+            ("--tv", "inf", "total-variation weight must be finite and >= 0, got inf"),
+            ("--lr", "inf", "attack learning rate must be finite and positive, got inf"),
+            ("--lr", "-1", "attack learning rate must be finite and positive, got -1.0"),
+        ],
+    )
+    def test_settings_without_effect_are_refused_before_any_file_is_read(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        missing, out = tmp_path / "missing", tmp_path / "x"
+        assert run("attack", "--model", str(missing), "--data", str(missing),
+                   "--subject", "img00001", "--out", str(out), flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unknown_subject_is_runtime_error(self, image_setup):
         tmp_path, data, model = image_setup

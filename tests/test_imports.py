@@ -1,6 +1,6 @@
 """Import hygiene: every module-level import in the package has a use, no
-source imports scipy or the benchmark, and the library surface does not
-load the experiments."""
+source imports scipy or the benchmark, `import plislab` loads none of its
+modules, and the library surface does not load the experiments."""
 
 import ast
 import os
@@ -12,8 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "plislab"
-# __init__.py imports names to re-export them, not to use them
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 FORBIDDEN = ("scipy", "perfbench")
 # loaded by `import plislab` or `import plislab.cli`; the experiments load on demand
@@ -101,13 +100,19 @@ def test_datasets_imports_only_rng_and_errors():
     assert package_imports(source) <= {"rng", "errors"}
 
 
-def test_all_lists_exactly_what_the_package_imports():
-    import plislab
+def _modules_loaded_by(code: str) -> list[str]:
+    """The plislab modules a fresh interpreter holds after running code."""
+    probe = code + "; import sys; print(sorted(m for m in sys.modules if m.startswith('plislab')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return ast.literal_eval(result.stdout)
 
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imported = [alias.asname or alias.name
-                for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(plislab.__all__) == sorted(imported)
+
+def test_importing_the_package_loads_no_submodule():
+    # each name has one import path: its module, e.g. `from plislab import plis`
+    assert _modules_loaded_by("import plislab") == ["plislab"]
 
 
 def test_checker_finds_an_unused_name():
@@ -171,9 +176,4 @@ def test_library_surface_does_not_import_experiments(path):
 
 
 def test_importing_the_cli_leaves_experiments_unloaded():
-    code = "import sys, plislab.cli; print('plislab.experiments' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-    )
-    assert result.stdout.strip() == "False"
+    assert "plislab.experiments" not in _modules_loaded_by("import plislab.cli")

@@ -16,8 +16,8 @@ _CNN = models.ModelSpec(
 _ONE_LOGIT = models.ModelSpec((models.Linear(3, 1),), models.CROSS_ENTROPY)
 
 
-def _dp(epochs=1, batch_size=1, **kwargs):
-    return lambda: dpsgd.DpSgdConfig(0.1, epochs, batch_size, **kwargs)
+def _dp(epochs=1, batch_size=1, learning_rate=0.1, **kwargs):
+    return lambda: dpsgd.DpSgdConfig(learning_rate, epochs, batch_size, **kwargs)
 
 
 def _attach(spec, xs, ys):
@@ -54,8 +54,18 @@ CASES = [
          ConfigError, "a private step needs sigma > 0"),
     case("train-empty-dataset", lambda: dpsgd.train(_LINEAR, [], dpsgd.DpSgdConfig(0.1, 1, 1)),
          ConfigError, "empty dataset"),
+    case("dpsgd-infinite-learning-rate", _dp(learning_rate=np.inf), ConfigError,
+         "learning rate must be finite and positive, got inf"),
     case("attack-zero-restarts", lambda: attack.AttackConfig(restarts=0), ConfigError,
          "restarts must be >= 1"),
+    case("attack-nan-tv-weight", lambda: attack.AttackConfig(tv_weight=np.nan), ConfigError,
+         "total-variation weight must be finite and >= 0, got nan"),
+    case("attack-infinite-tv-weight", lambda: attack.AttackConfig(tv_weight=np.inf),
+         ConfigError, "total-variation weight must be finite and >= 0, got inf"),
+    case("attack-infinite-learning-rate", lambda: attack.AttackConfig(learning_rate=np.inf),
+         ConfigError, "attack learning rate must be finite and positive, got inf"),
+    case("attack-negative-learning-rate", lambda: attack.AttackConfig(learning_rate=-1.0),
+         ConfigError, "attack learning rate must be finite and positive, got -1.0"),
     case("mechanism-zero-sigma", lambda: accounting.GaussianMechanismParams(1.0, 0.0),
          ConfigError, "sigma must be positive"),
     case("mechanism-negative-sigma", lambda: accounting.GaussianMechanismParams(1.0, -1.0),

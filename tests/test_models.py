@@ -239,6 +239,14 @@ class TestCheckpoint:
         models.save_checkpoint(tmp_path / "model2.plck", spec2, params2)
         assert (tmp_path / "model2.plck").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_parameters(self, tmp_path, bad):
+        spec, params = _linear_params([1.0, bad])
+        path = tmp_path / "model.plck"
+        with pytest.raises(DataFormatError, match="checkpoint parameter 1 is not finite"):
+            models.save_checkpoint(path, spec, params)
+        assert not path.exists()
+
     def test_bad_magic_reports_offset(self, tmp_path):
         path = tmp_path / "junk.plck"
         path.write_bytes(b"NOPE" + b"\x00" * 20)

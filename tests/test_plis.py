@@ -44,6 +44,11 @@ def _subject(x, y, sid="s0"):
     return plis.SubjectRecord(sid, np.asarray(x, dtype=float), y)
 
 
+def _pl(spec, params, subject, sigma=None, clip=None):
+    """The subject's PL, a value of plis_reports' forward pass."""
+    return plis.plis_reports(spec, params, [subject], sigma, clip)[0].pl
+
+
 class TestOracleItself:
     """Establish the closed form by central differences before using it."""
 
@@ -77,35 +82,35 @@ class TestOracleItself:
 
 
 class TestPrivacyLoss:
+    """PL as plis_reports gives it, against the closed form and its sigma scaling."""
+
     def test_spec_example(self):
         spec, params = _linear([1.0, 2.0])
-        value = plis.privacy_loss(spec, params, _subject([1.0, 1.0], 0.0), sigma=3.0)
+        value = _pl(spec, params, _subject([1.0, 1.0], 0.0), sigma=3.0)
         assert value == pytest.approx(8.0, rel=1e-12)
 
     def test_zero_residual_subject(self):
         spec, params = _linear([1.0, 2.0])
-        assert plis.privacy_loss(spec, params, _subject([1.0, 1.0], 3.0), sigma=2.0) == 0.0
+        assert _pl(spec, params, _subject([1.0, 1.0], 3.0), sigma=2.0) == 0.0
 
     def test_nonprivate_equals_private_times_sigma_sq(self):
         spec, params = _linear([0.7, -1.1, 0.4])
         subject = _subject([0.2, 0.5, -0.8], 0.3)
         for sigma in (0.5, 1.0, 3.7):
-            private = plis.privacy_loss(spec, params, subject, sigma=sigma)
-            non_private = plis.privacy_loss(spec, params, subject)
+            private = _pl(spec, params, subject, sigma=sigma)
+            non_private = _pl(spec, params, subject)
             assert private * sigma**2 == pytest.approx(non_private, rel=1e-12)
 
     def test_pl_times_sigma_sq_independent_of_sigma(self):
         spec, params = _linear([0.7, -1.1])
         subject = _subject([0.4, 0.9], -0.2)
-        values = [
-            plis.privacy_loss(spec, params, subject, sigma=s) * s * s for s in (0.3, 1.0, 9.0)
-        ]
+        values = [_pl(spec, params, subject, sigma=s) * s * s for s in (0.3, 1.0, 9.0)]
         np.testing.assert_allclose(values, values[0], rtol=1e-12)
 
     def test_invalid_sigma(self):
         spec, params = _linear([1.0])
         with pytest.raises(ConfigError):
-            plis.privacy_loss(spec, params, _subject([1.0], 0.0), sigma=0.0)
+            _pl(spec, params, _subject([1.0], 0.0), sigma=0.0)
 
 
 class TestPlisDirect:
@@ -158,8 +163,8 @@ class TestPlisDirect:
             up[j] += h
             dn[j] -= h
             fd = (
-                plis.privacy_loss(spec, params, _subject(up, y), sigma=1.3)
-                - plis.privacy_loss(spec, params, _subject(dn, y), sigma=1.3)
+                _pl(spec, params, _subject(up, y), sigma=1.3)
+                - _pl(spec, params, _subject(dn, y), sigma=1.3)
             ) / (2 * h)
             assert abs(report.plis[j] - fd) / (abs(fd) + 1e-12) < 1e-4
 
@@ -229,7 +234,7 @@ class TestClippedPlis:
         spec, params = _linear([1.0, 2.0])
         subject = _subject([1.0, 1.0], 0.0)  # ||g|| = sqrt(72) ~ 8.49
         clip, sigma = 1.0, 2.0
-        pl = plis.privacy_loss(spec, params, subject, sigma=sigma, clip=clip)
+        pl = _pl(spec, params, subject, sigma=sigma, clip=clip)
         assert pl == pytest.approx(clip**2 / sigma**2, rel=1e-12)
         report = plis.plis_direct(spec, params, subject, sigma=sigma, clip=clip)
         assert np.abs(report.plis).max() < 1e-10
@@ -240,8 +245,8 @@ class TestClippedPlis:
             up[j] += h
             dn[j] -= h
             fd = (
-                plis.privacy_loss(spec, params, _subject(up, 0.0), sigma=sigma, clip=clip)
-                - plis.privacy_loss(spec, params, _subject(dn, 0.0), sigma=sigma, clip=clip)
+                _pl(spec, params, _subject(up, 0.0), sigma=sigma, clip=clip)
+                - _pl(spec, params, _subject(dn, 0.0), sigma=sigma, clip=clip)
             ) / (2 * h)
             assert abs(fd) < 1e-10
 
@@ -258,8 +263,8 @@ class TestClippedPlis:
             up[j] += h
             dn[j] -= h
             fd = (
-                plis.privacy_loss(spec, params, _subject(up, 0.05), sigma=sigma, clip=clip)
-                - plis.privacy_loss(spec, params, _subject(dn, 0.05), sigma=sigma, clip=clip)
+                _pl(spec, params, _subject(up, 0.05), sigma=sigma, clip=clip)
+                - _pl(spec, params, _subject(dn, 0.05), sigma=sigma, clip=clip)
             ) / (2 * h)
             assert abs(report.plis[j] - fd) / (abs(fd) + 1e-12) < 1e-4
 
@@ -376,41 +381,6 @@ class TestPowerIteration:
         # stop anywhere between two eigenvalues this close
         mat = np.diag([3.0, 3.0 - 1e-9, 1.0])
         assert plis.spectral_norm_sq(mat) == pytest.approx(9.0, rel=1e-14)
-
-
-class TestSuperpixelNorm:
-    def _report(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        return plis.PlisReport("s", 0.0, matrix, float(np.linalg.norm(matrix)), "non-private", None)
-
-    def test_full_region_equals_subject_norm(self):
-        rng = np.random.default_rng(13)
-        report = self._report(rng.normal(size=(5, 7)))
-        assert plis.superpixel_norm(report, (0, 0, 5, 7)) == pytest.approx(
-            report.subject_plis_norm
-        )
-
-    def test_disjoint_regions_pythagoras(self):
-        rng = np.random.default_rng(14)
-        report = self._report(rng.normal(size=(6, 6)))
-        top = plis.superpixel_norm(report, (0, 0, 3, 6))
-        bottom = plis.superpixel_norm(report, (3, 0, 3, 6))
-        whole = plis.superpixel_norm(report, (0, 0, 6, 6))
-        assert top**2 + bottom**2 == pytest.approx(whole**2, rel=1e-12)
-
-    def test_single_cell_is_absolute_entry(self):
-        report = self._report([[1.0, -2.5], [0.5, 3.0]])
-        assert plis.superpixel_norm(report, (0, 1, 1, 1)) == pytest.approx(2.5)
-
-    def test_out_of_bounds_rejected(self):
-        report = self._report(np.ones((4, 4)))
-        for region in [(0, 0, 5, 1), (3, 3, 2, 2), (-1, 0, 1, 1), (0, 0, 0, 1)]:
-            with pytest.raises(ConfigError):
-                plis.superpixel_norm(report, region)
-
-    def test_one_dimensional_plis_treated_as_row(self):
-        report = self._report(np.array([3.0, 4.0]))
-        assert plis.superpixel_norm(report, (0, 0, 1, 2)) == pytest.approx(5.0)
 
 
 class TestRankSubjects:
