@@ -24,7 +24,7 @@ Conventions:
     it, without waiting for the cyclic garbage collector.
 
 Layer ops: a model layer records one node, not a chain of small ones.
-conv2d, linear, bias_add, cross_entropy, mse and clip_rows are primitives
+conv2d, linear, bias_add, cross_entropy and mse are primitives
 with their own rules.  The rules of conv2d and linear call the op's two
 adjoints (input and weight), private rule workers that record a node each
 and check no shapes, since only rules call them; each adjoint's rule
@@ -34,15 +34,14 @@ gathered.  Patches are laid out by slicing alone: _im2col copies a
 strided (B, C, k, k, oh, ow) view of the image, and its adjoint _col2im
 adds each (ki, kj) slice of the patches back onto the same window of the
 image, so no index table holds the layout.  mse (the per-row mean
-squared error) and clip_rows (the DP-SGD clip) each stand for a chain of
-elementwise ops; their rules are built from that chain's ops in the
-chain's order, so their values and gradients are the chain's bit for
-bit.  concat flattens each (B, ...) part past the batch axis as it joins
-them, so per-block gradients become (B, p) rows in one node.  So a
-create-graph pass over a layer records a few layer ops, and what it
-records is differentiable again.  Per-node Python, not arithmetic, is
-what a double backward through these small models, and a batch-1 DP-SGD
-step, spend their time on.
+squared error) stands for a chain of elementwise ops; its rule is built
+from that chain's ops in the chain's order, so its value and gradient
+are the chain's bit for bit.  concat flattens each (B, ...) part past
+the batch axis as it joins them, so per-block gradients become (B, p)
+rows in one node.  So a create-graph pass over a layer records a few
+layer ops, and what it records is differentiable again.  Per-node
+Python, not arithmetic, is what a double backward through these small
+models, and a batch-1 training step, spend their time on.
 
 Batch axis: the layer ops work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
@@ -563,7 +562,7 @@ def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# losses and the clip
+# losses
 # --------------------------------------------------------------------------
 
 
@@ -628,51 +627,6 @@ def mse(pred, target) -> Tensor:
 
     residual = pred.data - target.data
     return _record("mse", (residual * residual).sum(axis=per_row) / k, (pred,), rule)
-
-
-def clip_factor(g: np.ndarray, clip: float) -> np.ndarray:
-    """C / max(C, ||g||_2) per row, last axis kept: clip_rows' value is g times it."""
-    norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
-    return clip / np.maximum(norm, clip)
-
-
-def clip_rows(g, clip: float) -> Tensor:
-    """g * C / max(C, ||g||_2) along the last axis: a (B, p) tensor is clipped
-    row by row.  C must be finite and positive.
-
-    One node for the chain square, sum, sqrt, max-with-scalar, div,
-    broadcast, mul.  The rule replays the chain's ops and then its rules,
-    last op first, so the value and the gradient are the chain's bit for
-    bit, and the rule is differentiable to any order.  The one exception
-    is a row of zeros: the chain's gradient there is 0/0 = NaN, the rule's
-    is the identity's.  Higher derivatives match the chain's up to the
-    order in which cotangents are summed.
-    """
-    g = _tensor(g)
-    c = float(clip)
-
-    def rule(grad: Tensor, need, g: Tensor):
-        # the chain's forward ops ...
-        sq = square(g)
-        s = tsum(sq, axes=-1, keepdims=True)
-        n = sqrt(s)
-        m = max_scalar(n, c)
-        f = div(c, m)
-        fb = broadcast(f, g.shape)
-        # ... and their rules, from mul back to square
-        g_out = mul(grad, fb)
-        gf = mul(grad, g)
-        gf = reshape(tsum(gf, axes=-1, keepdims=True) if g.shape[-1] != 1 else gf, f.shape)
-        gm = mul(div(mul(gf, c), square(m)), -1.0)
-        gn = mul(gm, Tensor(n.data > c))
-        # the sqrt rule divides by 2 sqrt(s); m = max(sqrt(s), C) is the same
-        # number wherever the mask passes gn, and it is never 0, so a zero
-        # row (masked, gn = 0) gets the identity's rule instead of 0/0
-        gs = div(gn, mul(m, 2.0))
-        gsq = broadcast(reshape(gs, s.shape), sq.shape)
-        return (add(g_out, mul(gsq, mul(g, 2.0))),)
-
-    return _record("clip-rows", g.data * clip_factor(g.data, c), (g,), rule)
 
 
 # --------------------------------------------------------------------------

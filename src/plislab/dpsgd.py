@@ -1,9 +1,12 @@
 """Per-sample-clipped, noised gradient descent with a differentiable clip.
 
-The clip is g * C / max(C, ||g||) per row.  A step scales its rows in place by
-autodiff.clip_factor; PLIS takes the differentiable route, clip_rows, one graph
-op with that value whose rule, built from graph ops, takes the no-clip branch
-derivative at ||g|| = C.  Noise is N(0, (sigma*C)^2)
+The clip is g * C / sqrt(max(||g||^2, C^2)) per row, which is
+g * C / max(||g||, C) to the bit while C^2 is a normal float (check_clip
+refuses any other C).  A step scales its rows in place by clip_factor;
+PLIS takes clip_differentiable, the same formula as a chain of graph ops,
+differentiable to any order.  At ||g||^2 = C^2 its derivative is the
+no-clip branch's, and a zero row gets the identity's: sqrt's rule then
+divides by 2C, never by 0.  Noise is N(0, (sigma*C)^2)
 per coordinate on the *sum* of clipped gradients, i.e. each step is a
 Gaussian mechanism with sensitivity C and noise multiplier sigma, so the
 accountant sees (C, sigma*C) and the RDP closed form reduces to
@@ -23,13 +26,14 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng
 from .accounting import AccountantState, check_delta, epsilon_from_rdp, sigma_for_budget
-from .autodiff import Tensor, clip_factor, clip_rows
+from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
 from .errors import ConfigError, TrainingDivergedError
 from .models import (
     ModelSpec,
@@ -44,9 +48,17 @@ log = logging.getLogger("plislab.dpsgd")
 
 
 def check_clip(clip) -> None:
-    # C / max(C, ||g||) is inf / inf at C = inf
-    if clip is None or not 0 < clip < math.inf:
-        raise ConfigError(f"clipping needs a finite positive clip threshold, got {clip}")
+    # sqrt(C * C) is C only while C * C neither overflows nor underflows
+    if clip is None or not (clip > 0 and sys.float_info.min <= float(clip) * float(clip) < math.inf):
+        raise ConfigError(
+            "clipping needs a finite positive clip threshold whose square is a normal "
+            f"float (about 1.5e-154 to 1.3e154), got {clip}"
+        )
+
+
+def clip_factor(g: np.ndarray, clip: float) -> np.ndarray:
+    """C / sqrt(max(||g||^2, C^2)) per row, last axis kept: the clipped rows are g times it."""
+    return clip / np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), clip * clip))
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,11 @@ class DpSgdConfig:
                 raise ConfigError("private training takes sigma or a target epsilon, not both")
             if not self.sigma > 0 and self.target_epsilon is None:
                 raise ConfigError("private training needs sigma > 0 or a target epsilon")
+            # an infinite target would leave sigma at the budget search's floor
+            if self.target_epsilon is not None and not 0 < self.target_epsilon < math.inf:
+                raise ConfigError(
+                    f"target epsilon must be finite and positive, got {self.target_epsilon}"
+                )
             # an infinite sigma noises every update to +-inf, yet the loss
             # checked before each update stays finite
             if not math.isfinite(self.sigma):
@@ -92,15 +109,12 @@ class DpSgdConfig:
 
 
 def clip_differentiable(g: Tensor, clip: float) -> Tensor:
-    """g * C / max(C, ||g||_2) along the last axis as one graph node
-    (autodiff.clip_rows), differentiable to any order.  A (B, p) tensor is
-    clipped row by row.
-
-    ||g|| = 0 is safe in the forward pass: max(C, 0) = C and g comes back
-    unchanged.
-    """
+    """g times clip_factor(g, C) along the last axis, as graph ops: a (B, p)
+    tensor is clipped row by row, with the in-place clip's values to the bit."""
     check_clip(clip)
-    return clip_rows(g, clip)
+    c = float(clip)
+    norm = sqrt(max_scalar(tsum(square(g), axes=-1, keepdims=True), c * c))
+    return mul(g, broadcast(div(c, norm), g.shape))
 
 
 @dataclass
@@ -121,7 +135,9 @@ def dp_sgd_step(
 
     The noise is the standard-normal draw keyed by (config.seed, step_index).
     A private config must carry its sigma: only train derives one from a
-    target epsilon.
+    target epsilon.  A non-finite mean loss, or a non-finite parameter after
+    the update, raises TrainingDivergedError naming step_index; numpy's
+    overflow and invalid-value warnings on the way there are silenced.
     """
     if not batch:
         raise ConfigError("dp_sgd_step: empty batch")
@@ -130,21 +146,27 @@ def dp_sgd_step(
                           "train derives it from the target epsilon")
     total = np.zeros(params.count)
     losses = []
-    for part in chunks(batch, chunk_size(params)):
-        loss, g = per_sample_loss_and_grad(
-            spec, params, np.stack([x for x, _ in part]), [y for _, y in part]
-        )
-        losses.append(loss)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in chunks(batch, chunk_size(params)):
+            loss, g = per_sample_loss_and_grad(
+                spec, params, np.stack([x for x, _ in part]), [y for _, y in part]
+            )
+            losses.append(loss)
+            if config.private:
+                g *= clip_factor(g, config.clip)
+            total += g.sum(axis=0)
+        mean_loss = float(np.mean(np.concatenate(losses)))
+        if not math.isfinite(mean_loss):
+            raise TrainingDivergedError(f"non-finite loss at step {step_index}")
+        noise = None
         if config.private:
-            g *= clip_factor(g, config.clip)
-        total += g.sum(axis=0)
-    noise = None
-    if config.private:
-        noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
-        total = total + noise * (config.sigma * config.clip)
-    update = total / len(batch)
-    new_flat = params.flat - config.learning_rate * update
-    return StepResult(params.with_flat(new_flat), noise, float(np.mean(np.concatenate(losses))))
+            noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
+            total = total + noise * (config.sigma * config.clip)
+        update = total / len(batch)
+        new_flat = params.flat - config.learning_rate * update
+    if not np.isfinite(new_flat).all():
+        raise TrainingDivergedError(f"non-finite parameters after step {step_index}")
+    return StepResult(params.with_flat(new_flat), noise, mean_loss)
 
 
 @dataclass
@@ -164,9 +186,8 @@ def train(
 
     dataset: sequence of (x, y) pairs.  Parameters start from `initial`
     when given, else from init_params(spec, config.seed).  With
-    private=False the accountant is never touched.  A non-finite batch
-    loss, or a non-finite parameter after an update, aborts with the step
-    index.
+    private=False the accountant is never touched.  A step that diverges
+    raises TrainingDivergedError naming its index (see dp_sgd_step).
     """
     if not len(dataset):
         raise ConfigError("train: empty dataset")
@@ -189,13 +210,7 @@ def train(
         for start in range(0, len(dataset), config.batch_size):
             batch = [dataset[i] for i in range(start, min(start + config.batch_size, len(dataset)))]
             result = dp_sgd_step(spec, params, batch, run_config, step)
-            if not math.isfinite(result.mean_loss):
-                raise TrainingDivergedError(f"non-finite loss at step {step}")
             params = result.params
-            # the loss above is taken before the update, so an update that
-            # overflows at the last step would reach the checkpoint unseen
-            if not np.isfinite(params.flat).all():
-                raise TrainingDivergedError(f"non-finite parameters after step {step}")
             eps_now = 0.0
             if accountant is not None:
                 accountant.add_step(run_config.clip, run_config.sigma * run_config.clip)
@@ -270,5 +285,11 @@ def parse_config_text(text: str) -> DpSgdConfig:
 
 
 def load_config(path) -> DpSgdConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: {exc}") from None
+    return parse_config_text(text)

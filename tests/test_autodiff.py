@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plislab import autodiff as ad
+from plislab import autodiff as ad, dpsgd
 from plislab.errors import GraphError, ShapeError
 
 
@@ -472,7 +472,9 @@ def test_linear_weight_adjoint_matches_blas_bitwise():
 
 
 def _clip_chain(g, c):
-    """The clip as seven graph ops, the reference clip_rows must reproduce."""
+    """The clip as g * C / max(||g||, C) in seven graph ops: the reference that
+    dpsgd.clip_differentiable, which takes sqrt(max(||g||^2, C^2)), must
+    reproduce."""
     norm = ad.sqrt(ad.tsum(ad.square(g), axes=-1, keepdims=True))
     return ad.mul(g, ad.broadcast(ad.div(c, ad.max_scalar(norm, c)), g.shape))
 
@@ -499,10 +501,10 @@ def test_clip_rows_matches_op_chain_bitwise():
     for c in (0.3, 1.0, 5.0):
         for x0 in (g0, g0[:, :1], g0[0]):
             chain_exact, chain_second = passes(_clip_chain, x0, c)
-            fused_exact, fused_second = passes(ad.clip_rows, x0, c)
-            assert fused_exact == chain_exact
+            clip_exact, clip_second = passes(dpsgd.clip_differentiable, x0, c)
+            assert clip_exact == chain_exact
             scale = np.abs(chain_second).max()
-            assert np.abs(fused_second - chain_second).max() <= 1e-13 * scale
+            assert np.abs(clip_second - chain_second).max() <= 1e-13 * scale
 
 
 def test_concat_flattens_parts_past_the_batch_axis():
@@ -553,8 +555,9 @@ def _layer_op_cases():
         "softmax": (ad.softmax, [rng.normal(size=(3, 4))]),
         "cross-entropy": (lambda z: ad.cross_entropy(z, labels), [2.0 * rng.normal(size=(3, 4))]),
         "mse": (lambda p: ad.mse(p, target), [rng.normal(size=(3, 2, 2))]),
-        # rows 0 and 2 above the clip, row 1 below it, none near the kink
-        "clip-rows": (lambda g: ad.clip_rows(g, 1.0), [clip_input]),
+        # the DP clip, a chain of elementwise ops rather than one node: rows 0
+        # and 2 above the clip, row 1 below it, none near the kink
+        "clip-rows": (lambda g: dpsgd.clip_differentiable(g, 1.0), [clip_input]),
     }
 
 

@@ -319,25 +319,37 @@ class TestTrainCommand:
         assert len(lines) == 4
         assert acct.read_text().splitlines()[0].startswith("step,")
 
-    def test_update_that_overflows_is_refused_before_the_checkpoint(self, tmp_path):
-        # the step's loss is finite; only its update overflows, at the last step.
-        # A separate process, so numpy's overflow warning is not a pytest error
+    @staticmethod
+    def _refused_train(tmp_path, capsys, config: bytes) -> list[str]:
+        """stderr lines of a linear `train` on a 60-row CSV, one batch per epoch,
+        that must exit 2 and write no checkpoint."""
         data = tmp_path / "big.csv"
         data.write_text("x0,x1,y\n" + "".join(f"{i / 60!r},1.0,100.0\n" for i in range(60)))
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("lr = 1e308\nepochs = 1\nbatch_size = 60\n")
+        cfg.write_bytes(config)
         model = tmp_path / "m.plck"
-        result = subprocess.run(
-            [sys.executable, "-m", "plislab", "train", "--config", str(cfg), "--data", str(data),
-             "--out", str(model), "--arch", "linear"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
-        )
-        assert result.returncode == 2
-        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
-        assert errors == ["error: non-finite parameters after step 0"]
-        assert "Traceback" not in result.stderr
+        assert run("train", "--config", str(cfg), "--data", str(data), "--out", str(model),
+                   "--arch", "linear") == 2
         assert not model.exists()
+        return capsys.readouterr().err.splitlines()
+
+    def test_update_that_overflows_is_refused_before_the_checkpoint(self, tmp_path, capsys):
+        # the step's loss is finite; only its update overflows, at the last step.
+        # numpy's overflow warning would be an error under the suite's filter
+        err = self._refused_train(tmp_path, capsys, b"lr = 1e308\nepochs = 1\nbatch_size = 60\n")
+        assert err == ["error: non-finite parameters after step 0"]
+
+    def test_loss_that_overflows_is_refused_with_no_warning(self, tmp_path, capsys):
+        # the first update is finite but huge, so a later squared residual overflows
+        err = self._refused_train(tmp_path, capsys, b"lr = 1e150\nepochs = 3\nbatch_size = 60\n")
+        assert err == ["error: non-finite loss at step 2"]
+
+    def test_config_that_is_not_utf8_is_refused(self, tmp_path, capsys):
+        # ff fe opens a UTF-16 file
+        err = self._refused_train(tmp_path, capsys, b"\xff\xfelr = 0.1\n")
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "c.cfg: line 1: " in err[0]
+        assert "can't decode byte 0xff" in err[0]
 
     def test_accountant_out_rejected_for_nonprivate(self, tmp_path):
         data = tmp_path / "reg.csv"
@@ -582,6 +594,15 @@ class TestAnalyzeAndRank:
         out = tmp_path / "never"
         assert run(command, "--model", str(model), "--data", str(data),
                    "--sigma", sigma, "--out", str(out)) == 2
+        assert not out.exists()
+
+    def test_clip_whose_square_overflows_is_rejected(self, tabular_setup, capsys):
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run("rank", "--model", str(model), "--data", str(data),
+                   "--clip", "1e200", "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "whose square is a normal float" in err[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["rank", "analyze-plis"])

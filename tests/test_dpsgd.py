@@ -8,8 +8,6 @@ from plislab.autodiff import (
     Graph,
     Tensor,
     backward,
-    clip_factor,
-    clip_rows,
     finite_diff_check,
     linear,
     reshape,
@@ -60,9 +58,29 @@ class TestClipFactor:
         norms = np.linalg.norm(g, axis=1)
         assert (norms > clip).any() and (norms[norms != 0] < clip).any()
         assert norms[4] == clip
-        expected = clip_rows(Tensor(g), clip).data
-        g *= clip_factor(g, clip)
-        assert g.tobytes() == expected.tobytes()
+        expected = dpsgd.clip_differentiable(Tensor(g), clip).data
+        # the max(||g||, C) form the sqrt(max(||g||^2, C^2)) form must equal
+        max_form = g * (clip / np.maximum(np.sqrt((g * g).sum(axis=-1, keepdims=True)), clip))
+        g *= dpsgd.clip_factor(g, clip)
+        assert g.tobytes() == expected.tobytes() == max_form.tobytes()
+
+    def test_sqrt_form_equals_max_form_over_the_clip_range(self):
+        # sqrt(fl(C * C)) = C while C * C is a normal float, so the forms agree
+        # from the smallest clip check_clip takes to the largest, also on rows
+        # within an ulp or two of the threshold
+        rng = np.random.default_rng(9)
+        eps = np.finfo(float).eps
+        scales = np.array([0.0, 0.05, 0.5, 1 - eps, 1 - eps / 2, 1.0, 1 + eps, 1 + 2 * eps, 1.01])
+        for clip in [1.5e-154, *np.geomspace(1e-150, 1e150, 13), 1.3e154]:
+            dpsgd.check_clip(clip)
+            unit = rng.normal(size=(len(scales), 5))
+            unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+            # random directions, and one axis so the norm is exactly scale * C
+            rows = np.vstack([unit, np.tile(np.eye(5)[0], (len(scales), 1))])
+            g = clip * np.tile(scales, 2)[:, None] * rows
+            norm = np.sqrt((g * g).sum(axis=-1, keepdims=True))
+            max_form = clip / np.maximum(norm, clip)
+            assert dpsgd.clip_factor(g, clip).tobytes() == max_form.tobytes(), clip
 
 
 class TestClipDifferentiable:
@@ -130,6 +148,13 @@ class TestClipDifferentiable:
         with pytest.raises(ConfigError, match="finite"):
             dpsgd.clip_differentiable(Tensor([1.0]), clip)
 
+    @pytest.mark.parametrize("clip", [1.35e154, 1.45e-154])
+    def test_clip_whose_square_is_not_normal_rejected(self, clip):
+        # just past either end: C * C overflows to inf or falls below the
+        # normal range, where sqrt(C * C) is no longer C
+        with pytest.raises(ConfigError, match="whose square is a normal float"):
+            dpsgd.clip_differentiable(Tensor([1.0]), clip)
+
 
 class TestDpSgdStep:
     def test_sigma_zero_all_within_clip_equals_plain_sgd(self):
@@ -186,6 +211,20 @@ class TestDpSgdStep:
         assert a.params.flat.tobytes() == b.params.flat.tobytes()
         assert a.step_records == b.step_records
 
+    def test_non_finite_loss_is_refused_before_the_update(self):
+        # the squared residual overflows; numpy's warning is silenced, so under
+        # the suite's warnings-as-errors filter only the step's error is raised
+        params = models.init_params(LINEAR_SPEC, 1).with_flat(np.full(3, 1e200))
+        cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)
+        with pytest.raises(TrainingDivergedError, match="^non-finite loss at step 7$"):
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _linear_dataset()[:4], cfg, step_index=7)
+
+    def test_update_that_overflows_is_refused(self):
+        params = models.init_params(LINEAR_SPEC, 1)
+        cfg = dpsgd.DpSgdConfig(learning_rate=1e308, epochs=1, batch_size=4)
+        with pytest.raises(TrainingDivergedError, match="^non-finite parameters after step 3$"):
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _linear_dataset()[:4], cfg, step_index=3)
+
     def test_empty_batch_rejected(self):
         params = models.init_params(LINEAR_SPEC, 1)
         cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)
@@ -223,7 +262,7 @@ class TestTrain:
     def test_divergence_names_the_step(self):
         data = _linear_dataset(n=20)
         cfg = dpsgd.DpSgdConfig(learning_rate=1e200, epochs=5, batch_size=20)
-        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError, match=r"step \d+"):
+        with pytest.raises(TrainingDivergedError, match=r"step \d+"):
             dpsgd.train(LINEAR_SPEC, data, cfg)
 
 

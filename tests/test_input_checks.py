@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from plislab import accounting, attack, datasets, dpsgd, models, plis
+from plislab.autodiff import Tensor
 from plislab.errors import ConfigError, DataFormatError, ShapeError
 from plislab.imagemetrics import GrayImage
 
@@ -56,6 +57,30 @@ CASES = [
          ConfigError, "empty dataset"),
     case("dpsgd-infinite-learning-rate", _dp(learning_rate=np.inf), ConfigError,
          "learning rate must be finite and positive, got inf"),
+    # an infinite target would train at the budget search's floor sigma
+    case("dpsgd-infinite-target-epsilon", _dp(private=True, clip=1.0, target_epsilon=np.inf),
+         ConfigError, "target epsilon must be finite and positive, got inf"),
+    case("dpsgd-nan-target-epsilon", _dp(private=True, clip=1.0, target_epsilon=np.nan),
+         ConfigError, "target epsilon must be finite and positive, got nan"),
+    case("dpsgd-zero-target-epsilon", _dp(private=True, clip=1.0, target_epsilon=0.0),
+         ConfigError, "target epsilon must be finite and positive, got 0.0"),
+    case("dpsgd-negative-target-epsilon", _dp(private=True, clip=1.0, target_epsilon=-1.0),
+         ConfigError, "target epsilon must be finite and positive, got -1.0"),
+    # C * C overflows or is not a normal float: sqrt(C * C) is no longer C
+    case("dpsgd-clip-square-overflows", _dp(private=True, clip=1e200, sigma=1.0), ConfigError,
+         r"whose square is a normal float .*, got 1e\+200"),
+    case("dpsgd-clip-square-underflows", _dp(private=True, clip=1e-160, sigma=1.0), ConfigError,
+         "whose square is a normal float .*, got 1e-160"),
+    case("clip-differentiable-clip-square-overflows",
+         lambda: dpsgd.clip_differentiable(Tensor([1.0]), 1e200), ConfigError,
+         "whose square is a normal float"),
+    case("clip-differentiable-clip-square-underflows",
+         lambda: dpsgd.clip_differentiable(Tensor([1.0]), 1e-160), ConfigError,
+         "whose square is a normal float"),
+    case("dp-release-clip-square-overflows", lambda: attack.DpRelease(1e200, 1.0), ConfigError,
+         "whose square is a normal float"),
+    case("dp-release-clip-square-underflows", lambda: attack.DpRelease(1e-160, 1.0),
+         ConfigError, "whose square is a normal float"),
     case("attack-zero-restarts", lambda: attack.AttackConfig(restarts=0), ConfigError,
          "restarts must be >= 1"),
     case("attack-nan-tv-weight", lambda: attack.AttackConfig(tv_weight=np.nan), ConfigError,

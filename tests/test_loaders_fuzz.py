@@ -1,11 +1,12 @@
 """Fuzzed input to the four loaders: checkpoints, PLDS image files,
-regression CSVs and DP-SGD config text.
+regression CSVs and DP-SGD config files.
 
 Whatever the bytes, a loader either returns or raises a PlisLabError,
 which the CLI turns into exit code 2; any other exception would reach the
 user as a traceback.  Each binary loader gets random bytes and byte-level
 mutations (overwritten bytes, truncation, trailing junk) of a valid file;
-the text loaders get random text and text drawn from their own alphabet.
+the text loaders get random bytes, random text and text drawn from their
+own alphabet.
 """
 
 import struct
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plislab import datasets, dpsgd, models
-from plislab.errors import DataFormatError, PlisLabError
+from plislab.errors import ConfigError, DataFormatError, PlisLabError
 
 FUZZ = settings(max_examples=150, deadline=None)
 
@@ -206,15 +207,14 @@ CONFIG_KEYS = ["lr", "epochs", "batch_size", "seed", "private", "clip", "sigma",
                "target_epsilon", "target_delta", "momentum"]
 CONFIG_VALUES = ["0", "1", "-1", "1.5", "1e999", "nan", "inf", "-inf", "true", "yes", "",
                  "1e-300", "٣", "1_0", "0x10", " 2 ", "# 1", "=", "1=2"]
+CONFIG_TEXT = st.lists(
+    st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)), max_size=8
+).map(lambda kv: "\n".join(f"{k}={v}" for k, v in kv))
 
 
 def test_parse_config_text_raises_only_plislab_errors():
-    lines = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES)),
-                     max_size=8)
-
     @FUZZ
-    @given(st.one_of(st.text(max_size=60),
-                     lines.map(lambda kv: "\n".join(f"{k}={v}" for k, v in kv))))
+    @given(st.one_of(st.text(max_size=60), CONFIG_TEXT))
     def check(text):
         try:
             dpsgd.parse_config_text(text)
@@ -222,3 +222,21 @@ def test_parse_config_text_raises_only_plislab_errors():
             pass
 
     check()
+
+
+def test_load_config_raises_only_plislab_errors(scratch):
+    text = CONFIG_TEXT.map(str.encode)
+
+    @FUZZ
+    @given(st.one_of(st.binary(max_size=64), text,
+                     st.tuples(text, st.binary(max_size=8)).map(b"\n".join)))
+    def check(blob):
+        _loads_or_refuses(dpsgd.load_config, scratch, blob)
+
+    check()
+
+
+def test_load_config_names_the_line_of_a_bad_byte(scratch):
+    scratch.write_bytes(b"lr = 0.1\n# a comment\nepochs = \xe9\n")
+    with pytest.raises(ConfigError, match=r"line 3: .* can't decode byte 0xe9"):
+        dpsgd.load_config(scratch)
