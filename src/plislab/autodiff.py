@@ -41,7 +41,15 @@ the batch axis as it joins them, so per-block gradients become (B, p)
 rows in one node.  So a create-graph pass over a layer records a few
 layer ops, and what it records is differentiable again.  Per-node
 Python, not arithmetic, is what a double backward through these small
-models, and a batch-1 training step, spend their time on.
+models spends its time on.
+
+Numpy kernels: each layer op's value and each of its first-order
+adjoints is one private numpy function (the _np suffix), which the op
+records.  First-order per-sample gradients, all a DP-SGD step needs, are
+tape-free: models.per_sample_loss_and_grad calls the same kernels on
+plain arrays, builds no graph, and gets the tape's rows to the bit.  The
+tape serves what is differentiated again: PLIS, the input Jacobian and
+the attack objective.
 
 Batch axis: the layer ops work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
@@ -257,9 +265,9 @@ def relu(a) -> Tensor:
 
     def rule(grad: Tensor, need, a: Tensor):
         # mask is piecewise constant: detached, subgradient 0 at the kink
-        return (mul(grad, Tensor(a.data > 0.0)),)
+        return (mul(grad, Tensor(_relu_slope_np(a.data))),)
 
-    return _record("relu", np.maximum(a.data, 0.0), (a,), rule)
+    return _record("relu", _relu_np(a.data), (a,), rule)
 
 
 def max_scalar(a, c: float) -> Tensor:
@@ -278,6 +286,7 @@ def tanh(a) -> Tensor:
     a = _tensor(a)
 
     def rule(grad: Tensor, need, a: Tensor):
+        # _tanh_slope_np's arithmetic, op by op
         return (mul(grad, sub(1.0, square(tanh(a)))),)
 
     return _record("tanh", np.tanh(a.data), (a,), rule)
@@ -285,14 +294,13 @@ def tanh(a) -> Tensor:
 
 def softplus(a) -> Tensor:
     a = _tensor(a)
-    out = np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data)))
 
     def rule(grad: Tensor, need, a: Tensor):
-        # sigmoid(a) written with in-set ops: (1 + tanh(a/2)) / 2
+        # _softplus_slope_np's arithmetic, op by op
         sig = mul(add(tanh(mul(a, 0.5)), 1.0), 0.5)
         return (mul(grad, sig),)
 
-    return _record("softplus", out, (a,), rule)
+    return _record("softplus", _softplus_np(a.data), (a,), rule)
 
 
 # --------------------------------------------------------------------------
@@ -423,11 +431,11 @@ def bias_add(h, b) -> Tensor:
     spread = tuple(range(2, h.data.ndim))
 
     def rule(grad: Tensor, need, h: Tensor, b: Tensor):
+        # _bias_adjoint_np's sum, as an op
         gb = (tsum(grad, axes=spread) if spread else grad) if need[1] else None
         return (grad if need[0] else None, gb)
 
-    out = h.data + b.data.reshape(b.shape + (1,) * len(spread))
-    return _record("bias-add", out, (h, b), rule)
+    return _record("bias-add", _bias_add_np(h.data, b.data), (h, b), rule)
 
 
 def linear(w, h) -> Tensor:
@@ -441,7 +449,7 @@ def linear(w, h) -> Tensor:
         gh = _linear_input_adjoint(w, grad) if need[1] else None
         return (gw, gh)
 
-    return _record("linear", np.matmul(w.data, h.data[..., None])[..., 0], (w, h), rule)
+    return _record("linear", _linear_np(w.data, h.data), (w, h), rule)
 
 
 def _linear_input_adjoint(w: Tensor, g: Tensor) -> Tensor:
@@ -452,8 +460,7 @@ def _linear_input_adjoint(w: Tensor, g: Tensor) -> Tensor:
         gg = linear(w, grad) if need[1] else None
         return (gw, gg)
 
-    out = np.matmul(np.swapaxes(w.data, -1, -2), g.data[..., None])[..., 0]
-    return _record("linear-input-adjoint", out, (w, g), rule)
+    return _record("linear-input-adjoint", _linear_input_adjoint_np(w.data, g.data), (w, g), rule)
 
 
 def _linear_weight_adjoint(g: Tensor, h: Tensor) -> Tensor:
@@ -464,11 +471,139 @@ def _linear_weight_adjoint(g: Tensor, h: Tensor) -> Tensor:
         gh = _linear_input_adjoint(grad, g) if need[1] else None
         return (gg, gh)
 
-    # numpy's stacked matmul runs a slow loop for an inner dimension of 1;
-    # + 0.0 gives zero entries the sign BLAS gives them (-0.0 -> +0.0)
-    out = g.data[:, :, None] * h.data[:, None, :]
-    out += 0.0
-    return _record("linear-weight-adjoint", out, (g, h), rule)
+    return _record("linear-weight-adjoint", _linear_weight_adjoint_np(g.data, h.data), (g, h), rule)
+
+
+def conv2d(x, kernel) -> Tensor:
+    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels."""
+    x, kernel = _tensor(x), _tensor(kernel)
+    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
+        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
+    k = kernel.shape[3]
+    if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
+        raise ShapeError(
+            f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
+        )
+    if k > min(x.shape[2:]):
+        raise ShapeError(f"conv2d: kernel {k} too large for image {x.shape[2]}x{x.shape[3]}")
+    return _conv2d(x, kernel, _im2col(x.data, k))
+
+
+def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
+    """conv2d on the already gathered patch matrices cols of x."""
+
+    def rule(grad: Tensor, need, x: Tensor, kernel: Tensor):
+        gx = _conv2d_input_adjoint(grad, kernel) if need[0] else None
+        gk = _conv2d_kernel_adjoint(x, grad, cols) if need[1] else None
+        return (gx, gk)
+
+    return _record("conv2d", _conv2d_np(kernel.data, cols, x.shape), (x, kernel), rule)
+
+
+def _conv2d_input_adjoint(g: Tensor, kernel: Tensor) -> Tensor:
+    """Gradient of <g, conv2d(x, kernel)> in x: (B,C,oh+k-1,ow+k-1) from (B,O,oh,ow) g."""
+    k = kernel.shape[3]
+
+    def rule(grad: Tensor, need, g: Tensor, kernel: Tensor):
+        cols = _im2col(grad.data, k)
+        gg = _conv2d(grad, kernel, cols) if need[0] else None
+        gk = _conv2d_kernel_adjoint(grad, g, cols) if need[1] else None
+        return (gg, gk)
+
+    return _record(
+        "conv2d-input-adjoint", _conv2d_input_adjoint_np(g.data, kernel.data), (g, kernel), rule
+    )
+
+
+def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
+    """Gradient of <g, conv2d(x, K)> in K, (B,O,C,k,k) from (B,C,H,W) x and
+    (B,O,oh,ow) g, on the already gathered patch matrices cols of x."""
+    b, o, oh = g.shape[:3]
+    c, k = x.shape[1], x.shape[2] - oh + 1
+
+    def rule(grad: Tensor, need, x: Tensor, g: Tensor):
+        gx = _conv2d_input_adjoint(g, grad) if need[0] else None
+        gg = _conv2d(x, grad, cols) if need[1] else None
+        return (gx, gg)
+
+    out = _conv2d_kernel_adjoint_np(g.data, cols).reshape(b, o, c, k, k)
+    return _record("conv2d-kernel-adjoint", out, (x, g), rule)
+
+
+# --------------------------------------------------------------------------
+# losses
+# --------------------------------------------------------------------------
+
+
+def softmax(z) -> Tensor:
+    """Softmax along the last axis."""
+    z = _tensor(z)
+
+    def rule(grad: Tensor, need, z: Tensor):
+        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>)
+        s = softmax(z)
+        dot = tsum(mul(s, grad), axes=-1, keepdims=True)
+        return (mul(s, sub(grad, broadcast(dot, s.shape))),)
+
+    return _record("softmax", _softmax_np(z.data), (z,), rule)
+
+
+def cross_entropy(z, labels) -> Tensor:
+    """Per-row log-sum-exp(z) - z[label] for (B, k) logits and B integer labels."""
+    z = _tensor(z)
+    if z.data.ndim != 2:
+        raise ShapeError(f"cross_entropy: expected (B, k) logits, got shape {z.shape}")
+    n, k = z.shape
+    labels = check_labels(labels, n, k)
+    onehot = _onehot(labels, k)
+
+    def rule(grad: Tensor, need, z: Tensor):
+        # _cross_entropy_adjoint_np's arithmetic, op by op
+        scale = broadcast(reshape(grad, (n, 1)), (n, k))
+        return (mul(sub(softmax(z), Tensor(onehot)), scale),)
+
+    return _record("cross-entropy", _cross_entropy_np(z.data, labels), (z,), rule)
+
+
+def mse(pred, target) -> Tensor:
+    """Per-row mean of (pred - target)^2 over the axes past the batch axis:
+    (B, ...) predictions and same-shape constant targets give (B,)."""
+    pred = _tensor(pred)
+    target = Tensor(target)
+    if pred.data.ndim < 2 or target.shape != pred.shape:
+        raise ShapeError(f"mse: predictions {pred.shape} and targets {target.shape} do not match")
+    k = float(pred.size // pred.shape[0])
+    kept = pred.shape[:1] + (1,) * (pred.data.ndim - 1)
+
+    def rule(grad: Tensor, need, pred: Tensor):
+        # the rules of the chain sub, square, sum over the row, div by k;
+        # _mse_adjoint_np's arithmetic, op by op
+        scale = broadcast(reshape(div(grad, k), kept), pred.shape)
+        return (mul(scale, mul(sub(pred, target), 2.0)),)
+
+    return _record("mse", _mse_np(pred.data, target.data), (pred,), rule)
+
+
+def check_labels(labels, n: int, k: int) -> Array:
+    """B integer labels, each in [0, k), for n rows of k logits."""
+    labels = np.asarray(labels).reshape(-1).astype(np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy: {labels.size} labels for {n} rows of logits")
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
+    return labels
+
+
+# --------------------------------------------------------------------------
+# numpy kernels.  Each layer op's value, and each first-order adjoint, is
+# written once, here: the ops above record these values, and the tape-free
+# per-sample gradients (models.per_sample_loss_and_grad) call the same
+# functions on plain arrays.  The rules above that are chains of ops
+# (bias sums, the tanh and softplus slopes, the loss cotangents) do the
+# arithmetic of the kernel they name in the same order, so a first-order
+# gradient is the same to the bit by either route.
+# --------------------------------------------------------------------------
 
 
 def _im2col(images: Array, k: int) -> Array:
@@ -501,132 +636,109 @@ def _col2im(cols: Array, image_shape: tuple, k: int) -> Array:
     return img
 
 
-def conv2d(x, kernel) -> Tensor:
-    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels."""
-    x, kernel = _tensor(x), _tensor(kernel)
-    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
-        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
-    k = kernel.shape[3]
-    if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
-        raise ShapeError(
-            f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
-        )
-    if k > min(x.shape[2:]):
-        raise ShapeError(f"conv2d: kernel {k} too large for image {x.shape[2]}x{x.shape[3]}")
-    return _conv2d(x, kernel, _im2col(x.data, k))
+def _bias_add_np(h: Array, b: Array) -> Array:
+    return h + b.reshape(b.shape + (1,) * (h.ndim - 2))
 
 
-def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
-    """conv2d on the already gathered patch matrices cols of x."""
+def _bias_adjoint_np(g: Array) -> Array:
+    """The (B, O) bias gradient of a (B, O, ...) cotangent: its sum past (B, O)."""
+    return g.sum(axis=tuple(range(2, g.ndim))) if g.ndim > 2 else g
+
+
+def _linear_np(w: Array, h: Array) -> Array:
+    return np.matmul(w, h[..., None])[..., 0]
+
+
+def _linear_input_adjoint_np(w: Array, g: Array) -> Array:
+    return np.matmul(np.swapaxes(w, -1, -2), g[..., None])[..., 0]
+
+
+def _linear_weight_adjoint_np(g: Array, h: Array) -> Array:
+    # numpy's stacked matmul runs a slow loop for an inner dimension of 1;
+    # + 0.0 gives zero entries the sign BLAS gives them (-0.0 -> +0.0)
+    out = g[:, :, None] * h[:, None, :]
+    out += 0.0
+    return out
+
+
+def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple) -> Array:
+    """(B,O,oh,ow) outputs of (B,O,C,k,k) kernels on the patch matrices of
+    (B,C,H,W) images."""
     b, o, _, k = kernel.shape[:4]
-    oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
-
-    def rule(grad: Tensor, need, x: Tensor, kernel: Tensor):
-        gx = _conv2d_input_adjoint(grad, kernel) if need[0] else None
-        gk = _conv2d_kernel_adjoint(x, grad, cols) if need[1] else None
-        return (gx, gk)
-
-    out = np.matmul(kernel.data.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
-    return _record("conv2d", out, (x, kernel), rule)
+    oh, ow = image_shape[2] - k + 1, image_shape[3] - k + 1
+    return np.matmul(kernel.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
 
 
-def _conv2d_input_adjoint(g: Tensor, kernel: Tensor) -> Tensor:
-    """Gradient of <g, conv2d(x, kernel)> in x: (B,C,oh+k-1,ow+k-1) from (B,O,oh,ow) g."""
+def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
     b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
-
-    def rule(grad: Tensor, need, g: Tensor, kernel: Tensor):
-        cols = _im2col(grad.data, k)
-        gg = _conv2d(grad, kernel, cols) if need[0] else None
-        gk = _conv2d_kernel_adjoint(grad, g, cols) if need[1] else None
-        return (gg, gk)
-
-    cols = np.matmul(np.swapaxes(kernel.data.reshape(b, o, -1), -1, -2), g.data.reshape(b, o, -1))
-    out = _col2im(cols, (b, c, oh + k - 1, ow + k - 1), k)
-    return _record("conv2d-input-adjoint", out, (g, kernel), rule)
+    cols = np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
+    return _col2im(cols, (b, c, oh + k - 1, ow + k - 1), k)
 
 
-def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
-    """Gradient of <g, conv2d(x, K)> in K, (B,O,C,k,k) from (B,C,H,W) x and
-    (B,O,oh,ow) g, on the already gathered patch matrices cols of x."""
-    b, o, oh, ow = g.shape
-    c, k = x.shape[1], x.shape[2] - oh + 1
-
-    def rule(grad: Tensor, need, x: Tensor, g: Tensor):
-        gx = _conv2d_input_adjoint(g, grad) if need[0] else None
-        gg = _conv2d(x, grad, cols) if need[1] else None
-        return (gx, gg)
-
-    out = np.matmul(g.data.reshape(b, o, -1), np.swapaxes(cols, -1, -2)).reshape(b, o, c, k, k)
-    return _record("conv2d-kernel-adjoint", out, (x, g), rule)
+def _conv2d_kernel_adjoint_np(g: Array, cols: Array) -> Array:
+    """The (B, O, C*k*k) kernel gradient from (B,O,oh,ow) g and the patch matrices."""
+    b, o = g.shape[:2]
+    return np.matmul(g.reshape(b, o, -1), np.swapaxes(cols, -1, -2))
 
 
-# --------------------------------------------------------------------------
-# losses
-# --------------------------------------------------------------------------
+def _relu_np(a: Array) -> Array:
+    return np.maximum(a, 0.0)
 
 
-def softmax(z) -> Tensor:
-    """Softmax along the last axis."""
-    z = _tensor(z)
-    e = np.exp(z.data - z.data.max(axis=-1, keepdims=True))
-
-    def rule(grad: Tensor, need, z: Tensor):
-        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>)
-        s = softmax(z)
-        dot = tsum(mul(s, grad), axes=-1, keepdims=True)
-        return (mul(s, sub(grad, broadcast(dot, s.shape))),)
-
-    return _record("softmax", e / e.sum(axis=-1, keepdims=True), (z,), rule)
+def _relu_slope_np(a: Array) -> Array:
+    return a > 0.0
 
 
-def cross_entropy(z, labels) -> Tensor:
-    """Per-row log-sum-exp(z) - z[label] for (B, k) logits and B integer labels."""
-    z = _tensor(z)
-    if z.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: expected (B, k) logits, got shape {z.shape}")
-    n, k = z.shape
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    if labels.shape != (n,):
-        raise ShapeError(f"cross_entropy: {labels.size} labels for {n} rows of logits")
-    bad = labels[(labels < 0) | (labels >= k)]
-    if bad.size:
-        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
-    rows = np.arange(n)
-    onehot = np.zeros((n, k))
-    onehot[rows, labels] = 1.0
+def _tanh_slope_np(t: Array) -> Array:
+    """1 - tanh^2 from t = tanh(a)."""
+    return 1.0 - t * t
 
-    def rule(grad: Tensor, need, z: Tensor):
-        scale = broadcast(reshape(grad, (n, 1)), (n, k))
-        return (mul(sub(softmax(z), Tensor(onehot)), scale),)
 
+def _softplus_np(a: Array) -> Array:
+    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+
+
+def _softplus_slope_np(a: Array) -> Array:
+    """sigmoid(a) written as (1 + tanh(a/2)) / 2, which the tape's ops can express."""
+    return (np.tanh(a * 0.5) + 1.0) * 0.5
+
+
+def _softmax_np(z: Array) -> Array:
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _onehot(labels: Array, k: int) -> Array:
+    onehot = np.zeros((labels.size, k))
+    onehot[np.arange(labels.size), labels] = 1.0
+    return onehot
+
+
+def _cross_entropy_np(z: Array, labels: Array) -> Array:
     # log-sum-exp as top + log1p(sum of the other terms), so a dominant
     # logit's loss keeps its digits instead of rounding to 0 in log(1 + tiny)
-    top = z.data.argmax(axis=-1)
-    e = np.exp(z.data - z.data[rows, top][:, None])
+    rows = np.arange(z.shape[0])
+    top = z.argmax(axis=-1)
+    e = np.exp(z - z[rows, top][:, None])
     e[rows, top] = 0.0
-    out = (z.data[rows, top] - z.data[rows, labels]) + np.log1p(e.sum(axis=-1))
-    return _record("cross-entropy", out, (z,), rule)
+    return (z[rows, top] - z[rows, labels]) + np.log1p(e.sum(axis=-1))
 
 
-def mse(pred, target) -> Tensor:
-    """Per-row mean of (pred - target)^2 over the axes past the batch axis:
-    (B, ...) predictions and same-shape constant targets give (B,)."""
-    pred = _tensor(pred)
-    target = Tensor(target)
-    if pred.data.ndim < 2 or target.shape != pred.shape:
-        raise ShapeError(f"mse: predictions {pred.shape} and targets {target.shape} do not match")
-    per_row = tuple(range(1, pred.data.ndim))
+def _cross_entropy_adjoint_np(g: Array, z: Array, labels: Array) -> Array:
+    return (_softmax_np(z) - _onehot(labels, z.shape[1])) * g[:, None]
+
+
+def _mse_np(pred: Array, target: Array) -> Array:
+    residual = pred - target
     k = float(pred.size // pred.shape[0])
-    kept = pred.shape[:1] + (1,) * len(per_row)
+    return (residual * residual).sum(axis=tuple(range(1, pred.ndim))) / k
 
-    def rule(grad: Tensor, need, pred: Tensor):
-        # the rules of the chain sub, square, sum over the row, div by k
-        scale = broadcast(reshape(div(grad, k), kept), pred.shape)
-        return (mul(scale, mul(sub(pred, target), 2.0)),)
 
-    residual = pred.data - target.data
-    return _record("mse", (residual * residual).sum(axis=per_row) / k, (pred,), rule)
+def _mse_adjoint_np(g: Array, pred: Array, target: Array) -> Array:
+    k = float(pred.size // pred.shape[0])
+    kept = pred.shape[:1] + (1,) * (pred.ndim - 1)
+    return (g / k).reshape(kept) * ((pred - target) * 2.0)
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,11 @@ Batches are fixed contiguous slices (no Poisson subsampling): per-subject
 privacy-loss attribution is incompatible with secret subsampling, so no
 amplification is claimed or used.
 
-Batch axis: a step computes its per-sample gradients as the rows of one
-backward pass per chunk of models.chunk_size() samples, and clips each row
-on its own; no per-sample graph is built.  Each chunk's graph is freed
-before the next chunk's is built.
+Batch axis: a step takes its per-sample gradients as the (B, p) rows of
+models.per_sample_loss_and_grad, one call per chunk of
+models.chunk_size() samples, and clips each row in place.  That route is
+tape-free: a step builds no graph.  Only PLIS, which differentiates the
+clipped rows again, builds them on the tape through clip_differentiable.
 """
 
 from __future__ import annotations
@@ -135,9 +136,11 @@ def dp_sgd_step(
 
     The noise is the standard-normal draw keyed by (config.seed, step_index).
     A private config must carry its sigma: only train derives one from a
-    target epsilon.  A non-finite mean loss, or a non-finite parameter after
-    the update, raises TrainingDivergedError naming step_index; numpy's
-    overflow and invalid-value warnings on the way there are silenced.
+    target epsilon.  A non-finite mean loss, a row whose squared norm
+    overflows (its clip factor is 0, so clipping would drop it), or a
+    non-finite parameter after the update raises TrainingDivergedError
+    naming step_index; numpy's overflow and invalid-value warnings on the
+    way there are silenced.
     """
     if not batch:
         raise ConfigError("dp_sgd_step: empty batch")
@@ -153,7 +156,13 @@ def dp_sgd_step(
             )
             losses.append(loss)
             if config.private:
-                g *= clip_factor(g, config.clip)
+                factor = clip_factor(g, config.clip)
+                if not factor.all():
+                    raise TrainingDivergedError(
+                        f"a gradient's squared norm overflows at step {step_index}; "
+                        "clipping would drop its row"
+                    )
+                g *= factor
             total += g.sum(axis=0)
         mean_loss = float(np.mean(np.concatenate(losses)))
         if not math.isfinite(mean_loss):

@@ -2,21 +2,25 @@
 
 Parameters live in one flat vector, laid out block by block; the
 gradient with respect to all parameters comes back as a single flat
-tensor.  Inputs are always registered as graph leaves, since every
-analysis in this package differentiates with respect to them.
+tensor.
 
-Batch axis: attach_sample() is the one graph builder.  It takes B samples
-stacked on a leading axis and tiles each parameter block into a (B, ...)
-leaf, so sample i's loss depends only on row i of the parameters and of
-the inputs.  The tiles are read-only views with batch stride 0, so no
-parameter is copied per sample.  The gradient of the summed loss then
-holds each sample's parameter gradient in its own row (parameter_grad()
-joins the blocks into (B, p) rows with one concat node, which flattens
-each block past the batch axis), and a second backward pass of any
-per-row quantity built from those rows returns each sample's input
-gradient in its row of X.
-One sample is a batch of one.  Callers build graphs over at most
+Batch axis: every route takes B samples stacked on a leading axis and
+tiles each parameter block into a (B, ...) array, so sample i's loss
+depends only on row i of the parameters and of the inputs.  The tiles
+are read-only views with batch stride 0, so no parameter is copied per
+sample.  One sample is a batch of one.  Callers pass at most
 chunk_size(params) samples at a time.
+
+Two routes, one arithmetic.  per_sample_loss_and_grad() computes the B
+losses and (B, p) parameter-gradient rows without a tape: all DP-SGD
+needs is first order.  attach_sample() builds the loss graph, for what is
+differentiated twice: its inputs are graph leaves, since every analysis
+differentiates with respect to them.  parameter_grad() returns the same
+rows from one backward pass (one concat node flattens and joins the
+blocks), and a second backward pass of any per-row quantity built from
+them returns each sample's input gradient in its row of X.  Both routes
+check a batch in _checked_batch and run the same autodiff numpy kernels,
+so their losses and rows agree to the bit.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -51,16 +55,17 @@ from .errors import ConfigError, DataFormatError, ShapeError
 MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
-# Parameter-gradient entries per graph.  A graph's memory grows with
-# samples x parameters: a PLIS chunk of the CLI's CNN (19,682 parameters)
-# peaks near 5 MB per sample, so 2^17 entries give it chunks of 6 samples
-# (about 30 MB); a 16-parameter linear model gets chunks of 8192, so its
-# per-op Python overhead is paid once per batch, not once per sample.
+# Parameter-gradient entries per chunk, a graph or a tape-free call.
+# Memory grows with samples x parameters: a PLIS chunk of the CLI's CNN
+# (19,682 parameters) peaks near 5 MB per sample, so 2^17 entries give it
+# chunks of 6 samples (about 30 MB); a 16-parameter linear model gets
+# chunks of 8192, so its per-op Python overhead is paid once per batch,
+# not once per sample.  Larger chunks do not speed up a CNN step.
 CHUNK_ENTRIES = 1 << 17
 
 
 def chunk_size(params: ParamSet) -> int:
-    """Samples per graph for this model."""
+    """Samples per chunk (a graph, or a tape-free call) for this model."""
     return max(1, CHUNK_ENTRIES // max(1, params.count))
 
 
@@ -270,13 +275,13 @@ def forward(spec: ModelSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
     return h
 
 
-def _loss_tensor(spec: ModelSpec, prediction: Tensor, ys) -> Tensor:
-    """Per-sample losses (B,) for predictions (B, ...) and B targets."""
+def _loss_tensor(spec: ModelSpec, prediction: Tensor, targets: np.ndarray) -> Tensor:
+    """Per-sample losses (B,) for predictions (B, ...) and _checked_batch's targets."""
     if spec.loss == MSE:
-        return mse(prediction, np.asarray(ys, dtype=np.float64).reshape(prediction.shape))
+        return mse(prediction, targets)
     # log-sum-exp minus the selected logit as one node, whatever k is; its
     # rule goes through softmax, so the loss is differentiable to any order
-    return cross_entropy(prediction, ys)
+    return cross_entropy(prediction, targets)
 
 
 @dataclass
@@ -306,8 +311,9 @@ def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
     return view
 
 
-def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
-    """Build the loss graph for B samples stacked in xs (B, ...) with targets ys (B, ...)."""
+def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(B, ...) float inputs and their targets: (B, *output shape) floats
+    for MSE, B labels for cross-entropy.  Both routes to a loss check here."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim < 2 or not xs.shape[0]:
         raise ShapeError(f"expected a non-empty batch of inputs, got shape {xs.shape}")
@@ -317,12 +323,29 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     n = xs.shape[0]
     if len(ys) != n:
         raise ShapeError(f"{n} inputs but {len(ys)} targets")
+    if spec.loss == CROSS_ENTROPY:
+        return xs, autodiff.check_labels(ys, n, out_shape[0])
+    try:
+        targets = np.asarray(ys, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(f"the {n} targets do not stack into one float array") from None
+    if targets.size != n * math.prod(out_shape):
+        raise ShapeError(
+            f"targets of shape {targets.shape} do not fit {n} outputs of shape {out_shape}"
+        )
+    return xs, targets.reshape((n, *out_shape))
+
+
+def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
+    """Build the loss graph for B samples stacked in xs (B, ...) with targets ys (B, ...)."""
+    xs, targets = _checked_batch(spec, xs, ys)
+    n = xs.shape[0]
     graph = Graph()
     flat = np.ascontiguousarray(params.flat)
     blocks = [graph.leaf(_tiled(flat, b, n)) for b in params.layout]
     x_leaf = graph.leaf(xs)
     pred = forward(spec, {b.name: t for b, t in zip(params.layout, blocks)}, x_leaf)
-    losses = _loss_tensor(spec, pred, ys)
+    losses = _loss_tensor(spec, pred, targets)
     return AttachedSample(graph, blocks, x_leaf, pred, losses, tsum(losses))
 
 
@@ -341,9 +364,81 @@ def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor
 def per_sample_loss_and_grad(
     spec: ModelSpec, params: ParamSet, xs, ys
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Detached per-sample losses (B,) and parameter gradients (B, p) from one backward pass."""
-    sample = attach_sample(spec, params, xs, ys)
-    return sample.losses.data, parameter_grad(sample).data
+    """Per-sample losses (B,) and parameter gradients (B, p), without a tape.
+
+    The same values as attach_sample's losses and parameter_grad's rows,
+    to the bit: a forward pass in the autodiff kernels on the same tiled
+    parameter views keeps what each layer's adjoints read (its input, a
+    conv's patch matrix, an activation's slope); the reverse walk writes
+    each block's gradient into its columns of the (B, p) result and, like
+    the tape's pruning, computes no adjoint of the first layer's input.
+    """
+    xs, targets = _checked_batch(spec, xs, ys)
+    n = xs.shape[0]
+    flat = np.ascontiguousarray(params.flat)
+    blocks = {b.name: b for b in params.layout}
+    kept = []  # per layer, what its adjoints read
+    h = xs
+    for idx, layer in enumerate(spec.layers):
+        if isinstance(layer, Linear):
+            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            kept.append((w, h))
+            h = autodiff._linear_np(w, h)
+        elif isinstance(layer, Conv2d):
+            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            cols = autodiff._im2col(h, layer.kernel)
+            kept.append((w, cols))
+            h = autodiff._conv2d_np(w, cols, h.shape)
+        elif isinstance(layer, Relu):
+            kept.append(autodiff._relu_slope_np(h))
+            h = autodiff._relu_np(h)
+        elif isinstance(layer, Tanh):
+            h = np.tanh(h)
+            kept.append(autodiff._tanh_slope_np(h))
+        elif isinstance(layer, Softplus):
+            kept.append(autodiff._softplus_slope_np(h))
+            h = autodiff._softplus_np(h)
+        elif isinstance(layer, Flatten):
+            kept.append(h.shape)
+            h = h.reshape(n, h.size // n)
+        if isinstance(layer, (Linear, Conv2d)) and layer.bias:
+            h = autodiff._bias_add_np(h, _tiled(flat, blocks[f"{idx}.bias"], n))
+    ones = np.ones(n)
+    if spec.loss == MSE:
+        losses, g = autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
+    else:
+        losses = autodiff._cross_entropy_np(h, targets)
+        g = autodiff._cross_entropy_adjoint_np(ones, h, targets)
+
+    grads = np.empty((n, params.count))
+
+    def put(name: str, value: np.ndarray) -> None:
+        block = blocks[name]
+        grads[:, block.offset : block.offset + block.size] = value.reshape(n, -1)
+
+    first = min(
+        (i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
+        default=len(spec.layers),
+    )
+    for idx in range(len(spec.layers) - 1, first - 1, -1):
+        layer = spec.layers[idx]
+        if isinstance(layer, (Linear, Conv2d)):
+            if layer.bias:
+                put(f"{idx}.bias", autodiff._bias_adjoint_np(g))
+            w, inputs = kept[idx]
+            if isinstance(layer, Linear):
+                put(f"{idx}.weight", autodiff._linear_weight_adjoint_np(g, inputs))
+                if idx > first:
+                    g = autodiff._linear_input_adjoint_np(w, g)
+            else:
+                put(f"{idx}.weight", autodiff._conv2d_kernel_adjoint_np(g, inputs))
+                if idx > first:
+                    g = autodiff._conv2d_input_adjoint_np(g, w)
+        elif isinstance(layer, Flatten):
+            g = g.reshape(kept[idx])
+        else:
+            g = g * kept[idx]
+    return losses, grads
 
 
 def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:

@@ -6,10 +6,12 @@ small linear, MLP and CNN specs, for a batch of one and for batches whose
 last chunk is ragged.  On the same specs, batched direct-route PLIS must
 match central finite differences of the privacy loss, the clip must bound
 every per-sample gradient and leave those below the threshold alone, and
-the FIM must equal J^T J / sigma^2.  The per-sample counterparts build one
-graph per sample; the input Jacobian's oracles are the column-by-column loop
+the FIM must equal J^T J / sigma^2.  The per-sample counterparts take one
+sample at a time; the input Jacobian's oracles are the column-by-column loop
 with one backward pass per input coordinate (the double-backward route
 through a dual leaf) and central differences of the per-sample gradient.
+The tape-free per-sample gradients must equal the tape's (attach_sample,
+then parameter_grad) bit for bit, and refuse a bad batch with its error.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
 from plislab.autodiff import Tensor, backward, mul, reshape, tslice, tsum
+from plislab.errors import PlisLabError
 
 REL = 1e-12
 
@@ -94,6 +97,87 @@ def test_losses_and_gradients_match_per_sample(problem):
     for i, s in enumerate(subjects):
         assert_close(losses[i], models.attach_sample(spec, params, [s.x], [s.y]).loss.item())
     assert_close(grads, np.stack(_per_sample_grads(spec, params, subjects)))
+
+
+def _tape_rows(spec, params, xs, ys):
+    """Losses and (B, p) gradient rows from the tape: one graph, one backward pass."""
+    sample = models.attach_sample(spec, params, xs, ys)
+    return sample.losses.data, models.parameter_grad(sample).data
+
+
+def _same_bits(got, want):
+    return [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_tape_free_rows_equal_the_tape_bit_for_bit(problem):
+    spec, params, subjects, _ = problem
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+    assert _same_bits(models.per_sample_loss_and_grad(spec, params, xs, ys),
+                      _tape_rows(spec, params, xs, ys))
+
+
+@pytest.mark.parametrize("spec", [
+    models.cnn_spec(8, 7, 3),
+    models.ModelSpec(
+        (models.Conv2d(1, 3, 3, bias=False), models.Softplus(), models.Conv2d(3, 2, 2),
+         models.Tanh(), models.Flatten(), models.Linear(2 * 5 * 4, 2, bias=False)),
+        models.MSE,
+    ),
+], ids=["cnn-spec", "softplus-tanh-mse"])
+def test_tape_free_step_equals_the_tape_over_a_ragged_last_chunk(spec):
+    """Two convs, 7 samples in chunks of 3, 3 and 1: each chunk's rows, and
+    the private step's parameters, equal the tape's to the bit."""
+    params = models.init_params(spec, 11)
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(0, 1, size=(7, 1, 8, 7))
+    if spec.loss == models.CROSS_ENTROPY:
+        ys = [int(v) for v in rng.integers(0, 3, size=7)]
+    else:
+        ys = list(rng.normal(size=(7, 2)))
+    clip = float(np.median(np.linalg.norm(_tape_rows(spec, params, xs, ys)[1], axis=1)))
+    config = dpsgd.DpSgdConfig(learning_rate=0.5, epochs=1, batch_size=7, private=True,
+                               clip=clip, sigma=0.7)
+    with chunked(params, 3):
+        result = dpsgd.dp_sgd_step(spec, params, list(zip(xs, ys)), config)
+    total, losses = np.zeros(params.count), []
+    for part in models.chunks(range(7), 3):
+        part_ys = [ys[i] for i in part]
+        loss, g = _tape_rows(spec, params, xs[part.start : part.stop], part_ys)
+        assert _same_bits(
+            models.per_sample_loss_and_grad(spec, params, xs[part.start : part.stop], part_ys),
+            (loss, g),
+        )
+        losses.append(loss)
+        total += (g * dpsgd.clip_factor(g, clip)).sum(axis=0)
+    assert len(losses[-1]) == 1
+    update = (total + result.noise * (0.7 * clip)) / 7
+    assert result.params.flat.tobytes() == (params.flat - 0.5 * update).tobytes()
+    assert result.mean_loss == float(np.mean(np.concatenate(losses)))
+
+
+_LINEAR3 = models.ModelSpec((models.Linear(3, 1),), models.MSE)
+_LOGITS2 = models.ModelSpec((models.Linear(3, 2),), models.CROSS_ENTROPY)
+
+
+@pytest.mark.parametrize("spec, xs, ys", [
+    pytest.param(_LINEAR3, np.zeros((0, 3)), [], id="empty-batch"),
+    pytest.param(_LINEAR3, np.zeros((2, 3)), [0.0], id="target-count"),
+    pytest.param(_LINEAR3, np.zeros((2, 3)), [np.zeros(2)] * 2, id="target-shape"),
+    pytest.param(_LINEAR3, np.zeros((2, 3)), [np.zeros(1), np.zeros(2)], id="ragged-targets"),
+    pytest.param(_LOGITS2, np.zeros((2, 3)), [0, 2], id="label-out-of-range"),
+    pytest.param(_LOGITS2, np.zeros((2, 3)), [[0, 1], [1, 0]], id="label-count"),
+    pytest.param(models.ModelSpec((models.Linear(3, 1),), models.CROSS_ENTROPY),
+                 np.zeros((1, 3)), [0], id="single-logit"),
+])
+def test_tape_free_route_refuses_a_batch_as_the_tape_does(spec, xs, ys):
+    params = models.init_params(spec, 0)
+    with pytest.raises(PlisLabError) as tape:
+        models.attach_sample(spec, params, xs, ys)
+    with pytest.raises(PlisLabError) as free:
+        models.per_sample_loss_and_grad(spec, params, xs, ys)
+    assert (type(free.value), str(free.value)) == (type(tape.value), str(tape.value))
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,7 +393,8 @@ def test_fim_matches_jacobian_gram_matrix(problem, sigma):
 
 
 def test_graphs_are_freed_by_reference_counting(monkeypatch):
-    """With the cycle collector off, no graph outlives the call that built it."""
+    """With the cycle collector off, no graph outlives the call that built it.
+    A DP-SGD step builds none; each analysis call builds at least one."""
     refs = []
 
     class TrackedGraph(autodiff.Graph):
@@ -336,13 +421,18 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         assert refs[-1]() is sample.graph and sample.graph.nodes
         del sample, g
         dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
-        plis.plis_reports(spec, params, subjects, sigma=1.0, clip=1.0)
-        plis.plis_expanded(spec, params, subjects[0])
-        plis.input_jacobian(spec, params, subjects[0])
-        attack.reconstruct(spec, params, np.ones(params.count), 0,
-                           attack.AttackConfig(iterations=2, restarts=1),
-                           input_shape=(1, 5, 5))
-        assert len(refs) > 6
+        assert len(refs) == 1
+        for analysis in (
+            lambda: plis.plis_reports(spec, params, subjects, sigma=1.0, clip=1.0),
+            lambda: plis.plis_expanded(spec, params, subjects[0]),
+            lambda: plis.input_jacobian(spec, params, subjects[0]),
+            lambda: attack.reconstruct(spec, params, np.ones(params.count), 0,
+                                       attack.AttackConfig(iterations=2, restarts=1),
+                                       input_shape=(1, 5, 5)),
+        ):
+            built = len(refs)
+            analysis()
+            assert len(refs) > built
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()

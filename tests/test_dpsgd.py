@@ -225,6 +225,17 @@ class TestDpSgdStep:
         with pytest.raises(TrainingDivergedError, match="^non-finite parameters after step 3$"):
             dpsgd.dp_sgd_step(LINEAR_SPEC, params, _linear_dataset()[:4], cfg, step_index=3)
 
+    def test_row_whose_squared_norm_overflows_is_refused(self):
+        # w = 0, y = 1: the first row's gradient is -2e154, whose square is inf,
+        # so its clip factor is 0 and clipping would silently drop the row
+        spec = models.ModelSpec((models.Linear(1, 1, bias=False),), models.MSE)
+        params = models.ParamSet(np.zeros(1), models.layout_for(spec))
+        cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=2, private=True,
+                                clip=1.0, sigma=1.0)
+        batch = [(np.array([1e154]), 1.0), (np.array([1.0]), 1.0)]
+        with pytest.raises(TrainingDivergedError, match="overflows at step 5; clipping would"):
+            dpsgd.dp_sgd_step(spec, params, batch, cfg, step_index=5)
+
     def test_empty_batch_rejected(self):
         params = models.init_params(LINEAR_SPEC, 1)
         cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)

@@ -124,6 +124,10 @@ CASES = [
          "needs >=2 logits"),
     case("attach-target-count", _attach(_LINEAR, np.zeros((2, 3)), [0.0]), ShapeError,
          "2 inputs but 1 targets"),
+    case("attach-target-shape", _attach(_LINEAR, np.zeros((2, 3)), [np.zeros(2)] * 2),
+         ShapeError, r"targets of shape \(2, 2\) do not fit 2 outputs of shape \(1,\)"),
+    case("attach-ragged-targets", _attach(_LINEAR, np.zeros((2, 3)), [[0.0], [0.0, 1.0]]),
+         ShapeError, "do not stack into one float array"),
     case("rank-no-subjects",
          lambda: plis.rank_subjects([], _LINEAR, models.init_params(_LINEAR, 0)),
          ConfigError, "empty dataset"),
