@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng
 from .autodiff import Tensor, add, backward, mul, tsum
-from .dpsgd import check_clip, clip_differentiable
+from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
 from .models import ModelSpec, ParamSet, attach_sample, parameter_grad, per_sample_grad
 
@@ -111,6 +111,7 @@ def observe_gradient(
     g = per_sample_grad(spec, params, subject.x, subject.y).data
     if dp is None:
         return g
+    refuse_dropped_row([subject], g[None], dp.clip)
     g = clip_differentiable(Tensor(g), dp.clip).data
     if dp.sigma > 0:
         noise = rng.gaussians(dp.seed, rng.OBSERVE_STREAM, g.size)

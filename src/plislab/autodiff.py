@@ -48,8 +48,10 @@ adjoints is one private numpy function (the _np suffix), which the op
 records.  First-order per-sample gradients, all a DP-SGD step needs, are
 tape-free: models.per_sample_loss_and_grad calls the same kernels on
 plain arrays, builds no graph, and gets the tape's rows to the bit.  The
-tape serves what is differentiated again: PLIS, the input Jacobian and
-the attack objective.
+input Jacobian of those gradients is tape-free too: models.grad_tangents
+runs the kernels forward-mode, a batch of input directions as tangents
+(each kernel is linear in its tangent operand).  The tape serves what is
+differentiated twice in reverse: PLIS and the attack objective.
 
 Batch axis: the layer ops work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
@@ -540,7 +542,8 @@ def softmax(z) -> Tensor:
     z = _tensor(z)
 
     def rule(grad: Tensor, need, z: Tensor):
-        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>)
+        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>);
+        # _softmax_jvp_np's arithmetic, op by op
         s = softmax(z)
         dot = tsum(mul(s, grad), axes=-1, keepdims=True)
         return (mul(s, sub(grad, broadcast(dot, s.shape))),)
@@ -598,9 +601,10 @@ def check_labels(labels, n: int, k: int) -> Array:
 # --------------------------------------------------------------------------
 # numpy kernels.  Each layer op's value, and each first-order adjoint, is
 # written once, here: the ops above record these values, and the tape-free
-# per-sample gradients (models.per_sample_loss_and_grad) call the same
-# functions on plain arrays.  The rules above that are chains of ops
-# (bias sums, the tanh and softplus slopes, the loss cotangents) do the
+# per-sample gradients (models.per_sample_loss_and_grad) and their input
+# tangents (models.grad_tangents) call the same functions on plain arrays.
+# The rules above that are chains of ops (bias sums, the tanh and softplus
+# slopes, the loss cotangents, the softmax Jacobian-vector product) do the
 # arithmetic of the kernel they name in the same order, so a first-order
 # gradient is the same to the bit by either route.
 # --------------------------------------------------------------------------
@@ -707,6 +711,11 @@ def _softplus_slope_np(a: Array) -> Array:
 def _softmax_np(z: Array) -> Array:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_jvp_np(s: Array, v: Array) -> Array:
+    """The softmax Jacobian at s = softmax(z), diag(s) - s s^T, applied to v."""
+    return s * (v - (s * v).sum(axis=-1, keepdims=True))
 
 
 def _onehot(labels: Array, k: int) -> Array:

@@ -10,7 +10,9 @@ divides by 2C, never by 0.  Noise is N(0, (sigma*C)^2)
 per coordinate on the *sum* of clipped gradients, i.e. each step is a
 Gaussian mechanism with sensitivity C and noise multiplier sigma, so the
 accountant sees (C, sigma*C) and the RDP closed form reduces to
-(alpha/2)/sigma^2 independent of C.
+(alpha/2)/sigma^2 independent of C.  A row whose squared norm overflows
+would be clipped to zero and silently dropped; the step, clipped PLIS
+and a DP release refuse it (dropped_row).
 
 Batches are fixed contiguous slices (no Poisson subsampling): per-subject
 privacy-loss attribution is incompatible with secret subsampling, so no
@@ -35,7 +37,7 @@ import numpy as np
 from . import rng
 from .accounting import AccountantState, check_delta, epsilon_from_rdp, sigma_for_budget
 from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, DataFormatError, TrainingDivergedError
 from .models import (
     ModelSpec,
     ParamSet,
@@ -58,8 +60,39 @@ def check_clip(clip) -> None:
 
 
 def clip_factor(g: np.ndarray, clip: float) -> np.ndarray:
-    """C / sqrt(max(||g||^2, C^2)) per row, last axis kept: the clipped rows are g times it."""
+    """C / sqrt(max(||g||^2, C^2)) per row, last axis kept: the clipped rows are g times it.
+
+    A row whose squared norm overflows gets C / inf = 0 (see dropped_row).
+    """
     return clip / np.sqrt(np.maximum((g * g).sum(axis=-1, keepdims=True), clip * clip))
+
+
+def dropped_row(factor: np.ndarray) -> int | None:
+    """The first row that clipping by clip_factor's factor would drop, else None.
+
+    The factor is 0 exactly where a row's squared norm overflows: every
+    clip, in place or on the tape, would silently zero that row.  The
+    DP-SGD step, clipped PLIS and a DP release refuse it, naming the step
+    or the subject.
+    """
+    if factor.all():
+        return None
+    return int(np.flatnonzero(factor == 0)[0])
+
+
+def refuse_dropped_row(subjects, rows: np.ndarray, clip: float) -> None:
+    """Raise DataFormatError naming the first subject whose gradient row,
+    one per subject, clipping would drop (see dropped_row); numpy's
+    overflow warning on the way there is silenced.  The clip is checked
+    first: a clip of 0 makes every factor 0 or NaN, and is a ConfigError."""
+    check_clip(clip)
+    with np.errstate(over="ignore"):
+        row = dropped_row(clip_factor(rows, clip))
+    if row is not None:
+        raise DataFormatError(
+            f"subject {subjects[row].id!r}: its gradient's squared norm overflows; "
+            "clipping would drop its row"
+        )
 
 
 @dataclass(frozen=True)
@@ -157,7 +190,7 @@ def dp_sgd_step(
             losses.append(loss)
             if config.private:
                 factor = clip_factor(g, config.clip)
-                if not factor.all():
+                if dropped_row(factor) is not None:
                     raise TrainingDivergedError(
                         f"a gradient's squared norm overflows at step {step_index}; "
                         "clipping would drop its row"

@@ -13,14 +13,19 @@ chunk_size(params) samples at a time.
 
 Two routes, one arithmetic.  per_sample_loss_and_grad() computes the B
 losses and (B, p) parameter-gradient rows without a tape: all DP-SGD
-needs is first order.  attach_sample() builds the loss graph, for what is
-differentiated twice: its inputs are graph leaves, since every analysis
-differentiates with respect to them.  parameter_grad() returns the same
-rows from one backward pass (one concat node flattens and joins the
-blocks), and a second backward pass of any per-row quantity built from
-them returns each sample's input gradient in its row of X.  Both routes
-check a batch in _checked_batch and run the same autodiff numpy kernels,
-so their losses and rows agree to the bit.
+needs is first order.  grad_tangents() differentiates those rows once more
+in the input, forward-mode and without a tape: it returns columns of the
+input Jacobian that FIM, FIL and JacSens read.  Both run their forward
+pass in _layer_records, whose per-layer records hold what the adjoints
+read.  attach_sample() builds the loss graph, for what is differentiated
+twice in reverse (PLIS and the attack objective): its inputs are graph
+leaves, since every analysis differentiates with respect to them.
+parameter_grad() returns the same rows from one backward pass (one concat
+node flattens and joins the blocks), and a second backward pass of any
+per-row quantity built from them returns each sample's input gradient in
+its row of X.  Every route checks a batch in _checked_batch and runs the
+same autodiff numpy kernels, so the tape's and the tape-free losses and
+rows agree to the bit.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -361,48 +366,80 @@ def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor
     return concat(autodiff.backward(sample.loss, sample.params, create_graph=create_graph))
 
 
+def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[np.ndarray, list]:
+    """The model's (B, ...) outputs for inputs xs under tiled views of the
+    parameters, in the autodiff numpy kernels, and per layer the record its
+    adjoints read: a Linear layer's weights and input, a Conv2d layer's
+    kernels and input patch matrix, an activation's slope (and a tanh's
+    output), and Flatten's input shape.  Both tape-free routes run their
+    forward pass here."""
+    n = xs.shape[0]
+    flat = np.ascontiguousarray(params.flat)
+    blocks = {b.name: b for b in params.layout}
+    records = []
+    h = xs
+    for idx, layer in enumerate(spec.layers):
+        if isinstance(layer, Linear):
+            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            records.append((w, h))
+            h = autodiff._linear_np(w, h)
+        elif isinstance(layer, Conv2d):
+            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            cols = autodiff._im2col(h, layer.kernel)
+            records.append((w, cols))
+            h = autodiff._conv2d_np(w, cols, h.shape)
+        elif isinstance(layer, Relu):
+            records.append((autodiff._relu_slope_np(h), None))
+            h = autodiff._relu_np(h)
+        elif isinstance(layer, Tanh):
+            h = np.tanh(h)
+            # the output too: the tanh slope's derivative reads it
+            records.append((autodiff._tanh_slope_np(h), h))
+        elif isinstance(layer, Softplus):
+            records.append((autodiff._softplus_slope_np(h), None))
+            h = autodiff._softplus_np(h)
+        elif isinstance(layer, Flatten):
+            records.append(h.shape)
+            h = h.reshape(n, h.size // n)
+        if isinstance(layer, (Linear, Conv2d)) and layer.bias:
+            h = autodiff._bias_add_np(h, _tiled(flat, blocks[f"{idx}.bias"], n))
+    return h, records
+
+
+def _block_writer(params: ParamSet, rows: np.ndarray):
+    """put(name, value): write value, (B, *block shape), into the named block's
+    columns of the (B, p) rows."""
+    blocks = {b.name: b for b in params.layout}
+
+    def put(name: str, value: np.ndarray) -> None:
+        block = blocks[name]
+        rows[:, block.offset : block.offset + block.size] = value.reshape(rows.shape[0], -1)
+
+    return put
+
+
+def _first_weighted(spec: ModelSpec) -> int:
+    """Index of the first Linear or Conv2d layer: no adjoint of its input is needed."""
+    return min(
+        (i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
+        default=len(spec.layers),
+    )
+
+
 def per_sample_loss_and_grad(
     spec: ModelSpec, params: ParamSet, xs, ys
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (B,) and parameter gradients (B, p), without a tape.
 
     The same values as attach_sample's losses and parameter_grad's rows,
-    to the bit: a forward pass in the autodiff kernels on the same tiled
-    parameter views keeps what each layer's adjoints read (its input, a
-    conv's patch matrix, an activation's slope); the reverse walk writes
+    to the bit: _layer_records runs the forward pass in the autodiff
+    kernels on the same tiled parameter views; the reverse walk writes
     each block's gradient into its columns of the (B, p) result and, like
     the tape's pruning, computes no adjoint of the first layer's input.
     """
     xs, targets = _checked_batch(spec, xs, ys)
     n = xs.shape[0]
-    flat = np.ascontiguousarray(params.flat)
-    blocks = {b.name: b for b in params.layout}
-    kept = []  # per layer, what its adjoints read
-    h = xs
-    for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, Linear):
-            w = _tiled(flat, blocks[f"{idx}.weight"], n)
-            kept.append((w, h))
-            h = autodiff._linear_np(w, h)
-        elif isinstance(layer, Conv2d):
-            w = _tiled(flat, blocks[f"{idx}.weight"], n)
-            cols = autodiff._im2col(h, layer.kernel)
-            kept.append((w, cols))
-            h = autodiff._conv2d_np(w, cols, h.shape)
-        elif isinstance(layer, Relu):
-            kept.append(autodiff._relu_slope_np(h))
-            h = autodiff._relu_np(h)
-        elif isinstance(layer, Tanh):
-            h = np.tanh(h)
-            kept.append(autodiff._tanh_slope_np(h))
-        elif isinstance(layer, Softplus):
-            kept.append(autodiff._softplus_slope_np(h))
-            h = autodiff._softplus_np(h)
-        elif isinstance(layer, Flatten):
-            kept.append(h.shape)
-            h = h.reshape(n, h.size // n)
-        if isinstance(layer, (Linear, Conv2d)) and layer.bias:
-            h = autodiff._bias_add_np(h, _tiled(flat, blocks[f"{idx}.bias"], n))
+    h, records = _layer_records(spec, params, xs)
     ones = np.ones(n)
     if spec.loss == MSE:
         losses, g = autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
@@ -411,21 +448,14 @@ def per_sample_loss_and_grad(
         g = autodiff._cross_entropy_adjoint_np(ones, h, targets)
 
     grads = np.empty((n, params.count))
-
-    def put(name: str, value: np.ndarray) -> None:
-        block = blocks[name]
-        grads[:, block.offset : block.offset + block.size] = value.reshape(n, -1)
-
-    first = min(
-        (i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
-        default=len(spec.layers),
-    )
+    put = _block_writer(params, grads)
+    first = _first_weighted(spec)
     for idx in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[idx]
         if isinstance(layer, (Linear, Conv2d)):
             if layer.bias:
                 put(f"{idx}.bias", autodiff._bias_adjoint_np(g))
-            w, inputs = kept[idx]
+            w, inputs = records[idx]
             if isinstance(layer, Linear):
                 put(f"{idx}.weight", autodiff._linear_weight_adjoint_np(g, inputs))
                 if idx > first:
@@ -435,10 +465,94 @@ def per_sample_loss_and_grad(
                 if idx > first:
                     g = autodiff._conv2d_input_adjoint_np(g, w)
         elif isinstance(layer, Flatten):
-            g = g.reshape(kept[idx])
+            g = g.reshape(records[idx])
         else:
-            g = g * kept[idx]
+            g = g * records[idx][0]
     return losses, grads
+
+
+def grad_tangents(spec: ModelSpec, params: ParamSet, x, y, directions) -> np.ndarray:
+    """(n, p) tangents of one sample's parameter gradient along n input directions.
+
+    Row r is d/dt grad_theta loss(x + t directions[r]) at t = 0, the input
+    Jacobian of the gradient applied to directions[r]; unit directions give
+    its columns.  Forward mode, without a tape: _layer_records runs the
+    sample's forward pass once, at batch 1, and the directions ride along it
+    as a batch of n tangents through the same kernels, each linear in its
+    tangent operand.  The reverse walk carries every cotangent's tangent
+    beside it, adding the product rule's terms where a primal value other
+    than the weights moves with x: a weight adjoint's input (g' h^T + g h'^T,
+    and the kernel adjoint of im2col(h')) and an activation's slope (its
+    derivative -2t(1 - t^2) for tanh, s(1 - s) for softplus, 0 for relu).
+    The loss's cotangent moves by the softmax Jacobian for cross-entropy and
+    by 2/k for MSE over k outputs.
+    """
+    xs, targets = _checked_batch(spec, [x], [y])
+    directions = np.asarray(directions, dtype=np.float64)
+    if directions.shape[1:] != xs.shape[1:]:
+        raise ShapeError(
+            f"input directions of shape {directions.shape} do not fit an input of shape {xs.shape[1:]}"
+        )
+    n = directions.shape[0]
+    h, records = _layer_records(spec, params, xs)
+
+    def tiled(w: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(w, (n, *w.shape[1:]))
+
+    dh, moved = directions, []  # per layer, its input's tangent (a conv's: as patches)
+    for layer, record in zip(spec.layers, records):
+        if isinstance(layer, Linear):
+            moved.append(dh)
+            dh = autodiff._linear_np(tiled(record[0]), dh)
+        elif isinstance(layer, Conv2d):
+            moved.append(autodiff._im2col(dh, layer.kernel))
+            dh = autodiff._conv2d_np(tiled(record[0]), moved[-1], dh.shape)
+        elif isinstance(layer, Flatten):
+            moved.append(None)
+            dh = dh.reshape(n, dh.size // n)
+        else:
+            moved.append(dh)
+            dh = dh * record[0]
+        # a bias add moves its output by its input's tangent alone
+    if spec.loss == MSE:
+        g = autodiff._mse_adjoint_np(np.ones(1), h, targets)
+        # the adjoint is affine in the prediction: its tangent is the adjoint at target 0
+        dg = autodiff._mse_adjoint_np(np.ones(n), dh, 0.0)
+    else:
+        g = autodiff._cross_entropy_adjoint_np(np.ones(1), h, targets)
+        dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
+
+    tangents = np.empty((n, params.count))
+    put = _block_writer(params, tangents)
+    first = _first_weighted(spec)
+    for idx in range(len(spec.layers) - 1, first - 1, -1):
+        layer, record, dinput = spec.layers[idx], records[idx], moved[idx]
+        if isinstance(layer, (Linear, Conv2d)):
+            if layer.bias:
+                put(f"{idx}.bias", autodiff._bias_adjoint_np(dg))
+            w, inputs = record
+            if isinstance(layer, Linear):
+                adjoint = autodiff._linear_weight_adjoint_np
+                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
+                if idx > first:
+                    g = autodiff._linear_input_adjoint_np(w, g)
+                    dg = autodiff._linear_input_adjoint_np(tiled(w), dg)
+            else:
+                adjoint = autodiff._conv2d_kernel_adjoint_np
+                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
+                if idx > first:
+                    g = autodiff._conv2d_input_adjoint_np(g, w)
+                    dg = autodiff._conv2d_input_adjoint_np(dg, tiled(w))
+        elif isinstance(layer, Flatten):
+            g, dg = g.reshape(record), dg.reshape((n, *record[1:]))
+        else:
+            slope, out = record
+            dg = dg * slope
+            if not isinstance(layer, Relu):
+                bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
+                dg += g * bend * dinput
+            g = g * slope
+    return tangents
 
 
 def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:

@@ -11,18 +11,18 @@ is computed by two independent routes that must agree:
 
 The full input Jacobian J = dg/dx needed for the FIM and JacSens is only
 materialized for desk-scale models (dimension guard), which is exactly
-the cost contrast the PLIS route avoids.
+the cost contrast the PLIS route avoids.  It is forward-mode and
+tape-free: models.grad_tangents carries a chunk of input directions e_j
+as tangents through the first-order kernels and returns the columns
+J[:, j].  It builds no graph.
 
 Batch axis: subjects are analysed models.chunk_size() at a time on one graph.
 Subject i's privacy loss depends only on its own rows of the tiled
 parameters and of X, so one backward pass of the summed privacy losses
 to X returns every subject's PLIS in its own row: two backward passes
-per chunk, not per subject.  The input Jacobian replicates one subject
-across the batch instead, one replica per Jacobian column, and also takes
-two backward passes per chunk: the input gradient with create_graph, then
-its picked entries to the parameters (d/dtheta dL/dx_j = J[:, j], since
-mixed second partials are symmetric).  Every graph is dropped when the
-call returns.
+per chunk, not per subject.  The input Jacobian takes one subject and
+models.chunk_size() of its input directions per call.  Every graph is
+dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -32,11 +32,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, concat, mul, reshape, tslice, tsum, square
+from .autodiff import Tensor, backward, mul, tsum, square
 from .datasets import SubjectRecord
-from .dpsgd import clip_differentiable
+from .dpsgd import clip_differentiable, refuse_dropped_row
 from .errors import ConfigError, DimensionGuardError
-from .models import ModelSpec, ParamSet, attach_sample, chunk_size, chunks, parameter_grad
+from .models import (
+    ModelSpec,
+    ParamSet,
+    attach_sample,
+    chunk_size,
+    chunks,
+    grad_tangents,
+    parameter_grad,
+)
 
 MODE_PRIVATE = "private"
 MODE_NON_PRIVATE = "non-private"
@@ -100,6 +108,7 @@ def plis_reports(
         sample = attach_sample(spec, params, np.stack([s.x for s in part]), [s.y for s in part])
         g = parameter_grad(sample, create_graph=True)
         if clip is not None:
+            refuse_dropped_row(part, g.data, clip)
             g = clip_differentiable(g, clip)
         if expanded:
             cotangent = Tensor(g.data.copy())  # detached: the constant left factor
@@ -179,25 +188,21 @@ def _guard(p: int, d: int, what: str) -> None:
 def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -> np.ndarray:
     """J = d(grad_theta loss)/dx, materialized as a p x d matrix.
 
-    The subject is replicated once per input coordinate, models.chunk_size()
-    replicas per graph, replica b assigned column j_b.  Mixed second
-    partials are symmetric, so J[:, j] = d/dtheta (dL/dx_j): one
-    create-graph pass gives gx = dL/dX, and one plain pass of
-    sum_b gx[b, j_b] to the per-replica parameter leaves returns row
-    b = J[:, j_b].  Two backward passes per chunk; relu masks are detached
-    constants on either order of differentiation, so it is the same J.
+    Forward mode: each call of models.grad_tangents takes up to
+    models.chunk_size() unit directions e_j and returns the columns
+    J[:, j].  No graph is built.  Relu masks are constant along every
+    direction, so it is the J that the tape's double backward gives.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
     _guard(p, d, "input_jacobian")
     jac_t = np.empty((d, p))
     for cols in chunks(np.arange(d), chunk_size(params)):
-        n = cols.size
-        xs = np.broadcast_to(subject.x, (n,) + subject.x.shape)
-        sample = attach_sample(spec, params, xs, [subject.y] * n)
-        (gx,) = backward(sample.loss, [sample.x], create_graph=True)
-        picked = tslice(reshape(gx, (n, d)), (np.arange(n), cols))
-        jac_t[cols] = concat(backward(tsum(picked), sample.params)).data
+        directions = np.zeros((cols.size, d))
+        directions[np.arange(cols.size), cols] = 1.0
+        jac_t[cols] = grad_tangents(
+            spec, params, subject.x, subject.y, directions.reshape((cols.size, *subject.x.shape))
+        )
     return jac_t.T
 
 

@@ -288,6 +288,16 @@ def test_input_jacobian_matches_column_loop(problem, replicas):
     assert_close(jac, _jacobian_by_columns(spec, params, subject))
 
 
+@settings(max_examples=30, deadline=None)
+@given(problems())
+def test_grad_tangents_apply_the_jacobian_to_each_direction(problem):
+    spec, params, subjects, _ = problem
+    subject = subjects[0]
+    directions = np.random.default_rng(subject.x.size).normal(size=(3, *subject.x.shape))
+    tangents = models.grad_tangents(spec, params, subject.x, subject.y, directions)
+    assert_close(tangents, directions.reshape(3, -1) @ _jacobian_by_columns(spec, params, subject).T)
+
+
 def _small_cnn(seed):
     spec = models.ModelSpec(
         (models.Conv2d(1, 2, 3), models.Relu(), models.Flatten(), models.Linear(2 * 4 * 4, 2)),
@@ -305,6 +315,29 @@ def _tabular_mlp(act, seed):
     return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, y)
 
 
+def _relu_mlp(seed):
+    """Linear(5, 8), relu, Linear(8, 3) with biases and a 3-class cross-entropy:
+    5 inputs, so chunks of 3 directions leave a ragged last chunk of 2."""
+    spec = models.ModelSpec(
+        (models.Linear(5, 8), models.Relu(), models.Linear(8, 3)), models.CROSS_ENTROPY
+    )
+    x = np.random.default_rng(seed).normal(size=5)
+    return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, 2)
+
+
+def _two_conv(seed):
+    """Two convs, softplus then tanh, MSE, no bias in the first conv: a (1, 7, 5)
+    input, so chunks of 3 directions leave a ragged last chunk of 2."""
+    spec = models.ModelSpec(
+        (models.Conv2d(1, 3, 3, bias=False), models.Softplus(), models.Conv2d(3, 2, 2),
+         models.Tanh(), models.Flatten(), models.Linear(2 * 4 * 2, 2)),
+        models.MSE,
+    )
+    rng = np.random.default_rng(seed)
+    x, y = rng.uniform(0.0, 1.0, size=(1, 7, 5)), rng.normal(size=2)
+    return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, y)
+
+
 def _central_difference_jacobian(spec, params, subject, h):
     """J[:, j] ~ (g(x + h e_j) - g(x - h e_j)) / 2h from the per-sample gradient g."""
     x = subject.x
@@ -319,13 +352,13 @@ def _central_difference_jacobian(spec, params, subject, h):
     return np.stack(columns, axis=1)
 
 
-def _conv_margin(spec, params, x):
-    """Smallest |pre-activation| of the first (conv) layer over the largest
-    |kernel entry|: a step in x shorter than this crosses no relu kink."""
+def _relu_margin(spec, params, x):
+    """Smallest |pre-activation| of the first (conv or linear) layer over the
+    largest |weight|: a step in x shorter than this crosses no relu kink."""
     blocks = {b.name: Tensor(params.flat[b.offset : b.offset + b.size].reshape((1, *b.shape)))
               for b in params.layout if b.name.startswith("0.")}
-    conv = models.ModelSpec(spec.layers[:1], models.MSE)
-    pre = models.forward(conv, blocks, Tensor(x[None])).data
+    first = models.ModelSpec(spec.layers[:1], models.MSE)
+    pre = models.forward(first, blocks, Tensor(x[None])).data
     return np.abs(pre).min() / np.abs(blocks["0.weight"].data).max()
 
 
@@ -333,13 +366,15 @@ def _conv_margin(spec, params, x):
     lambda: _small_cnn(3),
     lambda: _tabular_mlp(models.Tanh(), 5),
     lambda: _tabular_mlp(models.Softplus(), 6),
-], ids=["cnn", "tanh-mlp", "softplus-mlp"])
+    lambda: _relu_mlp(4),
+    lambda: _two_conv(9),
+], ids=["cnn", "tanh-mlp", "softplus-mlp", "relu-ce3-mlp-ragged", "softplus-tanh-cnn-ragged"])
 def test_input_jacobian_matches_central_differences(make):
     spec, params, subject = make()
     h = 1e-5
     if isinstance(spec.layers[1], models.Relu):
         # the stencil stays on one side of every relu kink
-        assert _conv_margin(spec, params, subject.x) > 10 * h
+        assert _relu_margin(spec, params, subject.x) > 10 * h
     assert subject.x.size > 3  # two chunks at least
     with chunked(params, 3):
         jac = plis.input_jacobian(spec, params, subject)
@@ -394,7 +429,8 @@ def test_fim_matches_jacobian_gram_matrix(problem, sigma):
 
 def test_graphs_are_freed_by_reference_counting(monkeypatch):
     """With the cycle collector off, no graph outlives the call that built it.
-    A DP-SGD step builds none; each analysis call builds at least one."""
+    A DP-SGD step and the input Jacobian build none; each other analysis
+    call builds at least one."""
     refs = []
 
     class TrackedGraph(autodiff.Graph):
@@ -421,11 +457,11 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         assert refs[-1]() is sample.graph and sample.graph.nodes
         del sample, g
         dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
+        plis.input_jacobian(spec, params, subjects[0])
         assert len(refs) == 1
         for analysis in (
             lambda: plis.plis_reports(spec, params, subjects, sigma=1.0, clip=1.0),
             lambda: plis.plis_expanded(spec, params, subjects[0]),
-            lambda: plis.input_jacobian(spec, params, subjects[0]),
             lambda: attack.reconstruct(spec, params, np.ones(params.count), 0,
                                        attack.AttackConfig(iterations=2, restarts=1),
                                        input_shape=(1, 5, 5)),

@@ -605,6 +605,27 @@ class TestAnalyzeAndRank:
         assert len(err) == 1 and "whose square is a normal float" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("rank", ["--clip", "1"]),
+        ("analyze-plis", ["--sigma", "1", "--clip", "1"]),
+        ("attack", ["--subject", "row00001", "--dp-clip", "1", "--dp-sigma", "1"]),
+    ], ids=["rank", "analyze-plis", "attack"])
+    def test_row_that_clipping_would_drop_is_refused(self, tmp_path, capsys, command, flags):
+        # w = 0, y = 1: subject row00001's gradient -2e154 has a squared norm
+        # that overflows, so its clipped row would be zero
+        data = tmp_path / "huge.csv"
+        data.write_text("x0,y\n1.0,1.0\n1e154,1.0\n")
+        spec = models.ModelSpec((models.Linear(1, 1, bias=False),), models.MSE)
+        model = tmp_path / "zero.plck"
+        models.save_checkpoint(model, spec, models.ParamSet(np.zeros(1), models.layout_for(spec)))
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data), *flags,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: subject 'row00001': its gradient's squared norm overflows; "
+                       "clipping would drop its row"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["rank", "analyze-plis"])
     def test_infinite_clip_is_rejected(self, tabular_setup, capsys, command):
         tmp_path, data, model = tabular_setup

@@ -25,6 +25,17 @@ def _attach(spec, xs, ys):
     return lambda: models.attach_sample(spec, models.init_params(spec, 0), xs, ys)
 
 
+# w = 0, y = 1, x = 1e154: the gradient -2e154 has a squared norm that
+# overflows, so clipping would scale its row to zero
+_ONE_WEIGHT = models.ModelSpec((models.Linear(1, 1, bias=False),), models.MSE)
+_HUGE = [plis.SubjectRecord("ok", np.array([1.0]), np.array([1.0])),
+         plis.SubjectRecord("huge", np.array([1e154]), np.array([1.0]))]
+
+
+def _zero_weight():
+    return models.ParamSet(np.zeros(1), models.layout_for(_ONE_WEIGHT))
+
+
 def _images(shape):
     n = shape[0]
     return lambda: datasets.ImageDataset(
@@ -128,6 +139,17 @@ CASES = [
          ShapeError, r"targets of shape \(2, 2\) do not fit 2 outputs of shape \(1,\)"),
     case("attach-ragged-targets", _attach(_LINEAR, np.zeros((2, 3)), [[0.0], [0.0, 1.0]]),
          ShapeError, "do not stack into one float array"),
+    case("plis-clip-would-drop-a-row",
+         lambda: plis.plis_reports(_ONE_WEIGHT, _zero_weight(), _HUGE, sigma=1.0, clip=1.0),
+         DataFormatError, "subject 'huge': its gradient's squared norm overflows; clipping would"),
+    case("dp-release-would-drop-the-row",
+         lambda: attack.observe_gradient(_ONE_WEIGHT, _zero_weight(), _HUGE[1],
+                                         attack.DpRelease(1.0, 1.0)),
+         DataFormatError, "subject 'huge': its gradient's squared norm overflows; clipping would"),
+    case("grad-tangents-direction-shape",
+         lambda: models.grad_tangents(_LINEAR, models.init_params(_LINEAR, 0), np.zeros(3),
+                                      np.zeros(1), np.zeros((2, 4))),
+         ShapeError, r"directions of shape \(2, 4\) do not fit an input of shape \(3,\)"),
     case("rank-no-subjects",
          lambda: plis.rank_subjects([], _LINEAR, models.init_params(_LINEAR, 0)),
          ConfigError, "empty dataset"),

@@ -1,11 +1,11 @@
 """Reverse passes per chunk, counted rather than timed.
 
 Each batched route has a fixed number of backward passes per chunk of
-models.chunk_size() samples: the input Jacobian two (one of them with
-create_graph), PLIS two, a DP-SGD step none (its per-sample gradients are
-tape-free).  The counts come from wrappers
-on autodiff.backward (which models.parameter_grad looks up at call time)
-and on the name plis imports, so they hold on any machine.
+models.chunk_size() samples: PLIS two, a DP-SGD step none (its per-sample
+gradients are tape-free), the input Jacobian none (it is forward-mode and
+tape-free, one call per chunk of input directions).  The counts come from
+wrappers on autodiff.backward (which models.parameter_grad looks up at
+call time) and on the names plis imports, so they hold on any machine.
 """
 
 import math
@@ -53,15 +53,23 @@ def _subjects(spec, n):
 
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
 @pytest.mark.parametrize("size", [1, 3])
-def test_input_jacobian_takes_two_passes_per_chunk(monkeypatch, passes, spec, size):
+def test_input_jacobian_takes_no_tape_pass(monkeypatch, passes, spec, size):
     params = models.init_params(spec, 1)
     subject = _subjects(spec, 1)[0]
     _chunk(monkeypatch, params, size)
+    tangents = []
+    original = plis.grad_tangents
+
+    def counted(*args):
+        tangents.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(plis, "grad_tangents", counted)
     plis.input_jacobian(spec, params, subject)
     n_chunks = math.ceil(subject.x.size / size)
     assert n_chunks >= 2
-    assert len(passes) <= 2 * n_chunks
-    assert passes.count(True) == n_chunks
+    assert len(tangents) == n_chunks
+    assert passes == []
 
 
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
