@@ -8,22 +8,22 @@ known.
 
 Each iteration takes one vector-Jacobian product of the parameter
 gradient, as the expanded PLIS route does.  The tape holds only the
-model: its forward pass and the create-graph parameter gradient g.  The
-match loss and its cotangent c = d(match)/dg, and the prior and its
-gradient t in x, are closed forms in numpy, so one backward pass of
-<g, c> + <x, t> to x returns the objective's gradient.  The numpy code
-does the arithmetic of the tape ops that would compute the same match and
-prior, and of their rules, in the order a backward pass applies them, so
-the values and the gradient equal that tape route's bit for bit (the tests
-keep it as the reference).
+input leaf and models.attach_sample's gradient node g, whose rule maps a
+cotangent c to J^T c.  The match loss and its cotangent c = d(match)/dg,
+and the prior and its gradient t in x, are closed forms in numpy, so one
+backward pass of <g, c> + <x, t> to x returns the objective's gradient.
+The numpy code does the arithmetic of the tape ops that would compute the
+same match and prior, and of their rules, in the order a backward pass
+applies them, so the values and the gradient equal that tape route's bit
+for bit (the tests keep it as the reference).
 
 Updates are Adam, implemented from its published update equations
 (exponential first/second moment estimates with bias correction); the
 monotone mode swaps Adam for plain descent with backtracking line
 search, which guarantees a non-increasing objective trace and is the
 configuration the property tests use.  A backtracking candidate needs
-only the objective's value: one per-sample gradient, no create-graph
-pass and no backward pass to x.
+only the objective's value: one per-sample gradient and no backward
+pass to x.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import rng
 from .autodiff import Tensor, add, backward, mul, tsum
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
-from .models import ModelSpec, ParamSet, attach_sample, parameter_grad, per_sample_grad
+from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad
 
 log = logging.getLogger("plislab.attack")
 
@@ -218,14 +218,14 @@ def _objective(
 ) -> tuple[float, float, np.ndarray]:
     """(objective value, match component, gradient of objective w.r.t. x).
 
-    One vector-Jacobian product of the create-graph parameter gradient g:
-    the backward pass of <g, c> + <x, t> to x, with the closed-form
-    cotangent c = d(match)/dg and prior gradient t from _terms.  Both terms
-    sit above the model's nodes, so t is the first cotangent x receives and
-    the model's contributions are added to it in the tape route's order.
+    One vector-Jacobian product of the parameter gradient g, the sample's
+    gradient node: the backward pass of <g, c> + <x, t> to x, with the
+    closed-form cotangent c = d(match)/dg and prior gradient t from _terms.
+    Both terms sit above the node, so t is the first cotangent x receives
+    and the node's J^T c is added to it, as in the tape route.
     """
     sample = attach_sample(spec, params, x[None], [label])
-    g = parameter_grad(sample, create_graph=True)
+    g = sample.grads
     objective, match, c, t = _terms(g.data, sample.x.data, observed, config)
     out = tsum(mul(g, Tensor(c)))
     if t is not None:

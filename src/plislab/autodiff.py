@@ -1,11 +1,16 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float64 tensors with tape-based reverse-mode differentiation,
+and the numpy kernels of the model layers.
 
-The distinguishing requirement here is double backpropagation: we need
-the gradient of a quantity that is itself built from gradients.  To get
-that from one mechanism, every backward rule is written as a composition
-of the forward ops, so a backward pass run in create-graph mode appends
-ordinary nodes to the tape and the gradients it returns can be
-differentiated again, to any order.
+The tape carries what analyses build on top of a model's per-sample
+gradients: the DP clip, the privacy loss, the attack's match and prior.
+Its ops are elementwise (add, sub, mul, div, square, sqrt, max_scalar),
+reductions (tsum, tmean) and shape ops (broadcast, reshape, tslice,
+embed).  The model is one node: models.attach_sample records the (B, p)
+per-sample gradient rows above the input leaf, and that node's rule maps
+a (B, p) cotangent c to the rows J_i^T c_i (J = d grad_theta / dx) by the
+tape-free forward-over-reverse walk in models.  So one backward pass to
+the input differentiates a function of the gradients once more, and the
+tape needs no second-order mode.
 
 Conventions:
   * everything is float64 (second-order finite-difference checks need
@@ -13,64 +18,39 @@ Conventions:
   * a tensor either carries a (graph, node_id) pair or is a detached
     constant that never receives gradient;
   * node inputs always reference earlier node ids, so iterating ids in
-    reverse is a valid topological order, and a create-graph backward
-    pass over nodes [0..k] only appends nodes with ids > k;
-  * relu/max-with-scalar use subgradient 0 at the kink (the masks are
-    piecewise constant, hence detached);
+    reverse is a valid topological order;
+  * max-with-scalar and the relu kernels use subgradient 0 at the kink;
   * a graph lives for one analysis call and is then discarded.  Nodes
     keep their inputs' data arrays and node ids, never the input
     tensors, so nothing in a graph refers back to it: a graph is freed by
     reference counting as soon as the caller drops the last tensor on
     it, without waiting for the cyclic garbage collector.
 
-Layer ops: a model layer records one node, not a chain of small ones.
-conv2d, linear, bias_add, cross_entropy and mse are primitives
-with their own rules.  The rules of conv2d and linear call the op's two
-adjoints (input and weight), private rule workers that record a node each
-and check no shapes, since only rules call them; each adjoint's rule
-calls the other two members of its family, and cross_entropy's rule
-calls softmax.  conv2d's rule reuses the patch matrix its forward pass
-gathered.  Patches are laid out by slicing alone: _im2col copies a
-strided (B, C, k, k, oh, ow) view of the image, and its adjoint _col2im
-adds each (ki, kj) slice of the patches back onto the same window of the
-image, so no index table holds the layout.  mse (the per-row mean
-squared error) stands for a chain of elementwise ops; its rule is built
-from that chain's ops in the chain's order, so its value and gradient
-are the chain's bit for bit.  concat flattens each (B, ...) part past
-the batch axis as it joins them, so per-block gradients become (B, p)
-rows in one node.  So a create-graph pass over a layer records a few
-layer ops, and what it records is differentiable again.  Per-node
-Python, not arithmetic, is what a double backward through these small
-models spends its time on.
+Numpy kernels: each layer's value and each of its first-order adjoints
+is one private numpy function (the _np suffix).  models calls them on
+plain arrays: per_sample_loss_and_grad for the per-sample gradient rows,
+and its tangent walk forward-mode, a batch of tangents through kernels
+that are each linear in their tangent operand, for J times input
+directions (the input Jacobian) and for J^T c (PLIS and the attack).
+Patches are laid out by slicing alone: _im2col copies a strided
+(B, C, k, k, oh, ow) view of the image, and its adjoint _col2im adds each
+(ki, kj) slice of the patches back onto the same window of the image, so
+no index table holds the layout.
 
-Numpy kernels: each layer op's value and each of its first-order
-adjoints is one private numpy function (the _np suffix), which the op
-records.  First-order per-sample gradients, all a DP-SGD step needs, are
-tape-free: models.per_sample_loss_and_grad calls the same kernels on
-plain arrays, builds no graph, and gets the tape's rows to the bit.  The
-input Jacobian of those gradients is tape-free too: models.grad_tangents
-runs the kernels forward-mode, a batch of input directions as tangents
-(each kernel is linear in its tangent operand).  The tape serves what is
-differentiated twice in reverse: PLIS and the attack objective.
-
-Batch axis: the layer ops work on a leading batch axis, one independent
+Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
-row when given axes.  With parameters tiled into leaves with a leading
-batch axis, row i of every tensor depends only on sample i, so one
-backward pass of a sum over rows returns each sample's gradient in its
-own row.
+row when given axes.  Row i of every tensor above the model node depends
+only on sample i, so one backward pass of a sum over rows returns each
+sample's gradient in its own row.
 
 A backward pass does only the work its wrt list needs.  One forward
 sweep over the ids from the lowest wrt node to the output marks the
 nodes that depend on a wrt tensor; the reverse loop visits only those,
 stops at the lowest wrt id, and asks each rule for cotangents of its
-needed inputs only (so a pass to X never computes parameter cotangents,
-and a pass to the parameters never scatters back into X).  A
-create-graph pass hands the rules their inputs attached, so its results
-stay differentiable in every leaf.  Any other pass hands them detached
-inputs: the ops the rules call then record nothing and return plain
-constants with the same values.  A node's cotangent is dropped as soon
-as its rule has run; only the wrt tensors' cotangents live to the end.
+needed inputs only.  Rules are written with the ops themselves; the pass
+hands them detached inputs, so they record nothing and return plain
+constants.  A node's cotangent is dropped as soon as its rule has run;
+only the wrt tensors' cotangents live to the end.
 """
 
 from __future__ import annotations
@@ -97,9 +77,7 @@ class Node:
     rule(grad, need, *inputs), where need[i] says whether input i needs
     a cotangent; the rule returns one cotangent per input, None where
     need[i] is false.  backward() calls a rule only when some input
-    needs a cotangent, so single-input rules ignore need.  Rules call
-    the op functions below, which is what makes backward
-    re-differentiable.
+    needs a cotangent, so single-input rules ignore need.
     """
 
     __slots__ = ("op", "input_ids", "input_data", "rule")
@@ -262,16 +240,6 @@ def sqrt(a) -> Tensor:
     return _record("sqrt", np.sqrt(a.data), (a,), rule)
 
 
-def relu(a) -> Tensor:
-    a = _tensor(a)
-
-    def rule(grad: Tensor, need, a: Tensor):
-        # mask is piecewise constant: detached, subgradient 0 at the kink
-        return (mul(grad, Tensor(_relu_slope_np(a.data))),)
-
-    return _record("relu", _relu_np(a.data), (a,), rule)
-
-
 def max_scalar(a, c: float) -> Tensor:
     """Elementwise max(a, c) for a scalar threshold c."""
     a = _tensor(a)
@@ -282,27 +250,6 @@ def max_scalar(a, c: float) -> Tensor:
         return (mul(grad, Tensor(a.data > c)),)
 
     return _record("max-with-scalar", np.maximum(a.data, c), (a,), rule)
-
-
-def tanh(a) -> Tensor:
-    a = _tensor(a)
-
-    def rule(grad: Tensor, need, a: Tensor):
-        # _tanh_slope_np's arithmetic, op by op
-        return (mul(grad, sub(1.0, square(tanh(a)))),)
-
-    return _record("tanh", np.tanh(a.data), (a,), rule)
-
-
-def softplus(a) -> Tensor:
-    a = _tensor(a)
-
-    def rule(grad: Tensor, need, a: Tensor):
-        # _softplus_slope_np's arithmetic, op by op
-        sig = mul(add(tanh(mul(a, 0.5)), 1.0), 0.5)
-        return (mul(grad, sig),)
-
-    return _record("softplus", _softplus_np(a.data), (a,), rule)
 
 
 # --------------------------------------------------------------------------
@@ -383,30 +330,6 @@ def tslice(a, index: tuple) -> Tensor:
     return _record("slice", np.array(a.data[index]), (a,), rule)
 
 
-def concat(parts) -> Tensor:
-    """Join (B, ...) tensors into one (B, q) tensor, each part flattened past
-    the batch axis; the adjoint slices the cotangent apart and restores each
-    part's shape."""
-    parts = tuple(_tensor(p) for p in parts)
-    if not parts:
-        raise ShapeError("concat: nothing to join")
-    lead = parts[0].shape[:1]
-    if lead in ((), (0,)) or any(p.shape[:1] != lead for p in parts):
-        raise ShapeError(
-            f"concat: shapes {[p.shape for p in parts]} do not share a non-empty batch axis"
-        )
-    rows = [p.data.reshape(lead[0], -1) for p in parts]
-    bounds = np.cumsum([0] + [r.shape[1] for r in rows]).tolist()
-
-    def rule(grad: Tensor, need, *parts: Tensor):
-        return tuple(
-            reshape(tslice(grad, (slice(None), slice(lo, hi))), p.shape) if nd else None
-            for nd, p, lo, hi in zip(need, parts, bounds[:-1], bounds[1:])
-        )
-
-    return _record("concat", np.concatenate(rows, axis=1), parts, rule)
-
-
 def embed(a, shape: tuple, index: tuple) -> Tensor:
     """Place a into a zero tensor of the given shape at the given tuple index."""
     a = _tensor(a)
@@ -420,193 +343,7 @@ def embed(a, shape: tuple, index: tuple) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# layer ops, one node each (see the module docstring).  conv2d and
-# linear each form a closed triple with their input and weight adjoints.
-# --------------------------------------------------------------------------
-
-
-def bias_add(h, b) -> Tensor:
-    """h + b for per-row biases b (B, O), spread over any axes of h past (B, O)."""
-    h, b = _tensor(h), _tensor(b)
-    if b.data.ndim != 2 or h.shape[:2] != b.shape:
-        raise ShapeError(f"bias_add: bias shape {b.shape} does not lead input shape {h.shape}")
-    spread = tuple(range(2, h.data.ndim))
-
-    def rule(grad: Tensor, need, h: Tensor, b: Tensor):
-        # _bias_adjoint_np's sum, as an op
-        gb = (tsum(grad, axes=spread) if spread else grad) if need[1] else None
-        return (grad if need[0] else None, gb)
-
-    return _record("bias-add", _bias_add_np(h.data, b.data), (h, b), rule)
-
-
-def linear(w, h) -> Tensor:
-    """Per-row W h: (B, O, I) weights and (B, I) inputs give (B, O)."""
-    w, h = _tensor(w), _tensor(h)
-    if w.data.ndim != 3 or h.shape != (w.shape[0], w.shape[2]):
-        raise ShapeError(f"linear: weights {w.shape} and inputs {h.shape} do not compose")
-
-    def rule(grad: Tensor, need, w: Tensor, h: Tensor):
-        gw = _linear_weight_adjoint(grad, h) if need[0] else None
-        gh = _linear_input_adjoint(w, grad) if need[1] else None
-        return (gw, gh)
-
-    return _record("linear", _linear_np(w.data, h.data), (w, h), rule)
-
-
-def _linear_input_adjoint(w: Tensor, g: Tensor) -> Tensor:
-    """Per-row W^T g: (B, O, I) weights and (B, O) cotangents give (B, I)."""
-
-    def rule(grad: Tensor, need, w: Tensor, g: Tensor):
-        gw = _linear_weight_adjoint(g, grad) if need[0] else None
-        gg = linear(w, grad) if need[1] else None
-        return (gw, gg)
-
-    return _record("linear-input-adjoint", _linear_input_adjoint_np(w.data, g.data), (w, g), rule)
-
-
-def _linear_weight_adjoint(g: Tensor, h: Tensor) -> Tensor:
-    """Per-row outer product g h^T: (B, O) and (B, I) give (B, O, I)."""
-
-    def rule(grad: Tensor, need, g: Tensor, h: Tensor):
-        gg = linear(grad, h) if need[0] else None
-        gh = _linear_input_adjoint(grad, g) if need[1] else None
-        return (gg, gh)
-
-    return _record("linear-weight-adjoint", _linear_weight_adjoint_np(g.data, h.data), (g, h), rule)
-
-
-def conv2d(x, kernel) -> Tensor:
-    """Valid cross-correlation of (B,C,H,W) images with per-row (B,O,C,k,k) kernels."""
-    x, kernel = _tensor(x), _tensor(kernel)
-    if kernel.data.ndim != 5 or kernel.shape[3] != kernel.shape[4]:
-        raise ShapeError(f"conv2d: expected (B,O,C,k,k) kernels, got shape {kernel.shape}")
-    k = kernel.shape[3]
-    if x.data.ndim != 4 or x.shape[:2] != (kernel.shape[0], kernel.shape[2]):
-        raise ShapeError(
-            f"conv2d: input shape {x.shape} incompatible with kernel shape {kernel.shape}"
-        )
-    if k > min(x.shape[2:]):
-        raise ShapeError(f"conv2d: kernel {k} too large for image {x.shape[2]}x{x.shape[3]}")
-    return _conv2d(x, kernel, _im2col(x.data, k))
-
-
-def _conv2d(x: Tensor, kernel: Tensor, cols: Array) -> Tensor:
-    """conv2d on the already gathered patch matrices cols of x."""
-
-    def rule(grad: Tensor, need, x: Tensor, kernel: Tensor):
-        gx = _conv2d_input_adjoint(grad, kernel) if need[0] else None
-        gk = _conv2d_kernel_adjoint(x, grad, cols) if need[1] else None
-        return (gx, gk)
-
-    return _record("conv2d", _conv2d_np(kernel.data, cols, x.shape), (x, kernel), rule)
-
-
-def _conv2d_input_adjoint(g: Tensor, kernel: Tensor) -> Tensor:
-    """Gradient of <g, conv2d(x, kernel)> in x: (B,C,oh+k-1,ow+k-1) from (B,O,oh,ow) g."""
-    k = kernel.shape[3]
-
-    def rule(grad: Tensor, need, g: Tensor, kernel: Tensor):
-        cols = _im2col(grad.data, k)
-        gg = _conv2d(grad, kernel, cols) if need[0] else None
-        gk = _conv2d_kernel_adjoint(grad, g, cols) if need[1] else None
-        return (gg, gk)
-
-    return _record(
-        "conv2d-input-adjoint", _conv2d_input_adjoint_np(g.data, kernel.data), (g, kernel), rule
-    )
-
-
-def _conv2d_kernel_adjoint(x: Tensor, g: Tensor, cols: Array) -> Tensor:
-    """Gradient of <g, conv2d(x, K)> in K, (B,O,C,k,k) from (B,C,H,W) x and
-    (B,O,oh,ow) g, on the already gathered patch matrices cols of x."""
-    b, o, oh = g.shape[:3]
-    c, k = x.shape[1], x.shape[2] - oh + 1
-
-    def rule(grad: Tensor, need, x: Tensor, g: Tensor):
-        gx = _conv2d_input_adjoint(g, grad) if need[0] else None
-        gg = _conv2d(x, grad, cols) if need[1] else None
-        return (gx, gg)
-
-    out = _conv2d_kernel_adjoint_np(g.data, cols).reshape(b, o, c, k, k)
-    return _record("conv2d-kernel-adjoint", out, (x, g), rule)
-
-
-# --------------------------------------------------------------------------
-# losses
-# --------------------------------------------------------------------------
-
-
-def softmax(z) -> Tensor:
-    """Softmax along the last axis."""
-    z = _tensor(z)
-
-    def rule(grad: Tensor, need, z: Tensor):
-        # the softmax Jacobian diag(s) - s s^T applied to v is s * (v - <s, v>);
-        # _softmax_jvp_np's arithmetic, op by op
-        s = softmax(z)
-        dot = tsum(mul(s, grad), axes=-1, keepdims=True)
-        return (mul(s, sub(grad, broadcast(dot, s.shape))),)
-
-    return _record("softmax", _softmax_np(z.data), (z,), rule)
-
-
-def cross_entropy(z, labels) -> Tensor:
-    """Per-row log-sum-exp(z) - z[label] for (B, k) logits and B integer labels."""
-    z = _tensor(z)
-    if z.data.ndim != 2:
-        raise ShapeError(f"cross_entropy: expected (B, k) logits, got shape {z.shape}")
-    n, k = z.shape
-    labels = check_labels(labels, n, k)
-    onehot = _onehot(labels, k)
-
-    def rule(grad: Tensor, need, z: Tensor):
-        # _cross_entropy_adjoint_np's arithmetic, op by op
-        scale = broadcast(reshape(grad, (n, 1)), (n, k))
-        return (mul(sub(softmax(z), Tensor(onehot)), scale),)
-
-    return _record("cross-entropy", _cross_entropy_np(z.data, labels), (z,), rule)
-
-
-def mse(pred, target) -> Tensor:
-    """Per-row mean of (pred - target)^2 over the axes past the batch axis:
-    (B, ...) predictions and same-shape constant targets give (B,)."""
-    pred = _tensor(pred)
-    target = Tensor(target)
-    if pred.data.ndim < 2 or target.shape != pred.shape:
-        raise ShapeError(f"mse: predictions {pred.shape} and targets {target.shape} do not match")
-    k = float(pred.size // pred.shape[0])
-    kept = pred.shape[:1] + (1,) * (pred.data.ndim - 1)
-
-    def rule(grad: Tensor, need, pred: Tensor):
-        # the rules of the chain sub, square, sum over the row, div by k;
-        # _mse_adjoint_np's arithmetic, op by op
-        scale = broadcast(reshape(div(grad, k), kept), pred.shape)
-        return (mul(scale, mul(sub(pred, target), 2.0)),)
-
-    return _record("mse", _mse_np(pred.data, target.data), (pred,), rule)
-
-
-def check_labels(labels, n: int, k: int) -> Array:
-    """B integer labels, each in [0, k), for n rows of k logits."""
-    labels = np.asarray(labels).reshape(-1).astype(np.int64)
-    if labels.shape != (n,):
-        raise ShapeError(f"cross_entropy: {labels.size} labels for {n} rows of logits")
-    bad = labels[(labels < 0) | (labels >= k)]
-    if bad.size:
-        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
-    return labels
-
-
-# --------------------------------------------------------------------------
-# numpy kernels.  Each layer op's value, and each first-order adjoint, is
-# written once, here: the ops above record these values, and the tape-free
-# per-sample gradients (models.per_sample_loss_and_grad) and their input
-# tangents (models.grad_tangents) call the same functions on plain arrays.
-# The rules above that are chains of ops (bias sums, the tanh and softplus
-# slopes, the loss cotangents, the softmax Jacobian-vector product) do the
-# arithmetic of the kernel they name in the same order, so a first-order
-# gradient is the same to the bit by either route.
+# numpy kernels of the model layers and losses (see the module docstring)
 # --------------------------------------------------------------------------
 
 
@@ -673,11 +410,17 @@ def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple) -> Array:
     return np.matmul(kernel.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
 
 
+def _conv2d_input_patches_np(g: Array, kernel: Array) -> Array:
+    """The (B, C*k*k, oh*ow) patch matrices of the input adjoint, before _col2im."""
+    b, o = kernel.shape[:2]
+    return np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
+
+
 def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
-    b, o, c, k = kernel.shape[:4]
+    """Gradient of <g, conv> in the (B,C,oh+k-1,ow+k-1) images, from (B,O,oh,ow) g."""
+    b, _, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
-    cols = np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
-    return _col2im(cols, (b, c, oh + k - 1, ow + k - 1), k)
+    return _col2im(_conv2d_input_patches_np(g, kernel), (b, c, oh + k - 1, ow + k - 1), k)
 
 
 def _conv2d_kernel_adjoint_np(g: Array, cols: Array) -> Array:
@@ -704,7 +447,7 @@ def _softplus_np(a: Array) -> Array:
 
 
 def _softplus_slope_np(a: Array) -> Array:
-    """sigmoid(a) written as (1 + tanh(a/2)) / 2, which the tape's ops can express."""
+    """sigmoid(a), written as (1 + tanh(a/2)) / 2."""
     return (np.tanh(a * 0.5) + 1.0) * 0.5
 
 
@@ -716,6 +459,17 @@ def _softmax_np(z: Array) -> Array:
 def _softmax_jvp_np(s: Array, v: Array) -> Array:
     """The softmax Jacobian at s = softmax(z), diag(s) - s s^T, applied to v."""
     return s * (v - (s * v).sum(axis=-1, keepdims=True))
+
+
+def check_labels(labels, n: int, k: int) -> Array:
+    """B integer labels, each in [0, k), for n rows of k logits."""
+    labels = np.asarray(labels).reshape(-1).astype(np.int64)
+    if labels.shape != (n,):
+        raise ShapeError(f"cross_entropy: {labels.size} labels for {n} rows of logits")
+    bad = labels[(labels < 0) | (labels >= k)]
+    if bad.size:
+        raise ShapeError(f"label {int(bad[0])} out of range for {k} logits")
+    return labels
 
 
 def _onehot(labels: Array, k: int) -> Array:
@@ -755,13 +509,9 @@ def _mse_adjoint_np(g: Array, pred: Array, target: Array) -> Array:
 # --------------------------------------------------------------------------
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
-    """Gradients of the scalar output with respect to each tensor in wrt.
-
-    With create_graph=True the returned gradients are graph nodes and can
-    be differentiated again; with False the rules get detached inputs, so
-    they record nothing and plain constants come back (same values either
-    way).  A non-scalar output is a GraphError.
+def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
+    """Gradients of the scalar output with respect to each tensor in wrt, as
+    detached constants.  A non-scalar output is a GraphError.
 
     The pass visits only nodes between the lowest wrt id and the output
     that depend on a wrt tensor, and computes cotangents only for those
@@ -810,10 +560,7 @@ def backward(output: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) 
         need = tuple(iid is not None and needed[iid] == 1 for iid in node.input_ids)
         if not any(need):  # a leaf, or a wrt node whose inputs reach no wrt tensor
             continue
-        inputs = [
-            Tensor(data, graph, iid) if create_graph and iid is not None else Tensor(data)
-            for iid, data in zip(node.input_ids, node.input_data)
-        ]
+        inputs = [Tensor(data) for data in node.input_data]
         for iid, g in zip(node.input_ids, node.rule(grad, need, *inputs)):
             if g is None:
                 continue

@@ -1,8 +1,8 @@
 """Small supervised models (linear, MLP, CNN) and per-sample losses.
 
 Parameters live in one flat vector, laid out block by block; the
-gradient with respect to all parameters comes back as a single flat
-tensor.
+gradient with respect to all parameters comes back as one flat row per
+sample.
 
 Batch axis: every route takes B samples stacked on a leading axis and
 tiles each parameter block into a (B, ...) array, so sample i's loss
@@ -11,21 +11,19 @@ are read-only views with batch stride 0, so no parameter is copied per
 sample.  One sample is a batch of one.  Callers pass at most
 chunk_size(params) samples at a time.
 
-Two routes, one arithmetic.  per_sample_loss_and_grad() computes the B
-losses and (B, p) parameter-gradient rows without a tape: all DP-SGD
-needs is first order.  grad_tangents() differentiates those rows once more
-in the input, forward-mode and without a tape: it returns columns of the
-input Jacobian that FIM, FIL and JacSens read.  Both run their forward
-pass in _layer_records, whose per-layer records hold what the adjoints
-read.  attach_sample() builds the loss graph, for what is differentiated
-twice in reverse (PLIS and the attack objective): its inputs are graph
-leaves, since every analysis differentiates with respect to them.
-parameter_grad() returns the same rows from one backward pass (one concat
-node flattens and joins the blocks), and a second backward pass of any
-per-row quantity built from them returns each sample's input gradient in
-its row of X.  Every route checks a batch in _checked_batch and runs the
-same autodiff numpy kernels, so the tape's and the tape-free losses and
-rows agree to the bit.
+One forward pass, then first and second order without a second-order
+tape.  _layer_records runs the forward pass in the autodiff numpy kernels
+and keeps per layer what the adjoints read.  per_sample_loss_and_grad()
+reverses through those records for the B losses and (B, p)
+parameter-gradient rows g: all DP-SGD needs is first order.
+_tangent_walk() differentiates the rows once more, forward-over-reverse:
+along input directions it gives J times them (J = dg/dx), the columns of
+the input Jacobian that FIM, FIL and JacSens read (grad_tangents()); along
+per-row parameter tangents c it gives the rows J_i^T c_i.  attach_sample()
+puts the rows on a graph as one node above the input leaf, and that node's
+rule is the walk along parameter tangents: PLIS and the attack objective
+build a scalar on the rows and take one backward pass to x.  Every route
+checks a batch in _checked_batch.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -33,6 +31,7 @@ drops the AttachedSample and every tensor on its graph.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -40,21 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import autodiff, rng
-from .autodiff import (
-    Graph,
-    Tensor,
-    bias_add,
-    concat,
-    conv2d,
-    cross_entropy,
-    linear,
-    mse,
-    relu,
-    reshape,
-    softplus,
-    tanh,
-    tsum,
-)
+from .autodiff import Graph, Tensor
 from .errors import ConfigError, DataFormatError, ShapeError
 
 MSE = "mse"
@@ -258,52 +243,15 @@ def output_shape(spec: ModelSpec, input_shape: tuple[int, ...]) -> tuple[int, ..
     return shape
 
 
-def forward(spec: ModelSpec, params: dict[str, Tensor], x: Tensor) -> Tensor:
-    """Model outputs (B, ...) for inputs x (B, ...) under per-row parameter
-    blocks params[name] (B, *block shape)."""
-    n = x.shape[0]
-    h = x
-    for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, (Linear, Conv2d)):
-            w = params[f"{idx}.weight"]
-            h = linear(w, h) if isinstance(layer, Linear) else conv2d(h, w)
-            if layer.bias:
-                h = bias_add(h, params[f"{idx}.bias"])
-        elif isinstance(layer, Relu):
-            h = relu(h)
-        elif isinstance(layer, Tanh):
-            h = tanh(h)
-        elif isinstance(layer, Softplus):
-            h = softplus(h)
-        elif isinstance(layer, Flatten):
-            h = reshape(h, (n, h.size // n))
-    return h
-
-
-def _loss_tensor(spec: ModelSpec, prediction: Tensor, targets: np.ndarray) -> Tensor:
-    """Per-sample losses (B,) for predictions (B, ...) and _checked_batch's targets."""
-    if spec.loss == MSE:
-        return mse(prediction, targets)
-    # log-sum-exp minus the selected logit as one node, whatever k is; its
-    # rule goes through softmax, so the loss is differentiable to any order
-    return cross_entropy(prediction, targets)
-
-
 @dataclass
 class AttachedSample:
-    """A batch's losses on one graph, with its differentiable leaves.
-
-    params holds one (B, *block shape) leaf per parameter block, in layout
-    order, and x is the (B, ...) input leaf; losses holds the B per-sample
-    losses and loss their sum.
-    """
+    """A batch's per-sample gradients as one graph node above its input leaf:
+    x is the (B, ...) input leaf and grads the node holding the (B, p)
+    parameter-gradient rows."""
 
     graph: Graph
-    params: list[Tensor]
     x: Tensor
-    prediction: Tensor
-    losses: Tensor
-    loss: Tensor
+    grads: Tensor
 
 
 def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
@@ -341,37 +289,12 @@ def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     return xs, targets.reshape((n, *out_shape))
 
 
-def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
-    """Build the loss graph for B samples stacked in xs (B, ...) with targets ys (B, ...)."""
-    xs, targets = _checked_batch(spec, xs, ys)
-    n = xs.shape[0]
-    graph = Graph()
-    flat = np.ascontiguousarray(params.flat)
-    blocks = [graph.leaf(_tiled(flat, b, n)) for b in params.layout]
-    x_leaf = graph.leaf(xs)
-    pred = forward(spec, {b.name: t for b, t in zip(params.layout, blocks)}, x_leaf)
-    losses = _loss_tensor(spec, pred, targets)
-    return AttachedSample(graph, blocks, x_leaf, pred, losses, tsum(losses))
-
-
-def parameter_grad(sample: AttachedSample, create_graph: bool = False) -> Tensor:
-    """(B, p) per-sample parameter gradients of sample.loss, one backward pass.
-
-    Each block's gradient is computed at its own size and concat flattens
-    and joins the blocks in one node; slicing one flat (B, p) leaf instead
-    would cost a (B, p) array per block on the way back.
-    """
-    # looked up on the module at call time, so a wrapper installed on
-    # autodiff.backward also sees these passes
-    return concat(autodiff.backward(sample.loss, sample.params, create_graph=create_graph))
-
-
 def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[np.ndarray, list]:
     """The model's (B, ...) outputs for inputs xs under tiled views of the
     parameters, in the autodiff numpy kernels, and per layer the record its
     adjoints read: a Linear layer's weights and input, a Conv2d layer's
-    kernels and input patch matrix, an activation's slope (and a tanh's
-    output), and Flatten's input shape.  Both tape-free routes run their
+    kernels, input patch matrix and input shape, an activation's slope (and
+    a tanh's output), and Flatten's input shape.  Every route runs its
     forward pass here."""
     n = xs.shape[0]
     flat = np.ascontiguousarray(params.flat)
@@ -386,7 +309,7 @@ def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[n
         elif isinstance(layer, Conv2d):
             w = _tiled(flat, blocks[f"{idx}.weight"], n)
             cols = autodiff._im2col(h, layer.kernel)
-            records.append((w, cols))
+            records.append((w, cols, h.shape))
             h = autodiff._conv2d_np(w, cols, h.shape)
         elif isinstance(layer, Relu):
             records.append((autodiff._relu_slope_np(h), None))
@@ -419,27 +342,22 @@ def _block_writer(params: ParamSet, rows: np.ndarray):
 
 
 def _first_weighted(spec: ModelSpec) -> int:
-    """Index of the first Linear or Conv2d layer: no adjoint of its input is needed."""
+    """Index of the first Linear or Conv2d layer: no gradient flows below it."""
     return min(
         (i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
         default=len(spec.layers),
     )
 
 
-def per_sample_loss_and_grad(
-    spec: ModelSpec, params: ParamSet, xs, ys
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses (B,) and parameter gradients (B, p), without a tape.
-
-    The same values as attach_sample's losses and parameter_grad's rows,
-    to the bit: _layer_records runs the forward pass in the autodiff
-    kernels on the same tiled parameter views; the reverse walk writes
-    each block's gradient into its columns of the (B, p) result and, like
-    the tape's pruning, computes no adjoint of the first layer's input.
-    """
-    xs, targets = _checked_batch(spec, xs, ys)
-    n = xs.shape[0]
-    h, records = _layer_records(spec, params, xs)
+def _loss_and_rows(
+    spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per-sample losses (B,), parameter gradients (B, p) and, per layer, the
+    cotangent of its output (None below the first weighted layer), from
+    _layer_records' outputs h and records.  The reverse walk writes each
+    block's gradient into its columns of the (B, p) result and computes no
+    adjoint of the first weighted layer's input."""
+    n = h.shape[0]
     ones = np.ones(n)
     if spec.loss == MSE:
         losses, g = autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
@@ -449,13 +367,15 @@ def per_sample_loss_and_grad(
 
     grads = np.empty((n, params.count))
     put = _block_writer(params, grads)
+    cotangents = [None] * len(spec.layers)
     first = _first_weighted(spec)
     for idx in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[idx]
+        cotangents[idx] = g
         if isinstance(layer, (Linear, Conv2d)):
             if layer.bias:
                 put(f"{idx}.bias", autodiff._bias_adjoint_np(g))
-            w, inputs = records[idx]
+            w, inputs = records[idx][:2]
             if isinstance(layer, Linear):
                 put(f"{idx}.weight", autodiff._linear_weight_adjoint_np(g, inputs))
                 if idx > first:
@@ -468,7 +388,154 @@ def per_sample_loss_and_grad(
             g = g.reshape(records[idx])
         else:
             g = g * records[idx][0]
-    return losses, grads
+    return losses, grads, cotangents
+
+
+def per_sample_loss_and_grad(
+    spec: ModelSpec, params: ParamSet, xs, ys
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses (B,) and parameter gradients (B, p), without a tape."""
+    xs, targets = _checked_batch(spec, xs, ys)
+    return _loss_and_rows(spec, params, *_layer_records(spec, params, xs), targets)[:2]
+
+
+def _tangent_walk(
+    spec: ModelSpec,
+    params: ParamSet,
+    h: np.ndarray,
+    records: list,
+    cotangents: list,
+    dx: np.ndarray | None = None,
+    dtheta: np.ndarray | None = None,
+) -> np.ndarray:
+    """Tangents of the loss gradient, forward-over-reverse through
+    _layer_records' outputs h and records and _loss_and_rows' cotangents,
+    without a tape.
+
+    Takes one of two kinds of n tangents:
+      * dx, (n, *input shape) input directions of a one-sample batch: returns
+        the (n, p) tangents of grad_theta, J dx[r] in row r;
+      * dtheta, (B, p) parameter tangents, one per row of the batch: returns
+        the (B, *input shape) tangents of grad_x, J_i^T dtheta[i] in row i
+        (d/dt grad_x L(theta + t dtheta[i]) is d/dx <grad_theta L, dtheta[i]>).
+    The tangents ride along the primal values through the same kernels, each
+    linear in its tangent operand.  Forward, a weighted layer's output moves
+    by W h' + W' h + b' (h' is 0 at the input for dtheta; W' and b' are 0 for
+    dx), an activation's by its slope times h'.  The loss's cotangent moves
+    by the softmax Jacobian for cross-entropy and by 2/k for MSE over k
+    outputs.  Reverse, every cotangent's tangent rides beside it, with the
+    product rule's terms where a primal value moves: a weight adjoint's
+    input (g' h^T + g h'^T, and the kernel adjoint of im2col(h')), an input
+    adjoint's weights (W^T g' + W'^T g; a conv sums both in one patch matrix
+    before one _col2im) and an activation's slope (its derivative
+    -2t(1 - t^2) for tanh, s(1 - s) for softplus, 0 for relu).  For dtheta
+    the walk runs through the first layer to x.
+    """
+    n = len(dx) if dtheta is None else len(dtheta)
+    blocks = {b.name: b for b in params.layout}
+
+    def tiled(w: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(w, (n, *w.shape[1:]))
+
+    def moving(name: str) -> np.ndarray:
+        block = blocks[name]
+        return dtheta[:, block.offset : block.offset + block.size].reshape(n, *block.shape)
+
+    # per layer, its input's tangent (a conv's as patches), None while it is 0
+    dh, moved = dx, []
+    for idx, (layer, record) in enumerate(zip(spec.layers, records)):
+        if isinstance(layer, (Linear, Conv2d)):
+            w, inputs = record[:2]
+            if isinstance(layer, Linear):
+                moved.append(dh)
+                apply = autodiff._linear_np
+            else:
+                moved.append(None if dh is None else autodiff._im2col(dh, layer.kernel))
+                apply = functools.partial(autodiff._conv2d_np, image_shape=record[2])
+            dh = None if dh is None else apply(tiled(w), moved[-1])
+            if dtheta is not None:
+                term = apply(moving(f"{idx}.weight"), inputs)
+                dh = term if dh is None else dh + term
+                if layer.bias:
+                    dh = autodiff._bias_add_np(dh, moving(f"{idx}.bias"))
+        elif isinstance(layer, Flatten):
+            moved.append(None)
+            dh = None if dh is None else dh.reshape(n, dh.size // n)
+        else:
+            moved.append(dh)
+            dh = None if dh is None else dh * record[0]
+    if dh is None:  # no weighted layer: nothing moves
+        dh = np.zeros_like(h)
+    if spec.loss == MSE:
+        # the adjoint is affine in the prediction: its tangent is the adjoint at target 0
+        dg = autodiff._mse_adjoint_np(np.ones(n), dh, 0.0)
+    else:
+        dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
+
+    if dtheta is None:
+        tangents = np.empty((n, params.count))
+        put = _block_writer(params, tangents)
+    first = _first_weighted(spec)
+    stop = first if dtheta is None else 0
+    for idx in range(len(spec.layers) - 1, stop - 1, -1):
+        layer, record, dinput, g = spec.layers[idx], records[idx], moved[idx], cotangents[idx]
+        if isinstance(layer, (Linear, Conv2d)):
+            w, inputs = record[:2]
+            linear = isinstance(layer, Linear)
+            if dtheta is None:
+                if layer.bias:
+                    put(f"{idx}.bias", autodiff._bias_adjoint_np(dg))
+                adjoint = (
+                    autodiff._linear_weight_adjoint_np if linear
+                    else autodiff._conv2d_kernel_adjoint_np
+                )
+                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
+                if idx == first:
+                    break
+            if linear:
+                dg = autodiff._linear_input_adjoint_np(tiled(w), dg)
+                if dtheta is not None:
+                    dg = dg + autodiff._linear_input_adjoint_np(moving(f"{idx}.weight"), g)
+            else:
+                # W^T g' + W'^T g as one product of the stacked operands: one
+                # patch matrix, and only the small kernels are copied
+                if dtheta is None:
+                    patches = autodiff._conv2d_input_patches_np(dg, tiled(w))
+                else:
+                    patches = autodiff._conv2d_input_patches_np(
+                        np.concatenate([dg, g], axis=1),
+                        np.concatenate([tiled(w), moving(f"{idx}.weight")], axis=1),
+                    )
+                dg = autodiff._col2im(patches, (n, *record[2][1:]), layer.kernel)
+        elif isinstance(layer, Flatten):
+            dg = dg.reshape((n, *record[1:]))
+        else:
+            slope, out = record
+            dg = dg * slope
+            if dinput is not None and not isinstance(layer, Relu):
+                bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
+                dg += g * bend * dinput
+    return tangents if dtheta is None else dg
+
+
+def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
+    """B samples stacked in xs (B, ...) with targets ys, as their input leaf and
+    one node above it holding per_sample_loss_and_grad's (B, p) rows.
+
+    One forward pass serves both directions: the node's value comes from
+    _loss_and_rows, and its rule hands x, for a (B, p) cotangent c, the rows
+    J_i^T c_i from _tangent_walk on the same records.
+    """
+    xs, targets = _checked_batch(spec, xs, ys)
+    h, records = _layer_records(spec, params, xs)
+    _, rows, cotangents = _loss_and_rows(spec, params, h, records, targets)
+    graph = Graph()
+    x = graph.leaf(xs)
+
+    def rule(grad: Tensor, need, x: Tensor):
+        return (Tensor(_tangent_walk(spec, params, h, records, cotangents, dtheta=grad.data)),)
+
+    return AttachedSample(graph, x, autodiff._record("per-sample-grad", rows, (x,), rule))
 
 
 def grad_tangents(spec: ModelSpec, params: ParamSet, x, y, directions) -> np.ndarray:
@@ -476,83 +543,19 @@ def grad_tangents(spec: ModelSpec, params: ParamSet, x, y, directions) -> np.nda
 
     Row r is d/dt grad_theta loss(x + t directions[r]) at t = 0, the input
     Jacobian of the gradient applied to directions[r]; unit directions give
-    its columns.  Forward mode, without a tape: _layer_records runs the
-    sample's forward pass once, at batch 1, and the directions ride along it
-    as a batch of n tangents through the same kernels, each linear in its
-    tangent operand.  The reverse walk carries every cotangent's tangent
-    beside it, adding the product rule's terms where a primal value other
-    than the weights moves with x: a weight adjoint's input (g' h^T + g h'^T,
-    and the kernel adjoint of im2col(h')) and an activation's slope (its
-    derivative -2t(1 - t^2) for tanh, s(1 - s) for softplus, 0 for relu).
-    The loss's cotangent moves by the softmax Jacobian for cross-entropy and
-    by 2/k for MSE over k outputs.
+    its columns.  _layer_records runs the sample's forward pass once, at
+    batch 1, and _tangent_walk carries the directions along it.
     """
     xs, targets = _checked_batch(spec, [x], [y])
     directions = np.asarray(directions, dtype=np.float64)
     if directions.shape[1:] != xs.shape[1:]:
         raise ShapeError(
-            f"input directions of shape {directions.shape} do not fit an input of shape {xs.shape[1:]}"
+            f"input directions of shape {directions.shape} do not fit an input "
+            f"of shape {xs.shape[1:]}"
         )
-    n = directions.shape[0]
     h, records = _layer_records(spec, params, xs)
-
-    def tiled(w: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(w, (n, *w.shape[1:]))
-
-    dh, moved = directions, []  # per layer, its input's tangent (a conv's: as patches)
-    for layer, record in zip(spec.layers, records):
-        if isinstance(layer, Linear):
-            moved.append(dh)
-            dh = autodiff._linear_np(tiled(record[0]), dh)
-        elif isinstance(layer, Conv2d):
-            moved.append(autodiff._im2col(dh, layer.kernel))
-            dh = autodiff._conv2d_np(tiled(record[0]), moved[-1], dh.shape)
-        elif isinstance(layer, Flatten):
-            moved.append(None)
-            dh = dh.reshape(n, dh.size // n)
-        else:
-            moved.append(dh)
-            dh = dh * record[0]
-        # a bias add moves its output by its input's tangent alone
-    if spec.loss == MSE:
-        g = autodiff._mse_adjoint_np(np.ones(1), h, targets)
-        # the adjoint is affine in the prediction: its tangent is the adjoint at target 0
-        dg = autodiff._mse_adjoint_np(np.ones(n), dh, 0.0)
-    else:
-        g = autodiff._cross_entropy_adjoint_np(np.ones(1), h, targets)
-        dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
-
-    tangents = np.empty((n, params.count))
-    put = _block_writer(params, tangents)
-    first = _first_weighted(spec)
-    for idx in range(len(spec.layers) - 1, first - 1, -1):
-        layer, record, dinput = spec.layers[idx], records[idx], moved[idx]
-        if isinstance(layer, (Linear, Conv2d)):
-            if layer.bias:
-                put(f"{idx}.bias", autodiff._bias_adjoint_np(dg))
-            w, inputs = record
-            if isinstance(layer, Linear):
-                adjoint = autodiff._linear_weight_adjoint_np
-                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
-                if idx > first:
-                    g = autodiff._linear_input_adjoint_np(w, g)
-                    dg = autodiff._linear_input_adjoint_np(tiled(w), dg)
-            else:
-                adjoint = autodiff._conv2d_kernel_adjoint_np
-                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
-                if idx > first:
-                    g = autodiff._conv2d_input_adjoint_np(g, w)
-                    dg = autodiff._conv2d_input_adjoint_np(dg, tiled(w))
-        elif isinstance(layer, Flatten):
-            g, dg = g.reshape(record), dg.reshape((n, *record[1:]))
-        else:
-            slope, out = record
-            dg = dg * slope
-            if not isinstance(layer, Relu):
-                bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
-                dg += g * bend * dinput
-            g = g * slope
-    return tangents
+    cotangents = _loss_and_rows(spec, params, h, records, targets)[2]
+    return _tangent_walk(spec, params, h, records, cotangents, dx=directions)
 
 
 def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:

@@ -2,14 +2,20 @@
 
 The subject-level privacy loss is the squared per-sample parameter
 gradient norm over the noise variance (the gradient signal alone in the
-non-private setting).  Its Jacobian with respect to the subject's input
-is computed by two independent routes that must agree:
+non-private setting).  Its gradient with respect to the subject's input
+is (2/sigma^2) J^T g, with g the gradient and J = dg/dx, computed by two
+routes that must agree:
 
-  * direct:   double backpropagation of ||g||^2 / sigma^2 through the tape;
+  * direct:   the backward pass of ||g||^2 / sigma^2 (through the clip's
+    op chain when clipped) to the input;
   * expanded: (2/sigma^2) * g^T (dg/dx) as a vector-Jacobian product with
     the left factor g detached (the constant cotangent).
 
-The full input Jacobian J = dg/dx needed for the FIM and JacSens is only
+Both go through models.attach_sample's gradient node, whose rule turns
+the cotangent c reaching the rows into J^T c by a tape-free
+forward-over-reverse walk.
+
+The full input Jacobian J needed for the FIM and JacSens is only
 materialized for desk-scale models (dimension guard), which is exactly
 the cost contrast the PLIS route avoids.  It is forward-mode and
 tape-free: models.grad_tangents carries a chunk of input directions e_j
@@ -17,12 +23,12 @@ as tangents through the first-order kernels and returns the columns
 J[:, j].  It builds no graph.
 
 Batch axis: subjects are analysed models.chunk_size() at a time on one graph.
-Subject i's privacy loss depends only on its own rows of the tiled
-parameters and of X, so one backward pass of the summed privacy losses
-to X returns every subject's PLIS in its own row: two backward passes
-per chunk, not per subject.  The input Jacobian takes one subject and
-models.chunk_size() of its input directions per call.  Every graph is
-dropped when the call returns.
+Subject i's privacy loss depends only on its own row of the gradient node
+and of X, so one backward pass of the summed privacy losses to X returns
+every subject's PLIS in its own row: one backward pass per chunk, not per
+subject.  The input Jacobian takes one subject and models.chunk_size() of
+its input directions per call.  Every graph is dropped when the call
+returns.
 """
 
 from __future__ import annotations
@@ -36,15 +42,7 @@ from .autodiff import Tensor, backward, mul, tsum, square
 from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable, refuse_dropped_row
 from .errors import ConfigError, DimensionGuardError
-from .models import (
-    ModelSpec,
-    ParamSet,
-    attach_sample,
-    chunk_size,
-    chunks,
-    grad_tangents,
-    parameter_grad,
-)
+from .models import ModelSpec, ParamSet, attach_sample, chunk_size, chunks, grad_tangents
 
 MODE_PRIVATE = "private"
 MODE_NON_PRIVATE = "non-private"
@@ -80,10 +78,10 @@ class JacSensReport:
     frobenius_norm: float
 
 
-def _check_sigma(sigma: float | None) -> None:
+def _check_sigma(sigma) -> None:
     # an infinite sigma would report PL = PLIS = 0 for every subject
-    if sigma is not None and not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive when given, got {sigma}")
+    if sigma is None or not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
 
 
 def plis_reports(
@@ -96,17 +94,19 @@ def plis_reports(
 ) -> list[PlisReport]:
     """PLIS of every subject, in order, by the direct or the expanded route.
 
-    Each chunk of models.chunk_size() subjects shares one graph.  The direct
-    route backpropagates sum_i ||g_i||^2 / sigma^2 to X; the expanded one
-    backpropagates sum_i <g_i, c_i> with each row c_i = g_i detached and
-    scales by 2 / sigma^2.
+    Each chunk of models.chunk_size() subjects shares one graph and one
+    backward pass to X.  The direct route backpropagates
+    sum_i ||g_i||^2 / sigma^2; the expanded one backpropagates
+    sum_i <g_i, c_i> with each row c_i = g_i detached and scales by
+    2 / sigma^2.
     """
-    _check_sigma(sigma)
+    if sigma is not None:
+        _check_sigma(sigma)
     scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
     reports = []
     for part in chunks(list(subjects), chunk_size(params)):
         sample = attach_sample(spec, params, np.stack([s.x for s in part]), [s.y for s in part])
-        g = parameter_grad(sample, create_graph=True)
+        g = sample.grads
         if clip is not None:
             refuse_dropped_row(part, g.data, clip)
             g = clip_differentiable(g, clip)
@@ -132,7 +132,7 @@ def plis_direct(
     sigma: float | None = None,
     clip: float | None = None,
 ) -> PlisReport:
-    """PLIS by double backpropagation of the privacy loss to the input."""
+    """PLIS by backpropagation of the privacy loss to the input."""
     return plis_reports(spec, params, [subject], sigma, clip)[0]
 
 
@@ -191,7 +191,7 @@ def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) ->
     Forward mode: each call of models.grad_tangents takes up to
     models.chunk_size() unit directions e_j and returns the columns
     J[:, j].  No graph is built.  Relu masks are constant along every
-    direction, so it is the J that the tape's double backward gives.
+    direction, so it is the J whose transpose the PLIS routes apply.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
@@ -217,8 +217,7 @@ def fim_subject(
     spec: ModelSpec, params: ParamSet, subject: SubjectRecord, sigma: float
 ) -> FimReport:
     """Per-subject Fisher information sub-matrix J^T J / sigma^2."""
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    _check_sigma(sigma)
     jac = input_jacobian(spec, params, subject)
     fim = (jac.T @ jac) / (sigma * sigma)
     fil = np.sqrt(spectral_norm_sq(jac)) / sigma

@@ -1,17 +1,20 @@
-"""Batched graphs against one graph per sample, and graph lifetime.
+"""Batched routes against one sample at a time, two routes through the
+gradient's input Jacobian, and graph lifetime.
 
 Every batched route must reproduce its per-sample counterpart within
 1e-12 relative (to the largest entry of the per-sample result), on random
 small linear, MLP and CNN specs, for a batch of one and for batches whose
-last chunk is ragged.  On the same specs, batched direct-route PLIS must
-match central finite differences of the privacy loss, the clip must bound
+last chunk is ragged.  On the same specs, the per-sample gradients must
+match central differences of the losses in theta, batched direct-route
+PLIS central differences of the privacy loss in x, the clip must bound
 every per-sample gradient and leave those below the threshold alone, and
-the FIM must equal J^T J / sigma^2.  The per-sample counterparts take one
-sample at a time; the input Jacobian's oracles are the column-by-column loop
-with one backward pass per input coordinate (the double-backward route
-through a dual leaf) and central differences of the per-sample gradient.
-The tape-free per-sample gradients must equal the tape's (attach_sample,
-then parameter_grad) bit for bit, and refuse a bad batch with its error.
+the FIM must equal J^T J / sigma^2.  J = dg/dx is reached two ways that
+share only the forward pass: forward-mode (plis.input_jacobian and
+models.grad_tangents, J times input directions) and reverse through
+attach_sample's gradient node (J^T c, one backward pass per column of
+J^T), and unclipped PLIS must equal (2/sigma^2) J^T g with J from the
+first.  Central differences of the per-sample gradient check J too.  The
+node and the tape-free route refuse a bad batch with the same error.
 """
 
 import contextlib
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
-from plislab.autodiff import Tensor, backward, mul, reshape, tslice, tsum
+from plislab.autodiff import Tensor, backward, mul, tsum
 from plislab.errors import PlisLabError
 
 REL = 1e-12
@@ -95,27 +98,35 @@ def test_losses_and_gradients_match_per_sample(problem):
     xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
     losses, grads = models.per_sample_loss_and_grad(spec, params, xs, ys)
     for i, s in enumerate(subjects):
-        assert_close(losses[i], models.attach_sample(spec, params, [s.x], [s.y]).loss.item())
+        assert_close(losses[i], models.per_sample_loss_and_grad(spec, params, [s.x], [s.y])[0][0])
     assert_close(grads, np.stack(_per_sample_grads(spec, params, subjects)))
-
-
-def _tape_rows(spec, params, xs, ys):
-    """Losses and (B, p) gradient rows from the tape: one graph, one backward pass."""
-    sample = models.attach_sample(spec, params, xs, ys)
-    return sample.losses.data, models.parameter_grad(sample).data
 
 
 def _same_bits(got, want):
     return [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(problems())
-def test_tape_free_rows_equal_the_tape_bit_for_bit(problem):
+def test_rows_match_central_differences_of_the_losses_in_theta(problem):
+    """The (B, p) rows against central differences of the B losses in each
+    parameter, and attach_sample's node holds the same rows to the bit."""
     spec, params, subjects, _ = problem
     xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    assert _same_bits(models.per_sample_loss_and_grad(spec, params, xs, ys),
-                      _tape_rows(spec, params, xs, ys))
+    assume(not _near_a_kink(spec, params, subjects, None))
+    losses, rows = models.per_sample_loss_and_grad(spec, params, xs, ys)
+    sample = models.attach_sample(spec, params, xs, ys)
+    assert sample.grads.data.tobytes() == rows.tobytes()
+    h = 1e-6
+
+    def at(theta):
+        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), xs, ys)[0]
+
+    theta = params.flat
+    numeric = np.stack([(at(theta + e) - at(theta - e)) / (2 * h) for e in h * np.eye(theta.size)], 1)
+    # roundoff of about eps * loss / h: measure against the losses too
+    scale = max(np.abs(numeric).max(), losses.max(), 1e-300)
+    assert np.abs(rows - numeric).max() <= 1e-6 * scale
 
 
 @pytest.mark.parametrize("spec", [
@@ -126,9 +137,11 @@ def test_tape_free_rows_equal_the_tape_bit_for_bit(problem):
         models.MSE,
     ),
 ], ids=["cnn-spec", "softplus-tanh-mse"])
-def test_tape_free_step_equals_the_tape_over_a_ragged_last_chunk(spec):
-    """Two convs, 7 samples in chunks of 3, 3 and 1: each chunk's rows, and
-    the private step's parameters, equal the tape's to the bit."""
+def test_step_over_a_ragged_last_chunk_equals_the_unchunked_step(spec):
+    """Two convs, 7 samples in chunks of 3, 3 and 1: each chunk's rows equal
+    the unchunked batch's to the bit, the private step's parameters are
+    those rows clipped and summed chunk by chunk, to the bit, and match the
+    unchunked step's."""
     params = models.init_params(spec, 11)
     rng = np.random.default_rng(11)
     xs = rng.uniform(0, 1, size=(7, 1, 8, 7))
@@ -136,25 +149,27 @@ def test_tape_free_step_equals_the_tape_over_a_ragged_last_chunk(spec):
         ys = [int(v) for v in rng.integers(0, 3, size=7)]
     else:
         ys = list(rng.normal(size=(7, 2)))
-    clip = float(np.median(np.linalg.norm(_tape_rows(spec, params, xs, ys)[1], axis=1)))
+    all_losses, all_rows = models.per_sample_loss_and_grad(spec, params, xs, ys)
+    clip = float(np.median(np.linalg.norm(all_rows, axis=1)))
     config = dpsgd.DpSgdConfig(learning_rate=0.5, epochs=1, batch_size=7, private=True,
                                clip=clip, sigma=0.7)
+    whole = dpsgd.dp_sgd_step(spec, params, list(zip(xs, ys)), config)
     with chunked(params, 3):
         result = dpsgd.dp_sgd_step(spec, params, list(zip(xs, ys)), config)
     total, losses = np.zeros(params.count), []
     for part in models.chunks(range(7), 3):
-        part_ys = [ys[i] for i in part]
-        loss, g = _tape_rows(spec, params, xs[part.start : part.stop], part_ys)
-        assert _same_bits(
-            models.per_sample_loss_and_grad(spec, params, xs[part.start : part.stop], part_ys),
-            (loss, g),
+        loss, g = models.per_sample_loss_and_grad(
+            spec, params, xs[part.start : part.stop], [ys[i] for i in part]
         )
+        rows = slice(part.start, part.stop)
+        assert _same_bits((loss, g), (all_losses[rows], all_rows[rows]))
         losses.append(loss)
         total += (g * dpsgd.clip_factor(g, clip)).sum(axis=0)
     assert len(losses[-1]) == 1
     update = (total + result.noise * (0.7 * clip)) / 7
     assert result.params.flat.tobytes() == (params.flat - 0.5 * update).tobytes()
     assert result.mean_loss == float(np.mean(np.concatenate(losses)))
+    assert_close(result.params.flat, whole.params.flat)
 
 
 _LINEAR3 = models.ModelSpec((models.Linear(3, 1),), models.MSE)
@@ -225,16 +240,29 @@ def test_plis_routes_match_per_sample(problem, sigma, clipped, expanded):
         assert got.mode == want.mode
 
 
+def _relu_inputs(spec, params, xs):
+    """The input of each relu layer, from a forward pass of the layers below it."""
+    inputs = []
+    for i, layer in enumerate(spec.layers):
+        if isinstance(layer, models.Relu):
+            if i == 0:
+                inputs.append(xs)
+                continue
+            below = models.ModelSpec(spec.layers[:i], models.MSE)
+            layout = models.layout_for(below)
+            head = models.ParamSet(params.flat[: sum(b.size for b in layout)], layout)
+            inputs.append(models._layer_records(below, head, xs)[0])
+    return inputs
+
+
 def _near_a_kink(spec, params, subjects, clip):
     """True when a relu input lies within 1e-5 of 0, or a gradient norm
     within 1e-4 relative of the clip: a finite-difference step of 1e-6
     could cross the kink there, where the PL jumps or bends."""
     xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    sample = models.attach_sample(spec, params, xs, ys)
-    relu_inputs = [node.input_data[0] for node in sample.graph.nodes if node.op == "relu"]
-    if any(np.abs(z).min() < 1e-5 for z in relu_inputs):
+    if any(np.abs(z).min() < 1e-5 for z in _relu_inputs(spec, params, xs)):
         return True
-    norms = np.linalg.norm(models.parameter_grad(sample).data, axis=1)
+    norms = np.linalg.norm(models.per_sample_loss_and_grad(spec, params, xs, ys)[1], axis=1)
     return clip is not None and bool(np.any(np.abs(norms - clip) < 1e-4 * clip))
 
 
@@ -255,6 +283,10 @@ def test_direct_plis_matches_finite_differences_of_privacy_loss(problem, sigma, 
     assume(not _near_a_kink(spec, params, subjects, clip))
     with chunked(params, size):
         reports = plis.plis_reports(spec, params, subjects, sigma, clip)
+    _assert_central_differences_of_pl(spec, params, subjects, reports, sigma, clip)
+
+
+def _assert_central_differences_of_pl(spec, params, subjects, reports, sigma, clip):
     h = 1e-6
     for report, s in zip(reports, subjects):
         steps = h * np.eye(s.x.size).reshape((s.x.size,) + s.x.shape)
@@ -267,15 +299,42 @@ def test_direct_plis_matches_finite_differences_of_privacy_loss(problem, sigma, 
         assert np.abs(report.plis.reshape(-1) - numeric).max() <= 1e-5 * scale
 
 
+@pytest.mark.parametrize("expanded", [False, True], ids=["direct", "expanded"])
+@pytest.mark.parametrize("spec, shape, y", [
+    pytest.param(models.ModelSpec((models.Tanh(), models.Linear(3, 4), models.Softplus(),
+                                   models.Linear(4, 1)), models.MSE),
+                 (3,), np.array([0.3]), id="tanh-first-mlp"),
+    pytest.param(models.ModelSpec((models.Flatten(), models.Linear(20, 1, bias=False)), models.MSE),
+                 (1, 4, 5), np.array([0.3]), id="flatten-first-linear"),
+    pytest.param(models.ModelSpec((models.Softplus(), models.Conv2d(1, 2, 2), models.Conv2d(2, 2, 2),
+                                   models.Tanh(), models.Flatten(), models.Linear(2 * 3 * 2, 3)),
+                                  models.CROSS_ENTROPY),
+                 (1, 5, 4), 2, id="softplus-first-conv-conv"),
+    pytest.param(models.ModelSpec((models.Tanh(), models.Flatten()), models.MSE),
+                 (1, 2, 3), np.zeros(6), id="no-parameters"),
+])
+def test_plis_reaches_x_through_the_layers_below_the_first_weighted_one(spec, shape, y, expanded):
+    """The walk runs past the first weighted layer down to x: through leading
+    activations and Flatten, through two convs with no activation between,
+    and for a model without parameters, whose PL and PLIS are 0."""
+    params = models.init_params(spec, 7)
+    rng = np.random.default_rng(7)
+    subjects = [plis.SubjectRecord(f"s{i}", rng.uniform(-1, 1, size=shape), y) for i in range(3)]
+    reports = plis.plis_reports(spec, params, subjects, 0.7, expanded=expanded)
+    if not params.count:
+        assert all(r.pl == 0.0 and not r.plis.any() for r in reports)
+    _assert_central_differences_of_pl(spec, params, subjects, reports, 0.7, None)
+
+
 def _jacobian_by_columns(spec, params, subject):
-    """Oracle: one graph for the subject and one backward pass per input coordinate."""
+    """Oracle: J (p x d) from one graph for the subject and one backward pass
+    per column of J^T: <g, e_k> through the gradient node gives J^T e_k, the
+    reverse half of the walk, which shares no tangent code with grad_tangents."""
     sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
-    g = models.parameter_grad(sample, create_graph=True)
-    w = sample.graph.leaf(np.ones((1, params.count)))
-    (gx,) = backward(tsum(mul(g, w)), [sample.x], create_graph=True)
-    d = subject.x.size
-    gx_flat = reshape(gx, (d,))
-    return np.stack([backward(tslice(gx_flat, (j,)), [w])[0].data[0] for j in range(d)], axis=1)
+    return np.stack([
+        backward(tsum(mul(sample.grads, Tensor(e[None]))), [sample.x])[0].data.reshape(-1)
+        for e in np.eye(params.count)
+    ])
 
 
 @settings(max_examples=30, deadline=None)
@@ -286,6 +345,21 @@ def test_input_jacobian_matches_column_loop(problem, replicas):
     with chunked(params, replicas):
         jac = plis.input_jacobian(spec, params, subject)
     assert_close(jac, _jacobian_by_columns(spec, params, subject))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.sampled_from([None, 0.7]), st.booleans())
+def test_unclipped_plis_is_two_over_sigma_squared_times_jt_g(problem, sigma, expanded):
+    """Both PLIS routes, reverse through the gradient node, against
+    (2/sigma^2) J^T g with J from the forward-mode input Jacobian."""
+    spec, params, subjects, size = problem
+    with chunked(params, size):
+        reports = plis.plis_reports(spec, params, subjects, sigma, expanded=expanded)
+    scale = 1.0 if sigma is None else 1.0 / sigma**2
+    for report, s in zip(reports, subjects):
+        g = models.per_sample_grad(spec, params, s.x, s.y).data
+        jac = plis.input_jacobian(spec, params, s)
+        assert_close(report.plis.reshape(-1), 2.0 * scale * (g @ jac))
 
 
 @settings(max_examples=30, deadline=None)
@@ -355,11 +429,10 @@ def _central_difference_jacobian(spec, params, subject, h):
 def _relu_margin(spec, params, x):
     """Smallest |pre-activation| of the first (conv or linear) layer over the
     largest |weight|: a step in x shorter than this crosses no relu kink."""
-    blocks = {b.name: Tensor(params.flat[b.offset : b.offset + b.size].reshape((1, *b.shape)))
-              for b in params.layout if b.name.startswith("0.")}
-    first = models.ModelSpec(spec.layers[:1], models.MSE)
-    pre = models.forward(first, blocks, Tensor(x[None])).data
-    return np.abs(pre).min() / np.abs(blocks["0.weight"].data).max()
+    (pre,) = _relu_inputs(spec, params, x[None])
+    weight = next(b for b in params.layout if b.name == "0.weight")
+    weights = params.flat[weight.offset : weight.offset + weight.size]
+    return np.abs(pre).min() / np.abs(weights).max()
 
 
 @pytest.mark.parametrize("make", [
@@ -452,10 +525,9 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
     gc.disable()
     try:
         sample = models.attach_sample(spec, params, subjects[0].x[None], [subjects[0].y])
-        g = models.parameter_grad(sample, create_graph=True)
         # alive, with its nodes, for as long as the caller holds the sample
         assert refs[-1]() is sample.graph and sample.graph.nodes
-        del sample, g
+        del sample
         dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
         plis.input_jacobian(spec, params, subjects[0])
         assert len(refs) == 1
@@ -472,22 +544,3 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
         assert [r() for r in refs] == [None] * len(refs)
     finally:
         gc.enable()
-
-
-@settings(max_examples=30, deadline=None)
-@given(problems(), st.booleans())
-def test_input_gradient_is_bitwise_equal_with_or_without_parameters_in_wrt(problem, create_graph):
-    """Pruning the parameter cotangents changes no bit of the input gradient,
-    first-order (of the loss) or second-order (of the squared gradient norm)."""
-    spec, params, subjects, _ = problem
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-
-    def input_grads(with_params):
-        sample = models.attach_sample(spec, params, xs, ys)
-        wrt = [sample.x] + (sample.params if with_params else [])
-        (first, *_) = backward(sample.loss, wrt, create_graph=create_graph)
-        g = models.parameter_grad(sample, create_graph=True)
-        (second, *_) = backward(tsum(mul(g, g)), wrt, create_graph=create_graph)
-        return first.data.tobytes(), second.data.tobytes()
-
-    assert input_grads(False) == input_grads(True)

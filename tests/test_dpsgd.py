@@ -8,8 +8,9 @@ from plislab.autodiff import (
     Graph,
     Tensor,
     backward,
+    broadcast,
     finite_diff_check,
-    linear,
+    mul,
     reshape,
     square,
     tsum,
@@ -113,7 +114,7 @@ class TestClipDifferentiable:
         def clipped_norm_sq(t):
             if t.graph is None:
                 t = Graph().leaf(t.data)
-            g = reshape(linear(Tensor(a[None]), reshape(t, (1, 3))), (4,))
+            g = tsum(mul(Tensor(a), broadcast(reshape(t, (1, 3)), (4, 3))), axes=1)
             return tsum(square(dpsgd.clip_differentiable(g, 1.0)))
 
         x = scale * rng.normal(size=3)

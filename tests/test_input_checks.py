@@ -32,6 +32,9 @@ _HUGE = [plis.SubjectRecord("ok", np.array([1.0]), np.array([1.0])),
          plis.SubjectRecord("huge", np.array([1e154]), np.array([1.0]))]
 
 
+_TABULAR = plis.SubjectRecord("s", np.zeros(3), np.zeros(1))
+
+
 def _zero_weight():
     return models.ParamSet(np.zeros(1), models.layout_for(_ONE_WEIGHT))
 
@@ -150,6 +153,13 @@ CASES = [
          lambda: models.grad_tangents(_LINEAR, models.init_params(_LINEAR, 0), np.zeros(3),
                                       np.zeros(1), np.zeros((2, 4))),
          ShapeError, r"directions of shape \(2, 4\) do not fit an input of shape \(3,\)"),
+    case("fim-without-sigma",
+         lambda: plis.fim_subject(_LINEAR, models.init_params(_LINEAR, 0), _TABULAR, sigma=None),
+         ConfigError, "sigma must be finite and positive, got None"),
+    case("plis-infinite-sigma",
+         lambda: plis.plis_reports(_LINEAR, models.init_params(_LINEAR, 0), [_TABULAR],
+                                   sigma=np.inf),
+         ConfigError, "sigma must be finite and positive, got inf"),
     case("rank-no-subjects",
          lambda: plis.rank_subjects([], _LINEAR, models.init_params(_LINEAR, 0)),
          ConfigError, "empty dataset"),

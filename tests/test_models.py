@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plislab import cli, datasets, models
-from plislab.autodiff import backward, finite_diff_check, Graph, mul, reshape, tsum, square
+from plislab.autodiff import Tensor, backward, mul, tsum, square
 from plislab.errors import DataFormatError, ShapeError
 
 LINEAR_NO_BIAS = models.ModelSpec((models.Linear(2, 1, bias=False),), models.MSE)
@@ -57,29 +57,28 @@ class TestParamSetLayout:
 class TestPerSampleLoss:
     def test_linear_mse_closed_form(self):
         spec, params = _linear_params([1.0, 2.0])
-        loss = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0]).loss
-        assert loss.item() == pytest.approx(9.0, abs=1e-12)
+        (loss,) = models.per_sample_loss_and_grad(spec, params, [[1.0, 1.0]], [0.0])[0]
+        assert loss == pytest.approx(9.0, abs=1e-12)
 
     def test_exact_fit_gives_zero(self):
         spec = models.ModelSpec((models.Linear(3, 2),), models.MSE)
         params = models.init_params(spec, 5)
         x = np.array([0.3, -0.2, 0.9])
-        sample = models.attach_sample(spec, params, x[None], [np.zeros(2)])
-        y = sample.prediction.data[0]
-        loss = models.attach_sample(spec, params, [x], [y]).loss
-        assert loss.item() == 0.0
+        y = models._layer_records(spec, params, x[None])[0][0]
+        (loss,) = models.per_sample_loss_and_grad(spec, params, [x], [y])[0]
+        assert loss == 0.0
 
     def test_cross_entropy_uniform_logits_is_ln_k(self):
         spec = models.ModelSpec((models.Linear(4, 10, bias=False),), models.CROSS_ENTROPY)
         layout = models.layout_for(spec)
         params = models.ParamSet(np.zeros(40), layout)
-        loss = models.attach_sample(spec, params, [np.ones(4)], [3]).loss
-        assert loss.item() == pytest.approx(np.log(10.0), rel=1e-12)
+        (loss,) = models.per_sample_loss_and_grad(spec, params, [np.ones(4)], [3])[0]
+        assert loss == pytest.approx(np.log(10.0), rel=1e-12)
 
     def test_shape_mismatch_raises(self):
         spec, params = _linear_params([1.0, 2.0])
         with pytest.raises(ShapeError):
-            models.attach_sample(spec, params, [[1.0, 1.0, 1.0]], [0.0]).loss
+            models.attach_sample(spec, params, [[1.0, 1.0, 1.0]], [0.0])
 
 
 class TestPerSampleGrad:
@@ -104,7 +103,7 @@ class TestPerSampleGrad:
 
         def loss_of_theta(theta):
             trial = params.with_flat(theta)
-            return float(models.attach_sample(spec, trial, [x], [y]).loss.data.reshape(()))
+            return float(models.per_sample_loss_and_grad(spec, trial, [x], [y])[0][0])
 
         h = 1e-5
         fd = np.zeros_like(g)
@@ -130,8 +129,7 @@ class TestPerSampleGrad:
     def test_create_graph_gradient_is_redifferentiable(self):
         spec, params = _linear_params([1.0, 2.0])
         sample = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0])
-        g = models.parameter_grad(sample, create_graph=True)
-        norm_sq = tsum(square(g))
+        norm_sq = tsum(square(sample.grads))
         (gx,) = backward(norm_sq, [sample.x])
         # d/dx 4 r^2 ||x||^2 = 8 r w ||x||^2 + 8 r^2 x, r = 3
         np.testing.assert_allclose(gx.data, [[120.0, 168.0]], rtol=1e-12)
@@ -145,82 +143,81 @@ def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
     rng = np.random.default_rng(0)
     xs = rng.normal(size=(6, 3))
     ys = rng.normal(size=(6, 2))
-    # one graph for the batch: the shared parameters' gradient of the mean
-    # loss is the sum of the tiled parameter rows' gradients
-    sample = models.attach_sample(spec, params, xs, ys)
-    grads = backward(mul(sample.loss, 1.0 / len(xs)), sample.params)
-    gb = np.concatenate([g.data.reshape(len(xs), -1).sum(axis=0) for g in grads])
+    # one batch: the mean of its rows against one sample at a time, and
+    # against central differences of the batch's mean loss in theta
+    gb = models.per_sample_loss_and_grad(spec, params, xs, ys)[1].mean(axis=0)
     per = np.mean(
         [models.per_sample_grad(spec, params, x, y).data for x, y in zip(xs, ys)], axis=0
     )
     rel = np.abs(gb - per) / (np.abs(per) + 1e-15)
     assert rel.max() < 1e-10
 
+    def mean_loss(theta):
+        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), xs, ys)[0].mean()
+
+    h = 1e-6
+    fd = np.array([
+        (mean_loss(params.flat + h * e) - mean_loss(params.flat - h * e)) / (2 * h)
+        for e in np.eye(params.count)
+    ])
+    assert np.abs(gb - fd).max() <= 1e-7 * np.abs(fd).max()
+
 
 def test_input_is_registered_as_differentiable_leaf():
+    """attach_sample's input is the graph's leaf: a backward pass of <g, c>
+    through the gradient node to it matches central differences of <g(x), c>."""
     spec = models.ModelSpec(
         (models.Linear(2, 3), models.Relu(), models.Linear(3, 1)), models.MSE
     )
     params = models.init_params(spec, 1)
     x = np.array([0.5, -0.4])
+    c = np.random.default_rng(1).normal(size=params.count)
+    sample = models.attach_sample(spec, params, x[None], [np.array([0.2])])
+    assert sample.graph.nodes[sample.x.node_id].op == "leaf"
+    (gx,) = backward(tsum(mul(sample.grads, Tensor(c[None]))), [sample.x])
 
-    def loss_of_x(t):
-        if t.graph is None:
-            t = Graph().leaf(t.data)
-        blocks = {
-            b.name: t.graph.leaf(params.flat[b.offset : b.offset + b.size].reshape((1,) + b.shape))
-            for b in params.layout
-        }
-        pred = models.forward(spec, blocks, reshape(t, (1, 2)))
-        return tsum(models._loss_tensor(spec, pred, [np.array([0.2])]))
+    def dot(xv):
+        return models.per_sample_grad(spec, params, xv, np.array([0.2])).data @ c
 
-    assert finite_diff_check(loss_of_x, x) < 1e-5
+    h = 1e-6
+    fd = np.array([(dot(x + h * e) - dot(x - h * e)) / (2 * h) for e in np.eye(2)])
+    rel = np.abs(gx.data[0] - fd) / (np.abs(fd) + 1e-12)
+    assert rel.max() < 1e-5
 
 
-def test_cli_cnn_records_one_node_per_layer_op():
-    """Tape-size guard on the CLI's CNN at 28x28: 7 leaves plus one node per
-    conv, bias, relu, flatten, linear, loss and sum, and at most 20 nodes
-    for the create-graph parameter gradient that PLIS and the attack
-    differentiate again."""
-    data = datasets.make_glyph_images(2, 0)
-    spec = models.cnn_spec(28, 28, 2)
-    assert cli._build_spec("cnn", data) == spec
+@pytest.mark.parametrize("arch", ["cnn", "mlp", "linear"])
+def test_cli_models_attach_the_input_and_one_gradient_node(arch):
+    """Tape-size guard on the CLI's models: attach_sample records the input
+    leaf and one node for the (B, p) gradient rows, whatever the layers."""
+    if arch == "cnn":
+        data = datasets.make_glyph_images(2, 0)
+        spec = models.cnn_spec(28, 28, 2)
+        assert cli._build_spec("cnn", data) == spec
+        subject = datasets.image_subjects(data)[0]
+    else:
+        data = datasets.make_regression(4, 16, (9,), 0.1, 0)
+        spec = cli._build_spec(arch, (data.X, data.y))
+        subject = datasets.tabular_subjects(data.X, data.y)[0]
     params = models.init_params(spec, 0)
-    subject = datasets.image_subjects(data)[0]
     sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
-    forward = len(sample.graph.nodes)
-    models.parameter_grad(sample, create_graph=True)
-    assert forward <= 18
-    assert len(sample.graph.nodes) - forward <= 20
-
-
-@pytest.mark.parametrize("arch, forward_max, gradient_max", [("mlp", 12, 11), ("linear", 5, 5)])
-def test_cli_tabular_models_record_one_node_per_layer_op(arch, forward_max, gradient_max):
-    """Tape-size guard on the CLI's tabular models at 16 features: one node
-    per leaf, layer op, loss and sum (the MSE loss is one node), and for the
-    MLP at most 11 nodes for the create-graph parameter gradient, which
-    joins its blocks in one concat node."""
-    data = datasets.make_regression(4, 16, (9,), 0.1, 0)
-    spec = cli._build_spec(arch, (data.X, data.y))
-    params = models.init_params(spec, 0)
-    subject = datasets.tabular_subjects(data.X, data.y)[0]
-    sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
-    forward = len(sample.graph.nodes)
-    models.parameter_grad(sample, create_graph=True)
-    assert forward <= forward_max
-    assert len(sample.graph.nodes) - forward <= gradient_max
+    assert [node.op for node in sample.graph.nodes] == ["leaf", "per-sample-grad"]
+    assert sample.grads.shape == (1, params.count)
 
 
 def test_attach_sample_tiles_parameters_as_read_only_views():
+    """attach_sample's forward pass, _layer_records, reads each weight block
+    through a read-only (B, *block shape) view of the flat parameters."""
     spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
     params = models.init_params(spec, 4)
-    sample = models.attach_sample(spec, params, np.ones((5, 3)), [np.zeros(1)] * 5)
-    for block, leaf in zip(params.layout, sample.params):
+    _, records = models._layer_records(spec, params, np.ones((5, 3)))
+    weights = [records[0][0], records[2][0]]
+    blocks = [b for b in params.layout if b.name.endswith(".weight")]
+    for block, view in zip(blocks, weights, strict=True):
         expected = params.flat[block.offset : block.offset + block.size].reshape(block.shape)
-        assert leaf.shape == (5,) + block.shape
-        assert leaf.data.strides[0] == 0 and not leaf.data.flags.writeable
-        assert np.shares_memory(leaf.data, params.flat)
-        for row in leaf.data:
+        assert view.shape == (5,) + block.shape
+        assert view.strides[0] == 0 and not view.flags.writeable
+        assert np.shares_memory(view, params.flat)
+        for row in view:
             np.testing.assert_array_equal(row, expected)
 
 

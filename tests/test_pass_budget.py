@@ -1,11 +1,13 @@
 """Reverse passes per chunk, counted rather than timed.
 
 Each batched route has a fixed number of backward passes per chunk of
-models.chunk_size() samples: PLIS two, a DP-SGD step none (its per-sample
-gradients are tape-free), the input Jacobian none (it is forward-mode and
-tape-free, one call per chunk of input directions).  The counts come from
-wrappers on autodiff.backward (which models.parameter_grad looks up at
-call time) and on the names plis imports, so they hold on any machine.
+models.chunk_size() samples: PLIS one on every route (it reaches the
+gradient node, whose rule is tape-free), a DP-SGD step none (its
+per-sample gradients are tape-free), the input Jacobian none (it is
+forward-mode and tape-free, one call per chunk of input directions).  The
+attack objective takes one per call.  The counts come from wrappers on
+autodiff.backward and on the names plis and attack import, so they hold
+on any machine.
 """
 
 import math
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from plislab import autodiff, dpsgd, models, plis
+from plislab import attack, autodiff, dpsgd, models, plis
 
 _CNN = models.ModelSpec(
     (models.Conv2d(1, 2, 3), models.Relu(), models.Flatten(), models.Linear(2 * 4 * 4, 2)),
@@ -26,16 +28,16 @@ _MLP = models.ModelSpec(
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The create_graph flag of every backward pass, in call order."""
+    """The node count of the graph each backward pass runs over, in call order."""
     calls = []
     original = autodiff.backward
 
-    def counted(output, wrt, create_graph=False):
-        calls.append(create_graph)
-        return original(output, wrt, create_graph=create_graph)
+    def counted(output, wrt):
+        calls.append(len(output.graph.nodes))
+        return original(output, wrt)
 
-    monkeypatch.setattr(autodiff, "backward", counted)
-    monkeypatch.setattr(plis, "backward", counted)
+    for module in (autodiff, plis, attack):
+        monkeypatch.setattr(module, "backward", counted)
     return calls
 
 
@@ -75,11 +77,23 @@ def test_input_jacobian_takes_no_tape_pass(monkeypatch, passes, spec, size):
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
 @pytest.mark.parametrize("expanded", [False, True], ids=["direct", "expanded"])
 @pytest.mark.parametrize("clip", [None, 0.5])
-def test_plis_reports_take_two_passes_per_chunk(monkeypatch, passes, spec, expanded, clip):
+def test_plis_reports_take_one_pass_per_chunk(monkeypatch, passes, spec, expanded, clip):
     params = models.init_params(spec, 2)
     _chunk(monkeypatch, params, 3)
     plis.plis_reports(spec, params, _subjects(spec, 7), sigma=1.5, clip=clip, expanded=expanded)
-    assert len(passes) <= 2 * 3
+    assert len(passes) == 3
+
+
+@pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
+def test_attack_objective_takes_one_pass_per_call(passes, spec):
+    params = models.init_params(spec, 4)
+    subject = _subjects(spec, 1)[0]
+    observed = models.per_sample_grad(spec, params, subject.x, subject.y).data[::-1].copy()
+    config = attack.AttackConfig(tv_weight=0.05 if spec is _CNN else 0.0)
+    for _ in range(2):
+        attack._objective(spec, params, subject.x, subject.y, observed, config)
+    # the input leaf, the gradient node and <g, c> (+ <x, t> on an image)
+    assert passes == ([7, 7] if spec is _CNN else [4, 4])
 
 
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
