@@ -33,9 +33,11 @@ and its tangent walk forward-mode, a batch of tangents through kernels
 that are each linear in their tangent operand, for J times input
 directions (the input Jacobian) and for J^T c (PLIS and the attack).
 Patches are laid out by slicing alone: _im2col copies a strided
-(B, C, k, k, oh, ow) view of the image, and its adjoint _col2im adds each
-(ki, kj) slice of the patches back onto the same window of the image, so
-no index table holds the layout.
+(B, C, k, k, oh, ow) view of the image for the forward product and the
+kernel adjoint.  The input adjoint builds no patch matrix: it lays the
+output cotangent out on the image grid, where each kernel offset is one
+flat shift, and runs one GEMM and one contiguous add per offset.  No
+index table holds either layout.
 
 Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
@@ -363,20 +365,6 @@ def _im2col(images: Array, k: int) -> Array:
     return view.reshape(b, c * k * k, oh * ow)
 
 
-def _col2im(cols: Array, image_shape: tuple, k: int) -> Array:
-    """Adjoint of _im2col: scatter-add patch matrices back into (B,C,H,W) images."""
-    b, c, h, w = image_shape
-    oh, ow = h - k + 1, w - k + 1
-    # the same (c, ki, kj) slicing as _im2col's view, one strided add per
-    # kernel offset, so every pixel sums its patches in (ki, kj) order
-    patches = cols.reshape(b, c, k, k, oh, ow)
-    img = np.zeros((b, c, h, w))
-    for ki in range(k):
-        for kj in range(k):
-            img[:, :, ki : ki + oh, kj : kj + ow] += patches[:, :, ki, kj]
-    return img
-
-
 def _bias_add_np(h: Array, b: Array) -> Array:
     return h + b.reshape(b.shape + (1,) * (h.ndim - 2))
 
@@ -410,17 +398,47 @@ def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple) -> Array:
     return np.matmul(kernel.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
 
 
-def _conv2d_input_patches_np(g: Array, kernel: Array) -> Array:
-    """The (B, C*k*k, oh*ow) patch matrices of the input adjoint, before _col2im."""
-    b, o = kernel.shape[:2]
-    return np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
-
-
 def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
-    """Gradient of <g, conv> in the (B,C,oh+k-1,ow+k-1) images, from (B,O,oh,ow) g."""
-    b, _, c, k = kernel.shape[:4]
+    """Gradient of <g, conv> in the (B,C,oh+k-1,ow+k-1) images, from (B,O,oh,ow) g.
+
+    g is laid out on the (H, W) image grid, zero past its (oh, ow) corner,
+    so that kernel offset (ki, kj) moves every pixel by one flat shift
+    ki*W + kj.  Per offset, one GEMM of the offset's (C, O) kernel slice
+    with the laid-out g, then one contiguous add of the product, shifted,
+    onto the image: each pixel sums its terms in (ki, kj) order, and the
+    zero entries add only zeros.  At C = 1 one GEMM takes all k*k offsets
+    as its rows: a product of one row would be a BLAS call (gemv, which
+    sums in another order) per offset.  A kernel shared by the batch (batch
+    stride 0, as the models tile it) sets the B grids side by side,
+    channel-major, for one 2-D GEMM over all B*H*W columns; per-row kernels
+    take one batched GEMM.
+    """
+    b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
-    return _col2im(_conv2d_input_patches_np(g, kernel), (b, c, oh + k - 1, ow + k - 1), k)
+    h, w = oh + k - 1, ow + k - 1
+    shared = kernel.strides[0] == 0
+    lead = 1 if shared else b
+    grid = np.zeros((o, b, h, w) if shared else (b, o, h, w))
+    grid[..., :oh, :ow] = g.swapaxes(0, 1) if shared else g
+    grid = grid.reshape(lead, o, -1)
+    per = k * k if c == 1 else 1  # offsets per GEMM
+    # (k*k/per, lead, O, per*C) kernel slices, taken into the GEMM transposed
+    # as by the tests' patch-GEMM reference: a small untransposed product may
+    # go to a BLAS kernel that sums an entry's O terms in another order
+    slices = kernel[:lead].reshape(lead, o, c, k * k // per, per).transpose(3, 0, 1, 4, 2)
+    slices = np.ascontiguousarray(slices).reshape(-1, lead, o, per * c).swapaxes(2, 3)
+    n = grid.shape[2] - (k - 1) * (w + 1)
+    columns = grid[:, :, :n]
+    product = np.empty((lead, per * c, n))
+    img = np.zeros((lead, c, grid.shape[2]))
+    for i in range(k * k):
+        if i % per == 0:
+            np.matmul(slices[i // per], columns, out=product)
+        j, s = i % per, (i // k) * w + i % k
+        img[:, :, s : s + n] += product[:, j * c : (j + 1) * c]
+    if shared:
+        return np.ascontiguousarray(img.reshape(c, b, h, w).swapaxes(0, 1))
+    return img.reshape(b, c, h, w)
 
 
 def _conv2d_kernel_adjoint_np(g: Array, cols: Array) -> Array:

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plislab import autodiff as ad, dpsgd, models
+from plislab import autodiff as ad, datasets, dpsgd, models, plis
 from plislab.errors import GraphError, ShapeError
 
 
@@ -176,6 +176,8 @@ def _max_rel_error(f, x, analytic, h=1e-5):
 
 
 def test_conv_ops_gradients_match_finite_differences():
+    """Per-row kernels, and one kernel tiled over the batch (batch stride 0,
+    as the models tile it), which the input adjoint lays out channel-major."""
     rng = np.random.default_rng(12)
     kernel = rng.normal(size=(2, 2, 1, 3, 3))
     x = rng.normal(size=(2, 1, 6, 6))
@@ -184,6 +186,20 @@ def test_conv_ops_gradients_match_finite_differences():
     in_kernel = ad._conv2d_kernel_adjoint_np(r, ad._im2col(x, 3)).reshape(kernel.shape)
     assert _max_rel_error(lambda t: np.square(_conv(t, kernel)).sum(), x, in_x) < 1e-5
     assert _max_rel_error(lambda t: np.square(_conv(x, t)).sum(), kernel, in_kernel) < 1e-5
+
+    x = rng.normal(size=(3, 2, 6, 5))
+    shared = rng.normal(size=(2, 2, 3, 3))
+
+    def tiled(t):
+        return np.broadcast_to(t, (3, *t.shape))
+
+    assert tiled(shared).strides[0] == 0
+    r = 2.0 * _conv(x, tiled(shared))
+    in_x = ad._conv2d_input_adjoint_np(r, tiled(shared))
+    # the gradient in the shared kernel is the sum of the rows' gradients
+    in_kernel = ad._conv2d_kernel_adjoint_np(r, ad._im2col(x, 3)).sum(axis=0).reshape(shared.shape)
+    assert _max_rel_error(lambda t: np.square(_conv(t, tiled(shared))).sum(), x, in_x) < 1e-5
+    assert _max_rel_error(lambda t: np.square(_conv(x, tiled(t))).sum(), shared, in_kernel) < 1e-5
 
 
 def test_plain_backward_records_nothing():
@@ -337,18 +353,82 @@ def test_conv2d_kernel_too_large_is_shape_error():
             models.output_shape(spec, shape)
 
 
-def test_col2im_matches_bincount_scatter_bitwise():
-    """The strided adds sum each pixel's patches in _im2col's (ki, kj) order."""
+def _patch_gemm_input_adjoint(g, kernel):
+    """The conv input adjoint by the patch GEMM: the (B, C*k*k, oh*ow) products
+    of the transposed kernels with g, each summed into the pixel that
+    _patch_indices names, by a bincount that visits them in (c, ki, kj) order."""
+    b, o, c, k = kernel.shape[:4]
+    oh, ow = g.shape[2:]
+    h, w = oh + k - 1, ow + k - 1
+    cols = np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
+    where = _patch_indices(c, h, w, k) + c * h * w * np.arange(b)[:, None, None]
+    img = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * h * w)
+    return img.reshape(b, c, h, w)
+
+
+def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
+    """One GEMM per kernel offset on the image grid gives the patch GEMM's
+    products, summed in its (ki, kj) order, for shared and per-row kernels.
+    Where the patch GEMM itself has one row (C = k = 1), BLAS sums it in
+    another order, and the two agree to 1e-15 of the largest entry."""
     rng = np.random.default_rng(43)
-    for b, c, h, w, k in [(2, 3, 6, 5, 3), (1, 1, 4, 4, 2), (3, 2, 5, 7, 3)]:
-        oh, ow = h - k + 1, w - k + 1
-        cols = rng.normal(size=(b, c * k * k, oh * ow))
-        cols[rng.random(cols.shape) < 0.2] = -0.0
-        idx = _patch_indices(c, h, w, k)
-        where = idx + c * h * w * np.arange(b)[:, None, None]
-        ref = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * h * w)
-        got = ad._col2im(cols, (b, c, h, w), k)
-        assert got.tobytes() == ref.tobytes()
+    shapes = [  # (B, O, C, k, H, W)
+        (6, 16, 8, 3, 26, 26), (1, 16, 8, 3, 26, 26), (3, 2, 3, 3, 6, 5), (2, 3, 2, 2, 5, 4),
+        (2, 3, 2, 1, 5, 4), (3, 4, 1, 3, 7, 6), (6, 16, 1, 3, 28, 28), (2, 3, 1, 1, 5, 4),
+    ]
+    for b, o, c, k, h, w in shapes:
+        g = rng.normal(size=(b, o, h - k + 1, w - k + 1))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[0, :, 0] = -0.0  # the top row of image 0 gets zero terms only
+        shared = np.broadcast_to(rng.normal(size=(o, c, k, k)), (b, o, c, k, k))
+        for kernel in (shared, rng.normal(size=(b, o, c, k, k))):
+            ref = _patch_gemm_input_adjoint(g, kernel)
+            got = ad._conv2d_input_adjoint_np(g, kernel)
+            assert got.shape == ref.shape and got.flags.c_contiguous
+            if c * k * k > 1:
+                assert got.tobytes() == ref.tobytes()
+            else:
+                assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _conv_routes(spec, params, subjects, step_config):
+    """What the conv input adjoint feeds: per_sample_loss_and_grad's losses and
+    rows, one dp_sgd_step's parameters, PLIS (clipped, by both routes) and
+    grad_tangents along two input directions."""
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+    directions = np.random.default_rng(47).normal(size=(2, *xs.shape[1:]))
+    batch = [(s.x, s.y) for s in subjects]
+    out = list(models.per_sample_loss_and_grad(spec, params, xs, ys))
+    out.append(dpsgd.dp_sgd_step(spec, params, batch, step_config, step_index=2).params.flat)
+    for expanded in (False, True):
+        reports = plis.plis_reports(spec, params, subjects, 1.5, 0.5, expanded)
+        out.extend(r.plis for r in reports)
+    out.append(models.grad_tangents(spec, params, xs[0], ys[0], directions))
+    return [a.tobytes() for a in out]
+
+
+@pytest.mark.parametrize("arch", ["cnn", "softplus"])
+def test_conv_routes_match_the_patch_gemm_bitwise(monkeypatch, arch):
+    """Every route through a conv input adjoint gives the bits it gives with
+    the patch GEMM and scatter in its place: the first-order rows and a DP-SGD
+    step, and the tangent walk's stacked [W, W'] products."""
+    images = datasets.make_glyph_images(6, 4, 28, 28)
+    if arch == "cnn":
+        spec = models.cnn_spec(28, 28, images.classes)
+    else:
+        spec = models.ModelSpec(
+            (models.Conv2d(1, 3, 3), models.Softplus(), models.Conv2d(3, 4, 2), models.Softplus(),
+             models.Flatten(), models.Linear(4 * 25 * 25, images.classes)),
+            models.CROSS_ENTROPY,
+        )
+    params = models.init_params(spec, 3)
+    subjects = datasets.image_subjects(images)
+    config = dpsgd.DpSgdConfig(
+        learning_rate=0.1, epochs=1, batch_size=6, seed=5, private=True, clip=0.5, sigma=0.3
+    )
+    got = _conv_routes(spec, params, subjects, config)
+    monkeypatch.setattr(ad, "_conv2d_input_adjoint_np", _patch_gemm_input_adjoint)
+    assert got == _conv_routes(spec, params, subjects, config)
 
 
 def test_linear_weight_adjoint_matches_blas_bitwise():
