@@ -410,8 +410,11 @@ def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
     as its rows: a product of one row would be a BLAS call (gemv, which
     sums in another order) per offset.  A kernel shared by the batch (batch
     stride 0, as the models tile it) sets the B grids side by side,
-    channel-major, for one 2-D GEMM over all B*H*W columns; per-row kernels
-    take one batched GEMM.
+    channel-major, for one 2-D GEMM over all B*H*W columns.  Inside the
+    CNN's training steps (chunks of 6, one BLAS thread, a 2-vCPU x86-64
+    VM) such a call took 0.6 ms, against 0.8 ms for the batched GEMM; one
+    input timed again and again reads the other way.  Per-row kernels take
+    one batched GEMM.
     """
     b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
