@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .autodiff import Tensor, add, backward, mul, tsum
+from .autodiff import Tensor, _embed, add, backward, mul, tsum
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
 from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad
@@ -154,12 +154,6 @@ def _match(
     c *= s_bar
     c += np.multiply(obs, dot_bar, out=work)
     return 1.0 - dot / denom, c
-
-
-def _embed(values: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
-    out = np.zeros(shape)
-    out[index] = values
-    return out
 
 
 def _smoothed_tv(

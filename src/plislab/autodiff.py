@@ -45,14 +45,12 @@ row when given axes.  Row i of every tensor above the model node depends
 only on sample i, so one backward pass of a sum over rows returns each
 sample's gradient in its own row.
 
-A backward pass does only the work its wrt list needs.  One forward
-sweep over the ids from the lowest wrt node to the output marks the
-nodes that depend on a wrt tensor; the reverse loop visits only those,
-stops at the lowest wrt id, and asks each rule for cotangents of its
-needed inputs only.  Rules are written with the ops themselves; the pass
-hands them detached inputs, so they record nothing and return plain
-constants.  A node's cotangent is dropped as soon as its rule has run;
-only the wrt tensors' cotangents live to the end.
+Rules are numpy: a node's rule maps its cotangent array and its input
+arrays to the input cotangent arrays, by the arithmetic the ops would
+record for them, and calls no op, so a backward pass records nothing.
+One reverse sweep visits the ids from the output down to the lowest wrt
+id; a node's cotangent is dropped as soon as its rule has run, and only
+the wrt tensors' cotangents live to the end, wrapped as tensors.
 """
 
 from __future__ import annotations
@@ -75,11 +73,11 @@ class Node:
     """One recorded operation: kind, inputs and a backward rule.
 
     Each input is kept as its node id (None for a detached constant) and
-    its data array.  backward() rebuilds the input tensors and calls
-    rule(grad, need, *inputs), where need[i] says whether input i needs
-    a cotangent; the rule returns one cotangent per input, None where
-    need[i] is false.  backward() calls a rule only when some input
-    needs a cotangent, so single-input rules ignore need.
+    its data array.  backward() calls rule(grad, need, *input_data) on
+    arrays, where need[i] says whether input i is attached; the rule
+    returns one cotangent array per input, None where need[i] is false.
+    Leaves have no rule, and a node with a rule has an attached input, so
+    single-input rules ignore need.
     """
 
     __slots__ = ("op", "input_ids", "input_data", "rule")
@@ -189,7 +187,7 @@ def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair("add", a, b)
 
-    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
+    def rule(grad: Array, need, a: Array, b: Array):
         return (grad if need[0] else None, grad if need[1] else None)
 
     return _record("add", a.data + b.data, (a, b), rule)
@@ -198,8 +196,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair("sub", a, b)
 
-    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
-        return (grad if need[0] else None, mul(grad, -1.0) if need[1] else None)
+    def rule(grad: Array, need, a: Array, b: Array):
+        return (grad if need[0] else None, grad * -1.0 if need[1] else None)
 
     return _record("sub", a.data - b.data, (a, b), rule)
 
@@ -207,8 +205,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair("mul", a, b)
 
-    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
-        return (mul(grad, b) if need[0] else None, mul(grad, a) if need[1] else None)
+    def rule(grad: Array, need, a: Array, b: Array):
+        return (grad * b if need[0] else None, grad * a if need[1] else None)
 
     return _record("mul", a.data * b.data, (a, b), rule)
 
@@ -216,10 +214,8 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair("div", a, b)
 
-    def rule(grad: Tensor, need, a: Tensor, b: Tensor):
-        ga = div(grad, b) if need[0] else None
-        gb = mul(div(mul(grad, a), square(b)), -1.0) if need[1] else None
-        return (ga, gb)
+    def rule(grad: Array, need, a: Array, b: Array):
+        return (grad / b if need[0] else None, grad * a / (b * b) * -1.0 if need[1] else None)
 
     return _record("div", a.data / b.data, (a, b), rule)
 
@@ -227,8 +223,8 @@ def div(a, b) -> Tensor:
 def square(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (mul(grad, mul(a, 2.0)),)
+    def rule(grad: Array, need, a: Array):
+        return (grad * (a * 2.0),)
 
     return _record("square", a.data * a.data, (a,), rule)
 
@@ -236,8 +232,8 @@ def square(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (div(grad, mul(sqrt(a), 2.0)),)
+    def rule(grad: Array, need, a: Array):
+        return (grad / (np.sqrt(a) * 2.0),)
 
     return _record("sqrt", np.sqrt(a.data), (a,), rule)
 
@@ -247,9 +243,9 @@ def max_scalar(a, c: float) -> Tensor:
     a = _tensor(a)
     c = float(c)
 
-    def rule(grad: Tensor, need, a: Tensor):
+    def rule(grad: Array, need, a: Array):
         # at a == c the constant branch wins (derivative 0)
-        return (mul(grad, Tensor(a.data > c)),)
+        return (grad * (a > c),)
 
     return _record("max-with-scalar", np.maximum(a.data, c), (a,), rule)
 
@@ -267,6 +263,13 @@ def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
     return tuple(sorted(ax % ndim for ax in axes))
 
 
+def _expand(a: Array, shape: tuple) -> Array:
+    """A new array of the given shape holding a broadcast to it."""
+    out = np.empty(shape)
+    out[...] = a
+    return out
+
+
 def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     """Sum over the given axes (all axes by default)."""
     a = _tensor(a)
@@ -274,8 +277,8 @@ def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=ax if ax else None, keepdims=keepdims)
     kept = tuple(1 if i in ax else s for i, s in enumerate(a.shape))
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (broadcast(reshape(grad, kept), a.shape),)
+    def rule(grad: Array, need, a: Array):
+        return (_expand(grad.reshape(kept), a.shape),)
 
     return _record("sum", out, (a,), rule)
 
@@ -285,8 +288,8 @@ def tmean(a) -> Tensor:
     a = _tensor(a)
     n = a.size
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (broadcast(mul(grad, 1.0 / n), a.shape),)
+    def rule(grad: Array, need, a: Array):
+        return (_expand(grad * (1.0 / n), a.shape),)
 
     return _record("mean", np.asarray(a.data.mean()), (a,), rule)
 
@@ -301,12 +304,10 @@ def broadcast(a, shape: tuple) -> Tensor:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}")
     expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (reshape(tsum(grad, axes=expanded, keepdims=True) if expanded else grad, a.shape),)
+    def rule(grad: Array, need, a: Array):
+        return ((grad.sum(axis=expanded, keepdims=True) if expanded else grad).reshape(a.shape),)
 
-    out = np.empty(shape)
-    out[...] = a.data
-    return _record("broadcast", out, (a,), rule)
+    return _record("broadcast", _expand(a.data, shape), (a,), rule)
 
 
 def reshape(a, shape) -> Tensor:
@@ -315,8 +316,8 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (reshape(grad, a.shape),)
+    def rule(grad: Array, need, a: Array):
+        return (grad.reshape(a.shape),)
 
     return _record("reshape", a.data.reshape(shape), (a,), rule)
 
@@ -326,22 +327,26 @@ def tslice(a, index: tuple) -> Tensor:
     at most once, by a tuple index; the adjoint is embed()."""
     a = _tensor(a)
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (embed(grad, a.shape, index),)
+    def rule(grad: Array, need, a: Array):
+        return (_embed(grad, a.shape, index),)
 
     return _record("slice", np.array(a.data[index]), (a,), rule)
+
+
+def _embed(a: Array, shape: tuple, index: tuple) -> Array:
+    out = np.zeros(shape)
+    out[index] = a
+    return out
 
 
 def embed(a, shape: tuple, index: tuple) -> Tensor:
     """Place a into a zero tensor of the given shape at the given tuple index."""
     a = _tensor(a)
-    out = np.zeros(shape)
-    out[index] = a.data
 
-    def rule(grad: Tensor, need, a: Tensor):
-        return (tslice(grad, index),)
+    def rule(grad: Array, need, a: Array):
+        return (np.array(grad[index]),)
 
-    return _record("embed", out, (a,), rule)
+    return _record("embed", _embed(a.data, shape, index), (a,), rule)
 
 
 # --------------------------------------------------------------------------
@@ -534,13 +539,10 @@ def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
     """Gradients of the scalar output with respect to each tensor in wrt, as
     detached constants.  A non-scalar output is a GraphError.
 
-    The pass visits only nodes between the lowest wrt id and the output
-    that depend on a wrt tensor, and computes cotangents only for those
-    nodes.  Each is freed once its rule has run, except the wrt tensors'
-    own, which are returned.  A wrt tensor may be any node, the output
-    included; one the output does not depend on gets zeros.  Values are
-    bit-identical to a pass over every node: pruned contributions never
-    reach a needed node, and the rest accumulate in the same order.
+    One reverse sweep over arrays, from the output down to the lowest wrt
+    id, hands each node's cotangent to its rule and frees it, except the
+    wrt tensors' own, which are returned.  A wrt tensor may be any node,
+    the output included; one the output does not depend on gets zeros.
     """
     graph = output.graph
     if graph is None:
@@ -551,48 +553,19 @@ def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
     if output.size != 1:
         raise GraphError(f"backward: output has shape {output.shape}; it must be a scalar")
 
-    nodes = graph.nodes
     start = output.node_id
     keep = {t.node_id for t in wrt}
-    low = min(keep, default=start + 1)
-    # needed[i]: node i depends on a wrt tensor.  Inputs have lower ids
-    # than their node, so one ascending sweep from the lowest wrt id
-    # settles every node the pass can reach.
-    needed = bytearray(start + 1)
-    for nid in keep:
-        if nid <= start:
-            needed[nid] = 1
-    for nid in range(low + 1, start + 1):
-        if not needed[nid]:
-            for iid in nodes[nid].input_ids:
-                if iid is not None and needed[iid]:
-                    needed[nid] = 1
-                    break
-
-    slots: dict[int, Tensor] = {start: Tensor(np.ones_like(output.data))}
-    for nid in range(start, low - 1, -1):
-        if not needed[nid]:
-            continue
-        # a cotangent is dropped once propagated; wrt tensors keep theirs
+    slots: dict[int, Array] = {start: np.ones_like(output.data)}
+    for nid in range(start, min(keep, default=start + 1) - 1, -1):
         grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
-        if grad is None:
+        node = graph.nodes[nid]
+        if grad is None or node.rule is None:  # unreached, or a leaf
             continue
-        node = nodes[nid]
-        need = tuple(iid is not None and needed[iid] == 1 for iid in node.input_ids)
-        if not any(need):  # a leaf, or a wrt node whose inputs reach no wrt tensor
-            continue
-        inputs = [Tensor(data) for data in node.input_data]
-        for iid, g in zip(node.input_ids, node.rule(grad, need, *inputs)):
-            if g is None:
-                continue
-            cur = slots.get(iid)
-            slots[iid] = g if cur is None else add(cur, g)
-
-    out = []
-    for t in wrt:
-        g = slots.get(t.node_id)
-        out.append(Tensor(np.zeros_like(t.data)) if g is None else g)
-    return out
+        need = tuple(iid is not None for iid in node.input_ids)
+        for iid, g in zip(node.input_ids, node.rule(grad, need, *node.input_data)):
+            if g is not None:
+                slots[iid] = g if iid not in slots else slots[iid] + g
+    return [Tensor(slots[t.node_id] if t.node_id in slots else np.zeros_like(t.data)) for t in wrt]
 
 
 def finite_diff_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:

@@ -2,11 +2,12 @@
 
 The clip is g * C / sqrt(max(||g||^2, C^2)) per row, which is
 g * C / max(||g||, C) to the bit while C^2 is a normal float (check_clip
-refuses any other C).  A step scales its rows in place by clip_factor;
-PLIS takes clip_differentiable, the same formula as a chain of graph ops
-above the gradient node, which one backward pass differentiates.  At
-||g||^2 = C^2 its derivative is the no-clip branch's, and a zero row gets
-the identity's: sqrt's rule then divides by 2C, never by 0.  Noise is
+refuses any other C).  A step scales its rows in place by clip_factor,
+and direct PLIS takes its PL from it.  The expanded PLIS route takes
+clip_differentiable, the same formula as a chain of graph ops above the
+gradient node, which one backward pass differentiates.  At ||g||^2 = C^2
+its derivative is the no-clip branch's, and a zero row gets the
+identity's: sqrt's rule then divides by 2C, never by 0.  Noise is
 N(0, (sigma*C)^2) per coordinate on the *sum* of clipped gradients, i.e.
 each step is a Gaussian mechanism with sensitivity C and noise multiplier
 sigma, so the accountant sees (C, sigma*C) and the RDP closed form reduces to
@@ -21,9 +22,9 @@ amplification is claimed or used.
 Batch axis: a step takes its per-sample gradients as the (B, p) rows of
 models.per_sample_loss_and_grad, one call per chunk of
 models.chunk_size() samples, and clips each row in place.  That route is
-tape-free: a step builds no graph.  Only PLIS, which differentiates the
-clipped rows in the input, puts them on the tape through
-clip_differentiable.
+tape-free: a step builds no graph.  Only the expanded PLIS route puts
+the clipped rows on the tape, through clip_differentiable; the direct
+route takes the clipped PL's row cotangent in closed form.
 """
 
 from __future__ import annotations

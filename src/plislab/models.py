@@ -21,9 +21,10 @@ along input directions it gives J times them (J = dg/dx), the columns of
 the input Jacobian that FIM, FIL and JacSens read (grad_tangents()); along
 per-row parameter tangents c it gives the rows J_i^T c_i.  attach_sample()
 puts the rows on a graph as one node above the input leaf, and that node's
-rule is the walk along parameter tangents: PLIS and the attack objective
-build a scalar on the rows and take one backward pass to x.  Every route
-checks a batch in _checked_batch.
+rule is the walk along parameter tangents, from a (B, p) cotangent array
+to a (B, ...) input cotangent array: PLIS and the attack objective build
+a scalar on the rows and take one backward pass to x.  Every route checks
+a batch in _checked_batch.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -524,8 +525,8 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     one node above it holding per_sample_loss_and_grad's (B, p) rows.
 
     One forward pass serves both directions: the node's value comes from
-    _loss_and_rows, and its rule hands x, for a (B, p) cotangent c, the rows
-    J_i^T c_i from _tangent_walk on the same records.
+    _loss_and_rows, and its rule maps a (B, p) cotangent array c to the
+    array of rows J_i^T c_i, from _tangent_walk on the same records.
     """
     xs, targets = _checked_batch(spec, xs, ys)
     h, records = _layer_records(spec, params, xs)
@@ -533,8 +534,8 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     graph = Graph()
     x = graph.leaf(xs)
 
-    def rule(grad: Tensor, need, x: Tensor):
-        return (Tensor(_tangent_walk(spec, params, h, records, cotangents, dtheta=grad.data)),)
+    def rule(grad: np.ndarray, need, x: np.ndarray):
+        return (_tangent_walk(spec, params, h, records, cotangents, dtheta=grad),)
 
     return AttachedSample(graph, x, autodiff._record("per-sample-grad", rows, (x,), rule))
 

@@ -6,13 +6,17 @@ non-private setting).  Its gradient with respect to the subject's input
 is (2/sigma^2) J^T g, with g the gradient and J = dg/dx, computed by two
 routes that must agree:
 
-  * direct:   the backward pass of ||g||^2 / sigma^2 (through the clip's
-    op chain when clipped) to the input;
+  * direct:   the backward pass of sum_i w_i ||g_i||^2 to the input, with
+    the closed-form weight w_i = 1/sigma^2, except where the clip
+    saturates (||g_i||^2 > C^2): the clipped PL is C^2 / sigma^2 there,
+    flat in g, and w_i is 0, so the row cotangent 2 w_i g_i is exactly 0;
   * expanded: (2/sigma^2) * g^T (dg/dx) as a vector-Jacobian product with
-    the left factor g detached (the constant cotangent).
+    the left factor g detached (the constant cotangent), g clipped by
+    the clip's op chain on the tape when clipped.
 
-Both go through models.attach_sample's gradient node, whose rule turns
-the cotangent c reaching the rows into J^T c by a tape-free
+So the two routes derive the clipped row cotangent independently.  Both
+go through models.attach_sample's gradient node, whose rule turns the
+cotangent c reaching the rows into J^T c by a tape-free
 forward-over-reverse walk.
 
 The full input Jacobian J needed for the FIM and JacSens is only
@@ -40,7 +44,7 @@ import numpy as np
 
 from .autodiff import Tensor, backward, mul, tsum, square
 from .datasets import SubjectRecord
-from .dpsgd import clip_differentiable, refuse_dropped_row
+from .dpsgd import clip_differentiable, clip_factor, refuse_dropped_row
 from .errors import ConfigError, DimensionGuardError
 from .models import ModelSpec, ParamSet, attach_sample, chunk_size, chunks, grad_tangents
 
@@ -96,9 +100,10 @@ def plis_reports(
 
     Each chunk of models.chunk_size() subjects shares one graph and one
     backward pass to X.  The direct route backpropagates
-    sum_i ||g_i||^2 / sigma^2; the expanded one backpropagates
-    sum_i <g_i, c_i> with each row c_i = g_i detached and scales by
-    2 / sigma^2.
+    sum_i w_i ||g_i||^2, w_i = 1 / sigma^2, or 0 where the clip saturates;
+    the expanded one backpropagates sum_i <g_i, c_i> with each row
+    c_i = g_i detached and scales by 2 / sigma^2.  Both take PL_i as
+    ||clip(g_i)||^2 / sigma^2.
     """
     if sigma is not None:
         _check_sigma(sigma)
@@ -109,18 +114,24 @@ def plis_reports(
         g = sample.grads
         if clip is not None:
             refuse_dropped_row(part, g.data, clip)
-            g = clip_differentiable(g, clip)
         if expanded:
+            if clip is not None:
+                g = clip_differentiable(g, clip)
             cotangent = Tensor(g.data.copy())  # detached: the constant left factor
             (gx,) = backward(tsum(mul(g, cotangent)), [sample.x])
             pl = scale * np.square(g.data).sum(axis=1)
             plis = 2.0 * scale * gx.data
         else:
-            pl_rows = tsum(square(g), axes=1)
-            if sigma is not None:
-                pl_rows = mul(pl_rows, scale)
-            (gx,) = backward(tsum(pl_rows), [sample.x])
-            pl, plis = pl_rows.data, gx.data
+            # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates;
+            # weighting each row's ||g||^2 keeps one (B, p) array on the graph,
+            # where a (B, p) cotangent on g itself would add two
+            norm_sq = tsum(square(g), axes=1)
+            weights, pl = np.full(len(part), scale), norm_sq.data
+            if clip is not None:
+                weights[pl > clip * clip] = 0.0
+                pl = np.square(g.data * clip_factor(g.data, clip)).sum(axis=1)
+            (gx,) = backward(tsum(mul(norm_sq, Tensor(weights))), [sample.x])
+            pl, plis = scale * pl, gx.data
         reports.extend(_report(s, float(v), m, sigma) for s, v, m in zip(part, pl, plis))
     return reports
 
@@ -163,8 +174,9 @@ def deviation(reference: PlisReport, other: PlisReport, x) -> float:
 
     PL / max |x| is an absolute floor of the size dPL/dx takes where PL
     varies with x.  A subject whose clipped gradient is saturated has a
-    PL that is flat in x and a PLIS that is zero up to roundoff; measured
-    against itself, that roundoff would read as disagreement.
+    PL that is flat in x: its direct PLIS is exactly 0 and its expanded
+    PLIS is roundoff, which measured against itself would read as
+    disagreement.
     """
     floor = reference.pl / (float(np.abs(x).max()) or 1.0)
     scale = max(float(np.abs(reference.plis).max()), floor, 1e-300)

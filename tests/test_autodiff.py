@@ -214,6 +214,82 @@ def test_plain_backward_records_nothing():
     assert all(t.graph is None for t in grads)
 
 
+RULE_OPS = {
+    "add": lambda a, b: ad.add(a, b),
+    "sub": lambda a, b: ad.sub(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "div": lambda a, b: ad.div(a, b),
+    "square": lambda a, b: ad.square(a),
+    "sqrt": lambda a, b: ad.sqrt(a),
+    "max-with-scalar": lambda a, b: ad.max_scalar(a, 0.4),
+    "sum": lambda a, b: ad.tsum(a, axes=1),
+    "mean": lambda a, b: ad.tmean(a),
+    "broadcast": lambda a, b: ad.broadcast(ad.reshape(a, (2, 1, 3)), (2, 4, 3)),
+    "reshape": lambda a, b: ad.reshape(a, (3, 2)),
+    "slice": lambda a, b: ad.tslice(a, (slice(0, 1), np.array([2, 0]))),
+    "embed": lambda a, b: ad.embed(a, (3, 4), (slice(1, 3), slice(0, 3))),
+}
+
+
+def _attached_sample():
+    spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
+    return models.attach_sample(spec, models.init_params(spec, 4), np.ones((2, 3)), [0.5, -1.0])
+
+
+@pytest.mark.parametrize("name", sorted(RULE_OPS) + ["per-sample-grad"])
+def test_rules_map_arrays_to_arrays(name):
+    """Each recorded rule takes and returns plain arrays, None where need is
+    false, one per input and of its shape."""
+    rng = np.random.default_rng(33)
+    cases = []
+    if name == "per-sample-grad":
+        sample = _attached_sample()
+        cases.append((sample.graph, sample.grads))
+    else:
+        for attached in ((True, True), (True, False), (False, True)):
+            g = ad.Graph()
+            values = rng.uniform(0.5, 1.5, size=(2, 2, 3))
+            a, b = (g.leaf(v) if on else ad.Tensor(v) for v, on in zip(values, attached))
+            out = RULE_OPS[name](a, b)
+            if out.graph is not None:
+                cases.append((g, out))
+    for g, out in cases:
+        node = g.nodes[out.node_id]
+        assert node.op == name
+        need = tuple(i is not None for i in node.input_ids)
+        grads = node.rule(rng.normal(size=out.shape), need, *node.input_data)
+        assert len(grads) == len(need)
+        for grad, needed, data in zip(grads, need, node.input_data):
+            if needed:
+                assert type(grad) is np.ndarray and grad.shape == data.shape
+            else:
+                assert grad is None
+
+
+def test_backward_wraps_only_the_returned_cotangents(monkeypatch):
+    rng = np.random.default_rng(34)
+    g = ad.Graph()
+    k = g.leaf(rng.normal(size=(2, 3)))
+    x = g.leaf(rng.normal(size=(2, 3)))
+    h = ad.div(ad.square(ad.mul(x, k)), ad.add(ad.max_scalar(k, 0.1), 2.0))
+    out = ad.tmean(ad.embed(ad.tsum(ad.sqrt(ad.add(h, 1.0)), axes=1), (4,), (slice(1, 3),)))
+    sample = _attached_sample()
+    c = ad.Tensor(rng.normal(size=sample.grads.shape))
+    through_model = ad.tsum(ad.mul(sample.grads, c))
+    made = []
+    init = ad.Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Tensor, "__init__", counted)
+    for output, wrt in ((out, [k, x, h]), (through_model, [sample.x])):
+        made.clear()
+        grads = ad.backward(output, wrt)
+        assert len(made) == len(wrt) and all(a is b for a, b in zip(made, grads))
+
+
 def test_detached_tensors_receive_zero_gradient():
     g = ad.Graph()
     x = g.leaf([1.0, 2.0])

@@ -235,7 +235,8 @@ def test_plis_routes_match_per_sample(problem, sigma, clipped, expanded):
     assert [r.subject_id for r in reports] == [s.id for s in subjects]
     for got, want, s in zip(reports, expected, subjects):
         assert_close(got.pl, want.pl)
-        # a saturated clipped subject's PLIS is roundoff: compare against the floor
+        # a saturated clipped subject's expanded PLIS is roundoff (its direct
+        # PLIS is exactly 0): compare against the floor
         assert plis.deviation(want, got, s.x) <= REL
         assert got.mode == want.mode
 

@@ -461,7 +461,7 @@ class TestAnalyzeAndRank:
         return tmp_path, data, model
 
     def test_compare_expanded_passes_when_every_subject_is_clipped(self, tabular_setup):
-        # a saturated clip leaves PLIS at roundoff; the check's floor must absorb it
+        # a saturated clip leaves expanded PLIS at roundoff; the check's floor must absorb it
         tmp_path, data, model = tabular_setup
         out = tmp_path / "plis"
         assert run("analyze-plis", "--model", str(model), "--data", str(data), "--sigma", "3.0",
@@ -502,6 +502,26 @@ class TestAnalyzeAndRank:
         rows = dict(r.split(",", 1) for r in out.read_text().splitlines()[1:])
         assert rows["row00000"] == "0.0,0.0"
         assert all(np.isfinite(float(v)) for r in rows.values() for v in r.split(","))
+
+    def test_saturated_subjects_get_flat_heatmaps_and_rank_by_id(self, image_setup):
+        # at clip 1e-3 every gradient saturates: PL is C^2/sigma^2, PLIS is
+        # exactly 0, each heatmap is flat mid-gray and rank falls back to ids
+        tmp_path, data, model = image_setup
+        out = tmp_path / "plis"
+        assert run("analyze-plis", "--model", str(model), "--data", str(data), "--sigma", "1",
+                   "--clip", "1e-3", "--out", str(out)) == 0
+        rows = [r.split(",") for r in (out / "plis_report.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 14
+        for subject_id, pl, norm, *_ in rows:
+            assert float(pl) == pytest.approx(1e-6, rel=1e-12) and float(norm) == 0.0
+            assert (out / f"plis_{subject_id}.pgm").read_bytes() == b"P5\n12 12\n255\n" + bytes(
+                [128] * 144
+            )
+        ranked = tmp_path / "ranked.csv"
+        assert run("rank", "--model", str(model), "--data", str(data), "--sigma", "1",
+                   "--clip", "1e-3", "--out", str(ranked)) == 0
+        ids = [r.split(",")[0] for r in ranked.read_text().splitlines()[1:]]
+        assert ids == sorted(r[0] for r in rows)
 
     def test_rank_matches_library_ordering(self, image_setup):
         tmp_path, data, model = image_setup

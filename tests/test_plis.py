@@ -13,7 +13,7 @@ The linear-regression closed form is derived and verified numerically
 import numpy as np
 import pytest
 
-from plislab import models, plis
+from plislab import datasets, models, plis
 from plislab.errors import ConfigError, DimensionGuardError
 
 
@@ -250,6 +250,24 @@ class TestClippedPlis:
             ) / (2 * h)
             assert abs(fd) < 1e-10
 
+    @pytest.mark.parametrize("model", ["linear", "cnn"])
+    def test_saturated_direct_plis_is_exactly_zero(self, model):
+        # ||clip g||^2 = C^2 wherever ||g|| > C: the direct route's row
+        # cotangent is 0 there, so J^T 0 leaves no roundoff behind
+        if model == "linear":
+            spec, params = _linear([1.0, 2.0])
+            subjects = [_subject([1.0, 1.0], 0.0), _subject([-2.0, 0.5], 3.0, "s1")]
+        else:
+            images = datasets.make_glyph_images(6, 5, 12, 12)
+            spec = models.cnn_spec(12, 12, 2)
+            params = models.init_params(spec, 4)
+            subjects = datasets.image_subjects(images)
+        clip, sigma = 1e-3, 1.0
+        for report in plis.plis_reports(spec, params, subjects, sigma=sigma, clip=clip):
+            assert report.pl == pytest.approx(clip**2 / sigma**2, rel=1e-12)
+            assert (report.plis == 0.0).all()
+            assert report.subject_plis_norm == 0.0
+
     def test_unclipped_region_matches_finite_differences(self):
         spec, params = _linear([0.3, -0.2])
         subject = _subject([0.4, 0.1], 0.05)  # tiny gradient, well below clip
@@ -278,8 +296,10 @@ class TestClippedPlis:
         for clip in (0.01, 100.0):  # saturated and untouched
             a = plis.plis_direct(spec, params, subject, sigma=1.0, clip=clip)
             b = plis.plis_expanded(spec, params, subject, sigma=1.0, clip=clip)
-            scale = max(np.abs(a.plis).max(), 1e-12)
-            assert np.abs(a.plis - b.plis).max() / scale < 1e-8
+            # the expanded route's saturated PLIS is roundoff: measure against
+            # the PL floor the CLI's check uses
+            assert plis.deviation(a, b, subject.x) < 1e-8
+            assert (a.plis == 0.0).all() == (clip == 0.01)
 
 
 class TestFimAndJacsens:
