@@ -10,6 +10,7 @@ step is accounted as a full-batch (disclosed-batch) Gaussian mechanism.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,8 @@ class GaussianMechanismParams:
 # shares it.
 ALPHA_GRID = np.concatenate([1.0 + np.arange(1, 255) / 2.0, [256.0, 512.0]])
 ALPHA_GRID.flags.writeable = False
+_HALF_ALPHA = 0.5 * ALPHA_GRID
+_HALF_ALPHA.flags.writeable = False
 
 
 @dataclass
@@ -70,8 +73,16 @@ class EpsilonReport:
     alpha: float  # grid order achieving the minimum
 
 
+@functools.lru_cache(maxsize=8)
+def _delta_term(delta: float) -> np.ndarray:
+    """log(1/delta) / (alpha - 1) on ALPHA_GRID, read-only: every curve at delta adds it."""
+    term = math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
+    term.flags.writeable = False
+    return term
+
+
 def _epsilon_curve(rho: np.ndarray, delta: float) -> np.ndarray:
-    return rho + math.log(1.0 / delta) / (ALPHA_GRID - 1.0)
+    return rho + _delta_term(delta)
 
 
 def check_delta(delta: float) -> None:
@@ -81,7 +92,7 @@ def check_delta(delta: float) -> None:
 
 def _epsilon(ratio_sq: float, delta: float) -> EpsilonReport:
     """(eps, argmin alpha) of the composed curve rho(alpha) = (alpha/2) * ratio_sq."""
-    curve = _epsilon_curve(0.5 * ALPHA_GRID * ratio_sq, delta)
+    curve = _epsilon_curve(_HALF_ALPHA * ratio_sq, delta)
     i = int(np.argmin(curve))
     return EpsilonReport(float(curve[i]), float(ALPHA_GRID[i]))
 
@@ -127,6 +138,11 @@ def sigma_for_budget(epsilon: float, delta: float, steps: int) -> float:
     return hi
 
 
+# Steps per block of write_report: a block's curves are one (steps, orders)
+# array, 256 KB at 128 steps, where a report's worth would grow with T.
+_REPORT_BLOCK = 128
+
+
 def write_report(state: AccountantState, delta: float, path) -> None:
     """Cumulative accountant report as CSV, one row per composed step.
 
@@ -134,24 +150,33 @@ def write_report(state: AccountantState, delta: float, path) -> None:
     rho_at_argmin_alpha, the step's own (alpha/2) * (D/s)^2 at the alpha
     minimising the composed eps after step k; cumulative_epsilon, that eps
     (epsilon_from_rdp() after step k); mu_total, sqrt(sum of (D/s)^2).
+
+    The steps are composed _REPORT_BLOCK at a time: a block's running sums
+    are one np.cumsum, which adds in step order as AccountantState does, so
+    every sum, and every eps from it, has the bits epsilon_from_rdp gives
+    after step k.
     """
     check_delta(delta)
+    ratios = np.array([_ratio_sq(step) for step in state.steps])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["step", "delta_step", "sigma_step", "rho_at_argmin_alpha", "cumulative_epsilon", "mu_total"]
         )
         ratio_sq = 0.0
-        for k, step in enumerate(state.steps):
-            ratio_sq += _ratio_sq(step)
-            report = _epsilon(ratio_sq, delta)
-            writer.writerow(
-                [
-                    k,
-                    repr(step.sensitivity),
-                    repr(step.sigma),
-                    repr(0.5 * report.alpha * _ratio_sq(step)),
-                    repr(report.epsilon),
-                    repr(math.sqrt(ratio_sq)),
-                ]
+        for first in range(0, len(ratios), _REPORT_BLOCK):
+            block = ratios[first : first + _REPORT_BLOCK]
+            sums = np.cumsum(np.concatenate(([ratio_sq], block)))[1:]
+            curves = _epsilon_curve(_HALF_ALPHA * sums[:, None], delta)
+            best = curves.argmin(axis=1)
+            rows = zip(
+                state.steps[first : first + _REPORT_BLOCK],
+                (0.5 * ALPHA_GRID[best] * block).tolist(),
+                curves[np.arange(len(best)), best].tolist(),
+                np.sqrt(sums).tolist(),
             )
+            for k, (step, rho, eps, mu) in enumerate(rows, first):
+                writer.writerow(
+                    [k, repr(step.sensitivity), repr(step.sigma), repr(rho), repr(eps), repr(mu)]
+                )
+            ratio_sq = sums[-1]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -332,6 +333,9 @@ def _cmd_attack(args) -> int:
 # --------------------------------------------------------------------------
 
 
+# built once per process: parse_args keeps nothing between calls, each call
+# parses into a fresh namespace
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="plislab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

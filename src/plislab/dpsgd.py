@@ -19,16 +19,23 @@ Batches are fixed contiguous slices (no Poisson subsampling): per-subject
 privacy-loss attribution is incompatible with secret subsampling, so no
 amplification is claimed or used.
 
-Batch axis: a step takes its per-sample gradients as the (B, p) rows of
+Batch axis: train checks and stacks the dataset once (models.stack_batch),
+and each step takes a contiguous slice of it.  A step takes its
+per-sample gradients as the (B, p) rows of
 models.per_sample_loss_and_grad, one call per chunk of
-models.chunk_size() samples, and clips each row in place.  That route is
-tape-free: a step builds no graph.  Only the expanded PLIS route puts
-the clipped rows on the tape, through clip_differentiable; the direct
-route takes the clipped PL's row cotangent in closed form.
+models.chunk_size() samples, clips each row in place and adds the chunk's
+sum into one running total.  That route is tape-free: a step builds no
+graph.  train draws the noise of consecutive steps as one block of
+rng.gaussian_rows, of at most NOISE_BLOCK_ENTRIES entries, whose row for
+step t is the draw dp_sgd_step would make itself at step t.  Only the
+expanded PLIS route puts the clipped rows on the tape, through
+clip_differentiable; the direct route takes the clipped PL's row
+cotangent in closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import sys
@@ -41,15 +48,23 @@ from .accounting import AccountantState, check_delta, epsilon_from_rdp, sigma_fo
 from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
 from .errors import ConfigError, DataFormatError, TrainingDivergedError
 from .models import (
+    Batch,
     ModelSpec,
     ParamSet,
     chunk_size,
-    chunks,
     init_params,
     per_sample_loss_and_grad,
+    stack_batch,
 )
 
 log = logging.getLogger("plislab.dpsgd")
+
+# Noise entries train draws at once, one rng.gaussian_rows block of whole
+# steps: the CLI's 289-parameter MLP gets 28 steps per block, and a model
+# of more than 8,192 parameters one.  On a 2-vCPU x86-64 VM, 1,008 batch-1
+# steps of that MLP took 188 ms at one step per block, 158 ms at 28, and
+# 158-163 ms at 113-453, which hold more memory.
+NOISE_BLOCK_ENTRIES = 1 << 13
 
 
 def check_clip(clip) -> None:
@@ -163,33 +178,40 @@ class StepResult:
 def dp_sgd_step(
     spec: ModelSpec,
     params: ParamSet,
-    batch: list[tuple[np.ndarray, object]],
+    batch,
     config: DpSgdConfig,
     step_index: int = 0,
+    noise: np.ndarray | None = None,
 ) -> StepResult:
     """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
 
-    The noise is the standard-normal draw keyed by (config.seed, step_index).
-    A private config must carry its sigma: only train derives one from a
-    target epsilon.  A non-finite mean loss, a row whose squared norm
-    overflows (its clip factor is 0, so clipping would drop it), or a
-    non-finite parameter after the update raises TrainingDivergedError
-    naming step_index; numpy's overflow and invalid-value warnings on the
-    way there are silenced.
+    batch: the step's samples, as (x, y) pairs or as a models.Batch (train
+    passes slices of the dataset it checked once).  The noise is the
+    standard-normal draw keyed by (config.seed, step_index),
+    rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, p); a caller
+    that already holds that draw passes it as noise (train passes rows of
+    rng.gaussian_rows).  A private config must carry its sigma: only train
+    derives one from a target epsilon.  A non-finite mean loss, a row whose
+    squared norm overflows (its clip factor is 0, so clipping would drop
+    it), or a non-finite parameter after the update raises
+    TrainingDivergedError naming step_index; numpy's overflow and
+    invalid-value warnings on the way there are silenced.
     """
-    if not batch:
+    if not len(batch):
         raise ConfigError("dp_sgd_step: empty batch")
     if config.private and not config.sigma > 0:
         raise ConfigError("dp_sgd_step: a private step needs sigma > 0; "
                           "train derives it from the target epsilon")
+    if not isinstance(batch, Batch):
+        batch = stack_batch(spec, batch)
+    n, size = len(batch), chunk_size(params)
     total = np.zeros(params.count)
-    losses = []
+    losses = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in chunks(batch, chunk_size(params)):
-            loss, g = per_sample_loss_and_grad(
-                spec, params, np.stack([x for x, _ in part]), [y for _, y in part]
-            )
-            losses.append(loss)
+        for first in range(0, n, size):
+            part = batch[first : first + size]
+            loss, g = per_sample_loss_and_grad(spec, params, part.xs, part.targets)
+            losses[first : first + size] = loss
             if config.private:
                 factor = clip_factor(g, config.clip)
                 if dropped_row(factor) is not None:
@@ -199,18 +221,27 @@ def dp_sgd_step(
                     )
                 g *= factor
             total += g.sum(axis=0)
-        mean_loss = float(np.mean(np.concatenate(losses)))
+        mean_loss = float(losses.sum()) / n  # np.mean's arithmetic
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss at step {step_index}")
-        noise = None
         if config.private:
-            noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
-            total = total + noise * (config.sigma * config.clip)
-        update = total / len(batch)
+            if noise is None:
+                noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
+            total += noise * (config.sigma * config.clip)
+        update = total / n
         new_flat = params.flat - config.learning_rate * update
     if not np.isfinite(new_flat).all():
         raise TrainingDivergedError(f"non-finite parameters after step {step_index}")
     return StepResult(params.with_flat(new_flat), noise, mean_loss)
+
+
+def _noise_rows(seed: int, count: int, steps: int):
+    """Each step's noise draw for steps 0 .. steps - 1, in order, taken from
+    blocks of rng.gaussian_rows of at most NOISE_BLOCK_ENTRIES entries (one
+    row when a row holds more)."""
+    rows = max(1, NOISE_BLOCK_ENTRIES // count)
+    for first in range(0, steps, rows):
+        yield from rng.gaussian_rows(seed, rng.NOISE_STREAM + first, min(rows, steps - first), count)
 
 
 @dataclass
@@ -228,15 +259,17 @@ def train(
 ) -> TrainTrace:
     """Run (DP-)SGD over fixed contiguous batches.
 
-    dataset: sequence of (x, y) pairs.  Parameters start from `initial`
-    when given, else from init_params(spec, config.seed).  With
+    dataset: sequence of (x, y) pairs, checked and stacked once
+    (models.stack_batch); each step takes a slice.  Parameters start from
+    `initial` when given, else from init_params(spec, config.seed).  With
     private=False the accountant is never touched.  A step that diverges
     raises TrainingDivergedError naming its index (see dp_sgd_step).
     """
     if not len(dataset):
         raise ConfigError("train: empty dataset")
+    data = stack_batch(spec, dataset)
     params = init_params(spec, config.seed) if initial is None else initial
-    total_steps = config.epochs * math.ceil(len(dataset) / config.batch_size)
+    total_steps = config.epochs * math.ceil(len(data) / config.batch_size)
     run_config = config
     if config.target_epsilon is not None:
         # DpSgdConfig refuses a sigma next to a target, so the target goes
@@ -246,14 +279,16 @@ def train(
                  run_config.sigma, config.target_epsilon, config.target_delta, total_steps)
 
     accountant = AccountantState() if config.private else None
+    noises = (_noise_rows(config.seed, params.count, total_steps) if config.private
+              else itertools.repeat(None))
     per_epoch: list[float] = []
     step_records: list[tuple[int, float, float]] = []
     step = 0
     for epoch in range(config.epochs):
         epoch_losses = []
-        for start in range(0, len(dataset), config.batch_size):
-            batch = [dataset[i] for i in range(start, min(start + config.batch_size, len(dataset)))]
-            result = dp_sgd_step(spec, params, batch, run_config, step)
+        for start in range(0, len(data), config.batch_size):
+            batch = data[start : start + config.batch_size]
+            result = dp_sgd_step(spec, params, batch, run_config, step, next(noises))
             params = result.params
             eps_now = 0.0
             if accountant is not None:

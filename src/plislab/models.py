@@ -24,7 +24,9 @@ puts the rows on a graph as one node above the input leaf, and that node's
 rule is the walk along parameter tangents, from a (B, p) cotangent array
 to a (B, ...) input cotangent array: PLIS and the attack objective build
 a scalar on the rows and take one backward pass to x.  Every route checks
-a batch in _checked_batch.
+a batch in _checked_batch.  stack_batch stacks and checks a whole dataset
+once (stack_inputs names an input whose shape differs), and DP-SGD passes
+its slices, whose check then copies nothing.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -150,7 +152,7 @@ class ParamBlock:
     offset: int
     shape: tuple[int, ...]
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.shape)
 
@@ -257,14 +259,63 @@ class AttachedSample:
     grads: Tensor
 
 
+@functools.lru_cache(maxsize=256)
+def _tile_strides(shape: tuple[int, ...], itemsize: int) -> tuple[int, ...]:
+    """Strides of a (n, *shape) tile of contiguous entries: 0 on the batch axis."""
+    return (0, *(itemsize * math.prod(shape[i + 1 :]) for i in range(len(shape))))
+
+
 def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
     """A read-only (n, *block.shape) view of block's entries of the contiguous
     flat, every row the same entries (batch stride 0)."""
     size = flat.itemsize
-    strides = [size * math.prod(block.shape[i + 1 :]) for i in range(len(block.shape))]
-    view = np.ndarray((n, *block.shape), flat.dtype, flat, block.offset * size, (0, *strides))
+    view = np.ndarray(
+        (n, *block.shape), flat.dtype, flat, block.offset * size, _tile_strides(block.shape, size)
+    )
     view.flags.writeable = False
     return view
+
+
+def stack_inputs(xs, first: int = 0) -> np.ndarray:
+    """The inputs xs stacked on a new leading axis.  Inputs of different
+    shapes are a ShapeError naming the first whose shape differs from xs[0]'s,
+    as sample first + i: first is the index of xs[0] in a longer sequence."""
+    if not len(xs):
+        raise ShapeError("expected a non-empty batch of inputs, got none")
+    try:
+        return np.stack(xs)
+    except ValueError:
+        shapes = [np.shape(x) for x in xs]
+        odd = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if odd is None:
+            raise
+        raise ShapeError(
+            f"sample {first + odd} has input shape {shapes[odd]}, "
+            f"sample {first} has {shapes[0]}"
+        ) from None
+
+
+class Batch:
+    """Samples stacked and checked once: (B, ...) float inputs xs and their
+    targets, as _checked_batch returns them (see stack_batch).  A slice is
+    the Batch of consecutive samples, views of both arrays: no copy."""
+
+    __slots__ = ("xs", "targets")
+
+    def __init__(self, xs: np.ndarray, targets: np.ndarray):
+        self.xs, self.targets = xs, targets
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def __getitem__(self, rows: slice) -> "Batch":
+        return Batch(self.xs[rows], self.targets[rows])
+
+
+def stack_batch(spec: ModelSpec, pairs) -> Batch:
+    """(x, y) pairs as one checked Batch for spec."""
+    xs = stack_inputs([x for x, _ in pairs])
+    return Batch(*_checked_batch(spec, xs, [y for _, y in pairs]))
 
 
 def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:

@@ -46,7 +46,15 @@ from .autodiff import Tensor, backward, mul, tsum, square
 from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable, clip_factor, refuse_dropped_row
 from .errors import ConfigError, DimensionGuardError
-from .models import ModelSpec, ParamSet, attach_sample, chunk_size, chunks, grad_tangents
+from .models import (
+    ModelSpec,
+    ParamSet,
+    attach_sample,
+    chunk_size,
+    chunks,
+    grad_tangents,
+    stack_inputs,
+)
 
 MODE_PRIVATE = "private"
 MODE_NON_PRIVATE = "non-private"
@@ -108,9 +116,11 @@ def plis_reports(
     if sigma is not None:
         _check_sigma(sigma)
     scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
-    reports = []
-    for part in chunks(list(subjects), chunk_size(params)):
-        sample = attach_sample(spec, params, np.stack([s.x for s in part]), [s.y for s in part])
+    reports, subjects, size = [], list(subjects), chunk_size(params)
+    for first in range(0, len(subjects), size):
+        part = subjects[first : first + size]
+        xs = stack_inputs([s.x for s in part], first)
+        sample = attach_sample(spec, params, xs, [s.y for s in part])
         g = sample.grads
         if clip is not None:
             refuse_dropped_row(part, g.data, clip)

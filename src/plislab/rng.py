@@ -4,7 +4,9 @@ Every stochastic component of the package derives its draws from a
 (seed, stream, index) triple, so results are reproducible bit-for-bit
 across runs and platforms and independent of draw order or library
 version.  Streams are cheap: distinct (seed, stream) pairs give
-independent sequences without shared state.
+independent sequences without shared state.  gaussian_rows draws a block
+of consecutive streams at once, row r from stream + r, each row the bits
+gaussians gives for its stream; gaussians is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import numpy as np
 
 # Stream bases, one per use of a seed.  A use adds its own index (layer,
 # step, restart, image) to its base, so bases sit 1 << 40 apart and never
-# meet.  The next free base is 8 << 40.
+# meet; a block of gaussian_rows covers consecutive indices of one use
+# (dpsgd.train draws consecutive steps).  The next free base is 8 << 40.
 INIT_STREAM = 1 << 40  # models: parameter init, one stream per layer block
 NOISE_STREAM = 2 << 40  # dpsgd: the noise of each step
 ATTACK_STREAM = 3 << 40  # attack: the start of each restart
@@ -44,6 +47,7 @@ _U_GOLDEN = np.uint64(_GOLDEN)
 _U_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _U_M2 = np.uint64(0x94D049BB133111EB)
 _U_11, _U_27, _U_30, _U_31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_ANGLE_SCALE = 2.0 * np.pi * 2.0**-53  # a 53-bit integer to an angle in [0, 2 pi)
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
@@ -70,21 +74,40 @@ def uniforms(seed: int, stream: int, n: int) -> np.ndarray:
 
 def gaussians(seed: int, stream: int, n: int) -> np.ndarray:
     """n standard normal doubles via the Box-Muller transform."""
+    return gaussian_rows(seed, stream, 1, n)[0]
+
+
+def gaussian_rows(seed: int, stream: int, rows: int, n: int) -> np.ndarray:
+    """(rows, n) standard normal doubles: row r is gaussians(seed, stream + r, n),
+    bit for bit.
+
+    A stream's first m = ceil(n / 2) counters give the radii and its next m
+    the angles.  The block is laid out (half, row, counter), so all radii
+    and all angles are each one contiguous 1-d array, as for a single row.
+    """
     m = (n + 1) // 2
-    z = _raw(seed, stream, 2 * m)
+    bases = np.empty((rows, 1), np.uint64)
+    for r in range(rows):
+        bases[r] = _stream_base(seed, stream + r)
+    ctr = np.arange(2 * m, dtype=np.uint64)
+    ctr *= _U_GOLDEN
+    z = (ctr.reshape(2, 1, m) + bases).reshape(-1)
+    _finalize(z)
     z >>= _U_11
     u = z.astype(np.float64)
-    u1, theta = u[:m], u[m:]
+    u1, theta = u[: rows * m], u[rows * m :]
     # u1 in (0, 1] so log(u1) is finite
     u1 += 1.0
     u1 *= 2.0**-53
     r = np.log(u1)
     r *= -2.0
     np.sqrt(r, out=r)
-    theta *= 2.0**-53
-    theta *= 2.0 * np.pi
-    out = np.empty(2 * m)
+    # one rounding either way: scaling by 2^-53 is exact
+    theta *= _ANGLE_SCALE
+    # radius and angle k of the block are entries 2k and 2k + 1 of the
+    # row-major (rows, 2m) output
+    out = np.empty(rows * 2 * m)
     np.multiply(r, np.cos(theta), out=out[0::2])
     np.sin(theta, out=theta)
     np.multiply(r, theta, out=out[1::2])
-    return out[:n]
+    return out.reshape(rows, 2 * m)[:, :n]

@@ -219,3 +219,20 @@ def test_running_sum_is_bit_identical_to_resumming_every_step(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["cumulative_epsilon"]) for r in rows] == expected
     assert [float(r["mu_total"]) for r in rows] == expected_mu
+
+
+def test_report_rows_are_the_per_step_compositions_across_blocks(tmp_path):
+    # 300 steps: two full blocks of the report and a partial one
+    rng = np.random.default_rng(23)
+    state, expected = acct.AccountantState(), []
+    for k in range(300):
+        state.add_step(rng.uniform(0.1, 2.0), rng.uniform(0.5, 5.0))
+        step, report = state.steps[-1], acct.epsilon_from_rdp(state, 1e-5)
+        rho = 0.5 * report.alpha * (step.sensitivity / step.sigma) ** 2
+        expected.append([str(k), repr(step.sensitivity), repr(step.sigma), repr(rho),
+                         repr(report.epsilon), repr(math.sqrt(state.ratio_sq))])
+    path = tmp_path / "acct.csv"
+    acct.write_report(state, 1e-5, path)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == expected

@@ -27,7 +27,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
 from plislab.autodiff import Tensor, backward, mul, tsum
-from plislab.errors import PlisLabError
+from plislab.errors import PlisLabError, ShapeError
 
 REL = 1e-12
 
@@ -193,6 +193,18 @@ def test_tape_free_route_refuses_a_batch_as_the_tape_does(spec, xs, ys):
     with pytest.raises(PlisLabError) as free:
         models.per_sample_loss_and_grad(spec, params, xs, ys)
     assert (type(free.value), str(free.value)) == (type(tape.value), str(tape.value))
+
+
+def test_plis_names_a_ragged_subject_by_its_place_in_the_list():
+    """Chunks of 2: subject 3's input, in the second chunk, is named as
+    sample 3 against sample 2, the first of its chunk."""
+    params = models.init_params(_LINEAR3, 0)
+    subjects = [plis.SubjectRecord(f"s{i}", np.zeros(4 if i == 3 else 3), np.zeros(1))
+                for i in range(5)]
+    with chunked(params, 2), pytest.raises(
+        ShapeError, match=r"^sample 3 has input shape \(4,\), sample 2 has \(3,\)$"
+    ):
+        plis.plis_reports(_LINEAR3, params, subjects)
 
 
 @settings(max_examples=30, deadline=None)

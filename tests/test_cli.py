@@ -61,6 +61,36 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run("--help") == 0
 
+    def test_runs_share_the_parser_but_no_parsed_state(self, tmp_path, monkeypatch, capsys):
+        namespaces = []
+        parse = cli._Parser.parse_args
+
+        def recorded(parser, *args):
+            namespaces.append(parse(parser, *args))
+            return namespaces[-1]
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        data = tmp_path / "r.csv"
+        assert run("gen-data", "--kind", "regression", "--out", str(data), "--n", "6",
+                   "--d", "10", "--noise-sd", "0.5") == 0
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("lr = 0.05\nepochs = 1\nbatch_size = 2\n")
+        assert run("train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "m.plck")) == 0
+        # gen-data's --d and --noise-sd were given in the first run only: an
+        # images run would refuse them as flags of the other kind
+        assert run("gen-data", "--kind", "images", "--out", str(tmp_path / "i.plds"),
+                   "--n", "4", "--height", "6", "--width", "6") == 0
+        first, second, third = (vars(ns) for ns in namespaces)
+        assert first.keys() & {"d", "noise_sd"} == {"d", "noise_sd"}
+        assert not second.keys() & {"kind", "n", "d", "noise_sd", "seed"}
+        assert not third.keys() & {"d", "noise_sd", "config", "data"}
+        assert cli._build_parser() is cli._build_parser()
+        capsys.readouterr()
+        for _ in range(2):
+            assert run("gen-data", "--kind", "images") == 1
+            assert "usage" in capsys.readouterr().err.lower()
+
     @pytest.mark.parametrize("module", ["plislab", "plislab.cli"])
     def test_python_dash_m_runs_the_cli(self, module):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -1,9 +1,11 @@
 """Clipping contract, step semantics and trainer determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from plislab import datasets, dpsgd, models
+from plislab import accounting, datasets, dpsgd, models
 from plislab.autodiff import (
     Graph,
     Tensor,
@@ -276,6 +278,104 @@ class TestTrain:
         cfg = dpsgd.DpSgdConfig(learning_rate=1e200, epochs=5, batch_size=20)
         with pytest.raises(TrainingDivergedError, match=r"step \d+"):
             dpsgd.train(LINEAR_SPEC, data, cfg)
+
+
+def _step_loop(spec, data, config, sigma):
+    """train's outputs from a loop of dp_sgd_step over slices of (x, y) pairs,
+    each step drawing its own noise: the final parameters, the step records,
+    the per-epoch losses, the final epsilon and the accountant."""
+    step_config = replace(config, target_epsilon=None, sigma=sigma) if config.private else config
+    params = models.init_params(spec, config.seed)
+    accountant = accounting.AccountantState() if config.private else None
+    records, per_epoch = [], []
+    for _ in range(config.epochs):
+        losses = []
+        for start in range(0, len(data), config.batch_size):
+            step = len(records)
+            result = dpsgd.dp_sgd_step(
+                spec, params, data[start : start + config.batch_size], step_config, step
+            )
+            params, eps = result.params, 0.0
+            if accountant is not None:
+                accountant.add_step(config.clip, sigma * config.clip)
+                eps = accounting.epsilon_from_rdp(accountant, config.target_delta).epsilon
+            losses.append(result.mean_loss)
+            records.append((step, result.mean_loss, eps))
+        per_epoch.append(float(np.mean(losses)))
+    final = None
+    if accountant is not None:
+        final = accounting.epsilon_from_rdp(accountant, config.target_delta).epsilon
+    return params, records, per_epoch, final, accountant
+
+
+_MLP = models.ModelSpec((models.Linear(4, 16), models.Tanh(), models.Linear(16, 1)), models.MSE)
+_CNN = models.ModelSpec(
+    (models.Conv2d(1, 2, 3), models.Relu(), models.Flatten(), models.Linear(2 * 4 * 4, 2)),
+    models.CROSS_ENTROPY,
+)
+
+
+def _tabular(n):
+    rng = np.random.default_rng(31)
+    return [(rng.normal(size=4), rng.normal(size=1)) for _ in range(n)]
+
+
+def _images(n):
+    rng = np.random.default_rng(32)
+    return [(rng.uniform(0, 1, (1, 6, 6)), i % 2) for i in range(n)]
+
+
+class TestTrainIsAStepLoop:
+    """train checks and stacks the dataset once and draws noise in blocks;
+    its outputs equal a loop of the public step to the bit."""
+
+    def _assert_same(self, spec, data, config):
+        trace = dpsgd.train(spec, data, config)
+        params, records, per_epoch, final, accountant = _step_loop(
+            spec, data, config, trace.sigma_used
+        )
+        assert trace.params.flat.tobytes() == params.flat.tobytes()
+        assert trace.step_records == records
+        assert trace.per_epoch_loss == per_epoch
+        assert trace.final_epsilon == final
+        if accountant is None:
+            assert trace.accountant is None
+        else:
+            assert trace.accountant.steps == accountant.steps
+            assert trace.accountant.ratio_sq == accountant.ratio_sq
+
+    @pytest.mark.parametrize("block_rows", [None, 3], ids=["one-block", "blocks-of-3"])
+    def test_private_batch_one_mlp_to_a_target_epsilon(self, monkeypatch, block_rows):
+        params = models.init_params(_MLP, 0)
+        if block_rows is not None:
+            # 40 steps in 14 blocks, the last of one row
+            monkeypatch.setattr(dpsgd, "NOISE_BLOCK_ENTRIES", block_rows * params.count + 5)
+        assert dpsgd.NOISE_BLOCK_ENTRIES // params.count == (block_rows or 84)
+        config = dpsgd.DpSgdConfig(learning_rate=0.05, epochs=4, batch_size=1, seed=3,
+                                   private=True, clip=0.5, target_epsilon=4.0)
+        self._assert_same(_MLP, _tabular(10), config)
+
+    @pytest.mark.parametrize("private", [True, False], ids=["private", "non-private"])
+    def test_cnn_whose_ragged_last_batch_spans_chunks(self, monkeypatch, private):
+        # batches of 5, 5 and 4 samples in chunks of 3: 3 + 2, 3 + 2, 3 + 1
+        params = models.init_params(_CNN, 0)
+        monkeypatch.setattr(models, "CHUNK_ENTRIES", 3 * params.count)
+        config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=2, batch_size=5, seed=4,
+                                   private=private, clip=0.3 if private else None,
+                                   sigma=0.9 if private else 0.0)
+        self._assert_same(_CNN, _images(14), config)
+
+    @pytest.mark.parametrize("private", [True, False], ids=["private", "non-private"])
+    def test_divergence_names_its_step_past_a_noise_block(self, monkeypatch, private):
+        # sample 9's residual is about 1e200: its loss and gradient overflow
+        monkeypatch.setattr(dpsgd, "NOISE_BLOCK_ENTRIES", 4 * 3)
+        data = _linear_dataset(n=12)
+        data[9] = (np.array([1e200, 0.0, 0.0]), data[9][1])
+        config = dpsgd.DpSgdConfig(learning_rate=0.01, epochs=2, batch_size=1,
+                                   private=private, clip=1.0 if private else None,
+                                   sigma=1.0 if private else 0.0)
+        with pytest.raises(TrainingDivergedError, match=r"at step 9(;|$)"):
+            dpsgd.train(LINEAR_SPEC, data, config)
 
 
 class TestConfigFile:

@@ -35,6 +35,12 @@ _HUGE = [plis.SubjectRecord("ok", np.array([1.0]), np.array([1.0])),
 _TABULAR = plis.SubjectRecord("s", np.zeros(3), np.zeros(1))
 
 
+# _LINEAR takes inputs of shape (3,): sample 1 does not stack with sample 0
+_RAGGED = [(np.zeros(3), np.zeros(1)), (np.zeros(4), np.zeros(1)), (np.zeros(3), np.zeros(1))]
+_RAGGED_SUBJECTS = [plis.SubjectRecord(f"s{i}", x, y) for i, (x, y) in enumerate(_RAGGED)]
+_RAGGED_MESSAGE = r"sample 1 has input shape \(4,\), sample 0 has \(3,\)"
+
+
 def _zero_weight():
     return models.ParamSet(np.zeros(1), models.layout_for(_ONE_WEIGHT))
 
@@ -67,6 +73,17 @@ CASES = [
              _LINEAR, models.init_params(_LINEAR, 0), [(np.zeros(3), np.zeros(1))],
              dpsgd.DpSgdConfig(0.1, 1, 4, private=True, clip=1.0, target_epsilon=1.0)),
          ConfigError, "a private step needs sigma > 0"),
+    case("train-ragged-inputs-batch-1", lambda: dpsgd.train(_LINEAR, _RAGGED, _dp()()),
+         ShapeError, _RAGGED_MESSAGE),
+    case("train-ragged-inputs-batch-3",
+         lambda: dpsgd.train(_LINEAR, _RAGGED, _dp(batch_size=3)()), ShapeError, _RAGGED_MESSAGE),
+    case("dpsgd-step-ragged-inputs",
+         lambda: dpsgd.dp_sgd_step(_LINEAR, models.init_params(_LINEAR, 0), _RAGGED,
+                                   _dp(batch_size=3)()),
+         ShapeError, _RAGGED_MESSAGE),
+    case("plis-ragged-inputs",
+         lambda: plis.plis_reports(_LINEAR, models.init_params(_LINEAR, 0), _RAGGED_SUBJECTS),
+         ShapeError, _RAGGED_MESSAGE),
     case("train-empty-dataset", lambda: dpsgd.train(_LINEAR, [], dpsgd.DpSgdConfig(0.1, 1, 1)),
          ConfigError, "empty dataset"),
     case("dpsgd-infinite-learning-rate", _dp(learning_rate=np.inf), ConfigError,

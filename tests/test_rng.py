@@ -69,3 +69,13 @@ def test_no_module_but_rng_writes_a_stream_base():
     writers = [path.name for path in sorted(package.glob("*.py"))
                if path.name != "rng.py" and re.search(r"<<\s*40", path.read_text(encoding="utf-8"))]
     assert writers == []
+
+
+@pytest.mark.parametrize("rows", [1, 2, 37])
+@pytest.mark.parametrize("n", [1, 2, 3, 289, 19682])
+def test_gaussian_rows_are_the_per_stream_draws(n, rows):
+    for seed, stream in ((0, 0), (7, (2 << 40) + 5), (2**63 + 11, 2**64 - 2)):
+        block = rng.gaussian_rows(seed, stream, rows, n)
+        assert block.shape == (rows, n) and block.dtype == np.float64
+        for r in range(rows):
+            assert block[r].tobytes() == rng.gaussians(seed, stream + r, n).tobytes()
