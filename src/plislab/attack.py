@@ -7,15 +7,15 @@ threat model is the strong one: architecture, parameters and label are
 known.
 
 Each iteration takes one vector-Jacobian product of the parameter
-gradient, as the expanded PLIS route does.  The tape holds only the
-input leaf and models.attach_sample's gradient node g, whose rule maps a
-cotangent c to J^T c.  The match loss and its cotangent c = d(match)/dg,
-and the prior and its gradient t in x, are closed forms in numpy, so one
-backward pass of <g, c> + <x, t> to x returns the objective's gradient.
-The numpy code does the arithmetic of the tape ops that would compute the
-same match and prior, and of their rules, in the order a backward pass
-applies them, so the values and the gradient equal that tape route's bit
-for bit (the tests keep it as the reference).
+gradient, as the PLIS routes do.  The tape holds only the input leaf and
+models.attach_sample's gradient node g, whose rule maps a cotangent c to
+J^T c.  The match loss and its cotangent c = d(match)/dg, and the prior
+and its gradient t in x, are closed forms in numpy, so one backward pass
+seeded with c, plus t, is the objective's gradient t + J^T c.  The numpy
+code does the arithmetic of the tape ops that would compute the same
+match and prior, and of their rules, in the order a backward pass applies
+them, so the values and the gradient equal that tape route's bit for bit
+(the tests keep it as the reference).
 
 Updates are Adam, implemented from its published update equations
 (exponential first/second moment estimates with bias correction); the
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .autodiff import Tensor, _embed, add, backward, mul, tsum
+from .autodiff import Tensor, _embed, backward
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
 from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad
@@ -213,19 +213,15 @@ def _objective(
     """(objective value, match component, gradient of objective w.r.t. x).
 
     One vector-Jacobian product of the parameter gradient g, the sample's
-    gradient node: the backward pass of <g, c> + <x, t> to x, with the
-    closed-form cotangent c = d(match)/dg and prior gradient t from _terms.
-    Both terms sit above the node, so t is the first cotangent x receives
-    and the node's J^T c is added to it, as in the tape route.
+    gradient node: the backward pass to x seeded with the closed-form
+    cotangent c = d(match)/dg from _terms gives J^T c, and the prior's
+    gradient t is added to it, t + J^T c, the sum a tape route's backward
+    pass forms at x.
     """
     sample = attach_sample(spec, params, x[None], [label])
-    g = sample.grads
-    objective, match, c, t = _terms(g.data, sample.x.data, observed, config)
-    out = tsum(mul(g, Tensor(c)))
-    if t is not None:
-        out = add(out, tsum(mul(sample.x, Tensor(t))))
-    (gx,) = backward(out, [sample.x])
-    return float(objective), float(match), gx.data[0]
+    objective, match, c, t = _terms(sample.grads.data, sample.x.data, observed, config)
+    (gx,) = backward(sample.grads, [sample.x], cotangent=c)
+    return float(objective), float(match), (gx.data if t is None else t + gx.data)[0]
 
 
 def _objective_value(

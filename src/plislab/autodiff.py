@@ -1,16 +1,15 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation,
 and the numpy kernels of the model layers.
 
-The tape carries what analyses build on top of a model's per-sample
-gradients: the DP clip, the privacy loss, the attack's match and prior.
-Its ops are elementwise (add, sub, mul, div, square, sqrt, max_scalar),
-reductions (tsum, tmean) and shape ops (broadcast, reshape, tslice,
-embed).  The model is one node: models.attach_sample records the (B, p)
-per-sample gradient rows above the input leaf, and that node's rule maps
-a (B, p) cotangent c to the rows J_i^T c_i (J = d grad_theta / dx) by the
-tape-free forward-over-reverse walk in models.  So one backward pass to
-the input differentiates a function of the gradients once more, and the
-tape needs no second-order mode.
+The tape carries what analyses build on a model's per-sample gradients:
+in the library only the DP clip of expanded PLIS.  Its ops are elementwise
+(add, sub, mul, div, square, sqrt, max_scalar), reductions (tsum, tmean)
+and shape ops (broadcast, reshape, tslice, embed).  The model is one node:
+models.attach_sample records the (B, p) per-sample gradient rows above the
+input leaf, and that node's rule maps a (B, p) cotangent c to the rows
+J_i^T c_i (J = d grad_theta / dx) by the tape-free forward-over-reverse
+walk in models.  So a backward pass to the input seeded with a row
+cotangent differentiates the gradients once more: no second-order mode.
 
 Conventions:
   * everything is float64 (second-order finite-difference checks need
@@ -42,11 +41,11 @@ index table holds either layout.
 Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample, and tsum reduces per
 row when given axes.  Row i of every tensor above the model node depends
-only on sample i, so one backward pass of a sum over rows returns each
-sample's gradient in its own row.
+only on sample i, so one backward pass seeded with a cotangent of the
+output's shape returns each sample's gradient in its own row.
 
 Rules are numpy: a node's rule maps its cotangent array and its input
-arrays to the input cotangent arrays, by the arithmetic the ops would
+arrays to one cotangent array per input, by the arithmetic the ops would
 record for them, and calls no op, so a backward pass records nothing.
 One reverse sweep visits the ids from the output down to the lowest wrt
 id; a node's cotangent is dropped as soon as its rule has run, and only
@@ -73,11 +72,9 @@ class Node:
     """One recorded operation: kind, inputs and a backward rule.
 
     Each input is kept as its node id (None for a detached constant) and
-    its data array.  backward() calls rule(grad, need, *input_data) on
-    arrays, where need[i] says whether input i is attached; the rule
-    returns one cotangent array per input, None where need[i] is false.
-    Leaves have no rule, and a node with a rule has an attached input, so
-    single-input rules ignore need.
+    its data array.  backward() calls rule(grad, *input_data) on arrays;
+    the rule returns one cotangent array per input, and backward() drops
+    those of detached inputs.  Leaves have no rule.
     """
 
     __slots__ = ("op", "input_ids", "input_data", "rule")
@@ -187,8 +184,8 @@ def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _coerce_pair("add", a, b)
 
-    def rule(grad: Array, need, a: Array, b: Array):
-        return (grad if need[0] else None, grad if need[1] else None)
+    def rule(grad: Array, a: Array, b: Array):
+        return (grad, grad)
 
     return _record("add", a.data + b.data, (a, b), rule)
 
@@ -196,8 +193,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _coerce_pair("sub", a, b)
 
-    def rule(grad: Array, need, a: Array, b: Array):
-        return (grad if need[0] else None, grad * -1.0 if need[1] else None)
+    def rule(grad: Array, a: Array, b: Array):
+        return (grad, grad * -1.0)
 
     return _record("sub", a.data - b.data, (a, b), rule)
 
@@ -205,8 +202,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _coerce_pair("mul", a, b)
 
-    def rule(grad: Array, need, a: Array, b: Array):
-        return (grad * b if need[0] else None, grad * a if need[1] else None)
+    def rule(grad: Array, a: Array, b: Array):
+        return (grad * b, grad * a)
 
     return _record("mul", a.data * b.data, (a, b), rule)
 
@@ -214,8 +211,8 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = _coerce_pair("div", a, b)
 
-    def rule(grad: Array, need, a: Array, b: Array):
-        return (grad / b if need[0] else None, grad * a / (b * b) * -1.0 if need[1] else None)
+    def rule(grad: Array, a: Array, b: Array):
+        return (grad / b, grad * a / (b * b) * -1.0)
 
     return _record("div", a.data / b.data, (a, b), rule)
 
@@ -223,7 +220,7 @@ def div(a, b) -> Tensor:
 def square(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (grad * (a * 2.0),)
 
     return _record("square", a.data * a.data, (a,), rule)
@@ -232,7 +229,7 @@ def square(a) -> Tensor:
 def sqrt(a) -> Tensor:
     a = _tensor(a)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (grad / (np.sqrt(a) * 2.0),)
 
     return _record("sqrt", np.sqrt(a.data), (a,), rule)
@@ -243,7 +240,7 @@ def max_scalar(a, c: float) -> Tensor:
     a = _tensor(a)
     c = float(c)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         # at a == c the constant branch wins (derivative 0)
         return (grad * (a > c),)
 
@@ -277,7 +274,7 @@ def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
     out = a.data.sum(axis=ax if ax else None, keepdims=keepdims)
     kept = tuple(1 if i in ax else s for i, s in enumerate(a.shape))
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (_expand(grad.reshape(kept), a.shape),)
 
     return _record("sum", out, (a,), rule)
@@ -288,7 +285,7 @@ def tmean(a) -> Tensor:
     a = _tensor(a)
     n = a.size
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (_expand(grad * (1.0 / n), a.shape),)
 
     return _record("mean", np.asarray(a.data.mean()), (a,), rule)
@@ -304,7 +301,7 @@ def broadcast(a, shape: tuple) -> Tensor:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}")
     expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return ((grad.sum(axis=expanded, keepdims=True) if expanded else grad).reshape(a.shape),)
 
     return _record("broadcast", _expand(a.data, shape), (a,), rule)
@@ -316,7 +313,7 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (grad.reshape(a.shape),)
 
     return _record("reshape", a.data.reshape(shape), (a,), rule)
@@ -327,7 +324,7 @@ def tslice(a, index: tuple) -> Tensor:
     at most once, by a tuple index; the adjoint is embed()."""
     a = _tensor(a)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (_embed(grad, a.shape, index),)
 
     return _record("slice", np.array(a.data[index]), (a,), rule)
@@ -343,7 +340,7 @@ def embed(a, shape: tuple, index: tuple) -> Tensor:
     """Place a into a zero tensor of the given shape at the given tuple index."""
     a = _tensor(a)
 
-    def rule(grad: Array, need, a: Array):
+    def rule(grad: Array, a: Array):
         return (np.array(grad[index]),)
 
     return _record("embed", _embed(a.data, shape, index), (a,), rule)
@@ -535,9 +532,11 @@ def _mse_adjoint_np(g: Array, pred: Array, target: Array) -> Array:
 # --------------------------------------------------------------------------
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
-    """Gradients of the scalar output with respect to each tensor in wrt, as
-    detached constants.  A non-scalar output is a GraphError.
+def backward(output: Tensor, wrt: Sequence[Tensor], *, cotangent=None) -> list[Tensor]:
+    """Gradients of <cotangent, output> with respect to each tensor in wrt, as
+    detached constants.  The cotangent, read and not copied, must have the
+    output's shape (else a ShapeError); without one, a scalar output is
+    seeded with 1 and any other is a GraphError.
 
     One reverse sweep over arrays, from the output down to the lowest wrt
     id, hands each node's cotangent to its rule and frees it, except the
@@ -550,20 +549,23 @@ def backward(output: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
     for t in wrt:
         if t.graph is not graph:
             raise GraphError("backward: wrt tensor is not on the output's graph")
-    if output.size != 1:
-        raise GraphError(f"backward: output has shape {output.shape}; it must be a scalar")
+    if cotangent is None:
+        if output.size != 1:
+            raise GraphError(f"backward: output has shape {output.shape}; it must be a scalar")
+        cotangent = np.ones_like(output.data)
+    elif np.shape(cotangent) != output.shape:
+        raise ShapeError(f"backward: cotangent {np.shape(cotangent)} for output {output.shape}")
 
     start = output.node_id
     keep = {t.node_id for t in wrt}
-    slots: dict[int, Array] = {start: np.ones_like(output.data)}
+    slots: dict[int, Array] = {start: np.asarray(cotangent, dtype=np.float64)}
     for nid in range(start, min(keep, default=start + 1) - 1, -1):
         grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
         node = graph.nodes[nid]
         if grad is None or node.rule is None:  # unreached, or a leaf
             continue
-        need = tuple(iid is not None for iid in node.input_ids)
-        for iid, g in zip(node.input_ids, node.rule(grad, need, *node.input_data)):
-            if g is not None:
+        for iid, g in zip(node.input_ids, node.rule(grad, *node.input_data)):
+            if iid is not None:
                 slots[iid] = g if iid not in slots else slots[iid] + g
     return [Tensor(slots[t.node_id] if t.node_id in slots else np.zeros_like(t.data)) for t in wrt]
 

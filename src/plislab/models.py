@@ -16,14 +16,15 @@ tape.  _layer_records runs the forward pass in the autodiff numpy kernels
 and keeps per layer what the adjoints read.  per_sample_loss_and_grad()
 reverses through those records for the B losses and (B, p)
 parameter-gradient rows g: all DP-SGD needs is first order.
-_tangent_walk() differentiates the rows once more, forward-over-reverse:
-along input directions it gives J times them (J = dg/dx), the columns of
-the input Jacobian that FIM, FIL and JacSens read (grad_tangents()); along
-per-row parameter tangents c it gives the rows J_i^T c_i.  attach_sample()
-puts the rows on a graph as one node above the input leaf, and that node's
-rule is the walk along parameter tangents, from a (B, p) cotangent array
-to a (B, ...) input cotangent array: PLIS and the attack objective build
-a scalar on the rows and take one backward pass to x.  Every route checks
+_tangent_walk() differentiates the rows once more, forward-over-reverse,
+one tangent per row: along input directions v_i it gives the rows J_i v_i
+(J = dg/dx), for unit v_i the input Jacobian's columns that FIM, FIL and
+JacSens read (grad_tangents()); along parameter tangents c_i the rows
+J_i^T c_i.  attach_sample() puts the rows on a graph as one node above the
+input leaf, and that node's rule is the walk along parameter tangents,
+from a (B, p) cotangent array to a (B, ...) input cotangent array: PLIS
+and the attack objective seed the node with their row cotangents in one
+backward pass to x.  Every route checks
 a batch in _checked_batch.  stack_batch stacks and checks a whole dataset
 once (stack_inputs names an input whose shape differs), and DP-SGD passes
 its slices, whose check then copies nothing.
@@ -466,10 +467,10 @@ def _tangent_walk(
     _layer_records' outputs h and records and _loss_and_rows' cotangents,
     without a tape.
 
-    Takes one of two kinds of n tangents:
-      * dx, (n, *input shape) input directions of a one-sample batch: returns
-        the (n, p) tangents of grad_theta, J dx[r] in row r;
-      * dtheta, (B, p) parameter tangents, one per row of the batch: returns
+    Takes one of two kinds of tangents, one per row of the B-sample batch:
+      * dx, (B, *input shape) input directions: returns the (B, p) tangents
+        of grad_theta, J_i dx[i] in row i;
+      * dtheta, (B, p) parameter tangents: returns
         the (B, *input shape) tangents of grad_x, J_i^T dtheta[i] in row i
         (d/dt grad_x L(theta + t dtheta[i]) is d/dx <grad_theta L, dtheta[i]>).
     The tangents ride along the primal values through the same kernels, each
@@ -485,11 +486,8 @@ def _tangent_walk(
     -2t(1 - t^2) for tanh, s(1 - s) for softplus, 0 for relu).  For dtheta
     the walk runs through the first layer to x.
     """
-    n = len(dx) if dtheta is None else len(dtheta)
+    n = len(h)
     blocks = {b.name: b for b in params.layout}
-
-    def tiled(w: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(w, (n, *w.shape[1:]))
 
     def moving(name: str) -> np.ndarray:
         block = blocks[name]
@@ -506,7 +504,7 @@ def _tangent_walk(
             else:
                 moved.append(None if dh is None else autodiff._im2col(dh, layer.kernel))
                 apply = functools.partial(autodiff._conv2d_np, image_shape=record[2])
-            dh = None if dh is None else apply(tiled(w), moved[-1])
+            dh = None if dh is None else apply(w, moved[-1])
             if dtheta is not None:
                 term = apply(moving(f"{idx}.weight"), inputs)
                 dh = term if dh is None else dh + term
@@ -547,18 +545,18 @@ def _tangent_walk(
                 if idx == first:
                     break
             if linear:
-                dg = autodiff._linear_input_adjoint_np(tiled(w), dg)
+                dg = autodiff._linear_input_adjoint_np(w, dg)
                 if dtheta is not None:
                     dg = dg + autodiff._linear_input_adjoint_np(moving(f"{idx}.weight"), g)
             else:
                 # W^T g' + W'^T g as one adjoint of the stacked operands
                 # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
                 if dtheta is None:
-                    dg = autodiff._conv2d_input_adjoint_np(dg, tiled(w))
+                    dg = autodiff._conv2d_input_adjoint_np(dg, w)
                 else:
                     dg = autodiff._conv2d_input_adjoint_np(
                         np.concatenate([dg, g], axis=1),
-                        np.concatenate([tiled(w), moving(f"{idx}.weight")], axis=1),
+                        np.concatenate([w, moving(f"{idx}.weight")], axis=1),
                     )
         elif isinstance(layer, Flatten):
             dg = dg.reshape((n, *record[1:]))
@@ -585,26 +583,27 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     graph = Graph()
     x = graph.leaf(xs)
 
-    def rule(grad: np.ndarray, need, x: np.ndarray):
+    def rule(grad: np.ndarray, x: np.ndarray):
         return (_tangent_walk(spec, params, h, records, cotangents, dtheta=grad),)
 
     return AttachedSample(graph, x, autodiff._record("per-sample-grad", rows, (x,), rule))
 
 
-def grad_tangents(spec: ModelSpec, params: ParamSet, x, y, directions) -> np.ndarray:
-    """(n, p) tangents of one sample's parameter gradient along n input directions.
+def grad_tangents(spec: ModelSpec, params: ParamSet, xs, ys, directions) -> np.ndarray:
+    """(B, p) tangents of B samples' parameter gradients, one input direction
+    per sample.
 
-    Row r is d/dt grad_theta loss(x + t directions[r]) at t = 0, the input
-    Jacobian of the gradient applied to directions[r]; unit directions give
-    its columns.  _layer_records runs the sample's forward pass once, at
-    batch 1, and _tangent_walk carries the directions along it.
+    Row i is d/dt grad_theta loss(xs[i] + t directions[i]) at t = 0, sample
+    i's input Jacobian of the gradient applied to directions[i]; unit
+    directions give its columns.  _layer_records runs the batch's forward
+    pass once, and _tangent_walk carries the directions along it.
     """
-    xs, targets = _checked_batch(spec, [x], [y])
+    xs, targets = _checked_batch(spec, xs, ys)
     directions = np.asarray(directions, dtype=np.float64)
-    if directions.shape[1:] != xs.shape[1:]:
+    if directions.shape != xs.shape:
         raise ShapeError(
-            f"input directions of shape {directions.shape} do not fit an input "
-            f"of shape {xs.shape[1:]}"
+            f"input directions of shape {directions.shape} do not fit inputs "
+            f"of shape {xs.shape}"
         )
     h, records = _layer_records(spec, params, xs)
     cotangents = _loss_and_rows(spec, params, h, records, targets)[2]

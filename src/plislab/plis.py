@@ -6,16 +6,18 @@ non-private setting).  Its gradient with respect to the subject's input
 is (2/sigma^2) J^T g, with g the gradient and J = dg/dx, computed by two
 routes that must agree:
 
-  * direct:   the backward pass of sum_i w_i ||g_i||^2 to the input, with
-    the closed-form weight w_i = 1/sigma^2, except where the clip
-    saturates (||g_i||^2 > C^2): the clipped PL is C^2 / sigma^2 there,
-    flat in g, and w_i is 0, so the row cotangent 2 w_i g_i is exactly 0;
+  * direct:   J^T u_i with the closed-form row cotangent u_i = 2 w_i g_i,
+    the derivative of w_i ||g_i||^2, where w_i = 1/sigma^2 except where
+    the clip saturates (||g_i||^2 > C^2): the clipped PL is C^2 / sigma^2
+    there, flat in g, and w_i is 0, so u_i is exactly 0;
   * expanded: (2/sigma^2) * g^T (dg/dx) as a vector-Jacobian product with
-    the left factor g detached (the constant cotangent), g clipped by
-    the clip's op chain on the tape when clipped.
+    the left factor g as the constant cotangent, g clipped by the clip's
+    op chain on the tape when clipped, so that the backward pass through
+    the chain derives the clipped row's cotangent.
 
 So the two routes derive the clipped row cotangent independently.  Both
-go through models.attach_sample's gradient node, whose rule turns the
+seed a backward pass to the input with their row cotangents, which
+reaches models.attach_sample's gradient node, whose rule turns the
 cotangent c reaching the rows into J^T c by a tape-free
 forward-over-reverse walk.
 
@@ -28,24 +30,28 @@ J[:, j].  It builds no graph.
 
 Batch axis: subjects are analysed models.chunk_size() at a time on one graph.
 Subject i's privacy loss depends only on its own row of the gradient node
-and of X, so one backward pass of the summed privacy losses to X returns
-every subject's PLIS in its own row: one backward pass per chunk, not per
-subject.  The input Jacobian takes one subject and models.chunk_size() of
-its input directions per call.  Every graph is dropped when the call
-returns.
+and of X, so one backward pass to X seeded with every subject's row
+cotangent returns every subject's PLIS in its own row: one backward pass
+per chunk, not per subject.  The input Jacobian takes the subject once per
+input direction, models.chunk_size() of them per call.  Every graph is
+dropped when the call returns.
+
+A PL, PLIS or Jacobian that is not finite (a gradient that overflows) is
+a DataFormatError naming the subject, never a number in a report.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, backward, mul, tsum, square
+from .autodiff import backward
 from .datasets import SubjectRecord
 from .dpsgd import clip_differentiable, clip_factor, refuse_dropped_row
-from .errors import ConfigError, DimensionGuardError
+from .errors import ConfigError, DataFormatError, DimensionGuardError
 from .models import (
     ModelSpec,
     ParamSet,
@@ -91,9 +97,24 @@ class JacSensReport:
 
 
 def _check_sigma(sigma) -> None:
-    # an infinite sigma would report PL = PLIS = 0 for every subject
     if sigma is None or not 0 < sigma < math.inf:
         raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    # PL and PLIS divide by sigma^2: a square that underflows overflows them,
+    # one that overflows reports PL = PLIS = 0 for every subject
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise ConfigError(
+            f"sigma must have a square that is a normal float (about 1.5e-154 to "
+            f"1.3e154), got {sigma}"
+        )
+
+
+def _refuse_non_finite(subjects, rows: np.ndarray, what: str) -> None:
+    """Raise DataFormatError naming the first subject whose row of rows, one
+    per subject, holds an entry that is not finite."""
+    finite = np.isfinite(rows.reshape(len(subjects), -1)).all(axis=1)
+    if not finite.all():
+        subject = subjects[int(np.argmin(finite))]
+        raise DataFormatError(f"subject {subject.id!r}: its {what} is not finite")
 
 
 def plis_reports(
@@ -107,42 +128,43 @@ def plis_reports(
     """PLIS of every subject, in order, by the direct or the expanded route.
 
     Each chunk of models.chunk_size() subjects shares one graph and one
-    backward pass to X.  The direct route backpropagates
-    sum_i w_i ||g_i||^2, w_i = 1 / sigma^2, or 0 where the clip saturates;
-    the expanded one backpropagates sum_i <g_i, c_i> with each row
-    c_i = g_i detached and scales by 2 / sigma^2.  Both take PL_i as
+    backward pass to X.  The direct route seeds the gradient node with the
+    rows u_i = 2 w_i g_i, w_i = 1 / sigma^2, or 0 where the clip saturates;
+    the expanded one seeds the clipped rows, or the node itself unclipped,
+    with the rows they hold and scales by 2 / sigma^2.  Both take PL_i as
     ||clip(g_i)||^2 / sigma^2.
     """
     if sigma is not None:
         _check_sigma(sigma)
     scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
     reports, subjects, size = [], list(subjects), chunk_size(params)
-    for first in range(0, len(subjects), size):
-        part = subjects[first : first + size]
-        xs = stack_inputs([s.x for s in part], first)
-        sample = attach_sample(spec, params, xs, [s.y for s in part])
-        g = sample.grads
-        if clip is not None:
-            refuse_dropped_row(part, g.data, clip)
-        if expanded:
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused
+        for first in range(0, len(subjects), size):
+            part = subjects[first : first + size]
+            xs = stack_inputs([s.x for s in part], first)
+            sample = attach_sample(spec, params, xs, [s.y for s in part])
+            g = sample.grads
             if clip is not None:
-                g = clip_differentiable(g, clip)
-            cotangent = Tensor(g.data.copy())  # detached: the constant left factor
-            (gx,) = backward(tsum(mul(g, cotangent)), [sample.x])
-            pl = scale * np.square(g.data).sum(axis=1)
-            plis = 2.0 * scale * gx.data
-        else:
-            # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates;
-            # weighting each row's ||g||^2 keeps one (B, p) array on the graph,
-            # where a (B, p) cotangent on g itself would add two
-            norm_sq = tsum(square(g), axes=1)
-            weights, pl = np.full(len(part), scale), norm_sq.data
-            if clip is not None:
-                weights[pl > clip * clip] = 0.0
-                pl = np.square(g.data * clip_factor(g.data, clip)).sum(axis=1)
-            (gx,) = backward(tsum(mul(norm_sq, Tensor(weights))), [sample.x])
-            pl, plis = scale * pl, gx.data
-        reports.extend(_report(s, float(v), m, sigma) for s, v, m in zip(part, pl, plis))
+                refuse_dropped_row(part, g.data, clip)
+            if expanded:
+                if clip is not None:
+                    g = clip_differentiable(g, clip)
+                # the constant left factor: the (clipped) rows seed the pass
+                (gx,) = backward(g, [sample.x], cotangent=g.data)
+                pl = scale * np.square(g.data).sum(axis=1)
+                plis = 2.0 * scale * gx.data
+            else:
+                # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates
+                rows = g.data
+                weights, pl = np.full(len(part), scale), (rows * rows).sum(axis=1)
+                if clip is not None:
+                    weights[pl > clip * clip] = 0.0
+                    pl = np.square(rows * clip_factor(rows, clip)).sum(axis=1)
+                (gx,) = backward(g, [sample.x], cotangent=(rows * 2.0) * weights[:, None])
+                pl, plis = scale * pl, gx.data
+            _refuse_non_finite(part, pl, "privacy loss")
+            _refuse_non_finite(part, plis, "PLIS")
+            reports.extend(_report(s, float(v), m, sigma) for s, v, m in zip(part, pl, plis))
     return reports
 
 
@@ -203,28 +225,32 @@ def _guard(p: int, d: int, what: str) -> None:
         raise DimensionGuardError(
             f"{what} would materialize a {p} x {d} Jacobian; the guard is "
             f"{DIMENSION_GUARD} per dimension. Use the PLIS routes instead: they "
-            "only ever backpropagate scalars."
+            "take one vector-Jacobian product per subject."
         )
 
 
 def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -> np.ndarray:
     """J = d(grad_theta loss)/dx, materialized as a p x d matrix.
 
-    Forward mode: each call of models.grad_tangents takes up to
-    models.chunk_size() unit directions e_j and returns the columns
-    J[:, j].  No graph is built.  Relu masks are constant along every
-    direction, so it is the J whose transpose the PLIS routes apply.
+    Forward mode: each call of models.grad_tangents takes the subject once
+    per unit direction e_j, up to models.chunk_size() of them, and returns
+    the columns J[:, j].  No graph is built.  Relu masks are constant along
+    every direction, so it is the J whose transpose the PLIS routes apply.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
     _guard(p, d, "input_jacobian")
     jac_t = np.empty((d, p))
-    for cols in chunks(np.arange(d), chunk_size(params)):
-        directions = np.zeros((cols.size, d))
-        directions[np.arange(cols.size), cols] = 1.0
-        jac_t[cols] = grad_tangents(
-            spec, params, subject.x, subject.y, directions.reshape((cols.size, *subject.x.shape))
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for cols in chunks(np.arange(d), chunk_size(params)):
+            n = cols.size
+            directions = np.zeros((n, d))
+            directions[np.arange(n), cols] = 1.0
+            jac_t[cols] = grad_tangents(
+                spec, params, [subject.x] * n, [subject.y] * n,
+                directions.reshape((n, *subject.x.shape)),
+            )
+    _refuse_non_finite([subject], jac_t, "input Jacobian")
     return jac_t.T
 
 

@@ -300,8 +300,7 @@ class TestObjective:
 
     def test_objective_tape_holds_only_the_model(self, monkeypatch):
         """The attack workload's CNN: the input leaf and the gradient node,
-        then <g, c> + <x, t> in 5 (57 when the match and the prior were
-        chains on the tape)."""
+        which the backward pass seeds with c; nothing sits above it."""
         spec = models.cnn_spec(28, 28, 2)
         params = models.init_params(spec, 0)
         x = np.full((1, 28, 28), 0.5)
@@ -314,4 +313,4 @@ class TestObjective:
 
         monkeypatch.setattr(attack, "backward", counting_backward)
         attack._objective(spec, params, x, 1, observed, attack.AttackConfig())
-        assert sizes == [7]
+        assert sizes == [2]

@@ -238,8 +238,8 @@ def _attached_sample():
 
 @pytest.mark.parametrize("name", sorted(RULE_OPS) + ["per-sample-grad"])
 def test_rules_map_arrays_to_arrays(name):
-    """Each recorded rule takes and returns plain arrays, None where need is
-    false, one per input and of its shape."""
+    """Each recorded rule takes and returns plain arrays, one per input and
+    of its shape, attached or not (backward drops a detached input's)."""
     rng = np.random.default_rng(33)
     cases = []
     if name == "per-sample-grad":
@@ -256,14 +256,51 @@ def test_rules_map_arrays_to_arrays(name):
     for g, out in cases:
         node = g.nodes[out.node_id]
         assert node.op == name
-        need = tuple(i is not None for i in node.input_ids)
-        grads = node.rule(rng.normal(size=out.shape), need, *node.input_data)
-        assert len(grads) == len(need)
-        for grad, needed, data in zip(grads, need, node.input_data):
-            if needed:
-                assert type(grad) is np.ndarray and grad.shape == data.shape
-            else:
-                assert grad is None
+        grads = node.rule(rng.normal(size=out.shape), *node.input_data)
+        assert len(grads) == len(node.input_data)
+        for grad, data in zip(grads, node.input_data):
+            assert type(grad) is np.ndarray and grad.shape == data.shape
+
+
+@pytest.mark.parametrize("name", sorted(RULE_OPS) + ["per-sample-grad"])
+def test_seeded_backward_is_the_scalar_route(name):
+    """A pass seeded with a cotangent u of the output's shape gives the bits
+    of the scalar route <u, out>: tsum(mul(out, u)) hands out ones * u = u."""
+    rng = np.random.default_rng(35)
+    cases = []
+    if name == "per-sample-grad":
+        sample = _attached_sample()
+        cases.append((sample.grads, [sample.x]))
+    else:
+        for attached in ((True, True), (True, False), (False, True)):
+            g = ad.Graph()
+            values = rng.uniform(0.5, 1.5, size=(2, 2, 3))
+            inputs = [g.leaf(v) if on else ad.Tensor(v) for v, on in zip(values, attached)]
+            out = RULE_OPS[name](*inputs)
+            if out.graph is not None:
+                cases.append((out, [t for t in inputs if t.graph is not None]))
+    for out, wrt in cases:
+        u = rng.normal(size=out.shape)
+        seeded = ad.backward(out, wrt, cotangent=u)
+        scalar = ad.backward(ad.tsum(ad.mul(out, ad.Tensor(u))), wrt)
+        assert [t.data.tobytes() for t in seeded] == [t.data.tobytes() for t in scalar]
+
+
+def test_backward_refuses_a_cotangent_of_another_shape():
+    g = ad.Graph()
+    x = g.leaf(np.ones((2, 3)))
+    out = ad.square(x)
+    for shape in ((3, 2), (6,), (2, 3, 1), (1, 3), ()):
+        with pytest.raises(ShapeError, match=r"cotangent \(.*\) for output \(2, 3\)"):
+            ad.backward(out, [x], cotangent=np.ones(shape))
+    with pytest.raises(ShapeError):
+        ad.backward(ad.tsum(out), [x], cotangent=np.ones(1))
+    # without a cotangent only a scalar output is seeded; the cotangent is
+    # keyword-only, so a third positional argument is refused
+    with pytest.raises(GraphError, match="must be a scalar"):
+        ad.backward(out, [x])
+    with pytest.raises(TypeError):
+        ad.backward(out, [x], np.ones((2, 3)))
 
 
 def test_backward_wraps_only_the_returned_cotangents(monkeypatch):
@@ -479,7 +516,7 @@ def _conv_routes(spec, params, subjects, step_config):
     for expanded in (False, True):
         reports = plis.plis_reports(spec, params, subjects, 1.5, 0.5, expanded)
         out.extend(r.plis for r in reports)
-    out.append(models.grad_tangents(spec, params, xs[0], ys[0], directions))
+    out.append(models.grad_tangents(spec, params, xs[:2], ys[:2], directions))
     return [a.tobytes() for a in out]
 
 

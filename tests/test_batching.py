@@ -13,7 +13,8 @@ share only the forward pass: forward-mode (plis.input_jacobian and
 models.grad_tangents, J times input directions) and reverse through
 attach_sample's gradient node (J^T c, one backward pass per column of
 J^T), and unclipped PLIS must equal (2/sigma^2) J^T g with J from the
-first.  Central differences of the per-sample gradient check J too.  The
+first.  PLIS also passes a dot test against the forward mode, row by
+row.  Central differences of the per-sample gradient check J too.  The
 node and the tape-free route refuse a bad batch with the same error.
 """
 
@@ -378,11 +379,37 @@ def test_unclipped_plis_is_two_over_sigma_squared_times_jt_g(problem, sigma, exp
 @settings(max_examples=30, deadline=None)
 @given(problems())
 def test_grad_tangents_apply_the_jacobian_to_each_direction(problem):
+    """One direction per row: a subject three times, then every subject."""
     spec, params, subjects, _ = problem
     subject = subjects[0]
     directions = np.random.default_rng(subject.x.size).normal(size=(3, *subject.x.shape))
-    tangents = models.grad_tangents(spec, params, subject.x, subject.y, directions)
+    tangents = models.grad_tangents(spec, params, [subject.x] * 3, [subject.y] * 3, directions)
     assert_close(tangents, directions.reshape(3, -1) @ _jacobian_by_columns(spec, params, subject).T)
+    directions = np.random.default_rng(len(subjects)).normal(size=(len(subjects), *subject.x.shape))
+    tangents = models.grad_tangents(
+        spec, params, [s.x for s in subjects], [s.y for s in subjects], directions
+    )
+    for row, s, v in zip(tangents, subjects, directions):
+        assert_close(row, _jacobian_by_columns(spec, params, s) @ v.reshape(-1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(problems(), st.booleans())
+def test_plis_rows_pass_the_dot_test(problem, expanded):
+    """Reverse against forward: PLIS_i = J_i^T u_i with u_i = (2/sigma^2) g_i,
+    so ||PLIS_i||^2 = <u_i, J_i PLIS_i>, and one grad_tangents call takes
+    every subject's PLIS as its direction.  The sides share the forward pass."""
+    spec, params, subjects, size = problem
+    sigma = 0.7
+    with chunked(params, size):
+        reports = plis.plis_reports(spec, params, subjects, sigma, expanded=expanded)
+    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
+    u = (2.0 / sigma**2) * models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+    directions = np.stack([r.plis for r in reports])
+    tangents = models.grad_tangents(spec, params, xs, ys, directions)
+    for u_i, t_i, v_i in zip(u, tangents, directions):
+        norm_sq = float(np.sum(v_i * v_i))
+        assert abs(norm_sq - float(u_i @ t_i)) <= REL * norm_sq
 
 
 def _small_cnn(seed):

@@ -638,6 +638,42 @@ class TestAnalyzeAndRank:
         assert "finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sigma", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("command", ["rank", "analyze-plis", "analyze-fil"])
+    def test_sigma_whose_square_is_not_normal_is_rejected(self, tabular_setup, capsys,
+                                                          command, sigma):
+        # sigma^2 = 0 at 1e-200, a division by zero; at 1e200 every PL, PLIS
+        # and FIL would read 0
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data),
+                   "--sigma", sigma, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "sigma must have a square that is a normal float" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, what", [
+        ("rank", [], "privacy loss"),
+        ("analyze-plis", ["--sigma", "1"], "privacy loss"),
+        ("analyze-fil", ["--sigma", "1"], "input Jacobian"),
+        ("analyze-jacsens", [], "input Jacobian"),
+    ], ids=["rank", "analyze-plis", "analyze-fil", "analyze-jacsens"])
+    def test_gradient_that_overflows_is_refused(self, tmp_path, capsys, command, flags, what):
+        # row00001's squared residual overflows: its gradient, PL and Jacobian
+        # would be infinite and its PLIS NaN
+        spec = models.ModelSpec((models.Linear(2, 1),), models.MSE)
+        model = tmp_path / "linear.plck"
+        models.save_checkpoint(model, spec, models.ParamSet(np.array([0.5, -0.25, 0.1]),
+                                                             models.layout_for(spec)))
+        data = tmp_path / "rows.csv"
+        data.write_text("x0,x1,y\n1,2,0.5\n1e308,1e308,1e308\n")
+        out = tmp_path / "never"
+        assert run(command, "--model", str(model), "--data", str(data), *flags,
+                   "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: subject 'row00001': its {what} is not finite"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, sigma", [("analyze-fil", "-1"), ("analyze-plis", "0")])
     def test_failed_analysis_leaves_no_out_directory(self, tabular_setup, command, sigma):
         tmp_path, data, model = tabular_setup

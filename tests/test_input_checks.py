@@ -45,6 +45,15 @@ def _zero_weight():
     return models.ParamSet(np.zeros(1), models.layout_for(_ONE_WEIGHT))
 
 
+# w = 1, y = 0, x = 1e308: the gradient 2x^2, its PL and its Jacobian 4x overflow
+_VAST = [plis.SubjectRecord("ok", np.array([1.0]), np.array([0.0])),
+         plis.SubjectRecord("vast", np.array([1e308]), np.array([0.0]))]
+
+
+def _unit_weight():
+    return models.ParamSet(np.ones(1), models.layout_for(_ONE_WEIGHT))
+
+
 def _images(shape):
     n = shape[0]
     return lambda: datasets.ImageDataset(
@@ -167,9 +176,9 @@ CASES = [
                                          attack.DpRelease(1.0, 1.0)),
          DataFormatError, "subject 'huge': its gradient's squared norm overflows; clipping would"),
     case("grad-tangents-direction-shape",
-         lambda: models.grad_tangents(_LINEAR, models.init_params(_LINEAR, 0), np.zeros(3),
-                                      np.zeros(1), np.zeros((2, 4))),
-         ShapeError, r"directions of shape \(2, 4\) do not fit an input of shape \(3,\)"),
+         lambda: models.grad_tangents(_LINEAR, models.init_params(_LINEAR, 0), np.zeros((2, 3)),
+                                      np.zeros((2, 1)), np.zeros((2, 4))),
+         ShapeError, r"directions of shape \(2, 4\) do not fit inputs of shape \(2, 3\)"),
     case("fim-without-sigma",
          lambda: plis.fim_subject(_LINEAR, models.init_params(_LINEAR, 0), _TABULAR, sigma=None),
          ConfigError, "sigma must be finite and positive, got None"),
@@ -177,6 +186,22 @@ CASES = [
          lambda: plis.plis_reports(_LINEAR, models.init_params(_LINEAR, 0), [_TABULAR],
                                    sigma=np.inf),
          ConfigError, "sigma must be finite and positive, got inf"),
+    case("plis-sigma-square-underflows",
+         lambda: plis.plis_reports(_LINEAR, models.init_params(_LINEAR, 0), [_TABULAR],
+                                   sigma=1e-160),
+         ConfigError, "sigma must have a square that is a normal float .*, got 1e-160"),
+    case("fim-sigma-square-overflows",
+         lambda: plis.fim_subject(_LINEAR, models.init_params(_LINEAR, 0), _TABULAR, sigma=1e160),
+         ConfigError, "sigma must have a square that is a normal float .*, got 1e[+]160"),
+    case("plis-direct-gradient-overflows",
+         lambda: plis.plis_reports(_ONE_WEIGHT, _unit_weight(), _VAST, sigma=1.0),
+         DataFormatError, "subject 'vast': its privacy loss is not finite"),
+    case("plis-expanded-gradient-overflows",
+         lambda: plis.plis_reports(_ONE_WEIGHT, _unit_weight(), _VAST, expanded=True),
+         DataFormatError, "subject 'vast': its privacy loss is not finite"),
+    case("input-jacobian-overflows",
+         lambda: plis.input_jacobian(_ONE_WEIGHT, _unit_weight(), _VAST[1]),
+         DataFormatError, "subject 'vast': its input Jacobian is not finite"),
     case("rank-no-subjects",
          lambda: plis.rank_subjects([], _LINEAR, models.init_params(_LINEAR, 0)),
          ConfigError, "empty dataset"),
