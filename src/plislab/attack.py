@@ -11,11 +11,8 @@ gradient, as the PLIS routes do.  The tape holds only the input leaf and
 models.attach_sample's gradient node g, whose rule maps a cotangent c to
 J^T c.  The match loss and its cotangent c = d(match)/dg, and the prior
 and its gradient t in x, are closed forms in numpy, so one backward pass
-seeded with c, plus t, is the objective's gradient t + J^T c.  The numpy
-code does the arithmetic of the tape ops that would compute the same
-match and prior, and of their rules, in the order a backward pass applies
-them, so the values and the gradient equal that tape route's bit for bit
-(the tests keep it as the reference).
+seeded with c, plus t, is the objective's gradient t + J^T c.  Central
+differences of the objective are its oracle in the tests.
 
 Updates are Adam, implemented from its published update equations
 (exponential first/second moment estimates with bias correction); the
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .autodiff import Tensor, _embed, backward
+from .autodiff import backward
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
 from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad
@@ -112,7 +109,7 @@ def observe_gradient(
     if dp is None:
         return g
     refuse_dropped_row([subject], g[None], dp.clip)
-    g = clip_differentiable(Tensor(g), dp.clip).data
+    g = clip_differentiable(g, dp.clip)[0]
     if dp.sigma > 0:
         noise = rng.gaussians(dp.seed, rng.OBSERVE_STREAM, g.size)
         g = g + noise * (dp.sigma * dp.clip)
@@ -126,8 +123,9 @@ def _match(
     its gradient in g (None when gradient is False).
 
     Cosine: 1 - <g, o> / (sqrt(sum g^2) |o|); L2: sum (g - o)^2.  The
-    arithmetic is that of the tape ops for the same expression and then of
-    their rules, last op first, so both equal the tape route's bit for bit.
+    value is formed left to right and its gradient back from the last
+    operation to the first; keep that order, since the attack's outputs
+    depend on every bit.
     """
     obs = observed[None]
     if loss == L2:
@@ -146,14 +144,21 @@ def _match(
     dot = np.multiply(g, obs, out=work).sum()
     if not gradient:
         return 1.0 - dot / denom, None
-    # the rules of sub(1, .), div, sum and mul(g, o), mul(., |o|), sqrt, sum
-    # and square; products and sums commute exactly, so c is built in place
+    # back through 1 - dot / denom, then denom = sqrt(s) |o| and s = sum g^2;
+    # products and sums commute exactly, so c is built in place
     dot_bar = -1.0 / denom
     s_bar = dot / (denom * denom) * norm_obs / (np.sqrt(s) * 2.0)
     c = g * 2.0
     c *= s_bar
     c += np.multiply(obs, dot_bar, out=work)
     return 1.0 - dot / denom, c
+
+
+def _embed(a: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
+    """a placed into zeros of the given shape at the given tuple index."""
+    out = np.zeros(shape)
+    out[index] = a
+    return out
 
 
 def _smoothed_tv(
@@ -163,11 +168,10 @@ def _smoothed_tv(
     smoothing, and the gradient of weight * TV in x (None when gradient is
     False).
 
-    The arithmetic is that of the tape ops for the same expression (slices,
-    sub, square, add, sqrt, mean) and then of their rules, last op first,
-    so both equal the tape route's bit for bit: the four slices'
-    cotangents are embedded and summed in the order that route's backward
-    pass sums them at x.
+    The gradient is formed back from the mean to the differences, and
+    the four shifted slices' cotangents are placed in zeros of x's shape
+    and summed in a fixed order; keep it, since the attack's outputs
+    depend on every bit.
     """
     lead = (slice(None),) * (x.ndim - 2)
     down_hi, down_lo = lead + (slice(1, None), slice(None)), lead + (slice(0, -1), slice(None))
@@ -215,8 +219,7 @@ def _objective(
     One vector-Jacobian product of the parameter gradient g, the sample's
     gradient node: the backward pass to x seeded with the closed-form
     cotangent c = d(match)/dg from _terms gives J^T c, and the prior's
-    gradient t is added to it, t + J^T c, the sum a tape route's backward
-    pass forms at x.
+    gradient t is added to it, t + J^T c.
     """
     sample = attach_sample(spec, params, x[None], [label])
     objective, match, c, t = _terms(sample.grads.data, sample.x.data, observed, config)

@@ -1,27 +1,27 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation,
-and the numpy kernels of the model layers.
+"""A one-node tape for the input-gradient pass, and the numpy kernels of
+the model layers.
 
-The tape carries what analyses build on a model's per-sample gradients:
-in the library only the DP clip of expanded PLIS.  Its ops are elementwise
-(add, sub, mul, div, square, sqrt, max_scalar), reductions (tsum, tmean)
-and shape ops (broadcast, reshape, tslice, embed).  The model is one node:
-models.attach_sample records the (B, p) per-sample gradient rows above the
-input leaf, and that node's rule maps a (B, p) cotangent c to the rows
-J_i^T c_i (J = d grad_theta / dx) by the tape-free forward-over-reverse
-walk in models.  So a backward pass to the input seeded with a row
-cotangent differentiates the gradients once more: no second-order mode.
+The tape holds the input leaf and one node above it:
+models.attach_sample records the (B, p) per-sample gradient rows above
+the (B, ...) input leaf, and that node's rule maps a (B, p) cotangent c
+to the rows J_i^T c_i (J = d grad_theta / dx) by the tape-free
+forward-over-reverse walk in models.  So a backward pass to the input
+seeded with a row cotangent differentiates the gradients once more: no
+second-order mode.  PLIS and the attack derive their row cotangents in
+numpy (the DP clip's by dpsgd.clip_differentiable's pullback), so
+nothing is recorded above the node.
 
 Conventions:
   * everything is float64 (second-order finite-difference checks need
     the headroom; sizes are desk-scale);
   * a tensor either carries a (graph, node_id) pair or is a detached
     constant that never receives gradient;
-  * node inputs always reference earlier node ids, so iterating ids in
-    reverse is a valid topological order;
-  * max-with-scalar and the relu kernels use subgradient 0 at the kink;
-  * a graph lives for one analysis call and is then discarded.  Nodes
-    keep their inputs' data arrays and node ids, never the input
-    tensors, so nothing in a graph refers back to it: a graph is freed by
+  * a node's inputs are leaves of its graph, so one application of the
+    output's rule is a whole backward pass;
+  * the relu kernels use subgradient 0 at the kink;
+  * a graph lives for one analysis call and is then discarded.  A node
+    keeps its inputs' data arrays and node ids, never the input tensors,
+    so nothing in a graph refers back to it: a graph is freed by
     reference counting as soon as the caller drops the last tensor on
     it, without waiting for the cyclic garbage collector.
 
@@ -39,23 +39,15 @@ flat shift, and runs one GEMM and one contiguous add per offset.  No
 index table holds either layout.
 
 Batch axis: the kernels work on a leading batch axis, one independent
-image, weight matrix, bias or logit row per sample, and tsum reduces per
-row when given axes.  Row i of every tensor above the model node depends
-only on sample i, so one backward pass seeded with a cotangent of the
-output's shape returns each sample's gradient in its own row.
-
-Rules are numpy: a node's rule maps its cotangent array and its input
-arrays to one cotangent array per input, by the arithmetic the ops would
-record for them, and calls no op, so a backward pass records nothing.
-One reverse sweep visits the ids from the output down to the lowest wrt
-id; a node's cotangent is dropped as soon as its rule has run, and only
-the wrt tensors' cotangents live to the end, wrapped as tensors.
+image, weight matrix, bias or logit row per sample.  Row i of the model
+node depends only on sample i, so one backward pass seeded with a
+cotangent of the node's shape returns each sample's gradient in its own
+row.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,10 +63,9 @@ Array = np.ndarray
 class Node:
     """One recorded operation: kind, inputs and a backward rule.
 
-    Each input is kept as its node id (None for a detached constant) and
-    its data array.  backward() calls rule(grad, *input_data) on arrays;
-    the rule returns one cotangent array per input, and backward() drops
-    those of detached inputs.  Leaves have no rule.
+    Each input is kept as its node id and its data array.  backward()
+    calls rule(grad, *input_data) on arrays, and the rule returns one
+    cotangent array per input.  Leaves have no rule.
     """
 
     __slots__ = ("op", "input_ids", "input_data", "rule")
@@ -87,7 +78,7 @@ class Node:
 
 
 class Graph:
-    """Append-only tape of operation records."""
+    """Append-only tape of leaves and the nodes above them."""
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -102,8 +93,8 @@ class Graph:
 class Tensor:
     """A float64 array, optionally attached to a graph node.
 
-    Detached tensors (graph is None) act as constants: ops on them are
-    computed eagerly and they never accumulate gradient.
+    A detached tensor (graph is None) is a plain value that never receives
+    gradient; backward() returns its gradients as detached tensors.
     """
 
     __slots__ = ("data", "graph", "node_id")
@@ -117,233 +108,17 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        tag = "" if self.graph is None else f", node={self.node_id}"
-        return f"Tensor(shape={self.shape}{tag})"
-
-
-# --------------------------------------------------------------------------
-# op recording helpers
-# --------------------------------------------------------------------------
-
-
-def _tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def _graph_of(inputs: tuple[Tensor, ...]) -> Graph | None:
-    g = None
-    for t in inputs:
-        if t.graph is None:
-            continue
-        if g is None:
-            g = t.graph
-        elif g is not t.graph:
-            raise GraphError("operands belong to different graphs")
-    return g
-
 
 def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tensor:
-    g = _graph_of(inputs)
-    if g is None:
-        return Tensor(out_data)
-    ids = tuple(t.node_id if t.graph is not None else None for t in inputs)
-    t = Tensor(out_data, graph=g, node_id=len(g.nodes))
-    g.nodes.append(Node(op, ids, tuple(x.data for x in inputs), rule))
-    return t
-
-
-def _coerce_pair(op: str, a, b) -> tuple[Tensor, Tensor]:
-    """Validate an elementwise pair; only detached size-1 operands may broadcast."""
-    a, b = _tensor(a), _tensor(b)
-    if a.shape != b.shape:
-        a_scalar = a.size == 1 and a.graph is None
-        b_scalar = b.size == 1 and b.graph is None
-        if not (a_scalar or b_scalar):
-            raise ShapeError(
-                f"{op}: shapes {a.shape} and {b.shape} do not match"
-                " (attach an explicit broadcast() if intended)"
-            )
-    return a, b
-
-
-# --------------------------------------------------------------------------
-# elementwise ops
-# --------------------------------------------------------------------------
-
-
-def add(a, b) -> Tensor:
-    a, b = _coerce_pair("add", a, b)
-
-    def rule(grad: Array, a: Array, b: Array):
-        return (grad, grad)
-
-    return _record("add", a.data + b.data, (a, b), rule)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce_pair("sub", a, b)
-
-    def rule(grad: Array, a: Array, b: Array):
-        return (grad, grad * -1.0)
-
-    return _record("sub", a.data - b.data, (a, b), rule)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce_pair("mul", a, b)
-
-    def rule(grad: Array, a: Array, b: Array):
-        return (grad * b, grad * a)
-
-    return _record("mul", a.data * b.data, (a, b), rule)
-
-
-def div(a, b) -> Tensor:
-    a, b = _coerce_pair("div", a, b)
-
-    def rule(grad: Array, a: Array, b: Array):
-        return (grad / b, grad * a / (b * b) * -1.0)
-
-    return _record("div", a.data / b.data, (a, b), rule)
-
-
-def square(a) -> Tensor:
-    a = _tensor(a)
-
-    def rule(grad: Array, a: Array):
-        return (grad * (a * 2.0),)
-
-    return _record("square", a.data * a.data, (a,), rule)
-
-
-def sqrt(a) -> Tensor:
-    a = _tensor(a)
-
-    def rule(grad: Array, a: Array):
-        return (grad / (np.sqrt(a) * 2.0),)
-
-    return _record("sqrt", np.sqrt(a.data), (a,), rule)
-
-
-def max_scalar(a, c: float) -> Tensor:
-    """Elementwise max(a, c) for a scalar threshold c."""
-    a = _tensor(a)
-    c = float(c)
-
-    def rule(grad: Array, a: Array):
-        # at a == c the constant branch wins (derivative 0)
-        return (grad * (a > c),)
-
-    return _record("max-with-scalar", np.maximum(a.data, c), (a,), rule)
-
-
-# --------------------------------------------------------------------------
-# reductions, shape ops
-# --------------------------------------------------------------------------
-
-
-def _normalize_axes(axes, ndim: int) -> tuple[int, ...]:
-    if axes is None:
-        return tuple(range(ndim))
-    if isinstance(axes, int):
-        axes = (axes,)
-    return tuple(sorted(ax % ndim for ax in axes))
-
-
-def _expand(a: Array, shape: tuple) -> Array:
-    """A new array of the given shape holding a broadcast to it."""
-    out = np.empty(shape)
-    out[...] = a
-    return out
-
-
-def tsum(a, axes=None, keepdims: bool = False) -> Tensor:
-    """Sum over the given axes (all axes by default)."""
-    a = _tensor(a)
-    ax = _normalize_axes(axes, a.data.ndim)
-    out = a.data.sum(axis=ax if ax else None, keepdims=keepdims)
-    kept = tuple(1 if i in ax else s for i, s in enumerate(a.shape))
-
-    def rule(grad: Array, a: Array):
-        return (_expand(grad.reshape(kept), a.shape),)
-
-    return _record("sum", out, (a,), rule)
-
-
-def tmean(a) -> Tensor:
-    """Mean over all entries."""
-    a = _tensor(a)
-    n = a.size
-
-    def rule(grad: Array, a: Array):
-        return (_expand(grad * (1.0 / n), a.shape),)
-
-    return _record("mean", np.asarray(a.data.mean()), (a,), rule)
-
-
-def broadcast(a, shape: tuple) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    a = _tensor(a)
-    pad = (1,) * (len(shape) - a.data.ndim) + a.shape
-    if len(pad) != len(shape) or any(
-        so < 0 or (sa != 1 and sa != so) for sa, so in zip(pad, shape)
+    """out_data as a new node above inputs, which must be leaves of one graph."""
+    graph = inputs[0].graph
+    if graph is None or any(
+        t.graph is not graph or graph.nodes[t.node_id].rule is not None for t in inputs
     ):
-        raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}")
-    expanded = tuple(i for i, (sa, so) in enumerate(zip(pad, shape)) if sa == 1 and so != 1)
-
-    def rule(grad: Array, a: Array):
-        return ((grad.sum(axis=expanded, keepdims=True) if expanded else grad).reshape(a.shape),)
-
-    return _record("broadcast", _expand(a.data, shape), (a,), rule)
-
-
-def reshape(a, shape) -> Tensor:
-    a = _tensor(a)
-    shape = tuple(int(s) for s in shape) if not isinstance(shape, int) else (shape,)
-    if math.prod(shape) != a.size:
-        raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def rule(grad: Array, a: Array):
-        return (grad.reshape(a.shape),)
-
-    return _record("reshape", a.data.reshape(shape), (a,), rule)
-
-
-def tslice(a, index: tuple) -> Tensor:
-    """Slice/int indexing, or integer-array indexing that picks each entry
-    at most once, by a tuple index; the adjoint is embed()."""
-    a = _tensor(a)
-
-    def rule(grad: Array, a: Array):
-        return (_embed(grad, a.shape, index),)
-
-    return _record("slice", np.array(a.data[index]), (a,), rule)
-
-
-def _embed(a: Array, shape: tuple, index: tuple) -> Array:
-    out = np.zeros(shape)
-    out[index] = a
-    return out
-
-
-def embed(a, shape: tuple, index: tuple) -> Tensor:
-    """Place a into a zero tensor of the given shape at the given tuple index."""
-    a = _tensor(a)
-
-    def rule(grad: Array, a: Array):
-        return (np.array(grad[index]),)
-
-    return _record("embed", _embed(a.data, shape, index), (a,), rule)
+        raise GraphError(f"{op}: a node's inputs must be leaves of one graph")
+    t = Tensor(out_data, graph=graph, node_id=len(graph.nodes))
+    graph.nodes.append(Node(op, tuple(x.node_id for x in inputs), tuple(x.data for x in inputs), rule))
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -532,16 +307,15 @@ def _mse_adjoint_np(g: Array, pred: Array, target: Array) -> Array:
 # --------------------------------------------------------------------------
 
 
-def backward(output: Tensor, wrt: Sequence[Tensor], *, cotangent=None) -> list[Tensor]:
+def backward(output: Tensor, wrt: Sequence[Tensor], *, cotangent) -> list[Tensor]:
     """Gradients of <cotangent, output> with respect to each tensor in wrt, as
     detached constants.  The cotangent, read and not copied, must have the
-    output's shape (else a ShapeError); without one, a scalar output is
-    seeded with 1 and any other is a GraphError.
+    output's shape (else a ShapeError).
 
-    One reverse sweep over arrays, from the output down to the lowest wrt
-    id, hands each node's cotangent to its rule and frees it, except the
-    wrt tensors' own, which are returned.  A wrt tensor may be any node,
-    the output included; one the output does not depend on gets zeros.
+    The output node's rule maps the cotangent to its inputs, which are
+    leaves, so that one call is the whole pass.  A wrt tensor may be any
+    tensor on the graph: the output gets the cotangent, and a tensor the
+    output does not depend on gets zeros.
     """
     graph = output.graph
     if graph is None:
@@ -549,52 +323,12 @@ def backward(output: Tensor, wrt: Sequence[Tensor], *, cotangent=None) -> list[T
     for t in wrt:
         if t.graph is not graph:
             raise GraphError("backward: wrt tensor is not on the output's graph")
-    if cotangent is None:
-        if output.size != 1:
-            raise GraphError(f"backward: output has shape {output.shape}; it must be a scalar")
-        cotangent = np.ones_like(output.data)
-    elif np.shape(cotangent) != output.shape:
+    if np.shape(cotangent) != output.shape:
         raise ShapeError(f"backward: cotangent {np.shape(cotangent)} for output {output.shape}")
 
-    start = output.node_id
-    keep = {t.node_id for t in wrt}
-    slots: dict[int, Array] = {start: np.asarray(cotangent, dtype=np.float64)}
-    for nid in range(start, min(keep, default=start + 1) - 1, -1):
-        grad = slots.get(nid) if nid in keep else slots.pop(nid, None)
-        node = graph.nodes[nid]
-        if grad is None or node.rule is None:  # unreached, or a leaf
-            continue
-        for iid, g in zip(node.input_ids, node.rule(grad, *node.input_data)):
-            if iid is not None:
-                slots[iid] = g if iid not in slots else slots[iid] + g
+    node = graph.nodes[output.node_id]
+    slots: dict[int, Array] = {output.node_id: np.asarray(cotangent, dtype=np.float64)}
+    if node.rule is not None:
+        for iid, g in zip(node.input_ids, node.rule(slots[output.node_id], *node.input_data)):
+            slots[iid] = slots[iid] + g if iid in slots else g
     return [Tensor(slots[t.node_id] if t.node_id in slots else np.zeros_like(t.data)) for t in wrt]
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-5) -> float:
-    """Max relative error between the analytic gradient of f and central differences.
-
-    Relative error per coordinate is |analytic - central| / (|central| + 1e-12).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    graph = Graph()
-    leaf = graph.leaf(x)
-    out = f(leaf)
-    if out.size != 1:
-        raise GraphError("finite_diff_check: f must return a scalar")
-    if out.graph is None:
-        analytic = np.zeros_like(x)
-    else:
-        analytic = backward(out, [leaf])[0].data
-    numeric = np.zeros_like(x)
-    flat = x.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        hi = float(f(Tensor(x)).data.reshape(()))
-        flat[j] = orig - h
-        lo = float(f(Tensor(x)).data.reshape(()))
-        flat[j] = orig
-        num_flat[j] = (hi - lo) / (2.0 * h)
-    rel = np.abs(analytic - numeric) / (np.abs(numeric) + 1e-12)
-    return float(rel.max()) if rel.size else 0.0

@@ -96,6 +96,10 @@ def emit_heatmap(matrix, base_path: str) -> None:
     _atomic_write_text(base_path + ".csv", "\n".join(rows) + "\n")
     h, w = matrix.shape
     lo, hi = float(matrix.min()), float(matrix.max())
+    if not math.isfinite(255.0 * (hi - lo)):
+        # a power of two scales exactly and brings 255 (hi - lo) below the
+        # float maximum; where it is finite already, the pixels keep their bytes
+        matrix, lo, hi = matrix * 2.0**-10, lo * 2.0**-10, hi * 2.0**-10
     if hi == lo:
         pixels = np.full(matrix.shape, 128, dtype=np.uint8)
     else:

@@ -4,10 +4,11 @@ The clip is g * C / sqrt(max(||g||^2, C^2)) per row, which is
 g * C / max(||g||, C) to the bit while C^2 is a normal float (check_clip
 refuses any other C).  A step scales its rows in place by clip_factor,
 and direct PLIS takes its PL from it.  The expanded PLIS route takes
-clip_differentiable, the same formula as a chain of graph ops above the
-gradient node, which one backward pass differentiates.  At ||g||^2 = C^2
-its derivative is the no-clip branch's, and a zero row gets the
-identity's: sqrt's rule then divides by 2C, never by 0.  Noise is
+clip_differentiable: the clipped rows and a pullback, the clip's
+vector-Jacobian product in closed form, which maps a row cotangent r to
+the gradient of <r, clip(g)> in g.  At ||g||^2 = C^2 that derivative is
+the no-clip branch's, and a zero row gets the identity's: the norm
+path's term then divides by 2C, never by 0.  Noise is
 N(0, (sigma*C)^2) per coordinate on the *sum* of clipped gradients, i.e.
 each step is a Gaussian mechanism with sensitivity C and noise multiplier
 sigma, so the accountant sees (C, sigma*C) and the RDP closed form reduces to
@@ -27,10 +28,7 @@ models.chunk_size() samples, clips each row in place and adds the chunk's
 sum into one running total.  That route is tape-free: a step builds no
 graph.  train draws the noise of consecutive steps as one block of
 rng.gaussian_rows, of at most NOISE_BLOCK_ENTRIES entries, whose row for
-step t is the draw dp_sgd_step would make itself at step t.  Only the
-expanded PLIS route puts the clipped rows on the tape, through
-clip_differentiable; the direct route takes the clipped PL's row
-cotangent in closed form.
+step t is the draw dp_sgd_step would make itself at step t.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ import numpy as np
 
 from . import rng
 from .accounting import AccountantState, check_delta, epsilon_from_rdp, sigma_for_budget
-from .autodiff import Tensor, broadcast, div, max_scalar, mul, sqrt, square, tsum
 from .errors import ConfigError, DataFormatError, TrainingDivergedError
 from .models import (
     Batch,
@@ -88,9 +85,9 @@ def dropped_row(factor: np.ndarray) -> int | None:
     """The first row that clipping by clip_factor's factor would drop, else None.
 
     The factor is 0 exactly where a row's squared norm overflows: every
-    clip, in place or on the tape, would silently zero that row.  The
-    DP-SGD step, clipped PLIS and a DP release refuse it, naming the step
-    or the subject.
+    clip, in place or by clip_differentiable, would silently zero that
+    row.  The DP-SGD step, clipped PLIS and a DP release refuse it,
+    naming the step or the subject.
     """
     if factor.all():
         return None
@@ -159,13 +156,28 @@ class DpSgdConfig:
         check_delta(self.target_delta)
 
 
-def clip_differentiable(g: Tensor, clip: float) -> Tensor:
-    """g times clip_factor(g, C) along the last axis, as graph ops: a (B, p)
-    tensor is clipped row by row, with the in-place clip's values to the bit."""
+def clip_differentiable(g: np.ndarray, clip: float):
+    """(clipped, pullback) for rows g clipped along the last axis.
+
+    clipped is g * clip_factor(g, C), to the bit.  pullback(r) is the
+    gradient of <r, clipped> in g, in closed form: r * f plus the norm
+    path's term, with s = ||g||^2, n = sqrt(max(s, C^2)) and f = C / n;
+    the term is 0 unless s > C^2.  Above C that is the projection
+    (C / ||g||) (r - u <u, r>), u = g / ||g||; at or below C it is r.  The
+    order of the operations is kept as it is: the bits of clipped
+    expanded PLIS, and so of the CLI's outputs, depend on it.
+    """
     check_clip(clip)
     c = float(clip)
-    norm = sqrt(max_scalar(tsum(square(g), axes=-1, keepdims=True), c * c))
-    return mul(g, broadcast(div(c, norm), g.shape))
+    s = (g * g).sum(axis=-1, keepdims=True)
+    n = np.sqrt(np.maximum(s, c * c))
+    f = c / n
+
+    def pullback(r: np.ndarray) -> np.ndarray:
+        norm_bar = (r * g).sum(axis=-1, keepdims=True) * c / (n * n) * -1.0 / (n * 2.0)
+        return r * f + (norm_bar * (s > c * c)) * (g * 2.0)
+
+    return g * f, pullback
 
 
 @dataclass

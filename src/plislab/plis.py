@@ -11,13 +11,14 @@ routes that must agree:
     the clip saturates (||g_i||^2 > C^2): the clipped PL is C^2 / sigma^2
     there, flat in g, and w_i is 0, so u_i is exactly 0;
   * expanded: (2/sigma^2) * g^T (dg/dx) as a vector-Jacobian product with
-    the left factor g as the constant cotangent, g clipped by the clip's
-    op chain on the tape when clipped, so that the backward pass through
-    the chain derives the clipped row's cotangent.
+    the left factor g as the constant cotangent; when clipped, the left
+    factor is clip(g), and the clip's pullback
+    (dpsgd.clip_differentiable) carries it to the unclipped rows.
 
-So the two routes derive the clipped row cotangent independently.  Both
-seed a backward pass to the input with their row cotangents, which
-reaches models.attach_sample's gradient node, whose rule turns the
+So the two routes derive the clipped row cotangent independently: one
+from the saturation test on ||g||^2, the other from the clip's
+derivative.  Both seed a backward pass to the input with their row
+cotangents at models.attach_sample's gradient node, whose rule turns the
 cotangent c reaching the rows into J^T c by a tape-free
 forward-over-reverse walk.
 
@@ -36,8 +37,10 @@ per chunk, not per subject.  The input Jacobian takes the subject once per
 input direction, models.chunk_size() of them per call.  Every graph is
 dropped when the call returns.
 
-A PL, PLIS or Jacobian that is not finite (a gradient that overflows) is
-a DataFormatError naming the subject, never a number in a report.
+A PL, PLIS, PLIS norm, Jacobian or Fisher information that is not
+finite (a gradient that overflows, or a sigma so small that dividing by
+sigma^2 does) is a DataFormatError naming the subject, never a number in
+a report.
 """
 
 from __future__ import annotations
@@ -130,9 +133,9 @@ def plis_reports(
     Each chunk of models.chunk_size() subjects shares one graph and one
     backward pass to X.  The direct route seeds the gradient node with the
     rows u_i = 2 w_i g_i, w_i = 1 / sigma^2, or 0 where the clip saturates;
-    the expanded one seeds the clipped rows, or the node itself unclipped,
-    with the rows they hold and scales by 2 / sigma^2.  Both take PL_i as
-    ||clip(g_i)||^2 / sigma^2.
+    the expanded one seeds it with the rows g_i, or clipped with the
+    clip's pullback of the clipped rows, and scales by 2 / sigma^2.  Both
+    take PL_i as ||clip(g_i)||^2 / sigma^2.
     """
     if sigma is not None:
         _check_sigma(sigma)
@@ -143,28 +146,34 @@ def plis_reports(
             part = subjects[first : first + size]
             xs = stack_inputs([s.x for s in part], first)
             sample = attach_sample(spec, params, xs, [s.y for s in part])
-            g = sample.grads
+            rows = sample.grads.data
             if clip is not None:
-                refuse_dropped_row(part, g.data, clip)
+                refuse_dropped_row(part, rows, clip)
             if expanded:
-                if clip is not None:
-                    g = clip_differentiable(g, clip)
                 # the constant left factor: the (clipped) rows seed the pass
-                (gx,) = backward(g, [sample.x], cotangent=g.data)
-                pl = scale * np.square(g.data).sum(axis=1)
+                left, seed = rows, rows
+                if clip is not None:
+                    left, pullback = clip_differentiable(rows, clip)
+                    seed = pullback(left)
+                (gx,) = backward(sample.grads, [sample.x], cotangent=seed)
+                pl = scale * np.square(left).sum(axis=1)
                 plis = 2.0 * scale * gx.data
             else:
                 # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates
-                rows = g.data
                 weights, pl = np.full(len(part), scale), (rows * rows).sum(axis=1)
                 if clip is not None:
                     weights[pl > clip * clip] = 0.0
                     pl = np.square(rows * clip_factor(rows, clip)).sum(axis=1)
-                (gx,) = backward(g, [sample.x], cotangent=(rows * 2.0) * weights[:, None])
+                (gx,) = backward(sample.grads, [sample.x],
+                                 cotangent=(rows * 2.0) * weights[:, None])
                 pl, plis = scale * pl, gx.data
+            norms = np.array([np.linalg.norm(m) for m in plis])
             _refuse_non_finite(part, pl, "privacy loss")
             _refuse_non_finite(part, plis, "PLIS")
-            reports.extend(_report(s, float(v), m, sigma) for s, v, m in zip(part, pl, plis))
+            _refuse_non_finite(part, norms, "PLIS norm")
+            mode = MODE_NON_PRIVATE if sigma is None else MODE_PRIVATE
+            reports.extend(PlisReport(s.id, float(v), m, float(n), mode, sigma)
+                           for s, v, m, n in zip(part, pl, plis, norms))
     return reports
 
 
@@ -188,17 +197,6 @@ def plis_expanded(
 ) -> PlisReport:
     """PLIS via the vector-Jacobian expansion with the left factor detached."""
     return plis_reports(spec, params, [subject], sigma, clip, expanded=True)[0]
-
-
-def _report(subject: SubjectRecord, pl: float, plis: np.ndarray, sigma: float | None) -> PlisReport:
-    return PlisReport(
-        subject_id=subject.id,
-        pl=pl,
-        plis=plis,
-        subject_plis_norm=float(np.linalg.norm(plis)),
-        mode=MODE_NON_PRIVATE if sigma is None else MODE_PRIVATE,
-        sigma=sigma,
-    )
 
 
 def deviation(reference: PlisReport, other: PlisReport, x) -> float:
@@ -267,7 +265,10 @@ def fim_subject(
     """Per-subject Fisher information sub-matrix J^T J / sigma^2."""
     _check_sigma(sigma)
     jac = input_jacobian(spec, params, subject)
-    fim = (jac.T @ jac) / (sigma * sigma)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        fim = (jac.T @ jac) / (sigma * sigma)
+    # a finite FIM bounds the FIL: its square is at most the FIM's trace
+    _refuse_non_finite([subject], fim, "Fisher information")
     fil = np.sqrt(spectral_norm_sq(jac)) / sigma
     diag = np.clip(np.diag(fim), 0.0, None)
     return FimReport(subject.id, fim, fil, np.sqrt(diag))

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
-from plislab.autodiff import Tensor, backward, mul, tsum
+from plislab.autodiff import backward
 from plislab.errors import PlisLabError, ShapeError
 
 REL = 1e-12
@@ -215,7 +215,7 @@ def test_dp_sgd_step_clipped_sum_matches_per_sample(problem, clip_quantile):
     grads = _per_sample_grads(spec, params, subjects)
     # a threshold some rows exceed and others do not
     clip = clip_quantile * float(np.median([np.linalg.norm(g) for g in grads])) + 1e-3
-    clipped = [dpsgd.clip_differentiable(Tensor(g), clip).data for g in grads]
+    clipped = [dpsgd.clip_differentiable(g, clip)[0] for g in grads]
     config = dpsgd.DpSgdConfig(
         learning_rate=0.5, epochs=1, batch_size=len(subjects), private=True, clip=clip, sigma=0.7
     )
@@ -223,12 +223,12 @@ def test_dp_sgd_step_clipped_sum_matches_per_sample(problem, clip_quantile):
         result = dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
     update = (np.sum(clipped, axis=0) + result.noise * (0.7 * clip)) / len(subjects)
     assert_close(result.params.flat, params.flat - 0.5 * update)
-    # the same chunks through the tape clip give the step's parameters to the bit
+    # the same chunks through clip_differentiable give the step's parameters to the bit
     total = np.zeros(params.count)
     for part in models.chunks(subjects, size):
         xs, ys = np.stack([s.x for s in part]), [s.y for s in part]
         g = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
-        total += dpsgd.clip_differentiable(Tensor(g), clip).data.sum(axis=0)
+        total += dpsgd.clip_differentiable(g, clip)[0].sum(axis=0)
     update = (total + result.noise * (0.7 * clip)) / len(subjects)
     assert result.params.flat.tobytes() == (params.flat - 0.5 * update).tobytes()
 
@@ -342,11 +342,11 @@ def test_plis_reaches_x_through_the_layers_below_the_first_weighted_one(spec, sh
 
 def _jacobian_by_columns(spec, params, subject):
     """Oracle: J (p x d) from one graph for the subject and one backward pass
-    per column of J^T: <g, e_k> through the gradient node gives J^T e_k, the
+    per column of J^T: the node seeded with e_k gives J^T e_k, the
     reverse half of the walk, which shares no tangent code with grad_tangents."""
     sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
     return np.stack([
-        backward(tsum(mul(sample.grads, Tensor(e[None]))), [sample.x])[0].data.reshape(-1)
+        backward(sample.grads, [sample.x], cotangent=e[None])[0].data.reshape(-1)
         for e in np.eye(params.count)
     ])
 
@@ -518,7 +518,7 @@ def test_clip_bounds_every_row_and_keeps_rows_below_the_threshold(problem, clip_
     grads = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
     norms = np.linalg.norm(grads, axis=1)
     clip = clip_quantile * float(np.median(norms)) + 1e-3
-    clipped = dpsgd.clip_differentiable(Tensor(grads), clip).data
+    clipped = dpsgd.clip_differentiable(grads, clip)[0]
     assert (np.linalg.norm(clipped, axis=1) <= clip * (1 + 1e-12)).all()
     below = norms <= clip
     assert clipped[below].tobytes() == grads[below].tobytes()

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,14 @@ class TestEmitHeatmap:
         blob = (tmp_path / "map.pgm").read_bytes()
         assert blob.startswith(b"P5\n2 2\n255\n")
         assert list(blob[-4:]) == [0, 85, 170, 255]
+
+    def test_extremes_near_the_float_maximum_map_to_0_and_255(self, tmp_path):
+        # every entry is finite, but 255 (hi - lo) is not
+        base = str(tmp_path / "wide")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cli.emit_heatmap(np.array([[-9e307, 0.0], [9e307, 1.0]]), base)
+        assert list((tmp_path / "wide.pgm").read_bytes()[-4:]) == [0, 128, 255, 128]
 
     def test_all_equal_maps_to_midgray(self, tmp_path):
         base = str(tmp_path / "flat")
@@ -650,6 +659,25 @@ class TestAnalyzeAndRank:
                    "--sigma", sigma, "--out", str(out)) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "sigma must have a square that is a normal float" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, sigma, what", [
+        ("analyze-plis", "1e-153", "PLIS norm"),
+        ("rank", "1e-153", "PLIS norm"),
+        ("analyze-fil", "2e-154", "Fisher information"),
+    ], ids=["analyze-plis", "rank", "analyze-fil"])
+    def test_sigma_that_overflows_a_result_is_refused(self, tabular_setup, capsys,
+                                                      command, sigma, what):
+        # sigma^2 is a normal float, but every PLIS norm, or the FIM, overflows
+        # when divided by it: each would be written as inf
+        tmp_path, data, model = tabular_setup
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--model", str(model), "--data", str(data),
+                       "--sigma", sigma, "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: subject 'row00000': its {what} is not finite"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, what", [

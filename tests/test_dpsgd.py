@@ -6,17 +6,6 @@ import numpy as np
 import pytest
 
 from plislab import accounting, datasets, dpsgd, models
-from plislab.autodiff import (
-    Graph,
-    Tensor,
-    backward,
-    broadcast,
-    finite_diff_check,
-    mul,
-    reshape,
-    square,
-    tsum,
-)
 from plislab.errors import ConfigError, TrainingDivergedError
 
 
@@ -31,7 +20,7 @@ def _linear_dataset(n=40, d=3, seed=0, noise=0.0):
 LINEAR_SPEC = models.ModelSpec((models.Linear(3, 1, bias=False),), models.MSE)
 
 
-def _step_through_tape_clip(spec, params, batch, cfg, noise):
+def _step_through_clip_differentiable(spec, params, batch, cfg, noise):
     """A private step's new parameters with each chunk's rows clipped by
     clip_differentiable, and the clipped rows."""
     total = np.zeros(params.count)
@@ -39,7 +28,7 @@ def _step_through_tape_clip(spec, params, batch, cfg, noise):
     for part in models.chunks(batch, models.chunk_size(params)):
         xs, ys = np.stack([x for x, _ in part]), [y for _, y in part]
         g = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
-        rows.append(dpsgd.clip_differentiable(Tensor(g), cfg.clip).data)
+        rows.append(dpsgd.clip_differentiable(g, cfg.clip)[0])
         total += rows[-1].sum(axis=0)
     total = total + noise * (cfg.sigma * cfg.clip)
     return params.flat - cfg.learning_rate * (total / len(batch)), np.concatenate(rows)
@@ -61,7 +50,7 @@ class TestClipFactor:
         norms = np.linalg.norm(g, axis=1)
         assert (norms > clip).any() and (norms[norms != 0] < clip).any()
         assert norms[4] == clip
-        expected = dpsgd.clip_differentiable(Tensor(g), clip).data
+        expected = dpsgd.clip_differentiable(g, clip)[0]
         # the max(||g||, C) form the sqrt(max(||g||^2, C^2)) form must equal
         max_form = g * (clip / np.maximum(np.sqrt((g * g).sum(axis=-1, keepdims=True)), clip))
         g *= dpsgd.clip_factor(g, clip)
@@ -86,26 +75,33 @@ class TestClipFactor:
             assert dpsgd.clip_factor(g, clip).tobytes() == max_form.tobytes(), clip
 
 
+def _central_differences(f, x, h):
+    """The gradient of the scalar f at x by central differences, entry by entry."""
+    out = np.zeros_like(x)
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = h
+        step = step.reshape(x.shape)
+        out.flat[j] = (f(x + step) - f(x - step)) / (2 * h)
+    return out
+
+
 class TestClipDifferentiable:
     def test_large_gradient_scaled_to_threshold(self):
-        g = Tensor(np.full(4, 5.0))  # norm 10
-        out = dpsgd.clip_differentiable(g, 1.0)
-        assert np.linalg.norm(out.data) == pytest.approx(1.0, abs=1e-12)
+        clipped, _ = dpsgd.clip_differentiable(np.full(4, 5.0), 1.0)  # norm 10
+        assert np.linalg.norm(clipped) == pytest.approx(1.0, abs=1e-12)
 
     def test_small_gradient_unchanged(self):
-        g = Tensor([0.3, 0.4])  # norm 0.5
-        out = dpsgd.clip_differentiable(g, 1.0)
-        np.testing.assert_array_equal(out.data, g.data)
+        g = np.array([0.3, 0.4])  # norm 0.5
+        np.testing.assert_array_equal(dpsgd.clip_differentiable(g, 1.0)[0], g)
 
     def test_zero_gradient_unchanged(self):
-        out = dpsgd.clip_differentiable(Tensor(np.zeros(3)), 1.0)
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        np.testing.assert_array_equal(dpsgd.clip_differentiable(np.zeros(3), 1.0)[0], np.zeros(3))
 
     def test_continuous_at_threshold(self):
         # both branches give g exactly at ||g|| = C
         g = np.array([3.0, 4.0])  # norm 5
-        out = dpsgd.clip_differentiable(Tensor(g), 5.0)
-        np.testing.assert_array_equal(out.data, g)
+        np.testing.assert_array_equal(dpsgd.clip_differentiable(g, 5.0)[0], g)
 
     @pytest.mark.parametrize("scale,label", [(0.25, "below"), (4.0, "above")])
     def test_gradient_matches_finite_differences_off_threshold(self, scale, label):
@@ -113,50 +109,65 @@ class TestClipDifferentiable:
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 3))
 
-        def clipped_norm_sq(t):
-            if t.graph is None:
-                t = Graph().leaf(t.data)
-            g = tsum(mul(Tensor(a), broadcast(reshape(t, (1, 3)), (4, 3))), axes=1)
-            return tsum(square(dpsgd.clip_differentiable(g, 1.0)))
+        def clipped_norm_sq(x):
+            return float(np.square(dpsgd.clip_differentiable(a @ x, 1.0)[0]).sum())
 
         x = scale * rng.normal(size=3)
+        clipped, pullback = dpsgd.clip_differentiable(a @ x, 1.0)
+        analytic = a.T @ pullback(2.0 * clipped)
+        numeric = _central_differences(clipped_norm_sq, x, 1e-6)
         if label == "below":
-            assert finite_diff_check(clipped_norm_sq, x, h=1e-6) < 1e-4
+            assert (np.abs(analytic - numeric) / (np.abs(numeric) + 1e-12)).max() < 1e-4
         else:
             # above the threshold ||clip(g)||^2 is locally the constant C^2,
             # so the true derivative is identically zero; assert both the
             # analytic value and finite differences vanish rather than
             # comparing a 0/0 ratio
-            graph = Graph()
-            leaf = graph.leaf(x)
-            analytic = backward(clipped_norm_sq(leaf), [leaf])[0].data
             assert np.abs(analytic).max() < 1e-8
-            h = 1e-6
-            for j in range(3):
-                up, down = x.copy(), x.copy()
-                up[j] += h
-                down[j] -= h
-                fd = (
-                    clipped_norm_sq(Tensor(up)).item() - clipped_norm_sq(Tensor(down)).item()
-                ) / (2 * h)
-                assert abs(fd) < 1e-8
+            assert np.abs(numeric).max() < 1e-8
+
+    def test_pullback_matches_central_differences_and_the_projection(self):
+        """pullback(r) against central differences of <r, clip(g)> on rows
+        below C, above C and at 0; above C against the projection
+        (C / ||g||) (r - u <u, r>), u = g / ||g||; at ||g|| = C exactly and
+        at 0 it is the no-clip branch's derivative, r itself."""
+        rng = np.random.default_rng(15)
+        clip = 0.7
+        norms = np.array([0.1, 0.5, 0.9, 1.2, 2.0, 10.0, 1.0, 0.0]) * clip
+        g = rng.normal(size=(8, 5))
+        g *= norms[:, None] / np.linalg.norm(g, axis=1, keepdims=True)
+        g[6] = 0.0
+        g[6, 3] = clip  # ||g|| = C exactly
+        r = rng.normal(size=g.shape)
+        _, pullback = dpsgd.clip_differentiable(g, clip)
+        got = pullback(r)
+        for i in (0, 1, 2, 3, 4, 5, 7):
+            numeric = _central_differences(
+                lambda row: float(r[i] @ dpsgd.clip_differentiable(row, clip)[0]), g[i], 1e-7)
+            assert np.abs(got[i] - numeric).max() <= 1e-7 * np.abs(r[i]).max(), i
+        above = np.linalg.norm(g[3:6], axis=1, keepdims=True)
+        u = g[3:6] / above
+        projection = clip / above * (r[3:6] - u * (u * r[3:6]).sum(axis=1, keepdims=True))
+        assert np.abs(got[3:6] - projection).max() <= 1e-12 * np.abs(projection).max()
+        assert got[6].tobytes() == r[6].tobytes() and got[7].tobytes() == r[7].tobytes()
+        assert got[:3].tobytes() == r[:3].tobytes()
 
     def test_nonpositive_clip_rejected(self):
         with pytest.raises(ConfigError):
-            dpsgd.clip_differentiable(Tensor([1.0]), 0.0)
+            dpsgd.clip_differentiable(np.ones(1), 0.0)
 
     @pytest.mark.parametrize("clip", [np.inf, np.nan])
     def test_nonfinite_clip_rejected(self, clip):
         # at C = inf, C / max(C, ||g||) is inf / inf = NaN
         with pytest.raises(ConfigError, match="finite"):
-            dpsgd.clip_differentiable(Tensor([1.0]), clip)
+            dpsgd.clip_differentiable(np.ones(1), clip)
 
     @pytest.mark.parametrize("clip", [1.35e154, 1.45e-154])
     def test_clip_whose_square_is_not_normal_rejected(self, clip):
         # just past either end: C * C overflows to inf or falls below the
         # normal range, where sqrt(C * C) is no longer C
         with pytest.raises(ConfigError, match="whose square is a normal float"):
-            dpsgd.clip_differentiable(Tensor([1.0]), clip)
+            dpsgd.clip_differentiable(np.ones(1), clip)
 
 
 class TestDpSgdStep:
@@ -180,7 +191,7 @@ class TestDpSgdStep:
             learning_rate=0.05, epochs=1, batch_size=10, private=True, clip=0.2, sigma=1.0
         )
         result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, data[:10], cfg)
-        expected, rows = _step_through_tape_clip(LINEAR_SPEC, params, data[:10], cfg, result.noise)
+        expected, rows = _step_through_clip_differentiable(LINEAR_SPEC, params, data[:10], cfg, result.noise)
         assert result.params.flat.tobytes() == expected.tobytes()
         norms = np.linalg.norm(rows, axis=1)
         assert norms.max() <= 0.2 + 1e-9
@@ -200,7 +211,7 @@ class TestDpSgdStep:
             learning_rate=0.1, epochs=1, batch_size=9, seed=5, private=True, clip=clip, sigma=0.3
         )
         result = dpsgd.dp_sgd_step(spec, params, batch, cfg, step_index=3)
-        expected, _ = _step_through_tape_clip(spec, params, batch, cfg, result.noise)
+        expected, _ = _step_through_clip_differentiable(spec, params, batch, cfg, result.noise)
         assert result.params.flat.tobytes() == expected.tobytes()
 
     def test_fixed_seed_trajectory_is_bit_identical(self):

@@ -100,6 +100,12 @@ def test_datasets_imports_only_rng_and_errors():
     assert package_imports(source) <= {"rng", "errors"}
 
 
+def test_dpsgd_imports_nothing_from_autodiff():
+    # the clip's derivative is a closed form, not graph ops on the tape
+    source = (PACKAGE / "dpsgd.py").read_text(encoding="utf-8")
+    assert "autodiff" not in package_imports(source)
+
+
 def _modules_loaded_by(code: str) -> list[str]:
     """The plislab modules a fresh interpreter holds after running code."""
     probe = code + "; import sys; print(sorted(m for m in sys.modules if m.startswith('plislab')))"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plislab import cli, datasets, models
-from plislab.autodiff import Tensor, backward, mul, tsum, square
+from plislab.autodiff import backward
 from plislab.errors import DataFormatError, ShapeError
 
 LINEAR_NO_BIAS = models.ModelSpec((models.Linear(2, 1, bias=False),), models.MSE)
@@ -129,8 +129,8 @@ class TestPerSampleGrad:
     def test_create_graph_gradient_is_redifferentiable(self):
         spec, params = _linear_params([1.0, 2.0])
         sample = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0])
-        norm_sq = tsum(square(sample.grads))
-        (gx,) = backward(norm_sq, [sample.x])
+        # ||g||^2 seeds the node with its gradient in g, 2 g
+        (gx,) = backward(sample.grads, [sample.x], cotangent=2.0 * sample.grads.data)
         # d/dx 4 r^2 ||x||^2 = 8 r w ||x||^2 + 8 r^2 x, r = 3
         np.testing.assert_allclose(gx.data, [[120.0, 168.0]], rtol=1e-12)
 
@@ -164,8 +164,8 @@ def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
 
 
 def test_input_is_registered_as_differentiable_leaf():
-    """attach_sample's input is the graph's leaf: a backward pass of <g, c>
-    through the gradient node to it matches central differences of <g(x), c>."""
+    """attach_sample's input is the graph's leaf: a backward pass seeded with c
+    at the gradient node matches central differences of <g(x), c>."""
     spec = models.ModelSpec(
         (models.Linear(2, 3), models.Relu(), models.Linear(3, 1)), models.MSE
     )
@@ -174,7 +174,7 @@ def test_input_is_registered_as_differentiable_leaf():
     c = np.random.default_rng(1).normal(size=params.count)
     sample = models.attach_sample(spec, params, x[None], [np.array([0.2])])
     assert sample.graph.nodes[sample.x.node_id].op == "leaf"
-    (gx,) = backward(tsum(mul(sample.grads, Tensor(c[None]))), [sample.x])
+    (gx,) = backward(sample.grads, [sample.x], cotangent=c[None])
 
     def dot(xv):
         return models.per_sample_grad(spec, params, xv, np.array([0.2])).data @ c
