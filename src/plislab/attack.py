@@ -35,7 +35,7 @@ from . import rng
 from .autodiff import backward
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
-from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad
+from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad, stack_batch
 
 log = logging.getLogger("plislab.attack")
 
@@ -171,7 +171,8 @@ def _smoothed_tv(
     The gradient is formed back from the mean to the differences, and
     the four shifted slices' cotangents are placed in zeros of x's shape
     and summed in a fixed order; keep it, since the attack's outputs
-    depend on every bit.
+    depend on every bit.  An axis one pixel long has no neighbour pairs:
+    it adds no variation and no gradient.
     """
     lead = (slice(None),) * (x.ndim - 2)
     down_hi, down_lo = lead + (slice(1, None), slice(None)), lead + (slice(0, -1), slice(None))
@@ -180,14 +181,16 @@ def _smoothed_tv(
     right = x[right_hi] - x[right_lo]
     abs_down = np.sqrt(down * down + _TV_SMOOTH)
     abs_right = np.sqrt(right * right + _TV_SMOOTH)
+    tv = (abs_down.mean() if down.size else 0.0) + (abs_right.mean() if right.size else 0.0)
     if not gradient:
-        return abs_down.mean() + abs_right.mean(), None
-    down_bar = weight * (1.0 / down.size) / (abs_down * 2.0) * (down * 2.0)
-    right_bar = weight * (1.0 / right.size) / (abs_right * 2.0) * (right * 2.0)
+        return tv, None
+    # max(size, 1): an axis without pairs has empty cotangents either way
+    down_bar = weight * (1.0 / max(down.size, 1)) / (abs_down * 2.0) * (down * 2.0)
+    right_bar = weight * (1.0 / max(right.size, 1)) / (abs_right * 2.0) * (right * 2.0)
     grad = _embed(-right_bar, x.shape, right_lo) + _embed(right_bar, x.shape, right_hi)
     grad = grad + _embed(-down_bar, x.shape, down_lo)
     grad = grad + _embed(down_bar, x.shape, down_hi)
-    return abs_down.mean() + abs_right.mean(), grad
+    return tv, grad
 
 
 def _terms(
@@ -221,7 +224,7 @@ def _objective(
     cotangent c = d(match)/dg from _terms gives J^T c, and the prior's
     gradient t is added to it, t + J^T c.
     """
-    sample = attach_sample(spec, params, x[None], [label])
+    sample = attach_sample(spec, params, stack_batch(spec, x[None], [label]))
     objective, match, c, t = _terms(sample.grads.data, sample.x.data, observed, config)
     (gx,) = backward(sample.grads, [sample.x], cotangent=c)
     return float(objective), float(match), (gx.data if t is None else t + gx.data)[0]

@@ -21,8 +21,8 @@ privacy-loss attribution is incompatible with secret subsampling, so no
 amplification is claimed or used.
 
 Batch axis: train checks and stacks the dataset once (models.stack_batch),
-and each step takes a contiguous slice of it.  A step takes its
-per-sample gradients as the (B, p) rows of
+and each step takes a contiguous slice of that models.Batch, which nothing
+checks again.  A step takes its per-sample gradients as the (B, p) rows of
 models.per_sample_loss_and_grad, one call per chunk of
 models.chunk_size() samples, clips each row in place and adds the chunk's
 sum into one running total.  That route is tape-free: a step builds no
@@ -190,15 +190,15 @@ class StepResult:
 def dp_sgd_step(
     spec: ModelSpec,
     params: ParamSet,
-    batch,
+    batch: Batch,
     config: DpSgdConfig,
     step_index: int = 0,
     noise: np.ndarray | None = None,
 ) -> StepResult:
     """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
 
-    batch: the step's samples, as (x, y) pairs or as a models.Batch (train
-    passes slices of the dataset it checked once).  The noise is the
+    batch: the step's samples, a models.Batch (train passes slices of the
+    dataset it stacked once, models.stack_batch).  The noise is the
     standard-normal draw keyed by (config.seed, step_index),
     rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, p); a caller
     that already holds that draw passes it as noise (train passes rows of
@@ -214,15 +214,12 @@ def dp_sgd_step(
     if config.private and not config.sigma > 0:
         raise ConfigError("dp_sgd_step: a private step needs sigma > 0; "
                           "train derives it from the target epsilon")
-    if not isinstance(batch, Batch):
-        batch = stack_batch(spec, batch)
     n, size = len(batch), chunk_size(params)
     total = np.zeros(params.count)
     losses = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, size):
-            part = batch[first : first + size]
-            loss, g = per_sample_loss_and_grad(spec, params, part.xs, part.targets)
+            loss, g = per_sample_loss_and_grad(spec, params, batch[first : first + size])
             losses[first : first + size] = loss
             if config.private:
                 factor = clip_factor(g, config.clip)
@@ -279,7 +276,7 @@ def train(
     """
     if not len(dataset):
         raise ConfigError("train: empty dataset")
-    data = stack_batch(spec, dataset)
+    data = stack_batch(spec, [x for x, _ in dataset], [y for _, y in dataset])
     params = init_params(spec, config.seed) if initial is None else initial
     total_steps = config.epochs * math.ceil(len(data) / config.batch_size)
     run_config = config

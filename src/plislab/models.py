@@ -9,25 +9,26 @@ tiles each parameter block into a (B, ...) array, so sample i's loss
 depends only on row i of the parameters and of the inputs.  The tiles
 are read-only views with batch stride 0, so no parameter is copied per
 sample.  One sample is a batch of one.  Callers pass at most
-chunk_size(params) samples at a time.
+chunk_size(params) samples at a time.  stack_batch stacks and checks
+samples once into a Batch, and every route takes a Batch and checks
+nothing again: DP-SGD stacks its dataset once and passes slices of it.
 
 One forward pass, then first and second order without a second-order
 tape.  _layer_records runs the forward pass in the autodiff numpy kernels
-and keeps per layer what the adjoints read.  per_sample_loss_and_grad()
-reverses through those records for the B losses and (B, p)
-parameter-gradient rows g: all DP-SGD needs is first order.
+and keeps per layer what the adjoints read, and _reverse is the one
+reverse walk through those records.  In first order,
+per_sample_loss_and_grad() takes it from the loss for the B losses and
+(B, p) parameter-gradient rows g: all DP-SGD needs is first order.
 _tangent_walk() differentiates the rows once more, forward-over-reverse,
-one tangent per row: along input directions v_i it gives the rows J_i v_i
-(J = dg/dx), for unit v_i the input Jacobian's columns that FIM, FIL and
-JacSens read (grad_tangents()); along parameter tangents c_i the rows
-J_i^T c_i.  attach_sample() puts the rows on a graph as one node above the
-input leaf, and that node's rule is the walk along parameter tangents,
-from a (B, p) cotangent array to a (B, ...) input cotangent array: PLIS
-and the attack objective seed the node with their row cotangents in one
-backward pass to x.  Every route checks
-a batch in _checked_batch.  stack_batch stacks and checks a whole dataset
-once (stack_inputs names an input whose shape differs), and DP-SGD passes
-its slices, whose check then copies nothing.
+one tangent per row, by the same walk with the product rule's terms:
+along input directions v_i it gives the rows J_i v_i (J = dg/dx), for
+unit v_i the input Jacobian's columns that FIM, FIL and JacSens read
+(grad_tangents()); along parameter tangents c_i the rows J_i^T c_i.
+attach_sample() puts the rows on a graph as one node above the input
+leaf, and that node's rule is the walk along parameter tangents, from a
+(B, p) cotangent array to a (B, ...) input cotangent array: PLIS and the
+attack objective seed the node with their row cotangents in one backward
+pass to x.
 
 Graph lifetime: a graph is freed by reference counting once the caller
 drops the AttachedSample and every tensor on its graph.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -160,10 +161,12 @@ class ParamBlock:
 
 @dataclass
 class ParamSet:
-    """Flattened parameter vector plus the per-layer layout."""
+    """Flattened parameter vector plus the per-layer layout, and the table
+    from each block's name to the block."""
 
     flat: np.ndarray
     layout: tuple[ParamBlock, ...]
+    blocks: dict[str, ParamBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64)
@@ -174,6 +177,12 @@ class ParamSet:
             raise ShapeError(
                 f"layout covers {total} entries but flat has {self.flat.size}"
             )
+        self.blocks = {b.name: b for b in self.layout}
+
+    def columns(self, rows: np.ndarray, name: str) -> np.ndarray:
+        """The (B, *shape) view of the named block's columns of (B, p) rows."""
+        block = self.blocks[name]
+        return rows[:, block.offset : block.offset + block.size].reshape(len(rows), *block.shape)
 
     @property
     def count(self) -> int:
@@ -277,29 +286,10 @@ def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
     return view
 
 
-def stack_inputs(xs, first: int = 0) -> np.ndarray:
-    """The inputs xs stacked on a new leading axis.  Inputs of different
-    shapes are a ShapeError naming the first whose shape differs from xs[0]'s,
-    as sample first + i: first is the index of xs[0] in a longer sequence."""
-    if not len(xs):
-        raise ShapeError("expected a non-empty batch of inputs, got none")
-    try:
-        return np.stack(xs)
-    except ValueError:
-        shapes = [np.shape(x) for x in xs]
-        odd = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
-        if odd is None:
-            raise
-        raise ShapeError(
-            f"sample {first + odd} has input shape {shapes[odd]}, "
-            f"sample {first} has {shapes[0]}"
-        ) from None
-
-
 class Batch:
-    """Samples stacked and checked once: (B, ...) float inputs xs and their
-    targets, as _checked_batch returns them (see stack_batch).  A slice is
-    the Batch of consecutive samples, views of both arrays: no copy."""
+    """Samples stacked and checked once by stack_batch: (B, ...) float
+    inputs xs and their targets.  A slice is the Batch of consecutive
+    samples, views of both arrays: no copy."""
 
     __slots__ = ("xs", "targets")
 
@@ -313,16 +303,24 @@ class Batch:
         return Batch(self.xs[rows], self.targets[rows])
 
 
-def stack_batch(spec: ModelSpec, pairs) -> Batch:
-    """(x, y) pairs as one checked Batch for spec."""
-    xs = stack_inputs([x for x, _ in pairs])
-    return Batch(*_checked_batch(spec, xs, [y for _, y in pairs]))
-
-
-def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """(B, ...) float inputs and their targets: (B, *output shape) floats
-    for MSE, B labels for cross-entropy.  Both routes to a loss check here."""
-    xs = np.asarray(xs, dtype=np.float64)
+def stack_batch(spec: ModelSpec, xs, ys, first: int = 0) -> Batch:
+    """Inputs xs and targets ys as one Batch for spec: (B, ...) float inputs,
+    and (B, *output shape) float targets for MSE or B labels for
+    cross-entropy.  Every route takes its samples from here.  Inputs that
+    do not stack are a ShapeError naming the first whose shape differs from
+    xs[0]'s, as sample first + i: first is the index of xs[0] in a longer
+    sequence."""
+    try:
+        xs = np.asarray(xs, dtype=np.float64)
+    except ValueError:
+        shapes = [np.shape(x) for x in xs]
+        odd = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if odd is None:
+            raise
+        raise ShapeError(
+            f"sample {first + odd} has input shape {shapes[odd]}, "
+            f"sample {first} has {shapes[0]}"
+        ) from None
     if xs.ndim < 2 or not xs.shape[0]:
         raise ShapeError(f"expected a non-empty batch of inputs, got shape {xs.shape}")
     out_shape = output_shape(spec, xs.shape[1:])
@@ -332,7 +330,7 @@ def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     if len(ys) != n:
         raise ShapeError(f"{n} inputs but {len(ys)} targets")
     if spec.loss == CROSS_ENTROPY:
-        return xs, autodiff.check_labels(ys, n, out_shape[0])
+        return Batch(xs, autodiff.check_labels(ys, n, out_shape[0]))
     try:
         targets = np.asarray(ys, dtype=np.float64)
     except ValueError:
@@ -341,7 +339,7 @@ def _checked_batch(spec: ModelSpec, xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(
             f"targets of shape {targets.shape} do not fit {n} outputs of shape {out_shape}"
         )
-    return xs, targets.reshape((n, *out_shape))
+    return Batch(xs, targets.reshape((n, *out_shape)))
 
 
 def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[np.ndarray, list]:
@@ -353,16 +351,15 @@ def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[n
     forward pass here."""
     n = xs.shape[0]
     flat = np.ascontiguousarray(params.flat)
-    blocks = {b.name: b for b in params.layout}
     records = []
     h = xs
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Linear):
-            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
             records.append((w, h))
             h = autodiff._linear_np(w, h)
         elif isinstance(layer, Conv2d):
-            w = _tiled(flat, blocks[f"{idx}.weight"], n)
+            w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
             cols = autodiff._im2col(h, layer.kernel)
             records.append((w, cols, h.shape))
             h = autodiff._conv2d_np(w, cols, h.shape)
@@ -380,38 +377,89 @@ def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[n
             records.append(h.shape)
             h = h.reshape(n, h.size // n)
         if isinstance(layer, (Linear, Conv2d)) and layer.bias:
-            h = autodiff._bias_add_np(h, _tiled(flat, blocks[f"{idx}.bias"], n))
+            h = autodiff._bias_add_np(h, _tiled(flat, params.blocks[f"{idx}.bias"], n))
     return h, records
 
 
-def _block_writer(params: ParamSet, rows: np.ndarray):
-    """put(name, value): write value, (B, *block shape), into the named block's
-    columns of the (B, p) rows."""
-    blocks = {b.name: b for b in params.layout}
+def _reverse(
+    spec: ModelSpec, params: ParamSet, records: list, g: np.ndarray, rows: np.ndarray | None,
+    cotangents: list | None = None, moved: list | None = None, dtheta: np.ndarray | None = None,
+) -> tuple[np.ndarray, list]:
+    """The reverse walk through _layer_records' records from the cotangent g
+    of the model's (B, ...) outputs.  Unless rows is None, it writes each
+    weighted layer's rows (the gradient's in first order, their tangents in
+    second) into the block's columns of the (B, p) rows, through
+    ParamSet.columns.  Returns the cotangent it ends with and the per-layer
+    cotangents.
 
-    def put(name: str, value: np.ndarray) -> None:
-        block = blocks[name]
-        rows[:, block.offset : block.offset + block.size] = value.reshape(rows.shape[0], -1)
-
-    return put
-
-
-def _first_weighted(spec: ModelSpec) -> int:
-    """Index of the first Linear or Conv2d layer: no gradient flows below it."""
-    return min(
-        (i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
-        default=len(spec.layers),
-    )
+    First order (cotangents None): g is the loss's cotangent; the walk
+    records each layer's output cotangent (None below the first weighted
+    layer) and computes no adjoint of the first weighted layer's input.
+    Second order: g is that cotangent's tangent, and the walk adds the
+    product rule's terms from the first-order cotangents, the input
+    tangents moved (see _tangent_walk) and the parameter tangents dtheta;
+    for dtheta it runs through the first layer to x.
+    """
+    # the first Linear or Conv2d layer: no gradient flows below it
+    first = min((i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
+                default=len(spec.layers))
+    first_order = cotangents is None
+    if first_order:
+        cotangents = [None] * len(spec.layers)
+    for idx in range(len(spec.layers) - 1, (first if dtheta is None else 0) - 1, -1):
+        layer, record = spec.layers[idx], records[idx]
+        if first_order:
+            cotangents[idx] = g
+        up = None if first_order else cotangents[idx]
+        if isinstance(layer, (Linear, Conv2d)):
+            w, inputs = record[:2]
+            linear = isinstance(layer, Linear)
+            if rows is not None:
+                if layer.bias:
+                    params.columns(rows, f"{idx}.bias")[...] = autodiff._bias_adjoint_np(g)
+                adjoint = (
+                    autodiff._linear_weight_adjoint_np if linear
+                    else autodiff._conv2d_kernel_adjoint_np
+                )
+                block = params.columns(rows, f"{idx}.weight")
+                block[...] = (
+                    adjoint(g, inputs) if first_order
+                    else adjoint(g, inputs) + adjoint(up, moved[idx])
+                ).reshape(block.shape)
+            if idx == first and dtheta is None:
+                break
+            moving = None if dtheta is None else params.columns(dtheta, f"{idx}.weight")
+            if linear:
+                g = autodiff._linear_input_adjoint_np(w, g)
+                if moving is not None:
+                    g = g + autodiff._linear_input_adjoint_np(moving, up)
+            elif moving is None:
+                g = autodiff._conv2d_input_adjoint_np(g, w)
+            else:
+                # W^T g' + W'^T g as one adjoint of the stacked operands
+                # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
+                g = autodiff._conv2d_input_adjoint_np(
+                    np.concatenate([g, up], axis=1), np.concatenate([w, moving], axis=1)
+                )
+        elif isinstance(layer, Flatten):
+            g = g.reshape(record)
+        else:
+            slope, out = record
+            g = g * slope
+            if not first_order and moved[idx] is not None and not isinstance(layer, Relu):
+                bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
+                g += up * bend * moved[idx]
+    return g, cotangents
 
 
 def _loss_and_rows(
-    spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Per-sample losses (B,), parameter gradients (B, p) and, per layer, the
-    cotangent of its output (None below the first weighted layer), from
-    _layer_records' outputs h and records.  The reverse walk writes each
-    block's gradient into its columns of the (B, p) result and computes no
-    adjoint of the first weighted layer's input."""
+    spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, targets: np.ndarray,
+    rows: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None, list]:
+    """Per-sample losses (B,), parameter gradients (B, p) (None unless rows)
+    and, per layer, the cotangent of its output (None below the first
+    weighted layer), from _layer_records' outputs h and records by
+    _reverse's first-order walk."""
     n = h.shape[0]
     ones = np.ones(n)
     if spec.loss == MSE:
@@ -419,39 +467,15 @@ def _loss_and_rows(
     else:
         losses = autodiff._cross_entropy_np(h, targets)
         g = autodiff._cross_entropy_adjoint_np(ones, h, targets)
-
-    grads = np.empty((n, params.count))
-    put = _block_writer(params, grads)
-    cotangents = [None] * len(spec.layers)
-    first = _first_weighted(spec)
-    for idx in range(len(spec.layers) - 1, first - 1, -1):
-        layer = spec.layers[idx]
-        cotangents[idx] = g
-        if isinstance(layer, (Linear, Conv2d)):
-            if layer.bias:
-                put(f"{idx}.bias", autodiff._bias_adjoint_np(g))
-            w, inputs = records[idx][:2]
-            if isinstance(layer, Linear):
-                put(f"{idx}.weight", autodiff._linear_weight_adjoint_np(g, inputs))
-                if idx > first:
-                    g = autodiff._linear_input_adjoint_np(w, g)
-            else:
-                put(f"{idx}.weight", autodiff._conv2d_kernel_adjoint_np(g, inputs))
-                if idx > first:
-                    g = autodiff._conv2d_input_adjoint_np(g, w)
-        elif isinstance(layer, Flatten):
-            g = g.reshape(records[idx])
-        else:
-            g = g * records[idx][0]
-    return losses, grads, cotangents
+    grads = np.empty((n, params.count)) if rows else None
+    return losses, grads, _reverse(spec, params, records, g, grads)[1]
 
 
 def per_sample_loss_and_grad(
-    spec: ModelSpec, params: ParamSet, xs, ys
+    spec: ModelSpec, params: ParamSet, batch: Batch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (B,) and parameter gradients (B, p), without a tape."""
-    xs, targets = _checked_batch(spec, xs, ys)
-    return _loss_and_rows(spec, params, *_layer_records(spec, params, xs), targets)[:2]
+    return _loss_and_rows(spec, params, *_layer_records(spec, params, batch.xs), batch.targets)[:2]
 
 
 def _tangent_walk(
@@ -478,7 +502,7 @@ def _tangent_walk(
     by W h' + W' h + b' (h' is 0 at the input for dtheta; W' and b' are 0 for
     dx), an activation's by its slope times h'.  The loss's cotangent moves
     by the softmax Jacobian for cross-entropy and by 2/k for MSE over k
-    outputs.  Reverse, every cotangent's tangent rides beside it, with the
+    outputs.  Reverse, _reverse carries that tangent down, with the
     product rule's terms where a primal value moves: a weight adjoint's
     input (g' h^T + g h'^T, and the kernel adjoint of im2col(h')), an input
     adjoint's weights (W^T g' + W'^T g; a conv takes both as one input
@@ -487,12 +511,6 @@ def _tangent_walk(
     the walk runs through the first layer to x.
     """
     n = len(h)
-    blocks = {b.name: b for b in params.layout}
-
-    def moving(name: str) -> np.ndarray:
-        block = blocks[name]
-        return dtheta[:, block.offset : block.offset + block.size].reshape(n, *block.shape)
-
     # per layer, its input's tangent (a conv's as patches), None while it is 0
     dh, moved = dx, []
     for idx, (layer, record) in enumerate(zip(spec.layers, records)):
@@ -506,10 +524,10 @@ def _tangent_walk(
                 apply = functools.partial(autodiff._conv2d_np, image_shape=record[2])
             dh = None if dh is None else apply(w, moved[-1])
             if dtheta is not None:
-                term = apply(moving(f"{idx}.weight"), inputs)
+                term = apply(params.columns(dtheta, f"{idx}.weight"), inputs)
                 dh = term if dh is None else dh + term
                 if layer.bias:
-                    dh = autodiff._bias_add_np(dh, moving(f"{idx}.bias"))
+                    dh = autodiff._bias_add_np(dh, params.columns(dtheta, f"{idx}.bias"))
         elif isinstance(layer, Flatten):
             moved.append(None)
             dh = None if dh is None else dh.reshape(n, dh.size // n)
@@ -523,65 +541,23 @@ def _tangent_walk(
         dg = autodiff._mse_adjoint_np(np.ones(n), dh, 0.0)
     else:
         dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
-
-    if dtheta is None:
-        tangents = np.empty((n, params.count))
-        put = _block_writer(params, tangents)
-    first = _first_weighted(spec)
-    stop = first if dtheta is None else 0
-    for idx in range(len(spec.layers) - 1, stop - 1, -1):
-        layer, record, dinput, g = spec.layers[idx], records[idx], moved[idx], cotangents[idx]
-        if isinstance(layer, (Linear, Conv2d)):
-            w, inputs = record[:2]
-            linear = isinstance(layer, Linear)
-            if dtheta is None:
-                if layer.bias:
-                    put(f"{idx}.bias", autodiff._bias_adjoint_np(dg))
-                adjoint = (
-                    autodiff._linear_weight_adjoint_np if linear
-                    else autodiff._conv2d_kernel_adjoint_np
-                )
-                put(f"{idx}.weight", adjoint(dg, inputs) + adjoint(g, dinput))
-                if idx == first:
-                    break
-            if linear:
-                dg = autodiff._linear_input_adjoint_np(w, dg)
-                if dtheta is not None:
-                    dg = dg + autodiff._linear_input_adjoint_np(moving(f"{idx}.weight"), g)
-            else:
-                # W^T g' + W'^T g as one adjoint of the stacked operands
-                # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
-                if dtheta is None:
-                    dg = autodiff._conv2d_input_adjoint_np(dg, w)
-                else:
-                    dg = autodiff._conv2d_input_adjoint_np(
-                        np.concatenate([dg, g], axis=1),
-                        np.concatenate([w, moving(f"{idx}.weight")], axis=1),
-                    )
-        elif isinstance(layer, Flatten):
-            dg = dg.reshape((n, *record[1:]))
-        else:
-            slope, out = record
-            dg = dg * slope
-            if dinput is not None and not isinstance(layer, Relu):
-                bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
-                dg += g * bend * dinput
-    return tangents if dtheta is None else dg
+    tangents = np.empty((n, params.count)) if dtheta is None else None
+    dg = _reverse(spec, params, records, dg, tangents, cotangents, moved, dtheta)[0]
+    return dg if tangents is None else tangents
 
 
-def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
-    """B samples stacked in xs (B, ...) with targets ys, as their input leaf and
-    one node above it holding per_sample_loss_and_grad's (B, p) rows.
+def attach_sample(spec: ModelSpec, params: ParamSet, batch: Batch) -> AttachedSample:
+    """A Batch of B samples as their input leaf and one node above it
+    holding per_sample_loss_and_grad's (B, p) rows.
 
     One forward pass serves both directions: the node's value comes from
     _loss_and_rows, and its rule maps a (B, p) cotangent array c to the
     array of rows J_i^T c_i, from _tangent_walk on the same records.
     """
-    xs, targets = _checked_batch(spec, xs, ys)
-    h, records = _layer_records(spec, params, xs)
-    _, rows, cotangents = _loss_and_rows(spec, params, h, records, targets)
+    h, records = _layer_records(spec, params, batch.xs)
+    _, rows, cotangents = _loss_and_rows(spec, params, h, records, batch.targets)
     graph = Graph()
-    x = graph.leaf(xs)
+    x = graph.leaf(batch.xs)
 
     def rule(grad: np.ndarray, x: np.ndarray):
         return (_tangent_walk(spec, params, h, records, cotangents, dtheta=grad),)
@@ -589,30 +565,30 @@ def attach_sample(spec: ModelSpec, params: ParamSet, xs, ys) -> AttachedSample:
     return AttachedSample(graph, x, autodiff._record("per-sample-grad", rows, (x,), rule))
 
 
-def grad_tangents(spec: ModelSpec, params: ParamSet, xs, ys, directions) -> np.ndarray:
-    """(B, p) tangents of B samples' parameter gradients, one input direction
-    per sample.
+def grad_tangents(spec: ModelSpec, params: ParamSet, batch: Batch, directions) -> np.ndarray:
+    """(B, p) tangents of a Batch's B parameter gradients, one input
+    direction per sample.
 
     Row i is d/dt grad_theta loss(xs[i] + t directions[i]) at t = 0, sample
     i's input Jacobian of the gradient applied to directions[i]; unit
     directions give its columns.  _layer_records runs the batch's forward
-    pass once, and _tangent_walk carries the directions along it.
+    pass once, the first-order walk gives the cotangents and no rows, and
+    _tangent_walk carries the directions along them.
     """
-    xs, targets = _checked_batch(spec, xs, ys)
     directions = np.asarray(directions, dtype=np.float64)
-    if directions.shape != xs.shape:
+    if directions.shape != batch.xs.shape:
         raise ShapeError(
             f"input directions of shape {directions.shape} do not fit inputs "
-            f"of shape {xs.shape}"
+            f"of shape {batch.xs.shape}"
         )
-    h, records = _layer_records(spec, params, xs)
-    cotangents = _loss_and_rows(spec, params, h, records, targets)[2]
+    h, records = _layer_records(spec, params, batch.xs)
+    cotangents = _loss_and_rows(spec, params, h, records, batch.targets, rows=False)[2]
     return _tangent_walk(spec, params, h, records, cotangents, dx=directions)
 
 
 def per_sample_grad(spec: ModelSpec, params: ParamSet, x, y) -> Tensor:
     """One sample's detached flat parameter gradient."""
-    return Tensor(per_sample_loss_and_grad(spec, params, [x], [y])[1][0])
+    return Tensor(per_sample_loss_and_grad(spec, params, stack_batch(spec, [x], [y]))[1][0])
 
 
 # --------------------------------------------------------------------------

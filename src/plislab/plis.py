@@ -33,9 +33,11 @@ Batch axis: subjects are analysed models.chunk_size() at a time on one graph.
 Subject i's privacy loss depends only on its own row of the gradient node
 and of X, so one backward pass to X seeded with every subject's row
 cotangent returns every subject's PLIS in its own row: one backward pass
-per chunk, not per subject.  The input Jacobian takes the subject once per
-input direction, models.chunk_size() of them per call.  Every graph is
-dropped when the call returns.
+per chunk, not per subject.  Each chunk is stacked and checked once
+(models.stack_batch), which names a ragged input by its place in the
+whole list.  The input Jacobian stacks the subject once per call, as many
+times as a chunk has input directions (models.chunk_size()), and each
+chunk takes a slice.  Every graph is dropped when the call returns.
 
 A PL, PLIS, PLIS norm, Jacobian or Fisher information that is not
 finite (a gradient that overflows, or a sigma so small that dividing by
@@ -62,7 +64,7 @@ from .models import (
     chunk_size,
     chunks,
     grad_tangents,
-    stack_inputs,
+    stack_batch,
 )
 
 MODE_PRIVATE = "private"
@@ -144,8 +146,8 @@ def plis_reports(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused
         for first in range(0, len(subjects), size):
             part = subjects[first : first + size]
-            xs = stack_inputs([s.x for s in part], first)
-            sample = attach_sample(spec, params, xs, [s.y for s in part])
+            batch = stack_batch(spec, [s.x for s in part], [s.y for s in part], first)
+            sample = attach_sample(spec, params, batch)
             rows = sample.grads.data
             if clip is not None:
                 refuse_dropped_row(part, rows, clip)
@@ -232,21 +234,24 @@ def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) ->
 
     Forward mode: each call of models.grad_tangents takes the subject once
     per unit direction e_j, up to models.chunk_size() of them, and returns
-    the columns J[:, j].  No graph is built.  Relu masks are constant along
+    the columns J[:, j]; the subject is stacked once per call, and each
+    chunk takes a slice.  No graph is built.  Relu masks are constant along
     every direction, so it is the J whose transpose the PLIS routes apply.
     """
     p = params.count
     d = int(np.prod(subject.x.shape, dtype=np.int64))
     _guard(p, d, "input_jacobian")
+    size = chunk_size(params)
+    copies = max(1, min(d, size))  # a subject without entries is checked too
+    batch = stack_batch(spec, [subject.x] * copies, [subject.y] * copies)
     jac_t = np.empty((d, p))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for cols in chunks(np.arange(d), chunk_size(params)):
+        for cols in chunks(np.arange(d), size):
             n = cols.size
             directions = np.zeros((n, d))
             directions[np.arange(n), cols] = 1.0
             jac_t[cols] = grad_tangents(
-                spec, params, [subject.x] * n, [subject.y] * n,
-                directions.reshape((n, *subject.x.shape)),
+                spec, params, batch[:n], directions.reshape((n, *subject.x.shape))
             )
     _refuse_non_finite([subject], jac_t, "input Jacobian")
     return jac_t.T

@@ -197,21 +197,45 @@ class TestReconstruct:
             attack.DpRelease(clip, sigma, 0)
 
 
+def _assert_gradient_matches_central_differences(spec, params, x, label, observed, config):
+    value, _, gx = attack._objective(spec, params, x, label, observed, config)
+    assert np.isfinite(value) and np.isfinite(gx).all()
+    h = 1e-6
+    numeric = np.zeros_like(x)
+    for j in range(x.size):
+        step = np.zeros(x.size)
+        step[j] = h
+        hi = attack._objective(spec, params, x + step.reshape(x.shape), label, observed, config)
+        lo = attack._objective(spec, params, x - step.reshape(x.shape), label, observed, config)
+        numeric.flat[j] = (hi[0] - lo[0]) / (2 * h)
+    assert np.abs(gx - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
 class TestObjective:
     @pytest.mark.parametrize("make, loss, tv", OBJECTIVE_CASES)
     def test_gradient_matches_central_differences(self, make, loss, tv):
         spec, params, x, label, observed = _attack_case(make, 11)
         config = attack.AttackConfig(tv_weight=tv, match_loss=loss)
-        _, _, gx = attack._objective(spec, params, x, label, observed, config)
-        h = 1e-6
-        numeric = np.zeros_like(x)
-        for j in range(x.size):
-            step = np.zeros(x.size)
-            step[j] = h
-            hi = attack._objective(spec, params, x + step.reshape(x.shape), label, observed, config)
-            lo = attack._objective(spec, params, x - step.reshape(x.shape), label, observed, config)
-            numeric.flat[j] = (hi[0] - lo[0]) / (2 * h)
-        assert np.abs(gx - numeric).max() <= 1e-6 * np.abs(numeric).max()
+        _assert_gradient_matches_central_differences(spec, params, x, label, observed, config)
+
+    @pytest.mark.parametrize("shape", [(1, 1, 6), (1, 5, 1), (1, 1, 1)],
+                             ids=["one-row", "one-column", "one-pixel"])
+    def test_image_one_pixel_high_or_wide(self, shape):
+        """An axis one pixel long has no neighbour pairs: the prior adds
+        nothing along it, and the objective stays finite with the gradient
+        central differences give."""
+        d = shape[1] * shape[2]
+        spec = models.ModelSpec((models.Flatten(), models.Linear(d, 1)), models.MSE)
+
+        def make():
+            return spec, models.init_params(spec, 5), shape
+
+        _, params, x, label, observed = _attack_case(make, 12)
+        config = attack.AttackConfig(tv_weight=0.05, match_loss=attack.L2)
+        _assert_gradient_matches_central_differences(spec, params, x, label, observed, config)
+        tv, grad = attack._smoothed_tv(x[None], 0.05)
+        if shape == (1, 1, 1):
+            assert tv == 0.0 and not grad.any()
 
     @pytest.mark.parametrize("make, loss, tv", OBJECTIVE_CASES)
     def test_value_alone_equals_the_terms_value_bit_for_bit(self, make, loss, tv):

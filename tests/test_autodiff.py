@@ -142,7 +142,8 @@ def _mul(a, b):
 
 def _attached_sample():
     spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
-    return models.attach_sample(spec, models.init_params(spec, 4), np.ones((2, 3)), [0.5, -1.0])
+    batch = models.stack_batch(spec, np.ones((2, 3)), [0.5, -1.0])
+    return models.attach_sample(spec, models.init_params(spec, 4), batch)
 
 
 def test_plain_backward_records_nothing():
@@ -364,15 +365,14 @@ def _conv_routes(spec, params, subjects, step_config):
     """What the conv input adjoint feeds: per_sample_loss_and_grad's losses and
     rows, one dp_sgd_step's parameters, PLIS (clipped, by both routes) and
     grad_tangents along two input directions."""
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    directions = np.random.default_rng(47).normal(size=(2, *xs.shape[1:]))
-    batch = [(s.x, s.y) for s in subjects]
-    out = list(models.per_sample_loss_and_grad(spec, params, xs, ys))
+    batch = models.stack_batch(spec, [s.x for s in subjects], [s.y for s in subjects])
+    directions = np.random.default_rng(47).normal(size=(2, *batch.xs.shape[1:]))
+    out = list(models.per_sample_loss_and_grad(spec, params, batch))
     out.append(dpsgd.dp_sgd_step(spec, params, batch, step_config, step_index=2).params.flat)
     for expanded in (False, True):
         reports = plis.plis_reports(spec, params, subjects, 1.5, 0.5, expanded)
         out.extend(r.plis for r in reports)
-    out.append(models.grad_tangents(spec, params, xs[:2], ys[:2], directions))
+    out.append(models.grad_tangents(spec, params, batch[:2], directions))
     return [a.tobytes() for a in out]
 
 

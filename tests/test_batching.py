@@ -15,7 +15,8 @@ attach_sample's gradient node (J^T c, one backward pass per column of
 J^T), and unclipped PLIS must equal (2/sigma^2) J^T g with J from the
 first.  PLIS also passes a dot test against the forward mode, row by
 row.  Central differences of the per-sample gradient check J too.  The
-node and the tape-free route refuse a bad batch with the same error.
+node and the tape-free route take their batch from one check, which
+refuses a bad batch.
 """
 
 import contextlib
@@ -28,7 +29,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from plislab import attack, autodiff, dpsgd, models, plis
 from plislab.autodiff import backward
-from plislab.errors import PlisLabError, ShapeError
+from plislab.errors import ShapeError
 
 REL = 1e-12
 
@@ -88,6 +89,11 @@ def problems(draw):
     return spec, params, subjects, draw(st.integers(1, n))
 
 
+def _stacked(spec, subjects):
+    """The subjects' inputs and targets as one models.Batch."""
+    return models.stack_batch(spec, [s.x for s in subjects], [s.y for s in subjects])
+
+
 def _per_sample_grads(spec, params, subjects):
     return [models.per_sample_grad(spec, params, s.x, s.y).data for s in subjects]
 
@@ -96,10 +102,10 @@ def _per_sample_grads(spec, params, subjects):
 @given(problems())
 def test_losses_and_gradients_match_per_sample(problem):
     spec, params, subjects, _ = problem
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    losses, grads = models.per_sample_loss_and_grad(spec, params, xs, ys)
+    losses, grads = models.per_sample_loss_and_grad(spec, params, _stacked(spec, subjects))
     for i, s in enumerate(subjects):
-        assert_close(losses[i], models.per_sample_loss_and_grad(spec, params, [s.x], [s.y])[0][0])
+        one = models.stack_batch(spec, [s.x], [s.y])
+        assert_close(losses[i], models.per_sample_loss_and_grad(spec, params, one)[0][0])
     assert_close(grads, np.stack(_per_sample_grads(spec, params, subjects)))
 
 
@@ -113,15 +119,15 @@ def test_rows_match_central_differences_of_the_losses_in_theta(problem):
     """The (B, p) rows against central differences of the B losses in each
     parameter, and attach_sample's node holds the same rows to the bit."""
     spec, params, subjects, _ = problem
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
     assume(not _near_a_kink(spec, params, subjects, None))
-    losses, rows = models.per_sample_loss_and_grad(spec, params, xs, ys)
-    sample = models.attach_sample(spec, params, xs, ys)
+    batch = _stacked(spec, subjects)
+    losses, rows = models.per_sample_loss_and_grad(spec, params, batch)
+    sample = models.attach_sample(spec, params, batch)
     assert sample.grads.data.tobytes() == rows.tobytes()
     h = 1e-6
 
     def at(theta):
-        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), xs, ys)[0]
+        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), batch)[0]
 
     theta = params.flat
     numeric = np.stack([(at(theta + e) - at(theta - e)) / (2 * h) for e in h * np.eye(theta.size)], 1)
@@ -150,18 +156,18 @@ def test_step_over_a_ragged_last_chunk_equals_the_unchunked_step(spec):
         ys = [int(v) for v in rng.integers(0, 3, size=7)]
     else:
         ys = list(rng.normal(size=(7, 2)))
-    all_losses, all_rows = models.per_sample_loss_and_grad(spec, params, xs, ys)
+    batch = models.stack_batch(spec, xs, ys)
+    all_losses, all_rows = models.per_sample_loss_and_grad(spec, params, batch)
     clip = float(np.median(np.linalg.norm(all_rows, axis=1)))
     config = dpsgd.DpSgdConfig(learning_rate=0.5, epochs=1, batch_size=7, private=True,
                                clip=clip, sigma=0.7)
-    whole = dpsgd.dp_sgd_step(spec, params, list(zip(xs, ys)), config)
+    whole = dpsgd.dp_sgd_step(spec, params, batch, config)
     with chunked(params, 3):
-        result = dpsgd.dp_sgd_step(spec, params, list(zip(xs, ys)), config)
+        result = dpsgd.dp_sgd_step(spec, params, batch, config)
     total, losses = np.zeros(params.count), []
     for part in models.chunks(range(7), 3):
-        loss, g = models.per_sample_loss_and_grad(
-            spec, params, xs[part.start : part.stop], [ys[i] for i in part]
-        )
+        chunk = models.stack_batch(spec, xs[part.start : part.stop], [ys[i] for i in part])
+        loss, g = models.per_sample_loss_and_grad(spec, params, chunk)
         rows = slice(part.start, part.stop)
         assert _same_bits((loss, g), (all_losses[rows], all_rows[rows]))
         losses.append(loss)
@@ -188,12 +194,10 @@ _LOGITS2 = models.ModelSpec((models.Linear(3, 2),), models.CROSS_ENTROPY)
                  np.zeros((1, 3)), [0], id="single-logit"),
 ])
 def test_tape_free_route_refuses_a_batch_as_the_tape_does(spec, xs, ys):
-    params = models.init_params(spec, 0)
-    with pytest.raises(PlisLabError) as tape:
-        models.attach_sample(spec, params, xs, ys)
-    with pytest.raises(PlisLabError) as free:
-        models.per_sample_loss_and_grad(spec, params, xs, ys)
-    assert (type(free.value), str(free.value)) == (type(tape.value), str(tape.value))
+    """The node and the tape-free route take their samples from one check,
+    stack_batch, which refuses a bad batch before either runs."""
+    with pytest.raises(ShapeError):
+        models.stack_batch(spec, xs, ys)
 
 
 def test_plis_names_a_ragged_subject_by_its_place_in_the_list():
@@ -220,14 +224,13 @@ def test_dp_sgd_step_clipped_sum_matches_per_sample(problem, clip_quantile):
         learning_rate=0.5, epochs=1, batch_size=len(subjects), private=True, clip=clip, sigma=0.7
     )
     with chunked(params, size):
-        result = dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
+        result = dpsgd.dp_sgd_step(spec, params, _stacked(spec, subjects), config)
     update = (np.sum(clipped, axis=0) + result.noise * (0.7 * clip)) / len(subjects)
     assert_close(result.params.flat, params.flat - 0.5 * update)
     # the same chunks through clip_differentiable give the step's parameters to the bit
     total = np.zeros(params.count)
     for part in models.chunks(subjects, size):
-        xs, ys = np.stack([s.x for s in part]), [s.y for s in part]
-        g = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+        g = models.per_sample_loss_and_grad(spec, params, _stacked(spec, part))[1]
         total += dpsgd.clip_differentiable(g, clip)[0].sum(axis=0)
     update = (total + result.noise * (0.7 * clip)) / len(subjects)
     assert result.params.flat.tobytes() == (params.flat - 0.5 * update).tobytes()
@@ -273,10 +276,10 @@ def _near_a_kink(spec, params, subjects, clip):
     """True when a relu input lies within 1e-5 of 0, or a gradient norm
     within 1e-4 relative of the clip: a finite-difference step of 1e-6
     could cross the kink there, where the PL jumps or bends."""
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    if any(np.abs(z).min() < 1e-5 for z in _relu_inputs(spec, params, xs)):
+    batch = _stacked(spec, subjects)
+    if any(np.abs(z).min() < 1e-5 for z in _relu_inputs(spec, params, batch.xs)):
         return True
-    norms = np.linalg.norm(models.per_sample_loss_and_grad(spec, params, xs, ys)[1], axis=1)
+    norms = np.linalg.norm(models.per_sample_loss_and_grad(spec, params, batch)[1], axis=1)
     return clip is not None and bool(np.any(np.abs(norms - clip) < 1e-4 * clip))
 
 
@@ -344,7 +347,7 @@ def _jacobian_by_columns(spec, params, subject):
     """Oracle: J (p x d) from one graph for the subject and one backward pass
     per column of J^T: the node seeded with e_k gives J^T e_k, the
     reverse half of the walk, which shares no tangent code with grad_tangents."""
-    sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
+    sample = models.attach_sample(spec, params, _stacked(spec, [subject]))
     return np.stack([
         backward(sample.grads, [sample.x], cotangent=e[None])[0].data.reshape(-1)
         for e in np.eye(params.count)
@@ -383,12 +386,10 @@ def test_grad_tangents_apply_the_jacobian_to_each_direction(problem):
     spec, params, subjects, _ = problem
     subject = subjects[0]
     directions = np.random.default_rng(subject.x.size).normal(size=(3, *subject.x.shape))
-    tangents = models.grad_tangents(spec, params, [subject.x] * 3, [subject.y] * 3, directions)
+    tangents = models.grad_tangents(spec, params, _stacked(spec, [subject] * 3), directions)
     assert_close(tangents, directions.reshape(3, -1) @ _jacobian_by_columns(spec, params, subject).T)
     directions = np.random.default_rng(len(subjects)).normal(size=(len(subjects), *subject.x.shape))
-    tangents = models.grad_tangents(
-        spec, params, [s.x for s in subjects], [s.y for s in subjects], directions
-    )
+    tangents = models.grad_tangents(spec, params, _stacked(spec, subjects), directions)
     for row, s, v in zip(tangents, subjects, directions):
         assert_close(row, _jacobian_by_columns(spec, params, s) @ v.reshape(-1))
 
@@ -403,10 +404,10 @@ def test_plis_rows_pass_the_dot_test(problem, expanded):
     sigma = 0.7
     with chunked(params, size):
         reports = plis.plis_reports(spec, params, subjects, sigma, expanded=expanded)
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    u = (2.0 / sigma**2) * models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+    batch = _stacked(spec, subjects)
+    u = (2.0 / sigma**2) * models.per_sample_loss_and_grad(spec, params, batch)[1]
     directions = np.stack([r.plis for r in reports])
-    tangents = models.grad_tangents(spec, params, xs, ys, directions)
+    tangents = models.grad_tangents(spec, params, batch, directions)
     for u_i, t_i, v_i in zip(u, tangents, directions):
         norm_sq = float(np.sum(v_i * v_i))
         assert abs(norm_sq - float(u_i @ t_i)) <= REL * norm_sq
@@ -514,8 +515,7 @@ def test_clip_bounds_every_row_and_keeps_rows_below_the_threshold(problem, clip_
     """||clip(g_i)|| <= C (1 + 1e-12) for every per-sample gradient, and a
     row whose norm is at most C comes back unchanged, to the bit."""
     spec, params, subjects, _ = problem
-    xs, ys = np.stack([s.x for s in subjects]), [s.y for s in subjects]
-    grads = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+    grads = models.per_sample_loss_and_grad(spec, params, _stacked(spec, subjects))[1]
     norms = np.linalg.norm(grads, axis=1)
     clip = clip_quantile * float(np.median(norms)) + 1e-3
     clipped = dpsgd.clip_differentiable(grads, clip)[0]
@@ -564,11 +564,11 @@ def test_graphs_are_freed_by_reference_counting(monkeypatch):
                                clip=1.0, sigma=1.0)
     gc.disable()
     try:
-        sample = models.attach_sample(spec, params, subjects[0].x[None], [subjects[0].y])
+        sample = models.attach_sample(spec, params, _stacked(spec, subjects[:1]))
         # alive, with its nodes, for as long as the caller holds the sample
         assert refs[-1]() is sample.graph and sample.graph.nodes
         del sample
-        dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in subjects], config)
+        dpsgd.dp_sgd_step(spec, params, _stacked(spec, subjects), config)
         plis.input_jacobian(spec, params, subjects[0])
         assert len(refs) == 1
         for analysis in (

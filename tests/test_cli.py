@@ -805,6 +805,26 @@ class TestAttackCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("height, width", [(1, 12), (9, 1)])
+    @pytest.mark.parametrize("flags", [[], ["--monotone"]], ids=["adam", "monotone"])
+    def test_images_one_pixel_high_or_wide_end_in_one_error_line(
+        self, tmp_path, capsys, height, width, flags
+    ):
+        """The attack runs on such images (its prior has no pairs along the
+        short axis); SSIM then refuses them, with exit 2 and no traceback."""
+        data, model, cfg = tmp_path / "d.plds", tmp_path / "m.plck", tmp_path / "t.cfg"
+        cfg.write_text("lr = 0.05\nepochs = 2\nbatch_size = 8\nseed = 3\n")
+        assert run("gen-data", "--kind", "images", "--out", str(data), "--n", "8",
+                   "--height", str(height), "--width", str(width)) == 0
+        assert run("train", "--config", str(cfg), "--data", str(data), "--arch", "mlp",
+                   "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("attack", "--model", str(model), "--data", str(data), "--subject",
+                   "img00001", "--out", str(tmp_path / "x"), "--iterations", "3", *flags) == 2
+        assert capsys.readouterr().err == (
+            f"error: ssim: images must be at least 8x8, got ({height}, {width})\n"
+        )
+
     def test_unknown_subject_is_runtime_error(self, image_setup):
         tmp_path, data, model = image_setup
         assert run("attack", "--model", str(model), "--data", str(data),

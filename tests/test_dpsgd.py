@@ -20,14 +20,18 @@ def _linear_dataset(n=40, d=3, seed=0, noise=0.0):
 LINEAR_SPEC = models.ModelSpec((models.Linear(3, 1, bias=False),), models.MSE)
 
 
+def _stacked(spec, pairs):
+    """(x, y) pairs as one models.Batch."""
+    return models.stack_batch(spec, [x for x, _ in pairs], [y for _, y in pairs])
+
+
 def _step_through_clip_differentiable(spec, params, batch, cfg, noise):
     """A private step's new parameters with each chunk's rows clipped by
     clip_differentiable, and the clipped rows."""
     total = np.zeros(params.count)
     rows = []
     for part in models.chunks(batch, models.chunk_size(params)):
-        xs, ys = np.stack([x for x, _ in part]), [y for _, y in part]
-        g = models.per_sample_loss_and_grad(spec, params, xs, ys)[1]
+        g = models.per_sample_loss_and_grad(spec, params, _stacked(spec, part))[1]
         rows.append(dpsgd.clip_differentiable(g, cfg.clip)[0])
         total += rows[-1].sum(axis=0)
     total = total + noise * (cfg.sigma * cfg.clip)
@@ -180,9 +184,9 @@ class TestDpSgdStep:
         )
         plain_cfg = dpsgd.DpSgdConfig(learning_rate=0.05, epochs=1, batch_size=8)
         # clip huge and sigma -> 0: same update as the non-private path
-        a = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, private_cfg).params.flat
-        b = dpsgd.dp_sgd_step(LINEAR_SPEC, params, batch, plain_cfg).params.flat
-        np.testing.assert_allclose(a, b, atol=1e-290)
+        a = dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, batch), private_cfg)
+        b = dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, batch), plain_cfg)
+        np.testing.assert_allclose(a.params.flat, b.params.flat, atol=1e-290)
 
     def test_clipped_norms_never_exceed_threshold(self):
         data = _linear_dataset(noise=0.5)
@@ -190,7 +194,7 @@ class TestDpSgdStep:
         cfg = dpsgd.DpSgdConfig(
             learning_rate=0.05, epochs=1, batch_size=10, private=True, clip=0.2, sigma=1.0
         )
-        result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, data[:10], cfg)
+        result = dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, data[:10]), cfg)
         expected, rows = _step_through_clip_differentiable(LINEAR_SPEC, params, data[:10], cfg, result.noise)
         assert result.params.flat.tobytes() == expected.tobytes()
         norms = np.linalg.norm(rows, axis=1)
@@ -203,14 +207,12 @@ class TestDpSgdStep:
         params = models.init_params(spec, 2)
         assert 1 < 9 / models.chunk_size(params) <= 2
         batch = [(s.x, s.y) for s in datasets.image_subjects(images)]
-        grads = models.per_sample_loss_and_grad(
-            spec, params, np.stack([x for x, _ in batch]), [y for _, y in batch]
-        )[1]
+        grads = models.per_sample_loss_and_grad(spec, params, _stacked(spec, batch))[1]
         clip = float(np.median(np.linalg.norm(grads, axis=1)))  # rows above and below C
         cfg = dpsgd.DpSgdConfig(
             learning_rate=0.1, epochs=1, batch_size=9, seed=5, private=True, clip=clip, sigma=0.3
         )
-        result = dpsgd.dp_sgd_step(spec, params, batch, cfg, step_index=3)
+        result = dpsgd.dp_sgd_step(spec, params, _stacked(spec, batch), cfg, step_index=3)
         expected, _ = _step_through_clip_differentiable(spec, params, batch, cfg, result.noise)
         assert result.params.flat.tobytes() == expected.tobytes()
 
@@ -231,13 +233,15 @@ class TestDpSgdStep:
         params = models.init_params(LINEAR_SPEC, 1).with_flat(np.full(3, 1e200))
         cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)
         with pytest.raises(TrainingDivergedError, match="^non-finite loss at step 7$"):
-            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _linear_dataset()[:4], cfg, step_index=7)
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, _linear_dataset()[:4]),
+                              cfg, step_index=7)
 
     def test_update_that_overflows_is_refused(self):
         params = models.init_params(LINEAR_SPEC, 1)
         cfg = dpsgd.DpSgdConfig(learning_rate=1e308, epochs=1, batch_size=4)
         with pytest.raises(TrainingDivergedError, match="^non-finite parameters after step 3$"):
-            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _linear_dataset()[:4], cfg, step_index=3)
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, _linear_dataset()[:4]),
+                              cfg, step_index=3)
 
     def test_row_whose_squared_norm_overflows_is_refused(self):
         # w = 0, y = 1: the first row's gradient is -2e154, whose square is inf,
@@ -248,13 +252,14 @@ class TestDpSgdStep:
                                 clip=1.0, sigma=1.0)
         batch = [(np.array([1e154]), 1.0), (np.array([1.0]), 1.0)]
         with pytest.raises(TrainingDivergedError, match="overflows at step 5; clipping would"):
-            dpsgd.dp_sgd_step(spec, params, batch, cfg, step_index=5)
+            dpsgd.dp_sgd_step(spec, params, _stacked(spec, batch), cfg, step_index=5)
 
     def test_empty_batch_rejected(self):
         params = models.init_params(LINEAR_SPEC, 1)
         cfg = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4)
         with pytest.raises(ConfigError):
-            dpsgd.dp_sgd_step(LINEAR_SPEC, params, [], cfg)
+            empty = _stacked(LINEAR_SPEC, _linear_dataset())[:0]
+            dpsgd.dp_sgd_step(LINEAR_SPEC, params, empty, cfg)
 
 
 class TestTrain:
@@ -293,8 +298,9 @@ class TestTrain:
 
 def _step_loop(spec, data, config, sigma):
     """train's outputs from a loop of dp_sgd_step over slices of (x, y) pairs,
-    each step drawing its own noise: the final parameters, the step records,
-    the per-epoch losses, the final epsilon and the accountant."""
+    each stacked on its own and each step drawing its own noise: the final
+    parameters, the step records, the per-epoch losses, the final epsilon
+    and the accountant."""
     step_config = replace(config, target_epsilon=None, sigma=sigma) if config.private else config
     params = models.init_params(spec, config.seed)
     accountant = accounting.AccountantState() if config.private else None
@@ -303,9 +309,8 @@ def _step_loop(spec, data, config, sigma):
         losses = []
         for start in range(0, len(data), config.batch_size):
             step = len(records)
-            result = dpsgd.dp_sgd_step(
-                spec, params, data[start : start + config.batch_size], step_config, step
-            )
+            batch = _stacked(spec, data[start : start + config.batch_size])
+            result = dpsgd.dp_sgd_step(spec, params, batch, step_config, step)
             params, eps = result.params, 0.0
             if accountant is not None:
                 accountant.add_step(config.clip, sigma * config.clip)

@@ -21,7 +21,9 @@ def _dp(epochs=1, batch_size=1, learning_rate=0.1, **kwargs):
 
 
 def _attach(spec, xs, ys):
-    return lambda: models.attach_sample(spec, models.init_params(spec, 0), xs, ys)
+    return lambda: models.attach_sample(
+        spec, models.init_params(spec, 0), models.stack_batch(spec, xs, ys)
+    )
 
 
 # w = 0, y = 1, x = 1e154: the gradient -2e154 has a squared norm that
@@ -78,17 +80,20 @@ CASES = [
          "non-private training takes no"),
     case("dpsgd-step-target-without-sigma",
          lambda: dpsgd.dp_sgd_step(
-             _LINEAR, models.init_params(_LINEAR, 0), [(np.zeros(3), np.zeros(1))],
+             _LINEAR, models.init_params(_LINEAR, 0),
+             models.stack_batch(_LINEAR, [np.zeros(3)], [np.zeros(1)]),
              dpsgd.DpSgdConfig(0.1, 1, 4, private=True, clip=1.0, target_epsilon=1.0)),
          ConfigError, "a private step needs sigma > 0"),
     case("train-ragged-inputs-batch-1", lambda: dpsgd.train(_LINEAR, _RAGGED, _dp()()),
          ShapeError, _RAGGED_MESSAGE),
     case("train-ragged-inputs-batch-3",
          lambda: dpsgd.train(_LINEAR, _RAGGED, _dp(batch_size=3)()), ShapeError, _RAGGED_MESSAGE),
-    case("dpsgd-step-ragged-inputs",
-         lambda: dpsgd.dp_sgd_step(_LINEAR, models.init_params(_LINEAR, 0), _RAGGED,
-                                   _dp(batch_size=3)()),
+    case("stack-batch-ragged-inputs",
+         lambda: models.stack_batch(_LINEAR, [x for x, _ in _RAGGED], [y for _, y in _RAGGED]),
          ShapeError, _RAGGED_MESSAGE),
+    case("stack-batch-ragged-inputs-from-sample-5",
+         lambda: models.stack_batch(_LINEAR, [x for x, _ in _RAGGED], [y for _, y in _RAGGED], 5),
+         ShapeError, r"sample 6 has input shape \(4,\), sample 5 has \(3,\)"),
     case("plis-ragged-inputs",
          lambda: plis.plis_reports(_LINEAR, models.init_params(_LINEAR, 0), _RAGGED_SUBJECTS),
          ShapeError, _RAGGED_MESSAGE),
@@ -175,8 +180,9 @@ CASES = [
                                          attack.DpRelease(1.0, 1.0)),
          DataFormatError, "subject 'huge': its gradient's squared norm overflows; clipping would"),
     case("grad-tangents-direction-shape",
-         lambda: models.grad_tangents(_LINEAR, models.init_params(_LINEAR, 0), np.zeros((2, 3)),
-                                      np.zeros((2, 1)), np.zeros((2, 4))),
+         lambda: models.grad_tangents(
+             _LINEAR, models.init_params(_LINEAR, 0),
+             models.stack_batch(_LINEAR, np.zeros((2, 3)), np.zeros((2, 1))), np.zeros((2, 4))),
          ShapeError, r"directions of shape \(2, 4\) do not fit inputs of shape \(2, 3\)"),
     case("fim-without-sigma",
          lambda: plis.fim_subject(_LINEAR, models.init_params(_LINEAR, 0), _TABULAR, sigma=None),

@@ -57,7 +57,8 @@ class TestParamSetLayout:
 class TestPerSampleLoss:
     def test_linear_mse_closed_form(self):
         spec, params = _linear_params([1.0, 2.0])
-        (loss,) = models.per_sample_loss_and_grad(spec, params, [[1.0, 1.0]], [0.0])[0]
+        batch = models.stack_batch(spec, [[1.0, 1.0]], [0.0])
+        (loss,) = models.per_sample_loss_and_grad(spec, params, batch)[0]
         assert loss == pytest.approx(9.0, abs=1e-12)
 
     def test_exact_fit_gives_zero(self):
@@ -65,20 +66,22 @@ class TestPerSampleLoss:
         params = models.init_params(spec, 5)
         x = np.array([0.3, -0.2, 0.9])
         y = models._layer_records(spec, params, x[None])[0][0]
-        (loss,) = models.per_sample_loss_and_grad(spec, params, [x], [y])[0]
+        batch = models.stack_batch(spec, [x], [y])
+        (loss,) = models.per_sample_loss_and_grad(spec, params, batch)[0]
         assert loss == 0.0
 
     def test_cross_entropy_uniform_logits_is_ln_k(self):
         spec = models.ModelSpec((models.Linear(4, 10, bias=False),), models.CROSS_ENTROPY)
         layout = models.layout_for(spec)
         params = models.ParamSet(np.zeros(40), layout)
-        (loss,) = models.per_sample_loss_and_grad(spec, params, [np.ones(4)], [3])[0]
+        batch = models.stack_batch(spec, [np.ones(4)], [3])
+        (loss,) = models.per_sample_loss_and_grad(spec, params, batch)[0]
         assert loss == pytest.approx(np.log(10.0), rel=1e-12)
 
     def test_shape_mismatch_raises(self):
         spec, params = _linear_params([1.0, 2.0])
         with pytest.raises(ShapeError):
-            models.attach_sample(spec, params, [[1.0, 1.0, 1.0]], [0.0])
+            models.attach_sample(spec, params, models.stack_batch(spec, [[1.0, 1.0, 1.0]], [0.0]))
 
 
 class TestPerSampleGrad:
@@ -101,9 +104,11 @@ class TestPerSampleGrad:
         y = np.array([0.1, -0.3])
         g = models.per_sample_grad(spec, params, x, y).data
 
+        batch = models.stack_batch(spec, [x], [y])
+
         def loss_of_theta(theta):
             trial = params.with_flat(theta)
-            return float(models.per_sample_loss_and_grad(spec, trial, [x], [y])[0][0])
+            return float(models.per_sample_loss_and_grad(spec, trial, batch)[0][0])
 
         h = 1e-5
         fd = np.zeros_like(g)
@@ -128,7 +133,7 @@ class TestPerSampleGrad:
 
     def test_create_graph_gradient_is_redifferentiable(self):
         spec, params = _linear_params([1.0, 2.0])
-        sample = models.attach_sample(spec, params, [[1.0, 1.0]], [0.0])
+        sample = models.attach_sample(spec, params, models.stack_batch(spec, [[1.0, 1.0]], [0.0]))
         # ||g||^2 seeds the node with its gradient in g, 2 g
         (gx,) = backward(sample.grads, [sample.x], cotangent=2.0 * sample.grads.data)
         # d/dx 4 r^2 ||x||^2 = 8 r w ||x||^2 + 8 r^2 x, r = 3
@@ -145,7 +150,8 @@ def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
     ys = rng.normal(size=(6, 2))
     # one batch: the mean of its rows against one sample at a time, and
     # against central differences of the batch's mean loss in theta
-    gb = models.per_sample_loss_and_grad(spec, params, xs, ys)[1].mean(axis=0)
+    batch = models.stack_batch(spec, xs, ys)
+    gb = models.per_sample_loss_and_grad(spec, params, batch)[1].mean(axis=0)
     per = np.mean(
         [models.per_sample_grad(spec, params, x, y).data for x, y in zip(xs, ys)], axis=0
     )
@@ -153,7 +159,7 @@ def test_batch_mean_loss_gradient_equals_mean_of_per_sample_gradients():
     assert rel.max() < 1e-10
 
     def mean_loss(theta):
-        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), xs, ys)[0].mean()
+        return models.per_sample_loss_and_grad(spec, params.with_flat(theta), batch)[0].mean()
 
     h = 1e-6
     fd = np.array([
@@ -172,7 +178,8 @@ def test_input_is_registered_as_differentiable_leaf():
     params = models.init_params(spec, 1)
     x = np.array([0.5, -0.4])
     c = np.random.default_rng(1).normal(size=params.count)
-    sample = models.attach_sample(spec, params, x[None], [np.array([0.2])])
+    batch = models.stack_batch(spec, x[None], [np.array([0.2])])
+    sample = models.attach_sample(spec, params, batch)
     assert sample.graph.nodes[sample.x.node_id].op == "leaf"
     (gx,) = backward(sample.grads, [sample.x], cotangent=c[None])
 
@@ -199,7 +206,7 @@ def test_cli_models_attach_the_input_and_one_gradient_node(arch):
         spec = cli._build_spec(arch, (data.X, data.y))
         subject = datasets.tabular_subjects(data.X, data.y)[0]
     params = models.init_params(spec, 0)
-    sample = models.attach_sample(spec, params, subject.x[None], [subject.y])
+    sample = models.attach_sample(spec, params, models.stack_batch(spec, [subject.x], [subject.y]))
     assert [node.op for node in sample.graph.nodes] == ["leaf", "per-sample-grad"]
     assert sample.grads.shape == (1, params.count)
 

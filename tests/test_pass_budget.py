@@ -7,7 +7,8 @@ per-sample gradients are tape-free), the input Jacobian none (it is
 forward-mode and tape-free, one call per chunk of input directions).  The
 attack objective takes one per call.  The counts come from wrappers on
 autodiff.backward and on the names plis and attack import, so they hold
-on any machine.
+on any machine.  Two more counts: the weight adjoints of one input-
+Jacobian call, and the batch checks of one training run.
 """
 
 import math
@@ -112,6 +113,45 @@ def test_dp_sgd_step_takes_no_tape_pass(monkeypatch, passes, spec, private):
     monkeypatch.setattr(dpsgd, "per_sample_loss_and_grad", counted)
     config = dpsgd.DpSgdConfig(0.1, 1, 7, private=private,
                                clip=1.0 if private else None, sigma=1.0 if private else 0.0)
-    dpsgd.dp_sgd_step(spec, params, [(s.x, s.y) for s in _subjects(spec, 7)], config)
+    subjects = _subjects(spec, 7)
+    batch = models.stack_batch(spec, [s.x for s in subjects], [s.y for s in subjects])
+    dpsgd.dp_sgd_step(spec, params, batch, config)
     assert len(gradients) == 3
     assert passes == []
+
+
+def test_grad_tangents_takes_two_weight_adjoints_per_weighted_layer(monkeypatch):
+    """One grad_tangents call on a Linear-Tanh-Linear MLP: its first-order
+    walk writes no gradient rows, so each weighted layer takes the two weight
+    adjoints of its tangent row (g' h^T + g h'^T) and no third."""
+    params = models.init_params(_MLP, 5)
+    subjects = _subjects(_MLP, 3)
+    batch = models.stack_batch(_MLP, [s.x for s in subjects], [s.y for s in subjects])
+    calls = []
+    original = autodiff._linear_weight_adjoint_np
+
+    def counted(g, h):
+        calls.append(g.shape)
+        return original(g, h)
+
+    monkeypatch.setattr(autodiff, "_linear_weight_adjoint_np", counted)
+    models.grad_tangents(_MLP, params, batch, np.ones_like(batch.xs))
+    assert len(calls) == 2 * 2
+
+
+def test_training_checks_its_dataset_once(monkeypatch):
+    """2 epochs of 3 batches: train stacks and checks the dataset once, and
+    no step checks its slice again."""
+    checks = []
+    original = models.output_shape
+
+    def counted(spec, shape):
+        checks.append(shape)
+        return original(spec, shape)
+
+    monkeypatch.setattr(models, "output_shape", counted)
+    subjects = _subjects(_MLP, 7)
+    config = dpsgd.DpSgdConfig(0.1, 2, 3, private=True, clip=1.0, sigma=1.0)
+    trace = dpsgd.train(_MLP, [(s.x, s.y) for s in subjects], config)
+    assert len(trace.step_records) == 2 * 3
+    assert checks == [(4,)]
