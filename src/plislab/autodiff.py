@@ -36,7 +36,9 @@ Patches are laid out by slicing alone: _im2col copies a strided
 kernel adjoint.  The input adjoint builds no patch matrix: it lays the
 output cotangent out on the image grid, where each kernel offset is one
 flat shift, and runs one GEMM and one contiguous add per offset.  No
-index table holds either layout.
+index table holds either layout.  A kernel given out writes its result
+there: the non-private DP-SGD step passes arrays of a Workspace, reused
+from chunk to chunk, and every other route lets the kernels allocate.
 
 Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample.  Row i of the model
@@ -47,6 +49,7 @@ row.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -126,24 +129,58 @@ def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tenso
 # --------------------------------------------------------------------------
 
 
-def _im2col(images: Array, k: int) -> Array:
+class Workspace:
+    """Work arrays by key, reused from call to call (models.Workspace): a
+    non-private DP-SGD step takes the large temporaries of its summed route
+    from one workspace, which train keeps for all its steps, so that no
+    chunk allocates them, or faults their pages in, again.
+
+    empty(key, shape) is an uninitialised array of that shape: a view of
+    the first entries of the one flat buffer kept under key, which is
+    replaced by a larger one when a larger shape asks for it.  So a ragged
+    last chunk takes a prefix of what the full chunks use.  A view is valid
+    until the next request under its key: an array that must outlive
+    another has its own key, and no route returns a view of a workspace.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, Array] = {}
+
+    def empty(self, key: str, shape: tuple, dtype=np.float64) -> Array:
+        size = math.prod(shape)
+        buffer = self._buffers.get(key)
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = self._buffers[key] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+    def zeros(self, key: str, shape: tuple) -> Array:
+        out = self.empty(key, shape)
+        out.fill(0.0)
+        return out
+
+
+def _im2col(images: Array, k: int, out: Array | None = None) -> Array:
     """(B,C,H,W) images -> (B, C*k*k, out_h*out_w) valid-patch matrices.
 
     A strided (B, C, k, k, oh, ow) view of the image, the patch axes
-    first; the reshape makes it one C-contiguous matrix (a copy unless
-    k = 1), which the gemm after it needs: it runs several times slower
-    on a strided one.
+    first, copied into one C-contiguous matrix (out, when given; without
+    it the reshape copies unless k = 1), which the gemm after it needs: it
+    runs several times slower on a strided one.
     """
     images = np.ascontiguousarray(images)
     b, c, h, w = images.shape
     oh, ow = h - k + 1, w - k + 1
     sb, sc, sh, sw = images.strides
     view = np.ndarray((b, c, k, k, oh, ow), images.dtype, images, 0, (sb, sc, sh, sw, sh, sw))
-    return view.reshape(b, c * k * k, oh * ow)
+    if out is None:
+        return view.reshape(b, c * k * k, oh * ow)
+    out.reshape(view.shape)[...] = view
+    return out
 
 
-def _bias_add_np(h: Array, b: Array) -> Array:
-    return h + b.reshape(b.shape + (1,) * (h.ndim - 2))
+def _bias_add_np(h: Array, b: Array, out: Array | None = None) -> Array:
+    """h plus one bias per (sample, channel); out=h adds in place."""
+    return np.add(h, b.reshape(b.shape + (1,) * (h.ndim - 2)), out=out)
 
 
 def _bias_adjoint_np(g: Array) -> Array:
@@ -151,12 +188,14 @@ def _bias_adjoint_np(g: Array) -> Array:
     return g.sum(axis=tuple(range(2, g.ndim))) if g.ndim > 2 else g
 
 
-def _linear_np(w: Array, h: Array) -> Array:
-    return np.matmul(w, h[..., None])[..., 0]
+def _linear_np(w: Array, h: Array, out: Array | None = None) -> Array:
+    return np.matmul(w, h[..., None], out=None if out is None else out[..., None])[..., 0]
 
 
-def _linear_input_adjoint_np(w: Array, g: Array) -> Array:
-    return np.matmul(np.swapaxes(w, -1, -2), g[..., None])[..., 0]
+def _linear_input_adjoint_np(w: Array, g: Array, out: Array | None = None) -> Array:
+    return np.matmul(
+        np.swapaxes(w, -1, -2), g[..., None], out=None if out is None else out[..., None]
+    )[..., 0]
 
 
 def _linear_weight_adjoint_np(g: Array, h: Array) -> Array:
@@ -167,15 +206,18 @@ def _linear_weight_adjoint_np(g: Array, h: Array) -> Array:
     return out
 
 
-def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple) -> Array:
+def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple, out: Array | None = None) -> Array:
     """(B,O,oh,ow) outputs of (B,O,C,k,k) kernels on the patch matrices of
     (B,C,H,W) images."""
     b, o, _, k = kernel.shape[:4]
     oh, ow = image_shape[2] - k + 1, image_shape[3] - k + 1
-    return np.matmul(kernel.reshape(b, o, -1), cols).reshape(b, o, oh, ow)
+    out = None if out is None else out.reshape(b, o, -1)
+    return np.matmul(kernel.reshape(b, o, -1), cols, out=out).reshape(b, o, oh, ow)
 
 
-def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
+def _conv2d_input_adjoint_np(
+    g: Array, kernel: Array, out: Array | None = None, work: Workspace | None = None
+) -> Array:
     """Gradient of <g, conv> in the (B,C,oh+k-1,ow+k-1) images, from (B,O,oh,ow) g.
 
     g is laid out on the (H, W) image grid, zero past its (oh, ow) corner,
@@ -191,14 +233,17 @@ def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
     CNN's training steps (chunks of 6, one BLAS thread, a 2-vCPU x86-64
     VM) such a call took 0.6 ms, against 0.8 ms for the batched GEMM; one
     input timed again and again reads the other way.  Per-row kernels take
-    one batched GEMM.
+    one batched GEMM.  Given a workspace, the grid, the product and the
+    image come from it, under the keys "grid", "product" and "image";
+    given out, the result is copied into it.
     """
     b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
     h, w = oh + k - 1, ow + k - 1
     shared = kernel.strides[0] == 0
     lead = 1 if shared else b
-    grid = np.zeros((o, b, h, w) if shared else (b, o, h, w))
+    shape = (o, b, h, w) if shared else (b, o, h, w)
+    grid = np.zeros(shape) if work is None else work.zeros("grid", shape)
     grid[..., :oh, :ow] = g.swapaxes(0, 1) if shared else g
     grid = grid.reshape(lead, o, -1)
     per = k * k if c == 1 else 1  # offsets per GEMM
@@ -209,44 +254,48 @@ def _conv2d_input_adjoint_np(g: Array, kernel: Array) -> Array:
     slices = np.ascontiguousarray(slices).reshape(-1, lead, o, per * c).swapaxes(2, 3)
     n = grid.shape[2] - (k - 1) * (w + 1)
     columns = grid[:, :, :n]
-    product = np.empty((lead, per * c, n))
-    img = np.zeros((lead, c, grid.shape[2]))
+    shape = (lead, per * c, n)
+    product = np.empty(shape) if work is None else work.empty("product", shape)
+    shape = (lead, c, grid.shape[2])
+    img = np.zeros(shape) if work is None else work.zeros("image", shape)
     for i in range(k * k):
         if i % per == 0:
             np.matmul(slices[i // per], columns, out=product)
         j, s = i % per, (i // k) * w + i % k
         img[:, :, s : s + n] += product[:, j * c : (j + 1) * c]
-    if shared:
-        return np.ascontiguousarray(img.reshape(c, b, h, w).swapaxes(0, 1))
-    return img.reshape(b, c, h, w)
+    img = img.reshape(c, b, h, w).swapaxes(0, 1) if shared else img.reshape(b, c, h, w)
+    if out is None:
+        return np.ascontiguousarray(img)
+    out[...] = img
+    return out
 
 
-def _conv2d_kernel_adjoint_np(g: Array, cols: Array) -> Array:
+def _conv2d_kernel_adjoint_np(g: Array, cols: Array, out: Array | None = None) -> Array:
     """The (B, O, C*k*k) kernel gradient from (B,O,oh,ow) g and the patch matrices."""
     b, o = g.shape[:2]
-    return np.matmul(g.reshape(b, o, -1), np.swapaxes(cols, -1, -2))
+    return np.matmul(g.reshape(b, o, -1), np.swapaxes(cols, -1, -2), out=out)
 
 
-def _relu_np(a: Array) -> Array:
-    return np.maximum(a, 0.0)
+def _relu_np(a: Array, out: Array | None = None) -> Array:
+    return np.maximum(a, 0.0, out=out)
 
 
-def _relu_slope_np(a: Array) -> Array:
-    return a > 0.0
+def _relu_slope_np(a: Array, out: Array | None = None) -> Array:
+    return np.greater(a, 0.0, out=out)
 
 
-def _tanh_slope_np(t: Array) -> Array:
+def _tanh_slope_np(t: Array, out: Array | None = None) -> Array:
     """1 - tanh^2 from t = tanh(a)."""
-    return 1.0 - t * t
+    return np.subtract(1.0, np.multiply(t, t, out=out), out=out)
 
 
-def _softplus_np(a: Array) -> Array:
-    return np.maximum(a, 0.0) + np.log1p(np.exp(-np.abs(a)))
+def _softplus_np(a: Array, out: Array | None = None) -> Array:
+    return np.add(np.maximum(a, 0.0), np.log1p(np.exp(-np.abs(a))), out=out)
 
 
-def _softplus_slope_np(a: Array) -> Array:
+def _softplus_slope_np(a: Array, out: Array | None = None) -> Array:
     """sigmoid(a), written as (1 + tanh(a/2)) / 2."""
-    return (np.tanh(a * 0.5) + 1.0) * 0.5
+    return np.multiply(np.tanh(a * 0.5) + 1.0, 0.5, out=out)
 
 
 def _softmax_np(z: Array) -> Array:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import accounting, attack as attack_mod, datasets, dpsgd, models, plis
 from .errors import ConfigError, DataFormatError, PlisLabError
-from .imagemetrics import psnr, ssim
+from .imagemetrics import check_window, psnr, ssim
 
 log = logging.getLogger("plislab.cli")
 
@@ -313,6 +313,8 @@ def _cmd_attack(args) -> int:
     subject = next((s for s in subjects if s.id == args.subject), None)
     if subject is None:
         raise PlisLabError(f"subject {args.subject!r} not present in {args.data}")
+    if isinstance(data, datasets.ImageDataset):
+        check_window(subject.x[0].shape)  # SSIM's refusal, before any output is written
     observed = attack_mod.observe_gradient(spec, params, subject, dp=dp)
     result = attack_mod.reconstruct(
         spec, params, observed, subject.y, config, input_shape=subject.x.shape

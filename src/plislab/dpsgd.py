@@ -22,11 +22,16 @@ amplification is claimed or used.
 
 Batch axis: train checks and stacks the dataset once (models.stack_batch),
 and each step takes a contiguous slice of that models.Batch, which nothing
-checks again.  A step takes its per-sample gradients as the (B, p) rows of
-models.per_sample_loss_and_grad, one call per chunk of
-models.chunk_size() samples, clips each row in place and adds the chunk's
-sum into one running total.  That route is tape-free: a step builds no
-graph.  train draws the noise of consecutive steps as one block of
+checks again.  A step runs one call per chunk of models.chunk_size()
+samples and adds each chunk's gradient sum into one running (p,) total.
+A private step takes the chunk's per-sample gradients as the (B, p) rows
+of models.per_sample_loss_and_grad and clips each row in place before
+the sum.  A non-private step has nothing to clip: models.loss_and_grad_sum
+adds the chunk's batch-summed gradient into the total, and no row is
+formed.  Its large temporaries come from a models.Workspace that train
+keeps for all its steps, so no chunk allocates them, or faults their
+pages in, again.  Both routes are tape-free: a step builds no graph.
+train draws the noise of consecutive steps as one block of
 rng.gaussian_rows, of at most NOISE_BLOCK_ENTRIES entries, whose row for
 step t is the draw dp_sgd_step would make itself at step t.
 """
@@ -48,8 +53,10 @@ from .models import (
     Batch,
     ModelSpec,
     ParamSet,
+    Workspace,
     chunk_size,
     init_params,
+    loss_and_grad_sum,
     per_sample_loss_and_grad,
     stack_batch,
 )
@@ -194,6 +201,7 @@ def dp_sgd_step(
     config: DpSgdConfig,
     step_index: int = 0,
     noise: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> StepResult:
     """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
 
@@ -202,12 +210,15 @@ def dp_sgd_step(
     standard-normal draw keyed by (config.seed, step_index),
     rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, p); a caller
     that already holds that draw passes it as noise (train passes rows of
-    rng.gaussian_rows).  A private config must carry its sigma: only train
-    derives one from a target epsilon.  A non-finite mean loss, a row whose
-    squared norm overflows (its clip factor is 0, so clipping would drop
-    it), or a non-finite parameter after the update raises
-    TrainingDivergedError naming step_index; numpy's overflow and
-    invalid-value warnings on the way there are silenced.
+    rng.gaussian_rows).  A non-private step takes its temporaries from work,
+    a models.Workspace (train passes one for all its steps; without it the
+    step makes its own); nothing it returns is a view of it.  A private
+    config must carry its sigma: only train derives one from a target
+    epsilon.  A non-finite mean loss, a row whose squared norm overflows
+    (its clip factor is 0, so clipping would drop it), or a non-finite
+    parameter after the update raises TrainingDivergedError naming
+    step_index; numpy's overflow and invalid-value warnings on the way
+    there are silenced.
     """
     if not len(batch):
         raise ConfigError("dp_sgd_step: empty batch")
@@ -217,18 +228,21 @@ def dp_sgd_step(
     n, size = len(batch), chunk_size(params)
     total = np.zeros(params.count)
     losses = np.empty(n)
+    work = Workspace() if work is None else work
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, size):
-            loss, g = per_sample_loss_and_grad(spec, params, batch[first : first + size])
-            losses[first : first + size] = loss
-            if config.private:
-                factor = clip_factor(g, config.clip)
-                if dropped_row(factor) is not None:
-                    raise TrainingDivergedError(
-                        f"a gradient's squared norm overflows at step {step_index}; "
-                        "clipping would drop its row"
-                    )
-                g *= factor
+            chunk = batch[first : first + size]
+            if not config.private:
+                losses[first : first + size] = loss_and_grad_sum(spec, params, chunk, total, work)
+                continue
+            losses[first : first + size], g = per_sample_loss_and_grad(spec, params, chunk)
+            factor = clip_factor(g, config.clip)
+            if dropped_row(factor) is not None:
+                raise TrainingDivergedError(
+                    f"a gradient's squared norm overflows at step {step_index}; "
+                    "clipping would drop its row"
+                )
+            g *= factor
             total += g.sum(axis=0)
         mean_loss = float(losses.sum()) / n  # np.mean's arithmetic
         if not math.isfinite(mean_loss):
@@ -270,8 +284,9 @@ def train(
 
     dataset: sequence of (x, y) pairs, checked and stacked once
     (models.stack_batch); each step takes a slice.  Parameters start from
-    `initial` when given, else from init_params(spec, config.seed).  With
-    private=False the accountant is never touched.  A step that diverges
+    `initial` when given, else from init_params(spec, config.seed).  One
+    models.Workspace serves every step of the call and is dropped with it.
+    With private=False the accountant is never touched.  A step that diverges
     raises TrainingDivergedError naming its index (see dp_sgd_step).
     """
     if not len(dataset):
@@ -288,6 +303,7 @@ def train(
                  run_config.sigma, config.target_epsilon, config.target_delta, total_steps)
 
     accountant = AccountantState() if config.private else None
+    work = Workspace()  # the summed route's buffers, for every step of this call
     noises = (_noise_rows(config.seed, params.count, total_steps) if config.private
               else itertools.repeat(None))
     per_epoch: list[float] = []
@@ -297,7 +313,7 @@ def train(
         epoch_losses = []
         for start in range(0, len(data), config.batch_size):
             batch = data[start : start + config.batch_size]
-            result = dp_sgd_step(spec, params, batch, run_config, step, next(noises))
+            result = dp_sgd_step(spec, params, batch, run_config, step, next(noises), work)
             params = result.params
             eps_now = 0.0
             if accountant is not None:

@@ -42,13 +42,18 @@ def _pixels(image) -> np.ndarray:
     return GrayImage(np.asarray(image)).pixels
 
 
+def check_window(shape: tuple[int, int]) -> None:
+    """Refuse (h, w) images smaller than one SSIM window: a ShapeError."""
+    if shape[0] < WINDOW or shape[1] < WINDOW:
+        raise ShapeError(f"ssim: images must be at least {WINDOW}x{WINDOW}, got {tuple(shape)}")
+
+
 def ssim(a, b) -> float:
     """Mean local SSIM over all 8x8 windows; in [-1, 1], 1 iff identical."""
     pa, pb = _pixels(a), _pixels(b)
     if pa.shape != pb.shape:
         raise ShapeError(f"ssim: image shapes differ: {pa.shape} vs {pb.shape}")
-    if pa.shape[0] < WINDOW or pa.shape[1] < WINDOW:
-        raise ShapeError(f"ssim: images must be at least {WINDOW}x{WINDOW}, got {pa.shape}")
+    check_window(pa.shape)
     wa = np.lib.stride_tricks.sliding_window_view(pa, (WINDOW, WINDOW))
     wb = np.lib.stride_tricks.sliding_window_view(pb, (WINDOW, WINDOW))
     mu_a = wa.mean(axis=(2, 3))

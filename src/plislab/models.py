@@ -2,7 +2,7 @@
 
 Parameters live in one flat vector, laid out block by block; the
 gradient with respect to all parameters comes back as one flat row per
-sample.
+sample, or summed over the batch into one flat vector.
 
 Batch axis: every route takes B samples stacked on a leading axis and
 tiles each parameter block into a (B, ...) array, so sample i's loss
@@ -12,13 +12,23 @@ sample.  One sample is a batch of one.  Callers pass at most
 chunk_size(params) samples at a time.  stack_batch stacks and checks
 samples once into a Batch, and every route takes a Batch and checks
 nothing again: DP-SGD stacks its dataset once and passes slices of it.
+The batch sum leaves that axis only at the end of each weighted layer's
+adjoint.
 
 One forward pass, then first and second order without a second-order
 tape.  _layer_records runs the forward pass in the autodiff numpy kernels
 and keeps per layer what the adjoints read, and _reverse is the one
 reverse walk through those records.  In first order,
 per_sample_loss_and_grad() takes it from the loss for the B losses and
-(B, p) parameter-gradient rows g: all DP-SGD needs is first order.
+(B, p) parameter-gradient rows g, which the private DP-SGD step clips.
+Its summed mode, loss_and_grad_sum(), is the non-private step's: each
+weighted layer adds its batch-summed gradient into a (p,) total (a conv
+kernel's and a bias's per-sample adjoints summed in batch order, with
+the rows' bits; a Linear weight's one GEMM g^T h), and no row is formed.
+That route takes its large temporaries (patch matrices, layer outputs,
+slopes, cotangents, the conv input adjoint's grid and image) from a
+Workspace that train keeps for all its steps; every other route
+allocates them.
 _tangent_walk() differentiates the rows once more, forward-over-reverse,
 one tangent per row, by the same walk with the product rule's terms:
 along input directions v_i it gives the rows J_i v_i (J = dg/dx), for
@@ -44,7 +54,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import autodiff, rng
-from .autodiff import Graph, Tensor
+from .autodiff import Graph, Tensor, Workspace
 from .errors import ConfigError, DataFormatError, ShapeError
 
 MSE = "mse"
@@ -55,9 +65,11 @@ CROSS_ENTROPY = "cross_entropy"
 # (19,682 parameters) peaks near 5 MB per sample, so 2^17 entries give it
 # chunks of 6 samples (about 30 MB); a 16-parameter linear model gets
 # chunks of 8192, so its per-op Python overhead is paid once per batch,
-# not once per sample.  Other chunks are slower on the CNN: on a 2-vCPU
-# x86-64 VM, one BLAS thread, a 48-subject train-and-rank pass took
-# 0.39 s at chunks of 3, 0.33 s at 6 and 0.36 s at 12.
+# not once per sample.  Other chunks are slower on the CNN, for PLIS and
+# for the summed training route alike: on a 2-vCPU x86-64 VM, one BLAS
+# thread, a 48-subject train-and-rank pass (12 epochs) took a median of
+# 0.30 s at chunks of 3 and of 4, 0.26 s at 6, 0.27 s at 8, 0.29 s at 12
+# and 0.32 s at 24 (12 interleaved rounds).
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -180,9 +192,11 @@ class ParamSet:
         self.blocks = {b.name: b for b in self.layout}
 
     def columns(self, rows: np.ndarray, name: str) -> np.ndarray:
-        """The (B, *shape) view of the named block's columns of (B, p) rows."""
+        """The (..., *shape) view of the named block's columns of (..., p)
+        rows: (B, *shape) of (B, p) rows, the block itself of a (p,) vector."""
         block = self.blocks[name]
-        return rows[:, block.offset : block.offset + block.size].reshape(len(rows), *block.shape)
+        columns = rows[..., block.offset : block.offset + block.size]
+        return columns.reshape(*rows.shape[:-1], *block.shape)
 
     @property
     def count(self) -> int:
@@ -342,13 +356,23 @@ def stack_batch(spec: ModelSpec, xs, ys, first: int = 0) -> Batch:
     return Batch(xs, targets.reshape((n, *out_shape)))
 
 
-def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[np.ndarray, list]:
+def _buffer(work: Workspace | None, idx: int, name: str, shape: tuple, dtype=np.float64):
+    """work's array named name for layer idx, or None without a workspace:
+    the kernel then allocates its result, as on every route but DP-SGD's
+    summed one."""
+    return None if work is None else work.empty(f"{idx}.{name}", shape, dtype)
+
+
+def _layer_records(
+    spec: ModelSpec, params: ParamSet, xs: np.ndarray, work: Workspace | None = None
+) -> tuple[np.ndarray, list]:
     """The model's (B, ...) outputs for inputs xs under tiled views of the
     parameters, in the autodiff numpy kernels, and per layer the record its
     adjoints read: a Linear layer's weights and input, a Conv2d layer's
     kernels, input patch matrix and input shape, an activation's slope (and
     a tanh's output), and Flatten's input shape.  Every route runs its
-    forward pass here."""
+    forward pass here.  Patch matrices, layer outputs and slopes come from
+    work, under keys of their layer's index; the bias is added in place."""
     n = xs.shape[0]
     flat = np.ascontiguousarray(params.flat)
     records = []
@@ -357,48 +381,65 @@ def _layer_records(spec: ModelSpec, params: ParamSet, xs: np.ndarray) -> tuple[n
         if isinstance(layer, Linear):
             w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
             records.append((w, h))
-            h = autodiff._linear_np(w, h)
+            h = autodiff._linear_np(w, h, out=_buffer(work, idx, "out", (n, layer.out_dim)))
         elif isinstance(layer, Conv2d):
             w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
-            cols = autodiff._im2col(h, layer.kernel)
+            k, (c, height, width) = layer.kernel, h.shape[1:]
+            oh, ow = height - k + 1, width - k + 1
+            cols = autodiff._im2col(h, k, out=_buffer(work, idx, "cols", (n, c * k * k, oh * ow)))
             records.append((w, cols, h.shape))
-            h = autodiff._conv2d_np(w, cols, h.shape)
+            out = _buffer(work, idx, "out", (n, layer.out_ch, oh, ow))
+            h = autodiff._conv2d_np(w, cols, h.shape, out=out)
         elif isinstance(layer, Relu):
-            records.append((autodiff._relu_slope_np(h), None))
-            h = autodiff._relu_np(h)
+            slope = _buffer(work, idx, "slope", h.shape, bool)
+            records.append((autodiff._relu_slope_np(h, out=slope), None))
+            h = autodiff._relu_np(h, out=_buffer(work, idx, "out", h.shape))
         elif isinstance(layer, Tanh):
-            h = np.tanh(h)
+            h = np.tanh(h, out=_buffer(work, idx, "out", h.shape))
+            slope = _buffer(work, idx, "slope", h.shape)
             # the output too: the tanh slope's derivative reads it
-            records.append((autodiff._tanh_slope_np(h), h))
+            records.append((autodiff._tanh_slope_np(h, out=slope), h))
         elif isinstance(layer, Softplus):
-            records.append((autodiff._softplus_slope_np(h), None))
-            h = autodiff._softplus_np(h)
+            slope = _buffer(work, idx, "slope", h.shape)
+            records.append((autodiff._softplus_slope_np(h, out=slope), None))
+            h = autodiff._softplus_np(h, out=_buffer(work, idx, "out", h.shape))
         elif isinstance(layer, Flatten):
             records.append(h.shape)
             h = h.reshape(n, h.size // n)
         if isinstance(layer, (Linear, Conv2d)) and layer.bias:
-            h = autodiff._bias_add_np(h, _tiled(flat, params.blocks[f"{idx}.bias"], n))
+            autodiff._bias_add_np(h, _tiled(flat, params.blocks[f"{idx}.bias"], n), out=h)
     return h, records
 
 
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    """The sum over a's leading (batch) axis, sample after sample, as numpy
+    sums (B, p) rows, p > 1: a block of one entry is summed by cumsum, since
+    numpy sums a lone column pairwise."""
+    a = a.reshape(len(a), -1)
+    return a.sum(axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
 def _reverse(
-    spec: ModelSpec, params: ParamSet, records: list, g: np.ndarray, rows: np.ndarray | None,
+    spec: ModelSpec, params: ParamSet, records: list, g: np.ndarray, grads: np.ndarray | None,
     cotangents: list | None = None, moved: list | None = None, dtheta: np.ndarray | None = None,
+    work: Workspace | None = None,
 ) -> tuple[np.ndarray, list]:
     """The reverse walk through _layer_records' records from the cotangent g
-    of the model's (B, ...) outputs.  Unless rows is None, it writes each
-    weighted layer's rows (the gradient's in first order, their tangents in
-    second) into the block's columns of the (B, p) rows, through
-    ParamSet.columns.  Returns the cotangent it ends with and the per-layer
+    of the model's (B, ...) outputs.  grads takes each weighted layer's
+    gradients (in first order; their tangents in second), through
+    ParamSet.columns: (B, p) rows are written per sample; into a (p,) total
+    (summed mode, first order only) the batch sums are added, and no row is
+    formed.  Returns the cotangent it ends with and the per-layer
     cotangents.
 
     First order (cotangents None): g is the loss's cotangent; the walk
     records each layer's output cotangent (None below the first weighted
     layer) and computes no adjoint of the first weighted layer's input.
-    Second order: g is that cotangent's tangent, and the walk adds the
-    product rule's terms from the first-order cotangents, the input
-    tangents moved (see _tangent_walk) and the parameter tangents dtheta;
-    for dtheta it runs through the first layer to x.
+    The cotangents it carries down come from work, under keys of their
+    layer's index.  Second order: g is that cotangent's tangent, and the
+    walk adds the product rule's terms from the first-order cotangents, the
+    input tangents moved (see _tangent_walk) and the parameter tangents
+    dtheta; for dtheta it runs through the first layer to x.
     """
     # the first Linear or Conv2d layer: no gradient flows below it
     first = min((i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
@@ -414,14 +455,16 @@ def _reverse(
         if isinstance(layer, (Linear, Conv2d)):
             w, inputs = record[:2]
             linear = isinstance(layer, Linear)
-            if rows is not None:
+            if grads is not None and grads.ndim == 1:
+                _add_batch_sums(params, grads, idx, layer, g, inputs, work)
+            elif grads is not None:
                 if layer.bias:
-                    params.columns(rows, f"{idx}.bias")[...] = autodiff._bias_adjoint_np(g)
+                    params.columns(grads, f"{idx}.bias")[...] = autodiff._bias_adjoint_np(g)
                 adjoint = (
                     autodiff._linear_weight_adjoint_np if linear
                     else autodiff._conv2d_kernel_adjoint_np
                 )
-                block = params.columns(rows, f"{idx}.weight")
+                block = params.columns(grads, f"{idx}.weight")
                 block[...] = (
                     adjoint(g, inputs) if first_order
                     else adjoint(g, inputs) + adjoint(up, moved[idx])
@@ -430,11 +473,14 @@ def _reverse(
                 break
             moving = None if dtheta is None else params.columns(dtheta, f"{idx}.weight")
             if linear:
-                g = autodiff._linear_input_adjoint_np(w, g)
+                out = _buffer(work, idx, "g", inputs.shape)
+                g = autodiff._linear_input_adjoint_np(w, g, out=out)
                 if moving is not None:
                     g = g + autodiff._linear_input_adjoint_np(moving, up)
             elif moving is None:
-                g = autodiff._conv2d_input_adjoint_np(g, w)
+                g = autodiff._conv2d_input_adjoint_np(
+                    g, w, out=_buffer(work, idx, "g", record[2]), work=work
+                )
             else:
                 # W^T g' + W'^T g as one adjoint of the stacked operands
                 # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
@@ -445,11 +491,43 @@ def _reverse(
             g = g.reshape(record)
         else:
             slope, out = record
-            g = g * slope
+            g = np.multiply(g, slope, out=_buffer(work, idx, "g", g.shape))
             if not first_order and moved[idx] is not None and not isinstance(layer, Relu):
                 bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
                 g += up * bend * moved[idx]
     return g, cotangents
+
+
+def _add_batch_sums(
+    params: ParamSet, total: np.ndarray, idx: int, layer: Linear | Conv2d, g: np.ndarray,
+    inputs: np.ndarray, work: Workspace | None,
+) -> None:
+    """Summed mode: add weighted layer idx's batch-summed gradients, from its
+    output cotangent g and its record's inputs, into its blocks of total.
+    The bias's and a conv kernel's are per-sample adjoints summed by
+    _batch_sum, with the bits of their columns in the rows' sum; a Linear
+    weight's is the one GEMM g^T h."""
+    if layer.bias:
+        bias = params.columns(total, f"{idx}.bias")
+        bias += _batch_sum(autodiff._bias_adjoint_np(g))
+    block = params.columns(total, f"{idx}.weight")
+    if isinstance(layer, Linear):
+        block += np.matmul(g.T, inputs, out=_buffer(work, idx, "dw", block.shape))
+    else:
+        n, o = g.shape[:2]
+        adjoint = autodiff._conv2d_kernel_adjoint_np(
+            g, inputs, out=_buffer(work, idx, "dw", (n, o, inputs.shape[1]))
+        )
+        block += _batch_sum(adjoint).reshape(block.shape)
+
+
+def _loss_and_cotangent(spec: ModelSpec, h: np.ndarray, targets: np.ndarray):
+    """Per-sample losses (B,) of the model's outputs h, and their cotangent in h."""
+    ones = np.ones(len(h))
+    if spec.loss == MSE:
+        return autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
+    losses = autodiff._cross_entropy_np(h, targets)
+    return losses, autodiff._cross_entropy_adjoint_np(ones, h, targets)
 
 
 def _loss_and_rows(
@@ -460,14 +538,8 @@ def _loss_and_rows(
     and, per layer, the cotangent of its output (None below the first
     weighted layer), from _layer_records' outputs h and records by
     _reverse's first-order walk."""
-    n = h.shape[0]
-    ones = np.ones(n)
-    if spec.loss == MSE:
-        losses, g = autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
-    else:
-        losses = autodiff._cross_entropy_np(h, targets)
-        g = autodiff._cross_entropy_adjoint_np(ones, h, targets)
-    grads = np.empty((n, params.count)) if rows else None
+    losses, g = _loss_and_cotangent(spec, h, targets)
+    grads = np.empty((len(h), params.count)) if rows else None
     return losses, grads, _reverse(spec, params, records, g, grads)[1]
 
 
@@ -476,6 +548,20 @@ def per_sample_loss_and_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (B,) and parameter gradients (B, p), without a tape."""
     return _loss_and_rows(spec, params, *_layer_records(spec, params, batch.xs), batch.targets)[:2]
+
+
+def loss_and_grad_sum(
+    spec: ModelSpec, params: ParamSet, batch: Batch, total: np.ndarray, work: Workspace
+) -> np.ndarray:
+    """Per-sample losses (B,) of a Batch; the sum of its B parameter
+    gradients is added into the (p,) total in place, by _reverse's summed
+    mode: no (B, p) row is formed.  The forward pass, and so each loss, is
+    per_sample_loss_and_grad's to the bit.  Large temporaries come from
+    work, which the next call reuses; the losses do not."""
+    h, records = _layer_records(spec, params, batch.xs, work)
+    losses, g = _loss_and_cotangent(spec, h, batch.targets)
+    _reverse(spec, params, records, g, total, work=work)
+    return losses
 
 
 def _tangent_walk(

@@ -323,17 +323,21 @@ def test_conv2d_kernel_too_large_is_shape_error():
             models.output_shape(spec, shape)
 
 
-def _patch_gemm_input_adjoint(g, kernel):
+def _patch_gemm_input_adjoint(g, kernel, out=None, work=None):
     """The conv input adjoint by the patch GEMM: the (B, C*k*k, oh*ow) products
     of the transposed kernels with g, each summed into the pixel that
-    _patch_indices names, by a bincount that visits them in (c, ki, kj) order."""
+    _patch_indices names, by a bincount that visits them in (c, ki, kj) order.
+    Copied into out when given, as the kernel it stands in for; work unused."""
     b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
     h, w = oh + k - 1, ow + k - 1
     cols = np.matmul(np.swapaxes(kernel.reshape(b, o, -1), -1, -2), g.reshape(b, o, -1))
     where = _patch_indices(c, h, w, k) + c * h * w * np.arange(b)[:, None, None]
     img = np.bincount(where.reshape(-1), weights=cols.reshape(-1), minlength=b * c * h * w)
-    return img.reshape(b, c, h, w)
+    if out is None:
+        return img.reshape(b, c, h, w)
+    out[...] = img.reshape(b, c, h, w)
+    return out
 
 
 def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
@@ -363,12 +367,15 @@ def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
 
 def _conv_routes(spec, params, subjects, step_config):
     """What the conv input adjoint feeds: per_sample_loss_and_grad's losses and
-    rows, one dp_sgd_step's parameters, PLIS (clipped, by both routes) and
-    grad_tangents along two input directions."""
+    rows, one private and one non-private dp_sgd_step's parameters (the rows
+    and the summed route), PLIS (clipped, by both routes) and grad_tangents
+    along two input directions."""
     batch = models.stack_batch(spec, [s.x for s in subjects], [s.y for s in subjects])
     directions = np.random.default_rng(47).normal(size=(2, *batch.xs.shape[1:]))
     out = list(models.per_sample_loss_and_grad(spec, params, batch))
-    out.append(dpsgd.dp_sgd_step(spec, params, batch, step_config, step_index=2).params.flat)
+    plain = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=6, seed=5)
+    for config in (step_config, plain):
+        out.append(dpsgd.dp_sgd_step(spec, params, batch, config, step_index=2).params.flat)
     for expanded in (False, True):
         reports = plis.plis_reports(spec, params, subjects, 1.5, 0.5, expanded)
         out.extend(r.plis for r in reports)

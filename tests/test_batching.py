@@ -237,6 +237,61 @@ def test_dp_sgd_step_clipped_sum_matches_per_sample(problem, clip_quantile):
 
 
 @settings(max_examples=30, deadline=None)
+@given(problems())
+def test_non_private_step_sums_the_rows_of_each_chunk(problem):
+    """The summed walk against the rows route, chunk by chunk (the last may
+    be ragged): the totals that loss_and_grad_sum adds up in one workspace
+    equal per_sample_loss_and_grad's rows summed per chunk, conv kernel and
+    bias blocks to the bit, and Linear weight blocks (one GEMM g^T h) within
+    1e-14 of the largest sum of their terms' magnitudes.  The losses keep
+    their bits, and a non-private step is that total's update, to the bit."""
+    spec, params, subjects, size = problem
+    rows_total, summed, abs_total = (np.zeros(params.count) for _ in range(3))
+    work = models.Workspace()
+    for part in models.chunks(subjects, size):
+        batch = _stacked(spec, part)
+        loss, g = models.per_sample_loss_and_grad(spec, params, batch)
+        rows_total += g.sum(axis=0)
+        abs_total += np.abs(g).sum(axis=0)
+        assert _same_bits([models.loss_and_grad_sum(spec, params, batch, summed, work)], [loss])
+    for block in params.layout:
+        layer = spec.layers[int(block.name.split(".")[0])]
+        got, want = params.columns(summed, block.name), params.columns(rows_total, block.name)
+        if isinstance(layer, models.Linear) and block.name.endswith(".weight"):
+            scale = params.columns(abs_total, block.name).max()
+            assert np.abs(got - want).max() <= 1e-14 * scale
+        else:
+            assert got.tobytes() == want.tobytes()
+    config = dpsgd.DpSgdConfig(learning_rate=0.5, epochs=1, batch_size=len(subjects))
+    with chunked(params, size):
+        result = dpsgd.dp_sgd_step(spec, params, _stacked(spec, subjects), config)
+    update = summed / len(subjects)
+    assert result.params.flat.tobytes() == (params.flat - 0.5 * update).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    _LINEAR3,
+    models.ModelSpec((models.Conv2d(1, 1, 1), models.Flatten(), models.Linear(4, 1)), models.MSE),
+], ids=["linear-bias", "one-entry-kernel"])
+def test_summed_blocks_of_one_entry_keep_the_row_sums_bits(spec):
+    """20 samples in one chunk: numpy sums a lone column pairwise, but the
+    (20, p) rows column by column in batch order; a one-entry bias or conv
+    kernel block of the summed walk takes the rows' bits."""
+    rng = np.random.default_rng(3)  # sums that the two orders round apart
+    shape = (3,) if spec is _LINEAR3 else (1, 2, 2)
+    xs = rng.normal(size=(20, *shape)) * 10.0 ** rng.integers(-6, 6, size=(20, *shape))
+    batch = models.stack_batch(spec, xs, rng.normal(size=(20, 1)))
+    params = models.init_params(spec, 5)
+    summed = np.zeros(params.count)
+    models.loss_and_grad_sum(spec, params, batch, summed, models.Workspace())
+    rows = models.per_sample_loss_and_grad(spec, params, batch)[1].sum(axis=0)
+    for block in params.layout:
+        if block.size == 1:
+            assert params.columns(summed, block.name).tobytes() == (
+                params.columns(rows, block.name).tobytes())
+
+
+@settings(max_examples=30, deadline=None)
 @given(problems(), st.sampled_from([None, 0.7]), st.booleans(), st.booleans())
 def test_plis_routes_match_per_sample(problem, sigma, clipped, expanded):
     spec, params, subjects, size = problem

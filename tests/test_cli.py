@@ -810,8 +810,8 @@ class TestAttackCommand:
     def test_images_one_pixel_high_or_wide_end_in_one_error_line(
         self, tmp_path, capsys, height, width, flags
     ):
-        """The attack runs on such images (its prior has no pairs along the
-        short axis); SSIM then refuses them, with exit 2 and no traceback."""
+        """SSIM refuses such images, with exit 2 and no traceback, before the
+        attack runs: no output is written."""
         data, model, cfg = tmp_path / "d.plds", tmp_path / "m.plck", tmp_path / "t.cfg"
         cfg.write_text("lr = 0.05\nepochs = 2\nbatch_size = 8\nseed = 3\n")
         assert run("gen-data", "--kind", "images", "--out", str(data), "--n", "8",
@@ -819,11 +819,13 @@ class TestAttackCommand:
         assert run("train", "--config", str(cfg), "--data", str(data), "--arch", "mlp",
                    "--out", str(model)) == 0
         capsys.readouterr()
+        out = tmp_path / "x"
         assert run("attack", "--model", str(model), "--data", str(data), "--subject",
-                   "img00001", "--out", str(tmp_path / "x"), "--iterations", "3", *flags) == 2
+                   "img00001", "--out", str(out), "--iterations", "3", *flags) == 2
         assert capsys.readouterr().err == (
             f"error: ssim: images must be at least 8x8, got ({height}, {width})\n"
         )
+        assert not out.exists()
 
     def test_unknown_subject_is_runtime_error(self, image_setup):
         tmp_path, data, model = image_setup

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plislab import accounting, datasets, dpsgd, models
+from plislab import accounting, autodiff, datasets, dpsgd, models, plis
 from plislab.errors import ConfigError, TrainingDivergedError
 
 
@@ -392,6 +392,51 @@ class TestTrainIsAStepLoop:
                                    sigma=1.0 if private else 0.0)
         with pytest.raises(TrainingDivergedError, match=r"at step 9(;|$)"):
             dpsgd.train(LINEAR_SPEC, data, config)
+
+
+def test_training_reuses_one_workspace_and_returns_none_of_it(monkeypatch):
+    """3 non-private CNN steps of 7 samples in chunks of 3, 3 and 1: each
+    layer's patch matrix lands in one buffer for every chunk, and neither
+    train's parameters nor PLIS, the rows or J^T u share memory with any
+    array the workspace handed out."""
+    params = models.init_params(_CNN, 0)
+    monkeypatch.setattr(models, "CHUNK_ENTRIES", 3 * params.count)
+    handed, patches = [], {}
+
+    class Recording(models.Workspace):
+        def empty(self, key, shape, dtype=np.float64):
+            handed.append(super().empty(key, shape, dtype))
+            return handed[-1]
+
+    original = autodiff._im2col
+
+    def recorded(images, k, out=None):
+        if out is not None:  # only the summed route passes a buffer
+            patches.setdefault(images.shape[1:], []).append(
+                (len(images), out.__array_interface__["data"][0])
+            )
+        return original(images, k, out)
+
+    monkeypatch.setattr(dpsgd, "Workspace", Recording)
+    monkeypatch.setattr(autodiff, "_im2col", recorded)
+    data = _images(7)
+    config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=3, batch_size=7, seed=2)
+    trace = dpsgd.train(_CNN, data, config)
+    assert len(trace.step_records) == 3
+    assert list(patches) == [(1, 6, 6)]  # the one conv layer
+    for calls in patches.values():
+        assert [n for n, _ in calls] == [3, 3, 1] * 3
+        assert len({address for _, address in calls}) == 1
+    subjects = [plis.SubjectRecord(f"s{i}", x, y) for i, (x, y) in enumerate(data)]
+    batch = _stacked(_CNN, data)
+    sample = models.attach_sample(_CNN, trace.params, batch)
+    (jtu,) = autodiff.backward(sample.grads, [sample.x], cotangent=np.ones(sample.grads.shape))
+    outputs = [trace.params.flat, sample.grads.data, jtu.data,
+               *models.per_sample_loss_and_grad(_CNN, trace.params, batch)]
+    for report in plis.plis_reports(_CNN, trace.params, subjects, sigma=1.0, clip=0.5):
+        outputs += [report.plis, np.asarray(report.pl)]
+    assert handed
+    assert not any(np.shares_memory(a, b) for a in outputs for b in handed)
 
 
 class TestConfigFile:

@@ -3,7 +3,8 @@
 Each batched route has a fixed number of backward passes per chunk of
 models.chunk_size() samples: PLIS one on every route (it reaches the
 gradient node, whose rule is tape-free), a DP-SGD step none (its
-per-sample gradients are tape-free), the input Jacobian none (it is
+gradients are tape-free: per-sample rows when private, their batch sum
+by the summed walk otherwise), the input Jacobian none (it is
 forward-mode and tape-free, one call per chunk of input directions).  The
 attack objective takes one per call.  The counts come from wrappers on
 autodiff.backward and on the names plis and attack import, so they hold
@@ -101,22 +102,31 @@ def test_attack_objective_takes_one_pass_per_call(passes, spec):
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
 @pytest.mark.parametrize("private", [False, True])
 def test_dp_sgd_step_takes_no_tape_pass(monkeypatch, passes, spec, private):
+    """Private: one call for per-sample rows per chunk.  Non-private: one
+    summed-walk call per chunk, and no rows."""
     params = models.init_params(spec, 3)
     _chunk(monkeypatch, params, 3)
-    gradients = []
-    original = dpsgd.per_sample_loss_and_grad
+    calls = {"per_sample_loss_and_grad": [], "loss_and_grad_sum": []}
 
-    def counted(*args):
-        gradients.append(args)
-        return original(*args)
+    def counting(name):
+        original = getattr(dpsgd, name)
 
-    monkeypatch.setattr(dpsgd, "per_sample_loss_and_grad", counted)
+        def counted(*args):
+            calls[name].append(args)
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(dpsgd, name, counting(name))
     config = dpsgd.DpSgdConfig(0.1, 1, 7, private=private,
                                clip=1.0 if private else None, sigma=1.0 if private else 0.0)
     subjects = _subjects(spec, 7)
     batch = models.stack_batch(spec, [s.x for s in subjects], [s.y for s in subjects])
     dpsgd.dp_sgd_step(spec, params, batch, config)
-    assert len(gradients) == 3
+    rows, sums = (3, 0) if private else (0, 3)
+    assert len(calls["per_sample_loss_and_grad"]) == rows
+    assert len(calls["loss_and_grad_sum"]) == sums
     assert passes == []
 
 
