@@ -21,6 +21,13 @@ search, which guarantees a non-increasing objective trace and is the
 configuration the property tests use.  A backtracking candidate needs
 only the objective's value: one per-sample gradient and no backward
 pass to x.
+
+A reconstruction builds what its iterations share once, before its first
+restart (_observation): the observed gradient, checked, with its norm,
+and the label batch, stacked and checked by stack_batch.  An iteration
+wraps its input and those targets in a Batch and checks nothing again.
+Adam's moments, its update and the prior's gradient are computed in place,
+with the bits of the published formulas (the tests keep those as oracles).
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +43,10 @@ from . import rng
 from .autodiff import backward
 from .dpsgd import check_clip, clip_differentiable, refuse_dropped_row
 from .errors import AttackFailedError, ConfigError
-from .models import ModelSpec, ParamSet, attach_sample, per_sample_grad, stack_batch
+from .models import (
+    Batch, ModelSpec, ParamSet, attach_sample, per_sample_grad, per_sample_loss_and_grad,
+    stack_batch,
+)
 
 log = logging.getLogger("plislab.attack")
 
@@ -116,18 +127,54 @@ def observe_gradient(
     return g
 
 
+class _Observation(NamedTuple):
+    """What every iteration of one reconstruction reads, built once by
+    _observation: the observed (p,) gradient, its norm |o|, and the targets
+    of the label's batch of one."""
+
+    gradient: np.ndarray
+    norm: float
+    targets: np.ndarray
+
+
+def _observation(
+    spec: ModelSpec, params: ParamSet, observed, label, config: AttackConfig,
+    input_shape: tuple[int, ...],
+) -> _Observation:
+    """The observed gradient and the label, checked once for a reconstruction
+    of an input of input_shape.  A gradient of the wrong shape, one whose
+    norm is not finite, and an all-zero one under the cosine match (which
+    divides by |o|) are a ConfigError: no restart could match them.  The
+    label is checked by stack_batch, with its messages."""
+    observed = np.asarray(observed, dtype=np.float64)
+    if observed.shape != (params.count,):
+        raise ConfigError(
+            f"observed gradient has shape {observed.shape}, expected ({params.count},)"
+        )
+    norm = float(np.linalg.norm(observed))
+    if not math.isfinite(norm):
+        raise ConfigError(
+            f"observed gradient has norm {norm}: its entries and their squares' sum "
+            "must be finite"
+        )
+    if norm == 0.0 and config.match_loss == COSINE:
+        raise ConfigError("observed gradient is all zeros: the cosine match has no direction")
+    targets = stack_batch(spec, np.zeros((1, *input_shape)), [label]).targets
+    return _Observation(observed, norm, targets)
+
+
 def _match(
-    g: np.ndarray, observed: np.ndarray, loss: str, gradient: bool = True
+    g: np.ndarray, observation: _Observation, loss: str, gradient: bool = True
 ) -> tuple[float, np.ndarray | None]:
-    """The match loss of a (1, p) gradient row g against observed (p,), and
-    its gradient in g (None when gradient is False).
+    """The match loss of a (1, p) gradient row g against the observed (p,)
+    gradient o, and its gradient in g (None when gradient is False).
 
     Cosine: 1 - <g, o> / (sqrt(sum g^2) |o|); L2: sum (g - o)^2.  The
     value is formed left to right and its gradient back from the last
     operation to the first; keep that order, since the attack's outputs
     depend on every bit.
     """
-    obs = observed[None]
+    obs = observation.gradient[None]
     if loss == L2:
         diff = g - obs
         value = (diff * diff).sum()
@@ -139,7 +186,7 @@ def _match(
     # memory the allocator hands back and faults in again on each call
     work = g * g
     s = work.sum()
-    norm_obs = float(np.linalg.norm(observed))
+    norm_obs = observation.norm
     denom = np.sqrt(s) * norm_obs
     dot = np.multiply(g, obs, out=work).sum()
     if not gradient:
@@ -154,13 +201,6 @@ def _match(
     return 1.0 - dot / denom, c
 
 
-def _embed(a: np.ndarray, shape: tuple, index: tuple) -> np.ndarray:
-    """a placed into zeros of the given shape at the given tuple index."""
-    out = np.zeros(shape)
-    out[index] = a
-    return out
-
-
 def _smoothed_tv(
     x: np.ndarray, weight: float, gradient: bool = True
 ) -> tuple[float, np.ndarray | None]:
@@ -169,10 +209,17 @@ def _smoothed_tv(
     False).
 
     The gradient is formed back from the mean to the differences, and
-    the four shifted slices' cotangents are placed in zeros of x's shape
-    and summed in a fixed order; keep it, since the attack's outputs
-    depend on every bit.  An axis one pixel long has no neighbour pairs:
-    it adds no variation and no gradient.
+    the four shifted slices' cotangents are summed in place into one array
+    of x's shape in a fixed order: -right into its low slice, +right into
+    its high slice, then the same for down.  Keep it, since the attack's
+    outputs depend on every bit.  Those are the bits of the four cotangents
+    each placed in zeros of x's shape and summed: that sum adds +0.0 where a
+    pixel misses a slice, and a +0.0 term anywhere in a sum turns a -0.0
+    result into +0.0 and changes nothing else.  Every border pixel misses a
+    slice, so the border rows and columns get + 0.0 at the end; an interior
+    pixel, in all four slices, keeps a sum of four -0.0 terms as -0.0.  An
+    axis one pixel long has no neighbour pairs: it adds no variation and no
+    gradient.
     """
     lead = (slice(None),) * (x.ndim - 2)
     down_hi, down_lo = lead + (slice(1, None), slice(None)), lead + (slice(0, -1), slice(None))
@@ -181,20 +228,37 @@ def _smoothed_tv(
     right = x[right_hi] - x[right_lo]
     abs_down = np.sqrt(down * down + _TV_SMOOTH)
     abs_right = np.sqrt(right * right + _TV_SMOOTH)
-    tv = (abs_down.mean() if down.size else 0.0) + (abs_right.mean() if right.size else 0.0)
+    # sum / size has the bits of mean, without its overhead
+    tv = (abs_down.sum() / down.size if down.size else 0.0) + (
+        abs_right.sum() / right.size if right.size else 0.0
+    )
     if not gradient:
         return tv, None
-    # max(size, 1): an axis without pairs has empty cotangents either way
-    down_bar = weight * (1.0 / max(down.size, 1)) / (abs_down * 2.0) * (down * 2.0)
-    right_bar = weight * (1.0 / max(right.size, 1)) / (abs_right * 2.0) * (right * 2.0)
-    grad = _embed(-right_bar, x.shape, right_lo) + _embed(right_bar, x.shape, right_hi)
-    grad = grad + _embed(-down_bar, x.shape, down_lo)
-    grad = grad + _embed(down_bar, x.shape, down_hi)
+    # weight / size / (|d| 2) * (d 2), in place; max(size, 1): an axis
+    # without pairs has empty cotangents either way
+    for d, abs_d in ((down, abs_down), (right, abs_right)):
+        abs_d *= 2.0
+        np.divide(weight * (1.0 / max(d.size, 1)), abs_d, out=abs_d)
+        d *= 2.0
+        abs_d *= d
+    down_bar, right_bar = abs_down, abs_right
+    # on views: an augmented assignment to grad[index] would copy it back
+    grad = np.zeros(x.shape)
+    np.negative(right_bar, out=grad[right_lo])
+    high = grad[right_hi]
+    high += right_bar
+    low, high = grad[down_lo], grad[down_hi]
+    low -= down_bar
+    high += down_bar
+    h, w = x.shape[-2:]
+    rows, columns = grad[..., :: max(h - 1, 1), :], grad[..., :: max(w - 1, 1)]
+    rows += 0.0
+    columns += 0.0
     return tv, grad
 
 
 def _terms(
-    g: np.ndarray, x: np.ndarray, observed: np.ndarray, config: AttackConfig,
+    g: np.ndarray, x: np.ndarray, observation: _Observation, config: AttackConfig,
     gradient: bool = True,
 ) -> tuple[float, float, np.ndarray | None, np.ndarray | None]:
     """(objective, match, c, t) for the (1, p) gradient row g of the batched
@@ -202,7 +266,7 @@ def _terms(
     prior's gradient in x, None when the prior is off.  With gradient False
     c and t are None and the values are computed alone, by the same
     arithmetic."""
-    match, c = _match(g, observed, config.match_loss, gradient)
+    match, c = _match(g, observation, config.match_loss, gradient)
     if not (config.tv_weight > 0 and x.ndim >= 3):
         return match, match, c, None
     tv, t = _smoothed_tv(x, config.tv_weight, gradient)
@@ -210,11 +274,7 @@ def _terms(
 
 
 def _objective(
-    spec: ModelSpec,
-    params: ParamSet,
-    x: np.ndarray,
-    label,
-    observed: np.ndarray,
+    spec: ModelSpec, params: ParamSet, x: np.ndarray, observation: _Observation,
     config: AttackConfig,
 ) -> tuple[float, float, np.ndarray]:
     """(objective value, match component, gradient of objective w.r.t. x).
@@ -224,30 +284,50 @@ def _objective(
     cotangent c = d(match)/dg from _terms gives J^T c, and the prior's
     gradient t is added to it, t + J^T c.
     """
-    sample = attach_sample(spec, params, stack_batch(spec, x[None], [label]))
-    objective, match, c, t = _terms(sample.grads.data, sample.x.data, observed, config)
+    sample = attach_sample(spec, params, Batch(x[None], observation.targets))
+    objective, match, c, t = _terms(sample.grads.data, sample.x.data, observation, config)
     (gx,) = backward(sample.grads, [sample.x], cotangent=c)
     return float(objective), float(match), (gx.data if t is None else t + gx.data)[0]
 
 
 def _objective_value(
-    spec: ModelSpec,
-    params: ParamSet,
-    x: np.ndarray,
-    label,
-    observed: np.ndarray,
+    spec: ModelSpec, params: ParamSet, x: np.ndarray, observation: _Observation,
     config: AttackConfig,
 ) -> float:
     """_objective's value alone, from one per-sample gradient."""
-    g = per_sample_grad(spec, params, x, label).data[None]
-    return float(_terms(g, x[None], observed, config, gradient=False)[0])
+    g = per_sample_loss_and_grad(spec, params, Batch(x[None], observation.targets))[1]
+    return float(_terms(g, x[None], observation, config, gradient=False)[0])
+
+
+def _adam_step(
+    x: np.ndarray, gx: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, learning_rate: float
+) -> None:
+    """Adam's t-th update of x from its gradient gx, x and the moments m and v
+    in place: the published equations' operations in their order,
+        m = b1 m + (1 - b1) gx,  v = b2 v + (1 - b2) gx gx,
+        x = clip(x - lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), 0, 1),
+    each product's operands swapped at most, which keeps its bits."""
+    term = gx * (1.0 - _ADAM_BETA1)
+    m *= _ADAM_BETA1
+    m += term
+    np.multiply(gx, 1.0 - _ADAM_BETA2, out=term)
+    term *= gx
+    v *= _ADAM_BETA2
+    v += term
+    root = v / (1.0 - _ADAM_BETA2**t)
+    np.sqrt(root, out=root)
+    root += _ADAM_EPS
+    np.divide(m, 1.0 - _ADAM_BETA1**t, out=term)
+    term *= learning_rate
+    term /= root
+    x -= term
+    np.clip(x, 0.0, 1.0, out=x)
 
 
 def _run_restart(
     spec: ModelSpec,
     params: ParamSet,
-    observed: np.ndarray,
-    label,
+    observation: _Observation,
     config: AttackConfig,
     restart: int,
     shape: tuple[int, ...],
@@ -259,7 +339,7 @@ def _run_restart(
     trace: list[float] = []
     final_match = math.inf
     for t in range(1, config.iterations + 1):
-        obj, match, gx = _objective(spec, params, x, label, observed, config)
+        obj, match, gx = _objective(spec, params, x, observation, config)
         if not (math.isfinite(obj) and np.all(np.isfinite(gx))):
             log.debug("restart %d discarded at iteration %d (non-finite)", restart, t)
             return None
@@ -270,18 +350,14 @@ def _run_restart(
             moved = x
             for _ in range(30):
                 candidate = np.clip(x - step * gx, 0.0, 1.0)
-                cand_obj = _objective_value(spec, params, candidate, label, observed, config)
+                cand_obj = _objective_value(spec, params, candidate, observation, config)
                 if math.isfinite(cand_obj) and cand_obj <= obj:
                     moved = candidate
                     break
                 step *= 0.5
             x = moved
         else:
-            m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * gx
-            v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * gx * gx
-            m_hat = m / (1.0 - _ADAM_BETA1**t)
-            v_hat = v / (1.0 - _ADAM_BETA2**t)
-            x = np.clip(x - config.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS), 0.0, 1.0)
+            _adam_step(x, gx, m, v, t, config.learning_rate)
     return x, final_match, trace
 
 
@@ -297,19 +373,16 @@ def reconstruct(
     matches the observed one.
 
     Runs config.restarts independently seeded restarts and returns the
-    one with the lowest final match loss.  Restarts that go non-finite
-    are discarded; it is an error if all of them do.
+    one with the lowest final match loss.  An observed gradient no restart
+    could match is refused first (see _observation).  Restarts that go
+    non-finite are discarded; it is an error if all of them do.
     """
-    observed = np.asarray(observed, dtype=np.float64)
-    if observed.shape != (params.count,):
-        raise ConfigError(
-            f"observed gradient has shape {observed.shape}, expected ({params.count},)"
-        )
+    observation = _observation(spec, params, observed, label, config, input_shape)
     best: tuple[np.ndarray, float, list[float]] | None = None
     best_restart = -1
     traces: list[list[float]] = []
     for restart in range(config.restarts):
-        outcome = _run_restart(spec, params, observed, label, config, restart, input_shape)
+        outcome = _run_restart(spec, params, observation, config, restart, input_shape)
         if outcome is None:
             traces.append([])
             continue

@@ -35,10 +35,16 @@ Patches are laid out by slicing alone: _im2col copies a strided
 (B, C, k, k, oh, ow) view of the image for the forward product and the
 kernel adjoint.  The input adjoint builds no patch matrix: it lays the
 output cotangent out on the image grid, where each kernel offset is one
-flat shift, and runs one GEMM and one contiguous add per offset.  No
-index table holds either layout.  A kernel given out writes its result
-there: the non-private DP-SGD step passes arrays of a Workspace, reused
-from chunk to chunk, and every other route lets the kernels allocate.
+flat shift, and runs per offset one GEMM over the whole grid, whose
+product has the image's layout, and one contiguous 1-D add of it, shifted,
+per lead row.  The products that fall in the grid's zero padding are +0.0
+or -0.0, and the image, which starts at +0.0 and never holds -0.0, takes
+them without a changed bit.  The second-order walk's W^T g' + W'^T g is
+one such adjoint with both pairs laid into one grid, stacked on O, with no
+concatenated copy first.  No index table holds either layout.  A kernel
+given out writes its result there: the non-private DP-SGD step passes
+arrays of a Workspace, reused from chunk to chunk, and every other route
+lets the kernels allocate.
 
 Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample.  Row i of the model
@@ -222,47 +228,79 @@ def _conv2d_input_adjoint_np(
 
     g is laid out on the (H, W) image grid, zero past its (oh, ow) corner,
     so that kernel offset (ki, kj) moves every pixel by one flat shift
-    ki*W + kj.  Per offset, one GEMM of the offset's (C, O) kernel slice
-    with the laid-out g, then one contiguous add of the product, shifted,
-    onto the image: each pixel sums its terms in (ki, kj) order, and the
-    zero entries add only zeros.  At C = 1 one GEMM takes all k*k offsets
-    as its rows: a product of one row would be a BLAS call (gemv, which
-    sums in another order) per offset.  A kernel shared by the batch (batch
-    stride 0, as the models tile it) sets the B grids side by side,
-    channel-major, for one 2-D GEMM over all B*H*W columns.  Inside the
-    CNN's training steps (chunks of 6, one BLAS thread, a 2-vCPU x86-64
-    VM) such a call took 0.6 ms, against 0.8 ms for the batched GEMM; one
-    input timed again and again reads the other way.  Per-row kernels take
-    one batched GEMM.  Given a workspace, the grid, the product and the
+    s = ki*W + kj.  Per offset, one GEMM of the offset's (C, O) kernel slice
+    with the whole laid-out g, so that the (C, L) product has the image's
+    (C, L) layout, L the grid's length; then one contiguous 1-D add per
+    lead row: the product's C*L entries, shifted by s, onto the image's.
+    Each pixel sums its terms in (ki, kj) order.  The adds also carry
+    products of grid columns from L - (k-1)(W+1) on, which lie in the zero
+    padding, and some of those spill into the next channel's row: they are
+    all +0.0 or -0.0, and adding either to the image, which starts at +0.0
+    and never holds -0.0, changes no bit.  At C = 1 one GEMM takes all k*k
+    offsets as its rows: a product of one row would be a BLAS call (gemv,
+    which sums in another order) per offset.  A kernel shared by the batch
+    (batch stride 0, as the models tile it) sets the B grids side by side,
+    channel-major, for one 2-D GEMM over all B*H*W columns.  On the CNN's
+    training chunks, (B, O, C, k, H, W) = (6, 16, 8, 3, 26, 26) with a
+    workspace (one BLAS thread, a 2-vCPU x86-64 VM), such a call took
+    0.45 ms against 0.48 ms for the same kernel copied per row, medians of
+    25 interleaved rounds on one input.  Per-row kernels take one batched
+    GEMM.  Given a workspace, the grid, the product and the
     image come from it, under the keys "grid", "product" and "image";
     given out, the result is copied into it.
     """
-    b, o, c, k = kernel.shape[:4]
-    oh, ow = g.shape[2:]
+    return _conv2d_stacked_input_adjoint_np((g,), (kernel,), out, work)
+
+
+def _conv2d_stacked_input_adjoint_np(
+    gs: Sequence[Array], kernels: Sequence[Array], out: Array | None = None,
+    work: Workspace | None = None,
+) -> Array:
+    """The sum over i of the input adjoints of gs[i] (B,O_i,oh,ow) and
+    kernels[i] (B,O_i,C,k,k), as one adjoint of the operands stacked on the
+    O axis (see _conv2d_input_adjoint_np, its one-pair case).  Each operand
+    is laid straight into the grid and the kernel slices, and nothing is
+    concatenated first.  With a per-row kernel among them (as _reverse's
+    W'), the GEMMs so take the arrays that the adjoint of
+    np.concatenate(gs, 1) and np.concatenate(kernels, 1) takes, and give
+    its bits.  The shared layout is taken only if every kernel is shared."""
+    b, _, c, k = kernels[0].shape[:4]
+    o = sum(kernel.shape[1] for kernel in kernels)
+    oh, ow = gs[0].shape[2:]
     h, w = oh + k - 1, ow + k - 1
-    shared = kernel.strides[0] == 0
+    shared = all(kernel.strides[0] == 0 for kernel in kernels)
     lead = 1 if shared else b
     shape = (o, b, h, w) if shared else (b, o, h, w)
     grid = np.zeros(shape) if work is None else work.zeros("grid", shape)
-    grid[..., :oh, :ow] = g.swapaxes(0, 1) if shared else g
-    grid = grid.reshape(lead, o, -1)
     per = k * k if c == 1 else 1  # offsets per GEMM
     # (k*k/per, lead, O, per*C) kernel slices, taken into the GEMM transposed
     # as by the tests' patch-GEMM reference: a small untransposed product may
     # go to a BLAS kernel that sums an entry's O terms in another order
-    slices = kernel[:lead].reshape(lead, o, c, k * k // per, per).transpose(3, 0, 1, 4, 2)
-    slices = np.ascontiguousarray(slices).reshape(-1, lead, o, per * c).swapaxes(2, 3)
-    n = grid.shape[2] - (k - 1) * (w + 1)
-    columns = grid[:, :, :n]
-    shape = (lead, per * c, n)
+    slices = np.empty((k * k // per, lead, o, per * c))
+    view = slices.reshape(k * k // per, lead, o, per, c)
+    first = 0
+    for g, kernel in zip(gs, kernels):
+        last = first + kernel.shape[1]
+        if shared:
+            grid[first:last, :, :oh, :ow] = g.swapaxes(0, 1)
+        else:
+            grid[:, first:last, :oh, :ow] = g
+        part = kernel[:lead].reshape(lead, last - first, c, k * k // per, per)
+        view[:, :, first:last] = part.transpose(3, 0, 1, 4, 2)
+        first = last
+    grid = grid.reshape(lead, o, -1)
+    slices = slices.swapaxes(2, 3)
+    size = c * grid.shape[2]  # C*L entries per lead row
+    shape = (lead, per * c, grid.shape[2])
     product = np.empty(shape) if work is None else work.empty("product", shape)
-    shape = (lead, c, grid.shape[2])
+    rows = product.reshape(lead, per, size)
+    shape = (lead, size)
     img = np.zeros(shape) if work is None else work.zeros("image", shape)
     for i in range(k * k):
         if i % per == 0:
-            np.matmul(slices[i // per], columns, out=product)
-        j, s = i % per, (i // k) * w + i % k
-        img[:, :, s : s + n] += product[:, j * c : (j + 1) * c]
+            np.matmul(slices[i // per], grid, out=product)
+        s = (i // k) * w + i % k
+        img[:, s:] += rows[:, i % per, : size - s]
     img = img.reshape(c, b, h, w).swapaxes(0, 1) if shared else img.reshape(b, c, h, w)
     if out is None:
         return np.ascontiguousarray(img)

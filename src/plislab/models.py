@@ -484,9 +484,7 @@ def _reverse(
             else:
                 # W^T g' + W'^T g as one adjoint of the stacked operands
                 # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
-                g = autodiff._conv2d_input_adjoint_np(
-                    np.concatenate([g, up], axis=1), np.concatenate([w, moving], axis=1)
-                )
+                g = autodiff._conv2d_stacked_input_adjoint_np((g, up), (w, moving))
         elif isinstance(layer, Flatten):
             g = g.reshape(record)
         else:

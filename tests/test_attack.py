@@ -99,7 +99,8 @@ class TestReconstruct:
         x0 = np.array([0.5, 0.25, 0.75])
         observed = models.per_sample_grad(spec, params, x0, 0.0).data
         config = attack.AttackConfig(iterations=1, restarts=1, seed=0, tv_weight=0.0)
-        objective, match, _ = attack._objective(spec, params, x0, 0.0, observed, config)
+        observation = attack._observation(spec, params, observed, 0.0, config, x0.shape)
+        objective, match, _ = attack._objective(spec, params, x0, observation, config)
         assert objective == pytest.approx(0.0, abs=1e-12)
         assert match == objective
 
@@ -161,8 +162,10 @@ class TestReconstruct:
         np.testing.assert_allclose(a.reconstruction, b.reconstruction, rtol=1e-9)
         np.testing.assert_allclose(a.traces[0], b.traces[0], rtol=1e-9, atol=1e-12)
 
-    def test_all_nan_observed_gradient_discards_every_restart(self, monkeypatch):
-        spec, params = _linear([0.8, -0.6])
+    def test_non_finite_objective_discards_every_restart(self, monkeypatch):
+        """A NaN weight makes every restart's objective NaN at its first
+        iteration: each is discarded, and then the reconstruction fails."""
+        spec, params = _linear([np.nan, -0.6])
         outcomes = []
         run_restart = attack._run_restart
 
@@ -173,8 +176,40 @@ class TestReconstruct:
         monkeypatch.setattr(attack, "_run_restart", recording)
         config = attack.AttackConfig(iterations=5, restarts=3)
         with pytest.raises(AttackFailedError, match="every attack restart"):
-            attack.reconstruct(spec, params, np.full(2, np.nan), 0.0, config, input_shape=(2,))
+            attack.reconstruct(spec, params, np.ones(2), 0.0, config, input_shape=(2,))
         assert outcomes == [None, None, None]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("loss", [attack.COSINE, attack.L2])
+    def test_non_finite_observed_gradient_is_refused_before_any_restart(
+        self, monkeypatch, bad, loss
+    ):
+        spec, params = _linear([0.8, -0.6, 0.4])
+        restarts = []
+        monkeypatch.setattr(attack, "_run_restart", lambda *a: restarts.append(a))
+        config = attack.AttackConfig(iterations=5, restarts=2, match_loss=loss)
+        observed = np.array([0.5, bad, -0.25])
+        with pytest.raises(ConfigError, match="observed gradient has norm (nan|inf)"):
+            attack.reconstruct(spec, params, observed, 0.0, config, input_shape=(3,))
+        assert restarts == []
+
+    def test_all_zero_observed_gradient_is_refused_under_the_cosine_match(self, monkeypatch):
+        """The cosine match divides by |o|: an all-zero observed gradient is
+        refused before any restart runs.  The L2 match is defined there."""
+        spec = models.ModelSpec((models.Linear(3, 1, bias=False),), models.MSE)
+        params = models.init_params(spec, 0)
+        restarts = []
+        run_restart = attack._run_restart
+        monkeypatch.setattr(
+            attack, "_run_restart", lambda *a: restarts.append(a) or run_restart(*a)
+        )
+        config = attack.AttackConfig(iterations=5, restarts=2)
+        with pytest.raises(ConfigError, match="all zeros: the cosine match"):
+            attack.reconstruct(spec, params, np.zeros(3), 0.0, config, input_shape=(3,))
+        assert restarts == []
+        l2 = attack.AttackConfig(iterations=5, restarts=2, match_loss=attack.L2)
+        result = attack.reconstruct(spec, params, np.zeros(3), 0.0, l2, input_shape=(3,))
+        assert len(restarts) == 2 and np.isfinite(result.match_loss)
 
     def test_observed_shape_validated(self):
         spec, params = _linear([1.0, 2.0])
@@ -198,15 +233,16 @@ class TestReconstruct:
 
 
 def _assert_gradient_matches_central_differences(spec, params, x, label, observed, config):
-    value, _, gx = attack._objective(spec, params, x, label, observed, config)
+    observation = attack._observation(spec, params, observed, label, config, x.shape)
+    value, _, gx = attack._objective(spec, params, x, observation, config)
     assert np.isfinite(value) and np.isfinite(gx).all()
     h = 1e-6
     numeric = np.zeros_like(x)
     for j in range(x.size):
         step = np.zeros(x.size)
         step[j] = h
-        hi = attack._objective(spec, params, x + step.reshape(x.shape), label, observed, config)
-        lo = attack._objective(spec, params, x - step.reshape(x.shape), label, observed, config)
+        hi = attack._objective(spec, params, x + step.reshape(x.shape), observation, config)
+        lo = attack._objective(spec, params, x - step.reshape(x.shape), observation, config)
         numeric.flat[j] = (hi[0] - lo[0]) / (2 * h)
     assert np.abs(gx - numeric).max() <= 1e-6 * np.abs(numeric).max()
 
@@ -243,11 +279,12 @@ class TestObjective:
         spec, params, x, label, observed = _attack_case(make, 14)
         config = attack.AttackConfig(tv_weight=tv, match_loss=loss)
         g = models.per_sample_grad(spec, params, x, label).data[None]
-        full = attack._terms(g, x[None], observed, config)
-        alone = attack._terms(g, x[None], observed, config, gradient=False)
+        observation = attack._observation(spec, params, observed, label, config, x.shape)
+        full = attack._terms(g, x[None], observation, config)
+        alone = attack._terms(g, x[None], observation, config, gradient=False)
         assert alone[2] is None and alone[3] is None
         assert (alone[0], alone[1]) == (full[0], full[1])
-        assert attack._objective_value(spec, params, x, label, observed, config) == full[0]
+        assert attack._objective_value(spec, params, x, observation, config) == full[0]
 
     def test_objective_tape_holds_only_the_model(self, monkeypatch):
         """The attack workload's CNN: the input leaf and the gradient node,
@@ -263,5 +300,86 @@ class TestObjective:
             return backward(out, wrt, **kwargs)
 
         monkeypatch.setattr(attack, "backward", counting_backward)
-        attack._objective(spec, params, x, 1, observed, attack.AttackConfig())
+        config = attack.AttackConfig()
+        observation = attack._observation(spec, params, observed, 1, config, x.shape)
+        attack._objective(spec, params, x, observation, config)
         assert sizes == [2]
+
+
+def _embed(a, shape, index):
+    out = np.zeros(shape)
+    out[index] = a
+    return out
+
+
+def _tv_gradient_by_embeds(x, weight):
+    """The prior's gradient as the four shifted slices' cotangents, each
+    placed in zeros of x's shape, summed in their fixed order."""
+    lead = (slice(None),) * (x.ndim - 2)
+    down_hi, down_lo = lead + (slice(1, None), slice(None)), lead + (slice(0, -1), slice(None))
+    right_hi, right_lo = lead + (slice(None), slice(1, None)), lead + (slice(None), slice(0, -1))
+    down = x[down_hi] - x[down_lo]
+    right = x[right_hi] - x[right_lo]
+    abs_down = np.sqrt(down * down + attack._TV_SMOOTH)
+    abs_right = np.sqrt(right * right + attack._TV_SMOOTH)
+    down_bar = weight * (1.0 / max(down.size, 1)) / (abs_down * 2.0) * (down * 2.0)
+    right_bar = weight * (1.0 / max(right.size, 1)) / (abs_right * 2.0) * (right * 2.0)
+    grad = _embed(-right_bar, x.shape, right_lo) + _embed(right_bar, x.shape, right_hi)
+    grad = grad + _embed(-down_bar, x.shape, down_lo)
+    return grad + _embed(down_bar, x.shape, down_hi)
+
+
+def _published_adam(x, gx, m, v, t, learning_rate):
+    """Adam's update equations as published, on fresh arrays."""
+    m = attack._ADAM_BETA1 * m + (1.0 - attack._ADAM_BETA1) * gx
+    v = attack._ADAM_BETA2 * v + (1.0 - attack._ADAM_BETA2) * gx * gx
+    m_hat = m / (1.0 - attack._ADAM_BETA1**t)
+    v_hat = v / (1.0 - attack._ADAM_BETA2**t)
+    x = np.clip(x - learning_rate * m_hat / (np.sqrt(v_hat) + attack._ADAM_EPS), 0.0, 1.0)
+    return x, m, v
+
+
+IN_PLACE_SHAPES = [(1, 1, 28, 28), (1, 1, 1, 6), (1, 1, 5, 1), (2, 3, 4, 5)]
+
+
+def _clipped_image(rng, shape):
+    """Pixels on a grid of quarters, so neighbours are often equal, clipped to
+    [0, 1], so many are exactly 0.0 or 1.0; half the zeros are -0.0."""
+    x = np.clip(np.round(rng.normal(0.5, 0.6, size=shape) * 4.0) / 4.0, 0.0, 1.0)
+    x[(x == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+    return x
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("shape", IN_PLACE_SHAPES)
+def test_in_place_tv_gradient_keeps_the_embed_sums_bits(shape):
+    """Signed zeros included: a border pixel misses a slice and so gets the
+    embed's +0.0, an interior pixel whose four terms are -0.0 keeps -0.0."""
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        x = _clipped_image(rng, shape)
+        for weight in (0.05, 1e-3):
+            tv, grad = attack._smoothed_tv(x, weight)
+            ref = _tv_gradient_by_embeds(x, weight)
+            assert tv == attack._smoothed_tv(x, weight, gradient=False)[0]
+            assert grad.shape == ref.shape and _bits(grad) == _bits(ref)
+
+
+@pytest.mark.parametrize("shape", IN_PLACE_SHAPES)
+def test_in_place_adam_step_keeps_the_published_update_bits(shape):
+    """Five steps from clipped images, on gradients with zeros of both signs
+    and steps large enough to clip x to 0 and 1 again."""
+    rng = np.random.default_rng(16)
+    for learning_rate in (0.1, 5.0):
+        x = _clipped_image(rng, shape)
+        m, v = np.zeros(shape), np.zeros(shape)
+        ref = (x.copy(), m.copy(), v.copy())
+        for t in range(1, 6):
+            gx = rng.normal(size=shape) * rng.choice([0.0, 1e-3, 1.0, 1e3], size=shape)
+            gx[rng.random(shape) < 0.1] = -0.0
+            attack._adam_step(x, gx, m, v, t, learning_rate)
+            ref = _published_adam(ref[0], gx, ref[1], ref[2], t, learning_rate)
+            assert [_bits(a) for a in (x, m, v)] == [_bits(a) for a in ref]

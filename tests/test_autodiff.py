@@ -344,11 +344,14 @@ def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
     """One GEMM per kernel offset on the image grid gives the patch GEMM's
     products, summed in its (ki, kj) order, for shared and per-row kernels.
     Where the patch GEMM itself has one row (C = k = 1), BLAS sums it in
-    another order, and the two agree to 1e-15 of the largest entry."""
+    another order, and the two agree to 1e-15 of the largest entry.  The
+    cases include the stacked [W, W'] calls of the attack's and PLIS's
+    second-order walks on the CLI's CNN (O = 32 and 16 at batch 1 and 6)."""
     rng = np.random.default_rng(43)
     shapes = [  # (B, O, C, k, H, W)
         (6, 16, 8, 3, 26, 26), (1, 16, 8, 3, 26, 26), (3, 2, 3, 3, 6, 5), (2, 3, 2, 2, 5, 4),
         (2, 3, 2, 1, 5, 4), (3, 4, 1, 3, 7, 6), (6, 16, 1, 3, 28, 28), (2, 3, 1, 1, 5, 4),
+        (1, 32, 8, 3, 26, 26), (1, 16, 1, 3, 28, 28), (6, 32, 8, 3, 26, 26),
     ]
     for b, o, c, k, h, w in shapes:
         g = rng.normal(size=(b, o, h - k + 1, w - k + 1))
@@ -363,6 +366,44 @@ def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
                 assert got.tobytes() == ref.tobytes()
             else:
                 assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def _concatenated_stacked_adjoint(gs, kernels, out=None, work=None):
+    """The stacked input adjoint as the patch GEMM of concatenated operands."""
+    gs, kernels = np.concatenate(gs, axis=1), np.concatenate(kernels, axis=1)
+    return _patch_gemm_input_adjoint(gs, kernels, out, work)
+
+
+def test_stacked_input_adjoint_matches_the_concatenated_operands_bitwise(monkeypatch):
+    """W^T g' + W'^T g with the operands laid straight into the grid and the
+    kernel slices gives the bits of the patch GEMM of the concatenated
+    [g', g] and [W, W'], for a shared W and a per-row W' as _reverse passes
+    them; and the walks' rows through it (the first-order adjoint is its
+    one-pair case) are the rows they give with that in its place."""
+    rng = np.random.default_rng(44)
+    shapes = [  # (B, O, C, k, H, W) of each operand
+        (1, 16, 8, 3, 26, 26), (6, 16, 8, 3, 26, 26), (1, 8, 1, 3, 28, 28), (3, 2, 3, 2, 6, 5),
+    ]
+    for b, o, c, k, h, w in shapes:
+        gs = rng.normal(size=(2, b, o, h - k + 1, w - k + 1))
+        gs[rng.random(gs.shape) < 0.2] = -0.0
+        kernels = (np.broadcast_to(rng.normal(size=(o, c, k, k)), (b, o, c, k, k)),
+                   rng.normal(size=(b, o, c, k, k)))
+        got = ad._conv2d_stacked_input_adjoint_np(tuple(gs), kernels)
+        ref = _concatenated_stacked_adjoint(tuple(gs), kernels)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    spec = models.cnn_spec(12, 12, 2)
+    params = models.init_params(spec, 8)
+    batch = models.stack_batch(spec, rng.uniform(0, 1, (3, 1, 12, 12)), [0, 1, 1])
+    cotangent = rng.normal(size=(3, params.count))
+
+    def rows():
+        sample = models.attach_sample(spec, params, batch)
+        return ad.backward(sample.grads, [sample.x], cotangent=cotangent)[0].data.tobytes()
+
+    got = rows()
+    monkeypatch.setattr(ad, "_conv2d_stacked_input_adjoint_np", _concatenated_stacked_adjoint)
+    assert got == rows()
 
 
 def _conv_routes(spec, params, subjects, step_config):

@@ -805,6 +805,31 @@ class TestAttackCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (0.0, "observed gradient is all zeros: the cosine match has no direction"),
+            (np.nan, "observed gradient has norm nan: its entries and their squares' sum "
+                     "must be finite"),
+        ],
+        ids=["zero", "nan"],
+    )
+    def test_an_observed_gradient_no_restart_could_match_ends_in_one_error_line(
+        self, image_setup, monkeypatch, capsys, value, message
+    ):
+        """Refused before any restart runs: exit 2, one error line, no output."""
+        tmp_path, data, model = image_setup
+        capsys.readouterr()
+        monkeypatch.setattr(
+            attack_mod, "observe_gradient",
+            lambda spec, params, subject, dp=None: np.full(params.count, value),
+        )
+        out = tmp_path / "atk"
+        assert run("attack", "--model", str(model), "--data", str(data),
+                   "--subject", "img00001", "--out", str(out)) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not out.exists()
+
     @pytest.mark.parametrize("height, width", [(1, 12), (9, 1)])
     @pytest.mark.parametrize("flags", [[], ["--monotone"]], ids=["adam", "monotone"])
     def test_images_one_pixel_high_or_wide_end_in_one_error_line(

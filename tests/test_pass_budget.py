@@ -8,8 +8,9 @@ by the summed walk otherwise), the input Jacobian none (it is
 forward-mode and tape-free, one call per chunk of input directions).  The
 attack objective takes one per call.  The counts come from wrappers on
 autodiff.backward and on the names plis and attack import, so they hold
-on any machine.  Two more counts: the weight adjoints of one input-
-Jacobian call, and the batch checks of one training run.
+on any machine.  Three more counts: the weight adjoints of one input-
+Jacobian call, the batch checks of one training run, and the label
+stacks and observed-gradient norms of one reconstruction.
 """
 
 import math
@@ -93,10 +94,29 @@ def test_attack_objective_takes_one_pass_per_call(passes, spec):
     subject = _subjects(spec, 1)[0]
     observed = models.per_sample_grad(spec, params, subject.x, subject.y).data[::-1].copy()
     config = attack.AttackConfig(tv_weight=0.05 if spec is _CNN else 0.0)
+    observation = attack._observation(spec, params, observed, subject.y, config, subject.x.shape)
     for _ in range(2):
-        attack._objective(spec, params, subject.x, subject.y, observed, config)
+        attack._objective(spec, params, subject.x, observation, config)
     # the input leaf and the gradient node, seeded with c; t is added after
     assert passes == [2, 2]
+
+
+@pytest.mark.parametrize("monotone", [False, True], ids=["adam", "monotone"])
+def test_reconstruct_builds_its_constants_once(monkeypatch, monotone):
+    """2 restarts of 5 iterations: the label batch is stacked and checked
+    once, and the observed gradient's norm is taken once."""
+    params = models.init_params(_CNN, 4)
+    subject = _subjects(_CNN, 1)[0]
+    observed = models.per_sample_grad(_CNN, params, subject.x, subject.y).data[::-1].copy()
+    stacks, norms = [], []
+    stack_batch, norm = attack.stack_batch, np.linalg.norm
+    monkeypatch.setattr(attack, "stack_batch", lambda *a: stacks.append(a) or stack_batch(*a))
+    monkeypatch.setattr(np.linalg, "norm", lambda a, *r, **k: norms.append(a) or norm(a, *r, **k))
+    config = attack.AttackConfig(iterations=5, restarts=2, tv_weight=0.05, monotone=monotone)
+    result = attack.reconstruct(_CNN, params, observed, subject.y, config, subject.x.shape)
+    assert [len(trace) for trace in result.traces] == [5, 5]
+    assert len(stacks) == 1
+    assert len(norms) == 1 and norms[0].tobytes() == observed.tobytes()
 
 
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
