@@ -56,6 +56,7 @@ row.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -137,27 +138,44 @@ def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tenso
 
 class Workspace:
     """Work arrays by key, reused from call to call (models.Workspace): a
-    non-private DP-SGD step takes the large temporaries of its summed route
-    from one workspace, which train keeps for all its steps, so that no
-    chunk allocates them, or faults their pages in, again.
+    DP-SGD step takes the large temporaries of its gradient route, and a
+    private step its (B, p) gradient rows, from one workspace, which train
+    keeps for all its steps, so that no chunk allocates them, or faults
+    their pages in, again.
 
     empty(key, shape) is an uninitialised array of that shape: a view of
     the first entries of the one flat buffer kept under key, which is
     replaced by a larger one when a larger shape asks for it.  So a ragged
     last chunk takes a prefix of what the full chunks use.  A view is valid
     until the next request under its key: an array that must outlive
-    another has its own key, and no route returns a view of a workspace.
+    another has its own key, and no route returns a view of a workspace
+    that is not its caller's.  Each shape's view is made once and handed
+    out again, and so is what kept((key, ...), bases, make) made, while
+    bases are the same objects; replacing key's buffer drops both.
     """
 
     def __init__(self):
         self._buffers: dict[str, Array] = {}
+        self._views: dict[tuple, object] = {}
 
     def empty(self, key: str, shape: tuple, dtype=np.float64) -> Array:
-        size = math.prod(shape)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < size or buffer.dtype != dtype:
-            buffer = self._buffers[key] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+        view = self._views.get((key, shape, dtype))
+        if view is None:
+            size = math.prod(shape)
+            buffer = self._buffers.get(key)
+            if buffer is None or buffer.size < size or buffer.dtype != dtype:
+                buffer = self._buffers[key] = np.empty(size, dtype)
+                # nothing may hold on to a replaced buffer
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}
+            view = self._views[key, shape, dtype] = buffer[:size].reshape(shape)
+        return view
+
+    def kept(self, key: tuple, bases: tuple, make, *args):
+        """make(*args), kept under key while bases are the same objects."""
+        kept = self._views.get(key)
+        if kept is None or not all(map(operator.is_, kept[0], bases)):
+            kept = self._views[key] = (bases, make(*args))
+        return kept[1]
 
     def zeros(self, key: str, shape: tuple) -> Array:
         out = self.empty(key, shape)
@@ -204,10 +222,10 @@ def _linear_input_adjoint_np(w: Array, g: Array, out: Array | None = None) -> Ar
     )[..., 0]
 
 
-def _linear_weight_adjoint_np(g: Array, h: Array) -> Array:
+def _linear_weight_adjoint_np(g: Array, h: Array, out: Array | None = None) -> Array:
     # numpy's stacked matmul runs a slow loop for an inner dimension of 1;
     # + 0.0 gives zero entries the sign BLAS gives them (-0.0 -> +0.0)
-    out = g[:, :, None] * h[:, None, :]
+    out = np.multiply(g[:, :, None], h[:, None, :], out=out)
     out += 0.0
     return out
 

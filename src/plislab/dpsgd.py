@@ -28,9 +28,18 @@ A private step takes the chunk's per-sample gradients as the (B, p) rows
 of models.per_sample_loss_and_grad and clips each row in place before
 the sum.  A non-private step has nothing to clip: models.loss_and_grad_sum
 adds the chunk's batch-summed gradient into the total, and no row is
-formed.  Its large temporaries come from a models.Workspace that train
-keeps for all its steps, so no chunk allocates them, or faults their
-pages in, again.  Both routes are tape-free: a step builds no graph.
+formed.  A batch of one chunk is passed whole, not sliced.  Both routes
+are tape-free: a step builds no graph.
+
+train owns its parameters: it copies the start parameters once into one
+buffer, and every step updates that buffer in place (dp_sgd_step's out),
+so no step allocates a second parameter vector or checks a new ParamSet.
+Both routes take their large temporaries from a models.Workspace that
+train keeps for all its steps, so no chunk allocates them, or faults
+their pages in, again.  The workspace also keeps what every step would
+rebuild: the parameter tiles of each chunk length, valid while the
+buffer is the same array, and a private step's (B, p) gradient rows with
+each block's view of them.
 train draws the noise of consecutive steps as one block of
 rng.gaussian_rows, of at most NOISE_BLOCK_ENTRIES entries, whose row for
 step t is the draw dp_sgd_step would make itself at step t.
@@ -65,9 +74,10 @@ log = logging.getLogger("plislab.dpsgd")
 
 # Noise entries train draws at once, one rng.gaussian_rows block of whole
 # steps: the CLI's 289-parameter MLP gets 28 steps per block, and a model
-# of more than 8,192 parameters one.  On a 2-vCPU x86-64 VM, 1,008 batch-1
-# steps of that MLP took 188 ms at one step per block, 158 ms at 28, and
-# 158-163 ms at 113-453, which hold more memory.
+# of more than 8,192 parameters one.  On a 2-vCPU x86-64 VM, one BLAS
+# thread, 1,008 batch-1 steps of that MLP took 95 ms at one step per
+# block, 72 ms at 28, and 70-73 ms at 113-453, which hold more memory
+# (medians of 12 interleaved rounds).
 NOISE_BLOCK_ENTRIES = 1 << 13
 
 
@@ -77,6 +87,19 @@ def check_clip(clip) -> None:
         raise ConfigError(
             "clipping needs a finite positive clip threshold whose square is a normal "
             f"float (about 1.5e-154 to 1.3e154), got {clip}"
+        )
+
+
+def check_sigma(sigma) -> None:
+    if sigma is None or not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
+    # PL and PLIS divide by sigma^2: a square that underflows overflows them,
+    # one that overflows reports PL = PLIS = 0 for every subject.  The
+    # accountant squares C / (sigma C), which overflows with it
+    if not sys.float_info.min <= sigma * sigma < math.inf:
+        raise ConfigError(
+            f"sigma must have a square that is a normal float (about 1.5e-154 to "
+            f"1.3e154), got {sigma}"
         )
 
 
@@ -158,6 +181,8 @@ class DpSgdConfig:
             # checked before each update stays finite
             if not math.isfinite(self.sigma):
                 raise ConfigError(f"private training needs a finite sigma, got {self.sigma}")
+            if self.sigma != 0:
+                check_sigma(self.sigma)
         elif self.clip is not None or self.sigma != 0 or self.target_epsilon is not None:
             raise ConfigError("non-private training takes no clip, sigma or target epsilon")
         check_delta(self.target_delta)
@@ -202,6 +227,7 @@ def dp_sgd_step(
     step_index: int = 0,
     noise: np.ndarray | None = None,
     work: Workspace | None = None,
+    out: ParamSet | None = None,
 ) -> StepResult:
     """One update: params - lr * (sum_i clip(g_i) + N(0, (sigma C)^2 I)) / |batch|.
 
@@ -210,15 +236,18 @@ def dp_sgd_step(
     standard-normal draw keyed by (config.seed, step_index),
     rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, p); a caller
     that already holds that draw passes it as noise (train passes rows of
-    rng.gaussian_rows).  A non-private step takes its temporaries from work,
-    a models.Workspace (train passes one for all its steps; without it the
-    step makes its own); nothing it returns is a view of it.  A private
-    config must carry its sigma: only train derives one from a target
-    epsilon.  A non-finite mean loss, a row whose squared norm overflows
-    (its clip factor is 0, so clipping would drop it), or a non-finite
-    parameter after the update raises TrainingDivergedError naming
-    step_index; numpy's overflow and invalid-value warnings on the way
-    there are silenced.
+    rng.gaussian_rows).  The step takes its temporaries, and a private
+    step its gradient rows, from work, a models.Workspace (train passes one
+    for all its steps; without it the step makes its own); nothing it
+    returns is a view of it.  The updated parameters go to a new ParamSet,
+    or into out.flat in place, with the bits of the new one, and out is
+    returned (train passes the one it owns as both params and out).  A
+    private config must carry its sigma: only train derives one from a
+    target epsilon.  A non-finite mean loss, a row whose squared norm
+    overflows (its clip factor is 0, so clipping would drop it), or a
+    non-finite parameter after the update raises TrainingDivergedError
+    naming step_index (out then holds that update); numpy's overflow and
+    invalid-value warnings on the way there are silenced.
     """
     if not len(batch):
         raise ConfigError("dp_sgd_step: empty batch")
@@ -227,15 +256,16 @@ def dp_sgd_step(
                           "train derives it from the target epsilon")
     n, size = len(batch), chunk_size(params)
     total = np.zeros(params.count)
-    losses = np.empty(n)
+    losses = []
     work = Workspace() if work is None else work
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, size):
-            chunk = batch[first : first + size]
+            chunk = batch if n <= size else batch[first : first + size]
             if not config.private:
-                losses[first : first + size] = loss_and_grad_sum(spec, params, chunk, total, work)
+                losses.append(loss_and_grad_sum(spec, params, chunk, total, work))
                 continue
-            losses[first : first + size], g = per_sample_loss_and_grad(spec, params, chunk)
+            loss, g = per_sample_loss_and_grad(spec, params, chunk, work)
+            losses.append(loss)
             factor = clip_factor(g, config.clip)
             if dropped_row(factor) is not None:
                 raise TrainingDivergedError(
@@ -244,6 +274,7 @@ def dp_sgd_step(
                 )
             g *= factor
             total += g.sum(axis=0)
+        losses = losses[0] if len(losses) == 1 else np.concatenate(losses)
         mean_loss = float(losses.sum()) / n  # np.mean's arithmetic
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(f"non-finite loss at step {step_index}")
@@ -252,10 +283,13 @@ def dp_sgd_step(
                 noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
             total += noise * (config.sigma * config.clip)
         update = total / n
-        new_flat = params.flat - config.learning_rate * update
-    if not np.isfinite(new_flat).all():
+        if out is None:
+            out = params.with_flat(params.flat - config.learning_rate * update)
+        else:
+            np.subtract(params.flat, config.learning_rate * update, out=out.flat)
+    if not np.isfinite(out.flat).all():
         raise TrainingDivergedError(f"non-finite parameters after step {step_index}")
-    return StepResult(params.with_flat(new_flat), noise, mean_loss)
+    return StepResult(out, noise, mean_loss)
 
 
 def _noise_rows(seed: int, count: int, steps: int):
@@ -284,7 +318,9 @@ def train(
 
     dataset: sequence of (x, y) pairs, checked and stacked once
     (models.stack_batch); each step takes a slice.  Parameters start from
-    `initial` when given, else from init_params(spec, config.seed).  One
+    a copy of `initial` when given, else from init_params(spec,
+    config.seed): the call owns that one buffer, every step updates it in
+    place (dp_sgd_step's out), and it is the trace's params.  One
     models.Workspace serves every step of the call and is dropped with it.
     With private=False the accountant is never touched.  A step that diverges
     raises TrainingDivergedError naming its index (see dp_sgd_step).
@@ -292,7 +328,8 @@ def train(
     if not len(dataset):
         raise ConfigError("train: empty dataset")
     data = stack_batch(spec, [x for x, _ in dataset], [y for _, y in dataset])
-    params = init_params(spec, config.seed) if initial is None else initial
+    params = (init_params(spec, config.seed) if initial is None
+              else initial.with_flat(initial.flat.copy()))
     total_steps = config.epochs * math.ceil(len(data) / config.batch_size)
     run_config = config
     if config.target_epsilon is not None:
@@ -313,8 +350,8 @@ def train(
         epoch_losses = []
         for start in range(0, len(data), config.batch_size):
             batch = data[start : start + config.batch_size]
-            result = dp_sgd_step(spec, params, batch, run_config, step, next(noises), work)
-            params = result.params
+            result = dp_sgd_step(spec, params, batch, run_config, step, next(noises), work,
+                                 out=params)
             eps_now = 0.0
             if accountant is not None:
                 accountant.add_step(run_config.clip, run_config.sigma * run_config.clip)

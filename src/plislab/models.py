@@ -5,30 +5,32 @@ gradient with respect to all parameters comes back as one flat row per
 sample, or summed over the batch into one flat vector.
 
 Batch axis: every route takes B samples stacked on a leading axis and
-tiles each parameter block into a (B, ...) array, so sample i's loss
-depends only on row i of the parameters and of the inputs.  The tiles
-are read-only views with batch stride 0, so no parameter is copied per
-sample.  One sample is a batch of one.  Callers pass at most
-chunk_size(params) samples at a time.  stack_batch stacks and checks
-samples once into a Batch, and every route takes a Batch and checks
-nothing again: DP-SGD stacks its dataset once and passes slices of it.
-The batch sum leaves that axis only at the end of each weighted layer's
-adjoint.
+reads each parameter block as a (B, ...) tile, so sample i's loss depends
+only on row i of the parameters and of the inputs.  The tiles are
+read-only views of the flat vector with batch stride 0 (ParamSet.tiles),
+so no parameter is copied per sample; train, which updates its one
+vector in place, keeps them in its Workspace and builds them once per
+chunk length.  Callers pass at most chunk_size(params) samples at a time.
+stack_batch stacks and checks samples once into a Batch, and no route
+checks a Batch again.  The batch sum leaves that axis only at the end of
+each weighted layer's adjoint.
 
 One forward pass, then first and second order without a second-order
 tape.  _layer_records runs the forward pass in the autodiff numpy kernels
 and keeps per layer what the adjoints read, and _reverse is the one
 reverse walk through those records.  In first order,
 per_sample_loss_and_grad() takes it from the loss for the B losses and
-(B, p) parameter-gradient rows g, which the private DP-SGD step clips.
-Its summed mode, loss_and_grad_sum(), is the non-private step's: each
-weighted layer adds its batch-summed gradient into a (p,) total (a conv
-kernel's and a bias's per-sample adjoints summed in batch order, with
-the rows' bits; a Linear weight's one GEMM g^T h), and no row is formed.
-That route takes its large temporaries (patch matrices, layer outputs,
-slopes, cotangents, the conv input adjoint's grid and image) from a
-Workspace that train keeps for all its steps; every other route
-allocates them.
+(B, p) parameter-gradient rows g, which the private DP-SGD step clips;
+each weighted layer writes its gradients into its block's view of the
+rows.  Its summed mode, loss_and_grad_sum(), is the non-private step's:
+each weighted layer adds its batch-summed gradient into a (p,) total (a
+conv kernel's and a bias's per-sample adjoints summed in batch order,
+with the rows' bits; a Linear weight's one GEMM g^T h), and no row is
+formed.  The step takes the large temporaries of either route (patch
+matrices, layer outputs, slopes, cotangents, the conv input adjoint's
+grid and image, and the rows with their block views, made once per chunk
+length) from a Workspace that train keeps for all its steps; every other
+route allocates them.
 _tangent_walk() differentiates the rows once more, forward-over-reverse,
 one tangent per row, by the same walk with the product rule's terms:
 along input directions v_i it gives the rows J_i v_i (J = dg/dx), for
@@ -181,14 +183,12 @@ class ParamSet:
     blocks: dict[str, ParamBlock] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.flat = np.asarray(self.flat, dtype=np.float64)
+        self.flat = np.asarray(self.flat, dtype=np.float64, order="C")
         if self.flat.ndim != 1:
             raise ShapeError("ParamSet.flat must be one-dimensional")
         total = sum(b.size for b in self.layout)
         if total != self.flat.size:
-            raise ShapeError(
-                f"layout covers {total} entries but flat has {self.flat.size}"
-            )
+            raise ShapeError(f"layout covers {total} entries but flat has {self.flat.size}")
         self.blocks = {b.name: b for b in self.layout}
 
     def columns(self, rows: np.ndarray, name: str) -> np.ndarray:
@@ -197,6 +197,19 @@ class ParamSet:
         block = self.blocks[name]
         columns = rows[..., block.offset : block.offset + block.size]
         return columns.reshape(*rows.shape[:-1], *block.shape)
+
+    def views(self, rows: np.ndarray) -> dict:
+        """Each block's columns of rows, by name."""
+        return {b.name: self.columns(rows, b.name) for b in self.layout}
+
+    def tiles(self, n: int) -> dict:
+        """Each block as a read-only (n, *shape) view of flat, by name, every
+        row the same entries (batch stride 0)."""
+        tiles = self.views(self.flat)
+        for name, v in tiles.items():
+            tiles[name] = np.ndarray((n, *v.shape), v.dtype, v, 0, (0, *v.strides))
+            tiles[name].flags.writeable = False
+        return tiles
 
     @property
     def count(self) -> int:
@@ -229,7 +242,7 @@ def layout_for(spec: ModelSpec) -> tuple[ParamBlock, ...]:
 def init_params(spec: ModelSpec, seed: int) -> ParamSet:
     """Uniform [-a, a] weights with a = sqrt(6/(fan_in+fan_out)); zero biases."""
     layout = layout_for(spec)
-    flat = np.zeros(sum(b.size for b in layout))
+    params = ParamSet(np.zeros(sum(b.size for b in layout)), layout)
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Linear):
             fan_in, fan_out = layer.in_dim, layer.out_dim
@@ -239,10 +252,10 @@ def init_params(spec: ModelSpec, seed: int) -> ParamSet:
         else:
             continue
         a = np.sqrt(6.0 / (fan_in + fan_out))
-        block = next(b for b in layout if b.name == f"{idx}.weight")
-        u = rng.uniforms(seed, rng.INIT_STREAM + idx, block.size)
-        flat[block.offset : block.offset + block.size] = (2.0 * u - 1.0) * a
-    return ParamSet(flat, layout)
+        block = params.columns(params.flat, f"{idx}.weight")
+        u = rng.uniforms(seed, rng.INIT_STREAM + idx, block.size).reshape(block.shape)
+        block[...] = (2.0 * u - 1.0) * a
+    return params
 
 
 # --------------------------------------------------------------------------
@@ -281,23 +294,6 @@ class AttachedSample:
     graph: Graph
     x: Tensor
     grads: Tensor
-
-
-@functools.lru_cache(maxsize=256)
-def _tile_strides(shape: tuple[int, ...], itemsize: int) -> tuple[int, ...]:
-    """Strides of a (n, *shape) tile of contiguous entries: 0 on the batch axis."""
-    return (0, *(itemsize * math.prod(shape[i + 1 :]) for i in range(len(shape))))
-
-
-def _tiled(flat: np.ndarray, block: ParamBlock, n: int) -> np.ndarray:
-    """A read-only (n, *block.shape) view of block's entries of the contiguous
-    flat, every row the same entries (batch stride 0)."""
-    size = flat.itemsize
-    view = np.ndarray(
-        (n, *block.shape), flat.dtype, flat, block.offset * size, _tile_strides(block.shape, size)
-    )
-    view.flags.writeable = False
-    return view
 
 
 class Batch:
@@ -357,9 +353,7 @@ def stack_batch(spec: ModelSpec, xs, ys, first: int = 0) -> Batch:
 
 
 def _buffer(work: Workspace | None, idx: int, name: str, shape: tuple, dtype=np.float64):
-    """work's array named name for layer idx, or None without a workspace:
-    the kernel then allocates its result, as on every route but DP-SGD's
-    summed one."""
+    """work's array named name for layer idx; None without one, and the kernel allocates."""
     return None if work is None else work.empty(f"{idx}.{name}", shape, dtype)
 
 
@@ -372,18 +366,19 @@ def _layer_records(
     kernels, input patch matrix and input shape, an activation's slope (and
     a tanh's output), and Flatten's input shape.  Every route runs its
     forward pass here.  Patch matrices, layer outputs and slopes come from
-    work, under keys of their layer's index; the bias is added in place."""
+    work, under keys of their layer's index, and so do the tiles of each B
+    while params and its flat are the same objects; the bias is added in place."""
     n = xs.shape[0]
-    flat = np.ascontiguousarray(params.flat)
+    tiles = params.tiles(n) if work is None else work.kept(
+        ("tiles", n), (params, params.flat), params.tiles, n)
     records = []
     h = xs
     for idx, layer in enumerate(spec.layers):
+        w = tiles.get(f"{idx}.weight")
         if isinstance(layer, Linear):
-            w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
             records.append((w, h))
             h = autodiff._linear_np(w, h, out=_buffer(work, idx, "out", (n, layer.out_dim)))
         elif isinstance(layer, Conv2d):
-            w = _tiled(flat, params.blocks[f"{idx}.weight"], n)
             k, (c, height, width) = layer.kernel, h.shape[1:]
             oh, ow = height - k + 1, width - k + 1
             cols = autodiff._im2col(h, k, out=_buffer(work, idx, "cols", (n, c * k * k, oh * ow)))
@@ -406,8 +401,8 @@ def _layer_records(
         elif isinstance(layer, Flatten):
             records.append(h.shape)
             h = h.reshape(n, h.size // n)
-        if isinstance(layer, (Linear, Conv2d)) and layer.bias:
-            autodiff._bias_add_np(h, _tiled(flat, params.blocks[f"{idx}.bias"], n), out=h)
+        if f"{idx}.bias" in tiles:
+            autodiff._bias_add_np(h, tiles[f"{idx}.bias"], out=h)
     return h, records
 
 
@@ -426,28 +421,30 @@ def _reverse(
 ) -> tuple[np.ndarray, list]:
     """The reverse walk through _layer_records' records from the cotangent g
     of the model's (B, ...) outputs.  grads takes each weighted layer's
-    gradients (in first order; their tangents in second), through
-    ParamSet.columns: (B, p) rows are written per sample; into a (p,) total
-    (summed mode, first order only) the batch sums are added, and no row is
-    formed.  Returns the cotangent it ends with and the per-layer
-    cotangents.
+    gradients (in first order; their tangents in second): into (B, p) rows
+    they are written through each block's view (ParamSet.columns; work
+    keeps those of its own rows); into a (p,) total (summed mode, first
+    order only) the batch sums are added.  Returns the cotangent it ends
+    with and the per-layer cotangents.
 
     First order (cotangents None): g is the loss's cotangent; the walk
-    records each layer's output cotangent (None below the first weighted
-    layer) and computes no adjoint of the first weighted layer's input.
+    records each layer's output cotangent and stops at the first weighted
+    layer, whose weight block opens the layout, with no adjoint of its
+    input (a model without one is walked to x).
     The cotangents it carries down come from work, under keys of their
     layer's index.  Second order: g is that cotangent's tangent, and the
     walk adds the product rule's terms from the first-order cotangents, the
     input tangents moved (see _tangent_walk) and the parameter tangents
     dtheta; for dtheta it runs through the first layer to x.
     """
-    # the first Linear or Conv2d layer: no gradient flows below it
-    first = min((i for i, layer in enumerate(spec.layers) if isinstance(layer, (Linear, Conv2d))),
-                default=len(spec.layers))
     first_order = cotangents is None
     if first_order:
         cotangents = [None] * len(spec.layers)
-    for idx in range(len(spec.layers) - 1, (first if dtheta is None else 0) - 1, -1):
+    # each block's columns of (B, p) rows; work keeps those of its own rows
+    views = None if grads is None or grads.ndim == 1 else (
+        params.views(grads) if work is None
+        else work.kept(("rows", grads.shape), (params, grads), params.views, grads))
+    for idx in range(len(spec.layers) - 1, -1, -1):
         layer, record = spec.layers[idx], records[idx]
         if first_order:
             cotangents[idx] = g
@@ -455,22 +452,22 @@ def _reverse(
         if isinstance(layer, (Linear, Conv2d)):
             w, inputs = record[:2]
             linear = isinstance(layer, Linear)
-            if grads is not None and grads.ndim == 1:
-                _add_batch_sums(params, grads, idx, layer, g, inputs, work)
-            elif grads is not None:
+            if views is not None:
                 if layer.bias:
-                    params.columns(grads, f"{idx}.bias")[...] = autodiff._bias_adjoint_np(g)
-                adjoint = (
-                    autodiff._linear_weight_adjoint_np if linear
-                    else autodiff._conv2d_kernel_adjoint_np
-                )
-                block = params.columns(grads, f"{idx}.weight")
-                block[...] = (
-                    adjoint(g, inputs) if first_order
-                    else adjoint(g, inputs) + adjoint(up, moved[idx])
-                ).reshape(block.shape)
-            if idx == first and dtheta is None:
-                break
+                    views[f"{idx}.bias"][...] = autodiff._bias_adjoint_np(g)
+                block = views[f"{idx}.weight"]
+                if linear:  # g h^T straight into the rows' block
+                    autodiff._linear_weight_adjoint_np(g, inputs, block)
+                else:
+                    block[...] = autodiff._conv2d_kernel_adjoint_np(g, inputs).reshape(block.shape)
+                if not first_order:  # the moved input's term
+                    adjoint = (autodiff._linear_weight_adjoint_np if linear
+                               else autodiff._conv2d_kernel_adjoint_np)
+                    block += adjoint(up, moved[idx]).reshape(block.shape)
+            elif grads is not None:
+                _add_batch_sums(params, grads, idx, layer, g, inputs, work)
+            if dtheta is None and params.layout[0].name == f"{idx}.weight":
+                break  # the layout opens with the first weighted layer: nothing flows below
             moving = None if dtheta is None else params.columns(dtheta, f"{idx}.weight")
             if linear:
                 out = _buffer(work, idx, "g", inputs.shape)
@@ -506,8 +503,7 @@ def _add_batch_sums(
     _batch_sum, with the bits of their columns in the rows' sum; a Linear
     weight's is the one GEMM g^T h."""
     if layer.bias:
-        bias = params.columns(total, f"{idx}.bias")
-        bias += _batch_sum(autodiff._bias_adjoint_np(g))
+        params.columns(total, f"{idx}.bias")[...] += _batch_sum(autodiff._bias_adjoint_np(g))
     block = params.columns(total, f"{idx}.weight")
     if isinstance(layer, Linear):
         block += np.matmul(g.T, inputs, out=_buffer(work, idx, "dw", block.shape))
@@ -520,32 +516,36 @@ def _add_batch_sums(
 
 
 def _loss_and_cotangent(spec: ModelSpec, h: np.ndarray, targets: np.ndarray):
-    """Per-sample losses (B,) of the model's outputs h, and their cotangent in h."""
-    ones = np.ones(len(h))
+    """Per-sample losses (B,) of the model's outputs h, and their cotangent
+    in h: the loss adjoint at a unit seed, whose exact factor 1 is left out."""
     if spec.loss == MSE:
-        return autodiff._mse_np(h, targets), autodiff._mse_adjoint_np(ones, h, targets)
+        return autodiff._mse_np(h, targets), (h - targets) * 2.0 * (1.0 / (h.size // len(h)))
     losses = autodiff._cross_entropy_np(h, targets)
-    return losses, autodiff._cross_entropy_adjoint_np(ones, h, targets)
+    return losses, autodiff._softmax_np(h) - autodiff._onehot(targets, h.shape[1])
 
 
 def _loss_and_rows(
     spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, targets: np.ndarray,
-    rows: bool = True,
-) -> tuple[np.ndarray, np.ndarray | None, list]:
-    """Per-sample losses (B,), parameter gradients (B, p) (None unless rows)
-    and, per layer, the cotangent of its output (None below the first
-    weighted layer), from _layer_records' outputs h and records by
+    work: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per-sample losses (B,), parameter gradients (B, p) (work's when
+    given) and, per layer, the cotangent of its output (None below the
+    first weighted layer), from _layer_records' outputs h and records by
     _reverse's first-order walk."""
     losses, g = _loss_and_cotangent(spec, h, targets)
-    grads = np.empty((len(h), params.count)) if rows else None
-    return losses, grads, _reverse(spec, params, records, g, grads)[1]
+    shape = (len(h), params.count)
+    grads = np.empty(shape) if work is None else work.empty("rows", shape)
+    return losses, grads, _reverse(spec, params, records, g, grads, work=work)[1]
 
 
 def per_sample_loss_and_grad(
-    spec: ModelSpec, params: ParamSet, batch: Batch
+    spec: ModelSpec, params: ParamSet, batch: Batch, work: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses (B,) and parameter gradients (B, p), without a tape."""
-    return _loss_and_rows(spec, params, *_layer_records(spec, params, batch.xs), batch.targets)[:2]
+    """Per-sample losses (B,) and parameter gradients (B, p), without a tape.
+    Given work, the rows and the large temporaries are its arrays, valid
+    until the next call with it; the losses are not."""
+    h, records = _layer_records(spec, params, batch.xs, work)
+    return _loss_and_rows(spec, params, h, records, batch.targets, work)[:2]
 
 
 def loss_and_grad_sum(
@@ -620,9 +620,8 @@ def _tangent_walk(
             dh = None if dh is None else dh * record[0]
     if dh is None:  # no weighted layer: nothing moves
         dh = np.zeros_like(h)
-    if spec.loss == MSE:
-        # the adjoint is affine in the prediction: its tangent is the adjoint at target 0
-        dg = autodiff._mse_adjoint_np(np.ones(n), dh, 0.0)
+    if spec.loss == MSE:  # affine in h: the tangent is the cotangent of dh at target 0
+        dg = dh * 2.0 * (1.0 / (dh.size // n))
     else:
         dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
     tangents = np.empty((n, params.count)) if dtheta is None else None
@@ -666,7 +665,8 @@ def grad_tangents(spec: ModelSpec, params: ParamSet, batch: Batch, directions) -
             f"of shape {batch.xs.shape}"
         )
     h, records = _layer_records(spec, params, batch.xs)
-    cotangents = _loss_and_rows(spec, params, h, records, batch.targets, rows=False)[2]
+    g = _loss_and_cotangent(spec, h, batch.targets)[1]
+    cotangents = _reverse(spec, params, records, g, None)[1]
     return _tangent_walk(spec, params, h, records, cotangents, dx=directions)
 
 

@@ -47,15 +47,13 @@ a report.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import backward
 from .datasets import SubjectRecord
-from .dpsgd import clip_differentiable, clip_factor, refuse_dropped_row
+from .dpsgd import check_sigma, clip_differentiable, clip_factor, refuse_dropped_row
 from .errors import ConfigError, DataFormatError, DimensionGuardError
 from .models import (
     ModelSpec,
@@ -101,18 +99,6 @@ class JacSensReport:
     frobenius_norm: float
 
 
-def _check_sigma(sigma) -> None:
-    if sigma is None or not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive, got {sigma}")
-    # PL and PLIS divide by sigma^2: a square that underflows overflows them,
-    # one that overflows reports PL = PLIS = 0 for every subject
-    if not sys.float_info.min <= sigma * sigma < math.inf:
-        raise ConfigError(
-            f"sigma must have a square that is a normal float (about 1.5e-154 to "
-            f"1.3e154), got {sigma}"
-        )
-
-
 def _refuse_non_finite(subjects, rows: np.ndarray, what: str) -> None:
     """Raise DataFormatError naming the first subject whose row of rows, one
     per subject, holds an entry that is not finite."""
@@ -140,7 +126,7 @@ def plis_reports(
     take PL_i as ||clip(g_i)||^2 / sigma^2.
     """
     if sigma is not None:
-        _check_sigma(sigma)
+        check_sigma(sigma)
     scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
     reports, subjects, size = [], list(subjects), chunk_size(params)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused
@@ -268,7 +254,7 @@ def fim_subject(
     spec: ModelSpec, params: ParamSet, subject: SubjectRecord, sigma: float
 ) -> FimReport:
     """Per-subject Fisher information sub-matrix J^T J / sigma^2."""
-    _check_sigma(sigma)
+    check_sigma(sigma)
     jac = input_jacobian(spec, params, subject)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         fim = (jac.T @ jac) / (sigma * sigma)

@@ -383,6 +383,15 @@ class TestTrainCommand:
         err = self._refused_train(tmp_path, capsys, b"lr = 1e150\nepochs = 3\nbatch_size = 60\n")
         assert err == ["error: non-finite loss at step 2"]
 
+    def test_sigma_whose_square_is_not_a_normal_float_is_refused(self, tmp_path, capsys):
+        # 1e-160 squared underflows: the accountant's (C / sigma C)^2 overflows
+        err = self._refused_train(
+            tmp_path, capsys,
+            b"lr = 0.1\nepochs = 1\nbatch_size = 1\nprivate = true\nclip = 0.5\nsigma = 1e-160\n",
+        )
+        assert err == ["error: sigma must have a square that is a normal float "
+                       "(about 1.5e-154 to 1.3e154), got 1e-160"]
+
     def test_config_that_is_not_utf8_is_refused(self, tmp_path, capsys):
         # ff fe opens a UTF-16 file
         err = self._refused_train(tmp_path, capsys, b"\xff\xfelr = 0.1\n")

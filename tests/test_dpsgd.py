@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plislab import accounting, autodiff, datasets, dpsgd, models, plis
+from plislab import accounting, autodiff, datasets, dpsgd, experiments, models, plis
 from plislab.errors import ConfigError, TrainingDivergedError
 
 
@@ -180,10 +180,11 @@ class TestDpSgdStep:
         params = models.init_params(LINEAR_SPEC, 1)
         batch = data[:8]
         private_cfg = dpsgd.DpSgdConfig(
-            learning_rate=0.05, epochs=1, batch_size=8, private=True, clip=1e9, sigma=1e-300
+            learning_rate=0.05, epochs=1, batch_size=8, private=True, clip=1e9, sigma=1e-150
         )
         plain_cfg = dpsgd.DpSgdConfig(learning_rate=0.05, epochs=1, batch_size=8)
-        # clip huge and sigma -> 0: same update as the non-private path
+        # clip huge and sigma -> 0 (1e-150, near the smallest whose square is a
+        # normal float): same update as the non-private path
         a = dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, batch), private_cfg)
         b = dpsgd.dp_sgd_step(LINEAR_SPEC, params, _stacked(LINEAR_SPEC, batch), plain_cfg)
         np.testing.assert_allclose(a.params.flat, b.params.flat, atol=1e-290)
@@ -394,24 +395,94 @@ class TestTrainIsAStepLoop:
             dpsgd.train(LINEAR_SPEC, data, config)
 
 
-def test_training_reuses_one_workspace_and_returns_none_of_it(monkeypatch):
-    """3 non-private CNN steps of 7 samples in chunks of 3, 3 and 1: each
-    layer's patch matrix lands in one buffer for every chunk, and neither
-    train's parameters nor PLIS, the rows or J^T u share memory with any
-    array the workspace handed out."""
+class TestTrainOwnsItsParameters:
+    """train copies its start parameters once into a buffer it owns and every
+    step updates that buffer in place; dp_sgd_step without out leaves the
+    caller's parameters alone and returns new ones."""
+
+    @pytest.mark.parametrize("private", [True, False], ids=["private", "non-private"])
+    def test_initial_is_left_unchanged(self, private):
+        data = _tabular(7)
+        initial = models.init_params(_MLP, 9)
+        before = initial.flat.copy()
+        config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=2, batch_size=3, seed=1,
+                                   private=private, clip=1.0 if private else None,
+                                   sigma=1.0 if private else 0.0)
+        trace = dpsgd.train(_MLP, data, config, initial=initial)
+        assert initial.flat.tobytes() == before.tobytes()
+        assert not np.shares_memory(trace.params.flat, initial.flat)
+        assert trace.params.flat.tobytes() != before.tobytes()
+
+    def test_dp_regression_starts_from_zeros_it_keeps(self, monkeypatch):
+        starts = []
+        original = dpsgd.train
+
+        def recorded(spec, dataset, config, initial=None):
+            starts.append((initial, initial.flat.copy()))
+            return original(spec, dataset, config, initial=initial)
+
+        monkeypatch.setattr(dpsgd, "train", recorded)
+        run = experiments.dp_regression(0)
+        ((initial, before),) = starts
+        assert not before.any() and initial.flat.tobytes() == before.tobytes()
+        assert run.params.flat.any() and not np.shares_memory(run.params.flat, initial.flat)
+
+    def test_steps_update_one_buffer_that_shares_no_memory_with_their_noise(self, monkeypatch):
+        results, original = [], dpsgd.dp_sgd_step
+
+        def recorded(*args, out):
+            results.append((out, original(*args, out=out)))
+            return results[-1][1]
+
+        monkeypatch.setattr(dpsgd, "dp_sgd_step", recorded)
+        config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=2, batch_size=2, seed=1,
+                                   private=True, clip=1.0, sigma=1.0)
+        trace = dpsgd.train(_MLP, _tabular(5), config)
+        assert len(results) == 6
+        for out, result in results:
+            assert out is trace.params and result.params is out
+            assert not np.shares_memory(trace.params.flat, result.noise)
+
+    @pytest.mark.parametrize("private", [True, False], ids=["private", "non-private"])
+    def test_step_without_out_returns_new_parameters(self, private):
+        params = models.init_params(_MLP, 2)
+        before = params.flat.copy()
+        batch = _stacked(_MLP, _tabular(4))
+        config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=1, batch_size=4, private=private,
+                                   clip=1.0 if private else None, sigma=1.0 if private else 0.0)
+        fresh = dpsgd.dp_sgd_step(_MLP, params, batch, config, 3)
+        assert fresh.params is not params
+        assert not np.shares_memory(fresh.params.flat, params.flat)
+        assert params.flat.tobytes() == before.tobytes()
+        out = params.with_flat(params.flat.copy())
+        in_place = dpsgd.dp_sgd_step(_MLP, out, batch, config, 3, out=out)
+        assert in_place.params is out
+        assert out.flat.tobytes() == fresh.params.flat.tobytes()
+        assert in_place.mean_loss == fresh.mean_loss
+
+
+@pytest.mark.parametrize("private", [False, True], ids=["non-private", "private"])
+def test_training_reuses_one_workspace_and_returns_none_of_it(monkeypatch, private):
+    """3 CNN steps of 7 samples in chunks of 3, 3 and 1: each layer's patch
+    matrix lands in one buffer for every chunk, a private run's gradient
+    rows in one buffer per chunk length, and neither train's parameters nor
+    PLIS, the rows or J^T u share memory with any array the workspace
+    handed out."""
     params = models.init_params(_CNN, 0)
     monkeypatch.setattr(models, "CHUNK_ENTRIES", 3 * params.count)
-    handed, patches = [], {}
+    handed, patches, rows = [], {}, {}
 
     class Recording(models.Workspace):
         def empty(self, key, shape, dtype=np.float64):
             handed.append(super().empty(key, shape, dtype))
+            if key == "rows":
+                rows.setdefault(shape[0], set()).add(handed[-1].__array_interface__["data"][0])
             return handed[-1]
 
     original = autodiff._im2col
 
     def recorded(images, k, out=None):
-        if out is not None:  # only the summed route passes a buffer
+        if out is not None:  # only a DP-SGD step passes a buffer
             patches.setdefault(images.shape[1:], []).append(
                 (len(images), out.__array_interface__["data"][0])
             )
@@ -420,13 +491,16 @@ def test_training_reuses_one_workspace_and_returns_none_of_it(monkeypatch):
     monkeypatch.setattr(dpsgd, "Workspace", Recording)
     monkeypatch.setattr(autodiff, "_im2col", recorded)
     data = _images(7)
-    config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=3, batch_size=7, seed=2)
+    config = dpsgd.DpSgdConfig(learning_rate=0.1, epochs=3, batch_size=7, seed=2, private=private,
+                               clip=0.5 if private else None, sigma=1.0 if private else 0.0)
     trace = dpsgd.train(_CNN, data, config)
     assert len(trace.step_records) == 3
     assert list(patches) == [(1, 6, 6)]  # the one conv layer
     for calls in patches.values():
         assert [n for n, _ in calls] == [3, 3, 1] * 3
         assert len({address for _, address in calls}) == 1
+    assert rows == ({3: rows[3], 1: rows[1]} if private else {})
+    assert all(len(addresses) == 1 for addresses in rows.values())
     subjects = [plis.SubjectRecord(f"s{i}", x, y) for i, (x, y) in enumerate(data)]
     batch = _stacked(_CNN, data)
     sample = models.attach_sample(_CNN, trace.params, batch)

@@ -115,6 +115,14 @@ CASES = [
          r"whose square is a normal float .*, got 1e\+200"),
     case("dpsgd-clip-square-underflows", _dp(private=True, clip=1e-160, sigma=1.0), ConfigError,
          "whose square is a normal float .*, got 1e-160"),
+    # sigma * sigma is not a normal float: the accountant's (C / sigma C)^2
+    # overflows, or sigma C underflows to 0, or epsilon reads inf
+    case("dpsgd-sigma-square-underflows", _dp(private=True, clip=0.5, sigma=1e-160), ConfigError,
+         "sigma must have a square that is a normal float .*, got 1e-160"),
+    case("dpsgd-subnormal-sigma", _dp(private=True, clip=0.5, sigma=1e-320), ConfigError,
+         "sigma must have a square that is a normal float .*, got 1e-320"),
+    case("dpsgd-sigma-square-overflows", _dp(private=True, clip=0.5, sigma=1e160), ConfigError,
+         r"sigma must have a square that is a normal float .*, got 1e\+160"),
     case("clip-differentiable-clip-square-overflows",
          lambda: dpsgd.clip_differentiable(np.ones(1), 1e200), ConfigError,
          "whose square is a normal float"),

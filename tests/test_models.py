@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from plislab import autodiff as ad
 from plislab import cli, datasets, models
 from plislab.autodiff import backward
 from plislab.errors import DataFormatError, ShapeError
@@ -226,6 +227,79 @@ def test_attach_sample_tiles_parameters_as_read_only_views():
         assert np.shares_memory(view, params.flat)
         for row in view:
             np.testing.assert_array_equal(row, expected)
+
+
+def test_a_workspace_keeps_tiles_that_follow_flat_updated_in_place():
+    """With a workspace, _layer_records takes each chunk length's tiles from
+    it: made once while the ParamSet and its flat are the same objects, they
+    show an update of flat in place, and a new flat array gets new tiles."""
+    spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
+    params, work = models.init_params(spec, 4), models.Workspace()
+
+    def weights(n):
+        return models._layer_records(spec, params, np.ones((n, 3)), work)[1][0][0]
+
+    tile = weights(5)
+    assert weights(5) is tile and weights(1) is not tile
+    params.flat *= 2.0
+    assert np.shares_memory(tile, params.flat)
+    np.testing.assert_array_equal(tile[4], params.columns(params.flat, "0.weight"))
+    params.flat = params.flat.copy()
+    assert weights(5) is not tile and np.shares_memory(weights(5), params.flat)
+
+
+def _signed_zeros(rng, shape):
+    """Normal entries, about a third of them +0.0 or -0.0."""
+    a = rng.normal(size=shape)
+    zero = rng.uniform(size=shape) < 0.35
+    a[zero] = rng.choice([-0.0, 0.0], size=int(zero.sum()))
+    return a
+
+
+@pytest.mark.parametrize("order", ["first", "second"])
+@pytest.mark.parametrize("workspace", [False, True], ids=["allocated", "workspace"])
+def test_linear_weight_rows_are_written_in_place_with_the_kernels_bits(order, workspace):
+    """_reverse writes a Linear layer's weight rows straight into their block
+    of the (B, p) rows: first order g h^T + 0.0, second order the sum of the
+    two normalised products, to the bit of the kernel's own arrays, signed
+    zeros in g, h and the second pair included."""
+    rng = np.random.default_rng(7)
+    spec = models.ModelSpec((models.Linear(4, 3, bias=False),), models.MSE)
+    params = models.init_params(spec, 1)
+    b = 6
+    g, h, up, moved = (_signed_zeros(rng, shape) for shape in [(b, 3), (b, 4), (b, 3), (b, 4)])
+    records = [(params.tiles(b)["0.weight"], h)]
+    work = models.Workspace() if workspace else None
+    rows = work.empty("rows", (b, params.count)) if workspace else np.empty((b, params.count))
+    rows.fill(np.nan)
+    if order == "first":
+        models._reverse(spec, params, records, g, rows, work=work)
+        want = ad._linear_weight_adjoint_np(g, h)
+        by_hand = g[:, :, None] * h[:, None, :] + 0.0
+    else:
+        models._reverse(spec, params, records, g, rows, [up], [moved], work=work)
+        want = ad._linear_weight_adjoint_np(g, h) + ad._linear_weight_adjoint_np(up, moved)
+        by_hand = (g[:, :, None] * h[:, None, :] + 0.0) + (up[:, :, None] * moved[:, None, :] + 0.0)
+    products = g[:, :, None] * h[:, None, :]
+    assert (np.signbit(products) & (products == 0.0)).any()  # a -0.0 that + 0.0 turns to +0.0
+    assert rows.tobytes() == want.reshape(b, -1).tobytes() == by_hand.reshape(b, -1).tobytes()
+
+
+@pytest.mark.parametrize("loss", [models.MSE, models.CROSS_ENTROPY])
+def test_loss_cotangent_is_the_loss_adjoint_at_a_unit_seed_bitwise(loss):
+    """The cotangent _loss_and_cotangent takes without a seed vector has the
+    bits of autodiff's loss adjoint seeded with ones, signed zeros included."""
+    rng = np.random.default_rng(8)
+    h = _signed_zeros(rng, (9, 3))
+    if loss == models.MSE:
+        targets = np.where(rng.uniform(size=(9, 3)) < 0.3, h, _signed_zeros(rng, (9, 3)))
+        want = ad._mse_adjoint_np(np.ones(9), h, targets)
+    else:
+        targets = rng.integers(0, 3, size=9)
+        want = ad._cross_entropy_adjoint_np(np.ones(9), h, targets)
+    spec = models.ModelSpec((models.Linear(2, 3),), loss)
+    _, got = models._loss_and_cotangent(spec, h, targets)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestCheckpoint:

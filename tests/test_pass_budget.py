@@ -160,13 +160,43 @@ def test_grad_tangents_takes_two_weight_adjoints_per_weighted_layer(monkeypatch)
     calls = []
     original = autodiff._linear_weight_adjoint_np
 
-    def counted(g, h):
+    def counted(g, h, *out):
         calls.append(g.shape)
-        return original(g, h)
+        return original(g, h, *out)
 
     monkeypatch.setattr(autodiff, "_linear_weight_adjoint_np", counted)
     models.grad_tangents(_MLP, params, batch, np.ones_like(batch.xs))
     assert len(calls) == 2 * 2
+
+
+def test_private_training_builds_its_views_once_per_chunk_length(monkeypatch):
+    """3 epochs of 4 batch-1 private steps on an MLP: one gradient call per
+    step, while the parameter tiles (ParamSet.tiles, from one ParamSet.views
+    of the flat vector) and the rows' block views (one more ParamSet.views)
+    are built once for the one chunk length, not once per step."""
+    calls = {"tiles": [], "views": []}
+
+    def counting(name):
+        original = getattr(models.ParamSet, name)
+
+        def counted(self, arg):
+            calls[name].append(arg)
+            return original(self, arg)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(models.ParamSet, name, counting(name))
+    grads, gradient = [], dpsgd.per_sample_loss_and_grad
+    monkeypatch.setattr(dpsgd, "per_sample_loss_and_grad",
+                        lambda *args: grads.append(args) or gradient(*args))
+    subjects = _subjects(_MLP, 4)
+    config = dpsgd.DpSgdConfig(0.1, 3, 1, private=True, clip=1.0, sigma=1.0)
+    trace = dpsgd.train(_MLP, [(s.x, s.y) for s in subjects], config)
+    assert len(trace.step_records) == 3 * 4
+    assert len(grads) == 3 * 4
+    assert calls["tiles"] == [1]
+    assert [np.shape(a) for a in calls["views"]] == [(trace.params.count,), (1, trace.params.count)]
 
 
 def test_training_checks_its_dataset_once(monkeypatch):
