@@ -118,9 +118,11 @@ def sigma_for_budget(epsilon: float, delta: float, steps: int) -> float:
     if steps < 1:
         raise ConfigError(f"step count must be >= 1, got {steps}")
 
+    # built once for every bisection step: the curve is rho_1 / m^2 + term
+    rho_1, term = _HALF_ALPHA * steps, _delta_term(delta)
+
     def eps_at(mult: float) -> float:
-        rho = 0.5 * ALPHA_GRID * steps / (mult * mult)
-        return float(np.min(_epsilon_curve(rho, delta)))
+        return float(np.min(rho_1 / (mult * mult) + term))
 
     lo, hi = 1e-4, 1e8
     if eps_at(hi) > epsilon:

@@ -42,9 +42,9 @@ or -0.0, and the image, which starts at +0.0 and never holds -0.0, takes
 them without a changed bit.  The second-order walk's W^T g' + W'^T g is
 one such adjoint with both pairs laid into one grid, stacked on O, with no
 concatenated copy first.  No index table holds either layout.  A kernel
-given out writes its result there: the non-private DP-SGD step passes
-arrays of a Workspace, reused from chunk to chunk, and every other route
-lets the kernels allocate.
+given out writes its result there: DP-SGD training and a PLIS call of
+several chunks pass arrays of a Workspace, reused from chunk to chunk,
+and the attack and the input Jacobian let the kernels allocate.
 
 Batch axis: the kernels work on a leading batch axis, one independent
 image, weight matrix, bias or logit row per sample.  Row i of the model
@@ -137,11 +137,15 @@ def _record(op: str, out_data: Array, inputs: tuple[Tensor, ...], rule) -> Tenso
 
 
 class Workspace:
-    """Work arrays by key, reused from call to call (models.Workspace): a
+    """Work arrays by key, reused from call to call (models.Workspace), so
+    that no chunk allocates them, or faults their pages in, again.  A
     DP-SGD step takes the large temporaries of its gradient route, and a
-    private step its (B, p) gradient rows, from one workspace, which train
-    keeps for all its steps, so that no chunk allocates them, or faults
-    their pages in, again.
+    private step its (B, p) gradient rows, from the workspace that train
+    keeps for all its steps.  A PLIS call of several chunks
+    (plis.plis_reports) keeps one for them whose least is
+    plis.WORK_ENTRIES: a request of fewer than least entries gets a fresh
+    array, kept nowhere, so the workspace holds only the arrays whose
+    allocation would fault, and keeps no small one alive past its use.
 
     empty(key, shape) is an uninitialised array of that shape: a view of
     the first entries of the one flat buffer kept under key, which is
@@ -154,11 +158,14 @@ class Workspace:
     bases are the same objects; replacing key's buffer drops both.
     """
 
-    def __init__(self):
+    def __init__(self, least: int = 0):
+        self.least = least
         self._buffers: dict[str, Array] = {}
         self._views: dict[tuple, object] = {}
 
     def empty(self, key: str, shape: tuple, dtype=np.float64) -> Array:
+        if math.prod(shape) < self.least:
+            return np.empty(shape, dtype)
         view = self._views.get((key, shape, dtype))
         if view is None:
             size = math.prod(shape)
@@ -320,8 +327,8 @@ def _conv2d_stacked_input_adjoint_np(
         s = (i // k) * w + i % k
         img[:, s:] += rows[:, i % per, : size - s]
     img = img.reshape(c, b, h, w).swapaxes(0, 1) if shared else img.reshape(b, c, h, w)
-    if out is None:
-        return np.ascontiguousarray(img)
+    if out is None:  # a fresh array, never a view of work
+        return np.ascontiguousarray(img) if work is None else img.copy()
     out[...] = img
     return out
 

@@ -8,12 +8,12 @@ Batch axis: every route takes B samples stacked on a leading axis and
 reads each parameter block as a (B, ...) tile, so sample i's loss depends
 only on row i of the parameters and of the inputs.  The tiles are
 read-only views of the flat vector with batch stride 0 (ParamSet.tiles),
-so no parameter is copied per sample; train, which updates its one
-vector in place, keeps them in its Workspace and builds them once per
-chunk length.  Callers pass at most chunk_size(params) samples at a time.
-stack_batch stacks and checks samples once into a Batch, and no route
-checks a Batch again.  The batch sum leaves that axis only at the end of
-each weighted layer's adjoint.
+so no parameter is copied per sample; train (its one vector updated in
+place) and a PLIS call of several chunks keep them in their Workspace,
+built once per chunk length.  Callers pass at most chunk_size(params)
+samples at a time.  stack_batch stacks and checks samples once into a
+Batch, and no route checks a Batch again.  The batch sum leaves that
+axis only at the end of each weighted layer's adjoint.
 
 One forward pass, then first and second order without a second-order
 tape.  _layer_records runs the forward pass in the autodiff numpy kernels
@@ -26,11 +26,11 @@ rows.  Its summed mode, loss_and_grad_sum(), is the non-private step's:
 each weighted layer adds its batch-summed gradient into a (p,) total (a
 conv kernel's and a bias's per-sample adjoints summed in batch order,
 with the rows' bits; a Linear weight's one GEMM g^T h), and no row is
-formed.  The step takes the large temporaries of either route (patch
-matrices, layer outputs, slopes, cotangents, the conv input adjoint's
-grid and image, and the rows with their block views, made once per chunk
-length) from a Workspace that train keeps for all its steps; every other
-route allocates them.
+formed.  The large temporaries (patch matrices, layer outputs, slopes,
+cotangents, the conv input adjoint's grid and image, the rows with their
+block views) come from a Workspace: train's, for all its steps, or the
+one a PLIS call of several chunks keeps for them, which hands out only
+large arrays and serves the node's walk too; other routes allocate them.
 _tangent_walk() differentiates the rows once more, forward-over-reverse,
 one tangent per row, by the same walk with the product rule's terms:
 along input directions v_i it gives the rows J_i v_i (J = dg/dx), for
@@ -63,15 +63,16 @@ MSE = "mse"
 CROSS_ENTROPY = "cross_entropy"
 
 # Parameter-gradient entries per chunk, a graph or a tape-free call.
-# Memory grows with samples x parameters: a PLIS chunk of the CLI's CNN
-# (19,682 parameters) peaks near 5 MB per sample, so 2^17 entries give it
-# chunks of 6 samples (about 30 MB); a 16-parameter linear model gets
-# chunks of 8192, so its per-op Python overhead is paid once per batch,
-# not once per sample.  Other chunks are slower on the CNN, for PLIS and
-# for the summed training route alike: on a 2-vCPU x86-64 VM, one BLAS
-# thread, a 48-subject train-and-rank pass (12 epochs) took a median of
-# 0.30 s at chunks of 3 and of 4, 0.26 s at 6, 0.27 s at 8, 0.29 s at 12
-# and 0.32 s at 24 (12 interleaved rounds).
+# Memory grows with samples x parameters: 2^17 entries give the CLI's CNN
+# (19,682 parameters) chunks of 6 samples, and a PLIS ranking of 8 such
+# chunks peaks 8.7 MiB above its start (tracemalloc), one chunk's arrays
+# alive at a time (11.1 MiB with two alive at once); a 16-parameter
+# linear model gets chunks of 8192, so its per-op Python overhead is paid
+# once per batch, not once per sample.  Other chunks are slower on the
+# CNN, for PLIS and for the summed training route alike: on a 2-vCPU
+# x86-64 VM, one BLAS thread, a 48-subject train-and-rank pass (12 epochs)
+# took a median of 0.30 s at chunks of 3 and of 4, 0.26 s at 6, 0.27 s at
+# 8, 0.29 s at 12 and 0.32 s at 24 (12 interleaved rounds).
 CHUNK_ENTRIES = 1 << 17
 
 
@@ -428,25 +429,26 @@ def _reverse(
     with and the per-layer cotangents.
 
     First order (cotangents None): g is the loss's cotangent; the walk
-    records each layer's output cotangent and stops at the first weighted
-    layer, whose weight block opens the layout, with no adjoint of its
-    input (a model without one is walked to x).
-    The cotangents it carries down come from work, under keys of their
+    records the output cotangents that second order reads and stops at
+    the first weighted layer, whose weight block opens the layout, with no
+    adjoint of its input (a model without one is walked to x).  The
+    cotangents it carries down come from work, under keys of their
     layer's index.  Second order: g is that cotangent's tangent, and the
     walk adds the product rule's terms from the first-order cotangents, the
     input tangents moved (see _tangent_walk) and the parameter tangents
-    dtheta; for dtheta it runs through the first layer to x.
+    dtheta; for dtheta it runs through the first layer to x.  It takes
+    only a conv input adjoint's buffers from work.
     """
     first_order = cotangents is None
-    if first_order:
-        cotangents = [None] * len(spec.layers)
+    cotangents = [None] * len(spec.layers) if first_order else cotangents
+    keep = work if first_order else None
     # each block's columns of (B, p) rows; work keeps those of its own rows
     views = None if grads is None or grads.ndim == 1 else (
         params.views(grads) if work is None
         else work.kept(("rows", grads.shape), (params, grads), params.views, grads))
     for idx in range(len(spec.layers) - 1, -1, -1):
         layer, record = spec.layers[idx], records[idx]
-        if first_order:
+        if first_order and not isinstance(layer, (Relu, Flatten)):  # what second order reads
             cotangents[idx] = g
         up = None if first_order else cotangents[idx]
         if isinstance(layer, (Linear, Conv2d)):
@@ -470,24 +472,23 @@ def _reverse(
                 break  # the layout opens with the first weighted layer: nothing flows below
             moving = None if dtheta is None else params.columns(dtheta, f"{idx}.weight")
             if linear:
-                out = _buffer(work, idx, "g", inputs.shape)
+                out = _buffer(keep, idx, "g", inputs.shape)
                 g = autodiff._linear_input_adjoint_np(w, g, out=out)
                 if moving is not None:
-                    g = g + autodiff._linear_input_adjoint_np(moving, up)
+                    g += autodiff._linear_input_adjoint_np(moving, up)
             elif moving is None:
-                g = autodiff._conv2d_input_adjoint_np(
-                    g, w, out=_buffer(work, idx, "g", record[2]), work=work
-                )
+                out = _buffer(keep, idx, "g", record[2])
+                g = autodiff._conv2d_input_adjoint_np(g, w, out=out, work=work)
             else:
                 # W^T g' + W'^T g as one adjoint of the stacked operands
                 # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
-                g = autodiff._conv2d_stacked_input_adjoint_np((g, up), (w, moving))
+                g = autodiff._conv2d_stacked_input_adjoint_np((g, up), (w, moving), work=work)
         elif isinstance(layer, Flatten):
             g = g.reshape(record)
         else:
             slope, out = record
-            g = np.multiply(g, slope, out=_buffer(work, idx, "g", g.shape))
-            if not first_order and moved[idx] is not None and not isinstance(layer, Relu):
+            g = np.multiply(g, slope, out=_buffer(keep, idx, "g", g.shape))
+            if not first_order and moved[idx] is not None:
                 bend = -2.0 * out * slope if isinstance(layer, Tanh) else slope * (1.0 - slope)
                 g += up * bend * moved[idx]
     return g, cotangents
@@ -529,9 +530,9 @@ def _loss_and_rows(
     work: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Per-sample losses (B,), parameter gradients (B, p) (work's when
-    given) and, per layer, the cotangent of its output (None below the
-    first weighted layer), from _layer_records' outputs h and records by
-    _reverse's first-order walk."""
+    given) and, per layer, the cotangent of its output that the second
+    order reads (a weighted layer's, a tanh's or softplus's; else None),
+    from _layer_records' outputs h and records by _reverse's first order."""
     losses, g = _loss_and_cotangent(spec, h, targets)
     shape = (len(h), params.count)
     grads = np.empty(shape) if work is None else work.empty("rows", shape)
@@ -563,17 +564,13 @@ def loss_and_grad_sum(
 
 
 def _tangent_walk(
-    spec: ModelSpec,
-    params: ParamSet,
-    h: np.ndarray,
-    records: list,
-    cotangents: list,
-    dx: np.ndarray | None = None,
-    dtheta: np.ndarray | None = None,
+    spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, cotangents: list,
+    dx: np.ndarray | None = None, dtheta: np.ndarray | None = None, work: Workspace | None = None,
 ) -> np.ndarray:
     """Tangents of the loss gradient, forward-over-reverse through
     _layer_records' outputs h and records and _loss_and_rows' cotangents,
-    without a tape.
+    without a tape.  Given work, the patch matrices along dtheta and the
+    conv adjoints' buffers are its arrays; the result is not.
 
     Takes one of two kinds of tangents, one per row of the B-sample batch:
       * dx, (B, *input shape) input directions: returns the (B, p) tangents
@@ -595,28 +592,29 @@ def _tangent_walk(
     the walk runs through the first layer to x.
     """
     n = len(h)
-    # per layer, its input's tangent (a conv's as patches), None while it is 0
+    # per layer, the input tangent _reverse reads (a conv's as patches), else None
     dh, moved = dx, []
     for idx, (layer, record) in enumerate(zip(spec.layers, records)):
         if isinstance(layer, (Linear, Conv2d)):
             w, inputs = record[:2]
-            if isinstance(layer, Linear):
-                moved.append(dh)
-                apply = autodiff._linear_np
-            else:
-                moved.append(None if dh is None else autodiff._im2col(dh, layer.kernel))
+            apply = autodiff._linear_np
+            if isinstance(layer, Conv2d):
                 apply = functools.partial(autodiff._conv2d_np, image_shape=record[2])
-            dh = None if dh is None else apply(w, moved[-1])
+                if dh is not None:  # read once along dtheta: the adjoints' grid is idle
+                    cols = None if work is None or dtheta is None else work.empty("grid", inputs.shape)
+                    dh = autodiff._im2col(dh, layer.kernel, cols)
+            moved.append(dh if dtheta is None else None)
+            dh = None if dh is None else apply(w, dh)
             if dtheta is not None:
                 term = apply(params.columns(dtheta, f"{idx}.weight"), inputs)
-                dh = term if dh is None else dh + term
+                dh = term if dh is None else np.add(dh, term, out=dh)
                 if layer.bias:
-                    dh = autodiff._bias_add_np(dh, params.columns(dtheta, f"{idx}.bias"))
+                    autodiff._bias_add_np(dh, params.columns(dtheta, f"{idx}.bias"), out=dh)
         elif isinstance(layer, Flatten):
             moved.append(None)
             dh = None if dh is None else dh.reshape(n, dh.size // n)
         else:
-            moved.append(dh)
+            moved.append(None if isinstance(layer, Relu) else dh)
             dh = None if dh is None else dh * record[0]
     if dh is None:  # no weighted layer: nothing moves
         dh = np.zeros_like(h)
@@ -625,25 +623,27 @@ def _tangent_walk(
     else:
         dg = autodiff._softmax_jvp_np(autodiff._softmax_np(h), dh)
     tangents = np.empty((n, params.count)) if dtheta is None else None
-    dg = _reverse(spec, params, records, dg, tangents, cotangents, moved, dtheta)[0]
+    dg = _reverse(spec, params, records, dg, tangents, cotangents, moved, dtheta, work)[0]
     return dg if tangents is None else tangents
 
 
-def attach_sample(spec: ModelSpec, params: ParamSet, batch: Batch) -> AttachedSample:
+def attach_sample(spec: ModelSpec, params: ParamSet, batch: Batch,
+                  work: Workspace | None = None) -> AttachedSample:
     """A Batch of B samples as their input leaf and one node above it
     holding per_sample_loss_and_grad's (B, p) rows.
 
     One forward pass serves both directions: the node's value comes from
     _loss_and_rows, and its rule maps a (B, p) cotangent array c to the
-    array of rows J_i^T c_i, from _tangent_walk on the same records.
+    array of rows J_i^T c_i, from _tangent_walk on the same records.  Given
+    work, the rows too are its arrays, valid until the next call with it.
     """
-    h, records = _layer_records(spec, params, batch.xs)
-    _, rows, cotangents = _loss_and_rows(spec, params, h, records, batch.targets)
+    h, records = _layer_records(spec, params, batch.xs, work)
+    _, rows, cotangents = _loss_and_rows(spec, params, h, records, batch.targets, work)
     graph = Graph()
     x = graph.leaf(batch.xs)
 
     def rule(grad: np.ndarray, x: np.ndarray):
-        return (_tangent_walk(spec, params, h, records, cotangents, dtheta=grad),)
+        return (_tangent_walk(spec, params, h, records, cotangents, dtheta=grad, work=work),)
 
     return AttachedSample(graph, x, autodiff._record("per-sample-grad", rows, (x,), rule))
 

@@ -35,9 +35,15 @@ and of X, so one backward pass to X seeded with every subject's row
 cotangent returns every subject's PLIS in its own row: one backward pass
 per chunk, not per subject.  Each chunk is stacked and checked once
 (models.stack_batch), which names a ragged input by its place in the
-whole list.  The input Jacobian stacks the subject once per call, as many
-times as a chunk has input directions (models.chunk_size()), and each
-chunk takes a slice.  Every graph is dropped when the call returns.
+whole list.  One chunk's arrays are alive at a time: its graph, rows and
+J^T u are dropped before the next chunk is stacked.  A call of more than
+one chunk keeps one models.Workspace for them, which hands out only the
+arrays of at least WORK_ENTRIES entries (the patch matrices, the rows and
+the conv adjoints' grids), reused from chunk to chunk so that no chunk
+faults their pages in again; a call of one chunk makes none.  No report
+holds a view of it.  The input Jacobian stacks the subject once per call,
+as many times as a chunk has input directions (models.chunk_size()), and
+each chunk takes a slice.
 
 A PL, PLIS, PLIS norm, Jacobian or Fisher information that is not
 finite (a gradient that overflows, or a sigma so small that dividing by
@@ -51,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import backward
+from .autodiff import Workspace, backward
 from .datasets import SubjectRecord
 from .dpsgd import check_sigma, clip_differentiable, clip_factor, refuse_dropped_row
 from .errors import ConfigError, DataFormatError, DimensionGuardError
@@ -71,6 +77,16 @@ MODE_NON_PRIVATE = "non-private"
 # largest dimension of any materialized Jacobian/FIM factor (J is p x d,
 # the FIM is d x d; both dims must stay desk-scale)
 DIMENSION_GUARD = 4096
+
+# The smallest array, in entries (2^16, 512 KiB), that a call of several
+# chunks takes from its Workspace: on the CLI's CNN at chunks of 6, the
+# patch matrices, the rows and the conv adjoints' grids; smaller arrays are
+# allocated per chunk.  On a 2-vCPU x86-64 VM, one BLAS thread, an ood-rank
+# ranking (8 chunks) peaked 8.69 MiB above its start (tracemalloc) and took
+# 446-2,250 minor faults at this rule, against 9.86 MiB at 2^15 entries,
+# 9.62 MiB at 2^17, 10.85 MiB with every array taken, and 8.03 MiB but up
+# to 6,972 faults with no workspace (each chunk faults its pages in again).
+WORK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -123,46 +139,59 @@ def plis_reports(
     rows u_i = 2 w_i g_i, w_i = 1 / sigma^2, or 0 where the clip saturates;
     the expanded one seeds it with the rows g_i, or clipped with the
     clip's pullback of the clipped rows, and scales by 2 / sigma^2.  Both
-    take PL_i as ||clip(g_i)||^2 / sigma^2.
+    take PL_i as ||clip(g_i)||^2 / sigma^2.  A call of more than one chunk
+    takes the chunks' large arrays from one Workspace; a call of one chunk
+    makes none.
     """
     if sigma is not None:
         check_sigma(sigma)
-    scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
-    reports, subjects, size = [], list(subjects), chunk_size(params)
+    subjects, size = list(subjects), chunk_size(params)
+    work = Workspace(WORK_ENTRIES) if len(subjects) > size else None
+    reports = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused
         for first in range(0, len(subjects), size):
-            part = subjects[first : first + size]
-            batch = stack_batch(spec, [s.x for s in part], [s.y for s in part], first)
-            sample = attach_sample(spec, params, batch)
-            rows = sample.grads.data
-            if clip is not None:
-                refuse_dropped_row(part, rows, clip)
-            if expanded:
-                # the constant left factor: the (clipped) rows seed the pass
-                left, seed = rows, rows
-                if clip is not None:
-                    left, pullback = clip_differentiable(rows, clip)
-                    seed = pullback(left)
-                (gx,) = backward(sample.grads, [sample.x], cotangent=seed)
-                pl = scale * np.square(left).sum(axis=1)
-                plis = 2.0 * scale * gx.data
-            else:
-                # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates
-                weights, pl = np.full(len(part), scale), (rows * rows).sum(axis=1)
-                if clip is not None:
-                    weights[pl > clip * clip] = 0.0
-                    pl = np.square(rows * clip_factor(rows, clip)).sum(axis=1)
-                (gx,) = backward(sample.grads, [sample.x],
-                                 cotangent=(rows * 2.0) * weights[:, None])
-                pl, plis = scale * pl, gx.data
-            norms = np.array([np.linalg.norm(m) for m in plis])
-            _refuse_non_finite(part, pl, "privacy loss")
-            _refuse_non_finite(part, plis, "PLIS")
-            _refuse_non_finite(part, norms, "PLIS norm")
-            mode = MODE_NON_PRIVATE if sigma is None else MODE_PRIVATE
-            reports.extend(PlisReport(s.id, float(v), m, float(n), mode, sigma)
-                           for s, v, m, n in zip(part, pl, plis, norms))
+            reports += _chunk_reports(spec, params, subjects[first : first + size], first,
+                                      sigma, clip, expanded, work)
     return reports
+
+
+def _chunk_reports(
+    spec: ModelSpec, params: ParamSet, part: list, first: int, sigma: float | None,
+    clip: float | None, expanded: bool, work: Workspace | None,
+) -> list[PlisReport]:
+    """plis_reports of one chunk, part, whose first subject is the call's
+    subject number first; its graph, rows and J^T u die on return, before
+    the next chunk is stacked."""
+    scale = 1.0 if sigma is None else 1.0 / (sigma * sigma)
+    batch = stack_batch(spec, [s.x for s in part], [s.y for s in part], first)
+    sample = attach_sample(spec, params, batch, work)
+    rows = sample.grads.data
+    if clip is not None:
+        refuse_dropped_row(part, rows, clip)
+    if expanded:
+        # the constant left factor: the (clipped) rows seed the pass
+        left, seed = rows, rows
+        if clip is not None:
+            left, pullback = clip_differentiable(rows, clip)
+            seed = pullback(left)
+        (gx,) = backward(sample.grads, [sample.x], cotangent=seed)
+        pl = scale * np.square(left).sum(axis=1)
+        plis = 2.0 * scale * gx.data
+    else:
+        # ||clip g||^2 = min(||g||^2, C^2) is flat in g once it saturates
+        weights, pl = np.full(len(part), scale), (rows * rows).sum(axis=1)
+        if clip is not None:
+            weights[pl > clip * clip] = 0.0
+            pl = np.square(rows * clip_factor(rows, clip)).sum(axis=1)
+        (gx,) = backward(sample.grads, [sample.x], cotangent=(rows * 2.0) * weights[:, None])
+        pl, plis = scale * pl, gx.data
+    norms = np.array([np.linalg.norm(m) for m in plis])
+    _refuse_non_finite(part, pl, "privacy loss")
+    _refuse_non_finite(part, plis, "PLIS")
+    _refuse_non_finite(part, norms, "PLIS norm")
+    mode = MODE_NON_PRIVATE if sigma is None else MODE_PRIVATE
+    return [PlisReport(s.id, float(v), m, float(n), mode, sigma)
+            for s, v, m, n in zip(part, pl, plis, norms)]
 
 
 def plis_direct(
@@ -243,24 +272,33 @@ def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) ->
     return jac_t.T
 
 
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    """Largest eigenvalue of a finite Gram matrix M^T M (0 if it is empty), by eigvalsh."""
+    return max(0.0, float(np.linalg.eigvalsh(gram)[-1])) if gram.size else 0.0
+
+
 def spectral_norm_sq(matrix: np.ndarray) -> float:
-    """Largest eigenvalue of M^T M, exact up to rounding: eigvalsh of the Gram matrix."""
-    if not matrix.size:
-        return 0.0
-    return max(0.0, float(np.linalg.eigvalsh(matrix.T @ matrix)[-1]))
+    """Largest eigenvalue of M^T M, exact up to rounding: eigvalsh of the Gram
+    matrix.  inf where the Gram matrix is not finite: an entry of it that
+    overflows bounds its largest eigenvalue from below."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = matrix.T @ matrix
+    return _top_eigenvalue(gram) if np.isfinite(gram).all() else np.inf
 
 
 def fim_subject(
     spec: ModelSpec, params: ParamSet, subject: SubjectRecord, sigma: float
 ) -> FimReport:
-    """Per-subject Fisher information sub-matrix J^T J / sigma^2."""
+    """Per-subject Fisher information sub-matrix J^T J / sigma^2, J^T J formed once."""
     check_sigma(sigma)
     jac = input_jacobian(spec, params, subject)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        fim = (jac.T @ jac) / (sigma * sigma)
-    # a finite FIM bounds the FIL: its square is at most the FIM's trace
+        gram = jac.T @ jac
+        fim = gram / (sigma * sigma)
+    # a finite FIM has a finite Gram matrix and bounds the FIL: its square is
+    # at most the FIM's trace
     _refuse_non_finite([subject], fim, "Fisher information")
-    fil = np.sqrt(spectral_norm_sq(jac)) / sigma
+    fil = np.sqrt(_top_eigenvalue(gram)) / sigma
     diag = np.clip(np.diag(fim), 0.0, None)
     return FimReport(subject.id, fim, fil, np.sqrt(diag))
 
@@ -269,6 +307,7 @@ def jacsens_subject(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -
     """The raw input Jacobian of the parameter gradient with its two norms."""
     jac = input_jacobian(spec, params, subject)
     spectral = np.sqrt(spectral_norm_sq(jac))
+    _refuse_non_finite([subject], np.array(spectral), "Jacobian's Gram matrix J^T J")
     frob = float(np.linalg.norm(jac))
     return JacSensReport(subject.id, jac, spectral, frob)
 

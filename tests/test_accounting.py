@@ -166,6 +166,31 @@ class TestSigmaForBudget:
             assert m >= prev - 1e-9
             prev = m
 
+    @staticmethod
+    def _bisection(epsilon, delta, steps):
+        """The search with its alpha-grid terms built on every step, as it was."""
+        def eps_at(mult):
+            rho = 0.5 * acct.ALPHA_GRID * steps / (mult * mult)
+            return float(np.min(rho + math.log(1.0 / delta) / (acct.ALPHA_GRID - 1.0)))
+
+        lo, hi = 1e-4, 1e8
+        if eps_at(lo) <= epsilon:
+            return lo
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if eps_at(mid) <= epsilon:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    @pytest.mark.parametrize("steps", [1, 7, 20, 1008, 100_000])
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-9])
+    @pytest.mark.parametrize("epsilon", [0.05, 0.2, 1.0, 3.0, 50.0])
+    def test_sigma_has_the_bits_of_the_loop_that_rebuilt_its_terms(self, epsilon, delta, steps):
+        want = self._bisection(epsilon, delta, steps)
+        assert acct.sigma_for_budget(epsilon, delta, steps) == want
+
     def test_unattainable_budget_errors(self):
         # below the residual log(1/delta)/(alpha_max - 1) floor
         with pytest.raises(BudgetError):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plislab import attack, autodiff, dpsgd, models, plis
+from plislab import attack, autodiff, datasets, dpsgd, models, plis
 from plislab.autodiff import backward
 from plislab.errors import ShapeError
 
@@ -506,6 +506,132 @@ def _two_conv(seed):
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(0.0, 1.0, size=(1, 7, 5)), rng.normal(size=2)
     return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, y)
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _glyph_cnn(n):
+    """The CLI's CNN on 28x28 glyphs (19,682 parameters: chunks of 6) and n subjects."""
+    spec = models.cnn_spec(28, 28, 2)
+    return spec, models.init_params(spec, 3), datasets.image_subjects(
+        datasets.make_glyph_images(n, 4))
+
+
+def _bits(reports):
+    return [(r.subject_id, r.pl, r.plis.tobytes(), r.subject_plis_norm, r.mode) for r in reports]
+
+
+@pytest.mark.parametrize("least", [0, None], ids=["every-array", "large-arrays"])
+@pytest.mark.parametrize("clip", [None, 0.5, 1e-3])
+@pytest.mark.parametrize("expanded", [False, True], ids=["direct", "expanded"])
+@pytest.mark.parametrize("make", [_small_cnn, _two_conv], ids=["relu-cnn", "two-conv"])
+def test_plis_chunks_keep_the_bits_of_one_chunk_calls(monkeypatch, make, expanded, clip, least):
+    """8 subjects in chunks of 3, 3 and 2 report the bits of each chunk run
+    as its own one-chunk call, which makes no workspace: no chunk reads an
+    array that an earlier chunk left in the workspace, and no report is a
+    view of one.  With least 0 the workspace hands out every array."""
+    spec, params, subject = make(0)
+    rng = np.random.default_rng(5)
+    subjects = [plis.SubjectRecord(f"s{i}", rng.uniform(0.0, 1.0, subject.x.shape), subject.y)
+                for i in range(8)]
+    if least is not None:
+        monkeypatch.setattr(plis, "WORK_ENTRIES", least, raising=False)
+    with chunked(params, 3):
+        reports = plis.plis_reports(spec, params, subjects, 1.3, clip, expanded)
+        alone = [plis.plis_reports(spec, params, subjects[i : i + 3], 1.3, clip, expanded)
+                 for i in range(0, 8, 3)]
+    assert _bits(reports) == _bits([r for part in alone for r in part])
+
+
+@pytest.mark.parametrize("expanded", [False, True], ids=["direct", "expanded"])
+def test_plis_holds_one_chunk_at_a_time(monkeypatch, expanded):
+    """When each chunk's attach_sample call starts, the AttachedSample and
+    graph of every earlier chunk are gone: they are freed, without the
+    cycle collector, before the next chunk is built."""
+    spec, params, subject = _small_cnn(1)
+    subjects = [plis.SubjectRecord(f"s{i}", subject.x * (i + 1) / 7, i % 2) for i in range(7)]
+    earlier = []
+    original = plis.attach_sample
+
+    def tracked(*args, **kwargs):
+        assert [r() for r in earlier] == [None] * len(earlier)
+        sample = original(*args, **kwargs)
+        earlier.extend([weakref.ref(sample), weakref.ref(sample.graph)])
+        return sample
+
+    monkeypatch.setattr(plis, "attach_sample", tracked)
+    gc.disable()
+    try:
+        with chunked(params, 2):
+            plis.plis_reports(spec, params, subjects, 1.0, 0.5, expanded)
+    finally:
+        gc.enable()
+    assert len(earlier) == 2 * 4
+
+
+@pytest.mark.parametrize("least", [0, None], ids=["every-array", "large-arrays"])
+def test_plis_reuses_one_workspace_and_returns_none_of_it(monkeypatch, least):
+    """14 glyphs on the CLI's CNN, in chunks of 6, 6 and 2: each layer's
+    patch matrices taken from the workspace (at least its least entries)
+    land in one buffer for every chunk, the tangent walk's in one more, and
+    so do the rows; no report's PL or PLIS shares memory with any array
+    the workspace handed out."""
+    spec, params, subjects = _glyph_cnn(14)
+    if least is not None:
+        monkeypatch.setattr(plis, "WORK_ENTRIES", least)
+    least = plis.WORK_ENTRIES
+    handed, patches, rows = [], {}, set()
+
+    class Recording(models.Workspace):
+        def empty(self, key, shape, dtype=np.float64):
+            handed.append(super().empty(key, shape, dtype))
+            if key == "rows" and handed[-1].size >= least:
+                rows.add(_address(handed[-1]))
+            return handed[-1]
+
+    original = autodiff._im2col
+
+    def recorded(images, k, out=None):
+        if out is not None and out.size >= least:
+            patches.setdefault(images.shape[1:], []).append((len(images), _address(out)))
+        return original(images, k, out)
+
+    monkeypatch.setattr(plis, "Workspace", Recording)
+    monkeypatch.setattr(autodiff, "_im2col", recorded)
+    reports = plis.plis_reports(spec, params, subjects, sigma=1.0)
+    assert [len(r.plis) for r in reports] == [1] * 14
+    conv2 = patches.pop((8, 26, 26))  # the forward's patches, then the walk's
+    assert [n for n, _ in conv2] == [6, 6, 6, 6, 2, 2]
+    assert len({a for _, a in conv2[0::2]}) == len({a for _, a in conv2[1::2]}) == 1
+    assert patches == ({} if least else {(1, 28, 28): patches[(1, 28, 28)]})
+    for calls in patches.values():  # the first conv's input moves not along dtheta
+        assert [n for n, _ in calls] == [6, 6, 2] and len({a for _, a in calls}) == 1
+    assert len(rows) == 1
+    outputs = [np.asarray(r.pl) for r in reports] + [r.plis for r in reports]
+    assert not any(np.shares_memory(a, b) for a in outputs for b in handed)
+
+
+def test_a_one_chunk_plis_call_makes_no_workspace(monkeypatch):
+    """A call whose subjects fit one chunk, as plis_direct's, makes no
+    workspace; a call of two chunks makes one."""
+    made = []
+
+    class Counting(models.Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(plis, "Workspace", Counting)
+    spec, params, subject = _small_cnn(2)
+    with chunked(params, 3):
+        plis.plis_reports(spec, params, [subject] * 3, sigma=1.0)
+        plis.plis_direct(spec, params, subject)
+        plis.plis_expanded(spec, params, subject, clip=0.5)
+        assert made == []
+        plis.plis_reports(spec, params, [subject] * 4, sigma=1.0)
+    assert len(made) == 1
 
 
 def _central_difference_jacobian(spec, params, subject, h):

@@ -711,6 +711,29 @@ class TestAnalyzeAndRank:
         assert err == [f"error: subject 'row00001': its {what} is not finite"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags, what", [
+        ("analyze-fil", ["--sigma", "1"], "Fisher information"),
+        ("analyze-jacsens", [], "Jacobian's Gram matrix J^T J"),
+    ], ids=["analyze-fil", "analyze-jacsens"])
+    def test_jacobian_whose_gram_matrix_overflows_is_refused(self, tmp_path, capsys, command,
+                                                             flags, what):
+        # weights of 1e160 on 4 features: the input Jacobian is finite (up to
+        # about 1e161), its Gram matrix J^T J is not
+        spec = models.ModelSpec((models.Linear(4, 1),), models.MSE)
+        model = tmp_path / "big.plck"
+        models.save_checkpoint(model, spec, models.ParamSet(np.array([1e160] * 4 + [0.0]),
+                                                             models.layout_for(spec)))
+        data = tmp_path / "rows.csv"
+        data.write_text("x0,x1,x2,x3,y\n0.5,-0.25,0.1,0.3,0.2\n")
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(command, "--model", str(model), "--data", str(data), *flags,
+                       "--out", str(out)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: subject 'row00000': its {what} is not finite"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, sigma", [("analyze-fil", "-1"), ("analyze-plis", "0")])
     def test_failed_analysis_leaves_no_out_directory(self, tabular_setup, command, sigma):
         tmp_path, data, model = tabular_setup

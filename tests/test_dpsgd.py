@@ -482,7 +482,7 @@ def test_training_reuses_one_workspace_and_returns_none_of_it(monkeypatch, priva
     original = autodiff._im2col
 
     def recorded(images, k, out=None):
-        if out is not None:  # only a DP-SGD step passes a buffer
+        if out is not None:  # a workspace's buffer: train's until the PLIS call below
             patches.setdefault(images.shape[1:], []).append(
                 (len(images), out.__array_interface__["data"][0])
             )

@@ -51,6 +51,16 @@ _VAST = [plis.SubjectRecord("ok", np.array([1.0]), np.array([0.0])),
          plis.SubjectRecord("vast", np.array([1e308]), np.array([0.0]))]
 
 
+# weights of 1e160: a finite input Jacobian (entries up to about 1e161)
+# whose Gram matrix J^T J overflows
+_BIG_LINEAR = models.ModelSpec((models.Linear(4, 1),), models.MSE)
+_FOUR_FEATURES = plis.SubjectRecord("four", np.array([0.5, -0.25, 0.1, 0.3]), np.array([0.2]))
+
+
+def _big_weights():
+    return models.ParamSet(np.array([1e160] * 4 + [0.0]), models.layout_for(_BIG_LINEAR))
+
+
 def _unit_weight():
     return models.ParamSet(np.ones(1), models.layout_for(_ONE_WEIGHT))
 
@@ -215,6 +225,9 @@ CASES = [
     case("input-jacobian-overflows",
          lambda: plis.input_jacobian(_ONE_WEIGHT, _unit_weight(), _VAST[1]),
          DataFormatError, "subject 'vast': its input Jacobian is not finite"),
+    case("jacsens-gram-overflows",
+         lambda: plis.jacsens_subject(_BIG_LINEAR, _big_weights(), _FOUR_FEATURES),
+         DataFormatError, r"subject 'four': its Jacobian's Gram matrix J\^T J is not finite"),
     case("rank-no-subjects",
          lambda: plis.rank_subjects([], _LINEAR, models.init_params(_LINEAR, 0)),
          ConfigError, "empty dataset"),

@@ -248,6 +248,40 @@ def test_a_workspace_keeps_tiles_that_follow_flat_updated_in_place():
     assert weights(5) is not tile and np.shares_memory(weights(5), params.flat)
 
 
+def test_a_workspace_hands_out_a_fresh_array_below_its_least():
+    """Workspace(least) keeps, and hands out again, only arrays of at least
+    least entries; a smaller request gets a fresh array, kept nowhere."""
+    work = models.Workspace(4)
+    small = work.empty("a", (3,))
+    assert not np.shares_memory(small, work.empty("a", (3,)))
+    large = work.empty("a", (2, 2))
+    assert work.empty("a", (2, 2)) is large and work.zeros("a", (2, 2)) is large
+    every = models.Workspace()  # least 0: every array is kept
+    assert every.empty("a", (1,)) is every.empty("a", (1,))
+
+
+def test_the_tangent_walk_keeps_its_bits_with_a_workspace():
+    """Along input directions (the rows' mode, whose patch matrices the
+    reverse walk reads) and along parameter tangents, a workspace changes no
+    bit of the walk, and its result is not a view of the workspace."""
+    spec = models.ModelSpec((models.Conv2d(1, 2, 3), models.Relu(), models.Conv2d(2, 2, 2),
+                             models.Tanh(), models.Flatten(), models.Linear(18, 2)),
+                            models.CROSS_ENTROPY)
+    params = models.init_params(spec, 0)
+    rng = np.random.default_rng(0)
+    batch = models.stack_batch(spec, list(rng.uniform(size=(3, 1, 6, 6))), [0, 1, 0])
+    h, records = models._layer_records(spec, params, batch.xs)
+    g = models._loss_and_cotangent(spec, h, batch.targets)[1]
+    cotangents = models._reverse(spec, params, records, g, None)[1]
+    for tangent in ({"dx": rng.normal(size=(3, 1, 6, 6))},
+                    {"dtheta": rng.normal(size=(3, params.count))}):
+        work = models.Workspace()
+        want = models._tangent_walk(spec, params, h, records, cotangents, **tangent)
+        got = models._tangent_walk(spec, params, h, records, cotangents, **tangent, work=work)
+        assert got.tobytes() == want.tobytes()
+        assert not any(np.shares_memory(got, b) for b in work._buffers.values())
+
+
 def _signed_zeros(rng, shape):
     """Normal entries, about a third of them +0.0 or -0.0."""
     a = rng.normal(size=shape)

@@ -372,6 +372,22 @@ class TestFimAndJacsens:
         rebuilt = jac.jac.T @ jac.jac / sigma**2
         assert np.abs(fim.fim - rebuilt).max() < 1e-10 * max(1.0, np.abs(rebuilt).max())
 
+    @pytest.mark.parametrize("kind", ["mlp", "cnn"])
+    def test_fim_fil_and_jacsens_keep_the_bits_of_two_gram_products(self, kind):
+        """fim_subject forms J^T J once; its FIM, FIL and the JacSens spectral
+        norm have the bits of the formulas that formed it twice."""
+        rng = np.random.default_rng(13)
+        spec, params, subject = _random_small_model(rng, kind)
+        sigma = 1.3
+        fim, jacsens = plis.fim_subject(spec, params, subject, sigma), plis.jacsens_subject(
+            spec, params, subject)
+        jac = plis.input_jacobian(spec, params, subject)
+        top = max(0.0, float(np.linalg.eigvalsh(jac.T @ jac)[-1]))
+        assert fim.fim.tobytes() == ((jac.T @ jac) / (sigma * sigma)).tobytes()
+        assert fim.fil_subject == np.sqrt(top) / sigma
+        assert jacsens.spectral_norm == np.sqrt(top)
+        assert jacsens.frobenius_norm == float(np.linalg.norm(jac))
+
     def test_dimension_guard_refuses_large_models(self):
         spec = models.ModelSpec(
             (models.Flatten(), models.Linear(784, 8)), models.CROSS_ENTROPY
@@ -395,6 +411,11 @@ class TestPowerIteration:
 
     def test_zero_matrix(self):
         assert plis.spectral_norm_sq(np.zeros((4, 3))) == 0.0
+
+    def test_a_gram_matrix_that_overflows_reads_inf(self):
+        # its (0, 0) entry, 2e308, is a lower bound of the largest eigenvalue
+        with np.errstate(all="raise"):
+            assert plis.spectral_norm_sq(np.array([[1e154, 0.0], [1e154, 1.0]])) == np.inf
 
     def test_near_tie_at_the_top(self):
         # an iteration that stops once successive estimates agree to 1e-10 can
