@@ -9,7 +9,6 @@ step is accounted as a full-batch (disclosed-batch) Gaussian mechanism.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -156,29 +155,27 @@ def write_report(state: AccountantState, delta: float, path) -> None:
     The steps are composed _REPORT_BLOCK at a time: a block's running sums
     are one np.cumsum, which adds in step order as AccountantState does, so
     every sum, and every eps from it, has the bits epsilon_from_rdp gives
-    after step k.
+    after step k.  Every cell is an int or a float's repr, which holds no
+    comma, quote or newline, so the rows are one join of their text: the
+    bytes csv.writer gives, which quotes none of them.
     """
     check_delta(delta)
     ratios = np.array([_ratio_sq(step) for step in state.steps])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["step", "delta_step", "sigma_step", "rho_at_argmin_alpha", "cumulative_epsilon", "mu_total"]
+    lines = ["step,delta_step,sigma_step,rho_at_argmin_alpha,cumulative_epsilon,mu_total\n"]
+    ratio_sq = 0.0
+    for first in range(0, len(ratios), _REPORT_BLOCK):
+        block = ratios[first : first + _REPORT_BLOCK]
+        sums = np.cumsum(np.concatenate(([ratio_sq], block)))[1:]
+        curves = _epsilon_curve(_HALF_ALPHA * sums[:, None], delta)
+        best = curves.argmin(axis=1)
+        rows = zip(
+            state.steps[first : first + _REPORT_BLOCK],
+            (0.5 * ALPHA_GRID[best] * block).tolist(),
+            curves[np.arange(len(best)), best].tolist(),
+            np.sqrt(sums).tolist(),
         )
-        ratio_sq = 0.0
-        for first in range(0, len(ratios), _REPORT_BLOCK):
-            block = ratios[first : first + _REPORT_BLOCK]
-            sums = np.cumsum(np.concatenate(([ratio_sq], block)))[1:]
-            curves = _epsilon_curve(_HALF_ALPHA * sums[:, None], delta)
-            best = curves.argmin(axis=1)
-            rows = zip(
-                state.steps[first : first + _REPORT_BLOCK],
-                (0.5 * ALPHA_GRID[best] * block).tolist(),
-                curves[np.arange(len(best)), best].tolist(),
-                np.sqrt(sums).tolist(),
-            )
-            for k, (step, rho, eps, mu) in enumerate(rows, first):
-                writer.writerow(
-                    [k, repr(step.sensitivity), repr(step.sigma), repr(rho), repr(eps), repr(mu)]
-                )
-            ratio_sq = sums[-1]
+        lines += [f"{k},{step.sensitivity!r},{step.sigma!r},{rho!r},{eps!r},{mu!r}\n"
+                  for k, (step, rho, eps, mu) in enumerate(rows, first)]
+        ratio_sq = sums[-1]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(lines))

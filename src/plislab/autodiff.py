@@ -239,11 +239,12 @@ def _linear_weight_adjoint_np(g: Array, h: Array, out: Array | None = None) -> A
 
 def _conv2d_np(kernel: Array, cols: Array, image_shape: tuple, out: Array | None = None) -> Array:
     """(B,O,oh,ow) outputs of (B,O,C,k,k) kernels on the patch matrices of
-    (B,C,H,W) images."""
-    b, o, _, k = kernel.shape[:4]
+    (B,C,H,W) images; a kernel or patch stack of length 1 broadcasts."""
+    o, _, k = kernel.shape[1:4]
+    b = max(len(kernel), len(cols))
     oh, ow = image_shape[2] - k + 1, image_shape[3] - k + 1
     out = None if out is None else out.reshape(b, o, -1)
-    return np.matmul(kernel.reshape(b, o, -1), cols, out=out).reshape(b, o, oh, ow)
+    return np.matmul(kernel.reshape(len(kernel), o, -1), cols, out=out).reshape(b, o, oh, ow)
 
 
 def _conv2d_input_adjoint_np(
@@ -288,8 +289,9 @@ def _conv2d_stacked_input_adjoint_np(
     concatenated first.  With a per-row kernel among them (as _reverse's
     W'), the GEMMs so take the arrays that the adjoint of
     np.concatenate(gs, 1) and np.concatenate(kernels, 1) takes, and give
-    its bits.  The shared layout is taken only if every kernel is shared."""
-    b, _, c, k = kernels[0].shape[:4]
+    its bits.  The shared layout is taken only if every kernel is shared,
+    and then B is that of gs: a kernel of one row serves every row of g."""
+    b, (c, k) = len(gs[0]), kernels[0].shape[2:4]
     o = sum(kernel.shape[1] for kernel in kernels)
     oh, ow = gs[0].shape[2:]
     h, w = oh + k - 1, ow + k - 1

@@ -35,7 +35,8 @@ _tangent_walk() differentiates the rows once more, forward-over-reverse,
 one tangent per row, by the same walk with the product rule's terms:
 along input directions v_i it gives the rows J_i v_i (J = dg/dx), for
 unit v_i the input Jacobian's columns that FIM, FIL and JacSens read
-(grad_tangents()); along parameter tangents c_i the rows J_i^T c_i.
+(grad_tangents(), where one sample's records broadcast over any number
+of directions); along parameter tangents c_i the rows J_i^T c_i.
 attach_sample() puts the rows on a graph as one node above the input
 leaf, and that node's rule is the walk along parameter tangents, from a
 (B, p) cotangent array to a (B, ...) input cotangent array: PLIS and the
@@ -483,8 +484,8 @@ def _reverse(
                 # W^T g' + W'^T g as one adjoint of the stacked operands
                 # [g', g] and [W, W']: one GEMM per kernel offset, K = 2 O
                 g = autodiff._conv2d_stacked_input_adjoint_np((g, up), (w, moving), work=work)
-        elif isinstance(layer, Flatten):
-            g = g.reshape(record)
+        elif isinstance(layer, Flatten):  # record: one sample's shape when broadcast
+            g = g.reshape(len(g), *record[1:])
         else:
             slope, out = record
             g = np.multiply(g, slope, out=_buffer(keep, idx, "g", g.shape))
@@ -573,8 +574,8 @@ def _tangent_walk(
     conv adjoints' buffers are its arrays; the result is not.
 
     Takes one of two kinds of tangents, one per row of the B-sample batch:
-      * dx, (B, *input shape) input directions: returns the (B, p) tangents
-        of grad_theta, J_i dx[i] in row i;
+      * dx, (B, *input shape) input directions (or n over one sample's
+        records, broadcast): the (B, p) tangents of grad_theta, J_i dx[i];
       * dtheta, (B, p) parameter tangents: returns
         the (B, *input shape) tangents of grad_x, J_i^T dtheta[i] in row i
         (d/dt grad_x L(theta + t dtheta[i]) is d/dx <grad_theta L, dtheta[i]>).
@@ -591,7 +592,7 @@ def _tangent_walk(
     -2t(1 - t^2) for tanh, s(1 - s) for softplus, 0 for relu).  For dtheta
     the walk runs through the first layer to x.
     """
-    n = len(h)
+    n = len(h if dx is None else dx)
     # per layer, the input tangent _reverse reads (a conv's as patches), else None
     dh, moved = dx, []
     for idx, (layer, record) in enumerate(zip(spec.layers, records)):
@@ -649,21 +650,20 @@ def attach_sample(spec: ModelSpec, params: ParamSet, batch: Batch,
 
 
 def grad_tangents(spec: ModelSpec, params: ParamSet, batch: Batch, directions) -> np.ndarray:
-    """(B, p) tangents of a Batch's B parameter gradients, one input
-    direction per sample.
+    """(n, p) tangents of a Batch's parameter gradients along n input
+    directions, one per sample, or all n at the sample of a one-sample Batch.
 
-    Row i is d/dt grad_theta loss(xs[i] + t directions[i]) at t = 0, sample
-    i's input Jacobian of the gradient applied to directions[i]; unit
-    directions give its columns.  _layer_records runs the batch's forward
-    pass once, the first-order walk gives the cotangents and no rows, and
-    _tangent_walk carries the directions along them.
-    """
+    Row i is d/dt grad_theta loss(xs[i] + t directions[i]) at t = 0 (xs[0]
+    for one sample), the gradient's input Jacobian applied to directions[i];
+    unit directions give its columns.  _layer_records runs the forward pass
+    once, the first-order walk gives the cotangents and no rows, and
+    _tangent_walk carries the directions along them: one sample's records
+    broadcast over n directions, with the bits of n stacked copies."""
     directions = np.asarray(directions, dtype=np.float64)
-    if directions.shape != batch.xs.shape:
-        raise ShapeError(
-            f"input directions of shape {directions.shape} do not fit inputs "
-            f"of shape {batch.xs.shape}"
-        )
+    n = len(directions) if directions.ndim else 0
+    if not n or directions.shape[1:] != batch.xs.shape[1:] or len(batch) not in (1, n):
+        raise ShapeError(f"input directions of shape {directions.shape} do not fit inputs "
+                         f"of shape {batch.xs.shape}")
     h, records = _layer_records(spec, params, batch.xs)
     g = _loss_and_cotangent(spec, h, batch.targets)[1]
     cotangents = _reverse(spec, params, records, g, None)[1]

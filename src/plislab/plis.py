@@ -41,9 +41,10 @@ one chunk keeps one models.Workspace for them, which hands out only the
 arrays of at least WORK_ENTRIES entries (the patch matrices, the rows and
 the conv adjoints' grids), reused from chunk to chunk so that no chunk
 faults their pages in again; a call of one chunk makes none.  No report
-holds a view of it.  The input Jacobian stacks the subject once per call,
-as many times as a chunk has input directions (models.chunk_size()), and
-each chunk takes a slice.
+holds a view of it.  The input Jacobian stacks the subject once, as a
+one-sample Batch, and each chunk of up to models.chunk_size() input
+directions runs that sample's forward pass once, its records broadcast
+over the chunk's directions.
 
 A PL, PLIS, PLIS norm, Jacobian or Fisher information that is not
 finite (a gradient that overflows, or a sigma so small that dividing by
@@ -53,6 +54,7 @@ a report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +119,10 @@ class JacSensReport:
 
 def _refuse_non_finite(subjects, rows: np.ndarray, what: str) -> None:
     """Raise DataFormatError naming the first subject whose row of rows, one
-    per subject, holds an entry that is not finite."""
-    finite = np.isfinite(rows.reshape(len(subjects), -1)).all(axis=1)
-    if not finite.all():
+    per subject, holds an entry that is not finite.  One pass over all the
+    entries; the row is looked for only when that pass fails."""
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows.reshape(len(subjects), -1)).all(axis=1)
         subject = subjects[int(np.argmin(finite))]
         raise DataFormatError(f"subject {subject.id!r}: its {what} is not finite")
 
@@ -247,27 +250,24 @@ def _guard(p: int, d: int, what: str) -> None:
 def input_jacobian(spec: ModelSpec, params: ParamSet, subject: SubjectRecord) -> np.ndarray:
     """J = d(grad_theta loss)/dx, materialized as a p x d matrix.
 
-    Forward mode: each call of models.grad_tangents takes the subject once
-    per unit direction e_j, up to models.chunk_size() of them, and returns
-    the columns J[:, j]; the subject is stacked once per call, and each
-    chunk takes a slice.  No graph is built.  Relu masks are constant along
-    every direction, so it is the J whose transpose the PLIS routes apply.
+    Forward mode: the subject is stacked once, as a one-sample Batch, and
+    each call of models.grad_tangents takes it with up to
+    models.chunk_size() unit directions e_j, runs its forward pass once and
+    returns the columns J[:, j].  No graph is built.  Relu masks are
+    constant along every direction, so it is the J whose transpose the
+    PLIS routes apply.
     """
-    p = params.count
-    d = int(np.prod(subject.x.shape, dtype=np.int64))
+    p, shape = params.count, subject.x.shape
+    d = math.prod(shape)
     _guard(p, d, "input_jacobian")
-    size = chunk_size(params)
-    copies = max(1, min(d, size))  # a subject without entries is checked too
-    batch = stack_batch(spec, [subject.x] * copies, [subject.y] * copies)
+    # a subject without entries is checked too
+    batch = stack_batch(spec, [subject.x], [subject.y])
     jac_t = np.empty((d, p))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for cols in chunks(np.arange(d), size):
-            n = cols.size
-            directions = np.zeros((n, d))
-            directions[np.arange(n), cols] = 1.0
-            jac_t[cols] = grad_tangents(
-                spec, params, batch[:n], directions.reshape((n, *subject.x.shape))
-            )
+        for cols in chunks(range(d), chunk_size(params)):
+            n = len(cols)
+            directions = np.eye(n, d, cols.start).reshape((n, *shape))
+            jac_t[cols.start : cols.stop] = grad_tangents(spec, params, batch, directions)
     _refuse_non_finite([subject], jac_t, "input Jacobian")
     return jac_t.T
 
@@ -299,7 +299,8 @@ def fim_subject(
     # at most the FIM's trace
     _refuse_non_finite([subject], fim, "Fisher information")
     fil = np.sqrt(_top_eigenvalue(gram)) / sigma
-    diag = np.clip(np.diag(fim), 0.0, None)
+    # a Gram diagonal is a sum of squares, never -0.0: np.clip's bits
+    diag = np.maximum(np.diagonal(fim), 0.0)
     return FimReport(subject.id, fim, fil, np.sqrt(diag))
 
 

@@ -86,9 +86,13 @@ def gaussian_rows(seed: int, stream: int, rows: int, n: int) -> np.ndarray:
     and all angles are each one contiguous 1-d array, as for a single row.
     """
     m = (n + 1) // 2
-    bases = np.empty((rows, 1), np.uint64)
-    for r in range(rows):
-        bases[r] = _stream_base(seed, stream + r)
+    if rows == 1:  # numpy's uint64 ops take about twice as long on one entry as on two
+        bases = np.uint64(_stream_base(seed, stream))
+    else:  # each row's _stream_base in one pass: uint64 addition wraps as & _MASK does
+        bases = np.arange(rows, dtype=np.uint64).reshape(rows, 1)
+        bases += np.uint64(stream & _MASK)
+        bases ^= np.uint64(_mix(seed * _GOLDEN))
+        _finalize(bases)
     ctr = np.arange(2 * m, dtype=np.uint64)
     ctr *= _U_GOLDEN
     z = (ctr.reshape(2, 1, m) + bases).reshape(-1)

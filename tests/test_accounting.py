@@ -1,6 +1,7 @@
 """The accountant: closed forms through its reports, composition and the budget inverter."""
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -244,6 +245,28 @@ def test_running_sum_is_bit_identical_to_resumming_every_step(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [float(r["cumulative_epsilon"]) for r in rows] == expected
     assert [float(r["mu_total"]) for r in rows] == expected_mu
+
+
+def test_report_bytes_are_the_csv_writer_rendering_of_its_cells(tmp_path):
+    """300 steps (two full 128-step blocks and a partial one) cycling through
+    four (sensitivity, sigma) pairs, two of them apart only in a zero's sign:
+    the file's bytes equal csv.writer's rendering of the same cells."""
+    pairs = [(1.0, 1.3), (0.5, 0.65), (0.0, 2.0), (-0.0, 2.0)]
+    state, cells = acct.AccountantState(), [
+        ["step", "delta_step", "sigma_step", "rho_at_argmin_alpha", "cumulative_epsilon", "mu_total"]
+    ]
+    for k in range(300):
+        state.add_step(*pairs[k % len(pairs)])
+        step, report = state.steps[-1], acct.epsilon_from_rdp(state, 1e-5)
+        rho = 0.5 * report.alpha * (step.sensitivity / step.sigma) ** 2
+        cells.append([k, repr(step.sensitivity), repr(step.sigma), repr(rho),
+                      repr(report.epsilon), repr(math.sqrt(state.ratio_sq))])
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows(cells)
+    path = tmp_path / "acct.csv"
+    acct.write_report(state, 1e-5, path)
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert b",-0.0,2.0," in path.read_bytes()
 
 
 def test_report_rows_are_the_per_step_compositions_across_blocks(tmp_path):

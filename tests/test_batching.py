@@ -450,6 +450,19 @@ def test_grad_tangents_apply_the_jacobian_to_each_direction(problem):
 
 
 @settings(max_examples=30, deadline=None)
+@given(problems(), st.integers(2, 5))
+def test_a_one_sample_batch_takes_every_direction(problem, n):
+    """grad_tangents of a one-sample Batch along n directions has the bits of
+    grad_tangents of n stacked copies: the sample's records broadcast."""
+    spec, params, subjects, _ = problem
+    subject = subjects[0]
+    directions = np.random.default_rng(n).normal(size=(n, *subject.x.shape))
+    one = models.grad_tangents(spec, params, _stacked(spec, [subject]), directions)
+    copies = models.grad_tangents(spec, params, _stacked(spec, [subject] * n), directions)
+    assert one.tobytes() == copies.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
 @given(problems(), st.booleans())
 def test_plis_rows_pass_the_dot_test(problem, expanded):
     """Reverse against forward: PLIS_i = J_i^T u_i with u_i = (2/sigma^2) g_i,
@@ -506,6 +519,35 @@ def _two_conv(seed):
     rng = np.random.default_rng(seed)
     x, y = rng.uniform(0.0, 1.0, size=(1, 7, 5)), rng.normal(size=2)
     return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, y)
+
+
+def _relu_cnn(seed):
+    """The CLI's CNN shape on 6x6 images: two relu convs with biases, then a
+    Linear layer, so the walk takes a conv input adjoint."""
+    spec = models.cnn_spec(6, 6, 2)
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(1, 6, 6))
+    return spec, models.init_params(spec, seed), plis.SubjectRecord("s", x, 0)
+
+
+@pytest.mark.parametrize("make", [
+    _small_cnn, _relu_cnn, _two_conv, _relu_mlp,
+    lambda seed: _tabular_mlp(models.Tanh(), seed),
+    lambda seed: _tabular_mlp(models.Softplus(), seed),
+], ids=["relu-cnn", "two-relu-conv", "softplus-tanh-conv", "relu-mlp", "tanh-mlp", "softplus-mlp"])
+def test_a_one_sample_batch_takes_every_direction_through_each_layer(make):
+    """The broadcast walk against n stacked copies, to the bit, on models
+    with two convs, each activation and a bias-free conv; and the input
+    Jacobian built from it equals one built from the copies."""
+    spec, params, subject = make(8)
+    n = 4
+    directions = np.random.default_rng(9).normal(size=(n, *subject.x.shape))
+    one = models.grad_tangents(spec, params, _stacked(spec, [subject]), directions)
+    copies = models.grad_tangents(spec, params, _stacked(spec, [subject] * n), directions)
+    assert one.tobytes() == copies.tobytes()
+    d = subject.x.size
+    units = np.eye(d).reshape(d, *subject.x.shape)
+    jac = models.grad_tangents(spec, params, _stacked(spec, [subject] * d), units).T
+    assert plis.input_jacobian(spec, params, subject).tobytes() == jac.tobytes()
 
 
 def _address(a):

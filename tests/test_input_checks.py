@@ -202,6 +202,11 @@ CASES = [
              _LINEAR, models.init_params(_LINEAR, 0),
              models.stack_batch(_LINEAR, np.zeros((2, 3)), np.zeros((2, 1))), np.zeros((2, 4))),
          ShapeError, r"directions of shape \(2, 4\) do not fit inputs of shape \(2, 3\)"),
+    case("grad-tangents-direction-count",
+         lambda: models.grad_tangents(
+             _LINEAR, models.init_params(_LINEAR, 0),
+             models.stack_batch(_LINEAR, np.zeros((2, 3)), np.zeros((2, 1))), np.zeros((3, 3))),
+         ShapeError, r"directions of shape \(3, 3\) do not fit inputs of shape \(2, 3\)"),
     case("fim-without-sigma",
          lambda: plis.fim_subject(_LINEAR, models.init_params(_LINEAR, 0), _TABULAR, sigma=None),
          ConfigError, "sigma must be finite and positive, got None"),

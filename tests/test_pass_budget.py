@@ -8,9 +8,10 @@ by the summed walk otherwise), the input Jacobian none (it is
 forward-mode and tape-free, one call per chunk of input directions).  The
 attack objective takes one per call.  The counts come from wrappers on
 autodiff.backward and on the names plis and attack import, so they hold
-on any machine.  Three more counts: the weight adjoints of one input-
-Jacobian call, the batch checks of one training run, and the label
-stacks and observed-gradient norms of one reconstruction.
+on any machine.  Four more counts: the rows of each forward pass of the
+input Jacobian (one), the weight adjoints of one input-Jacobian call, the
+batch checks of one training run, and the label stacks and
+observed-gradient norms of one reconstruction.
 """
 
 import math
@@ -75,6 +76,26 @@ def test_input_jacobian_takes_no_tape_pass(monkeypatch, passes, spec, size):
     assert n_chunks >= 2
     assert len(tangents) == n_chunks
     assert passes == []
+
+
+@pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
+@pytest.mark.parametrize("size", [1, 3])
+def test_input_jacobian_runs_each_forward_pass_on_one_row(monkeypatch, spec, size):
+    """Each chunk of directions runs the subject's forward pass once, on its
+    one row, however many directions the chunk takes."""
+    params = models.init_params(spec, 1)
+    subject = _subjects(spec, 1)[0]
+    _chunk(monkeypatch, params, size)
+    rows = []
+    original = models._layer_records
+
+    def counted(spec, params, xs, *rest):
+        rows.append(len(xs))
+        return original(spec, params, xs, *rest)
+
+    monkeypatch.setattr(models, "_layer_records", counted)
+    plis.input_jacobian(spec, params, subject)
+    assert rows == [1] * math.ceil(subject.x.size / size)
 
 
 @pytest.mark.parametrize("spec", [_CNN, _MLP], ids=["cnn", "mlp"])
