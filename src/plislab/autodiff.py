@@ -47,10 +47,11 @@ several chunks pass arrays of a Workspace, reused from chunk to chunk,
 and the attack and the input Jacobian let the kernels allocate.
 
 Batch axis: the kernels work on a leading batch axis, one independent
-image, weight matrix, bias or logit row per sample.  Row i of the model
-node depends only on sample i, so one backward pass seeded with a
-cotangent of the node's shape returns each sample's gradient in its own
-row.
+image or logit row per sample, and a weight matrix or bias per sample or
+one row of them that broadcasts over the batch (the models' parameter
+tiles).  Row i of the model node depends only on sample i, so one
+backward pass seeded with a cotangent of the node's shape returns each
+sample's gradient in its own row.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ class Workspace:
     another has its own key, and no route returns a view of a workspace
     that is not its caller's.  Each shape's view is made once and handed
     out again, and so is what kept((key, ...), bases, make) made, while
-    bases are the same objects; replacing key's buffer drops both.
+    bases are the same objects (the models keep only each block's view of
+    their gradient rows so); replacing key's buffer drops both.
     """
 
     def __init__(self, least: int = 0):
@@ -178,7 +180,8 @@ class Workspace:
         return view
 
     def kept(self, key: tuple, bases: tuple, make, *args):
-        """make(*args), kept under key while bases are the same objects."""
+        """make(*args), kept under key while bases are the same objects:
+        the block views of the (B, p) gradient rows, in models._reverse."""
         kept = self._views.get(key)
         if kept is None or not all(map(operator.is_, kept[0], bases)):
             kept = self._views[key] = (bases, make(*args))
@@ -264,16 +267,18 @@ def _conv2d_input_adjoint_np(
     all +0.0 or -0.0, and adding either to the image, which starts at +0.0
     and never holds -0.0, changes no bit.  At C = 1 one GEMM takes all k*k
     offsets as its rows: a product of one row would be a BLAS call (gemv,
-    which sums in another order) per offset.  A kernel shared by the batch
-    (batch stride 0, as the models tile it) sets the B grids side by side,
-    channel-major, for one 2-D GEMM over all B*H*W columns.  On the CNN's
-    training chunks, (B, O, C, k, H, W) = (6, 16, 8, 3, 26, 26) with a
-    workspace (one BLAS thread, a 2-vCPU x86-64 VM), such a call took
-    0.45 ms against 0.48 ms for the same kernel copied per row, medians of
-    25 interleaved rounds on one input.  Per-row kernels take one batched
-    GEMM.  Given a workspace, the grid, the product and the
-    image come from it, under the keys "grid", "product" and "image";
-    given out, the result is copied into it.
+    which sums in another order) per offset.  A kernel of one row, shared
+    by the batch (as the models tile it), sets the B grids side by side,
+    channel-major, for one 2-D GEMM over all B*H*W columns; per-row kernels
+    take one batched GEMM.  The shared layout wins on many rows of small
+    images and ties on few: at (B, O, C, k, H, W) = (39, 16, 8, 3, 10, 10),
+    the 12x12 CNN's Jacobian chunks, it took 0.40 ms against 0.79 ms for
+    the kernel repeated per row (0.78 ms against 1.24 at 64 rows), and at
+    the 28x28 CNN's training chunk (6, 16, 8, 3, 26, 26) 0.478 against
+    0.475 ms (a workspace, one BLAS thread, a shared 2-vCPU x86-64 VM,
+    medians of 15 interleaved rounds).  Given a workspace, the grid, the
+    product and the image come from it, under the keys "grid", "product"
+    and "image"; given out, the result is copied into it.
     """
     return _conv2d_stacked_input_adjoint_np((g,), (kernel,), out, work)
 
@@ -289,13 +294,14 @@ def _conv2d_stacked_input_adjoint_np(
     concatenated first.  With a per-row kernel among them (as _reverse's
     W'), the GEMMs so take the arrays that the adjoint of
     np.concatenate(gs, 1) and np.concatenate(kernels, 1) takes, and give
-    its bits.  The shared layout is taken only if every kernel is shared,
-    and then B is that of gs: a kernel of one row serves every row of g."""
+    its bits.  The shared layout is taken only if every kernel has one row:
+    B is always that of gs, and a kernel of one row serves every row of g
+    (in the per-row layout its slices are broadcast over the B rows)."""
     b, (c, k) = len(gs[0]), kernels[0].shape[2:4]
     o = sum(kernel.shape[1] for kernel in kernels)
     oh, ow = gs[0].shape[2:]
     h, w = oh + k - 1, ow + k - 1
-    shared = all(kernel.strides[0] == 0 for kernel in kernels)
+    shared = all(len(kernel) == 1 for kernel in kernels)
     lead = 1 if shared else b
     shape = (o, b, h, w) if shared else (b, o, h, w)
     grid = np.zeros(shape) if work is None else work.zeros("grid", shape)
@@ -312,7 +318,7 @@ def _conv2d_stacked_input_adjoint_np(
             grid[first:last, :, :oh, :ow] = g.swapaxes(0, 1)
         else:
             grid[:, first:last, :oh, :ow] = g
-        part = kernel[:lead].reshape(lead, last - first, c, k * k // per, per)
+        part = kernel.reshape(len(kernel), last - first, c, k * k // per, per)
         view[:, :, first:last] = part.transpose(3, 0, 1, 4, 2)
         first = last
     grid = grid.reshape(lead, o, -1)

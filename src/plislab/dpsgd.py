@@ -36,10 +36,9 @@ buffer, and every step updates that buffer in place (dp_sgd_step's out),
 so no step allocates a second parameter vector or checks a new ParamSet.
 Both routes take their large temporaries from a models.Workspace that
 train keeps for all its steps, so no chunk allocates them, or faults
-their pages in, again.  The workspace also keeps what every step would
-rebuild: the parameter tiles of each chunk length, valid while the
-buffer is the same array, and a private step's (B, p) gradient rows with
-each block's view of them.
+their pages in, again.  The workspace also keeps a private step's (B, p)
+gradient rows with each block's view of them; the parameter tiles are
+the buffer's own (models.ParamSet.tiles), built once for every step.
 train draws the noise of consecutive steps as one block of
 rng.gaussian_rows, of at most NOISE_BLOCK_ENTRIES entries, whose row for
 step t is the draw dp_sgd_step would make itself at step t.
@@ -282,11 +281,9 @@ def dp_sgd_step(
             if noise is None:
                 noise = rng.gaussians(config.seed, rng.NOISE_STREAM + step_index, params.count)
             total += noise * (config.sigma * config.clip)
-        update = total / n
         if out is None:
-            out = params.with_flat(params.flat - config.learning_rate * update)
-        else:
-            np.subtract(params.flat, config.learning_rate * update, out=out.flat)
+            out = params.with_flat(np.empty_like(params.flat))
+        np.subtract(params.flat, config.learning_rate * (total / n), out=out.flat)
     if not np.isfinite(out.flat).all():
         raise TrainingDivergedError(f"non-finite parameters after step {step_index}")
     return StepResult(out, noise, mean_loss)

@@ -5,21 +5,19 @@ gradient with respect to all parameters comes back as one flat row per
 sample, or summed over the batch into one flat vector.
 
 Batch axis: every route takes B samples stacked on a leading axis and
-reads each parameter block as a (B, ...) tile, so sample i's loss depends
-only on row i of the parameters and of the inputs.  The tiles are
-read-only views of the flat vector with batch stride 0 (ParamSet.tiles),
-so no parameter is copied per sample; train (its one vector updated in
-place) and a PLIS call of several chunks keep them in their Workspace,
-built once per chunk length.  Callers pass at most chunk_size(params)
-samples at a time.  stack_batch stacks and checks samples once into a
-Batch, and no route checks a Batch again.  The batch sum leaves that
-axis only at the end of each weighted layer's adjoint.
+reads each parameter block as a one-row (1, ...) tile that broadcasts
+over them, so sample i's loss depends only on row i of the inputs.  The
+tiles are read-only views of the flat vector, one table per flat array
+(ParamSet.tiles): no route copies a parameter or builds them again.
+Callers pass at most chunk_size(params) samples, stacked and checked
+once into a Batch by stack_batch and by no route again.  The batch sum
+leaves that axis only at the end of each weighted layer's adjoint.
 
 One forward pass, then first and second order without a second-order
 tape.  _layer_records runs the forward pass in the autodiff numpy kernels
 and keeps per layer what the adjoints read, and _reverse is the one
-reverse walk through those records.  In first order,
-per_sample_loss_and_grad() takes it from the loss for the B losses and
+reverse walk through those records, run from the loss by _first_order,
+which opens every route.  per_sample_loss_and_grad() takes the B losses and
 (B, p) parameter-gradient rows g, which the private DP-SGD step clips;
 each weighted layer writes its gradients into its block's view of the
 rows.  Its summed mode, loss_and_grad_sum(), is the non-private step's:
@@ -183,6 +181,7 @@ class ParamSet:
     flat: np.ndarray
     layout: tuple[ParamBlock, ...]
     blocks: dict[str, ParamBlock] = field(init=False, repr=False, compare=False)
+    _tiles: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.flat = np.asarray(self.flat, dtype=np.float64, order="C")
@@ -204,14 +203,18 @@ class ParamSet:
         """Each block's columns of rows, by name."""
         return {b.name: self.columns(rows, b.name) for b in self.layout}
 
-    def tiles(self, n: int) -> dict:
-        """Each block as a read-only (n, *shape) view of flat, by name, every
-        row the same entries (batch stride 0)."""
-        tiles = self.views(self.flat)
-        for name, v in tiles.items():
-            tiles[name] = np.ndarray((n, *v.shape), v.dtype, v, 0, (0, *v.strides))
-            tiles[name].flags.writeable = False
-        return tiles
+    def tiles(self) -> dict:
+        """Each block as a read-only (1, *shape) view of flat, by name, which
+        broadcasts over any batch: one table per flat array, kept beside it
+        (an update of flat in place shows through; a copy keeps none)."""
+        if self._tiles is None or self._tiles[0] is not self.flat:
+            rows = self.flat[None]  # read-only, and so is every view of it
+            rows.flags.writeable = False
+            self._tiles = (self.flat, self.views(rows))
+        return self._tiles[1]
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_tiles"}
 
     @property
     def count(self) -> int:
@@ -362,17 +365,16 @@ def _buffer(work: Workspace | None, idx: int, name: str, shape: tuple, dtype=np.
 def _layer_records(
     spec: ModelSpec, params: ParamSet, xs: np.ndarray, work: Workspace | None = None
 ) -> tuple[np.ndarray, list]:
-    """The model's (B, ...) outputs for inputs xs under tiled views of the
-    parameters, in the autodiff numpy kernels, and per layer the record its
-    adjoints read: a Linear layer's weights and input, a Conv2d layer's
-    kernels, input patch matrix and input shape, an activation's slope (and
-    a tanh's output), and Flatten's input shape.  Every route runs its
-    forward pass here.  Patch matrices, layer outputs and slopes come from
-    work, under keys of their layer's index, and so do the tiles of each B
-    while params and its flat are the same objects; the bias is added in place."""
+    """The model's (B, ...) outputs for inputs xs under the parameters'
+    one-row tiles (ParamSet.tiles), in the autodiff numpy kernels, and per
+    layer the record its adjoints read: a Linear layer's weights and input,
+    a Conv2d layer's kernels, input patch matrix and input shape, an
+    activation's slope (and a tanh's output), and Flatten's input shape.
+    Every route runs its forward pass here.  Patch matrices, layer outputs
+    and slopes come from work, under keys of their layer's index; the bias
+    is added in place."""
     n = xs.shape[0]
-    tiles = params.tiles(n) if work is None else work.kept(
-        ("tiles", n), (params, params.flat), params.tiles, n)
+    tiles = params.tiles()
     records = []
     h = xs
     for idx, layer in enumerate(spec.layers):
@@ -526,18 +528,20 @@ def _loss_and_cotangent(spec: ModelSpec, h: np.ndarray, targets: np.ndarray):
     return losses, autodiff._softmax_np(h) - autodiff._onehot(targets, h.shape[1])
 
 
-def _loss_and_rows(
-    spec: ModelSpec, params: ParamSet, h: np.ndarray, records: list, targets: np.ndarray,
-    work: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, list]:
-    """Per-sample losses (B,), parameter gradients (B, p) (work's when
-    given) and, per layer, the cotangent of its output that the second
-    order reads (a weighted layer's, a tanh's or softplus's; else None),
-    from _layer_records' outputs h and records by _reverse's first order."""
-    losses, g = _loss_and_cotangent(spec, h, targets)
-    shape = (len(h), params.count)
-    grads = np.empty(shape) if work is None else work.empty("rows", shape)
-    return losses, grads, _reverse(spec, params, records, g, grads, work=work)[1]
+def _first_order(spec: ModelSpec, params: ParamSet, batch: Batch, grads: np.ndarray | None,
+                 work: Workspace | None = None) -> tuple[np.ndarray, list, np.ndarray, list]:
+    """Every route's prologue: _layer_records' outputs h and records of the
+    Batch, its losses (B,), and by _reverse's first order (grads: (B, p)
+    rows, a (p,) total or None) the output cotangents second order reads."""
+    h, records = _layer_records(spec, params, batch.xs, work)
+    losses, g = _loss_and_cotangent(spec, h, batch.targets)
+    return h, records, losses, _reverse(spec, params, records, g, grads, work=work)[1]
+
+
+def _rows(params: ParamSet, n: int, work: Workspace | None) -> np.ndarray:
+    """Uninitialised (n, p) gradient rows: work's when given."""
+    shape = (n, params.count)
+    return np.empty(shape) if work is None else work.empty("rows", shape)
 
 
 def per_sample_loss_and_grad(
@@ -546,8 +550,8 @@ def per_sample_loss_and_grad(
     """Per-sample losses (B,) and parameter gradients (B, p), without a tape.
     Given work, the rows and the large temporaries are its arrays, valid
     until the next call with it; the losses are not."""
-    h, records = _layer_records(spec, params, batch.xs, work)
-    return _loss_and_rows(spec, params, h, records, batch.targets, work)[:2]
+    rows = _rows(params, len(batch), work)
+    return _first_order(spec, params, batch, rows, work)[2], rows
 
 
 def loss_and_grad_sum(
@@ -558,10 +562,7 @@ def loss_and_grad_sum(
     mode: no (B, p) row is formed.  The forward pass, and so each loss, is
     per_sample_loss_and_grad's to the bit.  Large temporaries come from
     work, which the next call reuses; the losses do not."""
-    h, records = _layer_records(spec, params, batch.xs, work)
-    losses, g = _loss_and_cotangent(spec, h, batch.targets)
-    _reverse(spec, params, records, g, total, work=work)
-    return losses
+    return _first_order(spec, params, batch, total, work)[2]
 
 
 def _tangent_walk(
@@ -569,7 +570,7 @@ def _tangent_walk(
     dx: np.ndarray | None = None, dtheta: np.ndarray | None = None, work: Workspace | None = None,
 ) -> np.ndarray:
     """Tangents of the loss gradient, forward-over-reverse through
-    _layer_records' outputs h and records and _loss_and_rows' cotangents,
+    _layer_records' outputs h and records and _first_order's cotangents,
     without a tape.  Given work, the patch matrices along dtheta and the
     conv adjoints' buffers are its arrays; the result is not.
 
@@ -634,12 +635,12 @@ def attach_sample(spec: ModelSpec, params: ParamSet, batch: Batch,
     holding per_sample_loss_and_grad's (B, p) rows.
 
     One forward pass serves both directions: the node's value comes from
-    _loss_and_rows, and its rule maps a (B, p) cotangent array c to the
+    _first_order, and its rule maps a (B, p) cotangent array c to the
     array of rows J_i^T c_i, from _tangent_walk on the same records.  Given
     work, the rows too are its arrays, valid until the next call with it.
     """
-    h, records = _layer_records(spec, params, batch.xs, work)
-    _, rows, cotangents = _loss_and_rows(spec, params, h, records, batch.targets, work)
+    rows = _rows(params, len(batch), work)
+    h, records, _, cotangents = _first_order(spec, params, batch, rows, work)
     graph = Graph()
     x = graph.leaf(batch.xs)
 
@@ -655,18 +656,16 @@ def grad_tangents(spec: ModelSpec, params: ParamSet, batch: Batch, directions) -
 
     Row i is d/dt grad_theta loss(xs[i] + t directions[i]) at t = 0 (xs[0]
     for one sample), the gradient's input Jacobian applied to directions[i];
-    unit directions give its columns.  _layer_records runs the forward pass
-    once, the first-order walk gives the cotangents and no rows, and
-    _tangent_walk carries the directions along them: one sample's records
-    broadcast over n directions, with the bits of n stacked copies."""
+    unit directions give its columns.  _first_order runs the forward pass
+    once and gives the cotangents (no rows), along which _tangent_walk
+    carries the directions: one sample's records broadcast over n
+    directions, with the bits of n stacked copies."""
     directions = np.asarray(directions, dtype=np.float64)
     n = len(directions) if directions.ndim else 0
     if not n or directions.shape[1:] != batch.xs.shape[1:] or len(batch) not in (1, n):
         raise ShapeError(f"input directions of shape {directions.shape} do not fit inputs "
                          f"of shape {batch.xs.shape}")
-    h, records = _layer_records(spec, params, batch.xs)
-    g = _loss_and_cotangent(spec, h, batch.targets)[1]
-    cotangents = _reverse(spec, params, records, g, None)[1]
+    h, records, _, cotangents = _first_order(spec, params, batch, None)
     return _tangent_walk(spec, params, h, records, cotangents, dx=directions)
 
 

@@ -99,8 +99,9 @@ def _max_rel_error(f, x, analytic, h=1e-5):
 
 
 def test_conv_ops_gradients_match_finite_differences():
-    """Per-row kernels, and one kernel tiled over the batch (batch stride 0,
-    as the models tile it), which the input adjoint lays out channel-major."""
+    """Per-row kernels, and one kernel of one row that broadcasts over the
+    batch (as the models tile it), which the input adjoint lays out
+    channel-major."""
     rng = np.random.default_rng(12)
     kernel = rng.normal(size=(2, 2, 1, 3, 3))
     x = rng.normal(size=(2, 1, 6, 6))
@@ -112,17 +113,12 @@ def test_conv_ops_gradients_match_finite_differences():
 
     x = rng.normal(size=(3, 2, 6, 5))
     shared = rng.normal(size=(2, 2, 3, 3))
-
-    def tiled(t):
-        return np.broadcast_to(t, (3, *t.shape))
-
-    assert tiled(shared).strides[0] == 0
-    r = 2.0 * _conv(x, tiled(shared))
-    in_x = ad._conv2d_input_adjoint_np(r, tiled(shared))
+    r = 2.0 * _conv(x, shared[None])
+    in_x = ad._conv2d_input_adjoint_np(r, shared[None])
     # the gradient in the shared kernel is the sum of the rows' gradients
     in_kernel = ad._conv2d_kernel_adjoint_np(r, ad._im2col(x, 3)).sum(axis=0).reshape(shared.shape)
-    assert _max_rel_error(lambda t: np.square(_conv(t, tiled(shared))).sum(), x, in_x) < 1e-5
-    assert _max_rel_error(lambda t: np.square(_conv(x, tiled(t))).sum(), shared, in_kernel) < 1e-5
+    assert _max_rel_error(lambda t: np.square(_conv(t, shared[None])).sum(), x, in_x) < 1e-5
+    assert _max_rel_error(lambda t: np.square(_conv(x, t[None])).sum(), shared, in_kernel) < 1e-5
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +323,9 @@ def _patch_gemm_input_adjoint(g, kernel, out=None, work=None):
     """The conv input adjoint by the patch GEMM: the (B, C*k*k, oh*ow) products
     of the transposed kernels with g, each summed into the pixel that
     _patch_indices names, by a bincount that visits them in (c, ki, kj) order.
-    Copied into out when given, as the kernel it stands in for; work unused."""
+    A one-row kernel is broadcast over g's B rows.  Copied into out when
+    given, as the kernel it stands in for; work unused."""
+    kernel = np.broadcast_to(kernel, (len(g), *kernel.shape[1:]))
     b, o, c, k = kernel.shape[:4]
     oh, ow = g.shape[2:]
     h, w = oh + k - 1, ow + k - 1
@@ -357,7 +355,7 @@ def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
         g = rng.normal(size=(b, o, h - k + 1, w - k + 1))
         g[rng.random(g.shape) < 0.2] = -0.0
         g[0, :, 0] = -0.0  # the top row of image 0 gets zero terms only
-        shared = np.broadcast_to(rng.normal(size=(o, c, k, k)), (b, o, c, k, k))
+        shared = rng.normal(size=(1, o, c, k, k))  # one row, as the models tile it
         for kernel in (shared, rng.normal(size=(b, o, c, k, k))):
             ref = _patch_gemm_input_adjoint(g, kernel)
             got = ad._conv2d_input_adjoint_np(g, kernel)
@@ -369,7 +367,9 @@ def test_conv2d_input_adjoint_matches_patch_gemm_scatter_bitwise():
 
 
 def _concatenated_stacked_adjoint(gs, kernels, out=None, work=None):
-    """The stacked input adjoint as the patch GEMM of concatenated operands."""
+    """The stacked input adjoint as the patch GEMM of concatenated operands,
+    a one-row kernel broadcast over the B rows of g."""
+    kernels = [np.broadcast_to(kernel, (len(gs[0]), *kernel.shape[1:])) for kernel in kernels]
     gs, kernels = np.concatenate(gs, axis=1), np.concatenate(kernels, axis=1)
     return _patch_gemm_input_adjoint(gs, kernels, out, work)
 
@@ -377,7 +377,7 @@ def _concatenated_stacked_adjoint(gs, kernels, out=None, work=None):
 def test_stacked_input_adjoint_matches_the_concatenated_operands_bitwise(monkeypatch):
     """W^T g' + W'^T g with the operands laid straight into the grid and the
     kernel slices gives the bits of the patch GEMM of the concatenated
-    [g', g] and [W, W'], for a shared W and a per-row W' as _reverse passes
+    [g', g] and [W, W'], for a one-row W and a per-row W' as _reverse passes
     them; and the walks' rows through it (the first-order adjoint is its
     one-pair case) are the rows they give with that in its place."""
     rng = np.random.default_rng(44)
@@ -387,8 +387,7 @@ def test_stacked_input_adjoint_matches_the_concatenated_operands_bitwise(monkeyp
     for b, o, c, k, h, w in shapes:
         gs = rng.normal(size=(2, b, o, h - k + 1, w - k + 1))
         gs[rng.random(gs.shape) < 0.2] = -0.0
-        kernels = (np.broadcast_to(rng.normal(size=(o, c, k, k)), (b, o, c, k, k)),
-                   rng.normal(size=(b, o, c, k, k)))
+        kernels = (rng.normal(size=(1, o, c, k, k)), rng.normal(size=(b, o, c, k, k)))
         got = ad._conv2d_stacked_input_adjoint_np(tuple(gs), kernels)
         ref = _concatenated_stacked_adjoint(tuple(gs), kernels)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -404,6 +403,27 @@ def test_stacked_input_adjoint_matches_the_concatenated_operands_bitwise(monkeyp
     got = rows()
     monkeypatch.setattr(ad, "_conv2d_stacked_input_adjoint_np", _concatenated_stacked_adjoint)
     assert got == rows()
+
+
+def test_a_one_row_kernel_has_the_bits_of_the_kernel_repeated_per_row():
+    """The stacked input adjoint of one-row kernels over B rows of g has the
+    bits of the same adjoint with each kernel repeated B times: in the
+    shared layout (every kernel one row) and in the per-row layout (a
+    one-row W with a per-row W'), on the CNNs' training and Jacobian chunks."""
+    rng = np.random.default_rng(48)
+    shapes = [  # (B, O, C, k, H, W) of each operand
+        (6, 16, 8, 3, 26, 26), (1, 16, 8, 3, 26, 26), (39, 16, 8, 3, 10, 10),
+        (64, 16, 8, 3, 10, 10),
+    ]
+    for b, o, c, k, h, w in shapes:
+        gs = rng.normal(size=(2, b, o, h - k + 1, w - k + 1))
+        gs[rng.random(gs.shape) < 0.2] = -0.0
+        one_row = rng.normal(size=(1, o, c, k, k))
+        for second in (rng.normal(size=(1, o, c, k, k)), rng.normal(size=(b, o, c, k, k))):
+            got = ad._conv2d_stacked_input_adjoint_np(tuple(gs), (one_row, second))
+            repeated = [np.repeat(kernel, b // len(kernel), axis=0) for kernel in (one_row, second)]
+            want = ad._conv2d_stacked_input_adjoint_np(tuple(gs), repeated)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _conv_routes(spec, params, subjects, step_config):

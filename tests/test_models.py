@@ -1,10 +1,12 @@
 """Model construction, per-sample losses/gradients and checkpoint I/O."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from plislab import autodiff as ad
-from plislab import cli, datasets, models
+from plislab import cli, datasets, models, plis
 from plislab.autodiff import backward
 from plislab.errors import DataFormatError, ShapeError
 
@@ -214,7 +216,8 @@ def test_cli_models_attach_the_input_and_one_gradient_node(arch):
 
 def test_attach_sample_tiles_parameters_as_read_only_views():
     """attach_sample's forward pass, _layer_records, reads each weight block
-    through a read-only (B, *block shape) view of the flat parameters."""
+    through a read-only (1, *block shape) view of the flat parameters, one
+    row that broadcasts over the batch."""
     spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
     params = models.init_params(spec, 4)
     _, records = models._layer_records(spec, params, np.ones((5, 3)))
@@ -222,17 +225,17 @@ def test_attach_sample_tiles_parameters_as_read_only_views():
     blocks = [b for b in params.layout if b.name.endswith(".weight")]
     for block, view in zip(blocks, weights, strict=True):
         expected = params.flat[block.offset : block.offset + block.size].reshape(block.shape)
-        assert view.shape == (5,) + block.shape
-        assert view.strides[0] == 0 and not view.flags.writeable
+        assert view.shape == (1,) + block.shape
+        assert not view.flags.writeable
         assert np.shares_memory(view, params.flat)
-        for row in view:
-            np.testing.assert_array_equal(row, expected)
+        np.testing.assert_array_equal(view[0], expected)
 
 
 def test_a_workspace_keeps_tiles_that_follow_flat_updated_in_place():
-    """With a workspace, _layer_records takes each chunk length's tiles from
-    it: made once while the ParamSet and its flat are the same objects, they
-    show an update of flat in place, and a new flat array gets new tiles."""
+    """With a workspace, _layer_records reads the ParamSet's one tile table
+    and the workspace keeps no tile: each chunk length gets the same views,
+    they show an update of flat in place, and a new flat array gets new
+    tiles."""
     spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
     params, work = models.init_params(spec, 4), models.Workspace()
 
@@ -240,12 +243,68 @@ def test_a_workspace_keeps_tiles_that_follow_flat_updated_in_place():
         return models._layer_records(spec, params, np.ones((n, 3)), work)[1][0][0]
 
     tile = weights(5)
-    assert weights(5) is tile and weights(1) is not tile
+    assert weights(5) is tile and weights(1) is tile
+    assert tile is models._layer_records(spec, params, np.ones((5, 3)))[1][0][0]
+    assert not any(key[0] == "tiles" for key in work._views)
     params.flat *= 2.0
     assert np.shares_memory(tile, params.flat)
-    np.testing.assert_array_equal(tile[4], params.columns(params.flat, "0.weight"))
+    np.testing.assert_array_equal(tile[0], params.columns(params.flat, "0.weight"))
     params.flat = params.flat.copy()
     assert weights(5) is not tile and np.shares_memory(weights(5), params.flat)
+
+
+def test_layer_records_reads_one_tile_table_at_every_batch_length():
+    """_layer_records on batches of 1, 5 and 7 reads the same tile arrays,
+    an update of flat in place shows through them, and assigning a new flat
+    array gets a new table, as does a copy of the ParamSet."""
+    spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
+    params = models.init_params(spec, 4)
+
+    def tiles(n):
+        records = models._layer_records(spec, params, np.ones((n, 3)))[1]
+        return records[0][0], records[2][0]
+
+    first = tiles(1)
+    for n in (5, 7):
+        assert all(a is b for a, b in zip(tiles(n), first, strict=True))
+    before = first[0].copy()
+    params.flat *= 2.0
+    np.testing.assert_array_equal(first[0], 2.0 * before)
+    h = models._layer_records(spec, params, np.ones((5, 3)))[0]
+    old = params.flat
+    params.flat = params.flat.copy()
+    again = tiles(5)
+    assert all(a is not b for a, b in zip(again, first, strict=True))
+    assert all(np.shares_memory(a, params.flat) and not np.shares_memory(a, old) for a in again)
+    assert models._layer_records(spec, params, np.ones((5, 3)))[0].tobytes() == h.tobytes()
+    clone = copy.deepcopy(params)
+    clone.flat *= 3.0
+    tile = clone.tiles()["0.weight"]
+    assert np.shares_memory(tile, clone.flat)
+    np.testing.assert_array_equal(tile[0], clone.columns(clone.flat, "0.weight"))
+
+
+def test_routes_without_a_workspace_build_the_tile_table_once(monkeypatch):
+    """On one ParamSet, two attach_sample calls without a workspace, a
+    plis_direct and a fim_subject take their parameter tiles from one table,
+    built by one ParamSet.views call on a view of flat."""
+    spec = models.ModelSpec((models.Linear(3, 2), models.Tanh(), models.Linear(2, 1)), models.MSE)
+    params = models.init_params(spec, 4)
+    data = datasets.make_regression(3, 3, (1,), 0.1, 0)
+    subject = datasets.tabular_subjects(data.X, data.y)[0]
+    batch = models.stack_batch(spec, [subject.x], [subject.y])
+    on_flat, original = [], models.ParamSet.views
+
+    def counted(self, rows):
+        on_flat.append(np.shares_memory(rows, self.flat))
+        return original(self, rows)
+
+    monkeypatch.setattr(models.ParamSet, "views", counted)
+    for _ in range(2):
+        models.attach_sample(spec, params, batch)
+    plis.plis_direct(spec, params, subject, 1.0, 0.5)
+    plis.fim_subject(spec, params, subject, 1.0)
+    assert on_flat.count(True) == 1
 
 
 def test_a_workspace_hands_out_a_fresh_array_below_its_least():
@@ -302,7 +361,7 @@ def test_linear_weight_rows_are_written_in_place_with_the_kernels_bits(order, wo
     params = models.init_params(spec, 1)
     b = 6
     g, h, up, moved = (_signed_zeros(rng, shape) for shape in [(b, 3), (b, 4), (b, 3), (b, 4)])
-    records = [(params.tiles(b)["0.weight"], h)]
+    records = [(params.tiles()["0.weight"], h)]
     work = models.Workspace() if workspace else None
     rows = work.empty("rows", (b, params.count)) if workspace else np.empty((b, params.count))
     rows.fill(np.nan)

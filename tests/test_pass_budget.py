@@ -193,21 +193,16 @@ def test_grad_tangents_takes_two_weight_adjoints_per_weighted_layer(monkeypatch)
 def test_private_training_builds_its_views_once_per_chunk_length(monkeypatch):
     """3 epochs of 4 batch-1 private steps on an MLP: one gradient call per
     step, while the parameter tiles (ParamSet.tiles, from one ParamSet.views
-    of the flat vector) and the rows' block views (one more ParamSet.views)
-    are built once for the one chunk length, not once per step."""
-    calls = {"tiles": [], "views": []}
+    of the flat vector, kept beside it) and the rows' block views (one more
+    ParamSet.views, kept in train's workspace) are built once for the one
+    chunk length, not once per step."""
+    views, original = [], models.ParamSet.views
 
-    def counting(name):
-        original = getattr(models.ParamSet, name)
+    def counted(self, arg):
+        views.append(arg)
+        return original(self, arg)
 
-        def counted(self, arg):
-            calls[name].append(arg)
-            return original(self, arg)
-
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(models.ParamSet, name, counting(name))
+    monkeypatch.setattr(models.ParamSet, "views", counted)
     grads, gradient = [], dpsgd.per_sample_loss_and_grad
     monkeypatch.setattr(dpsgd, "per_sample_loss_and_grad",
                         lambda *args: grads.append(args) or gradient(*args))
@@ -216,8 +211,8 @@ def test_private_training_builds_its_views_once_per_chunk_length(monkeypatch):
     trace = dpsgd.train(_MLP, [(s.x, s.y) for s in subjects], config)
     assert len(trace.step_records) == 3 * 4
     assert len(grads) == 3 * 4
-    assert calls["tiles"] == [1]
-    assert [np.shape(a) for a in calls["views"]] == [(trace.params.count,), (1, trace.params.count)]
+    assert np.shares_memory(views[0], trace.params.flat)
+    assert [np.shape(a) for a in views] == [(1, trace.params.count)] * 2
 
 
 def test_training_checks_its_dataset_once(monkeypatch):
